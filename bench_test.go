@@ -337,6 +337,29 @@ func BenchmarkServeGEMM(b *testing.B) {
 		4, serve.Request{Kernel: "gemm", N: 48})
 }
 
+// BenchmarkServeGEMMBareFused is the yardstick for BenchmarkServeGEMM: the
+// same n=48 product through the bare fused-ABFT kernel (abft.Standalone: no
+// runtime, ladder, checkpoints, oracle or operand generation) at the same
+// client width. Request ns/op over this ns/op is the whole-request overhead
+// ROADMAP item 1 tracks.
+func BenchmarkServeGEMMBareFused(b *testing.B) {
+	b.SetParallelism(4)
+	b.RunParallel(func(pb *testing.PB) {
+		d, err := abft.NewDGEMM(abft.Standalone(), 48, 1)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		d.Mode = abft.FusedVerify
+		for pb.Next() {
+			if err := d.Run(); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
 // BenchmarkServeGEMMBatched holds a small batching window open; the
 // delta against BenchmarkServeGEMM prices the coalescing stage.
 func BenchmarkServeGEMMBatched(b *testing.B) {

@@ -19,6 +19,19 @@ go test -race -short ./...
 # detector, time-boxed so a hung run fails fast instead of stalling CI.
 go test -race -timeout 5m -run 'TestSoakShortDeterministic' ./internal/recovery/soak/
 
+# Equivalence oracle: serving and the soak harness run on the functional
+# runtime (no cache/DRAM timing, hierarchy dormant until a fault is
+# injected). Every cell of the soak grid, under all three DGEMM verify
+# modes, must end with the same recovery.Report and the same answer bits
+# on the functional runtime as on the paper's timed platform.
+go test -race -timeout 10m -run 'TestFunctionalRuntime' ./internal/recovery/soak/
+
+# The benchmark is a module of its own (cmd/abftbench/go.mod), invisible to
+# ./... above. Its bench_test.go also pins that the timed ladder level
+# ends every f64 request kind exactly as serve.Service.Do does — a second,
+# independent check of the same equivalence.
+(cd cmd/abftbench && go vet . && go test .)
+
 # Bench smoke: compile and run every benchmark once so the GFLOP/s suite
 # (kernel layer, tables/figures) can't silently rot.
 go test -bench=. -benchtime=1x -run='^$' ./...
@@ -178,6 +191,11 @@ wait "$j3" || true
 # resumed latency beat the cold baseline's wall time — the comparison is
 # written to BENCH_recover.json. -self-url is what workers dial to stream
 # checkpoints back, so it must be the gateway's loopback address.
+#
+# The grid is 96x96 so the undisturbed solve runs for seconds (2.7 s
+# race-built on the 2-vCPU reference host, where 64x64 takes 0.8 s): the
+# strike has to land mid-solve and the migrate-vs-cold comparison needs its
+# margin on faster hosts too.
 "$tmp/abftd" -addr 127.0.0.1:18451 &
 c1=$!
 "$tmp/abftd" -addr 127.0.0.1:18452 &
@@ -188,7 +206,7 @@ c2=$!
 	-probe-interval 150ms -breaker-cooldown 500ms -seed 17 &
 cgate=$!
 "$tmp/abftload" -addr http://127.0.0.1:18450 -wait 10s \
-	-job-kernel cg -job-nx 64 -job-ny 64 -job-timeout 120s -seed 17 \
+	-job-kernel cg -job-nx 96 -job-ny 96 -job-timeout 120s -seed 17 \
 	-job-kill-nodes "127.0.0.1:18451=$c1,127.0.0.1:18452=$c2" \
 	-recover-checkpoint-every 2 -recover-out "$tmp/BENCH_recover.json"
 test -s "$tmp/BENCH_recover.json"

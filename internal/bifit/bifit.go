@@ -61,7 +61,8 @@ type Target struct {
 // which is what pure-algorithm campaigns use.
 type Injector struct {
 	OS      *osmodel.OS
-	rng     *rand.Rand
+	seed    int64
+	rng     *rand.Rand // built by rand() on the first draw
 	targets []Target
 	// Injections counts performed injections.
 	Injections int
@@ -69,7 +70,17 @@ type Injector struct {
 
 // New builds an injector with a deterministic stream.
 func New(os *osmodel.OS, seed int64) *Injector {
-	return &Injector{OS: os, rng: rand.New(rand.NewSource(seed))}
+	return &Injector{OS: os, seed: seed}
+}
+
+// rand returns the injector's stream, seeding it on first use: seeding
+// math/rand's generator costs more than building the rest of a runtime,
+// and a run that injects nothing never draws.
+func (in *Injector) rand() *rand.Rand {
+	if in.rng == nil {
+		in.rng = rand.New(rand.NewSource(in.seed))
+	}
+	return in.rng
 }
 
 // Register makes a target's storage reachable for hardware-repair
@@ -150,20 +161,20 @@ func (in *Injector) FlipBits(t Target, idx int, bits []int) error {
 func (in *Injector) InjectKind(t Target, idx int, kind Kind) error {
 	switch kind {
 	case SingleBit:
-		return in.FlipBits(t, idx, []int{in.rng.Intn(64)})
+		return in.FlipBits(t, idx, []int{in.rand().Intn(64)})
 	case DoubleBitSameWord:
-		b1 := in.rng.Intn(64)
-		b2 := in.rng.Intn(64)
+		b1 := in.rand().Intn(64)
+		b2 := in.rand().Intn(64)
 		for b2 == b1 {
-			b2 = in.rng.Intn(64)
+			b2 = in.rand().Intn(64)
 		}
 		return in.FlipBits(t, idx, []int{b1, b2})
 	case ChipFailure:
 		// One whole byte (symbol) of the word.
-		sym := in.rng.Intn(8)
+		sym := in.rand().Intn(8)
 		bits := make([]int, 0, 8)
 		for b := 0; b < 8; b++ {
-			if in.rng.Intn(2) == 0 || b == 0 {
+			if in.rand().Intn(2) == 0 || b == 0 {
 				bits = append(bits, sym*8+b)
 			}
 		}
@@ -172,12 +183,12 @@ func (in *Injector) InjectKind(t Target, idx int, kind Kind) error {
 		// Two bits in different symbols; with an OS attached, spread them
 		// across two elements in the same half-line codeword to defeat
 		// chipkill as well.
-		s1 := in.rng.Intn(8)
-		s2 := in.rng.Intn(8)
+		s1 := in.rand().Intn(8)
+		s2 := in.rand().Intn(8)
 		for s2 == s1 {
-			s2 = in.rng.Intn(8)
+			s2 = in.rand().Intn(8)
 		}
-		if err := in.FlipBits(t, idx, []int{s1*8 + in.rng.Intn(8)}); err != nil {
+		if err := in.FlipBits(t, idx, []int{s1*8 + in.rand().Intn(8)}); err != nil {
 			return err
 		}
 		// A second element on the same line if available (same 32-byte
@@ -187,14 +198,14 @@ func (in *Injector) InjectKind(t Target, idx int, kind Kind) error {
 			idx2 = idx
 		}
 		in.Injections-- // count the pair as one injection event
-		return in.FlipBits(t, idx2, []int{s2*8 + in.rng.Intn(8)})
+		return in.FlipBits(t, idx2, []int{s2*8 + in.rand().Intn(8)})
 	default:
 		return fmt.Errorf("bifit: unknown kind %v", kind)
 	}
 }
 
 // RandomElement picks a uniformly random element index of t.
-func (in *Injector) RandomElement(t Target) int { return in.rng.Intn(len(t.Data)) }
+func (in *Injector) RandomElement(t Target) int { return in.rand().Intn(len(t.Data)) }
 
 // Schedule draws `count` injection times uniformly from [0, steps) and
 // returns them sorted — BIFIT's "inject at specific time" knob for
@@ -202,7 +213,7 @@ func (in *Injector) RandomElement(t Target) int { return in.rng.Intn(len(t.Data)
 func (in *Injector) Schedule(steps, count int) []int {
 	out := make([]int, count)
 	for i := range out {
-		out[i] = in.rng.Intn(steps)
+		out[i] = in.rand().Intn(steps)
 	}
 	// Insertion sort (count is small).
 	for i := 1; i < len(out); i++ {
@@ -231,7 +242,7 @@ func (in *Injector) Poisson(mean float64) int {
 	l := math.Exp(-mean)
 	k, p := 0, 1.0
 	for {
-		p *= in.rng.Float64()
+		p *= in.rand().Float64()
 		if p <= l {
 			return k
 		}

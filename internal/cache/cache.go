@@ -55,8 +55,11 @@ type line struct {
 
 // Cache is one set-associative write-back level.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
+	cfg Config
+	// lines backs every set in one allocation: set s owns
+	// lines[s*ways : (s+1)*ways].
+	lines []line
+	ways  uint64
 	nsets uint64
 	tick  uint64
 	stats Stats
@@ -69,12 +72,10 @@ func New(cfg Config) *Cache {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d is not a positive power of two", nsets))
 	}
-	sets := make([][]line, nsets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
-	}
-	return &Cache{cfg: cfg, sets: sets, nsets: uint64(nsets)}
+	return &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Ways), ways: uint64(cfg.Ways), nsets: uint64(nsets)}
 }
+
+func (c *Cache) set(s uint64) []line { return c.lines[s*c.ways : (s+1)*c.ways] }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -85,7 +86,7 @@ func (c *Cache) Access(addr uint64, write bool) Outcome {
 	lineAddr := addr / LineBytes
 	set := lineAddr % c.nsets
 	tag := lineAddr / c.nsets
-	ways := c.sets[set]
+	ways := c.set(set)
 	c.tick++
 
 	for i := range ways {
@@ -124,15 +125,13 @@ func (c *Cache) Access(addr uint64, write bool) Outcome {
 // Flush invalidates every resident line, calling wb (if non-nil) for each
 // dirty one with its line address.
 func (c *Cache) Flush(wb func(addr uint64)) {
-	for set := uint64(0); set < c.nsets; set++ {
-		for i := range c.sets[set] {
-			l := &c.sets[set][i]
-			if l.valid && l.dirty && wb != nil {
-				c.stats.Writebacks++
-				wb((l.tag*c.nsets + set) * LineBytes)
-			}
-			*l = line{}
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.valid && l.dirty && wb != nil {
+			c.stats.Writebacks++
+			wb((l.tag*c.nsets + uint64(i)/c.ways) * LineBytes)
 		}
+		*l = line{}
 	}
 }
 
@@ -141,7 +140,7 @@ func (c *Cache) Contains(addr uint64) bool {
 	lineAddr := addr / LineBytes
 	set := lineAddr % c.nsets
 	tag := lineAddr / c.nsets
-	for _, w := range c.sets[set] {
+	for _, w := range c.set(set) {
 		if w.valid && w.tag == tag {
 			return true
 		}

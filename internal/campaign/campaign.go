@@ -92,7 +92,7 @@ func WithWorkers(n int) Option {
 }
 
 // WithProgress installs a progress callback. The callback runs on worker
-// goroutines under the engine's bookkeeping lock: keep it fast.
+// goroutines, one call at a time under an engine lock: keep it fast.
 func WithProgress(f ProgressFunc) Option {
 	return func(e *Engine) { e.progress = f }
 }
@@ -176,6 +176,9 @@ func (e *Engine) Run(ctx context.Context, n int, cell func(ctx context.Context, 
 		next     atomic.Int64 // next cell index to claim
 		firstErr atomic.Pointer[error]
 		wg       sync.WaitGroup
+		// progressMu serializes callbacks across workers, so an observer
+		// needs no lock of its own and sees Done only grow.
+		progressMu sync.Mutex
 	)
 	workers := e.workers
 	if workers > n {
@@ -200,7 +203,9 @@ func (e *Engine) Run(ctx context.Context, n int, cell func(ctx context.Context, 
 				}
 				t.add(time.Since(cellStart))
 				if e.progress != nil {
+					progressMu.Lock()
 					e.progress(t.metrics(e.workers, n, start))
+					progressMu.Unlock()
 				}
 			}
 		}()

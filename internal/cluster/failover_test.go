@@ -27,6 +27,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // subsequent request to still classify (zero wrong answers), watch the
 // probe mark it unhealthy, restart it on the same address, and require
 // placement to return to it.
+//
+// Two gateways front the same three nodes. The probing one can learn of the
+// death from its event stream or a health probe before the first post-kill
+// request is even sent, in which case no request of its ever dials the dead
+// node; so the live-failover path (connection refused → runner-up) is
+// asserted on a second gateway with no background detection, where the
+// first request after the kill must take it.
 func TestThreeNodeFailoverAndRejoin(t *testing.T) {
 	nodes := make([]*restartableNode, 3)
 	cfgs := make([]NodeConfig, 3)
@@ -34,23 +41,28 @@ func TestThreeNodeFailoverAndRejoin(t *testing.T) {
 		nodes[i] = startRestartable(t, "")
 		cfgs[i] = NodeConfig{ID: fmt.Sprintf("n%d", i), BaseURL: nodes[i].url()}
 	}
-	g, err := New(Config{
-		Nodes:           cfgs,
-		Window:          8,
-		Retries:         3,
-		RetryBackoff:    time.Millisecond,
-		ProbeInterval:   25 * time.Millisecond,
-		ProbeTimeout:    250 * time.Millisecond,
-		BreakerFailures: 2,
-		BreakerCooldown: 100 * time.Millisecond,
-		Seed:            13,
-	})
-	if err != nil {
-		t.Fatal(err)
+	gateway := func(probeInterval time.Duration) *Gateway {
+		g, err := New(Config{
+			Nodes:           cfgs,
+			Window:          8,
+			Retries:         3,
+			RetryBackoff:    time.Millisecond,
+			ProbeInterval:   probeInterval,
+			ProbeTimeout:    250 * time.Millisecond,
+			BreakerFailures: 2,
+			BreakerCooldown: 100 * time.Millisecond,
+			Seed:            13,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(g.Close)
+		return g
 	}
-	t.Cleanup(g.Close)
+	g := gateway(25 * time.Millisecond)
+	blind := gateway(-1) // no prober, no event watchers
 
-	do := func(seed uint64) serve.Response {
+	doOn := func(g *Gateway, seed uint64) serve.Response {
 		t.Helper()
 		resp, err := g.Do(context.Background(), serve.Request{Kernel: "gemm", N: 48, Seed: seed, Faults: 1})
 		if err != nil {
@@ -61,8 +73,12 @@ func TestThreeNodeFailoverAndRejoin(t *testing.T) {
 		}
 		return resp
 	}
+	do := func(seed uint64) serve.Response { t.Helper(); return doOn(g, seed) }
 
 	owner := do(1).Node
+	if o := doOn(blind, 1).Node; o != owner {
+		t.Fatalf("gateways disagree on the key's owner: %s vs %s", owner, o)
+	}
 	var victim *restartableNode
 	for i, c := range cfgs {
 		if c.ID == owner {
@@ -71,20 +87,22 @@ func TestThreeNodeFailoverAndRejoin(t *testing.T) {
 	}
 	victim.kill() // SIGKILL analogue: connections refused, no drain
 
-	// Every request during the outage must still classify; the first few
-	// fail over live (connection refused → runner-up).
-	failedOver := 0
-	for seed := uint64(2); seed <= 20; seed++ {
-		resp := do(seed)
-		if resp.Node == owner {
+	// With nothing to warn it, the blind gateway dials the dead owner and
+	// fails over live.
+	if resp := doOn(blind, 2); resp.Node == owner || resp.GatewayRetries == 0 {
+		t.Errorf("blind gateway: node %s after %d retries, want a live failover off %s",
+			resp.Node, resp.GatewayRetries, owner)
+	}
+	if blind.m.Node(owner).TransportErrors.Value() == 0 {
+		t.Error("killed node recorded no transport errors")
+	}
+
+	// Every request during the outage must still classify, whether it
+	// failed over live or was routed around a death already detected.
+	for seed := uint64(3); seed <= 20; seed++ {
+		if resp := do(seed); resp.Node == owner {
 			t.Fatalf("seed %d answered by killed node %s", seed, owner)
 		}
-		if resp.GatewayRetries > 0 {
-			failedOver++
-		}
-	}
-	if failedOver == 0 {
-		t.Error("no request recorded a live failover from the killed node")
 	}
 	statusOf := func(id string) NodeStatus {
 		for _, st := range g.Status() {
@@ -96,9 +114,6 @@ func TestThreeNodeFailoverAndRejoin(t *testing.T) {
 		return NodeStatus{}
 	}
 	waitFor(t, "probe to mark "+owner+" unhealthy", func() bool { return !statusOf(owner).Healthy })
-	if g.m.Node(owner).TransportErrors.Value() == 0 {
-		t.Error("killed node recorded no transport errors")
-	}
 
 	victim.start() // restart on the same address
 	waitFor(t, "probe to mark "+owner+" healthy again", func() bool {

@@ -13,6 +13,14 @@
 //     elements instead of recomputing checksums (§3.2.2);
 //   - hardware corrections are written back into application storage and
 //     residual fault state is cleared when ABFT overwrites corrupted data.
+//
+// NewRuntime binds the kernels to the timed platform and is what anything
+// that reports cycles or joules uses (experiments, scaling, abftsim,
+// paperfigs, the examples). NewFunctionalRuntime binds them to
+// machine.NewFunctional: same allocation, injection, ECC and notification
+// behaviour and therefore the same recovery outcomes, but no clock — its
+// Finish reports ECC/OS counters and zero time and energy. Serving and the
+// soak harness use that one.
 package core
 
 import (
@@ -128,10 +136,22 @@ type Runtime struct {
 	Injector *bifit.Injector
 }
 
-// NewRuntime builds a node configured for the strategy.
+// NewRuntime builds a timed node configured for the strategy.
 func NewRuntime(cfg machine.Config, s Strategy, seed int64) *Runtime {
 	cfg.DefaultScheme = s.DefaultScheme()
-	m := machine.New(cfg)
+	return newRuntime(machine.New(cfg), s, seed)
+}
+
+// NewFunctionalRuntime builds a node on machine.NewFunctional: every
+// outcome NewRuntime would produce, no timing or energy. Faults must be
+// followed by M.FlushCaches() to become visible to hardware, which is what
+// recovery.Coordinator does after every injection.
+func NewFunctionalRuntime(cfg machine.Config, s Strategy, seed int64) *Runtime {
+	cfg.DefaultScheme = s.DefaultScheme()
+	return newRuntime(machine.NewFunctional(cfg), s, seed)
+}
+
+func newRuntime(m *machine.Machine, s Strategy, seed int64) *Runtime {
 	rt := &Runtime{Strategy: s, M: m, Injector: bifit.New(m.OS, seed)}
 	rt.Injector.InstallRepairHandler(m.Ctl)
 	return rt

@@ -2,6 +2,16 @@
 // the McSim + DRAMSim2 substitute: an in-order core, the L1/L2 hierarchy,
 // the ECC-aware memory controller, the DRAM timing/power model, and the OS
 // model, all driven by the instrumentation probes the ABFT kernels emit.
+//
+// Two constructors share that wiring. New is the timed platform: every
+// cacheline a kernel touches walks the hierarchy and costs cycles and
+// joules, which is what the paper's figures are made of (experiments,
+// scaling, abftsim, paperfigs, the examples). NewFunctional keeps only what
+// decides a run's outcome — OS, controller fault table and ECC codecs, and
+// the hierarchy as the filter that decides which fetches reach DRAM — and
+// drops time: no core, no DRAM timing, and no per-line work at all while
+// the fault table is empty. Serving and the soak harness, which report
+// outcomes and never cycles, use it.
 package machine
 
 import (
@@ -58,8 +68,10 @@ func ScaledConfig(divisor int) Config {
 
 // Machine is one simulated node.
 type Machine struct {
-	cfg  Config
+	cfg Config
+	// Core is nil on a functional machine: no time passes there.
 	Core *cpu.Core
+	// Hier is nil on a functional machine until its first arm.
 	Hier *cache.Hierarchy
 	Ctl  *memctrl.Controller
 	OS   *osmodel.OS
@@ -67,37 +79,84 @@ type Machine struct {
 	mem        *trace.Memory
 	llcABFT    uint64 // Table 4: LLC misses to ABFT-protected blocks
 	llcOther   uint64
-	tlb        map[uint64]uint64 // tiny page-translation cache
-	curVaddr   uint64            // vaddr of the access currently in flight
+	curVaddr   uint64 // vaddr of the access currently in flight
 	interrupts uint64
+
+	// One-entry translation cache: consecutive lines share a page, so this
+	// absorbs all but the first lookup of a row walk.
+	lastPage, lastFrame uint64
+
+	arms uint64 // functional only: dormant→armed transitions
 }
 
-// New builds a machine.
+// noPage marks the translation cache empty (no vaddr maps to this page).
+const noPage = ^uint64(0)
+
+// New builds the timed machine.
 func New(cfg Config) *Machine {
-	m := &Machine{
-		cfg:  cfg,
-		Core: cpu.New(cfg.CPU),
-		tlb:  make(map[uint64]uint64),
-	}
-	mem := dram.New(cfg.DRAM)
-	m.Ctl = memctrl.New(mem, cfg.DefaultScheme)
-	m.OS = osmodel.New(m.Ctl)
-
-	// Wrap the OS interrupt handler to charge the handler cost to the core.
-	osHandler := m.Ctl.OnUncorr
-	m.Ctl.OnUncorr = func(rec memctrl.ErrorRecord) {
-		m.interrupts++
-		m.Core.Advance(InterruptHandlerCycles)
-		osHandler(rec)
-	}
-
-	// TLB shootdown on page remaps (retirement/migration).
-	m.OS.OnRemap = func(vpage uint64) { delete(m.tlb, vpage) }
-
+	m := newMachine(cfg)
+	m.Core = cpu.New(cfg.CPU)
 	m.Hier = cache.NewHierarchy(cfg.L1, cfg.L2, m.handleMiss)
 	m.mem = &trace.Memory{Probe: m.probe, OnOps: m.ops}
 	return m
 }
+
+// NewFunctional builds a machine that decides the same outcomes as New's —
+// which faults hardware corrects, which reach the OS and ABFT, which panic
+// — without modelling time. Its hierarchy is dormant (Memory().Probe is
+// nil, so a kernel's Touch calls cost one branch) whenever the controller's
+// fault table is empty; FlushCaches arms it when residual patterns exist,
+// and it disarms itself once the table has drained.
+//
+// This is exact, not an approximation, for the inject-then-flush discipline
+// every campaign in this repository follows:
+//
+//  1. the controller's ECC check runs only on demand misses and returns at
+//     its first lookup when the fetched line carries no residual pattern,
+//     so with an empty fault table no hierarchy state can change an outcome;
+//  2. a flush invalidates every line, and LRU only compares ticks among
+//     lines filled afterwards, so a hierarchy first built at the flush sees
+//     the same hit/miss stream from there on as one that has been running
+//     since the start;
+//  3. nothing functional reads the clock (an error record's cycle is only
+//     copied along).
+//
+// A fault injected without a following FlushCaches stays unobserved by
+// hardware until the next one. Finish reports ECC and OS counters with zero
+// time and energy.
+func NewFunctional(cfg Config) *Machine {
+	m := newMachine(cfg)
+	m.mem = &trace.Memory{}
+	return m
+}
+
+// newMachine wires what both constructors share: controller, OS, interrupt
+// accounting and translation shootdown.
+func newMachine(cfg Config) *Machine {
+	m := &Machine{cfg: cfg, lastPage: noPage}
+	m.Ctl = memctrl.New(dram.New(cfg.DRAM), cfg.DefaultScheme)
+	m.OS = osmodel.New(m.Ctl)
+	// Wrap the OS interrupt handler to count interrupts and, where there is
+	// a core, charge it the handler cost.
+	osHandler := m.Ctl.OnUncorr
+	m.Ctl.OnUncorr = func(rec memctrl.ErrorRecord) {
+		m.interrupts++
+		if m.Core != nil {
+			m.Core.Advance(InterruptHandlerCycles)
+		}
+		osHandler(rec)
+	}
+	// TLB shootdown on page remaps (retirement/migration).
+	m.OS.OnRemap = func(vpage uint64) {
+		if vpage == m.lastPage {
+			m.lastPage = noPage
+		}
+	}
+	return m
+}
+
+// functional reports whether NewFunctional built m.
+func (m *Machine) functional() bool { return m.Core == nil }
 
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -147,23 +206,68 @@ func (m *Machine) handleMiss(ev cache.MissEvent) {
 
 func (m *Machine) translate(vaddr uint64) (uint64, bool) {
 	page := vaddr / osmodel.PageSize
-	if frame, ok := m.tlb[page]; ok {
-		return frame + vaddr%osmodel.PageSize, true
+	if page != m.lastPage {
+		paddr, err := m.OS.Translate(vaddr)
+		if err != nil {
+			return 0, false
+		}
+		m.lastPage, m.lastFrame = page, paddr-vaddr%osmodel.PageSize
 	}
-	paddr, err := m.OS.Translate(vaddr)
-	if err != nil {
-		return 0, false
+	return m.lastFrame + vaddr%osmodel.PageSize, true
+}
+
+// probeFunctional is the armed functional machine's probe: translation and
+// the hierarchy walk, no timing. It disarms at the first access that finds
+// the fault table drained.
+func (m *Machine) probeFunctional(vaddr uint64, write bool) {
+	if m.Ctl.FaultyLines() == 0 {
+		// Drained (hardware correction, ABFT overwrite or restart): from
+		// here no access can change an outcome until the next injection,
+		// whose flush rebuilds the hierarchy state from empty anyway.
+		m.mem.Probe = nil
+		return
 	}
-	m.tlb[page] = paddr - vaddr%osmodel.PageSize
-	return paddr, true
+	if paddr, ok := m.translate(vaddr); ok {
+		m.Hier.Access(paddr, write)
+	}
+}
+
+// missFunctional hands demand fills to the controller's ECC check;
+// writebacks only cost time, which a functional machine does not keep.
+func (m *Machine) missFunctional(ev cache.MissEvent) {
+	if ev.Demand {
+		m.Ctl.DemandRead(ev.Addr)
+	}
 }
 
 // FlushCaches writes back all dirty lines and empties the hierarchy, so
 // subsequent reads observe memory contents (used between program phases and
 // by fault-injection campaigns: a DRAM error is only visible on a fetch).
+// On a functional machine this is also where the hierarchy is armed: built
+// on first use, live from here on if the fault table holds anything.
 func (m *Machine) FlushCaches() {
-	m.Hier.Flush()
+	if !m.functional() {
+		m.Hier.Flush()
+		return
+	}
+	if m.Ctl.FaultyLines() == 0 {
+		return
+	}
+	if m.Hier == nil {
+		m.Hier = cache.NewHierarchy(m.cfg.L1, m.cfg.L2, m.missFunctional)
+	} else {
+		m.Hier.Flush()
+	}
+	if m.mem.Probe == nil {
+		m.arms++
+		m.mem.Probe = m.probeFunctional
+	}
 }
+
+// Arms returns how many times a functional machine's hierarchy went from
+// dormant to armed (always 0 on a timed machine, whose hierarchy is never
+// dormant).
+func (m *Machine) Arms() uint64 { return m.arms }
 
 // Result summarizes a finished run.
 type Result struct {
@@ -190,8 +294,12 @@ func (r Result) MemEnergyJ() float64 { return r.MemDynamicJ + r.MemStandbyJ }
 
 // Finish drains outstanding misses, charges standby energy, and returns the
 // run summary. The machine can keep running afterwards, but energy totals
-// are only consistent at Finish points.
+// are only consistent at Finish points. A functional machine reports its
+// ECC, OS and interrupt counters and zero for everything timed.
 func (m *Machine) Finish() Result {
+	if m.functional() {
+		return Result{Interrupts: m.interrupts, ECC: m.Ctl.Stats(), OS: m.OS.Stats()}
+	}
 	m.Core.Drain()
 	st := m.Ctl.Mem.Finalize(m.Core.Now(), m.cfg.CPU.ClockHz)
 	r := Result{

@@ -155,39 +155,84 @@ func TestMemEnergyAccumulatesECCLogic(t *testing.T) {
 	}
 }
 
+// TestTLBShootdownOnPageRetirement holds for both machines: the
+// translation cache is shared code.
 func TestTLBShootdownOnPageRetirement(t *testing.T) {
-	m := New(ScaledConfig(32))
-	a, err := m.OS.MallocECC("abft", 4096, ecc.SECDED, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the TLB.
-	touchRange(m, a, 64)
-	// Drive enough uncorrectable errors through one page to retire it.
-	for i := 0; i < osmodel.DefaultRetireThreshold; i++ {
+	for _, build := range []func(Config) *Machine{New, NewFunctional} {
+		m := build(ScaledConfig(32))
+		a, err := m.OS.MallocECC("abft", 4096, ecc.SECDED, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm the TLB.
+		touchRange(m, a, 64)
+		// Drive enough uncorrectable errors through one page to retire it.
+		for i := 0; i < osmodel.DefaultRetireThreshold; i++ {
+			var p memctrl.Pattern
+			p.Data[0] = 0x03
+			if err := m.OS.InjectAt(a.VBase()+uint64(i)*64, p); err != nil {
+				t.Fatal(err)
+			}
+			m.FlushCaches()
+			m.Memory().Touch(a.VBase()+uint64(i)*64, 8, false)
+			m.OS.ClearFaultAt(a.VBase() + uint64(i)*64)
+		}
+		if m.OS.Stats().PagesRetired != 1 {
+			t.Fatalf("pages retired = %d", m.OS.Stats().PagesRetired)
+		}
+		// A fresh uncorrectable error on the SAME virtual page must be observed
+		// through the NEW frame — stale TLB entries would miss it.
 		var p memctrl.Pattern
 		p.Data[0] = 0x03
-		if err := m.OS.InjectAt(a.VBase()+uint64(i)*64, p); err != nil {
+		if err := m.OS.InjectAt(a.VBase()+512, p); err != nil {
 			t.Fatal(err)
 		}
 		m.FlushCaches()
-		m.Memory().Touch(a.VBase()+uint64(i)*64, 8, false)
-		m.OS.ClearFaultAt(a.VBase() + uint64(i)*64)
+		before := m.Ctl.Stats().UncorrectableErrors
+		m.Memory().Touch(a.VBase()+512, 8, false)
+		if m.Ctl.Stats().UncorrectableErrors != before+1 {
+			t.Error("post-retirement error not observed: stale TLB translation")
+		}
 	}
-	if m.OS.Stats().PagesRetired != 1 {
-		t.Fatalf("pages retired = %d", m.OS.Stats().PagesRetired)
+}
+
+// TestFunctionalDormancy walks a functional machine through its life: no
+// hierarchy and no probe while the fault table is empty, armed by the flush
+// that follows an injection, the same hardware correction the timed machine
+// makes, dormant again once the table has drained, and a Finish that
+// carries the ECC counters and no time.
+func TestFunctionalDormancy(t *testing.T) {
+	cfg := ScaledConfig(32)
+	cfg.DefaultScheme = ecc.SECDED
+	m := NewFunctional(cfg)
+	a := m.OS.Malloc("d", 1<<16)
+	m.FlushCaches()
+	if m.Hier != nil || m.Memory().Probe != nil || m.Memory().OnOps != nil {
+		t.Fatal("clean functional machine is not dormant")
 	}
-	// A fresh uncorrectable error on the SAME virtual page must be observed
-	// through the NEW frame — stale TLB entries would miss it.
+
 	var p memctrl.Pattern
-	p.Data[0] = 0x03
-	if err := m.OS.InjectAt(a.VBase()+512, p); err != nil {
+	p.Data[0] = 0x01 // single bit: corrected by hardware
+	if err := m.OS.InjectAt(a.VBase()+4096, p); err != nil {
 		t.Fatal(err)
 	}
+	touchRange(m, a, 1<<16)
+	if m.Ctl.FaultyLines() != 1 || m.Arms() != 0 {
+		t.Fatal("fault observed before the flush that arms the hierarchy")
+	}
 	m.FlushCaches()
-	before := m.Ctl.Stats().UncorrectableErrors
-	m.Memory().Touch(a.VBase()+512, 8, false)
-	if m.Ctl.Stats().UncorrectableErrors != before+1 {
-		t.Error("post-retirement error not observed: stale TLB translation")
+	if m.Memory().Probe == nil || m.Arms() != 1 {
+		t.Fatal("flush over a non-empty fault table did not arm the hierarchy")
+	}
+	touchRange(m, a, 1<<16)
+	if m.Memory().Probe != nil {
+		t.Error("hierarchy still armed after the fault table drained")
+	}
+	r := m.Finish()
+	if r.ECC.CorrectedErrors != 1 || m.Ctl.FaultyLines() != 0 {
+		t.Errorf("ecc stats = %+v, %d faulty lines left", r.ECC, m.Ctl.FaultyLines())
+	}
+	if r.Cycles != 0 || r.Instructions != 0 || r.SystemEnergyJ != 0 || r.LLCMissABFT+r.LLCMissOther != 0 {
+		t.Errorf("functional machine reported time or energy: %+v", r)
 	}
 }

@@ -260,15 +260,27 @@ func (c *Controller) Access(now uint64, addr uint64, write bool, demand bool) dr
 	scheme := c.SchemeFor(addr)
 	res := c.Mem.Access(now, addr, write, scheme)
 	if !write && demand {
-		c.checkECC(addr, scheme, res.Complete)
-		// A chipkill access also returns (and therefore checks) the
-		// companion line of the lock-stepped pair.
-		if scheme == ecc.Chipkill {
-			comp := c.Mem.Config().CompanionLine(addr)
-			c.checkECC(comp, c.SchemeFor(comp), res.Complete)
-		}
+		c.demandCheck(addr, scheme, res.Complete)
 	}
 	return res
+}
+
+// DemandRead is the ECC half of a demand-read Access with the DRAM
+// timing/energy model left out: the path of a functional machine, which
+// needs the controller's verdict on the fetched line and no cycle count
+// (error records carry cycle 0).
+func (c *Controller) DemandRead(addr uint64) {
+	c.demandCheck(addr, c.SchemeFor(addr), 0)
+}
+
+func (c *Controller) demandCheck(addr uint64, scheme ecc.Scheme, cycle uint64) {
+	c.checkECC(addr, scheme, cycle)
+	// A chipkill access also returns (and therefore checks) the companion
+	// line of the lock-stepped pair.
+	if scheme == ecc.Chipkill {
+		comp := c.Mem.Config().CompanionLine(addr)
+		c.checkECC(comp, c.SchemeFor(comp), cycle)
+	}
 }
 
 // checkECC runs the scheme's codec against the line's residual pattern.

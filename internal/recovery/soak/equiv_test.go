@@ -1,0 +1,127 @@
+package soak
+
+// Equivalence oracle for the functional runtime: every cell runs once on
+// the timed platform (core.NewRuntime) and once on the functional one
+// (core.NewFunctionalRuntime), and the two must end with the same
+// recovery.Report, field for field, and the same answer bits. This is what
+// lets serving and the soak harness drop the cache/DRAM timing model
+// without changing a single classified outcome.
+
+import (
+	"fmt"
+	"testing"
+
+	"coopabft/internal/abft"
+	"coopabft/internal/bifit"
+	"coopabft/internal/campaign"
+	"coopabft/internal/core"
+	"coopabft/internal/machine"
+	"coopabft/internal/mat"
+	"coopabft/internal/recovery"
+)
+
+// sameRun compares two finished runs; Err compares by message.
+func sameRun(t *testing.T, label string, timed, fn recovery.Report, tw, fw recovery.Workload) {
+	t.Helper()
+	te, fe := fmt.Sprint(timed.Err), fmt.Sprint(fn.Err)
+	timed.Err, fn.Err = nil, nil
+	if timed != fn || te != fe {
+		t.Errorf("%s: reports differ\n timed      %+v err=%s\n functional %+v err=%s", label, timed, te, fn, fe)
+		return
+	}
+	ta, tok := tw.(recovery.Answerer)
+	fa, fok := fw.(recovery.Answerer)
+	if !tok || !fok {
+		t.Errorf("%s: workload exposes no answer data", label)
+		return
+	}
+	if ts, fs := abft.AnswerSig(ta.AnswerData()...), abft.AnswerSig(fa.AnswerData()...); ts != fs {
+		t.Errorf("%s: answers differ: timed %s, functional %s", label, ts, fs)
+	}
+}
+
+// runBoth runs one cell on both runtimes and compares.
+func runBoth(t *testing.T, label string, cfg Config, kernel Kernel, strat core.Strategy, kind bifit.Kind, count int, seed uint64) (recovery.Report, *core.Runtime) {
+	t.Helper()
+	mc := machine.ScaledConfig(32)
+	trep, tw := runOn(core.NewRuntime(mc, strat, int64(seed)), cfg, kernel, kind, count, seed)
+	frt := core.NewFunctionalRuntime(mc, strat, int64(seed))
+	frep, fw := runOn(frt, cfg, kernel, kind, count, seed)
+	sameRun(t, label, trep, frep, tw, fw)
+	return frep, frt
+}
+
+func TestFunctionalRuntimeMatchesTimed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("720 runs, half of them timed: ci.sh runs this under -race on a line of its own")
+	}
+	// The acceptance grid (3 kernels × 6 strategies × 4 kinds × 3 counts,
+	// notified DGEMM) plus the DGEMM rows again under full and fused
+	// verification: 360 cells.
+	grids := []Config{Default()}
+	for _, mode := range []abft.VerifyMode{abft.FullVerify, abft.FusedVerify} {
+		g := Default()
+		g.Kernels = []Kernel{KDGEMM}
+		g.DGEMMMode = mode
+		grids = append(grids, g)
+	}
+	cells, armed, outcomes := 0, 0, map[recovery.Outcome]int{}
+	for gi, cfg := range grids {
+		cfg.Seed = 7 + uint64(gi)
+		cfg.defaults()
+		prev := mat.SetParallelism(cfg.Parallelism)
+		for i := 0; i < cfg.Cells(); i++ {
+			kernel, strat, kind, count := cfg.cell(i)
+			label := fmt.Sprintf("%v/%v/%v/%v×%d", cfg.DGEMMMode, kernel, strat, kind, count)
+			rep, frt := runBoth(t, label, cfg, kernel, strat, kind, count, campaign.CellSeed(cfg.Seed, uint64(i)))
+			cells++
+			outcomes[rep.Outcome]++
+			// The operators' counter rests on this: a hierarchy is armed
+			// exactly when an injection was delivered.
+			if (frt.M.Arms() > 0) != (rep.Injected > 0) {
+				t.Errorf("%s: armed %d times with %d injections delivered", label, frt.M.Arms(), rep.Injected)
+			}
+			if frt.M.Arms() > 0 {
+				armed++
+			}
+		}
+		mat.SetParallelism(prev)
+	}
+	if cells < 200 || armed < 200 {
+		t.Errorf("oracle covered %d cells, %d of them armed; want at least 200 of each", cells, armed)
+	}
+	// The comparison means little unless the grid reaches every rung.
+	for _, o := range []recovery.Outcome{recovery.Corrected, recovery.Restarted, recovery.Aborted} {
+		if outcomes[o] == 0 {
+			t.Errorf("no cell ended %v: %v", o, outcomes)
+		}
+	}
+	t.Logf("%d cells, outcomes %v", cells, outcomes)
+}
+
+// TestFunctionalRuntimeSecondFaultWhileResident: under P_CK+No_ECC a fault
+// in C is invisible to hardware and stays in the fault table until ABFT's
+// closing sweep, so a second injection two panels later lands on an armed
+// hierarchy and re-flushes it mid-residency instead of building a new one.
+func TestFunctionalRuntimeSecondFaultWhileResident(t *testing.T) {
+	const n, seed = 80, 5
+	mc := machine.ScaledConfig(32)
+	run := func(rt *core.Runtime) (recovery.Report, recovery.Workload) {
+		w, err := recovery.NewDGEMMWorkload(rt, n, seed, abft.NotifiedVerify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		co := &recovery.Coordinator{RT: rt, W: w, Plan: []recovery.Injection{
+			{Tick: 1, Kind: bifit.SingleBit, Target: 0, Elem: 3*(n+1) + 5},
+			{Tick: 3, Kind: bifit.ChipFailure, Target: 0, Elem: 40*(n+1) + 41},
+		}}
+		return co.Run(), w
+	}
+	trep, tw := run(core.NewRuntime(mc, core.PartialChipkillNoECC, seed))
+	frt := core.NewFunctionalRuntime(mc, core.PartialChipkillNoECC, seed)
+	frep, fw := run(frt)
+	sameRun(t, "resident", trep, frep, tw, fw)
+	if frep.Injected != 2 || frt.M.Arms() != 1 {
+		t.Errorf("injected %d, armed %d times; want 2 injections on one arm", frep.Injected, frt.M.Arms())
+	}
+}

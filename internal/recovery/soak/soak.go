@@ -234,10 +234,19 @@ func runCell(cfg Config, i int) RunResult {
 	}
 }
 
-// runOne builds runtime + workload + injection plan for one cell and drives
-// the coordinator.
+// runOne runs one cell on the functional runtime: the harness reports
+// outcomes only, and those are the timed platform's (equiv_test.go holds
+// the two side by side).
 func runOne(cfg Config, kernel Kernel, strat core.Strategy, kind bifit.Kind, count int, seed uint64) recovery.Report {
-	rt := core.NewRuntime(machine.ScaledConfig(32), strat, int64(seed))
+	rt := core.NewFunctionalRuntime(machine.ScaledConfig(32), strat, int64(seed))
+	rep, _ := runOn(rt, cfg, kernel, kind, count, seed)
+	return rep
+}
+
+// runOn builds workload + injection plan for one cell on rt and drives the
+// coordinator. The workload comes back for callers that inspect its answer;
+// it is nil when construction failed.
+func runOn(rt *core.Runtime, cfg Config, kernel Kernel, kind bifit.Kind, count int, seed uint64) (recovery.Report, recovery.Workload) {
 	var w recovery.Workload
 	var err error
 	switch kernel {
@@ -249,7 +258,7 @@ func runOne(cfg Config, kernel Kernel, strat core.Strategy, kind bifit.Kind, cou
 		w, err = recovery.NewDGEMMWorkload(rt, cfg.DGEMMN, seed, cfg.DGEMMMode)
 	}
 	if err != nil {
-		return recovery.Report{Outcome: recovery.Aborted, Err: err}
+		return recovery.Report{Outcome: recovery.Aborted, Err: err}, nil
 	}
 
 	// Seed-deterministic plan: error timing, target and element all come
@@ -276,7 +285,7 @@ func runOne(cfg Config, kernel Kernel, strat core.Strategy, kind bifit.Kind, cou
 		CheckpointEvery: cfg.CheckpointEvery,
 		MaxRestarts:     cfg.MaxRestarts,
 	}
-	return co.Run()
+	return co.Run(), w
 }
 
 // Table renders the deterministic outcome table: one row per

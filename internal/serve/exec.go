@@ -14,9 +14,16 @@ import (
 )
 
 // execute runs one admitted request through the recovery ladder and
-// classifies it. Every request gets a fresh simulated node configured for
-// its own ECC strategy — the per-request malloc_ecc decision — so
-// concurrent requests share no machine state.
+// classifies it. Every f64 request gets a fresh functional node
+// (core.NewFunctionalRuntime) configured for its own ECC strategy — the
+// per-request malloc_ecc decision — so concurrent requests share no machine
+// state. The node keeps what decides an outcome (OS, ECC region registers,
+// fault table and codecs, and the cache hierarchy as the filter between a
+// kernel's reads and DRAM) and none of the paper platform's cycle and
+// energy accounting; its hierarchy does no work until an injection is
+// delivered, so a fault-free request pays the kernels' Touch calls as one
+// branch each. DESIGN.md §4.2 has the argument for why outcomes are
+// exactly the timed platform's.
 func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	s.m.Running.Add(1)
 	defer s.m.Running.Add(-1)
@@ -87,7 +94,7 @@ func (s *Service) runLadder(j *job) (rep recovery.Report, w recovery.Workload) {
 	}()
 
 	p := j.req
-	rt := core.NewRuntime(machine.ScaledConfig(32), p.Strategy, int64(p.Seed))
+	rt := core.NewFunctionalRuntime(machine.ScaledConfig(32), p.Strategy, int64(p.Seed))
 	var err error
 	switch p.Kernel {
 	case KernelCholesky:
@@ -108,7 +115,16 @@ func (s *Service) runLadder(j *job) (rep recovery.Report, w recovery.Workload) {
 		MaxRestarts: s.cfg.MaxRestarts,
 		Ctx:         j.ctx,
 	}
-	return co.Run(), w
+	rep = co.Run()
+	s.countArmed(rt)
+	return rep, w
+}
+
+// countArmed records a finished run whose hierarchy left dormancy.
+func (s *Service) countArmed(rt *core.Runtime) {
+	if rt.M.Arms() > 0 {
+		s.m.SimArmed.Add(1)
+	}
 }
 
 // stampIntegrity attaches the canonical answer signature (and, for

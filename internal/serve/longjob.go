@@ -149,7 +149,7 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 	}()
 	start := time.Now()
 
-	rt := core.NewRuntime(machine.ScaledConfig(32), p.Strategy, int64(p.Seed))
+	rt := core.NewFunctionalRuntime(machine.ScaledConfig(32), p.Strategy, int64(p.Seed))
 	w, err := recovery.NewCGWorkload(rt, p.NX, p.NY, p.Seed)
 	if err != nil {
 		res.Outcome = recovery.Aborted.String()
@@ -192,6 +192,7 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 	}
 	rep := co.Run()
 	flush()
+	s.countArmed(rt)
 
 	res.Outcome = rep.Outcome.String()
 	if rep.Err != nil {

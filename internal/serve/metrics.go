@@ -40,6 +40,11 @@ type Metrics struct {
 	InjectedFaults  expvar.Int // faults delivered by request plans
 	ABFTCorrections expvar.Int // elements ABFT repaired
 	Restarts        expvar.Int // checkpoint rollbacks replayed
+	// SimArmed counts f64 requests and long tasks whose cache hierarchy was
+	// armed at least once. The hierarchy stays dormant until a delivered
+	// injection, so this equals the number of such requests with at least
+	// one injected fault; any other reading is a bug.
+	SimArmed expvar.Int
 
 	// Latency sums (milliseconds), for coarse rate math over /debug/vars;
 	// percentile reporting lives in the load generator.
@@ -131,6 +136,7 @@ func (m *Metrics) Snapshot() map[string]any {
 		"injected_faults":  m.InjectedFaults.Value(),
 		"abft_corrections": m.ABFTCorrections.Value(),
 		"restarts":         m.Restarts.Value(),
+		"sim_armed":        m.SimArmed.Value(),
 		"queue_ms_sum":     m.QueueMSSum.Value(),
 		"run_ms_sum":       m.RunMSSum.Value(),
 		"block_tasks":      m.BlockTasks.Value(),

@@ -58,6 +58,7 @@ func TestOutcomeTaxonomyConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
+	var injectedReqs int64
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("request %d: unexpected error %v", i, err)
@@ -69,9 +70,17 @@ func TestOutcomeTaxonomyConcurrent(t *testing.T) {
 		if r.Outcome == "aborted" && r.Error == "" {
 			t.Errorf("request %d: aborted without a reason", i)
 		}
+		if r.Injected > 0 {
+			injectedReqs++
+		}
 	}
 
 	m := s.m
+	// The hierarchy leaves dormancy exactly on requests that had a fault
+	// delivered.
+	if got := m.SimArmed.Value(); got != injectedReqs || got != m.Snapshot()["sim_armed"] {
+		t.Errorf("sim_armed = %d (snapshot %v), want %d injected requests", got, m.Snapshot()["sim_armed"], injectedReqs)
+	}
 	total := int64(len(reqs) * rounds)
 	if got := m.Accepted.Value(); got != total {
 		t.Errorf("accepted = %d, want %d", got, total)
@@ -103,6 +112,9 @@ func TestFaultFreeIsCorrected(t *testing.T) {
 		if resp.BatchSize != 1 {
 			t.Errorf("%s: batch size %d without batching enabled", req.Kernel, resp.BatchSize)
 		}
+	}
+	if got := s.m.SimArmed.Value(); got != 0 {
+		t.Errorf("sim_armed = %d after a fault-free burst: a clean request armed its hierarchy", got)
 	}
 }
 

@@ -108,10 +108,14 @@ func (m *Memory) Touch(addr uint64, size int, write bool) {
 	if m == nil || m.Probe == nil || size <= 0 {
 		return
 	}
+	// The probe is read once: it may clear m.Probe from inside a call (a
+	// functional machine going dormant) and still receives the rest of
+	// this range.
+	probe := m.Probe
 	first := addr &^ (LineSize - 1)
 	last := (addr + uint64(size) - 1) &^ (LineSize - 1)
 	for line := first; line <= last; line += LineSize {
-		m.Probe(line, write)
+		probe(line, write)
 	}
 }
 
