@@ -524,7 +524,7 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 		if forwards > 0 {
 			g.m.Retries.Add(1)
 		}
-		resp, class, err := g.forward(ctx, nd, wire, body)
+		resp, class, err := postJSON[serve.Response](ctx, g.cfg.Client, nd, "/v1/"+wire, body)
 		nd.release()
 		forwards++
 		switch class {
@@ -579,43 +579,52 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 	return serve.Response{}, fmt.Errorf("%w after %d attempts: %v", ErrUnavailable, forwards, lastErr)
 }
 
-// forward sends one attempt to one node and classifies the transport
-// result. Only fcDelivered carries a response.
-func (g *Gateway) forward(ctx context.Context, nd *node, kernel string, body []byte) (serve.Response, forwardClass, error) {
+// nodeReadLimit bounds one body read from a node: a response, or a
+// checkpoint PUT. The largest — a MaxJobN-sized checksum block result
+// (parity + sum, base64), a long-job snapshot, a verify-vote primary's
+// shipped answer (n²·8 bytes, base64) — run to tens of MB, and one limit
+// serves every route.
+const nodeReadLimit = 64 << 20
+
+// postJSON is the gateway's one way of sending work to a node: POST body to
+// path on nd and classify the transport result. Only fcDelivered carries a
+// decoded R; fcBadRequest is the node's own 400 (final), fcShed its 429
+// (alive but full — try elsewhere), fcFailed a connection failure, an
+// unreadable or undecodable body, or a 503 — a breaker fault, charged to the
+// node's TransportErrors/Failed503.
+func postJSON[R any](ctx context.Context, client *http.Client, nd *node, path string, body []byte) (res R, class forwardClass, err error) {
 	nd.m.Forwarded.Add(1)
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		nd.base+"/v1/"+kernel, bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, nd.base+path, bytes.NewReader(body))
 	if err != nil {
-		return serve.Response{}, fcFailed, err
+		return res, fcFailed, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := g.cfg.Client.Do(hreq)
+	hresp, err := client.Do(hreq)
 	if err != nil {
 		nd.m.TransportErrors.Add(1)
-		return serve.Response{}, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
+		return res, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
 	}
 	defer hresp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(hresp.Body, 1<<20))
+	payload, err := io.ReadAll(io.LimitReader(hresp.Body, nodeReadLimit))
 	if err != nil {
 		nd.m.TransportErrors.Add(1)
-		return serve.Response{}, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
+		return res, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
 	}
 
 	switch hresp.StatusCode {
 	case http.StatusOK:
-		var resp serve.Response
-		if err := json.Unmarshal(payload, &resp); err != nil {
+		if err := json.Unmarshal(payload, &res); err != nil {
 			nd.m.TransportErrors.Add(1)
-			return serve.Response{}, fcFailed, fmt.Errorf("node %s: bad response body: %w", nd.id, err)
+			return res, fcFailed, fmt.Errorf("node %s: bad %s response body: %w", nd.id, path, err)
 		}
-		return resp, fcDelivered, nil
+		return res, fcDelivered, nil
 	case http.StatusBadRequest:
-		return serve.Response{}, fcBadRequest, fmt.Errorf("%w: node %s: %s", serve.ErrBadRequest, nd.id, wireError(payload))
+		return res, fcBadRequest, fmt.Errorf("%w: node %s: %s", serve.ErrBadRequest, nd.id, wireError(payload))
 	case http.StatusTooManyRequests:
-		return serve.Response{}, fcShed, fmt.Errorf("node %s: %s", nd.id, wireError(payload))
+		return res, fcShed, fmt.Errorf("node %s: %s", nd.id, wireError(payload))
 	default: // 503 and anything else unexpected is a node fault
 		nd.m.Failed503.Add(1)
-		return serve.Response{}, fcFailed, fmt.Errorf("node %s: HTTP %d: %s", nd.id, hresp.StatusCode, wireError(payload))
+		return res, fcFailed, fmt.Errorf("node %s: HTTP %d: %s", nd.id, hresp.StatusCode, wireError(payload))
 	}
 }
 

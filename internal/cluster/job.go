@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"sync"
 	"time"
 
@@ -24,10 +21,6 @@ var errBlockLost = errors.New("cluster: block task lost with its node")
 // ErrUnknownJob reports a jobs-API operation against an ID the gateway
 // does not hold (never submitted, or evicted after retention).
 var ErrUnknownJob = errors.New("cluster: unknown job")
-
-// blockReadLimit bounds one block result read: a MaxJobN-sized checksum
-// result (parity + sum, base64) runs to tens of MB.
-const blockReadLimit = 64 << 20
 
 // jobRecord is one job's lifecycle state. The coordinator goroutine owns
 // the execution; status is the only shared surface, guarded by mu.
@@ -504,7 +497,7 @@ func (g *Gateway) runBlockTask(ctx context.Context, t shardTask, plan shardPlan,
 		case <-ctx.Done():
 			return nil, nil, context.Cause(ctx)
 		}
-		res, class, err := g.postBlock(ctx, nd, body)
+		res, class, err := postJSON[serve.BlockResult](ctx, g.cfg.Client, nd, "/v1/block", body)
 		nd.release()
 		switch class {
 		case fcDelivered:
@@ -532,46 +525,6 @@ func (g *Gateway) runBlockTask(ctx context.Context, t shardTask, plan shardPlan,
 		}
 	}
 	return nil, nil, fmt.Errorf("%w: node %s: %v", errBlockLost, nd.id, lastErr)
-}
-
-// postBlock sends one block-task attempt and classifies the transport
-// result, mirroring forward's taxonomy.
-func (g *Gateway) postBlock(ctx context.Context, nd *node, body []byte) (serve.BlockResult, forwardClass, error) {
-	nd.m.Forwarded.Add(1)
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, nd.base+"/v1/block", bytes.NewReader(body))
-	if err != nil {
-		return serve.BlockResult{}, fcFailed, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := g.cfg.Client.Do(hreq)
-	if err != nil {
-		nd.m.TransportErrors.Add(1)
-		return serve.BlockResult{}, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
-	}
-	defer hresp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(hresp.Body, blockReadLimit))
-	if err != nil {
-		nd.m.TransportErrors.Add(1)
-		return serve.BlockResult{}, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
-	}
-	switch hresp.StatusCode {
-	case http.StatusOK:
-		var res serve.BlockResult
-		if err := json.Unmarshal(payload, &res); err != nil {
-			nd.m.TransportErrors.Add(1)
-			return serve.BlockResult{}, fcFailed, fmt.Errorf("node %s: bad block body: %w", nd.id, err)
-		}
-		return res, fcDelivered, nil
-	case http.StatusBadRequest:
-		return serve.BlockResult{}, fcBadRequest,
-			fmt.Errorf("%w: node %s: %s", serve.ErrBadRequest, nd.id, wireError(payload))
-	case http.StatusTooManyRequests:
-		return serve.BlockResult{}, fcShed, fmt.Errorf("node %s: %s", nd.id, wireError(payload))
-	default:
-		nd.m.Failed503.Add(1)
-		return serve.BlockResult{}, fcFailed,
-			fmt.Errorf("node %s: HTTP %d: %s", nd.id, hresp.StatusCode, wireError(payload))
-	}
 }
 
 // unpackBlockResult decodes a delivered result and checks its shape

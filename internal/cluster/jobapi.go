@@ -85,7 +85,7 @@ func (g *Gateway) handleJobCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", "epoch must be an integer")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, longReadLimit))
+	body, err := io.ReadAll(io.LimitReader(r.Body, nodeReadLimit))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", "reading snapshot: "+err.Error())
 		return

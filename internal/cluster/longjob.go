@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"time"
 
 	"coopabft/internal/serve"
@@ -36,11 +33,6 @@ import (
 // epoch (a checkpoint PUT or the terminal result), summed over the job's
 // migrations into JobStatus.RecoveryMS and the cluster recovery_ms_sum
 // counter.
-
-// longReadLimit bounds one long-job response or checkpoint PUT body: a
-// snapshot carries the CG state vectors, so the limit follows the block
-// path's, not the interactive one.
-const longReadLimit = 64 << 20
 
 // runLongJob drives one long job end to end: dispatch, relay checkpoints
 // (via handleJobCheckpoint), and migrate across worker deaths until a
@@ -80,7 +72,15 @@ func (g *Gateway) runLongJob(ctx context.Context, rec *jobRecord, p serve.Parsed
 				st.ResumeStep = resumeStep
 			}
 		})
-		res, class, err := g.postLong(ctx, nd, task)
+		body, err := json.Marshal(task)
+		if err != nil {
+			fail(fmt.Errorf("%w: %w", serve.ErrBadRequest, err))
+			return
+		}
+		// The call blocks for the solve's duration: long jobs use the
+		// gateway's untimed client, bounded by the job context, not the
+		// forwarding client's request timeout.
+		res, class, err := postJSON[serve.LongResult](ctx, g.longClient, nd, "/v1/longjob", body)
 		switch class {
 		case fcDelivered:
 			if tripped := nd.br.onDelivered(time.Now(), res.Outcome == "aborted"); tripped {
@@ -178,52 +178,6 @@ func (g *Gateway) buildLongTask(rec *jobRecord, p serve.Parsed, req serve.Reques
 		t.CheckpointURL = fmt.Sprintf("%s/v1/jobs/%s/checkpoint?epoch=%d", self, rec.id, epoch)
 	}
 	return t, step
-}
-
-// postLong sends one incarnation to one node and classifies the transport
-// result, mirroring forward's taxonomy. The call blocks for the solve's
-// duration — long jobs use the gateway's untimed client, bounded by the
-// job context, not the forwarding client's request timeout.
-func (g *Gateway) postLong(ctx context.Context, nd *node, t serve.LongTask) (serve.LongResult, forwardClass, error) {
-	body, err := json.Marshal(t)
-	if err != nil {
-		return serve.LongResult{}, fcBadRequest, fmt.Errorf("%w: %w", serve.ErrBadRequest, err)
-	}
-	nd.m.Forwarded.Add(1)
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, nd.base+"/v1/longjob", bytes.NewReader(body))
-	if err != nil {
-		return serve.LongResult{}, fcFailed, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := g.longClient.Do(hreq)
-	if err != nil {
-		nd.m.TransportErrors.Add(1)
-		return serve.LongResult{}, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
-	}
-	defer hresp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(hresp.Body, longReadLimit))
-	if err != nil {
-		nd.m.TransportErrors.Add(1)
-		return serve.LongResult{}, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
-	}
-	switch hresp.StatusCode {
-	case http.StatusOK:
-		var res serve.LongResult
-		if err := json.Unmarshal(payload, &res); err != nil {
-			nd.m.TransportErrors.Add(1)
-			return serve.LongResult{}, fcFailed, fmt.Errorf("node %s: bad long-result body: %w", nd.id, err)
-		}
-		return res, fcDelivered, nil
-	case http.StatusBadRequest:
-		return serve.LongResult{}, fcBadRequest,
-			fmt.Errorf("%w: node %s: %s", serve.ErrBadRequest, nd.id, wireError(payload))
-	case http.StatusTooManyRequests:
-		return serve.LongResult{}, fcShed, fmt.Errorf("node %s: %s", nd.id, wireError(payload))
-	default:
-		nd.m.Failed503.Add(1)
-		return serve.LongResult{}, fcFailed,
-			fmt.Errorf("node %s: HTTP %d: %s", nd.id, hresp.StatusCode, wireError(payload))
-	}
 }
 
 // finishLong lands a delivered long result: the job is done — aborted is a

@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"sync"
 	"time"
 
@@ -120,7 +117,7 @@ func (g *Gateway) voteReplica(ctx context.Context, it *candidateIter, wire strin
 		if err := nd.acquire(ctx); err != nil {
 			return replicaResult{err: err}
 		}
-		resp, class, err := g.forward(ctx, nd, wire, body)
+		resp, class, err := postJSON[serve.Response](ctx, g.cfg.Client, nd, "/v1/"+wire, body)
 		nd.release()
 		switch class {
 		case fcDelivered:
@@ -364,7 +361,7 @@ func (g *Gateway) verifyReplica(ctx context.Context, it *candidateIter, tbody []
 		if err := nd.acquire(ctx); err != nil {
 			return nil
 		}
-		res, class := g.forwardVerify(ctx, nd, tbody)
+		res, class, _ := postJSON[serve.VerifyResult](ctx, g.cfg.Client, nd, "/v1/verify", tbody)
 		nd.release()
 		switch class {
 		case fcDelivered:
@@ -393,43 +390,4 @@ func (g *Gateway) verifyReplica(ctx context.Context, it *candidateIter, tbody []
 type verdictResult struct {
 	nd *node
 	ok bool
-}
-
-// forwardVerify sends one verification task to one node and classifies
-// the transport result, mirroring forward's taxonomy.
-func (g *Gateway) forwardVerify(ctx context.Context, nd *node, body []byte) (serve.VerifyResult, forwardClass) {
-	nd.m.Forwarded.Add(1)
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		nd.base+"/v1/verify", bytes.NewReader(body))
-	if err != nil {
-		return serve.VerifyResult{}, fcFailed
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := g.cfg.Client.Do(hreq)
-	if err != nil {
-		nd.m.TransportErrors.Add(1)
-		return serve.VerifyResult{}, fcFailed
-	}
-	defer hresp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(hresp.Body, 1<<20))
-	if err != nil {
-		nd.m.TransportErrors.Add(1)
-		return serve.VerifyResult{}, fcFailed
-	}
-	switch hresp.StatusCode {
-	case http.StatusOK:
-		var res serve.VerifyResult
-		if err := json.Unmarshal(payload, &res); err != nil {
-			nd.m.TransportErrors.Add(1)
-			return serve.VerifyResult{}, fcFailed
-		}
-		return res, fcDelivered
-	case http.StatusBadRequest:
-		return serve.VerifyResult{}, fcBadRequest
-	case http.StatusTooManyRequests:
-		return serve.VerifyResult{}, fcShed
-	default:
-		nd.m.Failed503.Add(1)
-		return serve.VerifyResult{}, fcFailed
-	}
 }

@@ -225,32 +225,48 @@ func TestVoteSplitNoQuorum(t *testing.T) {
 
 // TestVerifyVoteHonest: the DCRFT-style mode delivers on one computation
 // plus two cheap verification passes, strips the payload, and counts the
-// cheap hits the cost model banks on.
+// cheap hits the cost model banks on. n=320 is the first size class whose
+// shipped answer (n²·8 bytes, base64) outgrows 1 MiB: the primary's response
+// must still be read whole, not truncated into a transport error that
+// charges a healthy node's breaker.
 func TestVerifyVoteHonest(t *testing.T) {
-	g := voteGateway(t, 3, 3,
-		NodeConfig{ID: "n0", BaseURL: serveNode(t)},
-		NodeConfig{ID: "n1", BaseURL: serveNode(t)},
-		NodeConfig{ID: "n2", BaseURL: serveNode(t)},
-	)
-	resp, err := g.Do(context.Background(),
-		serve.Request{Kernel: "gemm", N: 48, Seed: 3, Integrity: "verify-vote"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Outcome == "aborted" {
-		t.Fatalf("honest verify-vote aborted: %s", resp.Error)
-	}
-	if resp.VoteReplicas != 3 || resp.VoteAgree != 3 || resp.AnswerSig == "" {
-		t.Errorf("verify-vote stamps = %+v", resp)
-	}
-	if resp.Answer != nil {
-		t.Error("verify-vote response shipped the payload to the client")
-	}
-	if got := g.m.VerifyVoteCheapHits.Value(); got != 2 {
-		t.Errorf("verify_vote_cheap_hits = %d, want 2", got)
-	}
-	if g.m.QuorumFail.Value() != 0 {
-		t.Errorf("quorum_fail = %d, want 0", g.m.QuorumFail.Value())
+	for _, n := range []int{48, 320} {
+		node := func() string {
+			svc := serve.New(serve.Config{MaxConcurrency: 2, QueueDepth: 64, QueueTimeout: 30 * time.Second, MaxN: n})
+			ts := httptest.NewServer(serve.NewHandler(svc))
+			t.Cleanup(func() { ts.Close(); svc.Close() })
+			return ts.URL
+		}
+		g := voteGateway(t, 3, 3,
+			NodeConfig{ID: "n0", BaseURL: node()},
+			NodeConfig{ID: "n1", BaseURL: node()},
+			NodeConfig{ID: "n2", BaseURL: node()},
+		)
+		resp, err := g.Do(context.Background(),
+			serve.Request{Kernel: "gemm", N: n, Seed: 3, Integrity: "verify-vote"})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if resp.Outcome == "aborted" {
+			t.Fatalf("n=%d: honest verify-vote aborted: %s", n, resp.Error)
+		}
+		if resp.VoteReplicas != 3 || resp.VoteAgree != 3 || resp.AnswerSig == "" {
+			t.Errorf("n=%d: verify-vote stamps = %+v", n, resp)
+		}
+		if resp.Answer != nil {
+			t.Errorf("n=%d: verify-vote response shipped the payload to the client", n)
+		}
+		if got := g.m.VerifyVoteCheapHits.Value(); got != 2 {
+			t.Errorf("n=%d: verify_vote_cheap_hits = %d, want 2", n, got)
+		}
+		if g.m.QuorumFail.Value() != 0 {
+			t.Errorf("n=%d: quorum_fail = %d, want 0", n, g.m.QuorumFail.Value())
+		}
+		for _, id := range []string{"n0", "n1", "n2"} {
+			if got := g.m.Node(id).TransportErrors.Value(); got != 0 {
+				t.Errorf("n=%d: node %s charged %d transport errors on a healthy exchange", n, id, got)
+			}
+		}
 	}
 }
 

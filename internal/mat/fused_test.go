@@ -7,35 +7,48 @@ import (
 
 // sumTol returns the checksum comparison tolerance for a problem: the sums
 // are reduced with a different rounding association than a reference sweep,
-// so they agree to accumulated roundoff, not to the bit.
+// so they agree to accumulated float64 roundoff, not to the bit.
 func sumTol(m, k, n int) float64 {
 	dim := float64(max(m, max(k, n)))
 	return 1e-11 * dim * dim
 }
 
-// refSums derives every checksum with plain scalar sweeps over the final
-// operands and result.
-func refSums(c, a, b *Matrix) *FusedSums {
+// newSums allocates a FusedSums for an m×k by k×n product; abs adds the
+// absolute-value sums (and with them the operand Moments).
+func newSums(m, k, n int, abs bool) *FusedSums {
 	fs := &FusedSums{
-		RowSums: make([]float64, c.Rows),
-		ColSums: make([]float64, c.Cols),
-		ASums:   make([]float64, a.Cols),
-		BSums:   make([]float64, b.Rows),
+		RowSums: make([]float64, m), ColSums: make([]float64, n),
+		ASums: make([]float64, k), BSums: make([]float64, k),
 	}
+	if abs {
+		fs.AbsRowSums, fs.AbsColSums = make([]float64, m), make([]float64, n)
+	}
+	return fs
+}
+
+// refSums derives every checksum and statistic with plain float64 sweeps
+// over the final operands and result.
+func refSums[T Float](c, a, b *Dense[T]) *FusedSums {
+	fs := newSums(c.Rows, a.Cols, c.Cols, true)
 	for i := 0; i < c.Rows; i++ {
 		for j := 0; j < c.Cols; j++ {
-			fs.RowSums[i] += c.At(i, j)
-			fs.ColSums[j] += c.At(i, j)
+			v := float64(c.At(i, j))
+			fs.RowSums[i] += v
+			fs.ColSums[j] += v
+			fs.AbsRowSums[i] += math.Abs(v)
+			fs.AbsColSums[j] += math.Abs(v)
 		}
 	}
 	for i := 0; i < a.Rows; i++ {
 		for k := 0; k < a.Cols; k++ {
-			fs.ASums[k] += a.At(i, k)
+			fs.ASums[k] += float64(a.At(i, k))
+			fs.AMoments.Observe(float64(a.At(i, k)))
 		}
 	}
 	for k := 0; k < b.Rows; k++ {
 		for j := 0; j < b.Cols; j++ {
-			fs.BSums[k] += b.At(k, j)
+			fs.BSums[k] += float64(b.At(k, j))
+			fs.BMoments.Observe(float64(b.At(k, j)))
 		}
 	}
 	return fs
@@ -51,194 +64,184 @@ func sumsClose(t *testing.T, name string, got, want []float64, tol float64) {
 	}
 }
 
-// TestMulAddIntoFusedBitExact is the fused path's determinism contract: c
-// must be bit-identical to the naive loop (hence to MulAddInto) across odd
-// shapes, strided views, and parallelism 1/2/8, at both micro-tile heights,
-// while the fused checksums agree with reference sweeps to roundoff.
-func TestMulAddIntoFusedBitExact(t *testing.T) {
-	shapes := []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 5, 7}, {17, 31, 13}, {64, 64, 64},
-		{65, 127, 33}, {100, 100, 100}, {129, 65, 97}, {40, 256, 40},
+// momentsClose: the count and maximum are order-independent and must match
+// exactly; the square sum is reduced in pack order, so to roundoff.
+func momentsClose(t *testing.T, name string, got, want Moments, tol float64) {
+	t.Helper()
+	if got.Count != want.Count || got.MaxAbs != want.MaxAbs || math.Abs(got.SumSq-want.SumSq) > tol {
+		t.Errorf("%s = %+v, want %+v (tol %g)", name, got, want, tol)
 	}
-	for _, sh := range shapes {
-		for _, contig := range []bool{true, false} {
-			var a, b, c0 *Matrix
-			if contig {
-				a = Random(sh.m, sh.k, uint64(sh.m*1000+sh.k))
-				b = Random(sh.k, sh.n, uint64(sh.k*1000+sh.n))
-				c0 = Random(sh.m, sh.n, 7)
-			} else {
-				a = strided(sh.m, sh.k, uint64(sh.m*1000+sh.k))
-				b = strided(sh.k, sh.n, uint64(sh.k*1000+sh.n))
-				c0 = strided(sh.m, sh.n, 7)
-			}
+}
+
+// testFusedBitExact is the fused path's contract for one element type: c
+// must be bit-identical to the scalar reference (hence to MulAddInto) across
+// gemmShapes, strided views and every worker budget, while the float64
+// checksums — and, when asked for, the absolute-value sums and operand
+// Moments — agree with direct float64 sweeps to roundoff.
+func testFusedBitExact[T Float](t *testing.T) {
+	for _, sh := range gemmShapes {
+		for _, strided := range []bool{false, true} {
+			a := operand[T](sh.m, sh.k, uint64(sh.m*1000+sh.k), strided)
+			b := operand[T](sh.k, sh.n, uint64(sh.k*1000+sh.n), strided)
+			c0 := operand[T](sh.m, sh.n, 7, strided)
 			want := c0.Clone()
-			naiveMulAdd(want, a, b)
+			refMulAdd(want, a, b, 1, false)
 			wantSums := refSums(want, a, b)
 			tol := sumTol(sh.m, sh.k, sh.n)
-			for _, par := range []int{1, 2, 8} {
-				got := c0.Clone()
-				fs := &FusedSums{
-					RowSums: make([]float64, sh.m),
-					ColSums: make([]float64, sh.n),
-					ASums:   make([]float64, sh.k),
-					BSums:   make([]float64, sh.k),
-				}
-				withParallelism(par, func() { MulAddIntoFused(got, a, b, fs) })
-				if !bitEqual(got, want) {
-					t.Errorf("%dx%dx%d contig=%v par=%d: fused C differs from naive loop (max diff %g)",
-						sh.m, sh.k, sh.n, contig, par, maxDiff(got, want))
-				}
-				sumsClose(t, "RowSums", fs.RowSums, wantSums.RowSums, tol)
-				sumsClose(t, "ColSums", fs.ColSums, wantSums.ColSums, tol)
-				sumsClose(t, "ASums", fs.ASums, wantSums.ASums, tol)
-				sumsClose(t, "BSums", fs.BSums, wantSums.BSums, tol)
-			}
-		}
-	}
-}
-
-// TestGemmPackedTile4BitExact pins the 4×4 tile (plain and fused) to the
-// same bit-exactness contract as the default 2×4, driving the packed path
-// directly so the size dispatch cannot route around it.
-func TestGemmPackedTile4BitExact(t *testing.T) {
-	shapes := []struct{ m, k, n int }{
-		{1, 1, 1}, {4, 8, 4}, {7, 9, 6}, {17, 300, 13}, {65, 127, 33}, {100, 100, 100},
-	}
-	for _, sh := range shapes {
-		a := Random(sh.m, sh.k, uint64(sh.m+sh.k))
-		b := Random(sh.k, sh.n, uint64(sh.k+sh.n))
-		c0 := Random(sh.m, sh.n, 11)
-		want := c0.Clone()
-		naiveMulAdd(want, a, b)
-		wantSums := refSums(want, a, b)
-		tol := sumTol(sh.m, sh.k, sh.n)
-
-		got := c0.Clone()
-		gemmPackedTile(got, a, b, 1, false, 4, nil)
-		if !bitEqual(got, want) {
-			t.Errorf("%dx%dx%d: 4x4 tile differs from naive loop (max diff %g)",
-				sh.m, sh.k, sh.n, maxDiff(got, want))
-		}
-
-		got = c0.Clone()
-		fa := &fusedAcc{
-			rs:   make([]float64, sh.m),
-			cs:   make([]float64, sh.n),
-			asum: make([]float64, sh.k),
-			bsum: make([]float64, sh.k),
-		}
-		gemmPackedTile(got, a, b, 1, false, 4, fa)
-		if !bitEqual(got, want) {
-			t.Errorf("%dx%dx%d: fused 4x4 tile differs from naive loop (max diff %g)",
-				sh.m, sh.k, sh.n, maxDiff(got, want))
-		}
-		sumsClose(t, "rs", fa.rs, wantSums.RowSums, tol)
-		sumsClose(t, "cs", fa.cs, wantSums.ColSums, tol)
-		sumsClose(t, "asum", fa.asum, wantSums.ASums, tol)
-		sumsClose(t, "bsum", fa.bsum, wantSums.BSums, tol)
-	}
-}
-
-// TestKernEdgeAllPartialTiles exercises every (rows, cols) partial-tile
-// combination both tile heights can produce — rows ∈ 1..4, cols ∈ 1..4 —
-// under the plain and fused packed paths, asserting bit-equality with the
-// scalar loop. Shapes are built so the bottom-right fringe tile is exactly
-// (rows, cols); k spans below, at, and beyond one kc unroll quantum.
-func TestKernEdgeAllPartialTiles(t *testing.T) {
-	for _, tm := range []int{2, 4} {
-		for rows := 1; rows <= 4; rows++ {
-			for cols := 1; cols <= 4; cols++ {
-				for _, k := range []int{1, 3, 4, 9} {
-					m := tm + rows // one full tile row plus a partial of exactly `rows`
-					n := nr + cols // one full tile column plus a partial of exactly `cols`
-					a := Random(m, k, uint64(100*rows+10*cols+k))
-					b := Random(k, n, uint64(200*rows+20*cols+k))
-					c0 := Random(m, n, uint64(tm))
-					want := c0.Clone()
-					naiveMulAdd(want, a, b)
-
+			for _, abs := range []bool{false, true} {
+				for _, par := range gemmWorkers {
 					got := c0.Clone()
-					gemmPackedTile(got, a, b, 1, false, tm, nil)
+					fs := newSums(sh.m, sh.k, sh.n, abs)
+					// Stale statistics must be reset, not accumulated into.
+					fs.AMoments = Moments{Count: 9, SumSq: 9, MaxAbs: 9}
+					withParallelism(par, func() { MulAddIntoFused(got, a, b, fs) })
 					if !bitEqual(got, want) {
-						t.Fatalf("tm=%d edge %dx%d k=%d: plain path differs from scalar loop", tm, rows, cols, k)
+						t.Errorf("%dx%dx%d strided=%v abs=%v par=%d: fused C differs from scalar reference",
+							sh.m, sh.k, sh.n, strided, abs, par)
 					}
-
-					got = c0.Clone()
-					fa := &fusedAcc{rs: make([]float64, m), cs: make([]float64, n)}
-					gemmPackedTile(got, a, b, 1, false, tm, fa)
-					if !bitEqual(got, want) {
-						t.Fatalf("tm=%d edge %dx%d k=%d: fused path differs from scalar loop", tm, rows, cols, k)
+					sumsClose(t, "RowSums", fs.RowSums, wantSums.RowSums, tol)
+					sumsClose(t, "ColSums", fs.ColSums, wantSums.ColSums, tol)
+					sumsClose(t, "ASums", fs.ASums, wantSums.ASums, tol)
+					sumsClose(t, "BSums", fs.BSums, wantSums.BSums, tol)
+					if !abs {
+						if fs.AMoments != (Moments{}) || fs.BMoments != (Moments{}) {
+							t.Errorf("moments gathered without the abs sums: %+v %+v", fs.AMoments, fs.BMoments)
+						}
+						continue
 					}
-					wantSums := refSums(want, a, b)
-					tol := sumTol(m, k, n)
-					sumsClose(t, "rs", fa.rs, wantSums.RowSums, tol)
-					sumsClose(t, "cs", fa.cs, wantSums.ColSums, tol)
+					sumsClose(t, "AbsRowSums", fs.AbsRowSums, wantSums.AbsRowSums, tol)
+					sumsClose(t, "AbsColSums", fs.AbsColSums, wantSums.AbsColSums, tol)
+					momentsClose(t, "AMoments", fs.AMoments, wantSums.AMoments, tol)
+					momentsClose(t, "BMoments", fs.BMoments, wantSums.BMoments, tol)
 				}
 			}
 		}
 	}
 }
 
-// TestKernEdgeNaNInfPropagation: partial tiles must propagate NaN/Inf
+func TestMulAddIntoFusedBitExact(t *testing.T) { testFusedBitExact[float64](t) }
+func TestMulAddIntoFused32(t *testing.T)       { testFusedBitExact[float32](t) }
+
+// testKernEdgeAllPartialTiles exercises every (rows, cols) fringe the 2×4
+// tile can leave — m = mr+rows for rows ∈ 1..4, n = nr+cols for cols ∈ 1..4
+// — under the plain and fused packed paths, asserting bit-equality with the
+// scalar loop. It drives gemmPacked directly so the size dispatch cannot
+// route around it; k spans below, at, and beyond one unroll quantum.
+func testKernEdgeAllPartialTiles[T Float](t *testing.T) {
+	for rows := 1; rows <= 4; rows++ {
+		for cols := 1; cols <= 4; cols++ {
+			for _, k := range []int{1, 3, 4, 9} {
+				m, n := mr+rows, nr+cols
+				a := random[T](m, k, uint64(100*rows+10*cols+k))
+				b := random[T](k, n, uint64(200*rows+20*cols+k))
+				c0 := random[T](m, n, 2)
+				want := c0.Clone()
+				refMulAdd(want, a, b, 1, false)
+
+				got := c0.Clone()
+				gemmPacked(got, a, b, 1, false, nil)
+				if !bitEqual(got, want) {
+					t.Fatalf("edge %dx%d k=%d: plain path differs from scalar loop", rows, cols, k)
+				}
+
+				got = c0.Clone()
+				fa := &fusedAcc{rs: make([]float64, m), cs: make([]float64, n),
+					ars: make([]float64, m), acs: make([]float64, n)}
+				gemmPacked(got, a, b, 1, false, fa)
+				if !bitEqual(got, want) {
+					t.Fatalf("edge %dx%d k=%d: fused path differs from scalar loop", rows, cols, k)
+				}
+				wantSums := refSums(want, a, b)
+				tol := sumTol(m, k, n)
+				sumsClose(t, "rs", fa.rs, wantSums.RowSums, tol)
+				sumsClose(t, "cs", fa.cs, wantSums.ColSums, tol)
+				sumsClose(t, "ars", fa.ars, wantSums.AbsRowSums, tol)
+				sumsClose(t, "acs", fa.acs, wantSums.AbsColSums, tol)
+			}
+		}
+	}
+}
+
+func TestKernEdgeAllPartialTiles(t *testing.T) {
+	t.Run("f64", testKernEdgeAllPartialTiles[float64])
+	t.Run("f32", testKernEdgeAllPartialTiles[float32])
+}
+
+// testKernEdgeNaNInfPropagation: partial tiles must propagate NaN/Inf
 // exactly like the scalar loop on both paths, and the fused checksums must
 // absorb the poison instead of masking it.
-func TestKernEdgeNaNInfPropagation(t *testing.T) {
-	for _, tm := range []int{2, 4} {
-		m, k, n := tm+1, 5, nr+3 // bottom and right fringes both partial
-		a := Random(m, k, 3)
-		b := Random(k, n, 4)
-		a.Set(m-1, 2, math.NaN()) // lands in the bottom partial tile
-		b.Set(1, n-1, math.Inf(1))
-		a.Set(0, 1, 0) // 0×Inf = NaN must not be skipped
-		c0 := Random(m, n, 5)
-		want := c0.Clone()
-		naiveMulAdd(want, a, b)
+func testKernEdgeNaNInfPropagation[T Float](t *testing.T) {
+	m, k, n := mr+1, 5, nr+3 // bottom and right fringes both partial
+	a := random[T](m, k, 3)
+	b := random[T](k, n, 4)
+	a.Set(m-1, 2, T(math.NaN())) // lands in the bottom partial tile
+	b.Set(1, n-1, T(math.Inf(1)))
+	a.Set(0, 1, 0) // 0×Inf = NaN must not be skipped
+	c0 := random[T](m, n, 5)
+	want := c0.Clone()
+	refMulAdd(want, a, b, 1, false)
 
-		got := c0.Clone()
-		gemmPackedTile(got, a, b, 1, false, tm, nil)
-		if !bitEqual(got, want) {
-			t.Fatalf("tm=%d: plain path NaN/Inf propagation differs from scalar loop", tm)
-		}
-		got = c0.Clone()
-		fa := &fusedAcc{rs: make([]float64, m), cs: make([]float64, n)}
-		gemmPackedTile(got, a, b, 1, false, tm, fa)
-		if !bitEqual(got, want) {
-			t.Fatalf("tm=%d: fused path NaN/Inf propagation differs from scalar loop", tm)
-		}
-		if !math.IsNaN(fa.rs[m-1]) {
-			t.Errorf("tm=%d: rs[%d] = %v, want NaN folded from poisoned row", tm, m-1, fa.rs[m-1])
-		}
-		if !math.IsNaN(fa.cs[n-1]) {
-			t.Errorf("tm=%d: cs[%d] = %v, want NaN folded from poisoned column", tm, n-1, fa.cs[n-1])
-		}
+	got := c0.Clone()
+	gemmPacked(got, a, b, 1, false, nil)
+	if !bitEqual(got, want) {
+		t.Fatal("plain path NaN/Inf propagation differs from scalar loop")
+	}
+	got = c0.Clone()
+	fa := &fusedAcc{rs: make([]float64, m), cs: make([]float64, n)}
+	gemmPacked(got, a, b, 1, false, fa)
+	if !bitEqual(got, want) {
+		t.Fatal("fused path NaN/Inf propagation differs from scalar loop")
+	}
+	if !math.IsNaN(fa.rs[m-1]) {
+		t.Errorf("rs[%d] = %v, want NaN folded from poisoned row", m-1, fa.rs[m-1])
+	}
+	if !math.IsNaN(fa.cs[n-1]) {
+		t.Errorf("cs[%d] = %v, want NaN folded from poisoned column", n-1, fa.cs[n-1])
 	}
 }
 
-// TestMulAddIntoFusedPartialSums: nil slices skip that accumulation, and
-// RowSums/ColSums must be requested together.
-func TestMulAddIntoFusedPartialSums(t *testing.T) {
+func TestKernEdgeNaNInfPropagation(t *testing.T) {
+	t.Run("f64", testKernEdgeNaNInfPropagation[float64])
+	t.Run("f32", testKernEdgeNaNInfPropagation[float32])
+}
+
+// testFusedPartialSums: nil slices skip that accumulation, RowSums/ColSums
+// must be requested together, and the abs sums only alongside them.
+func testFusedPartialSums[T Float](t *testing.T) {
 	m, k, n := 20, 30, 25
-	a := Random(m, k, 1)
-	b := Random(k, n, 2)
-	want := New(m, n)
-	naiveMulAdd(want, a, b)
+	a := random[T](m, k, 1)
+	b := random[T](k, n, 2)
+	want := newDense[T](m, n)
+	refMulAdd(want, a, b, 1, false)
 	wantSums := refSums(want, a, b)
 
-	got := New(m, n)
+	got := newDense[T](m, n)
 	fs := &FusedSums{ASums: make([]float64, k), BSums: make([]float64, k)}
 	MulAddIntoFused(got, a, b, fs)
 	if !bitEqual(got, want) {
-		t.Fatal("operand-sums-only fused call: C differs from naive loop")
+		t.Fatal("operand-sums-only fused call: C differs from scalar reference")
 	}
 	tol := sumTol(m, k, n)
 	sumsClose(t, "ASums", fs.ASums, wantSums.ASums, tol)
 	sumsClose(t, "BSums", fs.BSums, wantSums.BSums, tol)
 
-	defer func() {
-		if recover() == nil {
-			t.Error("RowSums without ColSums did not panic")
-		}
-	}()
-	MulAddIntoFused(got, a, b, &FusedSums{RowSums: make([]float64, m)})
+	for name, bad := range map[string]*FusedSums{
+		"RowSums without ColSums":       {RowSums: make([]float64, m)},
+		"AbsRowSums without AbsColSums": {RowSums: make([]float64, m), ColSums: make([]float64, n), AbsRowSums: make([]float64, m)},
+		"abs sums without RowSums":      {AbsRowSums: make([]float64, m), AbsColSums: make([]float64, n)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			MulAddIntoFused(got, a, b, bad)
+		}()
+	}
+}
+
+func TestMulAddIntoFusedPartialSums(t *testing.T) {
+	t.Run("f64", testFusedPartialSums[float64])
+	t.Run("f32", testFusedPartialSums[float32])
 }

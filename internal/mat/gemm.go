@@ -27,15 +27,22 @@ func MulInto(c, a, b *Matrix) {
 // MulAddInto computes c += a×b through the packed micro-kernel (kernel.go),
 // parallel over row bands for large problems and serial below the
 // threshold. Every element accumulates its k-products in ascending order,
-// so the result is bit-identical to a naive triple loop — including
+// in T, so the result is bit-identical to a naive triple loop — including
 // NaN/Inf propagation: a zero in a times a NaN/Inf in b contributes NaN,
 // never a silent skip — at any blocking or parallelism.
-func MulAddInto(c, a, b *Matrix) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulAddInto shape mismatch: c %dx%d += a %dx%d × b %dx%d",
-			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
+func MulAddInto[T Float](c, a, b *Dense[T]) {
+	checkShape(c, a, b, "MulAddInto")
 	mulAdd(c, a, b, 1, false)
+}
+
+// MulAddInto32 is the name the float32 callers use.
+func MulAddInto32(c, a, b *Matrix32) { MulAddInto(c, a, b) }
+
+func checkShape[T Float](c, a, b *Dense[T], name string) {
+	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
+		panic(fmt.Sprintf("mat: %s shape mismatch: c %dx%d += a %dx%d × b %dx%d",
+			name, c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
 }
 
 // MulVec returns a·x for an a.Rows-length result.

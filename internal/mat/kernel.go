@@ -15,25 +15,32 @@ import (
 // and FT-GEMM build their fault-tolerant GEMMs on). Packing buffers are
 // recycled through a sync.Pool so steady-state GEMM does no allocation.
 //
+// The layer is generic over the element type: float64 and float32 are two
+// instantiations of the same pack routines, micro-kernel and drivers (Go
+// stencils them as separate shapes, so each runs at the speed of a
+// hand-written copy). Data and arithmetic are in T; every checksum and
+// statistic the fused path derives (fused.go) is accumulated in float64, so
+// ABFT detection keeps double precision over single-precision data.
+//
 // Determinism contract: every output element is accumulated in ascending-k
 // order starting from its current value — the micro-kernel seeds its
 // register accumulators from C — so the result is bit-identical to the
-// scalar reference loop regardless of cache blocking, micro-tile shape, or
-// row-band parallelism. Tests assert exact bit equality.
+// scalar reference loop in T regardless of cache blocking or row-band
+// parallelism. Tests assert exact bit equality for both element types.
 
 const (
-	// mr×nr is the default register micro-tile: 8 accumulators plus 6
-	// operand temporaries fit the 16-register amd64 FP file with room to
-	// spare. A 4×4 tile (kern4x4) is also available — its 16 accumulators
-	// spill, which BenchmarkGEMMTile shows costs more than the halved B
-	// traffic saves, so 2×4 stays the default for both plain and fused
-	// paths.
+	// mr×nr is the register micro-tile: 8 accumulators plus 6 operand
+	// temporaries fit the 16-register amd64 FP file with room to spare. It
+	// is the only tile: a 4×4 variant measured ~2× slower (its 16
+	// accumulators spill, which costs more than the halved B traffic saves)
+	// and was removed.
 	mr = 2
 	nr = 4
 
-	// tileAlign is the band-partition alignment: the least common multiple
-	// of the supported micro-tile heights (2 and 4), so row bands keep full
-	// micro-tiles intact at either setting.
+	// tileAlign is the band-partition alignment, a multiple of mr so row
+	// bands keep full micro-tiles intact. It stays 4 (not mr): the band
+	// split fixes the rounding association of every fused checksum, which
+	// soak tables and golden results pin.
 	tileAlign = 4
 
 	// kcBlock sizes the packed panels' shared k extent: an mr×kcBlock
@@ -55,34 +62,47 @@ const (
 // for this call (reallocate, dropping the pooled one) while large buffers
 // sit idle in the pool — so steady state keeps allocating. With per-class
 // pools every Get either hits a buffer guaranteed to fit or takes the one
-// allocation that seeds the class.
-const maxPoolClass = 26 // 2^26 float64 = 512MB; anything larger is not pooled
+// allocation that seeds the class. Each element type has its own set, so
+// mixed f32/f64 traffic never pops a buffer of the wrong type.
+const maxPoolClass = 26 // 2^26 elements; anything larger is not pooled
 
-var bufPools [maxPoolClass + 1]sync.Pool
+type poolSet [maxPoolClass + 1]sync.Pool
+
+var bufPools64, bufPools32 poolSet
+
+// poolsFor picks the element type's pool set. A named type that is neither
+// float32 nor float64 shares the float64 set and simply misses on Get.
+func poolsFor[T Float]() *poolSet {
+	var z T
+	if _, ok := any(z).(float32); ok {
+		return &bufPools32
+	}
+	return &bufPools64
+}
 
 // getBuf returns a length-n buffer (contents unspecified) from the pool of
 // the smallest power-of-two capacity class holding n.
-func getBuf(n int) *[]float64 {
+func getBuf[T Float](n int) *[]T {
 	if n < 1 {
 		n = 1
 	}
 	class := bits.Len(uint(n - 1)) // smallest c with 1<<c >= n
 	if class > maxPoolClass {
-		p := make([]float64, n)
+		p := make([]T, n)
 		return &p
 	}
-	if p, ok := bufPools[class].Get().(*[]float64); ok {
+	if p, ok := poolsFor[T]()[class].Get().(*[]T); ok {
 		*p = (*p)[:n]
 		return p
 	}
-	p := make([]float64, n, 1<<class)
+	p := make([]T, n, 1<<class)
 	return &p
 }
 
 // putBuf returns a buffer to its capacity class. Buffers always leave getBuf
 // with an exact power-of-two capacity, so the class is recoverable from
 // cap alone; anything else (or oversized) is dropped for the GC.
-func putBuf(p *[]float64) {
+func putBuf[T Float](p *[]T) {
 	c := cap(*p)
 	if c == 0 || c&(c-1) != 0 {
 		return
@@ -92,43 +112,50 @@ func putBuf(p *[]float64) {
 		return
 	}
 	*p = (*p)[:c]
-	bufPools[class].Put(p)
+	poolsFor[T]()[class].Put(p)
 }
 
 // getZeroBuf returns a zeroed length-n pooled buffer (for sum accumulators).
 func getZeroBuf(n int) *[]float64 {
-	p := getBuf(n)
+	p := getBuf[float64](n)
 	clear(*p)
 	return p
 }
 
-// packA copies rows [i0, i0+m) × cols [k0, k0+kb) of a into buf as tm-row
-// micro-panels in k-major order (the kernel reads tm values per k step),
-// scaled by alpha (±1, so scaling is exact) and zero-padded to tm rows.
+// packA copies rows [i0, i0+m) × cols [k0, k0+kb) of a into buf as mr-row
+// micro-panels in k-major order (the kernel reads mr values per k step),
+// scaled by alpha (±1, so scaling is exact) and zero-padded to mr rows.
 //
 // When asum is non-nil (length kb), the copy also accumulates the panel's
-// column checksums — asum[p] += Σ_rows α·a[i0+r][k0+p], i.e. the eᵀA slice
-// the online-ABFT path compares against the encoded checksum row — so the
-// operand checksum costs no traversal beyond the packing pass itself.
-func packA(buf []float64, a *Matrix, i0, m, k0, kb int, alpha float64, tm int, asum []float64) {
+// float64 column checksums — asum[p] += Σ_rows α·a[i0+r][k0+p], i.e. the
+// eᵀA slice the online-ABFT path compares against the encoded checksum row
+// — and, when mom is non-nil too, folds every packed element into the
+// operand's magnitude statistics. Both ride the packing pass, so they cost
+// no traversal beyond the copy GEMM already pays.
+func packA[T Float](buf []T, a *Dense[T], i0, m, k0, kb int, alpha T, asum []float64, mom *Moments) {
 	idx := 0
-	for r0 := 0; r0 < m; r0 += tm {
-		rows := min(tm, m-r0)
+	for r0 := 0; r0 < m; r0 += mr {
+		rows := min(mr, m-r0)
 		base := (i0+r0)*a.Stride + k0
 		for p := 0; p < kb; p++ {
 			s := 0.0
 			for r := 0; r < rows; r++ {
 				v := alpha * a.Data[base+r*a.Stride+p]
 				buf[idx+r] = v
-				s += v
+				if asum != nil {
+					s += float64(v)
+					if mom != nil {
+						mom.Observe(float64(v))
+					}
+				}
 			}
-			for r := rows; r < tm; r++ {
+			for r := rows; r < mr; r++ {
 				buf[idx+r] = 0
 			}
 			if asum != nil {
 				asum[p] += s
 			}
-			idx += tm
+			idx += mr
 		}
 	}
 }
@@ -138,9 +165,10 @@ func packA(buf []float64, a *Matrix, i0, m, k0, kb int, alpha float64, tm int, a
 // micro-panels in k-major order, zero-padded to nr columns.
 //
 // When bsum is non-nil (length kb), the copy also accumulates the panel's
-// row checksums — bsum[p] += Σ_cols b[k0+p][j0+c], i.e. the B·e slice the
-// online-ABFT path compares against the encoded checksum column.
-func packB(buf []float64, b *Matrix, k0, kb, j0, nw int, trans bool, bsum []float64) {
+// float64 row checksums — bsum[p] += Σ_cols b[k0+p][j0+c], i.e. the B·e
+// slice the online-ABFT path compares against the encoded checksum column
+// — and the operand's magnitude statistics when mom is non-nil too.
+func packB[T Float](buf []T, b *Dense[T], k0, kb, j0, nw int, trans bool, bsum []float64, mom *Moments) {
 	idx := 0
 	for c0 := 0; c0 < nw; c0 += nr {
 		cols := min(nr, nw-c0)
@@ -151,14 +179,24 @@ func packB(buf []float64, b *Matrix, k0, kb, j0, nw int, trans bool, bsum []floa
 				for c := 0; c < cols; c++ {
 					v := b.Data[base+c*b.Stride]
 					buf[idx+c] = v
-					s += v
+					if bsum != nil {
+						s += float64(v)
+						if mom != nil {
+							mom.Observe(float64(v))
+						}
+					}
 				}
 			} else {
 				src := b.Data[(k0+p)*b.Stride+j0+c0:]
 				for c := 0; c < cols; c++ {
 					v := src[c]
 					buf[idx+c] = v
-					s += v
+					if bsum != nil {
+						s += float64(v)
+						if mom != nil {
+							mom.Observe(float64(v))
+						}
+					}
 				}
 			}
 			for c := cols; c < nr; c++ {
@@ -176,7 +214,7 @@ func packB(buf []float64, b *Matrix, k0, kb, j0, nw int, trans bool, bsum []floa
 // kb-step product of an A micro-panel and a B micro-panel, k unrolled by
 // four. Accumulators are seeded from C and updated in ascending-k order (see
 // the determinism contract above).
-func kern2x4(kb int, ap, bp []float64, cd []float64, ldc int) {
+func kern2x4[T Float](kb int, ap, bp []T, cd []T, ldc int) {
 	c0 := cd[0*ldc : 0*ldc+4]
 	c1 := cd[1*ldc : 1*ldc+4]
 	c00, c01, c02, c03 := c0[0], c0[1], c0[2], c0[3]
@@ -245,89 +283,71 @@ func kern2x4(kb int, ap, bp []float64, cd []float64, ldc int) {
 	c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
 }
 
-// kern4x4 is the widened 4×4 full-tile kernel (tileA4 packing): each k step
-// loads 4 A values and 4 B values for 16 multiply-adds, halving B traffic
-// per flop relative to 2×4. Its 16 accumulators exceed the 16-register
-// amd64 FP file, so whether the better operand reuse beats the spill is a
-// measured question — BenchmarkGEMMTile decides; dispatch stays behind the
-// same determinism contract either way.
-func kern4x4(kb int, ap, bp []float64, cd []float64, ldc int) {
-	c0 := cd[0*ldc : 0*ldc+4]
-	c1 := cd[1*ldc : 1*ldc+4]
-	c2 := cd[2*ldc : 2*ldc+4]
-	c3 := cd[3*ldc : 3*ldc+4]
-	c00, c01, c02, c03 := c0[0], c0[1], c0[2], c0[3]
-	c10, c11, c12, c13 := c1[0], c1[1], c1[2], c1[3]
-	c20, c21, c22, c23 := c2[0], c2[1], c2[2], c2[3]
-	c30, c31, c32, c33 := c3[0], c3[1], c3[2], c3[3]
-	ap = ap[:4*kb]
-	bp = bp[:4*kb]
-	for p := 0; p+4 <= len(ap); p += 4 {
-		a := ap[p : p+4]
-		b := bp[p : p+4]
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-	}
-	c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
-	c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
-	c2[0], c2[1], c2[2], c2[3] = c20, c21, c22, c23
-	c3[0], c3[1], c3[2], c3[3] = c30, c31, c32, c33
-}
-
 // kernEdge handles partial tiles at the right/bottom fringe with the same
-// per-element ascending-k accumulation as the full-tile kernel. tm is the
-// micro-panel row count ap was packed with.
-func kernEdge(kb, rows, cols int, ap, bp, cd []float64, ldc, tm int) {
+// per-element ascending-k accumulation as the full-tile kernel.
+func kernEdge[T Float](kb, rows, cols int, ap, bp, cd []T, ldc int) {
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			s := cd[r*ldc+c]
 			for p := 0; p < kb; p++ {
-				s += ap[p*tm+r] * bp[p*nr+c]
+				s += ap[p*mr+r] * bp[p*nr+c]
 			}
 			cd[r*ldc+c] = s
 		}
 	}
 }
 
-// gemmPacked computes c += alpha·a·op(b) (alpha ∈ {+1, −1}; op(b) = bᵀ when
-// transB) over all of c with the packed micro-kernel at the default tile.
-func gemmPacked(c, a, b *Matrix, alpha float64, transB bool) {
-	gemmPackedTile(c, a, b, alpha, transB, mr, nil)
+// foldTile adds a stored rows×cols tile's final values into the running
+// float64 row/column checksum accumulators at tile origin (ri, cj), and
+// their magnitudes into the absolute-value sums when those are kept. It runs
+// as a separate pass over the just-stored tile (L1-hot) rather than inside
+// the k loop: keeping the accumulators out of the hot loop leaves the
+// micro-kernel's register allocation untouched, so the fused main loop is
+// byte-for-byte the plain kernel.
+func foldTile[T Float](cd []T, ldc, rows, cols int, fa *fusedAcc, ri, cj int) {
+	rs, cs := fa.rs[ri:], fa.cs[cj:]
+	var ars, acs []float64
+	if fa.ars != nil {
+		ars, acs = fa.ars[ri:], fa.acs[cj:]
+	}
+	for r := 0; r < rows; r++ {
+		row := cd[r*ldc : r*ldc+cols]
+		sum, asum := 0.0, 0.0
+		for c, v := range row {
+			f := float64(v)
+			sum += f
+			cs[c] += f
+			if acs != nil {
+				if f < 0 {
+					f = -f
+				}
+				asum += f
+				acs[c] += f
+			}
+		}
+		rs[r] += sum
+		if ars != nil {
+			ars[r] += asum
+		}
+	}
 }
 
-// gemmPackedTile is the packed driver behind gemmPacked and the fused
-// online-ABFT path. Loop order is jc→pc→ic (pack B per k-panel, pack A per
-// row block), so k ascends for every output element no matter how the
-// blocks fall. tm ∈ {2, 4} selects the micro-tile height (both satisfy the
-// determinism contract, so the choice is purely a throughput knob).
+// gemmPacked computes c += alpha·a·op(b) (alpha ∈ {+1, −1}; op(b) = bᵀ when
+// transB) over all of c with the packed micro-kernel. Loop order is
+// jc→pc→ic (pack B per k-panel, pack A per row block), so k ascends for
+// every output element no matter how the blocks fall.
 //
-// When fa is non-nil the pack passes accumulate the operand checksums
-// (fa.asum once per k-panel on the first column slab, fa.bsum once per
-// (j,k) slab pair) and the final k-block's kernels additionally fold each
-// finished C value into fa.rs/fa.cs — the running row/column checksums the
-// online verifier compares at the panel boundary. Earlier k-blocks run the
-// plain kernels: a C value is folded exactly once, after its last update,
-// so the checksum also witnesses corruption of previously written C.
-func gemmPackedTile(c, a, b *Matrix, alpha float64, transB bool, tm int, fa *fusedAcc) {
+// When fa is non-nil the pack passes accumulate the operand checksums and
+// statistics (asum/amom once per k-panel on the first column slab,
+// bsum/bmom once per (j,k) slab pair) and the final k-block additionally
+// folds each finished C tile into fa's row/column sums — the running
+// checksums the online verifier compares at the panel boundary. A C value is
+// folded exactly once, after its last update, so the checksum also witnesses
+// corruption of previously written C.
+func gemmPacked[T Float](c, a, b *Dense[T], alpha T, transB bool, fa *fusedAcc) {
 	m, kdim, n := a.Rows, a.Cols, c.Cols
-	bbuf := getBuf(kcBlock * ncBlock)
-	abuf := getBuf(mcBlock * kcBlock)
+	bbuf := getBuf[T](kcBlock * ncBlock)
+	abuf := getBuf[T](mcBlock * kcBlock)
 	defer putBuf(bbuf)
 	defer putBuf(abuf)
 	for j0 := 0; j0 < n; j0 += ncBlock {
@@ -335,44 +355,34 @@ func gemmPackedTile(c, a, b *Matrix, alpha float64, transB bool, tm int, fa *fus
 		for k0 := 0; k0 < kdim; k0 += kcBlock {
 			kb := min(kcBlock, kdim-k0)
 			var bsum []float64
+			var bmom *Moments
 			if fa != nil && fa.bsum != nil {
-				bsum = fa.bsum[k0 : k0+kb]
+				bsum, bmom = fa.bsum[k0:k0+kb], fa.bmom
 			}
-			packB(*bbuf, b, k0, kb, j0, nw, transB, bsum)
-			fuse := fa != nil && fa.rs != nil && fa.cs != nil && k0+kb == kdim
+			packB(*bbuf, b, k0, kb, j0, nw, transB, bsum, bmom)
+			fuse := fa != nil && fa.rs != nil && k0+kb == kdim
 			for i0 := 0; i0 < m; i0 += mcBlock {
 				mb := min(mcBlock, m-i0)
 				var asum []float64
+				var amom *Moments
 				if fa != nil && fa.asum != nil && j0 == 0 {
-					asum = fa.asum[k0 : k0+kb]
+					asum, amom = fa.asum[k0:k0+kb], fa.amom
 				}
-				packA(*abuf, a, i0, mb, k0, kb, alpha, tm, asum)
+				packA(*abuf, a, i0, mb, k0, kb, alpha, asum, amom)
 				for jr := 0; jr < nw; jr += nr {
 					cols := min(nr, nw-jr)
 					bp := (*bbuf)[(jr/nr)*kb*nr:]
-					for ir := 0; ir < mb; ir += tm {
-						rows := min(tm, mb-ir)
-						ap := (*abuf)[(ir/tm)*kb*tm:]
+					for ir := 0; ir < mb; ir += mr {
+						rows := min(mr, mb-ir)
+						ap := (*abuf)[(ir/mr)*kb*mr:]
 						cd := c.Data[(i0+ir)*c.Stride+j0+jr:]
-						full := rows == tm && cols == nr
-						switch {
-						case fuse:
-							rs := fa.rs[i0+ir:]
-							cs := fa.cs[j0+jr:]
-							switch {
-							case full && tm == mr:
-								kern2x4Fused(kb, ap, bp, cd, c.Stride, rs, cs)
-							case full:
-								kern4x4Fused(kb, ap, bp, cd, c.Stride, rs, cs)
-							default:
-								kernEdgeFused(kb, rows, cols, ap, bp, cd, c.Stride, tm, rs, cs)
-							}
-						case full && tm == mr:
+						if rows == mr && cols == nr {
 							kern2x4(kb, ap, bp, cd, c.Stride)
-						case full:
-							kern4x4(kb, ap, bp, cd, c.Stride)
-						default:
-							kernEdge(kb, rows, cols, ap, bp, cd, c.Stride, tm)
+						} else {
+							kernEdge(kb, rows, cols, ap, bp, cd, c.Stride)
+						}
+						if fuse {
+							foldTile(cd, c.Stride, rows, cols, fa, i0+ir, j0+jr)
 						}
 					}
 				}
@@ -384,7 +394,7 @@ func gemmPackedTile(c, a, b *Matrix, alpha float64, transB bool, tm int, fa *fus
 // gemmSimple is the unpacked blocked loop for problems too small to
 // amortize panel copies. Same ascending-k-per-element order, same result
 // bits.
-func gemmSimple(c, a, b *Matrix, alpha float64, transB bool) {
+func gemmSimple[T Float](c, a, b *Dense[T], alpha T, transB bool) {
 	n, kdim, m := a.Rows, a.Cols, c.Cols
 	for ii := 0; ii < n; ii += gemmBlock {
 		iMax := min(ii+gemmBlock, n)
@@ -420,29 +430,33 @@ func gemmSimple(c, a, b *Matrix, alpha float64, transB bool) {
 }
 
 // gemmSerial dispatches one row band to the packed or simple path by size.
-// Both produce identical bits, so the choice is invisible to callers.
-func gemmSerial(c, a, b *Matrix, alpha float64, transB bool) {
+// Both produce identical bits, so the choice is invisible to callers. When
+// fa is non-nil the sub-threshold path derives the sums in a post-pass.
+func gemmSerial[T Float](c, a, b *Dense[T], alpha T, transB bool, fa *fusedAcc) {
 	if 2*a.Rows*a.Cols*c.Cols < packMinFlops {
 		gemmSimple(c, a, b, alpha, transB)
+		if fa != nil {
+			foldSimple(c, a, b, fa)
+		}
 		return
 	}
-	gemmPacked(c, a, b, alpha, transB)
+	gemmPacked(c, a, b, alpha, transB, fa)
 }
 
 // mulAdd is the shared entry: c += alpha·a·op(b), parallel over row bands
 // when the problem clears the threshold and the budget allows.
-func mulAdd(c, a, b *Matrix, alpha float64, transB bool) {
+func mulAdd[T Float](c, a, b *Dense[T], alpha T, transB bool) {
 	m, kdim, n := a.Rows, a.Cols, c.Cols
 	if m == 0 || n == 0 || kdim == 0 {
 		return
 	}
 	workers := workersFor(m, 2*m*n*kdim)
 	if workers <= 1 {
-		gemmSerial(c, a, b, alpha, transB)
+		gemmSerial(c, a, b, alpha, transB, nil)
 		return
 	}
 	runBands(rowBands(m, workers), func(lo, hi int) {
-		gemmSerial(c.View(lo, 0, hi-lo, n), a.View(lo, 0, hi-lo, kdim), b, alpha, transB)
+		gemmSerial(c.View(lo, 0, hi-lo, n), a.View(lo, 0, hi-lo, kdim), b, alpha, transB, nil)
 	})
 }
 
@@ -497,7 +511,7 @@ func syrkRows(c, l *Matrix, r0, r1 int) {
 		// Sub-diagonal rectangle: a packed GEMM against lᵀ.
 		if lo := max(r0, j0+jw); lo < r1 {
 			gemmSerial(c.View(lo, j0, r1-lo, jw), l.View(lo, 0, r1-lo, k),
-				l.View(j0, 0, jw, k), -1, true)
+				l.View(j0, 0, jw, k), -1, true, nil)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // mulAddSeed replicates the pre-kernel-layer MulAddInto (blocked i-k-j with
 // the av == 0 skip) as the before/after baseline for EXPERIMENTS.md.
-func mulAddSeed(c, a, b *Matrix) {
+func mulAddSeed[T Float](c, a, b *Dense[T]) {
 	n, k, m := a.Rows, a.Cols, b.Cols
 	for ii := 0; ii < n; ii += gemmBlock {
 		iMax := min(ii+gemmBlock, n)
@@ -43,12 +43,17 @@ func reportGFLOPS(b *testing.B, flopsPerOp float64) {
 
 // BenchmarkGEMM reports GFLOP/s for the seed loop, the packed serial
 // kernel, and the packed row-band-parallel kernel at the ISSUE's four
-// sizes. BENCH_*.json tracks the trajectory.
+// sizes, for both element types. BENCH_*.json tracks the trajectory.
 func BenchmarkGEMM(b *testing.B) {
+	b.Run("f64", benchGEMM[float64])
+	b.Run("f32", benchGEMM[float32])
+}
+
+func benchGEMM[T Float](b *testing.B) {
 	for _, n := range []int{128, 256, 512, 1024} {
-		a := Random(n, n, 1)
-		bm := Random(n, n, 2)
-		c := New(n, n)
+		a := random[T](n, n, 1)
+		bm := random[T](n, n, 2)
+		c := newDense[T](n, n)
 		flops := 2 * float64(n) * float64(n) * float64(n)
 		b.Run(fmt.Sprintf("n=%d/seed", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -75,52 +80,22 @@ func BenchmarkGEMM(b *testing.B) {
 	}
 }
 
-// BenchmarkGEMMTile compares the 2×4 and 4×4 micro-tiles, plain and fused,
-// at the default blocking — the measurement behind the defaultTile choice
-// (the 4×4's 16 accumulators spill on amd64's 16-register FP file).
-func BenchmarkGEMMTile(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		a := Random(n, n, 1)
-		bm := Random(n, n, 2)
-		c := New(n, n)
-		fa := &fusedAcc{
-			rs:   make([]float64, n),
-			cs:   make([]float64, n),
-			asum: make([]float64, n),
-			bsum: make([]float64, n),
-		}
-		flops := 2 * float64(n) * float64(n) * float64(n)
-		for _, tm := range []int{2, 4} {
-			b.Run(fmt.Sprintf("n=%d/tile=%dx4", n, tm), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					gemmPackedTile(c, a, bm, 1, false, tm, nil)
-				}
-				reportGFLOPS(b, flops)
-			})
-			b.Run(fmt.Sprintf("n=%d/tile=%dx4-fused", n, tm), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					gemmPackedTile(c, a, bm, 1, false, tm, fa)
-				}
-				reportGFLOPS(b, flops)
-			})
-		}
-	}
-}
-
 // BenchmarkGEMMFused measures the full fused entry point (checksum
 // accumulation + deterministic band reduction) against plain MulAddInto —
-// the kernel-layer half of the fused-vs-two-pass story.
+// the kernel-layer half of the fused-vs-two-pass story. Each element type
+// asks for the sums its ABFT driver asks for: float32 adds the
+// absolute-value sums and operand Moments of the adaptive threshold.
 func BenchmarkGEMMFused(b *testing.B) {
+	b.Run("f64", func(b *testing.B) { benchGEMMFused[float64](b, false) })
+	b.Run("f32", func(b *testing.B) { benchGEMMFused[float32](b, true) })
+}
+
+func benchGEMMFused[T Float](b *testing.B, abs bool) {
 	for _, n := range []int{256, 1024} {
-		a := Random(n, n, 1)
-		bm := Random(n, n, 2)
-		c := New(n, n)
-		fs := &FusedSums{
-			RowSums: make([]float64, n),
-			ColSums: make([]float64, n),
-			ASums:   make([]float64, n),
-			BSums:   make([]float64, n),
-		}
+		a := random[T](n, n, 1)
+		bm := random[T](n, n, 2)
+		c := newDense[T](n, n)
+		fs := newSums(n, n, n, abs)
 		flops := 2 * float64(n) * float64(n) * float64(n)
 		for _, par := range []int{1, 8} {
 			b.Run(fmt.Sprintf("n=%d/par=%d/plain", n, par), func(b *testing.B) {

@@ -5,15 +5,19 @@ import (
 	"testing"
 )
 
-// naiveMulAdd is the scalar reference every GEMM path must match to the
-// bit: each element accumulates its k-products in ascending order starting
-// from the stored value.
-func naiveMulAdd(c, a, b *Matrix) {
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
+// refMulAdd is the scalar reference every GEMM path must match to the bit,
+// for either element type: each element of c += alpha·a·op(b) accumulates
+// its k-products in ascending order in T, starting from the stored value.
+func refMulAdd[T Float](c, a, b *Dense[T], alpha T, transB bool) {
+	for i := 0; i < c.Rows; i++ {
+		for j := 0; j < c.Cols; j++ {
 			s := c.At(i, j)
 			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+				if transB {
+					s += alpha * a.At(i, k) * b.At(j, k)
+				} else {
+					s += alpha * a.At(i, k) * b.At(k, j)
+				}
 			}
 			c.Set(i, j, s)
 		}
@@ -21,14 +25,15 @@ func naiveMulAdd(c, a, b *Matrix) {
 }
 
 // bitEqual compares element-wise by bit pattern, so NaNs compare equal to
-// themselves and −0 differs from +0.
-func bitEqual(a, b *Matrix) bool {
+// themselves and −0 differs from +0 (float32 widens to float64 exactly, so
+// one comparison serves both element types).
+func bitEqual[T Float](a, b *Dense[T]) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < a.Cols; j++ {
-			if math.Float64bits(a.At(i, j)) != math.Float64bits(b.At(i, j)) {
+			if math.Float64bits(float64(a.At(i, j))) != math.Float64bits(float64(b.At(i, j))) {
 				return false
 			}
 		}
@@ -43,42 +48,76 @@ func withParallelism(w int, fn func()) {
 	fn()
 }
 
-// strided returns an r×c matrix with Stride > Cols (a view into a wider
-// parent) holding deterministic random data.
-func strided(r, c int, seed uint64) *Matrix {
-	parent := Random(r+2, c+5, seed)
-	return parent.View(1, 2, r, c)
+// operand returns an r×c matrix of deterministic random data: compact, or —
+// when strided — a view into a wider parent (Stride > Cols).
+func operand[T Float](r, c int, seed uint64, strided bool) *Dense[T] {
+	if !strided {
+		return random[T](r, c, seed)
+	}
+	return random[T](r+2, c+5, seed).View(1, 2, r, c)
 }
 
-// TestMulAddIntoBitExact checks the packed/parallel GEMM against the naive
-// triple loop to exact bit equality across odd shapes, strided views, and
-// parallelism 1/2/8 — the kernel layer's determinism contract.
-func TestMulAddIntoBitExact(t *testing.T) {
-	shapes := []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 5, 7}, {17, 31, 13}, {64, 64, 64},
-		{65, 127, 33}, {100, 100, 100}, {129, 65, 97}, {40, 256, 40},
-	}
-	for _, sh := range shapes {
-		for _, contig := range []bool{true, false} {
-			var a, b, c0 *Matrix
-			if contig {
-				a = Random(sh.m, sh.k, uint64(sh.m*1000+sh.k))
-				b = Random(sh.k, sh.n, uint64(sh.k*1000+sh.n))
-				c0 = Random(sh.m, sh.n, 7)
-			} else {
-				a = strided(sh.m, sh.k, uint64(sh.m*1000+sh.k))
-				b = strided(sh.k, sh.n, uint64(sh.k*1000+sh.n))
-				c0 = strided(sh.m, sh.n, 7)
-			}
-			want := c0.Clone()
-			naiveMulAdd(want, a, b)
-			for _, par := range []int{1, 2, 8} {
-				got := c0.Clone()
-				withParallelism(par, func() { MulAddInto(got, a, b) })
-				if !bitEqual(got, want) {
-					t.Errorf("%dx%dx%d contig=%v par=%d: MulAddInto differs from naive loop (max diff %g)",
-						sh.m, sh.k, sh.n, contig, par, maxDiff(got, want))
+// gemmShapes is the union of the shapes the float64 and float32 suites grew
+// separately: odd/fringe sizes, exact block multiples, a k beyond one
+// kcBlock, and the ML-inference tall-skinny and batched-small geometries.
+var gemmShapes = []struct{ m, k, n int }{
+	{1, 1, 1}, {3, 5, 7}, {5, 7, 3}, {16, 16, 16}, {17, 31, 13}, {64, 64, 64},
+	{65, 127, 33}, {65, 33, 67}, {100, 100, 100}, {129, 65, 97}, {130, 97, 51},
+	{40, 256, 40}, {17, 300, 13}, {256, 64, 8}, {8, 256, 96},
+}
+
+// gemmWorkers are the worker budgets every bit-exactness test sweeps.
+var gemmWorkers = []int{1, 2, 3, 7, 8}
+
+// testMulAddBitExact checks the packed/parallel GEMM against the scalar
+// reference to exact bit equality across gemmShapes, strided views, every
+// worker budget, and alpha ∈ {+1, −1} × transB — the kernel layer's
+// determinism contract, for one element type.
+func testMulAddBitExact[T Float](t *testing.T) {
+	for _, sh := range gemmShapes {
+		for _, strided := range []bool{false, true} {
+			for _, transB := range []bool{false, true} {
+				a := operand[T](sh.m, sh.k, uint64(sh.m*1000+sh.k), strided)
+				b := operand[T](sh.k, sh.n, uint64(sh.k*1000+sh.n), strided)
+				if transB {
+					b = operand[T](sh.n, sh.k, uint64(sh.k*1000+sh.n), strided)
 				}
+				c0 := operand[T](sh.m, sh.n, 7, strided)
+				for _, alpha := range []T{1, -1} {
+					want := c0.Clone()
+					refMulAdd(want, a, b, alpha, transB)
+					for _, par := range gemmWorkers {
+						got := c0.Clone()
+						withParallelism(par, func() {
+							if alpha == 1 && !transB {
+								MulAddInto(got, a, b) // the exported entry
+							} else {
+								mulAdd(got, a, b, alpha, transB)
+							}
+						})
+						if !bitEqual(got, want) {
+							t.Errorf("%dx%dx%d strided=%v alpha=%v transB=%v par=%d: differs from scalar reference",
+								sh.m, sh.k, sh.n, strided, alpha, transB, par)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestMulAddIntoBitExact(t *testing.T)   { testMulAddBitExact[float64](t) }
+func TestMulAddInto32BitExact(t *testing.T) { testMulAddBitExact[float32](t) }
+
+// TestRandom32MatchesRandom: the float32 generator is elementwise the
+// float64 stream, so seeds are interchangeable across precisions.
+func TestRandom32MatchesRandom(t *testing.T) {
+	m64 := Random(7, 9, 42)
+	m32 := Random32(7, 9, 42)
+	for i := 0; i < 7; i++ {
+		for j := 0; j < 9; j++ {
+			if m32.At(i, j) != float32(m64.At(i, j)) {
+				t.Fatalf("Random32(%d,%d) = %v, want float32(%v)", i, j, m32.At(i, j), m64.At(i, j))
 			}
 		}
 	}

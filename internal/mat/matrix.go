@@ -1,7 +1,9 @@
 // Package mat provides the dense linear algebra substrate used by the ABFT
-// kernels: a row-major float64 matrix type, blocked matrix multiplication,
-// Cholesky factorization, LU factorization with partial pivoting, triangular
-// solves, and the vector operations needed by conjugate gradient.
+// kernels: a row-major matrix type generic over its element type (float64
+// for the paper's kernels, float32 for the mixed-precision serving tier),
+// one packed matrix multiplication shared by both, Cholesky factorization,
+// LU factorization with partial pivoting, triangular solves, and the vector
+// operations needed by conjugate gradient.
 //
 // It is written from scratch (no external BLAS) because the ABFT algorithms
 // in this repository need to interleave checksum maintenance and verification
@@ -14,23 +16,43 @@ import (
 	"math"
 )
 
-// Matrix is a dense row-major matrix of float64.
-type Matrix struct {
+// Float is the set of element types the matrix and GEMM layers are
+// instantiated at.
+type Float interface{ ~float32 | ~float64 }
+
+// Dense is a dense row-major matrix of T.
+type Dense[T Float] struct {
 	Rows, Cols int
 	// Stride is the distance in elements between vertically adjacent
 	// elements. For a freshly allocated matrix Stride == Cols; views share
 	// the parent's stride.
 	Stride int
-	Data   []float64
+	Data   []T
 }
 
-// New returns a zeroed r×c matrix.
-func New(r, c int) *Matrix {
+// Matrix is the float64 matrix every factorization and the paper's ABFT
+// kernels run on.
+type Matrix = Dense[float64]
+
+// Matrix32 is the storage type of the mixed-precision serving path
+// (ML-inference GEMM shapes). Arithmetic on it runs in float32; the ABFT
+// checksums guarding it are accumulated in float64 by the fused kernel (see
+// fused.go), so detection precision does not degrade with the data
+// precision.
+type Matrix32 = Dense[float32]
+
+func newDense[T Float](r, c int) *Dense[T] {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("mat: negative dimension %dx%d", r, c))
 	}
-	return &Matrix{Rows: r, Cols: c, Stride: c, Data: make([]float64, r*c)}
+	return &Dense[T]{Rows: r, Cols: c, Stride: c, Data: make([]T, r*c)}
 }
+
+// New returns a zeroed r×c matrix.
+func New(r, c int) *Matrix { return newDense[float64](r, c) }
+
+// New32 returns a zeroed r×c float32 matrix.
+func New32(r, c int) *Matrix32 { return newDense[float32](r, c) }
 
 // FromSlice wraps data (row-major, len r*c) in a Matrix without copying.
 func FromSlice(r, c int, data []float64) *Matrix {
@@ -41,41 +63,54 @@ func FromSlice(r, c int, data []float64) *Matrix {
 }
 
 // At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Stride+j] }
+func (m *Dense[T]) At(i, j int) T { return m.Data[i*m.Stride+j] }
 
 // Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Stride+j] = v }
+func (m *Dense[T]) Set(i, j int, v T) { m.Data[i*m.Stride+j] = v }
 
 // Add adds v to the element at row i, column j.
-func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Stride+j] += v }
+func (m *Dense[T]) Add(i, j int, v T) { m.Data[i*m.Stride+j] += v }
 
 // Row returns row i as a slice aliasing the matrix storage.
-func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Stride : i*m.Stride+m.Cols] }
+func (m *Dense[T]) Row(i int) []T { return m.Data[i*m.Stride : i*m.Stride+m.Cols] }
 
 // View returns an r×c submatrix starting at (i, j) sharing storage with m.
-func (m *Matrix) View(i, j, r, c int) *Matrix {
+func (m *Dense[T]) View(i, j, r, c int) *Dense[T] {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(fmt.Sprintf("mat: View(%d,%d,%d,%d) out of bounds for %dx%d", i, j, r, c, m.Rows, m.Cols))
 	}
 	if r == 0 || c == 0 {
-		return &Matrix{Rows: r, Cols: c, Stride: m.Stride}
+		return &Dense[T]{Rows: r, Cols: c, Stride: m.Stride}
 	}
 	off := i*m.Stride + j
 	end := (i+r-1)*m.Stride + j + c
-	return &Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[off:end]}
+	return &Dense[T]{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[off:end]}
 }
 
 // Clone returns a deep copy of m with a compact stride.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
+func (m *Dense[T]) Clone() *Dense[T] {
+	out := newDense[T](m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		copy(out.Row(i), m.Row(i))
 	}
 	return out
 }
 
+// To64 returns a float64 copy of m (the oracle-side representation of a
+// float32 matrix).
+func (m *Dense[T]) To64() *Matrix {
+	out := New(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		src, dst := m.Row(i), out.Row(i)
+		for j, v := range src {
+			dst[j] = float64(v)
+		}
+	}
+	return out
+}
+
 // CopyFrom copies src into m; dimensions must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
+func (m *Dense[T]) CopyFrom(src *Dense[T]) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
 		panic(fmt.Sprintf("mat: CopyFrom dimension mismatch %dx%d vs %dx%d", m.Rows, m.Cols, src.Rows, src.Cols))
 	}
@@ -85,7 +120,7 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 }
 
 // Zero sets every element of m to zero.
-func (m *Matrix) Zero() {
+func (m *Dense[T]) Zero() {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j := range row {
@@ -104,8 +139,8 @@ func Eye(n int) *Matrix {
 }
 
 // Transpose returns a newly allocated transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
+func (m *Dense[T]) Transpose() *Dense[T] {
+	out := newDense[T](m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			out.Set(j, i, m.At(i, j))
@@ -130,11 +165,11 @@ func Equal(a, b *Matrix, tol float64) bool {
 }
 
 // MaxAbs returns the largest absolute value in m (0 for an empty matrix).
-func (m *Matrix) MaxAbs() float64 {
+func (m *Dense[T]) MaxAbs() float64 {
 	max := 0.0
 	for i := 0; i < m.Rows; i++ {
 		for _, v := range m.Row(i) {
-			if a := math.Abs(v); a > max {
+			if a := math.Abs(float64(v)); a > max {
 				max = a
 			}
 		}
@@ -143,18 +178,18 @@ func (m *Matrix) MaxAbs() float64 {
 }
 
 // FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
+func (m *Dense[T]) FrobeniusNorm() float64 {
 	s := 0.0
 	for i := 0; i < m.Rows; i++ {
 		for _, v := range m.Row(i) {
-			s += v * v
+			s += float64(v) * float64(v)
 		}
 	}
 	return math.Sqrt(s)
 }
 
 // String renders small matrices for debugging.
-func (m *Matrix) String() string {
+func (m *Dense[T]) String() string {
 	if m.Rows*m.Cols > 400 {
 		return fmt.Sprintf("Matrix{%dx%d}", m.Rows, m.Cols)
 	}
@@ -180,10 +215,11 @@ func SymmetricPositiveDefinite(n int, seed uint64) *Matrix {
 	return a
 }
 
-// Random returns an r×c matrix with deterministic pseudo-random entries in
-// [0, 1), generated from seed with a SplitMix64 stream.
-func Random(r, c int, seed uint64) *Matrix {
-	m := New(r, c)
+// random fills an r×c matrix from a SplitMix64 stream: each entry is the
+// float64 draw in [0, 1) converted to T, so every element type sees the same
+// stream for the same seed.
+func random[T Float](r, c int, seed uint64) *Dense[T] {
+	m := newDense[T](r, c)
 	s := seed
 	for i := range m.Data {
 		s += 0x9e3779b97f4a7c15
@@ -191,10 +227,18 @@ func Random(r, c int, seed uint64) *Matrix {
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		z ^= z >> 31
-		m.Data[i] = float64(z>>11) / float64(1<<53)
+		m.Data[i] = T(float64(z>>11) / float64(1<<53))
 	}
 	return m
 }
+
+// Random returns an r×c matrix with deterministic pseudo-random entries in
+// [0, 1), generated from seed with a SplitMix64 stream.
+func Random(r, c int, seed uint64) *Matrix { return random[float64](r, c, seed) }
+
+// Random32 is elementwise float32(Random(r, c, seed)), so seeds are
+// interchangeable across precisions.
+func Random32(r, c int, seed uint64) *Matrix32 { return random[float32](r, c, seed) }
 
 // DiagonallyDominant builds a nonsingular n×n matrix suitable for LU with
 // partial pivoting: random entries with the diagonal boosted by n.

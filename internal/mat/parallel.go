@@ -66,8 +66,8 @@ func workersFor(rows, flops int) int {
 type band struct{ lo, hi int }
 
 // rowBands splits rows into at most workers bands of near-equal size, with
-// band starts aligned to tileAlign so full micro-tiles stay intact at any
-// supported tile height. The partition depends only on (rows, workers) —
+// band starts aligned to tileAlign so full micro-tiles stay intact. The
+// partition depends only on (rows, workers) —
 // never on runtime scheduling.
 func rowBands(rows, workers int) []band {
 	chunk := (rows + workers - 1) / workers

@@ -4,11 +4,11 @@ import (
 	"testing"
 )
 
-// TestBufPoolClassRoundTrip: buffers come back from the class they were
+// testBufPoolClassRoundTrip: buffers come back from the class they were
 // put into, lengths are honored, and odd sizes round up to the class cap.
-func TestBufPoolClassRoundTrip(t *testing.T) {
+func testBufPoolClassRoundTrip[T Float](t *testing.T) {
 	for _, n := range []int{1, 2, 3, 100, 1 << 10, 1<<10 + 1, kcBlock * ncBlock} {
-		p := getBuf(n)
+		p := getBuf[T](n)
 		if len(*p) != n {
 			t.Fatalf("getBuf(%d): len %d", n, len(*p))
 		}
@@ -18,20 +18,39 @@ func TestBufPoolClassRoundTrip(t *testing.T) {
 		putBuf(p)
 	}
 	// A foreign buffer with a non-power-of-two cap is dropped, not pooled.
-	odd := make([]float64, 100, 100)
+	odd := make([]T, 100, 100)
 	putBuf(&odd) // must not panic; nothing to assert beyond that
 }
 
-// TestMulAddIntoSteadyStateZeroAllocs: after warmup, serial GEMM over a
-// *mix* of problem sizes must not allocate — the size-classed pools
-// guarantee a pooled buffer always fits, where the old single shared pool
-// could hand a small request's recycled buffer to a large request and force
-// a reallocation on every call.
-func TestMulAddIntoSteadyStateZeroAllocs(t *testing.T) {
+func TestBufPoolClassRoundTrip(t *testing.T) {
+	t.Run("f64", testBufPoolClassRoundTrip[float64])
+	t.Run("f32", testBufPoolClassRoundTrip[float32])
+	// The element types' pools are separate: alternating float32 and float64
+	// requests of one class must each find their own buffer again, where a
+	// shared set would hand each the other's and allocate on every Get.
+	if raceEnabled {
+		return // sync.Pool drops items under -race
+	}
+	mixed := func() {
+		putBuf(getBuf[float32](100))
+		putBuf(getBuf[float64](100))
+	}
+	mixed() // seed both classes
+	if allocs := testing.AllocsPerRun(10, mixed); allocs != 0 {
+		t.Errorf("alternating f32/f64 pool round trips allocate %.0f times per run, want 0", allocs)
+	}
+}
+
+// testSteadyStateZeroAllocs: after warmup, serial GEMM over a *mix* of
+// problem sizes must not allocate — the size-classed pools guarantee a
+// pooled buffer always fits, where the old single shared pool could hand a
+// small request's recycled buffer to a large request and force a
+// reallocation on every call.
+func testSteadyStateZeroAllocs[T Float](t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; zero-alloc cannot hold")
 	}
-	type prob struct{ c, a, b *Matrix }
+	type prob struct{ c, a, b *Dense[T] }
 	var probs []prob
 	// All above packMinFlops so every call takes the packed (pooled) path;
 	// spread across different buffer size classes.
@@ -39,9 +58,9 @@ func TestMulAddIntoSteadyStateZeroAllocs(t *testing.T) {
 		{40, 256, 40}, {64, 64, 64}, {100, 100, 100}, {129, 65, 97}, {33, 500, 33},
 	} {
 		probs = append(probs, prob{
-			c: New(sh.m, sh.n),
-			a: Random(sh.m, sh.k, uint64(sh.m)),
-			b: Random(sh.k, sh.n, uint64(sh.n)),
+			c: newDense[T](sh.m, sh.n),
+			a: random[T](sh.m, sh.k, uint64(sh.m)),
+			b: random[T](sh.k, sh.n, uint64(sh.n)),
 		})
 	}
 	withParallelism(1, func() {
@@ -57,6 +76,11 @@ func TestMulAddIntoSteadyStateZeroAllocs(t *testing.T) {
 	})
 }
 
+func TestMulAddIntoSteadyStateZeroAllocs(t *testing.T) {
+	t.Run("f64", testSteadyStateZeroAllocs[float64])
+	t.Run("f32", testSteadyStateZeroAllocs[float32])
+}
+
 // BenchmarkBufPoolMixed measures pool behavior under the mixed-size request
 // pattern the serving path produces (different n per request sharing the
 // pools). b.ReportAllocs surfaces the steady-state allocation count the
@@ -66,7 +90,7 @@ func BenchmarkBufPoolMixed(b *testing.B) {
 	b.Run("direct", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p := getBuf(sizes[i%len(sizes)])
+			p := getBuf[float64](sizes[i%len(sizes)])
 			putBuf(p)
 		}
 	})

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -53,16 +54,17 @@ func NewHandler(s *Service) http.Handler {
 	for _, k := range Kernels {
 		mux.HandleFunc("POST /v1/"+k.String(), s.handleKernel(k.String()))
 	}
-	mux.HandleFunc("POST /v1/block", s.handleBlock)
-	mux.HandleFunc("POST /v1/verify", s.handleVerify)
-	mux.HandleFunc("POST /v1/longjob", s.handleLongJob)
+	mux.HandleFunc("POST /v1/block", handleTask(blockMaxBodyBytes, s.DoBlock))
+	mux.HandleFunc("POST /v1/verify", handleTask(verifyMaxBodyBytes, s.DoVerify))
+	mux.HandleFunc("POST /v1/longjob", handleTask(longMaxBodyBytes, s.DoLong))
 	mux.HandleFunc("GET /v1/events", s.handleEvents)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
 }
 
-// handleKernel decodes the JSON body, forces the kernel from the route,
-// and maps the service's typed errors onto HTTP status codes.
+// handleKernel decodes the JSON body (an empty one is the all-defaults
+// request), forces the kernel from the route, and answers through
+// writeResult.
 func (s *Service) handleKernel(kernel string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Request
@@ -72,114 +74,56 @@ func (s *Service) handleKernel(kernel string) http.HandlerFunc {
 			return
 		}
 		req.Kernel = kernel
-
 		resp, err := s.Do(r.Context(), req)
-		var throttle *ThrottleError
-		var shed *ShedError
-		switch {
-		case err == nil:
-			writeJSON(w, http.StatusOK, resp)
-		case errors.Is(err, ErrBadRequest):
-			writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-		case errors.As(err, &throttle):
-			w.Header().Set("Retry-After", RetryAfterSeconds(throttle.RetryAfter))
-			writeErr(w, http.StatusTooManyRequests, "throttled", err.Error())
-		case errors.As(err, &shed):
-			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusTooManyRequests, "shed", err.Error())
-		case errors.Is(err, ErrOverloaded):
-			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusTooManyRequests, "overloaded", err.Error())
-		case errors.Is(err, ErrQueueTimeout):
-			writeErr(w, http.StatusServiceUnavailable, "queue_timeout", err.Error())
-		case errors.Is(err, ErrClosed):
-			w.Header().Set("Connection", "close")
-			writeErr(w, http.StatusServiceUnavailable, "closed", err.Error())
-		default:
-			writeErr(w, http.StatusInternalServerError, "internal", err.Error())
+		writeResult(w, resp, err)
+	}
+}
+
+// Side-route body limits. Block-task grid splits scale with the job size; a
+// verification task carries the claimed answer (n·n·8 bytes, base64 in
+// JSON), so its limit scales with the interactive MaxN; a long task may ship
+// a snapshot with the CG state vectors (x and b), which scale with
+// MaxJobN²/16 grid areas.
+const (
+	blockMaxBodyBytes  = 1 << 20
+	verifyMaxBodyBytes = 4 << 20
+	longMaxBodyBytes   = 64 << 20
+)
+
+// handleTask is the side routes' one HTTP handler: decode a task of at most
+// limit bytes, run it through do, answer through writeResult.
+func handleTask[T, R any](limit int64, do func(context.Context, T) (R, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var task T
+		if err := json.NewDecoder(io.LimitReader(r.Body, limit)).Decode(&task); err != nil {
+			writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
+			return
 		}
+		res, err := do(r.Context(), task)
+		writeResult(w, res, err)
 	}
 }
 
-// blockMaxBodyBytes bounds block-task bodies: the grid splits scale with
-// the job size, so the limit is looser than the interactive one.
-const blockMaxBodyBytes = 1 << 20
-
-// handleBlock decodes and runs one sharded-job block task, mapping the
-// same typed errors onto the same status codes as the kernel routes.
-func (s *Service) handleBlock(w http.ResponseWriter, r *http.Request) {
-	var task BlockTask
-	dec := json.NewDecoder(io.LimitReader(r.Body, blockMaxBodyBytes))
-	if err := dec.Decode(&task); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
-		return
-	}
-	res, err := s.DoBlock(r.Context(), task)
+// writeResult answers one request or task: 200 with res, or the service's
+// typed error mapped onto its HTTP status and envelope kind — the one such
+// mapping, shared by every route.
+func writeResult(w http.ResponseWriter, res any, err error) {
+	var throttle *ThrottleError
+	var shed *ShedError
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, res)
 	case errors.Is(err, ErrBadRequest):
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-	case errors.Is(err, ErrQueueTimeout):
-		writeErr(w, http.StatusServiceUnavailable, "queue_timeout", err.Error())
-	case errors.Is(err, ErrClosed):
-		w.Header().Set("Connection", "close")
-		writeErr(w, http.StatusServiceUnavailable, "closed", err.Error())
-	default:
-		writeErr(w, http.StatusInternalServerError, "internal", err.Error())
-	}
-}
-
-// verifyMaxBodyBytes bounds verification-task bodies: the claimed answer
-// is n·n·8 bytes (base64 in JSON), so the limit scales with the
-// interactive MaxN rather than the tiny kernel-request bodies.
-const verifyMaxBodyBytes = 4 << 20
-
-// handleVerify decodes and runs one replicated verification pass, mapping
-// the same typed errors onto the same status codes as the other routes.
-func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request) {
-	var task VerifyTask
-	dec := json.NewDecoder(io.LimitReader(r.Body, verifyMaxBodyBytes))
-	if err := dec.Decode(&task); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
-		return
-	}
-	res, err := s.DoVerify(r.Context(), task)
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, res)
-	case errors.Is(err, ErrBadRequest):
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-	case errors.Is(err, ErrQueueTimeout):
-		writeErr(w, http.StatusServiceUnavailable, "queue_timeout", err.Error())
-	case errors.Is(err, ErrClosed):
-		w.Header().Set("Connection", "close")
-		writeErr(w, http.StatusServiceUnavailable, "closed", err.Error())
-	default:
-		writeErr(w, http.StatusInternalServerError, "internal", err.Error())
-	}
-}
-
-// longMaxBodyBytes bounds long-task bodies: a shipped snapshot carries the
-// CG state vectors (x and b), so the limit scales with MaxJobN²/16 grid
-// areas rather than interactive requests.
-const longMaxBodyBytes = 64 << 20
-
-// handleLongJob decodes and runs one long-task incarnation, mapping the
-// same typed errors onto the same status codes as the other routes.
-func (s *Service) handleLongJob(w http.ResponseWriter, r *http.Request) {
-	var task LongTask
-	dec := json.NewDecoder(io.LimitReader(r.Body, longMaxBodyBytes))
-	if err := dec.Decode(&task); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
-		return
-	}
-	res, err := s.DoLong(r.Context(), task)
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, res)
-	case errors.Is(err, ErrBadRequest):
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
+	case errors.As(err, &throttle):
+		w.Header().Set("Retry-After", RetryAfterSeconds(throttle.RetryAfter))
+		writeErr(w, http.StatusTooManyRequests, "throttled", err.Error())
+	case errors.As(err, &shed):
+		w.Header().Set("Retry-After", "1")
+		writeErr(w, http.StatusTooManyRequests, "shed", err.Error())
+	case errors.Is(err, ErrOverloaded):
+		w.Header().Set("Retry-After", "1")
+		writeErr(w, http.StatusTooManyRequests, "overloaded", err.Error())
 	case errors.Is(err, ErrQueueTimeout):
 		writeErr(w, http.StatusServiceUnavailable, "queue_timeout", err.Error())
 	case errors.Is(err, ErrClosed):

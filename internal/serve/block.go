@@ -98,48 +98,23 @@ func parseBlockTask(l Limits, t BlockTask) (Parsed, abft.BlockGrid, error) {
 	return p, g, nil
 }
 
-// DoBlock admits and executes one block task. Admission mirrors Do's
-// taxonomy — ErrBadRequest for malformed tasks, ErrQueueTimeout when no
-// block slot frees within the queue budget, ErrClosed at shutdown — but
-// block tasks use their own semaphore so a large sharded job cannot starve
-// the interactive request path.
+// DoBlock admits and executes one block task: ErrBadRequest for a
+// malformed task, then the side routes' shared admission (acquire).
 func (s *Service) DoBlock(ctx context.Context, t BlockTask) (BlockResult, error) {
 	p, grid, err := parseBlockTask(s.cfg.blockLimits(), t)
 	if err != nil {
-		s.m.BlockRejected.Add(1)
+		return BlockResult{}, s.block.reject(err)
+	}
+	_, release, err := s.acquire(ctx, &s.block, t.TimeoutMS)
+	if err != nil {
 		return BlockResult{}, err
 	}
-	if t.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(t.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-
-	wait := time.NewTimer(s.cfg.QueueTimeout)
-	defer wait.Stop()
-	select {
-	case s.blockSem <- struct{}{}:
-	case <-wait.C:
-		s.m.BlockShed.Add(1)
-		return BlockResult{}, fmt.Errorf("%w: no block slot within %s", ErrQueueTimeout, s.cfg.QueueTimeout)
-	case <-ctx.Done():
-		s.m.BlockShed.Add(1)
-		return BlockResult{}, fmt.Errorf("%w: %w", ErrQueueTimeout, context.Cause(ctx))
-	case <-s.quit:
-		return BlockResult{}, ErrClosed
-	}
-	defer func() { <-s.blockSem }()
+	defer release()
 
 	start := time.Now()
-	res, err := computeBlock(p, grid, t)
-	if err != nil {
-		s.m.BlockRejected.Add(1)
-		return BlockResult{}, err
-	}
-	s.m.BlockTasks.Add(1)
+	res := computeBlock(p, grid, t)
 	res.JobID, res.Role, res.BI, res.BJ = t.JobID, t.Role, t.BI, t.BJ
-	res.RunMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.m.BlockRunMSSum.Add(res.RunMS)
+	res.RunMS = s.block.m.done(start)
 	return res, nil
 }
 
@@ -148,7 +123,7 @@ func (s *Service) DoBlock(ctx context.Context, t BlockTask) (BlockResult, error)
 // contract, bit-identical to the same region of the single-node product.
 // Checksum roles compute each sibling block the same way and fold, so
 // their parity is over exactly the bits the data workers produced.
-func computeBlock(p Parsed, grid abft.BlockGrid, t BlockTask) (BlockResult, error) {
+func computeBlock(p Parsed, grid abft.BlockGrid, t BlockTask) BlockResult {
 	a := mat.Random(p.N, p.N, p.Seed)
 	b := mat.Random(p.N, p.N, p.Seed+1)
 	one := func(bi, bj int) *mat.Matrix {
@@ -162,7 +137,7 @@ func computeBlock(p Parsed, grid abft.BlockGrid, t BlockTask) (BlockResult, erro
 	switch t.Role {
 	case BlockData:
 		blk := one(t.BI, t.BJ)
-		return BlockResult{Rows: blk.Rows, Cols: blk.Cols, Block: abft.PackBlock(blk)}, nil
+		return BlockResult{Rows: blk.Rows, Cols: blk.Cols, Block: abft.PackBlock(blk)}
 	case BlockColCheck:
 		c0, c1 := grid.ColSpan(t.BJ)
 		col := make([]*mat.Matrix, 0, grid.Rows())
@@ -171,7 +146,7 @@ func computeBlock(p Parsed, grid abft.BlockGrid, t BlockTask) (BlockResult, erro
 		}
 		parity, sum := abft.EncodeChecksumBlocks(col, grid.MaxRowSpan(), c1-c0)
 		return BlockResult{Rows: parity.Rows, Cols: parity.Cols,
-			Block: abft.PackBlock(parity), Sum: abft.PackBlock(sum)}, nil
+			Block: abft.PackBlock(parity), Sum: abft.PackBlock(sum)}
 	default: // BlockRowCheck; parseBlockTask rejected everything else
 		r0, r1 := grid.RowSpan(t.BI)
 		row := make([]*mat.Matrix, 0, grid.Cols())
@@ -180,6 +155,6 @@ func computeBlock(p Parsed, grid abft.BlockGrid, t BlockTask) (BlockResult, erro
 		}
 		parity, sum := abft.EncodeChecksumBlocks(row, r1-r0, grid.MaxColSpan())
 		return BlockResult{Rows: parity.Rows, Cols: parity.Cols,
-			Block: abft.PackBlock(parity), Sum: abft.PackBlock(sum)}, nil
+			Block: abft.PackBlock(parity), Sum: abft.PackBlock(sum)}
 	}
 }

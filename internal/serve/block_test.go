@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"coopabft/internal/abft"
 	"coopabft/internal/mat"
@@ -145,7 +146,7 @@ func TestDoBlockRejects(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)
 		}
 	}
-	if got := s.Metrics().BlockRejected.Value(); got != int64(len(cases)) {
+	if got := s.Metrics().Block.Rejected.Value(); got != int64(len(cases)) {
 		t.Errorf("BlockRejected = %d, want %d", got, len(cases))
 	}
 }
@@ -202,6 +203,65 @@ func TestKernelWireRejectsInvalid(t *testing.T) {
 		}
 		if _, err := k.Wire(); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("Wire(%d): err = %v, want ErrBadRequest", int(k), err)
+		}
+	}
+}
+
+// TestSideRoutesNegativeQueueTimeoutDisablesBudget: Config.QueueTimeout < 0
+// is documented as "disables". On all three side routes a task that finds
+// every slot held must then wait for its own deadline instead of being shed
+// at once (a timer armed with a negative duration is born expired), and an
+// idle service must never shed.
+func TestSideRoutesNegativeQueueTimeoutDisablesBudget(t *testing.T) {
+	s := newTestService(t, Config{QueueTimeout: -time.Second, BlockConcurrency: 1, LongConcurrency: 1, Parallelism: 1})
+	n := 8
+	g, err := abft.NewBlockGrid(n, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := BlockTask{Kernel: "gemm", N: n, Seed: 3, Role: BlockData, RowSplits: g.RowSplits, ColSplits: g.ColSplits}
+	c := mat.New(n, n)
+	mat.MulAddInto(c, mat.Random(n, n, 3), mat.Random(n, n, 4))
+	verify := VerifyTask{Kernel: "gemm", N: n, Seed: 3, Sig: abft.BitDigest(c), Answer: abft.PackBlock(c)}
+	long := LongTask{Kernel: "cg", NX: 4, NY: 4, Seed: 3}
+
+	routes := []struct {
+		rt *sideRoute
+		do func() error
+	}{
+		{&s.block, func() error { _, err := s.DoBlock(context.Background(), block); return err }},
+		{&s.verify, func() error {
+			res, err := s.DoVerify(context.Background(), verify)
+			if err == nil && !res.OK {
+				err = errors.New("verifier refuted a correct product: " + res.Reason)
+			}
+			return err
+		}},
+		{&s.long, func() error { _, err := s.DoLong(context.Background(), long); return err }},
+	}
+	for _, r := range routes {
+		r.rt.sem <- struct{}{} // hold the route's only slot
+		done := make(chan error, 1)
+		go func() { done <- r.do() }()
+		select {
+		case err := <-done:
+			t.Fatalf("%s task did not wait for the held slot: err = %v", r.rt.slot, err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		<-r.rt.sem // free it: the waiting task must now run to completion
+		if err := <-done; err != nil {
+			t.Fatalf("%s task after the slot freed: %v", r.rt.slot, err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		if err := routes[i%2].do(); err != nil {
+			t.Fatalf("idle call %d: %v", i, err)
+		}
+	}
+	snap := s.Metrics().Snapshot()
+	for _, key := range []string{"block_shed", "verify_shed", "long_shed"} {
+		if snap[key] != int64(0) {
+			t.Errorf("%s = %v on a service that never ran out of slots, want 0", key, snap[key])
 		}
 	}
 }

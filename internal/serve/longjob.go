@@ -104,36 +104,18 @@ func parseLongTask(l Limits, t LongTask) (Parsed, *checkpoint.Snapshot, error) {
 }
 
 // DoLong admits and executes one long task through the recovery ladder,
-// streaming checkpoints off-node as it goes. Long tasks run on their own
-// semaphore (LongConcurrency) so a multi-minute solve cannot starve the
-// interactive or block paths.
+// streaming checkpoints off-node as it goes: ErrBadRequest for a malformed
+// task, then the side routes' shared admission (acquire).
 func (s *Service) DoLong(ctx context.Context, t LongTask) (LongResult, error) {
 	p, resume, err := parseLongTask(s.cfg.longLimits(), t)
 	if err != nil {
-		s.m.LongRejected.Add(1)
+		return LongResult{}, s.long.reject(err)
+	}
+	ctx, release, err := s.acquire(ctx, &s.long, t.TimeoutMS)
+	if err != nil {
 		return LongResult{}, err
 	}
-	if t.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(t.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-
-	wait := time.NewTimer(s.cfg.QueueTimeout)
-	defer wait.Stop()
-	select {
-	case s.longSem <- struct{}{}:
-	case <-wait.C:
-		s.m.LongShed.Add(1)
-		return LongResult{}, fmt.Errorf("%w: no long-job slot within %s", ErrQueueTimeout, s.cfg.QueueTimeout)
-	case <-ctx.Done():
-		s.m.LongShed.Add(1)
-		return LongResult{}, fmt.Errorf("%w: %w", ErrQueueTimeout, context.Cause(ctx))
-	case <-s.quit:
-		return LongResult{}, ErrClosed
-	}
-	defer func() { <-s.longSem }()
-
+	defer release()
 	return s.runLong(ctx, t, p, resume), nil
 }
 
@@ -210,10 +192,7 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 		res.Steps = out.Iterations
 		res.Residual = out.Residual
 	}
-	res.RunMS = float64(time.Since(start)) / float64(time.Millisecond)
-
-	s.m.LongTasks.Add(1)
-	s.m.LongRunMSSum.Add(res.RunMS)
+	res.RunMS = s.long.m.done(start)
 	switch rep.Outcome {
 	case recovery.Corrected:
 		s.m.Corrected.Add(1)

@@ -3,6 +3,7 @@ package serve
 import (
 	"expvar"
 	"sync"
+	"time"
 )
 
 // Metrics is the service's observability surface: plain expvar counters,
@@ -51,28 +52,20 @@ type Metrics struct {
 	QueueMSSum expvar.Float
 	RunMSSum   expvar.Float
 
-	// Sharded-job block tasks (the /v1/block path).
-	BlockTasks    expvar.Int   // block tasks completed
-	BlockRejected expvar.Int   // malformed block tasks (400s)
-	BlockShed     expvar.Int   // block tasks that found no slot in budget (503s)
-	BlockRunMSSum expvar.Float // block execution time sum
+	// Side routes: sharded-job block tasks (/v1/block), replicated
+	// verification tasks (/v1/verify, verify-vote) and long tasks
+	// (/v1/longjob). One ledger shape, exported as block_*, verify_*, long_*.
+	Block  RouteMetrics
+	Verify RouteMetrics
+	Long   RouteMetrics
 
-	// Long tasks (the /v1/longjob path) and checkpoint streaming.
-	LongTasks           expvar.Int   // long tasks classified
-	LongRejected        expvar.Int   // malformed long tasks (400s)
-	LongShed            expvar.Int   // long tasks that found no slot in budget (503s)
-	LongRunMSSum        expvar.Float // long-task execution time sum
-	CheckpointsStreamed expvar.Int   // snapshots successfully PUT off-node
-	CheckpointPutErrors expvar.Int   // failed checkpoint PUTs (non-fatal)
+	// Checkpoint streaming (long tasks).
+	CheckpointsStreamed expvar.Int // snapshots successfully PUT off-node
+	CheckpointPutErrors expvar.Int // failed checkpoint PUTs (non-fatal)
 
-	// Replicated verification tasks (the /v1/verify path, verify-vote) and
-	// the Byzantine chaos fixture.
-	VerifyTasks    expvar.Int   // verification tasks completed
-	VerifyRejected expvar.Int   // malformed verification tasks (400s)
-	VerifyShed     expvar.Int   // verification tasks that found no slot (503s)
-	VerifyRefuted  expvar.Int   // claimed products this node refuted
-	VerifyRunMSSum expvar.Float // verification execution time sum
-	ByzantineLies  expvar.Int   // answers this node deliberately corrupted (LieFraction fixture)
+	// Verification verdicts and the Byzantine chaos fixture.
+	VerifyRefuted expvar.Int // claimed products this node refuted
+	ByzantineLies expvar.Int // answers this node deliberately corrupted (LieFraction fixture)
 
 	// bus, when set by New, surfaces error-bus counters in Snapshot.
 	bus *Bus
@@ -80,6 +73,31 @@ type Metrics struct {
 	// Per-tenant counters, created lazily on first touch.
 	tenantMu sync.Mutex
 	tenants  map[string]*TenantMetrics
+}
+
+// RouteMetrics is one side route's task ledger.
+type RouteMetrics struct {
+	Tasks    expvar.Int   // tasks run to a result
+	Rejected expvar.Int   // malformed tasks (400s)
+	Shed     expvar.Int   // tasks that found no slot in budget (503s)
+	RunMSSum expvar.Float // execution time sum (milliseconds)
+}
+
+// done counts one task run since start and returns its duration in
+// milliseconds.
+func (r *RouteMetrics) done(start time.Time) float64 {
+	ms := float64(time.Since(start)) / float64(time.Millisecond)
+	r.Tasks.Add(1)
+	r.RunMSSum.Add(ms)
+	return ms
+}
+
+// snapshot writes the ledger under prefix_tasks, prefix_rejected, ….
+func (r *RouteMetrics) snapshot(out map[string]any, prefix string) {
+	out[prefix+"_tasks"] = r.Tasks.Value()
+	out[prefix+"_rejected"] = r.Rejected.Value()
+	out[prefix+"_shed"] = r.Shed.Value()
+	out[prefix+"_run_ms_sum"] = r.RunMSSum.Value()
 }
 
 // TenantMetrics is one tenant's admission ledger: how much of its traffic
@@ -139,21 +157,12 @@ func (m *Metrics) Snapshot() map[string]any {
 		"sim_armed":        m.SimArmed.Value(),
 		"queue_ms_sum":     m.QueueMSSum.Value(),
 		"run_ms_sum":       m.RunMSSum.Value(),
-		"block_tasks":      m.BlockTasks.Value(),
-		"block_rejected":   m.BlockRejected.Value(),
-		"block_shed":       m.BlockShed.Value(),
-		"block_run_ms_sum": m.BlockRunMSSum.Value(),
 	}
-	out["verify_tasks"] = m.VerifyTasks.Value()
-	out["verify_rejected"] = m.VerifyRejected.Value()
-	out["verify_shed"] = m.VerifyShed.Value()
+	m.Block.snapshot(out, "block")
+	m.Verify.snapshot(out, "verify")
+	m.Long.snapshot(out, "long")
 	out["verify_refuted"] = m.VerifyRefuted.Value()
-	out["verify_run_ms_sum"] = m.VerifyRunMSSum.Value()
 	out["byzantine_lies"] = m.ByzantineLies.Value()
-	out["long_tasks"] = m.LongTasks.Value()
-	out["long_rejected"] = m.LongRejected.Value()
-	out["long_shed"] = m.LongShed.Value()
-	out["long_run_ms_sum"] = m.LongRunMSSum.Value()
 	out["checkpoints_streamed"] = m.CheckpointsStreamed.Value()
 	out["checkpoint_put_errors"] = m.CheckpointPutErrors.Value()
 	if m.bus != nil {

@@ -230,11 +230,14 @@ type Service struct {
 
 	sched      *qos.Scheduler
 	sem        chan struct{}
-	blockSem   chan struct{}
-	longSem    chan struct{}
 	quit       chan struct{}
 	bus        *Bus
 	ckptClient *http.Client
+
+	// The side routes; verification is an offloaded O(n²) pass, much closer
+	// to a block task than to an interactive ladder run, so it shares the
+	// block route's slots.
+	block, verify, long sideRoute
 
 	dispatchWG sync.WaitGroup
 	execWG     sync.WaitGroup
@@ -257,12 +260,14 @@ func New(cfg Config) *Service {
 			Capacity: cfg.QueueDepth,
 		}),
 		sem:        make(chan struct{}, cfg.MaxConcurrency),
-		blockSem:   make(chan struct{}, cfg.BlockConcurrency),
-		longSem:    make(chan struct{}, cfg.LongConcurrency),
 		quit:       make(chan struct{}),
 		bus:        NewBus(cfg.EventBuffer),
 		ckptClient: cfg.CheckpointClient,
 	}
+	blockSem := make(chan struct{}, cfg.BlockConcurrency)
+	s.block = sideRoute{"block", blockSem, &s.m.Block}
+	s.verify = sideRoute{"verify", blockSem, &s.m.Verify}
+	s.long = sideRoute{"long-job", make(chan struct{}, cfg.LongConcurrency), &s.m.Long}
 	s.m.QueueCap.Set(int64(cfg.QueueDepth))
 	s.m.bus = s.bus
 	s.dispatchWG.Add(1)
@@ -272,6 +277,57 @@ func New(cfg Config) *Service {
 
 // Metrics returns the service's counters.
 func (s *Service) Metrics() *Metrics { return s.m }
+
+// sideRoute is one task route beside the request path (/v1/block,
+// /v1/verify, /v1/longjob): the semaphore its tasks wait on — their own, so
+// a large sharded job or a multi-minute solve cannot starve interactive
+// requests — the ledger they count into, and the name shed errors give the
+// slot.
+type sideRoute struct {
+	slot string
+	sem  chan struct{}
+	m    *RouteMetrics
+}
+
+// reject counts a task whose parse failed and passes the error through.
+func (rt *sideRoute) reject(err error) error {
+	rt.m.Rejected.Add(1)
+	return err
+}
+
+// acquire is the side routes' one admission path: apply the task's own
+// timeout, then wait for a slot of rt within the queue budget. The taxonomy
+// mirrors Do's — ErrQueueTimeout when no slot frees within the budget or
+// the task's deadline (counted shed), ErrClosed at shutdown. On success the
+// caller runs under the returned context and must call release.
+func (s *Service) acquire(ctx context.Context, rt *sideRoute, timeoutMS int) (_ context.Context, release func(), err error) {
+	cancel := func() {}
+	if timeoutMS > 0 {
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
+	}
+	// QueueTimeout < 0 disables the queue budget: expired stays nil and
+	// never fires (a timer armed with a negative duration is born expired).
+	var expired <-chan time.Time
+	if qt := s.cfg.QueueTimeout; qt > 0 {
+		wait := time.NewTimer(qt)
+		defer wait.Stop()
+		expired = wait.C
+	}
+	select {
+	case rt.sem <- struct{}{}:
+		return ctx, func() { <-rt.sem; cancel() }, nil
+	case <-expired:
+		rt.m.Shed.Add(1)
+		err = fmt.Errorf("%w: no %s slot within %s", ErrQueueTimeout, rt.slot, s.cfg.QueueTimeout)
+	case <-ctx.Done():
+		rt.m.Shed.Add(1)
+		err = fmt.Errorf("%w: %w", ErrQueueTimeout, context.Cause(ctx))
+	case <-s.quit:
+		err = ErrClosed
+	}
+	cancel()
+	return nil, nil, err
+}
 
 // Bus returns the service's error bus — the in-process fault-event stream
 // that /v1/events exports and in-process embedders (the gateway, tests)

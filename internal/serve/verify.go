@@ -40,45 +40,35 @@ type VerifyResult struct {
 	RunMS  float64 `json:"run_ms"`
 }
 
-// DoVerify admits and executes one verification task. Admission mirrors
-// DoBlock's taxonomy and shares the block semaphore: verification is an
-// offloaded O(n²) pass, much closer to a block task than to an
-// interactive ladder run, and must not starve the request path.
-func (s *Service) DoVerify(ctx context.Context, t VerifyTask) (VerifyResult, error) {
-	p, err := ParseRequest(s.cfg.Limits(), Request{Kernel: t.Kernel, N: t.N, Seed: t.Seed})
+// parseVerifyTask funnels a verification task through the shared admission
+// entrypoint and decodes the claimed product.
+func parseVerifyTask(l Limits, t VerifyTask) (Parsed, *mat.Matrix, error) {
+	p, err := ParseRequest(l, Request{Kernel: t.Kernel, N: t.N, Seed: t.Seed})
 	if err != nil {
-		s.m.VerifyRejected.Add(1)
-		return VerifyResult{}, err
+		return p, nil, err
 	}
 	if p.Kernel != KernelGEMM {
-		s.m.VerifyRejected.Add(1)
-		return VerifyResult{}, fmt.Errorf("%w: verify tasks support gemm only, got %s", ErrBadRequest, p.Kernel)
+		return p, nil, fmt.Errorf("%w: verify tasks support gemm only, got %s", ErrBadRequest, p.Kernel)
 	}
 	c, err := abft.UnpackBlock(p.N, p.N, t.Answer)
 	if err != nil {
-		s.m.VerifyRejected.Add(1)
-		return VerifyResult{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return p, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if t.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(t.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
+	return p, c, nil
+}
 
-	wait := time.NewTimer(s.cfg.QueueTimeout)
-	defer wait.Stop()
-	select {
-	case s.blockSem <- struct{}{}:
-	case <-wait.C:
-		s.m.VerifyShed.Add(1)
-		return VerifyResult{}, fmt.Errorf("%w: no verify slot within %s", ErrQueueTimeout, s.cfg.QueueTimeout)
-	case <-ctx.Done():
-		s.m.VerifyShed.Add(1)
-		return VerifyResult{}, fmt.Errorf("%w: %w", ErrQueueTimeout, context.Cause(ctx))
-	case <-s.quit:
-		return VerifyResult{}, ErrClosed
+// DoVerify admits and executes one verification task: ErrBadRequest for a
+// malformed task, then the side routes' shared admission (acquire).
+func (s *Service) DoVerify(ctx context.Context, t VerifyTask) (VerifyResult, error) {
+	p, c, err := parseVerifyTask(s.cfg.Limits(), t)
+	if err != nil {
+		return VerifyResult{}, s.verify.reject(err)
 	}
-	defer func() { <-s.blockSem }()
+	_, release, err := s.acquire(ctx, &s.verify, t.TimeoutMS)
+	if err != nil {
+		return VerifyResult{}, err
+	}
+	defer release()
 
 	start := time.Now()
 	res := VerifyResult{Sig: abft.BitDigest(c)}
@@ -100,8 +90,6 @@ func (s *Service) DoVerify(ctx context.Context, t VerifyTask) (VerifyResult, err
 	if !res.OK {
 		s.m.VerifyRefuted.Add(1)
 	}
-	s.m.VerifyTasks.Add(1)
-	res.RunMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.m.VerifyRunMSSum.Add(res.RunMS)
+	res.RunMS = s.verify.m.done(start)
 	return res, nil
 }
