@@ -375,3 +375,38 @@ func BenchmarkServeGEMMFaulted(b *testing.B) {
 		4, serve.Request{Kernel: "gemm", N: 48, Strategy: "P_CK+P_SD",
 			Faults: 1, FaultKind: "chip-failure"})
 }
+
+// BenchmarkServeLadderMix is cmd/abftbench's ladder_f64_mix in process: one
+// iteration serves the mix's six-request cycle (two fused and one notified
+// n=128 GEMM, two n=128 Cholesky, one 24×24 CG) back to back through
+// serve.Service.Do, so ns/op and B/op are per cycle — a sixth of each is
+// the per-request figure to hold against the contract run's
+// cpu_ms_per_req and alloc_kb_per_req.
+func BenchmarkServeLadderMix(b *testing.B) {
+	cycle := []serve.Request{
+		{Kernel: "gemm", N: 128, VerifyMode: "fused"},
+		{Kernel: "cholesky", N: 128},
+		{Kernel: "gemm", N: 128, VerifyMode: "notified"},
+		{Kernel: "gemm", N: 128, VerifyMode: "fused"},
+		{Kernel: "cholesky", N: 128},
+		{Kernel: "cg", NX: 24, NY: 24},
+	}
+	svc := serve.New(serve.Config{QueueTimeout: time.Minute})
+	defer svc.Close()
+	seed := uint64(b.N) << 20
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, req := range cycle {
+			seed++
+			req.Seed = seed
+			resp, err := svc.Do(context.Background(), req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if resp.Outcome != "corrected" {
+				b.Fatalf("%s: outcome %q (%s), want corrected", req.Kernel, resp.Outcome, resp.Error)
+			}
+		}
+	}
+}

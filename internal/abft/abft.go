@@ -134,6 +134,12 @@ type Env struct {
 	// OnCorrected is called after ABFT repairs data so the platform can
 	// clear residual fault state (nil-safe).
 	OnCorrected func(virtAddr uint64)
+	// Arena supplies the storage behind NewMat/NewVec and the kernels'
+	// oracle temporaries. Nil (the default everywhere but the serving path)
+	// allocates from the heap; with an arena, everything a kernel hands out
+	// — its operands, L(), the answer views — is valid only until the
+	// arena's owner releases it.
+	Arena *mat.Arena
 }
 
 // Standalone returns an Env with no simulator attached: allocations come
@@ -163,7 +169,7 @@ type Mat struct {
 // NewMat allocates an r×c matrix in the environment.
 func (e *Env) NewMat(name string, r, c int, abft bool) Mat {
 	return Mat{
-		Matrix: mat.New(r, c),
+		Matrix: e.Arena.New(r, c),
 		Reg:    e.Alloc(name, r*c, abft),
 		mem:    e.Mem,
 	}
@@ -209,7 +215,7 @@ type Vec struct {
 
 // NewVec allocates a length-n vector in the environment.
 func (e *Env) NewVec(name string, n int, abft bool) Vec {
-	return Vec{Data: make([]float64, n), Reg: e.Alloc(name, n, abft), mem: e.Mem}
+	return Vec{Data: e.Arena.Floats(n), Reg: e.Alloc(name, n, abft), mem: e.Mem}
 }
 
 // Addr returns the virtual address of element i.

@@ -1,0 +1,203 @@
+package abft
+
+import (
+	"math"
+	"testing"
+
+	"coopabft/internal/mat"
+)
+
+func sameBits(a, b *mat.Matrix) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && BitDigest(a) == BitDigest(b)
+}
+
+// arenaEnv is Standalone with an arena whose pool classes were just left
+// dirty, so a kernel that relied on fresh-from-the-heap zeros would see NaN.
+func arenaEnv(n int) Env {
+	var dirt mat.Arena
+	for i := 0; i < 6; i++ {
+		m := dirt.New(n+1, n+1)
+		for k := range m.Data {
+			m.Data[k] = math.NaN()
+		}
+	}
+	dirt.Release()
+	env := Standalone()
+	env.Arena = new(mat.Arena)
+	return env
+}
+
+// TestNewDGEMMEncodingBits: operands are generated straight into Ac and Br,
+// on the heap or in an arena. Either way every bit, checksum row and column
+// included, equals the encoding built the way it used to be: two mat.Random
+// matrices copied in, row sums by mat.Sum, column sums down each column.
+func TestNewDGEMMEncodingBits(t *testing.T) {
+	for _, n := range []int{2, 17, 64, 129} {
+		const seed = 11
+		a, b := mat.Random(n, n, seed), mat.Random(n, n, seed+1)
+		ac, br := mat.New(n+1, n), mat.New(n, n+1)
+		for i := 0; i < n; i++ {
+			copy(ac.Row(i), a.Row(i))
+			copy(br.Row(i)[:n], b.Row(i))
+			br.Set(i, n, mat.Sum(b.Row(i)))
+		}
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for i := 0; i < n; i++ {
+				s += a.At(i, j)
+			}
+			ac.Set(n, j, s)
+		}
+		for name, env := range map[string]Env{"heap": Standalone(), "arena": arenaEnv(n)} {
+			d := mustDGEMM(t, env, n, seed)
+			if !sameBits(d.Ac.Matrix, ac) || !sameBits(d.Br.Matrix, br) {
+				t.Errorf("n=%d %s: encoded operands differ from the mat.Random reference", n, name)
+			}
+			if d.Cf.MaxAbs() != 0 || mat.NormInf(d.scratch.Data) != 0 || math.IsNaN(d.Cf.At(n, n)) {
+				t.Errorf("n=%d %s: Cf or scratch not zero at construction", n, name)
+			}
+			d.Mode = FusedVerify
+			if err := d.RunFrom(0); err != nil { // the ladder's entry: no Cf.Zero()
+				t.Fatalf("n=%d %s: %v", n, name, err)
+			}
+			if err := d.CheckResult(); err != nil {
+				t.Errorf("n=%d %s: %v", n, name, err)
+			}
+			env.Arena.Release()
+		}
+	}
+}
+
+// TestKernelsOnArenaMatchHeap: Cholesky and CG build, run and check
+// themselves identically on dirty pooled storage and on the heap.
+func TestKernelsOnArenaMatchHeap(t *testing.T) {
+	const n = 96
+	heap, pooled := NewCholesky(Standalone(), n, 5), NewCholesky(arenaEnv(n), n, 5)
+	if !sameBits(heap.A.Matrix, pooled.A.Matrix) {
+		t.Fatal("Cholesky problem differs between heap and arena")
+	}
+	orig := heap.A.Matrix.Clone()
+	for _, c := range []*Cholesky{heap, pooled} {
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CheckResult(orig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sameBits(heap.L(), pooled.L()) {
+		t.Error("Cholesky factor differs between heap and arena")
+	}
+
+	h, p := NewCG(Standalone(), 12, 9, 5), NewCG(arenaEnv(12*9), 12, 9, 5)
+	for _, c := range []*CG{h, p} {
+		if out, err := c.Run(); err != nil || !out.Converged {
+			t.Fatalf("CG: %+v, %v", out, err)
+		}
+	}
+	for i, v := range h.X() {
+		if math.Float64bits(v) != math.Float64bits(p.X()[i]) {
+			t.Fatalf("CG solution differs at %d between heap and arena", i)
+		}
+	}
+	if h.TrueResidual() != p.TrueResidual() {
+		t.Error("CG residual differs between heap and arena")
+	}
+}
+
+// TestDGEMMDormantAccounting: with nobody listening the accounting walk is
+// replaced by its closed form. The op buckets (and the product) must be what
+// the walk itself reports to a listener that only counts.
+func TestDGEMMDormantAccounting(t *testing.T) {
+	for _, n := range []int{17, 64, 128} {
+		for _, mode := range []VerifyMode{FullVerify, NotifiedVerify, FusedVerify} {
+			run := func(env Env) *DGEMM {
+				d := mustDGEMM(t, env, n, 3)
+				d.Mode, d.Block = mode, 16
+				if err := d.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			quiet := Standalone()
+			if !quiet.Mem.Dormant() {
+				t.Fatal("a standalone Env's Memory is not dormant")
+			}
+			heard := Standalone()
+			touches := 0
+			heard.Mem.Probe = func(uint64, bool) { touches++ }
+			dq, dh := run(quiet), run(heard)
+			if touches == 0 {
+				t.Fatalf("n=%d %v: the probe heard nothing; the walk did not run", n, mode)
+			}
+			if dq.Ops != dh.Ops {
+				t.Errorf("n=%d %v: dormant ops %+v, walked ops %+v", n, mode, dq.Ops, dh.Ops)
+			}
+			if !sameBits(dq.Cf.Matrix, dh.Cf.Matrix) {
+				t.Errorf("n=%d %v: product differs between dormant and walked runs", n, mode)
+			}
+		}
+	}
+}
+
+// TestCholeskyTriangularOracleVerdicts: the oracle reconstructs only the
+// lower triangle of L·Lᵀ, and only the products L's zeros do not annihilate.
+// Its verdict must be the full product's — mat.Mul against a materialised
+// transpose, compared over the whole matrix at the same tolerance — on a
+// clean factor and on factors with one element moved by amounts that
+// straddle the tolerance or replaced by a non-finite value, at either
+// parallelism.
+func TestCholeskyTriangularOracleVerdicts(t *testing.T) {
+	fullVerdict := func(c *Cholesky, orig *mat.Matrix) bool {
+		l := c.L()
+		return mat.Equal(mat.Mul(l, l.Transpose()), orig, c.Tol*10)
+	}
+	for _, par := range []int{1, 2} {
+		old := mat.SetParallelism(par)
+		for _, n := range []int{48, 128, 150} {
+			c, orig := cholProblem(n, uint64(n))
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !fullVerdict(c, orig) || c.CheckResult(orig) != nil {
+				t.Fatalf("n=%d par=%d: clean factor rejected", n, par)
+			}
+			accepted, rejected := 0, 0
+			for _, at := range [][2]int{{n - 1, 0}, {n / 2, n / 2}, {n - 1, n - 2}, {70 % n, 3}} {
+				i, j := at[0], at[1]
+				clean := c.A.At(i, j)
+				// Moving L[i][j] by δ moves (L·Lᵀ)[i][k] by δ·L[k][j]; the
+				// largest such factor puts δ* at the tolerance.
+				big := 0.0
+				for k := j; k < n; k++ {
+					big = math.Max(big, math.Abs(c.A.At(k, j)))
+				}
+				dstar := c.Tol * 10 / (2 * big)
+				deltas := []float64{dstar * 1e-3, dstar / 4, dstar / 2, dstar, 2 * dstar, 4 * dstar, dstar * 1e3}
+				for f := 0.9; f <= 1.1; f += 0.01 { // a fine comb across the boundary
+					deltas = append(deltas, f*dstar, 2*f*dstar)
+				}
+				deltas = append(deltas, nonFinite...)
+				for _, delta := range deltas {
+					c.A.Set(i, j, clean+delta)
+					want, got := fullVerdict(c, orig), c.CheckResult(orig) == nil
+					if want != got {
+						t.Errorf("n=%d par=%d: L[%d][%d]+=%g: triangular oracle accepts=%v, full product accepts=%v",
+							n, par, i, j, delta, got, want)
+					}
+					if got {
+						accepted++
+					} else {
+						rejected++
+					}
+				}
+				c.A.Set(i, j, clean)
+			}
+			if accepted == 0 || rejected == 0 {
+				t.Errorf("n=%d par=%d: perturbations did not straddle the tolerance (%d accepted, %d rejected)",
+					n, par, accepted, rejected)
+			}
+		}
+		mat.SetParallelism(old)
+	}
+}

@@ -198,7 +198,7 @@ func VerifyBlockSum(sum *mat.Matrix, blocks []*mat.Matrix, tol float64) error {
 	for i := 0; i < sum.Rows; i++ {
 		want, have := sum.Row(i), got.Row(i)
 		for j := range want {
-			if d := math.Abs(want[j] - have[j]); d > tol {
+			if d := math.Abs(want[j] - have[j]); !(d <= tol) {
 				return fmt.Errorf("%w: checksum mismatch at (%d,%d): |Δ|=%g > tol %g",
 					ErrUncorrectable, i, j, d, tol)
 			}

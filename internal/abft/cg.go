@@ -81,9 +81,12 @@ func NewCG(env Env, nx, ny int, seed uint64) *CG {
 	c.z = env.NewVec("cg.z", n, true)
 	c.mdiag = env.NewVec("cg.M", n, true)
 
-	xTrue := mat.RandomVec(n, seed)
-	a.MulVecInto(c.b.Data, xTrue)
-	copy(c.mdiag.Data, a.Diag())
+	xTrue := env.Arena.New(1, n)
+	mat.FillRandom(xTrue, seed)
+	a.MulVecInto(c.b.Data, xTrue.Data)
+	for i := range c.mdiag.Data {
+		c.mdiag.Data[i] = diagOf(a, i)
+	}
 	return c
 }
 
@@ -273,21 +276,21 @@ func (c *CG) VerifyInvariants() (bool, error) {
 	if scale == 0 {
 		scale = 1
 	}
-	orthoBad := math.Abs(ortho) > c.InvTol*scale
+	orthoBad := !(math.Abs(ortho) <= c.InvTol*scale)
 
 	// Residual relation: r = b − A·x.
 	c.matvec(c.z, c.x, &c.Ops.Verify) // z used as scratch; rebuilt below
 	worst := 0.0
 	for i := 0; i < n; i++ {
 		d := math.Abs(c.b.Data[i] - c.z.Data[i] - c.r.Data[i])
-		if d > worst {
+		if d > worst || math.IsNaN(d) { // a NaN deviation stays the worst
 			worst = d
 		}
 	}
 	c.b.Touch(0, n, false)
 	c.r.Touch(0, n, false)
 	c.ops(&c.Ops.Verify, 2*n)
-	residBad := worst > c.InvTol*c.bnorm
+	residBad := !(worst <= c.InvTol*c.bnorm)
 
 	if orthoBad || residBad {
 		c.Recover()
@@ -388,8 +391,8 @@ func (c *CG) fixXJoint(ks []int) error {
 	for i, k := range ks {
 		pos[k] = i
 	}
-	sys := mat.New(m, m)
-	rhs := make([]float64, m)
+	sys := c.env.Arena.New(m, m)
+	rhs := c.env.Arena.Floats(m)
 	for i, k := range ks {
 		lo, hi := a.RowPtr[k], a.RowPtr[k+1]
 		rhs[i] = c.b.Data[k] - c.r.Data[k]
@@ -435,11 +438,16 @@ func diagOf(a *mat.CSR, k int) float64 {
 }
 
 // TrueResidual computes ‖b − A·x‖₂ directly (test helper).
-func (c *CG) TrueResidual() float64 {
-	tmp := make([]float64, c.N())
+func (c *CG) TrueResidual() float64 { return c.ResidualAgainst(c.b.Data) }
+
+// ResidualAgainst computes ‖b − A·x‖₂ for a caller-held right-hand side —
+// an oracle passes the copy it took at construction, which corruption of
+// the live b cannot reach.
+func (c *CG) ResidualAgainst(b []float64) float64 {
+	tmp := c.env.Arena.Floats(c.N())
 	c.A.MulVecInto(tmp, c.x.Data)
 	for i := range tmp {
-		tmp[i] = c.b.Data[i] - tmp[i]
+		tmp[i] = b[i] - tmp[i]
 	}
 	return mat.Norm2(tmp)
 }

@@ -65,8 +65,7 @@ func NewCholesky(env Env, n int, seed uint64) *Cholesky {
 	c.lcs2 = env.NewVec("chol.lcs2", n, true)
 	c.W = env.NewMat("chol.W", n, c.Block, false)
 
-	spd := mat.SymmetricPositiveDefinite(n, seed)
-	c.A.Matrix.CopyFrom(spd)
+	mat.FillSPD(c.A.Matrix, env.Arena.New(n, n), seed)
 	c.initChecksums()
 	return c
 }
@@ -108,14 +107,12 @@ func (c *Cholesky) ops(bucket *uint64, n int) {
 	c.env.Mem.Ops(n)
 }
 
-// L returns the factor (valid after Run); the strictly upper triangle is
-// zeroed.
+// L returns a copy of the factor (valid after Run); the strictly upper
+// triangle is zero.
 func (c *Cholesky) L() *mat.Matrix {
-	out := c.A.Matrix.Clone()
+	out := c.env.Arena.New(c.N, c.N)
 	for i := 0; i < c.N; i++ {
-		for j := i + 1; j < c.N; j++ {
-			out.Set(i, j, 0)
-		}
+		copy(out.Row(i)[:i+1], c.A.Row(i))
 	}
 	return out
 }
@@ -265,8 +262,8 @@ func (c *Cholesky) removeDepartingRows(k, b int) {
 // updateChecksums applies the trailing-update delta to cs/cs2:
 // cs[j] -= Σ_p s[p]·W[j][p] with s[p] = Σ_i W[i][p] (and weighted s2).
 func (c *Cholesky) updateChecksums(t, rest, b int) {
-	s := make([]float64, b)
-	s2 := make([]float64, b)
+	sums := c.env.Arena.Floats(2 * b)
+	s, s2 := sums[:b], sums[b:]
 	for i := 0; i < rest; i++ {
 		wi := c.W.Row(i)[:b]
 		gw := float64(t + i + 1)
@@ -413,7 +410,7 @@ func (c *Cholesky) repairColumn(j, rowLo int, delta, delta2 float64, inL bool) e
 	}
 	row := delta2/delta - 1
 	ri := int(math.Round(row))
-	if math.Abs(row-float64(ri)) > 0.25 || ri < rowLo || ri >= c.N {
+	if !(math.Abs(row-float64(ri)) <= 0.25) || ri < rowLo || ri >= c.N {
 		// No consistent single-element location: either the plain checksum
 		// itself is corrupted (δ₂ consistent with nothing) or multiple
 		// errors hit the column.
@@ -446,7 +443,7 @@ func (c *Cholesky) repairColumn(j, rowLo int, delta, delta2 float64, inL bool) e
 		s, s2 = c.trailingColSums(j, rowLo)
 		s, s2 = cs.Data[j]-s, cs2.Data[j]-s2
 	}
-	if math.Abs(s) > tol || math.Abs(s2) > tol {
+	if !(math.Abs(s) <= tol && math.Abs(s2) <= tol) {
 		c.A.Add(si, sj, -delta)
 		return fmt.Errorf("%w: column %d has multiple corrupted elements", ErrUncorrectable, j)
 	}
@@ -564,12 +561,14 @@ func (c *Cholesky) repairChecksumAddr(addr uint64) {
 		fix(c.lcs, false, true) || fix(c.lcs2, true, true)
 }
 
-// CheckResult verifies L·Lᵀ ≈ original A (test helper, O(n³)); pass the
-// matrix the problem was built from.
+// CheckResult verifies L·Lᵀ ≈ original A (O(n³)); pass the matrix the
+// problem was built from. Both sides are symmetric, so the comparison runs
+// over the lower triangle, and L's zeros above its diagonal bound each
+// product's k range.
 func (c *Cholesky) CheckResult(orig *mat.Matrix) error {
-	l := c.L()
-	rec := mat.Mul(l, l.Transpose())
-	if !mat.Equal(rec, orig, c.Tol*10) {
+	rec := c.env.Arena.New(c.N, c.N)
+	mat.SyrkLowerAdd(rec, c.L(), true)
+	if !mat.EqualLower(rec, orig, c.Tol*10) {
 		return fmt.Errorf("abft: Cholesky L·Lᵀ differs from A")
 	}
 	return nil

@@ -92,20 +92,19 @@ func NewDGEMM(env Env, n int, seed uint64) (*DGEMM, error) {
 	d.Cf = env.NewMat("dgemm.Cf", n+1, n+1, true)
 	d.scratch = env.NewVec("dgemm.scratch", 2*(n+1), false)
 
-	a := mat.Random(n, n, seed)
-	b := mat.Random(n, n, seed+1)
+	// The operands are generated in place: A and B are the mat.Random
+	// streams of seed and seed+1, and the checksum row and column sum them
+	// in ascending index order.
+	a := d.Ac.View(0, 0, n, n)
+	b := d.Br.View(0, 0, n, n)
+	mat.FillRandom(a, seed)
+	mat.FillRandom(b, seed+1)
+	csum := d.Ac.Row(n) // eᵀA, zero from NewMat
 	for i := 0; i < n; i++ {
-		copy(d.Ac.Row(i)[:n], a.Row(i))
-		copy(d.Br.Row(i)[:n], b.Row(i))
 		d.Br.Set(i, n, mat.Sum(b.Row(i)))
-	}
-	// Checksum row of Ac: eᵀA.
-	for j := 0; j < n; j++ {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += a.At(i, j)
+		for j, v := range a.Row(i) {
+			csum[j] += v
 		}
-		d.Ac.Set(n, j, s)
 	}
 	return d, nil
 }
@@ -158,27 +157,41 @@ func (d *DGEMM) RunFrom(startPanel int) error {
 			mat.MulAddInto(d.Cf.Matrix,
 				d.Ac.View(0, kk, n+1, kMax-kk), d.Br.View(kk, 0, kMax-kk, n+1))
 		}
-		// Accounting walk: report the same per-element access pattern and
-		// op-bucket split the scalar loop produced, so the simulated traffic
-		// and the Figure 3 breakdown are unchanged.
-		for i := 0; i <= n; i++ {
-			for p := kk; p < kMax; p++ {
-				d.Ac.TouchElem(i, p, false)
-				d.Br.TouchRow(p, 0, n+1, false)
-				d.Cf.TouchRow(i, 0, n+1, true)
-				if i < n {
-					d.ops(&d.Ops.Compute, 2*n)
-					d.ops(&d.Ops.Checksum, 2) // row-checksum column j=n
-				} else {
-					d.ops(&d.Ops.Checksum, 2*(n+1)) // checksum row i=n
-				}
-			}
-		}
+		d.accountPanel(kk, kMax)
 		if err := d.maybeVerify(panel + 1); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// accountPanel reports one k-panel's per-element access pattern and
+// op-bucket split as the scalar loop produced them, so the simulated traffic
+// and the Figure 3 breakdown are unchanged by the packed kernel. With nobody
+// listening the walk reduces to its op totals in closed form; that is
+// decided once per panel, because only the OnPanel hook, which has already
+// run, can arm a probe.
+func (d *DGEMM) accountPanel(kk, kMax int) {
+	n := d.N
+	if d.env.Mem.Dormant() {
+		kb := kMax - kk
+		d.Ops.Compute += uint64(2 * n * n * kb)
+		d.Ops.Checksum += uint64(2*n*kb + 2*(n+1)*kb)
+		return
+	}
+	for i := 0; i <= n; i++ {
+		for p := kk; p < kMax; p++ {
+			d.Ac.TouchElem(i, p, false)
+			d.Br.TouchRow(p, 0, n+1, false)
+			d.Cf.TouchRow(i, 0, n+1, true)
+			if i < n {
+				d.ops(&d.Ops.Compute, 2*n)
+				d.ops(&d.Ops.Checksum, 2) // row-checksum column j=n
+			} else {
+				d.ops(&d.Ops.Checksum, 2*(n+1)) // checksum row i=n
+			}
+		}
+	}
 }
 
 func (d *DGEMM) maybeVerify(panel int) error {
@@ -236,12 +249,12 @@ func (d *DGEMM) verifyFused(panel, kk, kb int, rs, cs, asum, bsum []float64) err
 	// exactly twice its encoded checksum. Detection-only — corrupted
 	// inputs poison every downstream product, so the run must restart.
 	for p := 0; p < kb; p++ {
-		if delta := 2*d.Ac.At(n, kk+p) - asum[p]; math.Abs(delta) > d.Tol {
+		if delta := 2*d.Ac.At(n, kk+p) - asum[p]; !(math.Abs(delta) <= d.Tol) {
 			d.Faults = append(d.Faults, PanelFault{Panel: panel, Source: FaultOperandA, Index: kk + p, Delta: delta})
 			return fmt.Errorf("%w: fused check at panel %d: operand A column %d checksum off by %g",
 				ErrUncorrectable, panel, kk+p, delta)
 		}
-		if delta := 2*d.Br.At(kk+p, n) - bsum[p]; math.Abs(delta) > d.Tol {
+		if delta := 2*d.Br.At(kk+p, n) - bsum[p]; !(math.Abs(delta) <= d.Tol) {
 			d.Faults = append(d.Faults, PanelFault{Panel: panel, Source: FaultOperandB, Index: kk + p, Delta: delta})
 			return fmt.Errorf("%w: fused check at panel %d: operand B row %d checksum off by %g",
 				ErrUncorrectable, panel, kk+p, delta)
@@ -258,13 +271,13 @@ func (d *DGEMM) verifyFused(panel, kk, kb int, rs, cs, asum, bsum []float64) err
 	var rowBad, colBad []int
 	var rowDelta, colDelta []float64
 	for i := 0; i <= n; i++ {
-		if delta := 2*d.Cf.At(i, n) - rs[i]; math.Abs(delta) > d.Tol {
+		if delta := 2*d.Cf.At(i, n) - rs[i]; !(math.Abs(delta) <= d.Tol) {
 			rowBad = append(rowBad, i)
 			rowDelta = append(rowDelta, delta)
 		}
 	}
 	for j := 0; j <= n; j++ {
-		if delta := 2*d.Cf.At(n, j) - cs[j]; math.Abs(delta) > d.Tol {
+		if delta := 2*d.Cf.At(n, j) - cs[j]; !(math.Abs(delta) <= d.Tol) {
 			colBad = append(colBad, j)
 			colDelta = append(colDelta, delta)
 		}
@@ -298,7 +311,7 @@ func (d *DGEMM) VerifyFull() error {
 		d.Cf.TouchRow(i, 0, n+1, false)
 		d.scratch.Touch(i, 1, true)
 		d.ops(&d.Ops.Verify, n)
-		if delta := row[n] - s; math.Abs(delta) > d.Tol {
+		if delta := row[n] - s; !(math.Abs(delta) <= d.Tol) {
 			rowBad = append(rowBad, i)
 			rowDelta = append(rowDelta, delta)
 		}
@@ -319,7 +332,7 @@ func (d *DGEMM) VerifyFull() error {
 		d.ops(&d.Ops.Verify, n+1)
 	}
 	for j := 0; j <= n; j++ {
-		if delta := d.Cf.At(n, j) - col[j]; math.Abs(delta) > d.Tol {
+		if delta := d.Cf.At(n, j) - col[j]; !(math.Abs(delta) <= d.Tol) {
 			colBad = append(colBad, j)
 			colDelta = append(colDelta, delta)
 		}
@@ -362,7 +375,7 @@ func (d *DGEMM) locateAndFix(rowBad []int, rowDelta []float64, colBad []int, col
 					best, bestDiff = ci, diff
 				}
 			}
-			if best < 0 || bestDiff > d.Tol*10 {
+			if best < 0 || !(bestDiff <= d.Tol*10) {
 				return fmt.Errorf("%w: unmatchable row/column deltas", ErrUncorrectable)
 			}
 			used[best] = true
@@ -447,12 +460,11 @@ func (d *DGEMM) verifyNotified() error {
 }
 
 // CheckResult verifies the final product against a freshly computed
-// reference (test helper; O(n³)).
+// reference (O(n³)).
 func (d *DGEMM) CheckResult() error {
 	n := d.N
-	a := d.Ac.View(0, 0, n, n)
-	b := d.Br.View(0, 0, n, n)
-	ref := mat.Mul(a, b)
+	ref := d.env.Arena.New(n, n)
+	mat.MulAddInto(ref, d.Ac.View(0, 0, n, n), d.Br.View(0, 0, n, n))
 	if !mat.Equal(d.C(), ref, d.Tol) {
 		return fmt.Errorf("abft: DGEMM result differs from reference")
 	}

@@ -198,12 +198,12 @@ func (g *GEMM32) verifyPanel(panel, kk, kb int) error {
 	opA := OperandBound32(g.M, g.aMom)
 	opB := OperandBound32(g.N, g.bMom)
 	for p := 0; p < kb; p++ {
-		if delta := g.aColSum[kk+p] - g.fs.ASums[p]; math.Abs(delta) > opA {
+		if delta := g.aColSum[kk+p] - g.fs.ASums[p]; !(math.Abs(delta) <= opA) {
 			g.Faults = append(g.Faults, PanelFault{Panel: panel, Source: FaultOperandA, Index: kk + p, Delta: delta})
 			return fmt.Errorf("%w: f32 check at panel %d: operand A column %d checksum off by %g",
 				ErrUncorrectable, panel, kk+p, delta)
 		}
-		if delta := g.bRowSum[kk+p] - g.fs.BSums[p]; math.Abs(delta) > opB {
+		if delta := g.bRowSum[kk+p] - g.fs.BSums[p]; !(math.Abs(delta) <= opB) {
 			g.Faults = append(g.Faults, PanelFault{Panel: panel, Source: FaultOperandB, Index: kk + p, Delta: delta})
 			return fmt.Errorf("%w: f32 check at panel %d: operand B row %d checksum off by %g",
 				ErrUncorrectable, panel, kk+p, delta)
@@ -244,7 +244,9 @@ func (g *GEMM32) verifyPanel(panel, kk, kb int) error {
 func (g *GEMM32) scanLines(maintained, folded, absSums []float64, lineLen int) (bad []int, deltas []float64) {
 	for i, ck := range maintained {
 		tol := LineBound32(g.kAcc, lineLen, absSums[i], g.aMom, g.bMom)
-		if delta := ck - folded[i]; math.Abs(delta) > tol {
+		// An infinite bound comes from an infinite element in the line's
+		// own absolute sum and would accept anything.
+		if delta := ck - folded[i]; !(math.Abs(delta) <= tol) || math.IsInf(tol, 1) {
 			bad = append(bad, i)
 			deltas = append(deltas, delta)
 		}
@@ -286,7 +288,7 @@ func (g *GEMM32) locateAndFix32(panel int, rowBad []int, rowDelta []float64, col
 					best, bestDiff = ci, diff
 				}
 			}
-			if best < 0 || (bestDiff > pairTol && bestDiff > 1e-6*math.Abs(rowDelta[ri])) {
+			if best < 0 || !(bestDiff <= pairTol || bestDiff <= 1e-6*math.Abs(rowDelta[ri])) {
 				return fmt.Errorf("%w: f32 check at panel %d: unmatchable row/column deltas", ErrUncorrectable, panel)
 			}
 			used[best] = true
@@ -342,7 +344,7 @@ func (g *GEMM32) CheckResult() error {
 		row := g.C.Row(i)
 		refRow := ref.Row(i)
 		for j, v := range row {
-			if math.Abs(float64(v)-refRow[j]) > ElementBound32(g.K, refRow[j], g.aMom, g.bMom) {
+			if !(math.Abs(float64(v)-refRow[j]) <= ElementBound32(g.K, refRow[j], g.aMom, g.bMom)) {
 				return fmt.Errorf("abft: GEMM32 result differs from reference at (%d,%d): got %g want %g",
 					i, j, v, refRow[j])
 			}

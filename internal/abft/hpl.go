@@ -318,7 +318,7 @@ func (h *HPL) CheckResult(orig *mat.Matrix) error {
 	want := mat.SolveLU(lu, piv, h.b.Data)
 	got := h.Solve()
 	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-6 {
+		if !(math.Abs(got[i]-want[i]) <= 1e-6) {
 			return fmt.Errorf("abft: HPL solution diverges at %d: %g vs %g", i, got[i], want[i])
 		}
 	}

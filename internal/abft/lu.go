@@ -215,7 +215,7 @@ func (l *LU) repairRow(i int, delta, delta2 float64) error {
 	}
 	col := delta2/delta - 1
 	cj := int(math.Round(col))
-	if math.Abs(col-float64(cj)) > 0.25 || cj < 0 || cj >= n {
+	if !(math.Abs(col-float64(cj)) <= 0.25) || cj < 0 || cj >= n {
 		if math.Abs(delta2) <= tol {
 			// The plain checksum element itself is corrupted.
 			l.Af.Add(i, n, -delta)
@@ -241,7 +241,7 @@ func (l *LU) repairRow(i int, delta, delta2 float64) error {
 		s2 += float64(j+1) * row[j]
 	}
 	l.ops(&l.Ops.Verify, 3*n)
-	if math.Abs(row[n]-s) > tol || math.Abs(row[n+1]-s2) > tol {
+	if !(math.Abs(row[n]-s) <= tol && math.Abs(row[n+1]-s2) <= tol) {
 		l.Af.Add(i, cj, -delta) // revert the misguided fix
 		return fmt.Errorf("%w: row %d has multiple corrupted elements", ErrUncorrectable, i)
 	}
@@ -310,7 +310,7 @@ func (l *LU) CheckResult(orig *mat.Matrix) error {
 	want := mat.SolveLU(ref, piv, l.b.Data)
 	got := l.Solve()
 	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-6 {
+		if !(math.Abs(got[i]-want[i]) <= 1e-6) {
 			return fmt.Errorf("abft: LU solution diverges at %d: %g vs %g", i, got[i], want[i])
 		}
 	}

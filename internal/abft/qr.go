@@ -256,7 +256,7 @@ func (q *QR) repairRow(m Mat, name string, i int, delta, delta2 float64) error {
 	}
 	col := delta2/delta - 1
 	cj := int(math.Round(col))
-	if math.Abs(col-float64(cj)) > 0.25 || cj < 0 || cj >= n {
+	if !(math.Abs(col-float64(cj)) <= 0.25) || cj < 0 || cj >= n {
 		if math.Abs(delta2) <= tol {
 			m.Add(i, n, -delta)
 			m.TouchElem(i, n, true)
@@ -279,7 +279,7 @@ func (q *QR) repairRow(m Mat, name string, i int, delta, delta2 float64) error {
 		s2 += float64(j+1) * row[j]
 	}
 	q.ops(&q.Ops.Verify, 3*n)
-	if math.Abs(row[n]-s) > tol || math.Abs(row[n+1]-s2) > tol {
+	if !(math.Abs(row[n]-s) <= tol && math.Abs(row[n+1]-s2) <= tol) {
 		m.Add(i, cj, -delta)
 		return fmt.Errorf("%w: %s row %d has multiple corrupted elements", ErrUncorrectable, name, i)
 	}
@@ -373,7 +373,7 @@ func (q *QR) CheckResult(orig *mat.Matrix) error {
 	want := mat.SolveLU(ref, piv, q.b.Data)
 	got := q.Solve()
 	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-6 {
+		if !(math.Abs(got[i]-want[i]) <= 1e-6) {
 			return fmt.Errorf("abft: QR solution diverges at %d: %g vs %g", i, got[i], want[i])
 		}
 	}

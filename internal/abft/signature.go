@@ -66,7 +66,7 @@ func CheckProduct(a, b, c *mat.Matrix, seed uint64, tol float64) error {
 		got := mat.MulVec(c, r)
 		for i := range want {
 			d := math.Abs(want[i] - got[i])
-			if d > tol || math.IsNaN(d) {
+			if !(d <= tol) {
 				return fmt.Errorf("%w: %s probe row %d: |Δ|=%g > tol %g",
 					ErrProductMismatch, name, i, d, tol)
 			}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 
+	"coopabft/internal/mat"
 	"coopabft/internal/trace"
 )
 
@@ -49,6 +50,10 @@ type Checkpointer struct {
 	// The cap bounds the recovery ladder: a fault that keeps recurring after
 	// MaxRestarts replays is treated as unsurvivable.
 	MaxRestarts int
+	// Arena, when set before the first Checkpoint or Install, supplies the
+	// shadow copies' storage (nil: the heap). Snapshot deep-copies, so what
+	// leaves the node never aliases it.
+	Arena *mat.Arena
 
 	mem     *trace.Memory
 	alloc   Alloc
@@ -78,16 +83,21 @@ func (c *Checkpointer) Register(name string, data []float64, reg trace.Region) {
 	c.stats.BytesPerCkpt += uint64(len(data)) * 8
 }
 
-// ensureStorage allocates stable storage once, sized to the state.
+// ensureStorage allocates stable storage and the shadow copies once, sized
+// to the state.
 func (c *Checkpointer) ensureStorage() {
-	if c.storage.Size > 0 || c.alloc == nil {
+	if c.saved != nil {
 		return
 	}
 	total := 0
-	for _, t := range c.targets {
+	c.saved = make([][]float64, len(c.targets))
+	for i, t := range c.targets {
+		c.saved[i] = c.Arena.Floats(len(t.data))
 		total += len(t.data)
 	}
-	c.storage = c.alloc("checkpoint.storage", total, false)
+	if c.alloc != nil {
+		c.storage = c.alloc("checkpoint.storage", total, false)
+	}
 }
 
 // Checkpoint snapshots all registered state at the given step, touching the
@@ -95,12 +105,6 @@ func (c *Checkpointer) ensureStorage() {
 // traffic.
 func (c *Checkpointer) Checkpoint(step int) {
 	c.ensureStorage()
-	if c.saved == nil {
-		c.saved = make([][]float64, len(c.targets))
-		for i, t := range c.targets {
-			c.saved[i] = make([]float64, len(t.data))
-		}
-	}
 	off := 0
 	for i, t := range c.targets {
 		copy(c.saved[i], t.data)

@@ -190,12 +190,6 @@ func (c *Checkpointer) Install(s Snapshot) error {
 		}
 	}
 	c.ensureStorage()
-	if c.saved == nil {
-		c.saved = make([][]float64, len(c.targets))
-		for i, t := range c.targets {
-			c.saved[i] = make([]float64, len(t.data))
-		}
-	}
 	off := 0
 	for i, t := range c.targets {
 		copy(c.saved[i], s.Regions[i].Data)

@@ -32,6 +32,7 @@ import (
 	"coopabft/internal/bifit"
 	"coopabft/internal/ecc"
 	"coopabft/internal/machine"
+	"coopabft/internal/mat"
 	"coopabft/internal/trace"
 )
 
@@ -134,6 +135,11 @@ type Runtime struct {
 	Strategy Strategy
 	M        *machine.Machine
 	Injector *bifit.Injector
+	// Arena, when set before the first kernel is built, backs every float64
+	// buffer the kernels, the checkpointer and the oracles need (see
+	// abft.Env.Arena); whoever set it releases it once nothing reads the
+	// run's data any more. Nil allocates from the heap.
+	Arena *mat.Arena
 }
 
 // NewRuntime builds a timed node configured for the strategy.
@@ -177,6 +183,7 @@ func (rt *Runtime) Env() abft.Env {
 			// ABFT rewrote the data: drop the line's residual pattern.
 			_ = rt.M.OS.ClearFaultAt(addr)
 		},
+		Arena: rt.Arena,
 	}
 }
 

@@ -58,7 +58,10 @@ func (a *CSR) Diag() []float64 {
 // neighbor. This is the classic CG benchmark operator.
 func Poisson2D(nx, ny int) *CSR {
 	n := nx * ny
-	a := &CSR{N: n, RowPtr: make([]int32, 1, n+1)}
+	// Five entries per node less the neighbors the four edges lack.
+	nnz := max(5*n-2*nx-2*ny, 0)
+	a := &CSR{N: n, RowPtr: make([]int32, 1, n+1),
+		Col: make([]int32, 0, nnz), Val: make([]float64, 0, nnz)}
 	idx := func(x, y int) int32 { return int32(y*nx + x) }
 	for y := 0; y < ny; y++ {
 		for x := 0; x < nx; x++ {

@@ -82,3 +82,20 @@ func TestCSRColumnsSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestPoisson2DSizedOnce: the stencil's nonzero count is 5n − 2nx − 2ny, and
+// the arrays are allocated at exactly that size, not grown into it.
+func TestPoisson2DSizedOnce(t *testing.T) {
+	for _, g := range [][2]int{{1, 1}, {1, 6}, {3, 3}, {24, 24}, {7, 40}, {0, 3}} {
+		nx, ny := g[0], g[1]
+		a := Poisson2D(nx, ny)
+		want := max(5*nx*ny-2*nx-2*ny, 0)
+		if a.NNZ() != want || len(a.Col) != want {
+			t.Errorf("%dx%d: nnz %d / %d columns, want %d", nx, ny, a.NNZ(), len(a.Col), want)
+		}
+		if cap(a.Val) != want || cap(a.Col) != want || cap(a.RowPtr) != nx*ny+1 {
+			t.Errorf("%dx%d: caps val %d col %d rowptr %d, want %d %d %d",
+				nx, ny, cap(a.Val), cap(a.Col), cap(a.RowPtr), want, want, nx*ny+1)
+		}
+	}
+}

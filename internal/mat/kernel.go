@@ -461,15 +461,26 @@ func mulAdd[T Float](c, a, b *Dense[T], alpha T, transB bool) {
 }
 
 // SyrkLowerSub computes c -= l·lᵀ on the lower triangle of c (including the
-// diagonal), the trailing update of the blocked Cholesky. Sub-diagonal
-// blocks go through the packed GEMM kernel; diagonal blocks use a scalar
-// triangle loop. Both accumulate each element in ascending-k order from its
-// stored value, so the result is bit-identical to the scalar reference at
-// any block size or parallelism.
-func SyrkLowerSub(c, l *Matrix) {
+// diagonal), the trailing update of the blocked Cholesky.
+func SyrkLowerSub(c, l *Matrix) { syrkLower(c, l, -1, false) }
+
+// SyrkLowerAdd computes c += l·lᵀ on the lower triangle of c. With
+// lTriangular the caller promises l is square lower-triangular with exact
+// zeros above its diagonal; the products against those zeros are then
+// skipped by block column, which leaves the result's bits unchanged for
+// finite l (adding a zero product never moves a sum) at about a third of
+// the arithmetic.
+func SyrkLowerAdd(c, l *Matrix, lTriangular bool) { syrkLower(c, l, 1, lTriangular) }
+
+// syrkLower computes c += alpha·l·lᵀ (alpha ∈ {+1, −1}) on the lower
+// triangle of c. Sub-diagonal blocks go through the packed GEMM kernel;
+// diagonal blocks use a scalar triangle loop. Both accumulate each element
+// in ascending-k order from its stored value, so the result is bit-identical
+// to the scalar reference at any block size or parallelism.
+func syrkLower(c, l *Matrix, alpha float64, tri bool) {
 	n, k := c.Rows, l.Cols
-	if c.Cols != n || l.Rows != n {
-		panic(fmt.Sprintf("mat: SyrkLowerSub shape mismatch: c %dx%d, l %dx%d",
+	if c.Cols != n || l.Rows != n || (tri && k != n) {
+		panic(fmt.Sprintf("mat: SYRK shape mismatch: c %dx%d, l %dx%d",
 			c.Rows, c.Cols, l.Rows, l.Cols))
 	}
 	if n == 0 || k == 0 {
@@ -477,11 +488,11 @@ func SyrkLowerSub(c, l *Matrix) {
 	}
 	workers := workersFor(n, n*(n+1)*k)
 	if workers <= 1 {
-		syrkRows(c, l, 0, n)
+		syrkRows(c, l, alpha, tri, 0, n)
 		return
 	}
 	runBands(triBands(n, workers), func(lo, hi int) {
-		syrkRows(c, l, lo, hi)
+		syrkRows(c, l, alpha, tri, lo, hi)
 	})
 }
 
@@ -490,20 +501,43 @@ func SyrkLowerSub(c, l *Matrix) {
 // never depends on the worker count.
 const syrkBlock = 64
 
-// syrkRows updates rows [r0, r1) of the lower triangle of c.
-func syrkRows(c, l *Matrix, r0, r1 int) {
+// syrkRows updates rows [r0, r1) of the lower triangle of c. With tri, block
+// column j0 reads only l's first j0+jw columns: every l[j][p] beyond them
+// is a zero above l's diagonal.
+func syrkRows(c, l *Matrix, alpha float64, tri bool, r0, r1 int) {
 	k := l.Cols
 	for j0 := 0; j0 < r1; j0 += syrkBlock {
 		jw := min(syrkBlock, c.Cols-j0)
-		// Diagonal-block rows: the ragged triangle, scalar dot products.
+		if tri {
+			k = j0 + jw
+		}
+		// Diagonal-block rows: the ragged triangle, scalar dot products,
+		// four columns at a time so the four dependent add chains overlap.
+		// alpha·v is exact, so alpha = −1 subtracts each product.
 		for i := max(r0, j0); i < min(r1, j0+jw); i++ {
 			li := l.Data[i*l.Stride : i*l.Stride+k]
 			crow := c.Data[i*c.Stride : i*c.Stride+i+1]
-			for j := j0; j <= i; j++ {
-				lj := l.Data[j*l.Stride : j*l.Stride+k]
+			j := j0
+			for ; j+3 <= i; j += 4 {
+				l0 := l.Data[j*l.Stride:][:k]
+				l1 := l.Data[(j+1)*l.Stride:][:k]
+				l2 := l.Data[(j+2)*l.Stride:][:k]
+				l3 := l.Data[(j+3)*l.Stride:][:k]
+				s0, s1, s2, s3 := crow[j], crow[j+1], crow[j+2], crow[j+3]
+				for p, v := range li {
+					av := alpha * v
+					s0 += av * l0[p]
+					s1 += av * l1[p]
+					s2 += av * l2[p]
+					s3 += av * l3[p]
+				}
+				crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
+			}
+			for ; j <= i; j++ {
+				lj := l.Data[j*l.Stride:][:k]
 				s := crow[j]
 				for p, v := range li {
-					s -= v * lj[p]
+					s += alpha * v * lj[p]
 				}
 				crow[j] = s
 			}
@@ -511,7 +545,7 @@ func syrkRows(c, l *Matrix, r0, r1 int) {
 		// Sub-diagonal rectangle: a packed GEMM against lᵀ.
 		if lo := max(r0, j0+jw); lo < r1 {
 			gemmSerial(c.View(lo, j0, r1-lo, jw), l.View(lo, 0, r1-lo, k),
-				l.View(j0, 0, jw, k), -1, true, nil)
+				l.View(j0, 0, jw, k), alpha, true, nil)
 		}
 	}
 }

@@ -146,29 +146,67 @@ func TestMulAddIntoPropagatesNaNInf(t *testing.T) {
 	}
 }
 
-// TestSyrkLowerSubDeterministic checks SYRK parallel-vs-serial bit equality
-// and its agreement with a scalar reference.
+// TestSyrkLowerSubDeterministic checks SYRK parallel-vs-serial bit equality and
+// its agreement with a scalar reference, for the subtracting trailing update
+// and the adding form SymmetricPositiveDefinite uses.
 func TestSyrkLowerSubDeterministic(t *testing.T) {
 	for _, n := range []int{5, 33, 100, 129} {
 		k := n/2 + 3
 		l := Random(n, k, uint64(n))
 		c0 := Random(n, n, uint64(n)+1)
-		// Scalar reference on the lower triangle.
-		want := c0.Clone()
-		for i := 0; i < n; i++ {
-			for j := 0; j <= i; j++ {
-				s := want.At(i, j)
-				for p := 0; p < k; p++ {
-					s -= l.At(i, p) * l.At(j, p)
+		for _, alpha := range []float64{-1, 1} {
+			// Scalar reference on the lower triangle.
+			want := c0.Clone()
+			refMulAdd(want, l, l, alpha, true)
+			for i := 0; i < n; i++ {
+				copy(want.Row(i)[i+1:], c0.Row(i)[i+1:])
+			}
+			for _, par := range []int{1, 2, 8} {
+				got := c0.Clone()
+				withParallelism(par, func() {
+					if alpha < 0 {
+						SyrkLowerSub(got, l)
+					} else {
+						SyrkLowerAdd(got, l, false)
+					}
+				})
+				if !bitEqual(got, want) {
+					t.Errorf("n=%d alpha=%g par=%d: SYRK differs from scalar reference", n, alpha, par)
 				}
-				want.Set(i, j, s)
 			}
 		}
-		for _, par := range []int{1, 2, 8} {
-			got := c0.Clone()
-			withParallelism(par, func() { SyrkLowerSub(got, l) })
-			if !bitEqual(got, want) {
-				t.Errorf("n=%d par=%d: SyrkLowerSub differs from scalar reference", n, par)
+	}
+}
+
+// TestSyrkLowerAddTriangular: for a lower-triangular l the k-bounded SYRK
+// yields the lower triangle of the full product l·lᵀ to the bit — the
+// products it skips are exact zeros — at any parallelism, and leaves the
+// upper triangle of c alone.
+func TestSyrkLowerAddTriangular(t *testing.T) {
+	for _, n := range []int{1, 5, 64, 65, 100, 128, 193} {
+		l := Random(n, n, uint64(n)+7)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				l.Set(i, j, 0)
+			}
+			if i%3 == 0 {
+				l.Set(i, i/2, -l.At(i, i/2)) // negative entries: −0 products
+			}
+		}
+		full := Mul(l, l.Transpose())
+		for _, par := range []int{1, 2} {
+			got := New(n, n)
+			withParallelism(par, func() { SyrkLowerAdd(got, l, true) })
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					want := 0.0
+					if j <= i {
+						want = full.At(i, j)
+					}
+					if math.Float64bits(got.At(i, j)) != math.Float64bits(want) {
+						t.Fatalf("n=%d par=%d: (%d,%d) = %g, want %g", n, par, i, j, got.At(i, j), want)
+					}
+				}
 			}
 		}
 	}

@@ -150,15 +150,39 @@ func (m *Dense[T]) Transpose() *Dense[T] {
 }
 
 // Equal reports whether a and b have the same shape and elements within tol.
+// A NaN on either side is a difference.
 func Equal(a, b *Matrix, tol float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
 	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			if math.Abs(a.At(i, j)-b.At(i, j)) > tol {
-				return false
-			}
+		if !rowsEqual(a.Row(i), b.Row(i), tol) {
+			return false
+		}
+	}
+	return true
+}
+
+// EqualLower is Equal over the lower triangles (diagonal included) of two
+// square matrices; what either holds above the diagonal is not read.
+func EqualLower(a, b *Matrix, tol float64) bool {
+	if a.Rows != a.Cols || a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := 0; i < a.Rows; i++ {
+		if !rowsEqual(a.Row(i)[:i+1], b.Row(i)[:i+1], tol) {
+			return false
+		}
+	}
+	return true
+}
+
+// rowsEqual is written as !(|x−y| <= tol) so that a NaN difference, which
+// fails every ordered comparison, counts as a mismatch.
+func rowsEqual(x, y []float64, tol float64) bool {
+	for j, v := range x {
+		if !(math.Abs(v-y[j]) <= tol) {
+			return false
 		}
 	}
 	return true
@@ -206,29 +230,52 @@ func (m *Dense[T]) String() string {
 // SymmetricPositiveDefinite builds a well-conditioned SPD n×n matrix
 // deterministically from seed: A = B Bᵀ + n·I with B pseudo-random in [0,1).
 func SymmetricPositiveDefinite(n int, seed uint64) *Matrix {
-	b := Random(n, n, seed)
 	a := New(n, n)
-	MulInto(a, b, b.Transpose())
-	for i := 0; i < n; i++ {
-		a.Add(i, i, float64(n))
-	}
+	FillSPD(a, New(n, n), seed)
 	return a
 }
 
-// random fills an r×c matrix from a SplitMix64 stream: each entry is the
-// float64 draw in [0, 1) converted to T, so every element type sees the same
-// stream for the same seed.
+// FillSPD overwrites the square matrix a with SymmetricPositiveDefinite's
+// matrix for (a.Rows, seed), drawing B into the same-shaped scratch b.
+// B·Bᵀ is symmetric bit for bit (elements (i, j) and (j, i) sum the same
+// products in the same ascending-k order), so only its lower triangle is
+// computed and the upper is its mirror.
+func FillSPD(a, b *Matrix, seed uint64) {
+	n := a.Rows
+	FillRandom(b, seed)
+	a.Zero()
+	SyrkLowerAdd(a, b, false)
+	for i := 0; i < n; i++ {
+		row := a.Row(i)
+		for j := 0; j < i; j++ {
+			a.Data[j*a.Stride+i] = row[j]
+		}
+		row[i] += float64(n)
+	}
+}
+
+// FillRandom overwrites m, row by row, with the SplitMix64 stream of seed:
+// each entry is the float64 draw in [0, 1) converted to T, so every element
+// type sees the same stream for the same seed, and filling a view of a
+// larger matrix yields the elements Random would have.
+func FillRandom[T Float](m *Dense[T], seed uint64) {
+	s := seed
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j := range row {
+			s += 0x9e3779b97f4a7c15
+			z := s
+			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+			z ^= z >> 31
+			row[j] = T(float64(z>>11) / float64(1<<53))
+		}
+	}
+}
+
 func random[T Float](r, c int, seed uint64) *Dense[T] {
 	m := newDense[T](r, c)
-	s := seed
-	for i := range m.Data {
-		s += 0x9e3779b97f4a7c15
-		z := s
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		m.Data[i] = T(float64(z>>11) / float64(1<<53))
-	}
+	FillRandom(m, seed)
 	return m
 }
 

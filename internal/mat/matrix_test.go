@@ -106,6 +106,91 @@ func TestEye(t *testing.T) {
 	}
 }
 
+// TestFillRandomMatchesRandom: one stream, wherever it is written. Filling a
+// strided view of a larger matrix produces Random's elements and touches
+// nothing outside the view, for both element types.
+func TestFillRandomMatchesRandom(t *testing.T) {
+	const r, c, seed = 7, 5, 99
+	want := Random(r, c, seed)
+	host := New(r+2, c+3)
+	for i := range host.Data {
+		host.Data[i] = -1
+	}
+	FillRandom(host.View(1, 2, r, c), seed)
+	for i := 0; i < host.Rows; i++ {
+		for j := 0; j < host.Cols; j++ {
+			w := -1.0
+			if i >= 1 && i <= r && j >= 2 && j < 2+c {
+				w = want.At(i-1, j-2)
+			}
+			if host.At(i, j) != w {
+				t.Fatalf("host(%d,%d) = %g, want %g", i, j, host.At(i, j), w)
+			}
+		}
+	}
+	m32 := New32(r, c)
+	FillRandom(m32, seed)
+	for i, v := range Random32(r, c, seed).Data {
+		if m32.Data[i] != v || v != float32(want.Data[i]) {
+			t.Fatalf("f32 element %d: fill %g, Random32 %g, float32(Random) %g", i, m32.Data[i], v, float32(want.Data[i]))
+		}
+	}
+}
+
+// TestSymmetricPositiveDefiniteBits pins the SYRK-and-mirror construction to
+// the bits of the definition it replaced: the full product B·Bᵀ through
+// MulInto against a materialised transpose, plus n on the diagonal.
+func TestSymmetricPositiveDefiniteBits(t *testing.T) {
+	for _, n := range []int{5, 64, 100, 128, 193} {
+		b := Random(n, n, uint64(n)+3)
+		want := New(n, n)
+		MulInto(want, b, b.Transpose())
+		for i := 0; i < n; i++ {
+			want.Add(i, i, float64(n))
+		}
+		for _, par := range []int{1, 2} {
+			var got *Matrix
+			withParallelism(par, func() { got = SymmetricPositiveDefinite(n, uint64(n)+3) })
+			if !bitEqual(got, want) {
+				t.Errorf("n=%d par=%d: SymmetricPositiveDefinite differs from B·Bᵀ + n·I", n, par)
+			}
+		}
+		// FillSPD overwrites whatever its destination held.
+		dirty, scratch := Random(n, n, 1), Random(n, n, 2)
+		FillSPD(dirty, scratch, uint64(n)+3)
+		if !bitEqual(dirty, want) {
+			t.Errorf("n=%d: FillSPD into a dirty matrix differs", n)
+		}
+	}
+}
+
+// TestEqualTreatsNaNAsDifferent: |x − y| > tol is false for a NaN
+// difference, so Equal is written the other way round; a NaN anywhere, on
+// either side, must make the matrices unequal at every tolerance.
+func TestEqualTreatsNaNAsDifferent(t *testing.T) {
+	clean := Random(4, 4, 1)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		dirty := clean.Clone()
+		dirty.Set(2, 1, bad) // lower triangle, so EqualLower reads it too
+		for _, tol := range []float64{0, 1e-9, math.MaxFloat64} {
+			if Equal(dirty, clean, tol) || Equal(clean, dirty, tol) {
+				t.Errorf("Equal(tol=%g) accepts a matrix holding %g", tol, bad)
+			}
+			if EqualLower(dirty, clean, tol) || EqualLower(clean, dirty, tol) {
+				t.Errorf("EqualLower(tol=%g) accepts a matrix holding %g", tol, bad)
+			}
+		}
+	}
+	upper := clean.Clone()
+	upper.Set(1, 2, math.NaN())
+	if !EqualLower(upper, clean, 0) {
+		t.Error("EqualLower reads above the diagonal")
+	}
+	if !Equal(clean, clean.Clone(), 0) || Equal(clean, New(4, 5), 1) {
+		t.Error("Equal lost its shape and identity behaviour")
+	}
+}
+
 func TestRandomDeterministic(t *testing.T) {
 	a := Random(4, 4, 42)
 	b := Random(4, 4, 42)

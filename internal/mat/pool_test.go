@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -39,6 +41,92 @@ func TestBufPoolClassRoundTrip(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, mixed); allocs != 0 {
 		t.Errorf("alternating f32/f64 pool round trips allocate %.0f times per run, want 0", allocs)
 	}
+	// An Arena is one more client of the float64 set: what Release puts
+	// back is what the next arena (or a packing pass) of that class gets,
+	// and none of it lands in, or evicts, the float32 set. 129×129 lives in
+	// the 2¹⁵ class.
+	arenaTrip := func() {
+		var a Arena
+		a.New(129, 129)
+		a.Floats(100)
+		a.Release()
+		putBuf(getBuf[float32](129 * 129))
+	}
+	arenaTrip()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		arenaTrip()
+	}
+	runtime.ReadMemStats(&after)
+	// A Matrix header and the arena's list are all a trip may allocate; one
+	// missed buffer would be 64 KiB or more.
+	if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 1024 {
+		t.Errorf("arena round trips beside f32 traffic allocate %d B per trip, want only headers", per)
+	}
+	p := getBuf[float64](1 << 15)
+	if cap(*p) != 1<<15 {
+		t.Errorf("released 129x129 arena buffer came back with cap %d, want %d", cap(*p), 1<<15)
+	}
+	putBuf(p)
+}
+
+// TestArena covers the arena's contract: zeroed hand-outs even from dirty
+// pooled buffers, exact lengths, an idempotent Release, and the nil arena as
+// plain heap allocation.
+func TestArena(t *testing.T) {
+	sizes := []int{0, 1, 100, 129 * 129, 1<<10 + 1}
+	dirty := func() {
+		for _, n := range sizes {
+			p := getBuf[float64](max(n, 1))
+			for i := range (*p)[:cap(*p)] {
+				(*p)[:cap(*p)][i] = math.NaN()
+			}
+			putBuf(p)
+		}
+	}
+	for _, a := range []*Arena{nil, {}} {
+		dirty()
+		for _, n := range sizes {
+			f := a.Floats(n)
+			if len(f) != n {
+				t.Fatalf("Floats(%d): len %d", n, len(f))
+			}
+			for i, v := range f {
+				if v != 0 {
+					t.Fatalf("Floats(%d)[%d] = %g from a dirty pool, want 0", n, i, v)
+				}
+			}
+			for i := range f {
+				f[i] = 7 // dirty it again for the next hand-out
+			}
+		}
+		m := a.New(3, 5)
+		if m.Rows != 3 || m.Cols != 5 || m.Stride != 5 || len(m.Data) != 15 || m.MaxAbs() != 0 {
+			t.Fatalf("New(3, 5) = %dx%d stride %d len %d max %g", m.Rows, m.Cols, m.Stride, len(m.Data), m.MaxAbs())
+		}
+		a.Release()
+		a.Release() // idempotent: nothing is put back twice
+	}
+	// Two live buffers of one class are distinct storage, before and after
+	// a double Release (a buffer pooled twice would be handed out twice).
+	var a Arena
+	a.Floats(100)
+	a.Release()
+	a.Release()
+	x, y := a.Floats(100), a.Floats(100)
+	x[0], y[0] = 1, 2
+	if x[0] != 1 {
+		t.Error("two live arena buffers share storage")
+	}
+	a.Release()
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Arena.New(-1, 2) did not panic")
+		}
+	}()
+	a.New(-1, 2)
 }
 
 // testSteadyStateZeroAllocs: after warmup, serial GEMM over a *mix* of

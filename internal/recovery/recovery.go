@@ -166,6 +166,7 @@ func (c *Coordinator) Run() Report {
 	env := c.RT.Env()
 	c.ck = checkpoint.New(env.Mem, env.Alloc)
 	c.ck.MaxRestarts = c.MaxRestarts
+	c.ck.Arena = env.Arena
 	for _, s := range c.W.CheckpointSet() {
 		c.ck.Register(s.Name, s.Data, s.Reg)
 	}
@@ -265,11 +266,14 @@ func (c *Coordinator) onStep(step int) {
 			}
 		}
 	}
-	targets := c.W.InjectTargets()
+	var targets []InjectTarget // resolved for the first injection due
 	injected := false
 	for _, inj := range c.Plan {
 		if inj.Tick != c.tick {
 			continue
+		}
+		if targets == nil {
+			targets = c.W.InjectTargets()
 		}
 		if inj.Target < 0 || inj.Target >= len(targets) {
 			continue

@@ -137,6 +137,11 @@ type fakeWork struct {
 	badStep int // -1 to disable
 	fired   bool
 	sticky  bool // corrupt on every pass (never recoverable)
+	// sweepRepairs makes the corruption one FullVerify can undo (the
+	// degrade path) instead of one only a rollback cures.
+	sweepRepairs bool
+	checks       int // Check() calls
+	targetCalls  int // InjectTargets() calls
 }
 
 func (f *fakeWork) Name() string              { return "fake" }
@@ -158,15 +163,20 @@ func (f *fakeWork) RunFrom(step int) error {
 func (f *fakeWork) CheckpointSet() []State {
 	return []State{{Name: "fake.data", Data: f.data, Reg: f.reg}}
 }
-func (f *fakeWork) InjectTargets() []InjectTarget { return nil }
+func (f *fakeWork) InjectTargets() []InjectTarget { f.targetCalls++; return []InjectTarget{} }
 func (f *fakeWork) DrainNotified() error          { return nil }
 func (f *fakeWork) FullVerify() error {
 	if f.data[0] == -999 {
+		if f.sweepRepairs {
+			f.data[0] = 1
+			return nil
+		}
 		return fmt.Errorf("fake: corruption beyond verification repair")
 	}
 	return nil
 }
 func (f *fakeWork) Check() error {
+	f.checks++
 	for s := 0; s < f.steps; s++ {
 		if f.data[s] != float64(s+1) {
 			return fmt.Errorf("fake: element %d corrupted", s)
@@ -209,6 +219,62 @@ func TestCase3RestartReplaysCorrectly(t *testing.T) {
 	// The run's traffic (checkpoints + restores) was metered on the machine.
 	if res := rt.Finish(); res.SystemEnergyJ <= 0 || res.Seconds <= 0 {
 		t.Errorf("metered run produced no cost: %+v", res)
+	}
+}
+
+// TestOracleRunsOnEveryRequest: Workload.Check is the gate between a run and
+// a "corrected" label, so the coordinator calls it on every run — exactly
+// once when nothing went wrong, and a second time after the full sweep when
+// the first verdict was "wrong" (the degrade path). A clean run that skipped
+// it, or a degraded run that trusted the sweep, would show here.
+func TestOracleRunsOnEveryRequest(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		badStep              int
+		checks, degradations int
+	}{
+		{"clean", -1, 1, 0},
+		{"degrade", 5, 2, 1},
+	} {
+		rt := core.NewFunctionalRuntime(machine.ScaledConfig(32), core.WholeChipkill, 7)
+		const steps = 6
+		f := &fakeWork{
+			data:         make([]float64, steps),
+			reg:          rt.Env().Alloc("fake.data", steps, false),
+			steps:        steps,
+			badStep:      tc.badStep,
+			sweepRepairs: true,
+		}
+		rep := (&Coordinator{RT: rt, W: f}).Run()
+		if rep.Outcome != Corrected || rep.Restarts != 0 {
+			t.Errorf("%s: outcome %v with %d restarts (err %v), want corrected in place", tc.name, rep.Outcome, rep.Restarts, rep.Err)
+		}
+		if f.checks != tc.checks || rep.Degradations != tc.degradations {
+			t.Errorf("%s: Check() ran %d times with %d degradations, want %d and %d",
+				tc.name, f.checks, rep.Degradations, tc.checks, tc.degradations)
+		}
+	}
+}
+
+// TestInjectTargetsResolvedOnlyWhenDue: building the target list allocates
+// (six slices for CG), so the step hook asks for it only on a tick that has
+// an injection scheduled, not on every tick of a fault-free run.
+func TestInjectTargetsResolvedOnlyWhenDue(t *testing.T) {
+	for _, tc := range []struct {
+		plan []Injection
+		want int
+	}{
+		{nil, 0},
+		{[]Injection{{Tick: 2}, {Tick: 2, Target: 1}, {Tick: 4}}, 2},
+	} {
+		rt := core.NewFunctionalRuntime(machine.ScaledConfig(32), core.WholeChipkill, 7)
+		f := &fakeWork{data: make([]float64, 6), reg: rt.Env().Alloc("fake.data", 6, false), steps: 6, badStep: -1}
+		if rep := (&Coordinator{RT: rt, W: f, Plan: tc.plan}).Run(); rep.Outcome != Corrected {
+			t.Fatalf("outcome %v (err %v)", rep.Outcome, rep.Err)
+		}
+		if f.targetCalls != tc.want {
+			t.Errorf("plan %v: InjectTargets called %d times over 6 ticks, want %d", tc.plan, f.targetCalls, tc.want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"fmt"
-	"math"
 
 	"coopabft/internal/abft"
 	"coopabft/internal/bifit"
@@ -139,7 +138,9 @@ func NewCholeskyWorkload(rt *core.Runtime, n int, seed uint64) (Workload, error)
 	for _, v := range []abft.Vec{cs, cs2, lcs, lcs2} {
 		rt.RegisterTarget(v.Data, v.Reg)
 	}
-	return &cholWork{c: c, orig: c.A.Matrix.Clone()}, nil
+	orig := rt.Arena.New(n, n)
+	orig.CopyFrom(c.A.Matrix)
+	return &cholWork{c: c, orig: orig}, nil
 }
 
 func (w *cholWork) Name() string              { return "cholesky" }
@@ -201,7 +202,9 @@ func NewCGWorkload(rt *core.Runtime, nx, ny int, seed uint64) (Workload, error) 
 	c.Mode = abft.NotifiedVerify
 	c.RelTol = 1e-9
 	b, _ := c.VecFor("b")
-	return &cgWork{c: c, b0: append([]float64(nil), b.Data...)}, nil
+	b0 := rt.Arena.Floats(len(b.Data))
+	copy(b0, b.Data)
+	return &cgWork{c: c, b0: b0}, nil
 }
 
 func (w *cgWork) Name() string              { return "cg" }
@@ -261,18 +264,12 @@ func (w *cgWork) FullVerify() error {
 // Check verifies the solution against the right-hand side captured at
 // construction — corruption of the live b cannot fool the oracle.
 func (w *cgWork) Check() error {
-	n := w.c.N()
-	tmp := make([]float64, n)
-	w.c.A.MulVecInto(tmp, w.c.X())
-	for i := range tmp {
-		tmp[i] = w.b0[i] - tmp[i]
-	}
-	res := mat.Norm2(tmp)
+	res := w.c.ResidualAgainst(w.b0)
 	bn := mat.Norm2(w.b0)
 	if bn == 0 {
 		bn = 1
 	}
-	if res > 1e-6*bn || math.IsNaN(res) {
+	if !(res <= 1e-6*bn) {
 		return fmt.Errorf("recovery: CG residual %g exceeds tolerance", res/bn)
 	}
 	return nil

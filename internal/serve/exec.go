@@ -10,6 +10,7 @@ import (
 	"coopabft/internal/campaign"
 	"coopabft/internal/core"
 	"coopabft/internal/machine"
+	"coopabft/internal/mat"
 	"coopabft/internal/recovery"
 )
 
@@ -31,10 +32,18 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	start := time.Now()
 	var rep recovery.Report
 	var w recovery.Workload
+	// The arena owns every n- and n²-sized float64 buffer of an f64 request
+	// — operands, checkpoint shadows, oracle temporaries, the answer views
+	// w hands out. It is released below, once the response holds copies of
+	// whatever it reports, and only if the ladder returned normally: after
+	// a kernel panic nothing vouches for who still writes to those buffers,
+	// so they are left to the GC.
+	var arena *mat.Arena
 	if j.req.Dtype == DtypeF32 {
 		rep = s.runLadder32(j)
 	} else {
-		rep, w = s.runLadder(j)
+		arena = new(mat.Arena)
+		rep, w = s.runLadder(j, arena)
 	}
 	run := time.Since(start)
 
@@ -61,6 +70,9 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 		resp.Error = rep.Err.Error()
 	}
 	s.stampIntegrity(&resp, j.req, rep, w)
+	if w != nil {
+		arena.Release()
+	}
 
 	switch rep.Outcome {
 	case recovery.Corrected:
@@ -83,8 +95,9 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 // coordinator under a panic guard: a kernel panic becomes an Aborted
 // classification, never a crashed worker. The workload is returned
 // alongside the report so the integrity tier can fingerprint its answer
-// state; it is nil when construction failed or the kernel panicked.
-func (s *Service) runLadder(j *job) (rep recovery.Report, w recovery.Workload) {
+// state; it is nil when construction failed or the kernel panicked. All of
+// the run's float64 storage comes from arena, which the caller releases.
+func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w recovery.Workload) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep = recovery.Report{Outcome: recovery.Aborted,
@@ -95,6 +108,7 @@ func (s *Service) runLadder(j *job) (rep recovery.Report, w recovery.Workload) {
 
 	p := j.req
 	rt := core.NewFunctionalRuntime(machine.ScaledConfig(32), p.Strategy, int64(p.Seed))
+	rt.Arena = arena
 	var err error
 	switch p.Kernel {
 	case KernelCholesky:

@@ -134,7 +134,7 @@ func oracle32(g *abft.GEMM32, p Parsed) error {
 	for i := 0; i < p.N; i++ {
 		for j := 0; j < p.N; j++ {
 			want := ref.At(i, j)
-			if math.Abs(float64(g.C.At(i, j))-want) > abft.ElementBound32(g.K, want, am, bm) {
+			if !(math.Abs(float64(g.C.At(i, j))-want) <= abft.ElementBound32(g.K, want, am, bm)) {
 				return fmt.Errorf("serve: f32 oracle mismatch at (%d,%d): got %g want %g",
 					i, j, g.C.At(i, j), want)
 			}

@@ -14,6 +14,7 @@ import (
 	"coopabft/internal/checkpoint"
 	"coopabft/internal/core"
 	"coopabft/internal/machine"
+	"coopabft/internal/mat"
 	"coopabft/internal/recovery"
 )
 
@@ -131,7 +132,11 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 	}()
 	start := time.Now()
 
+	// Same lifetime rule as execute: the arena is released on the normal
+	// path only, after the last read of the workload's state.
+	var arena mat.Arena
 	rt := core.NewFunctionalRuntime(machine.ScaledConfig(32), p.Strategy, int64(p.Seed))
+	rt.Arena = &arena
 	w, err := recovery.NewCGWorkload(rt, p.NX, p.NY, p.Seed)
 	if err != nil {
 		res.Outcome = recovery.Aborted.String()
@@ -192,6 +197,7 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 		res.Steps = out.Iterations
 		res.Residual = out.Residual
 	}
+	arena.Release()
 	res.RunMS = s.long.m.done(start)
 	switch rep.Outcome {
 	case recovery.Corrected:

@@ -95,6 +95,12 @@ type Memory struct {
 	OnOps func(n int)
 }
 
+// Dormant reports whether nobody is listening: every Touch and Ops call is
+// currently a no-op, so a kernel may skip a walk that only reports. A
+// functional machine's Memory leaves dormancy only inside FlushCaches,
+// which kernels reach through their step hooks and nowhere else.
+func (m *Memory) Dormant() bool { return m == nil || (m.Probe == nil && m.OnOps == nil) }
+
 // Ops reports n arithmetic operations performed by the kernel.
 func (m *Memory) Ops(n int) {
 	if m == nil || m.OnOps == nil || n <= 0 {

@@ -173,3 +173,18 @@ func TestTouchCoversRangeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDormant: a Memory is dormant exactly when neither hook is set, and a
+// nil Memory (which every method tolerates) is dormant too.
+func TestDormant(t *testing.T) {
+	var none *Memory
+	if !none.Dormant() || !(&Memory{}).Dormant() {
+		t.Error("nil or zero Memory is not dormant")
+	}
+	if (&Memory{Probe: func(uint64, bool) {}}).Dormant() {
+		t.Error("Memory with a probe is dormant")
+	}
+	if (&Memory{OnOps: func(int) {}}).Dormant() {
+		t.Error("Memory with an ops listener is dormant")
+	}
+}
