@@ -17,6 +17,7 @@ import (
 	"coopabft/internal/core"
 	"coopabft/internal/ecc"
 	"coopabft/internal/experiments"
+	"coopabft/internal/mat"
 	"coopabft/internal/resilience"
 	"coopabft/internal/scaling"
 	"coopabft/internal/serve"
@@ -358,6 +359,43 @@ func BenchmarkServeGEMMBareFused(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServeGEMM32 is cmd/abftbench's kernel_f32_n192 request in
+// process: one n=192 f32 product through serve.Service.Do, serial, seeds
+// varying so the operands are regenerated every time. Its ns/op over
+// BenchmarkServeGEMM32Bare's is the request-over-kernel ratio ROADMAP item 3
+// tracks for f32, and B/op the warm request's heap.
+func BenchmarkServeGEMM32(b *testing.B) {
+	defer mat.SetParallelism(mat.SetParallelism(1)) // as the benchmark's workers run
+	svc := serve.New(serve.Config{QueueTimeout: time.Minute})
+	defer svc.Close()
+	req := serve.Request{Kernel: "gemm", N: 192, Dtype: "f32", Seed: uint64(b.N) << 20}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Seed++
+		resp, err := svc.Do(context.Background(), req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.Outcome != "corrected" {
+			b.Fatalf("outcome %q (%s), want corrected", resp.Outcome, resp.Error)
+		}
+	}
+}
+
+// BenchmarkServeGEMM32Bare is the yardstick for BenchmarkServeGEMM32: the
+// same 192×192 f32 product through the unprotected packed kernel, on
+// operands built once.
+func BenchmarkServeGEMM32Bare(b *testing.B) {
+	defer mat.SetParallelism(mat.SetParallelism(1))
+	x, y, c := mat.Random32(192, 192, 1), mat.Random32(192, 192, 2), mat.New32(192, 192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mat.MulAddInto32(c, x, y)
+	}
 }
 
 // BenchmarkServeGEMMBatched holds a small batching window open; the

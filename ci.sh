@@ -14,13 +14,14 @@ go vet ./...
 go build ./...
 go test -race -short ./...
 
-# Allocation budget: a warm n=128 fused GEMM request must stay under 64 KiB
-# of heap (it takes its operands, checkpoint shadow and oracle reference
-# from a request-scoped arena over internal/mat's pools). This runs here, in
-# a tier without -race, because the detector inflates allocation counts and
-# sync.Pool drops items under it; the race run above skips the test through
-# the raceEnabled test constant.
-go test -run 'TestWarmGEMMAllocationBudget' -count=1 -v ./internal/serve/
+# Allocation budgets: a warm n=128 fused GEMM request must stay under 64 KiB
+# of heap and a warm n=192 f32 request under 16 KiB (each takes its
+# operands, product, checksum vectors, checkpoint shadow and oracle
+# reference from a request-scoped arena over internal/mat's pools). This
+# runs here, in a tier without -race, because the detector inflates
+# allocation counts and sync.Pool drops items under it; the race run above
+# skips the tests through the raceEnabled test constant.
+go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget' -count=1 -v ./internal/serve/
 
 # Chaos soak gate: the seeded short grid (24 fault-injected runs through
 # the §4 recovery ladder, deterministic outcome table) under the race

@@ -1,7 +1,9 @@
 package abft
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"coopabft/internal/mat"
@@ -199,5 +201,145 @@ func TestCholeskyTriangularOracleVerdicts(t *testing.T) {
 			}
 		}
 		mat.SetParallelism(old)
+	}
+}
+
+// dirtyArena returns an arena whose pool classes of both element types, at
+// the sizes an n×n GEMM32 draws, were just left full of NaN.
+func dirtyArena(n int) *mat.Arena {
+	var dirt mat.Arena
+	for i := 0; i < 6; i++ {
+		m32 := mat.NewIn[float32](&dirt, n, n)
+		for k := range m32.Data {
+			m32.Data[k] = float32(math.NaN())
+		}
+		for _, v := range [][]float64{dirt.Floats(8*n + 64), dirt.Floats(n * n)} {
+			for k := range v {
+				v[k] = math.NaN()
+			}
+		}
+	}
+	dirt.Release()
+	return new(mat.Arena)
+}
+
+// TestGEMM32OnArenaMatchesHeap: NewGEMM32 generates its operands in place,
+// on the heap or in an arena whose buffers come back dirty. Either way the
+// operands and their encodings equal, bit for bit, what the old construction
+// gave (two mat.Random32 matrices, column sums down ascending rows, row sums
+// left to right), and a clean run, a run with a flipped C element and a run
+// with a flipped operand element end in the same C bits, corrections, faults
+// and error as that construction's.
+func TestGEMM32OnArenaMatchesHeap(t *testing.T) {
+	flip := func(d []float32, idx int) {
+		d[idx] = math.Float32frombits(math.Float32bits(d[idx]) ^ (1 << 30))
+	}
+	plants := map[string]func(g *GEMM32){
+		"clean": func(g *GEMM32) {},
+		"c-flip": func(g *GEMM32) {
+			g.OnPanel = func(p int) {
+				if p == 1 {
+					flip(g.C.Data, 3*g.C.Stride+5)
+				}
+			}
+		},
+		"a-flip": func(g *GEMM32) {
+			g.OnPanel = func(p int) {
+				if p == 1 {
+					flip(g.A.Data, 2*g.A.Stride+g.K-1) // ahead of the panel cursor
+				}
+			}
+		},
+	}
+	for _, n := range []int{2, 33, 64, 192} {
+		const seed = 21
+		a, b := mat.Random32(n, n, seed), mat.Random32(n, n, seed+1)
+		aCol, bRow := make([]float64, n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			for p := 0; p < n; p++ {
+				aCol[p] += float64(a.At(i, p))
+				bRow[i] += float64(b.At(i, p))
+			}
+		}
+		for plant, arm := range plants {
+			if n < 64 && plant != "clean" {
+				continue // one panel: nothing is ahead of the cursor
+			}
+			ref, err := NewGEMM32FromMatrices(a.Clone(), b.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			arm(ref)
+			refErr := ref.Run()
+			if (plant == "c-flip") != (len(ref.Corrections) > 0) || (plant == "a-flip") != (refErr != nil) {
+				t.Fatalf("n=%d %s: reference run ended with %d corrections, err %v", n, plant, len(ref.Corrections), refErr)
+			}
+			for name, arena := range map[string]*mat.Arena{"heap": nil, "arena": dirtyArena(n)} {
+				g, err := NewGEMM32In(arena, n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tag := fmt.Sprintf("n=%d %s %s", n, plant, name)
+				if mat32Digest(g.A) != mat32Digest(a) || mat32Digest(g.B) != mat32Digest(b) {
+					t.Errorf("%s: operands differ from mat.Random32", tag)
+				}
+				if AnswerSig(g.aColSum) != AnswerSig(aCol) || AnswerSig(g.bRowSum) != AnswerSig(bRow) {
+					t.Errorf("%s: operand encodings differ from the reference sums", tag)
+				}
+				arm(g)
+				gErr := g.Run()
+				if mat32Digest(g.C) != mat32Digest(ref.C) {
+					t.Errorf("%s: product differs from the reference construction's", tag)
+				}
+				if !reflect.DeepEqual(g.Corrections, ref.Corrections) || !reflect.DeepEqual(g.Faults, ref.Faults) {
+					t.Errorf("%s: corrections %+v faults %+v, reference %+v %+v", tag, g.Corrections, g.Faults, ref.Corrections, ref.Faults)
+				}
+				if fmt.Sprint(gErr) != fmt.Sprint(refErr) {
+					t.Errorf("%s: error %v, reference %v", tag, gErr, refErr)
+				}
+				if gErr == nil {
+					if err := g.CheckPristine(seed); err != nil {
+						t.Errorf("%s: %v", tag, err)
+					}
+				}
+				arena.Release()
+			}
+		}
+	}
+}
+
+// mat32Digest fingerprints a float32 matrix by its exact bits.
+func mat32Digest(m *mat.Matrix32) string { return BitDigest(m.To64()) }
+
+// TestGEMM32VerifiesEveryPanel counts the verifications of a K=192 run by
+// what they catch: Block is 32, so there are six panel boundaries, and a C
+// element flipped at the top of panel p must be reported by boundary p
+// itself, not a later one, whether the problem lives on the heap or in an
+// arena.
+func TestGEMM32VerifiesEveryPanel(t *testing.T) {
+	for name, arena := range map[string]*mat.Arena{"heap": nil, "arena": dirtyArena(192)} {
+		for p := 0; p < 6; p++ {
+			g, err := NewGEMM32In(arena, 192, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Block != 32 || g.Panels() != 6 {
+				t.Fatalf("%s: Block %d, %d panels; want 32 and 6", name, g.Block, g.Panels())
+			}
+			tops := 0
+			g.OnPanel = func(panel int) {
+				tops++
+				if panel == p {
+					g.C.Data[7*g.C.Stride+11] += 1000
+				}
+			}
+			if err := g.Run(); err != nil {
+				t.Fatalf("%s panel %d: %v", name, p, err)
+			}
+			if tops != 6 || len(g.Corrections) != 1 || len(g.Faults) == 0 || g.Faults[0].Panel != p {
+				t.Errorf("%s: flip at the top of panel %d of %d: corrections %+v, faults %+v", name, p, tops, g.Corrections, g.Faults)
+			}
+		}
+		arena.Release()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
@@ -65,7 +66,17 @@ func TestFusedVsTwoPassGate(t *testing.T) {
 	// one-sided (preemption only adds time), so min-of-N converges on the
 	// true cost, and interleaving keeps a slow period from biasing one
 	// cell the way a measure-each-cell-in-turn loop would.
-	const rounds = 6
+	//
+	// The gate at the end resolves 2% between two cells whose costs lie
+	// within 1% of each other at the CI size (≈ 4.2 ms each). Comparing two
+	// min-of-6 floors it failed two runs in three with no change in the
+	// code, and sixty rounds did not cure it: this host slows a vCPU by
+	// 5–15% for seconds at a time, longer than the whole measurement, and in
+	// such a spell identical cells' minima sit up to 8% apart. What a spell
+	// does not move is the ratio of two samples taken milliseconds apart, so
+	// the gate compares fused to two-pass round by round and takes the
+	// median of the ratios. The table still reports floors.
+	const rounds = 60
 	flops := 2 * float64(n) * float64(n) * float64(n)
 
 	newDGEMM := func(mode VerifyMode, faulted bool) *DGEMM {
@@ -114,14 +125,19 @@ func TestFusedVsTwoPassGate(t *testing.T) {
 		r.fn() // warm pools and page in operands
 		best[i] = 1<<63 - 1
 	}
-	for round := 0; round < rounds; round++ {
+	const twoPassFaulted, fusedFaulted = 2, 4
+	ratios := make([]float64, rounds) // fused_faulted over two_pass_faulted time, round by round
+	took := make([]time.Duration, len(runners))
+	for round := range ratios {
 		for i, r := range runners {
 			t0 := time.Now()
 			r.fn()
-			if d := time.Since(t0); d < best[i] {
-				best[i] = d
+			took[i] = time.Since(t0)
+			if took[i] < best[i] {
+				best[i] = took[i]
 			}
 		}
+		ratios[round] = float64(took[fusedFaulted]) / float64(took[twoPassFaulted])
 	}
 	cells := make([]FusedBenchCell, len(runners))
 	for i, r := range runners {
@@ -156,11 +172,15 @@ func TestFusedVsTwoPassGate(t *testing.T) {
 	}
 
 	// The gate: online fused detection must beat the two-pass sweep under
-	// fault injection (2% allowance for shared-host timer noise).
-	twoPass, fused := cells[2], cells[4]
-	if fused.GFLOPS < 0.98*twoPass.GFLOPS {
-		t.Errorf("fused faulted GFLOP/s %.2f regressed below two-pass faulted %.2f",
-			fused.GFLOPS, twoPass.GFLOPS)
+	// fault injection (2% allowance for shared-host timer noise), by the
+	// median of the round-by-round time ratios.
+	sort.Float64s(ratios)
+	median := ratios[rounds/2]
+	t.Logf("fused faulted / two-pass faulted time, median of %d paired rounds: %.4f (quartiles %.4f, %.4f)",
+		rounds, median, ratios[rounds/4], ratios[3*rounds/4])
+	if median > 1/0.98 {
+		t.Errorf("fused faulted runs take %.4f× the two-pass faulted runs' time: throughput regressed below 0.98× two-pass (floors %.2f vs %.2f GFLOP/s)",
+			median, cells[fusedFaulted].GFLOPS, cells[twoPassFaulted].GFLOPS)
 	}
 }
 

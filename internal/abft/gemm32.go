@@ -67,6 +67,10 @@ type GEMM32 struct {
 
 	fs   mat.FusedSums32
 	abuf []float64 // backing for per-panel ASums/BSums (len 2·Block)
+
+	// arena backs everything above that is sized by the problem, and the
+	// oracle's temporaries; nil is the heap.
+	arena *mat.Arena
 }
 
 // maxRepairRounds bounds the repair→refold→reverify loop at one panel
@@ -79,17 +83,28 @@ const maxRepairRounds = 4
 // NewGEMM32 builds a square n×n mixed-precision problem with deterministic
 // pseudo-random operands (A from seed, B from seed+1, matching NewDGEMM's
 // convention).
-func NewGEMM32(n int, seed uint64) (*GEMM32, error) {
+func NewGEMM32(n int, seed uint64) (*GEMM32, error) { return NewGEMM32In(nil, n, seed) }
+
+// NewGEMM32In is NewGEMM32 with every n- and n²-sized buffer of the problem
+// — operands (generated in place), product, encodings, checksum vectors —
+// and of its oracle taken from arena, whose owner must keep it unreleased
+// for as long as the GEMM32 is in use.
+func NewGEMM32In(arena *mat.Arena, n int, seed uint64) (*GEMM32, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("%w: GEMM32 size %d too small", ErrBadSize, n)
 	}
-	return NewGEMM32FromMatrices(mat.Random32(n, n, seed), mat.Random32(n, n, seed+1))
+	a, b := mat.NewIn[float32](arena, n, n), mat.NewIn[float32](arena, n, n)
+	mat.FillRandom(a, seed)
+	mat.FillRandom(b, seed+1)
+	return newGEMM32(arena, a, b)
 }
 
 // NewGEMM32FromMatrices builds the problem over caller-supplied operands
 // (any compatible rectangular shape — tall-skinny and batched-small ML
 // shapes included). The operands are encoded as-is; they must be pristine.
-func NewGEMM32FromMatrices(a, b *mat.Matrix32) (*GEMM32, error) {
+func NewGEMM32FromMatrices(a, b *mat.Matrix32) (*GEMM32, error) { return newGEMM32(nil, a, b) }
+
+func newGEMM32(arena *mat.Arena, a, b *mat.Matrix32) (*GEMM32, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("%w: GEMM32 a %dx%d × b %dx%d", ErrBadSize, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
@@ -98,11 +113,18 @@ func NewGEMM32FromMatrices(a, b *mat.Matrix32) (*GEMM32, error) {
 	}
 	g := &GEMM32{
 		M: a.Rows, K: a.Cols, N: b.Cols,
-		A: a, B: b, C: mat.New32(a.Rows, b.Cols),
+		A: a, B: b, C: mat.NewIn[float32](arena, a.Rows, b.Cols),
 		Block: 32,
+		arena: arena,
 	}
-	g.aColSum = make([]float64, g.K)
-	g.bRowSum = make([]float64, g.K)
+	// One buffer, carved: the float64 vectors live and die together.
+	vecs := arena.Floats(2*g.K + 3*g.M + 3*g.N + 2*g.Block)
+	take := func(n int) []float64 {
+		v := vecs[:n:n]
+		vecs = vecs[n:]
+		return v
+	}
+	g.aColSum, g.bRowSum = take(g.K), take(g.K)
 	for i := 0; i < g.M; i++ {
 		row := a.Row(i)
 		for p, v := range row {
@@ -116,23 +138,17 @@ func NewGEMM32FromMatrices(a, b *mat.Matrix32) (*GEMM32, error) {
 		}
 		g.bRowSum[p] = s
 	}
-	g.rowCk = make([]float64, g.M)
-	g.colCk = make([]float64, g.N)
+	g.rowCk, g.colCk = take(g.M), take(g.N)
 	g.fs = mat.FusedSums32{
-		RowSums: make([]float64, g.M), ColSums: make([]float64, g.N),
-		AbsRowSums: make([]float64, g.M), AbsColSums: make([]float64, g.N),
+		RowSums: take(g.M), ColSums: take(g.N),
+		AbsRowSums: take(g.M), AbsColSums: take(g.N),
 	}
-	g.abuf = make([]float64, 2*g.Block)
+	g.abuf = take(2 * g.Block)
 	return g, nil
 }
 
 // Panels returns the number of k-panels a full run executes.
 func (g *GEMM32) Panels() int { return (g.K + g.Block - 1) / g.Block }
-
-// OperandMoments exposes the packing-pass operand statistics (valid after
-// Run): callers doing their own element-level oracle comparisons feed them
-// to ElementBound32.
-func (g *GEMM32) OperandMoments() (a, b mat.Moments) { return g.aMom, g.bMom }
 
 // Run computes C = A·B panel by panel with a verification at every panel
 // boundary. Detected result corruption is repaired in place; operand
@@ -146,7 +162,7 @@ func (g *GEMM32) Run() error {
 	g.Corrections = g.Corrections[:0]
 	g.Faults = g.Faults[:0]
 	if len(g.abuf) < 2*g.Block {
-		g.abuf = make([]float64, 2*g.Block)
+		g.abuf = g.arena.Floats(2 * g.Block)
 	}
 	for panel := 0; panel < g.Panels(); panel++ {
 		if g.OnPanel != nil {
@@ -335,11 +351,26 @@ func (g *GEMM32) refold() {
 	}
 }
 
-// CheckResult verifies the final product against a float64 reference under
-// the per-element adaptive bound (test/oracle helper; O(M·K·N)).
-func (g *GEMM32) CheckResult() error {
-	ref := mat.New(g.M, g.N)
-	mat.MulAddInto(ref, g.A.To64(), g.B.To64())
+// CheckResult verifies the final product against a float64 reference
+// computed from the live operands (test/oracle helper; O(M·K·N)).
+func (g *GEMM32) CheckResult() error { return g.checkAgainst(g.A, g.B) }
+
+// CheckPristine verifies the final product of a problem built by NewGEMM32
+// or NewGEMM32In against operands regenerated from its seed, so that
+// corruption of the live ones cannot launder itself into the reference.
+// The regenerated operands live where the problem does.
+func (g *GEMM32) CheckPristine(seed uint64) error {
+	a, b := mat.NewIn[float32](g.arena, g.M, g.K), mat.NewIn[float32](g.arena, g.K, g.N)
+	mat.FillRandom(a, seed)
+	mat.FillRandom(b, seed+1)
+	return g.checkAgainst(a, b)
+}
+
+// checkAgainst compares C with the float64 product of a and b under the
+// per-element adaptive bound.
+func (g *GEMM32) checkAgainst(a, b *mat.Matrix32) error {
+	ref := g.arena.New(g.M, g.N)
+	mat.MulAddInto(ref, a.To64In(g.arena), b.To64In(g.arena))
 	for i := 0; i < g.M; i++ {
 		row := g.C.Row(i)
 		refRow := ref.Row(i)

@@ -144,9 +144,9 @@ func MulAddIntoFused[T Float](c, a, b *Dense[T], fs *FusedSums) {
 	var wg sync.WaitGroup
 	for idx, bd := range bands {
 		pt := &parts[idx]
-		pt.cols = getZeroBuf(width)
+		pt.cols = getZeroBuf[float64](width)
 		if fs.ASums != nil {
-			pt.a = getZeroBuf(kdim)
+			pt.a = getZeroBuf[float64](kdim)
 		}
 		wg.Add(1)
 		go func(first bool, lo, hi int) {
@@ -205,7 +205,21 @@ func checkSumLen(s []float64, want int, name string) {
 func foldSimple[T Float](c, a, b *Dense[T], fa *fusedAcc) {
 	if fa.rs != nil {
 		for i := 0; i < c.Rows; i++ {
-			foldTile(c.Data[i*c.Stride:], c.Stride, 1, c.Cols, fa, i, 0)
+			sum, asum := 0.0, 0.0
+			for j, v := range c.Row(i) {
+				f := float64(v)
+				sum += f
+				fa.cs[j] += f
+				if fa.acs != nil {
+					f = foldAbs(f)
+					asum += f
+					fa.acs[j] += f
+				}
+			}
+			fa.rs[i] += sum
+			if fa.ars != nil {
+				fa.ars[i] += asum
+			}
 		}
 	}
 	if fa.asum != nil {

@@ -115,9 +115,10 @@ func putBuf[T Float](p *[]T) {
 	poolsFor[T]()[class].Put(p)
 }
 
-// getZeroBuf returns a zeroed length-n pooled buffer (for sum accumulators).
-func getZeroBuf(n int) *[]float64 {
-	p := getBuf[float64](n)
+// getZeroBuf returns a zeroed length-n pooled buffer (sum accumulators,
+// arena hand-outs).
+func getZeroBuf[T Float](n int) *[]T {
+	p := getBuf[T](n)
 	clear(*p)
 	return p
 }
@@ -297,39 +298,66 @@ func kernEdge[T Float](kb, rows, cols int, ap, bp, cd []T, ldc int) {
 	}
 }
 
-// foldTile adds a stored rows×cols tile's final values into the running
-// float64 row/column checksum accumulators at tile origin (ri, cj), and
-// their magnitudes into the absolute-value sums when those are kept. It runs
-// as a separate pass over the just-stored tile (L1-hot) rather than inside
-// the k loop: keeping the accumulators out of the hot loop leaves the
-// micro-kernel's register allocation untouched, so the fused main loop is
-// byte-for-byte the plain kernel.
-func foldTile[T Float](cd []T, ldc, rows, cols int, fa *fusedAcc, ri, cj int) {
-	rs, cs := fa.rs[ri:], fa.cs[cj:]
-	var ars, acs []float64
-	if fa.ars != nil {
-		ars, acs = fa.ars[ri:], fa.acs[cj:]
+// foldStrip adds the final values of one finished column strip of c — rows
+// [i0, i0+rows) × cols [j0, j0+cols), cols ≤ nr — into fa's running float64
+// row/column checksum accumulators, and their magnitudes into the
+// absolute-value sums when those are kept. It runs once per strip, after the
+// strip's row sweep and while the strip is still cache-hot, rather than
+// inside the k loop: the micro-kernel's register allocation stays
+// untouched, so the fused main loop is byte-for-byte the plain kernel. The
+// strip's column sums live in locals for the whole pass; each row's sum is
+// built left to right from zero and added once to its row accumulator.
+// Every accumulator so receives the values, in the order, a fold of one
+// micro-tile at a time would give it, which is what keeps the sums' bits
+// independent of where the fold sits.
+func foldStrip[T Float](c *Dense[T], i0, rows, j0, cols int, fa *fusedAcc) {
+	// A partial strip's absent columns are zeros that are not stored back.
+	var cs, acs [nr]float64
+	copy(cs[:], fa.cs[j0:j0+cols])
+	abs := fa.acs != nil
+	if abs {
+		copy(acs[:], fa.acs[j0:j0+cols])
 	}
-	for r := 0; r < rows; r++ {
-		row := cd[r*ldc : r*ldc+cols]
-		sum, asum := 0.0, 0.0
-		for c, v := range row {
-			f := float64(v)
-			sum += f
-			cs[c] += f
-			if acs != nil {
-				if f < 0 {
-					f = -f
-				}
-				asum += f
-				acs[c] += f
-			}
+	cs0, cs1, cs2, cs3 := cs[0], cs[1], cs[2], cs[3]
+	acs0, acs1, acs2, acs3 := acs[0], acs[1], acs[2], acs[3]
+	for i := i0; i < i0+rows; i++ {
+		row := c.Data[i*c.Stride+j0 : i*c.Stride+j0+cols]
+		// An absent column folds as +0: a sum built up from +0 is never −0,
+		// so adding +0 returns it bit for bit.
+		f0, f1, f2, f3 := float64(row[0]), 0.0, 0.0, 0.0
+		if cols > 1 {
+			f1 = float64(row[1])
 		}
-		rs[r] += sum
-		if ars != nil {
-			ars[r] += asum
+		if cols > 2 {
+			f2 = float64(row[2])
+		}
+		if cols > 3 {
+			f3 = float64(row[3])
+		}
+		cs0, cs1, cs2, cs3 = cs0+f0, cs1+f1, cs2+f2, cs3+f3
+		fa.rs[i] += 0 + f0 + f1 + f2 + f3
+		if abs {
+			f0, f1, f2, f3 = foldAbs(f0), foldAbs(f1), foldAbs(f2), foldAbs(f3)
+			acs0, acs1, acs2, acs3 = acs0+f0, acs1+f1, acs2+f2, acs3+f3
+			fa.ars[i] += 0 + f0 + f1 + f2 + f3
 		}
 	}
+	cs = [nr]float64{cs0, cs1, cs2, cs3}
+	copy(fa.cs[j0:j0+cols], cs[:])
+	if abs {
+		acs = [nr]float64{acs0, acs1, acs2, acs3}
+		copy(fa.acs[j0:j0+cols], acs[:])
+	}
+}
+
+// foldAbs is the magnitude the absolute-value sums accumulate. Unlike
+// math.Abs it leaves −0 and the sign of a NaN alone: the form these sums have
+// always been built with, kept so that none of their bits can move.
+func foldAbs(f float64) float64 {
+	if f < 0 {
+		return -f
+	}
+	return f
 }
 
 // gemmPacked computes c += alpha·a·op(b) (alpha ∈ {+1, −1}; op(b) = bᵀ when
@@ -340,10 +368,10 @@ func foldTile[T Float](cd []T, ldc, rows, cols int, fa *fusedAcc, ri, cj int) {
 // When fa is non-nil the pack passes accumulate the operand checksums and
 // statistics (asum/amom once per k-panel on the first column slab,
 // bsum/bmom once per (j,k) slab pair) and the final k-block additionally
-// folds each finished C tile into fa's row/column sums — the running
-// checksums the online verifier compares at the panel boundary. A C value is
-// folded exactly once, after its last update, so the checksum also witnesses
-// corruption of previously written C.
+// folds each finished column strip of C into fa's row/column sums — the
+// running checksums the online verifier compares at the panel boundary. A C
+// value is folded exactly once, after its last update, so the checksum also
+// witnesses corruption of previously written C.
 func gemmPacked[T Float](c, a, b *Dense[T], alpha T, transB bool, fa *fusedAcc) {
 	m, kdim, n := a.Rows, a.Cols, c.Cols
 	bbuf := getBuf[T](kcBlock * ncBlock)
@@ -381,9 +409,9 @@ func gemmPacked[T Float](c, a, b *Dense[T], alpha T, transB bool, fa *fusedAcc) 
 						} else {
 							kernEdge(kb, rows, cols, ap, bp, cd, c.Stride)
 						}
-						if fuse {
-							foldTile(cd, c.Stride, rows, cols, fa, i0+ir, j0+jr)
-						}
+					}
+					if fuse {
+						foldStrip(c, i0, mb, j0+jr, cols, fa)
 					}
 				}
 			}

@@ -98,8 +98,11 @@ func (m *Dense[T]) Clone() *Dense[T] {
 
 // To64 returns a float64 copy of m (the oracle-side representation of a
 // float32 matrix).
-func (m *Dense[T]) To64() *Matrix {
-	out := New(m.Rows, m.Cols)
+func (m *Dense[T]) To64() *Matrix { return m.To64In(nil) }
+
+// To64In is To64 with the copy's storage taken from a.
+func (m *Dense[T]) To64In(a *Arena) *Matrix {
+	out := a.New(m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		src, dst := m.Row(i), out.Row(i)
 		for j, v := range src {

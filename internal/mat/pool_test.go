@@ -41,16 +41,18 @@ func TestBufPoolClassRoundTrip(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, mixed); allocs != 0 {
 		t.Errorf("alternating f32/f64 pool round trips allocate %.0f times per run, want 0", allocs)
 	}
-	// An Arena is one more client of the float64 set: what Release puts
-	// back is what the next arena (or a packing pass) of that class gets,
-	// and none of it lands in, or evicts, the float32 set. 129×129 lives in
-	// the 2¹⁵ class.
+	// An Arena is one more client of both sets: what Release puts back is
+	// what the next arena (or a packing pass) of that type and class gets,
+	// and neither type's traffic lands in, or evicts, the other's set: a
+	// buffer returned to the wrong set would miss on every later Get.
+	// 129×129 lives in the 2¹⁵ class.
 	arenaTrip := func() {
 		var a Arena
 		a.New(129, 129)
+		NewIn[float32](&a, 129, 129)
 		a.Floats(100)
+		FloatsIn[float32](&a, 100)
 		a.Release()
-		putBuf(getBuf[float32](129 * 129))
 	}
 	arenaTrip()
 	var before, after runtime.MemStats
@@ -59,28 +61,30 @@ func TestBufPoolClassRoundTrip(t *testing.T) {
 		arenaTrip()
 	}
 	runtime.ReadMemStats(&after)
-	// A Matrix header and the arena's list are all a trip may allocate; one
-	// missed buffer would be 64 KiB or more.
+	// Two matrix headers and the arena's list are all a trip may allocate;
+	// one missed buffer would be 64 KiB or more.
 	if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 1024 {
-		t.Errorf("arena round trips beside f32 traffic allocate %d B per trip, want only headers", per)
+		t.Errorf("two-type arena round trips allocate %d B per trip, want only headers", per)
 	}
-	p := getBuf[float64](1 << 15)
-	if cap(*p) != 1<<15 {
-		t.Errorf("released 129x129 arena buffer came back with cap %d, want %d", cap(*p), 1<<15)
+	p64, p32 := getBuf[float64](1<<15), getBuf[float32](1<<15)
+	if cap(*p64) != 1<<15 || cap(*p32) != 1<<15 {
+		t.Errorf("2^15-class buffers have cap %d (f64) and %d (f32)", cap(*p64), cap(*p32))
 	}
-	putBuf(p)
+	putBuf(p64)
+	putBuf(p32)
 }
 
-// TestArena covers the arena's contract: zeroed hand-outs even from dirty
-// pooled buffers, exact lengths, an idempotent Release, and the nil arena as
-// plain heap allocation.
-func TestArena(t *testing.T) {
+// testArena covers the arena's contract for one element type: zeroed
+// hand-outs even from dirty pooled buffers, exact lengths, an idempotent
+// Release, and the nil arena as plain heap allocation.
+func testArena[T Float](t *testing.T) {
 	sizes := []int{0, 1, 100, 129 * 129, 1<<10 + 1}
+	nan := T(math.NaN())
 	dirty := func() {
 		for _, n := range sizes {
-			p := getBuf[float64](max(n, 1))
+			p := getBuf[T](max(n, 1))
 			for i := range (*p)[:cap(*p)] {
-				(*p)[:cap(*p)][i] = math.NaN()
+				(*p)[:cap(*p)][i] = nan
 			}
 			putBuf(p)
 		}
@@ -88,22 +92,22 @@ func TestArena(t *testing.T) {
 	for _, a := range []*Arena{nil, {}} {
 		dirty()
 		for _, n := range sizes {
-			f := a.Floats(n)
+			f := FloatsIn[T](a, n)
 			if len(f) != n {
-				t.Fatalf("Floats(%d): len %d", n, len(f))
+				t.Fatalf("FloatsIn(%d): len %d", n, len(f))
 			}
 			for i, v := range f {
 				if v != 0 {
-					t.Fatalf("Floats(%d)[%d] = %g from a dirty pool, want 0", n, i, v)
+					t.Fatalf("FloatsIn(%d)[%d] = %g from a dirty pool, want 0", n, i, v)
 				}
 			}
 			for i := range f {
 				f[i] = 7 // dirty it again for the next hand-out
 			}
 		}
-		m := a.New(3, 5)
+		m := NewIn[T](a, 3, 5)
 		if m.Rows != 3 || m.Cols != 5 || m.Stride != 5 || len(m.Data) != 15 || m.MaxAbs() != 0 {
-			t.Fatalf("New(3, 5) = %dx%d stride %d len %d max %g", m.Rows, m.Cols, m.Stride, len(m.Data), m.MaxAbs())
+			t.Fatalf("NewIn(3, 5) = %dx%d stride %d len %d max %g", m.Rows, m.Cols, m.Stride, len(m.Data), m.MaxAbs())
 		}
 		a.Release()
 		a.Release() // idempotent: nothing is put back twice
@@ -111,10 +115,10 @@ func TestArena(t *testing.T) {
 	// Two live buffers of one class are distinct storage, before and after
 	// a double Release (a buffer pooled twice would be handed out twice).
 	var a Arena
-	a.Floats(100)
+	FloatsIn[T](&a, 100)
 	a.Release()
 	a.Release()
-	x, y := a.Floats(100), a.Floats(100)
+	x, y := FloatsIn[T](&a, 100), FloatsIn[T](&a, 100)
 	x[0], y[0] = 1, 2
 	if x[0] != 1 {
 		t.Error("two live arena buffers share storage")
@@ -123,10 +127,24 @@ func TestArena(t *testing.T) {
 
 	defer func() {
 		if recover() == nil {
-			t.Error("Arena.New(-1, 2) did not panic")
+			t.Error("NewIn(-1, 2) did not panic")
 		}
 	}()
-	a.New(-1, 2)
+	NewIn[T](&a, -1, 2)
+}
+
+func TestArena(t *testing.T) {
+	t.Run("f64", testArena[float64])
+	t.Run("f32", testArena[float32])
+	// One arena serves both types at once, and the float64 methods are the
+	// generic functions at float64.
+	var a Arena
+	f32s, f64s, m := FloatsIn[float32](&a, 100), a.Floats(100), a.New(2, 3)
+	f32s[0], f64s[0] = 1, 2
+	if f32s[0] != 1 || f64s[0] != 2 || len(m.Data) != 6 {
+		t.Error("hand-outs of the two element types from one arena interfere")
+	}
+	a.Release()
 }
 
 // testSteadyStateZeroAllocs: after warmup, serial GEMM over a *mix* of

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,11 +16,11 @@ import (
 	"coopabft/internal/mat"
 )
 
-// The f64 request path takes every n- and n²-sized buffer from a
-// request-scoped mat.Arena over shared pools and returns them after the
-// response is built. These tests hold the lifetime rule from outside:
-// whatever a Response carries stays what it was, whoever gets the buffers
-// next.
+// The request path takes every n- and n²-sized buffer, of either element
+// type, from a request-scoped mat.Arena over shared pools and returns them
+// after the response is built. These tests hold the lifetime rule from
+// outside: whatever a Response carries stays what it was, whoever gets the
+// buffers next.
 
 // ladderMixKinds are cmd/abftbench's ladder_f64_mix request shapes, signed
 // so that responses can be compared, plus the one shape that ships its
@@ -32,16 +33,35 @@ var ladderMixKinds = []Request{
 	{Kernel: "gemm", N: 128, VerifyMode: "fused", Integrity: "verify-vote"},
 }
 
+// f32Kinds are the mixed-precision shapes of cmd/abftbench's wire_f32_n16,
+// kernel_f32_n192 and chaos_vote_mix. An f32 response carries no signature
+// (admission rejects the integrity tier), so what can be compared is its
+// classification; the faulted shape runs the pristine-operand oracle, which
+// vouches for the product itself.
+var f32Kinds = []Request{
+	{Kernel: "gemm", N: 16, Dtype: "f32"},
+	{Kernel: "gemm", N: 64, Dtype: "f32"},
+	{Kernel: "gemm", N: 192, Dtype: "f32"},
+	{Kernel: "gemm", N: 64, Dtype: "f32", Faults: 1},
+}
+
+// sameClassification compares what an f32 response reports of its run.
+func sameClassification(a, b Response) bool {
+	return a.Outcome == b.Outcome && a.Injected == b.Injected && a.Corrections == b.Corrections &&
+		a.Restarts == b.Restarts && a.Error == b.Error
+}
+
 // TestConcurrentRequestsMatchSolo: 64 requests in flight on four executors
-// share the pools every which way; each must come back exactly as the same
-// request does on an idle service.
+// share the pools of both element types every which way; each must come
+// back exactly as the same request does on an idle service.
 func TestConcurrentRequestsMatchSolo(t *testing.T) {
 	busy := newTestService(t, Config{MaxConcurrency: 4, QueueDepth: 64, QueueTimeout: time.Minute})
 	idle := newTestService(t, Config{MaxConcurrency: 1, QueueDepth: 4, QueueTimeout: time.Minute})
 	const total = 64
+	kinds := append(append([]Request(nil), ladderMixKinds...), f32Kinds...)
 	reqs := make([]Request, total)
 	for i := range reqs {
-		reqs[i] = ladderMixKinds[i%len(ladderMixKinds)]
+		reqs[i] = kinds[i%len(kinds)]
 		reqs[i].Seed = uint64(1000 + i/2) // pairs of kinds share a seed
 	}
 	got := make([]Response, total)
@@ -63,6 +83,15 @@ func TestConcurrentRequestsMatchSolo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if req.Dtype == "f32" {
+			if want.Outcome == "aborted" || want.Injected != req.Faults {
+				t.Fatalf("request %d served alone: %+v", i, want)
+			}
+			if !sameClassification(got[i], want) {
+				t.Errorf("request %d (f32 n=%d faults=%d seed %d): concurrent %+v, alone %+v", i, req.N, req.Faults, req.Seed, got[i], want)
+			}
+			continue
+		}
 		if want.Outcome != "corrected" || want.AnswerSig == "" {
 			t.Fatalf("request %d served alone: %+v", i, want)
 		}
@@ -74,14 +103,19 @@ func TestConcurrentRequestsMatchSolo(t *testing.T) {
 }
 
 // poisonPools leaves NaN in the pooled buffers of every class an n-sized
-// request draws from, as a finished request's released operands would.
+// request of either element type draws from, as a finished request's
+// released operands would.
 func poisonPools(n int) {
 	var a mat.Arena
 	for i := 0; i < 8; i++ {
-		for _, m := range []*mat.Matrix{a.New(n+1, n+1), a.New(1, 2*(n+1)), a.New(1, n)} {
+		for _, m := range []*mat.Matrix{a.New(n+1, n+1), a.New(n, n), a.New(1, 2*(n+1)), a.New(1, n), a.New(1, 8*n+64)} {
 			for k := range m.Data {
 				m.Data[k] = math.NaN()
 			}
+		}
+		m := mat.NewIn[float32](&a, n, n)
+		for k := range m.Data {
+			m.Data[k] = float32(math.NaN())
 		}
 	}
 	a.Release()
@@ -198,18 +232,153 @@ func TestKernelPanicLeavesServiceCorrect(t *testing.T) {
 	}
 }
 
-// TestWarmGEMMAllocationBudget: a warm n=128 fused GEMM request used to
-// allocate 1.16 MB (three encoded matrices, two throw-away operands, a
-// checkpoint shadow and the oracle's reference); with the arena what is
-// left is the per-request machine model and bookkeeping, about 40 KiB. The
-// budget fails long before an n²-sized buffer (128 KiB) could hide in it.
-func TestWarmGEMMAllocationBudget(t *testing.T) {
+// TestF32ResponseSurvivesBufferReuse is the f32 side of the same rule. An f32
+// response ships no answer bytes, so the check is that nothing it does carry
+// moves when a second request computes in the first one's buffers, and that
+// both requests, faulted so that the oracle recomputes the product from
+// pristine operands, come out right over storage left full of NaN.
+func TestF32ResponseSurvivesBufferReuse(t *testing.T) {
+	s := newTestService(t, Config{MaxConcurrency: 1, QueueDepth: 4, QueueTimeout: time.Minute})
+	ctx := context.Background()
+	req := Request{Kernel: "gemm", N: 64, Dtype: "f32", Faults: 1, Seed: 1} // a C flip, repaired in place
+	poisonPools(64)
+	first, err := s.Do(ctx, req)
+	if err != nil || first.Outcome != "corrected" || first.Corrections == 0 {
+		t.Fatalf("first: %+v, %v", first, err)
+	}
+	kept := first
+	poisonPools(64)
+	other := req
+	other.Seed = 3 // an operand flip: detected, rebuilt, rerun
+	second, err := s.Do(ctx, other)
+	if err != nil || second.Outcome != "restarted" || second.Restarts != 1 {
+		t.Fatalf("second: %+v, %v", second, err)
+	}
+	poisonPools(64)
+	if !reflect.DeepEqual(first, kept) {
+		t.Errorf("the first response changed after its buffers were reused: %+v, was %+v", first, kept)
+	}
+	if again, err := s.Do(ctx, req); err != nil || !sameClassification(again, kept) {
+		t.Errorf("replay after reuse differs: %+v, %v; was %+v", again, err, kept)
+	}
+}
+
+// TestF32PanicOnRestartLeavesServiceCorrect: the f32 ladder asks its context
+// once per attempt, after the dispatcher asked once, so the third Err() is
+// the restart that follows an operand fault, when the arena already holds a
+// whole attempt's buffers. The guard must classify the request aborted and
+// empty the arena, so that execute's Release pools nothing, and the service
+// must go on answering correctly out of the same pools.
+func TestF32PanicOnRestartLeavesServiceCorrect(t *testing.T) {
+	s := newTestService(t, Config{MaxConcurrency: 2, QueueDepth: 16, QueueTimeout: time.Minute})
+	ctx := context.Background()
+	restarting := Request{Kernel: "gemm", N: 64, Dtype: "f32", Faults: 1, Seed: 3}
+	if resp, err := s.Do(ctx, restarting); err != nil || resp.Outcome != "restarted" {
+		t.Fatalf("the request this test panics in does not restart: %+v, %v", resp, err)
+	}
+	var want []Response
+	for _, req := range f32Kinds {
+		req.Seed = 77
+		resp, err := s.Do(ctx, req)
+		if err != nil || resp.Outcome == "aborted" {
+			t.Fatalf("n=%d before the panic: %+v, %v", req.N, resp, err)
+		}
+		want = append(want, resp)
+	}
+
+	resp, err := s.Do(panicOnThirdErr{ctx, new(atomic.Int32)}, restarting)
+	if err != nil {
+		t.Fatalf("panicking request returned an error instead of a classification: %v", err)
+	}
+	if resp.Outcome != "aborted" || !strings.Contains(resp.Error, "kernel panicked") {
+		t.Errorf("panicking request answered %+v", resp)
+	}
+	// The same unwind, seen from where the arena is: the ladder returns it
+	// empty (a normal return leaves it holding the attempts' buffers).
+	p, err := ParseRequest(s.cfg.Limits(), restarting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := new(atomic.Int32)
+	calls.Store(1) // the dispatcher's call
+	arena := new(mat.Arena)
+	if rep := s.runLadder32(&job{ctx: panicOnThirdErr{ctx, calls}, req: p}, arena); rep.Outcome.String() != "aborted" {
+		t.Errorf("direct panicking run: %+v", rep)
+	}
+	if !reflect.DeepEqual(*arena, mat.Arena{}) {
+		t.Error("the panic guard left buffers in the arena for Release to pool")
+	}
+	if s.runLadder32(&job{ctx: ctx, req: p}, arena); reflect.DeepEqual(*arena, mat.Arena{}) {
+		t.Error("a normal run left nothing in the arena: the check above proves nothing")
+	}
+	arena.Release()
+
+	for round := 0; round < 100/len(f32Kinds); round++ {
+		for i, req := range f32Kinds {
+			req.Seed = 77
+			resp, err := s.Do(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameClassification(resp, want[i]) {
+				t.Errorf("n=%d after the panic: %+v, before: %+v", req.N, resp, want[i])
+			}
+		}
+	}
+	if got := s.Metrics().Aborted.Value(); got != 1 {
+		t.Errorf("aborted counter = %d, want 1", got)
+	}
+}
+
+// cancelOnThirdErr is a context that reports cancellation from its third
+// Err() call on: for an f32 request, at the top of the first restart.
+type cancelOnThirdErr struct {
+	context.Context
+	calls *atomic.Int32
+}
+
+func (c cancelOnThirdErr) Err() error {
+	if c.calls.Add(1) >= 3 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestF32CancelOnRestartKeepsCorrections: an attempt that repaired a C flip
+// and then met an operand fault is discarded, but its repair happened and
+// every return of the restart loop reports it, the cancelled one included.
+func TestF32CancelOnRestartKeepsCorrections(t *testing.T) {
+	s := newTestService(t, Config{MaxConcurrency: 1, QueueDepth: 4, QueueTimeout: time.Minute})
+	req := Request{Kernel: "gemm", N: 64, Dtype: "f32", Faults: 2, Seed: 6}
+	whole, err := s.Do(context.Background(), req)
+	if err != nil || whole.Outcome != "restarted" || whole.Corrections == 0 {
+		t.Fatalf("the request does not repair and then restart: %+v, %v", whole, err)
+	}
+	before := s.Metrics().ABFTCorrections.Value()
+	cut, err := s.Do(cancelOnThirdErr{context.Background(), new(atomic.Int32)}, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut.Outcome != "aborted" || cut.Restarts != 1 || !strings.Contains(cut.Error, "context canceled") {
+		t.Fatalf("cancelled at the restart: %+v", cut)
+	}
+	if cut.Corrections != whole.Corrections {
+		t.Errorf("cancelled request reports %d corrections, its first attempt made %d", cut.Corrections, whole.Corrections)
+	}
+	if got := s.Metrics().ABFTCorrections.Value() - before; got != int64(whole.Corrections) {
+		t.Errorf("abft_corrections grew by %d, want %d", got, whole.Corrections)
+	}
+}
+
+// warmAllocation serves req (seeds varying) on an idle service until the
+// pools are full and returns the heap bytes one further request allocates.
+func warmAllocation(t *testing.T, req Request) uint64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts and sync.Pool drops items under it")
 	}
 	s := newTestService(t, Config{MaxConcurrency: 1, QueueDepth: 4, QueueTimeout: time.Minute})
 	ctx := context.Background()
-	req := Request{Kernel: "gemm", N: 128, VerifyMode: "fused"}
 	serve := func(n int) {
 		for i := 0; i < n; i++ {
 			req.Seed++
@@ -224,9 +393,30 @@ func TestWarmGEMMAllocationBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	serve(runs)
 	runtime.ReadMemStats(&after)
-	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestWarmGEMMAllocationBudget: a warm n=128 fused GEMM request used to
+// allocate 1.16 MB (three encoded matrices, two throw-away operands, a
+// checkpoint shadow and the oracle's reference); with the arena what is
+// left is the per-request machine model and bookkeeping, about 40 KiB. The
+// budget fails long before an n²-sized buffer (128 KiB) could hide in it.
+func TestWarmGEMMAllocationBudget(t *testing.T) {
+	per := warmAllocation(t, Request{Kernel: "gemm", N: 128, VerifyMode: "fused"})
 	t.Logf("warm n=128 fused gemm request: %d B allocated", per)
 	if per >= 64<<10 {
 		t.Errorf("warm n=128 fused gemm request allocates %d B, budget is 64 KiB", per)
+	}
+}
+
+// TestWarmGEMM32AllocationBudget: a warm n=192 f32 request used to allocate
+// 504 KB (A, B and C at 144 KiB each, eight n-sized float64 vectors); with
+// the arena what is left is bookkeeping, about 6 KB. The budget fails long
+// before one n² float32 buffer (144 KiB) could hide in it.
+func TestWarmGEMM32AllocationBudget(t *testing.T) {
+	per := warmAllocation(t, Request{Kernel: "gemm", N: 192, Dtype: "f32"})
+	t.Logf("warm n=192 f32 gemm request: %d B allocated", per)
+	if per >= 16<<10 {
+		t.Errorf("warm n=192 f32 gemm request allocates %d B, budget is 16 KiB", per)
 	}
 }

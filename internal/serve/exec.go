@@ -32,17 +32,16 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	start := time.Now()
 	var rep recovery.Report
 	var w recovery.Workload
-	// The arena owns every n- and n²-sized float64 buffer of an f64 request
-	// — operands, checkpoint shadows, oracle temporaries, the answer views
-	// w hands out. It is released below, once the response holds copies of
-	// whatever it reports, and only if the ladder returned normally: after
-	// a kernel panic nothing vouches for who still writes to those buffers,
-	// so they are left to the GC.
-	var arena *mat.Arena
+	// The arena owns every n- and n²-sized buffer of the request, whatever
+	// its element type: operands, checkpoint shadows, oracle temporaries, the
+	// answer views w hands out. It is released below, once the response
+	// holds copies of whatever it reports. A ladder whose panic guard fired
+	// has emptied it first: nothing vouches for who still writes to those
+	// buffers, so they are left to the GC.
+	arena := new(mat.Arena)
 	if j.req.Dtype == DtypeF32 {
-		rep = s.runLadder32(j)
+		rep = s.runLadder32(j, arena)
 	} else {
-		arena = new(mat.Arena)
 		rep, w = s.runLadder(j, arena)
 	}
 	run := time.Since(start)
@@ -70,9 +69,7 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 		resp.Error = rep.Err.Error()
 	}
 	s.stampIntegrity(&resp, j.req, rep, w)
-	if w != nil {
-		arena.Release()
-	}
+	arena.Release()
 
 	switch rep.Outcome {
 	case recovery.Corrected:
@@ -96,13 +93,18 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 // classification, never a crashed worker. The workload is returned
 // alongside the report so the integrity tier can fingerprint its answer
 // state; it is nil when construction failed or the kernel panicked. All of
-// the run's float64 storage comes from arena, which the caller releases.
+// the run's float64 storage comes from arena, which the caller releases (and
+// finds empty after a panic).
 func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w recovery.Workload) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep = recovery.Report{Outcome: recovery.Aborted,
 				Err: fmt.Errorf("serve: kernel panicked: %v", p)}
 			w = nil
+			// After an unwind nothing vouches for who still writes to the
+			// request's buffers: forget them, so the caller's Release pools
+			// nothing and they fall to the GC.
+			*arena = mat.Arena{}
 		}
 	}()
 

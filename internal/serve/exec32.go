@@ -19,12 +19,15 @@ import (
 // is discarded and rebuilt from the seed (Restarted), bounded by the
 // MaxRestarts budget; anything else is Aborted. GEMM32 runs on plain
 // memory, outside the simulated-DRAM coordinator, so the fault model is the
-// splitmix bit-flip plan below rather than the bifit kinds.
-func (s *Service) runLadder32(j *job) (rep recovery.Report) {
+// splitmix bit-flip plan below rather than the bifit kinds. Every attempt's
+// operands, product and checksum vectors, and the oracle's temporaries, come
+// from arena, which the caller releases.
+func (s *Service) runLadder32(j *job, arena *mat.Arena) (rep recovery.Report) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep = recovery.Report{Outcome: recovery.Aborted,
 				Err: fmt.Errorf("serve: f32 kernel panicked: %v", p)}
+			*arena = mat.Arena{} // as in runLadder: the buffers fall to the GC
 		}
 	}()
 
@@ -33,9 +36,9 @@ func (s *Service) runLadder32(j *job) (rep recovery.Report) {
 	for {
 		if err := j.ctx.Err(); err != nil {
 			return recovery.Report{Outcome: recovery.Aborted, Injected: injected,
-				Restarts: restarts, RestartsTotal: restarts, Err: err}
+				Corrections: corrections, Restarts: restarts, RestartsTotal: restarts, Err: err}
 		}
-		g, err := abft.NewGEMM32(p.N, p.Seed)
+		g, err := abft.NewGEMM32In(arena, p.N, p.Seed)
 		if err != nil {
 			return recovery.Report{Outcome: recovery.Aborted, Err: err}
 		}
@@ -126,19 +129,8 @@ func armPlan32(g *abft.GEMM32, p Parsed) int {
 // the seed, so injected operand corruption cannot launder itself into the
 // reference) in float64 and compares under the adaptive element bound.
 func oracle32(g *abft.GEMM32, p Parsed) error {
-	a := mat.Random32(p.N, p.N, p.Seed)
-	b := mat.Random32(p.N, p.N, p.Seed+1)
-	ref := mat.New(p.N, p.N)
-	mat.MulAddInto(ref, a.To64(), b.To64())
-	am, bm := g.OperandMoments()
-	for i := 0; i < p.N; i++ {
-		for j := 0; j < p.N; j++ {
-			want := ref.At(i, j)
-			if !(math.Abs(float64(g.C.At(i, j))-want) <= abft.ElementBound32(g.K, want, am, bm)) {
-				return fmt.Errorf("serve: f32 oracle mismatch at (%d,%d): got %g want %g",
-					i, j, g.C.At(i, j), want)
-			}
-		}
+	if err := g.CheckPristine(p.Seed); err != nil {
+		return fmt.Errorf("serve: f32 oracle: %w", err)
 	}
 	return nil
 }
