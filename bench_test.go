@@ -17,6 +17,7 @@ import (
 	"coopabft/internal/core"
 	"coopabft/internal/ecc"
 	"coopabft/internal/experiments"
+	"coopabft/internal/machine"
 	"coopabft/internal/mat"
 	"coopabft/internal/resilience"
 	"coopabft/internal/scaling"
@@ -445,6 +446,62 @@ func BenchmarkServeLadderMix(b *testing.B) {
 			if resp.Outcome != "corrected" {
 				b.Fatalf("%s: outcome %q (%s), want corrected", req.Kernel, resp.Outcome, resp.Error)
 			}
+		}
+	}
+}
+
+// BenchmarkFunctionalNode is what an f64 request pays for its machine model
+// before any kernel runs: a functional node configured for the request's
+// strategy, with the three encoded operands of an n=128 FT-DGEMM mapped in
+// (page tables and ECC region registers; no float storage). fresh builds the
+// node, as every request did before serve pooled them; recycled resets one
+// node over and over, as a warm service does. B/op is bytes per node.
+func BenchmarkFunctionalNode(b *testing.B) {
+	const n = 128
+	mapOperands := func(rt *core.Runtime) {
+		env := rt.Env()
+		env.Alloc("A", (n+1)*n, true)
+		env.Alloc("B", n*(n+1), true)
+		env.Alloc("C", (n+1)*(n+1), true)
+	}
+	cfg := machine.ScaledConfig(32)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mapOperands(core.NewFunctionalRuntime(cfg, core.Strategies[i%len(core.Strategies)], int64(i)))
+		}
+	})
+	b.Run("recycled", func(b *testing.B) {
+		rt := core.NewFunctionalRuntime(cfg, core.NoECC, 0)
+		mapOperands(rt) // grow the page maps once
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rt.Reset(core.Strategies[i%len(core.Strategies)], int64(i))
+			mapOperands(rt)
+		}
+	})
+}
+
+// BenchmarkServeVerify is one warm verify-vote verification task, n=64,
+// through serve.Service.DoVerify: unpack the claimed product, regenerate the
+// operands, probe. B/op is bytes per task; the Answer bytes are the
+// caller's (on the wire they are the decoder's, once per task).
+func BenchmarkServeVerify(b *testing.B) {
+	const n, seed = 64, 11
+	svc := serve.New(serve.Config{QueueTimeout: time.Minute})
+	defer svc.Close()
+	c := mat.Mul(mat.Random(n, n, seed), mat.Random(n, n, seed+1))
+	task := serve.VerifyTask{Kernel: "gemm", N: n, Seed: seed, Sig: abft.BitDigest(c), Answer: abft.PackBlock(c)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := svc.DoVerify(context.Background(), task)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.OK {
+			b.Fatalf("verifier refuted the true product: %s", res.Reason)
 		}
 	}
 }

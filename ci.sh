@@ -17,11 +17,22 @@ go test -race -short ./...
 # Allocation budgets: a warm n=128 fused GEMM request must stay under 64 KiB
 # of heap and a warm n=192 f32 request under 16 KiB (each takes its
 # operands, product, checksum vectors, checkpoint shadow and oracle
-# reference from a request-scoped arena over internal/mat's pools). This
+# reference from a request-scoped arena over internal/mat's pools); a warm
+# n=64 request, clean or faulted, under 8 and 10 KiB (its functional node is
+# recycled, not built); a warm n=64 verify task under one n² matrix (its
+# operands and claimed product are on a task-scoped arena); and 64 verify
+# tasks shed from the queue must not have unpacked their products. This
 # runs here, in a tier without -race, because the detector inflates
 # allocation counts and sync.Pool drops items under it; the race run above
 # skips the tests through the raceEnabled test constant.
-go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget' -count=1 -v ./internal/serve/
+go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct' -count=1 -v ./internal/serve/
+
+# Fuzz smoke: the two native fuzz targets, five seconds each on top of their
+# committed corpora (which the plain test runs above already replay). The
+# body decoder is held to the json.Decoder it replaced; UnpackBlock to exact
+# sizes and bit-for-bit round trips.
+go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 5s ./internal/serve/
+go test -run '^$' -fuzz '^FuzzUnpackBlock$' -fuzztime 5s ./internal/abft/
 
 # Chaos soak gate: the seeded short grid (24 fault-injected runs through
 # the §4 recovery ladder, deterministic outcome table) under the race
@@ -32,7 +43,10 @@ go test -race -timeout 5m -run 'TestSoakShortDeterministic' ./internal/recovery/
 # runtime (no cache/DRAM timing, hierarchy dormant until a fault is
 # injected). Every cell of the soak grid, under all three DGEMM verify
 # modes, must end with the same recovery.Report and the same answer bits
-# on the functional runtime as on the paper's timed platform.
+# on the functional runtime as on the paper's timed platform, and the same
+# again, machine.Result included, on ONE functional node reset between all
+# the cells in shuffled order as on a node built for each (serving recycles
+# its nodes).
 go test -race -timeout 10m -run 'TestFunctionalRuntime' ./internal/recovery/soak/
 
 # The benchmark is a module of its own (cmd/abftbench/go.mod), invisible to

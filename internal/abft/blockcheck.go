@@ -227,21 +227,36 @@ func PackBlock(m *mat.Matrix) []byte {
 	return out
 }
 
-// UnpackBlock inverts PackBlock into an r×c matrix.
+// UnpackBlock inverts PackBlock into an r×c matrix on the heap.
 func UnpackBlock(r, c int, b []byte) (*mat.Matrix, error) {
-	if len(b) != 8*r*c {
+	return UnpackBlockIn(nil, r, c, b)
+}
+
+// UnpackBlockIn inverts PackBlock into an r×c matrix over storage from
+// arena (nil: the heap). A payload of any other length than 8·r·c is
+// refused before anything is allocated.
+func UnpackBlockIn(arena *mat.Arena, r, c int, b []byte) (*mat.Matrix, error) {
+	if !holdsBlock(len(b), r, c) {
 		return nil, fmt.Errorf("%w: %d-byte payload for a %dx%d block", ErrBadSize, len(b), r, c)
 	}
-	m := mat.New(r, c)
-	off := 0
-	for i := 0; i < r; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-			off += 8
-		}
+	m := arena.New(r, c)
+	for k := range m.Data {
+		m.Data[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*k:]))
 	}
 	return m, nil
+}
+
+// holdsBlock reports whether size bytes are exactly r×c float64 values. It
+// divides instead of forming 8·r·c, which can wrap around to a matching
+// length.
+func holdsBlock(size, r, c int) bool {
+	if r < 0 || c < 0 || size%8 != 0 {
+		return false
+	}
+	if r == 0 || c == 0 {
+		return size == 0
+	}
+	return size/8%c == 0 && size/8/c == r
 }
 
 // BitDigest hashes a matrix's exact bit patterns (row-major FNV-1a over

@@ -62,7 +62,8 @@ type Target struct {
 type Injector struct {
 	OS      *osmodel.OS
 	seed    int64
-	rng     *rand.Rand // built by rand() on the first draw
+	rng     *rand.Rand // built by rand() on the first draw, kept across Reset
+	seeded  bool       // rng holds seed's stream
 	targets []Target
 	// Injections counts performed injections.
 	Injections int
@@ -70,15 +71,33 @@ type Injector struct {
 
 // New builds an injector with a deterministic stream.
 func New(os *osmodel.OS, seed int64) *Injector {
-	return &Injector{OS: os, seed: seed}
+	in := &Injector{OS: os}
+	in.Reset(seed)
+	return in
+}
+
+// Reset returns the injector to the state New(in.OS, seed) built it in: no
+// registered target, no injection counted, the stream of seed from its
+// start. It is the constructor's own body; what it carries over is the OS,
+// the target slice's storage and the generator object, which the first draw
+// re-seeds in place.
+func (in *Injector) Reset(seed int64) {
+	clear(in.targets)
+	*in = Injector{OS: in.OS, seed: seed, rng: in.rng, targets: in.targets[:0]}
 }
 
 // rand returns the injector's stream, seeding it on first use: seeding
 // math/rand's generator costs more than building the rest of a runtime,
-// and a run that injects nothing never draws.
+// and a run that injects nothing never draws. Seeding an existing generator
+// restarts it on exactly the stream rand.NewSource(seed) begins.
 func (in *Injector) rand() *rand.Rand {
-	if in.rng == nil {
-		in.rng = rand.New(rand.NewSource(in.seed))
+	if !in.seeded {
+		if in.rng == nil {
+			in.rng = rand.New(rand.NewSource(in.seed))
+		} else {
+			in.rng.Seed(in.seed)
+		}
+		in.seeded = true
 	}
 	return in.rng
 }

@@ -2,6 +2,7 @@ package bifit
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"coopabft/internal/dram"
@@ -254,6 +255,61 @@ func TestSoftwareOnlyInjectorKinds(t *testing.T) {
 		}
 		if !changed {
 			t.Errorf("%v did not change any value", k)
+		}
+	}
+}
+
+// injectorScript draws 1000 values of every kind the injector offers and
+// injects every fault kind at random elements of a fresh target, and returns
+// the draws, the corrupted data and the count.
+func injectorScript(t *testing.T, in *Injector) (draws []int, data []float64, injections int) {
+	t.Helper()
+	tg := Target{Data: make([]float64, 256), Reg: trace.Region{Name: "d", Base: 4096, Size: 256 * 8}}
+	for i := range tg.Data {
+		tg.Data[i] = float64(i) + 0.25
+	}
+	in.Register(tg)
+	for i := 0; i < 250; i++ {
+		draws = append(draws, in.RandomElement(tg), in.Poisson(2.5))
+		draws = append(draws, in.Schedule(100, 2)...)
+	}
+	for _, kind := range []Kind{SingleBit, DoubleBitSameWord, ChipFailure, Scattered} {
+		for i := 0; i < 8; i++ {
+			if err := in.InjectKind(tg, in.RandomElement(tg), kind); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return draws, tg.Data, in.Injections
+}
+
+// TestResetEqualsNew: Reset(seed) then a scripted use equals New(os, seed)
+// then the same use, draw for draw and bit for bit, whether the recycled
+// injector's generator had been built by an earlier draw (re-seeded in
+// place) or not (built lazily, as a new injector's is).
+func TestResetEqualsNew(t *testing.T) {
+	wantDraws, wantData, wantN := injectorScript(t, New(nil, 7))
+	if again, _, _ := injectorScript(t, New(nil, 8)); reflect.DeepEqual(again, wantDraws) {
+		t.Fatal("the draws do not depend on the seed: the comparison below proves nothing")
+	}
+	drawn := New(nil, 3)
+	injectorScript(t, drawn)
+	undrawn := New(nil, 3)
+	undrawn.Register(Target{Data: make([]float64, 4)})
+	for name, in := range map[string]*Injector{"after draws": drawn, "before any draw": undrawn} {
+		in.Reset(7)
+		if in.Injections != 0 || len(in.targets) != 0 {
+			t.Fatalf("%s: after Reset %d injections counted, %d targets registered", name, in.Injections, len(in.targets))
+		}
+		draws, data, n := injectorScript(t, in)
+		if !reflect.DeepEqual(draws, wantDraws) || n != wantN {
+			t.Errorf("%s: recycled injector's stream diverged from a new one's (%d vs %d injections)", name, n, wantN)
+		}
+		for i := range data {
+			if math.Float64bits(data[i]) != math.Float64bits(wantData[i]) {
+				t.Errorf("%s: element %d corrupted to %x, a new injector makes it %x", name, i, math.Float64bits(data[i]), math.Float64bits(wantData[i]))
+				break
+			}
 		}
 	}
 }

@@ -72,7 +72,19 @@ func New(cfg Config) *Cache {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d is not a positive power of two", nsets))
 	}
-	return &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Ways), ways: uint64(cfg.Ways), nsets: uint64(nsets)}
+	c := &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Ways)}
+	c.Reset()
+	return c
+}
+
+// Reset returns the cache to the state New built it in, over the same line
+// array: every line invalid, tick and counters zero. It is the constructor's
+// own body, so a field added to Cache is fresh after a Reset unless it is
+// carried over here by name.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	ways := uint64(c.cfg.Ways)
+	*c = Cache{cfg: c.cfg, lines: c.lines, ways: ways, nsets: uint64(len(c.lines)) / ways}
 }
 
 func (c *Cache) set(s uint64) []line { return c.lines[s*c.ways : (s+1)*c.ways] }
@@ -167,6 +179,15 @@ type Hierarchy struct {
 // NewHierarchy builds the two-level hierarchy with the given configs.
 func NewHierarchy(l1, l2 Config, miss func(ev MissEvent)) *Hierarchy {
 	return &Hierarchy{L1: New(l1), L2: New(l2), Miss: miss}
+}
+
+// Reset empties both levels as their constructor left them (nothing is
+// written back: the contents are dropped, not flushed) and keeps the Miss
+// wiring.
+func (h *Hierarchy) Reset() {
+	h.L1.Reset()
+	h.L2.Reset()
+	*h = Hierarchy{L1: h.L1, L2: h.L2, Miss: h.Miss}
 }
 
 // Level identifies where an access was served.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -217,5 +218,52 @@ func TestHierarchyFlushReachesMemory(t *testing.T) {
 	misses = nil
 	if lvl := h.Access(0, false); lvl != LevelMemory {
 		t.Errorf("post-flush access level = %v", lvl)
+	}
+}
+
+// hierarchyTrace drives h with a fixed pseudo-random access stream (a small
+// footprint, so that hits, conflict misses and dirty evictions all occur),
+// then flushes it, and returns everything observable: the level every access
+// was served at, every miss event in order, and both levels' counters.
+func hierarchyTrace(h *Hierarchy, events *[]MissEvent, seed uint64) (levels []Level, l1, l2 Stats) {
+	*events = (*events)[:0]
+	x := seed
+	for i := 0; i < 4000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		addr := (x >> 33) % (64 * LineBytes * 4)
+		levels = append(levels, h.Access(addr, x&(1<<20) != 0))
+	}
+	h.Flush()
+	return levels, h.L1.Stats(), h.L2.Stats()
+}
+
+// TestResetEqualsNew: Reset then a scripted use equals New then the same
+// use. The recycled hierarchy is first left as dirty as a run leaves one
+// (resident and dirty lines in both levels, ticks and counters advanced, no
+// closing flush).
+func TestResetEqualsNew(t *testing.T) {
+	l1, l2 := tiny(), Config{SizeBytes: 16 * 4 * LineBytes, Ways: 4}
+	var freshEv, usedEv []MissEvent
+	fresh := NewHierarchy(l1, l2, func(ev MissEvent) { freshEv = append(freshEv, ev) })
+	used := NewHierarchy(l1, l2, func(ev MissEvent) { usedEv = append(usedEv, ev) })
+	for i := uint64(0); i < 3000; i++ {
+		used.Access(i*7*LineBytes, i%3 == 0)
+	}
+	if used.L2.Stats().Writebacks == 0 || !used.L1.Contains(2999*7*LineBytes) {
+		t.Fatal("the hierarchy to recycle was not left dirty")
+	}
+	used.Reset()
+	if st := used.L2.Stats(); st != (Stats{}) || used.L1.Contains(2999*7*LineBytes) {
+		t.Fatalf("after Reset: L2 stats %+v, last line still resident %v", st, used.L1.Contains(2999*7*LineBytes))
+	}
+
+	fl, f1, f2 := hierarchyTrace(fresh, &freshEv, 99)
+	ul, u1, u2 := hierarchyTrace(used, &usedEv, 99)
+	if !reflect.DeepEqual(fl, ul) || !reflect.DeepEqual(freshEv, usedEv) || f1 != u1 || f2 != u2 {
+		t.Errorf("recycled hierarchy diverged from a new one:\n new      L1 %+v L2 %+v, %d miss events\n recycled L1 %+v L2 %+v, %d miss events",
+			f1, f2, len(freshEv), u1, u2, len(usedEv))
+	}
+	if f1.Hits == 0 || f2.Hits == 0 || f2.Writebacks == 0 || len(freshEv) == 0 {
+		t.Errorf("the script does not reach hits, L2 hits and writebacks: L1 %+v L2 %+v", f1, f2)
 	}
 }

@@ -59,8 +59,7 @@ func NewHandler(g *Gateway) http.Handler {
 func (g *Gateway) handleKernel(kernel string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req serve.Request
-		dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-		if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		if err := serve.DecodeBody(r.Body, r.ContentLength, maxBodyBytes, &req); err != nil && !errors.Is(err, io.EOF) {
 			writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
 			return
 		}

@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -605,11 +604,13 @@ func postJSON[R any](ctx context.Context, client *http.Client, nd *node, path st
 		return res, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
 	}
 	defer hresp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(hresp.Body, nodeReadLimit))
+	buf, err := serve.ReadBody(hresp.Body, hresp.ContentLength, nodeReadLimit)
 	if err != nil {
 		nd.m.TransportErrors.Add(1)
 		return res, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
 	}
+	defer serve.PutBody(buf) // res and the errors below hold copies
+	payload := buf.Bytes()
 
 	switch hresp.StatusCode {
 	case http.StatusOK:

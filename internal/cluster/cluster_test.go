@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -406,6 +407,24 @@ func TestGatewayAPI(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || e.Kind != "bad_request" {
 		t.Errorf("bad strategy: status %d kind %q", resp.StatusCode, e.Kind)
+	}
+
+	// One JSON value and whitespace: a tail is a 400, as on a node, and an
+	// empty body is still the all-defaults request.
+	for body, want := range map[string]int{
+		`{"n": 32, "seed": 3} x`:     http.StatusBadRequest,
+		`{"n": 32, "seed": 3}{}`:     http.StatusBadRequest,
+		"{\"n\": 32, \"seed\": 3}\n": http.StatusOK,
+		"":                           http.StatusOK,
+	} {
+		resp, err = http.Post(ts.URL+"/v1/gemm", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("body %q: status %d, want %d", body, resp.StatusCode, want)
+		}
 	}
 
 	// healthz lists the node.

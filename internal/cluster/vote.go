@@ -288,11 +288,16 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 		Sig:    resp.AnswerSig,
 		Answer: resp.Answer,
 	}
-	tbody, err := json.Marshal(task)
-	if err != nil {
+	// The task carries the answer again (base64), and every verifier gets
+	// the same bytes: encode once into a pooled buffer, recycled when the
+	// verdicts are in and no request over it is still being written.
+	tbuf := serve.GetBody()
+	defer serve.PutBody(tbuf)
+	if err := json.NewEncoder(tbuf).Encode(task); err != nil {
 		g.m.Unavailable.Add(1)
 		return serve.Response{}, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
+	tbody := tbuf.Bytes()
 
 	verdicts := make([]*verdictResult, r-1)
 	var wg sync.WaitGroup

@@ -158,9 +158,29 @@ func NewFunctionalRuntime(cfg machine.Config, s Strategy, seed int64) *Runtime {
 }
 
 func newRuntime(m *machine.Machine, s Strategy, seed int64) *Runtime {
-	rt := &Runtime{Strategy: s, M: m, Injector: bifit.New(m.OS, seed)}
+	rt := &Runtime{M: m, Injector: bifit.New(m.OS, seed)}
 	rt.Injector.InstallRepairHandler(m.Ctl)
+	rt.init(s)
 	return rt
+}
+
+// init is the one body behind the constructors and Reset: the node and its
+// injector carried over, everything else (the arena too) at its initial
+// value.
+func (rt *Runtime) init(s Strategy) {
+	*rt = Runtime{Strategy: s, M: rt.M, Injector: rt.Injector}
+}
+
+// Reset returns a functional runtime to the state NewFunctionalRuntime(cfg,
+// s, seed) built it in, for the cfg it was built with, over the storage its
+// node has grown: machine.Machine.Reset and bifit.Injector.Reset composed.
+// Nothing from before the call may still be in use: kernels, workloads and
+// coordinators built on the runtime are dead, and the arena is forgotten,
+// not released.
+func (rt *Runtime) Reset(s Strategy, seed int64) {
+	rt.M.Reset(s.DefaultScheme())
+	rt.Injector.Reset(seed)
+	rt.init(s)
 }
 
 // Env returns the kernel environment implementing the §3.2 coordination:

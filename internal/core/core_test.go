@@ -1,12 +1,15 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"coopabft/internal/abft"
 	"coopabft/internal/bifit"
 	"coopabft/internal/ecc"
 	"coopabft/internal/machine"
+	"coopabft/internal/mat"
+	"coopabft/internal/memctrl"
 	"coopabft/internal/trace"
 )
 
@@ -218,5 +221,83 @@ func TestExtensionKernelsEndToEnd(t *testing.T) {
 	}
 	if rt2.M.Ctl.FaultyLines() != 0 {
 		t.Error("QR repair left fault residue")
+	}
+}
+
+// runtimeScript is one coordinated DGEMM life on rt: run, a double-bit fault
+// at a random element of C, flush, a demand read that delivers it, notified
+// repair, oracle. It returns everything observable: the fault site the injector's
+// stream chose, the notifications, the answer signature and the result.
+func runtimeScript(t *testing.T, rt *Runtime) (site int, notified int, sig string, res machine.Result) {
+	t.Helper()
+	d, err := rt.NewDGEMM(32, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Mode = abft.NotifiedVerify
+	if err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	tgt := toTarget(d.Cf.Data, d.Cf.Reg)
+	site = rt.Injector.RandomElement(tgt)
+	if err := rt.Injector.InjectKind(tgt, site, bifit.DoubleBitSameWord); err != nil {
+		t.Fatal(err)
+	}
+	rt.M.FlushCaches()
+	rt.M.Memory().Touch(d.Cf.Reg.Base+uint64(site)*8, 8, false)
+	notified = len(rt.M.OS.PeekCorruptions())
+	if err := d.VerifyNotified(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CheckResult(); err != nil {
+		t.Fatalf("after repair: %v", err)
+	}
+	return site, notified, abft.BitDigest(d.Cf.Matrix), rt.Finish()
+}
+
+// TestRuntimeResetEqualsNew: Reset(strategy, seed) then a scripted use equals
+// NewFunctionalRuntime(cfg, strategy, seed) then the same use, for a runtime
+// recycled out of a life under another strategy that exhausted the ECC region
+// registers, left a corruption pending in the OS's shared list and a
+// residual pattern in the fault table, with the hierarchy armed, targets
+// registered and an arena attached.
+func TestRuntimeResetEqualsNew(t *testing.T) {
+	cfg := machine.ScaledConfig(32)
+	wantSite, wantNotified, wantSig, wantRes := runtimeScript(t, NewFunctionalRuntime(cfg, PartialChipkillSECDED, 9))
+	if wantNotified != 1 || wantRes.Interrupts != 1 {
+		t.Fatalf("the script does not reach notification: %d notified, %+v", wantNotified, wantRes)
+	}
+
+	used := NewFunctionalRuntime(cfg, WholeSECDED, 4)
+	used.Arena = new(mat.Arena)
+	runtimeScript(t, used)
+	d, err := used.NewDGEMM(16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := used.Env()
+	for i := 0; i < 2*memctrl.NumRegions; i++ {
+		// Alternating protection leaves gaps, so no two regions merge.
+		env.Alloc("pad", 512, i%2 == 0)
+	}
+	if err := used.Injector.FlipBits(toTarget(d.Cf.Data, d.Cf.Reg), 5, []int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	used.M.FlushCaches()
+	used.M.Memory().Touch(d.Cf.Reg.Base+5*8, 8, false)
+	if len(used.M.Ctl.Regions()) != memctrl.NumRegions || len(used.M.OS.PeekCorruptions()) == 0 ||
+		used.M.Ctl.FaultyLines() == 0 || used.M.Memory().Dormant() {
+		t.Fatalf("the runtime to recycle was not left dirty: %d regions, %d pending, %d faulty lines, dormant %v",
+			len(used.M.Ctl.Regions()), len(used.M.OS.PeekCorruptions()), used.M.Ctl.FaultyLines(), used.M.Memory().Dormant())
+	}
+
+	used.Reset(PartialChipkillSECDED, 9)
+	if used.Arena != nil || used.Strategy != PartialChipkillSECDED || used.Injector.Injections != 0 {
+		t.Fatalf("after Reset: arena %v, strategy %v, %d injections counted", used.Arena, used.Strategy, used.Injector.Injections)
+	}
+	site, notified, sig, res := runtimeScript(t, used)
+	if site != wantSite || notified != wantNotified || sig != wantSig || !reflect.DeepEqual(res, wantRes) {
+		t.Errorf("recycled runtime diverged from a new one:\n new      site %d, %d notified, %s, %+v\n recycled site %d, %d notified, %s, %+v",
+			wantSite, wantNotified, wantSig, wantRes, site, notified, sig, res)
 	}
 }

@@ -124,16 +124,53 @@ func New(cfg Config) *Machine {
 // A fault injected without a following FlushCaches stays unobserved by
 // hardware until the next one. Finish reports ECC and OS counters with zero
 // time and energy.
+//
+// A functional machine can be recycled: Reset returns it to the state this
+// constructor leaves it in, over the storage it has grown (page maps, fault
+// table, line arrays), so a server keeps a few of them for all its requests
+// instead of building one per request.
 func NewFunctional(cfg Config) *Machine {
 	m := newMachine(cfg)
 	m.mem = &trace.Memory{}
 	return m
 }
 
+// Reset returns a functional machine to the state NewFunctional built it
+// in, with scheme as the default protection: controller and OS reset, the
+// hierarchy (if one was ever built) emptied and dormant, every counter zero.
+// A reset hierarchy is a flushed one with tick 0, which by point 2 above is
+// indistinguishable from one built at the next arm. A timed machine is
+// refused: its core and DRAM model have no Reset, and nothing recycles one.
+func (m *Machine) Reset(scheme ecc.Scheme) {
+	if !m.functional() {
+		panic("machine: Reset of a timed machine")
+	}
+	// arms counts this life's dormant→armed transitions: with none, the
+	// hierarchy is still as the previous Reset left it.
+	if m.Hier != nil && m.arms > 0 {
+		m.Hier.Reset()
+	}
+	m.Ctl.Reset(scheme)
+	m.OS.Reset()
+	*m.mem = trace.Memory{}
+	cfg := m.cfg
+	cfg.DefaultScheme = scheme
+	m.init(cfg)
+}
+
+// init is the one body behind the constructors and Reset: every field at
+// its initial value except the components and their wiring, which are
+// carried over, so a field added to Machine is fresh after a Reset unless
+// it is named here.
+func (m *Machine) init(cfg Config) {
+	*m = Machine{cfg: cfg, Core: m.Core, Hier: m.Hier, Ctl: m.Ctl, OS: m.OS, mem: m.mem, lastPage: noPage}
+}
+
 // newMachine wires what both constructors share: controller, OS, interrupt
 // accounting and translation shootdown.
 func newMachine(cfg Config) *Machine {
-	m := &Machine{cfg: cfg, lastPage: noPage}
+	m := new(Machine)
+	m.init(cfg)
 	m.Ctl = memctrl.New(dram.New(cfg.DRAM), cfg.DefaultScheme)
 	m.OS = osmodel.New(m.Ctl)
 	// Wrap the OS interrupt handler to count interrupts and, where there is

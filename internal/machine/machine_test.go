@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"coopabft/internal/ecc"
@@ -235,4 +236,90 @@ func TestFunctionalDormancy(t *testing.T) {
 	if r.Cycles != 0 || r.Instructions != 0 || r.SystemEnergyJ != 0 || r.LLCMissABFT+r.LLCMissOther != 0 {
 		t.Errorf("functional machine reported time or energy: %+v", r)
 	}
+}
+
+// functionalScript takes a functional machine through an armed life: a
+// relaxed ABFT allocation and a plain one, a working set larger than the L2
+// walked with writes, a correctable fault on plain data and an uncorrectable
+// one on ABFT data, both read back through the armed hierarchy. The result
+// is everything the machine reports, plus what the OS exposed.
+func functionalScript(t *testing.T, m *Machine) (Result, []uint64, uint64) {
+	t.Helper()
+	abft, err := m.OS.MallocECC("abft", 512<<10, ecc.None, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := m.OS.Malloc("plain", 64<<10)
+	var one, two memctrl.Pattern
+	one.Data[0], two.Data[8] = 0x01, 0x03
+	m.OS.AssignECC(abft, ecc.SECDED)
+	if err := m.OS.InjectAt(plain.VBase()+4096, one); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.OS.InjectAt(abft.VBase()+300<<10, two); err != nil {
+		t.Fatal(err)
+	}
+	m.FlushCaches()
+	m.Memory().Touch(abft.VBase(), 512<<10, true)
+	touchRange(m, plain, 64<<10)
+	var exposed []uint64
+	for _, c := range m.OS.PendingCorruptions() {
+		exposed = append(exposed, c.VirtAddr)
+	}
+	return m.Finish(), exposed, m.Arms()
+}
+
+// TestFunctionalResetEqualsNew: Reset(scheme) then a scripted use equals
+// NewFunctional then the same use, for a machine recycled out of an armed
+// life under a different default scheme, with its hierarchy full of dirty
+// lines, a residual pattern in the fault table and a live translation cache.
+func TestFunctionalResetEqualsNew(t *testing.T) {
+	cfg := ScaledConfig(32)
+	cfg.DefaultScheme = ecc.SECDED
+	wantRes, wantExposed, wantArms := functionalScript(t, NewFunctional(cfg))
+	if wantRes.ECC.CorrectedErrors != 1 || wantRes.Interrupts != 1 || len(wantExposed) != 1 || wantArms != 1 {
+		t.Fatalf("the script does not reach correction, interrupt and exposure: %+v, exposed %v, armed %d", wantRes, wantExposed, wantArms)
+	}
+
+	other := cfg
+	other.DefaultScheme = ecc.None
+	used := NewFunctional(other)
+	functionalScript(t, used)
+	if used.Hier == nil || used.Ctl.FaultyLines() == 0 || used.Memory().Probe == nil {
+		t.Fatal("the machine to recycle was not left armed and dirty")
+	}
+	mem, hier := used.Memory(), used.Hier
+	used.Reset(ecc.SECDED)
+	if used.Memory() != mem || used.Hier != hier {
+		t.Error("Reset replaced the Memory endpoint or the hierarchy instead of recycling them")
+	}
+	if !used.Memory().Dormant() || used.Arms() != 0 || used.Ctl.FaultyLines() != 0 || used.Config().DefaultScheme != ecc.SECDED ||
+		!reflect.DeepEqual(used.Finish(), Result{}) {
+		t.Fatalf("after Reset: dormant %v, armed %d, %d faulty lines, result %+v", used.Memory().Dormant(), used.Arms(), used.Ctl.FaultyLines(), used.Finish())
+	}
+	res, exposed, arms := functionalScript(t, used)
+	if !reflect.DeepEqual(res, wantRes) || !reflect.DeepEqual(exposed, wantExposed) || arms != wantArms {
+		t.Errorf("recycled machine diverged from a new one:\n new      %+v exposed %v armed %d\n recycled %+v exposed %v armed %d",
+			wantRes, wantExposed, wantArms, res, exposed, arms)
+	}
+
+	// A clean life leaves the hierarchy as the last Reset left it, and the
+	// next Reset still hands back a machine that behaves like a new one.
+	used.Reset(ecc.SECDED)
+	touchRange(used, used.OS.Malloc("d", 1<<16), 1<<16)
+	used.Reset(ecc.SECDED)
+	if res, exposed, arms := functionalScript(t, used); !reflect.DeepEqual(res, wantRes) || !reflect.DeepEqual(exposed, wantExposed) || arms != wantArms {
+		t.Errorf("machine recycled after a clean life diverged from a new one: %+v exposed %v armed %d", res, exposed, arms)
+	}
+}
+
+// TestResetRefusesTimedMachine: a timed machine's core and DRAM model have
+// no Reset; recycling one would carry cycles and energy into the next run.
+func TestResetRefusesTimedMachine(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset of a timed machine did not panic")
+		}
+	}()
+	New(ScaledConfig(32)).Reset(ecc.SECDED)
 }

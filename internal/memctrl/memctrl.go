@@ -109,10 +109,28 @@ type Controller struct {
 
 // New builds a controller over mem with the given default (strong) scheme.
 func New(mem *dram.System, defaultScheme ecc.Scheme) *Controller {
-	return &Controller{
-		Mem:           mem,
+	c := &Controller{Mem: mem, faults: make(map[uint64]*Pattern)}
+	c.Reset(defaultScheme)
+	return c
+}
+
+// Reset returns the controller to the state New(c.Mem, defaultScheme) built
+// it in, over its own storage: no programmed region, an empty fault table,
+// empty error registers, zero counters. It is the constructor's own body;
+// what it carries over is wiring (Mem, Policy, OnUncorr, OnRepair) and the
+// emptied fault map and register slice, so a field added to Controller is
+// fresh after a Reset unless it is named here. Mem itself is not reset: a
+// functional machine never drives its timing model.
+func (c *Controller) Reset(defaultScheme ecc.Scheme) {
+	clear(c.faults)
+	*c = Controller{
+		Mem:           c.Mem,
 		defaultScheme: defaultScheme,
-		faults:        make(map[uint64]*Pattern),
+		faults:        c.faults,
+		Policy:        c.Policy,
+		errRegs:       c.errRegs[:0],
+		OnUncorr:      c.OnUncorr,
+		OnRepair:      c.OnRepair,
 	}
 }
 

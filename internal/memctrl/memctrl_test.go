@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"reflect"
 	"testing"
 
 	"coopabft/internal/dram"
@@ -360,5 +361,83 @@ func TestScrubberMultipleRanges(t *testing.T) {
 	}
 	if st := c.Stats(); st.CorrectedErrors != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// ctlObserved is everything ctlScript can see of a controller.
+type ctlObserved struct {
+	Regions   []Region
+	Schemes   []ecc.Scheme
+	NoRegion  error
+	Repaired  []uint64
+	Interrupt []ErrorRecord
+	Registers []ErrorRecord
+	Faulty    int
+	Dropped   uint64
+	Stats     Stats
+}
+
+// ctlScript programs regions until the registers run out, injects a fault of
+// every verdict class, reads them back on the functional path and overflows
+// the error registers.
+func ctlScript(c *Controller) ctlObserved {
+	var o ctlObserved
+	c.OnRepair = func(line uint64, _ [64]byte) { o.Repaired = append(o.Repaired, line) }
+	c.OnUncorr = func(r ErrorRecord) { o.Interrupt = append(o.Interrupt, r) }
+	for i := 0; i <= NumRegions; i++ { // one more than there are registers
+		scheme := []ecc.Scheme{ecc.None, ecc.SECDED}[i%2]
+		_, o.NoRegion = c.SetRegion(0x100000+uint64(i)*0x10000, 0x10000, scheme)
+	}
+	c.GrowRegion(1, 0x100000+0x28000)
+	c.ClearRegion(6)
+	o.Regions = c.Regions()
+	for _, a := range []uint64{0, 0x100000, 0x110000, 0x128000 - 1, 0x160000} {
+		o.Schemes = append(o.Schemes, c.SchemeFor(a))
+	}
+	var one, two, sym Pattern
+	one.Data[5] = 0x10
+	two.Data[0] = 0x03
+	sym.Data[7] = 0xff
+	c.InjectFault(0x110040, one) // SECDED region: corrected
+	c.InjectFault(0x110080, two) // SECDED region: uncorrectable
+	c.InjectFault(0x100040, one) // no-ECC region: passes through
+	c.InjectFault(0x2000, sym)   // default scheme
+	for i := uint64(0); i < NumErrorRegisters+2; i++ {
+		c.InjectFault(0x130000+i*64, two) // overflow the error registers
+	}
+	for _, a := range []uint64{0x110040, 0x110080, 0x100040, 0x2000} {
+		c.DemandRead(a)
+	}
+	for i := uint64(0); i < NumErrorRegisters+2; i++ {
+		c.DemandRead(0x130000 + i*64)
+	}
+	o.Faulty, o.Dropped, o.Stats = c.FaultyLines(), c.DroppedRecords(), c.Stats()
+	o.Registers = c.ReadErrorRegisters()
+	return o
+}
+
+// TestResetEqualsNew: Reset(scheme) then a scripted use equals New(mem,
+// scheme) then the same use, for a controller recycled out of the state the
+// script itself leaves: every region register programmed, residual patterns
+// in the fault table, full error registers, nonzero counters.
+func TestResetEqualsNew(t *testing.T) {
+	used := newCtl(ecc.SECDED)
+	ctlScript(used)
+	used.DemandRead(0x130000) // one more record in the registers just read
+	if used.FaultyLines() == 0 || len(used.Regions()) == 0 || used.Stats() == (Stats{}) {
+		t.Fatal("the controller to recycle was not left dirty")
+	}
+	used.Reset(ecc.Chipkill)
+	if used.FaultyLines() != 0 || len(used.Regions()) != 0 || used.Stats() != (Stats{}) ||
+		used.DroppedRecords() != 0 || len(used.ReadErrorRegisters()) != 0 || used.DefaultScheme() != ecc.Chipkill {
+		t.Fatalf("after Reset: %d faulty lines, %d regions, stats %+v", used.FaultyLines(), len(used.Regions()), used.Stats())
+	}
+	want, got := ctlScript(newCtl(ecc.Chipkill)), ctlScript(used)
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("recycled controller diverged from a new one:\n new      %+v\n recycled %+v", want, got)
+	}
+	if want.NoRegion != ErrNoFreeRegion || want.Dropped == 0 || len(want.Repaired) == 0 ||
+		want.Stats.SilentPassthrough == 0 || want.Stats.CorrectedErrors < 2 {
+		t.Errorf("the script does not reach every verdict: %+v", want)
 	}
 }

@@ -96,12 +96,46 @@ func New(ctl *memctrl.Controller) *OS {
 		pageToFrm: make(map[uint64]uint64),
 		frmToPage: make(map[uint64]uint64),
 		regRefs:   make(map[int]int),
-
-		RetireThreshold: DefaultRetireThreshold,
-		frameErrs:       make(map[uint64]int),
+		frameErrs: make(map[uint64]int),
 	}
+	o.Reset()
 	ctl.OnUncorr = o.HandleInterrupt
 	return o
+}
+
+// Reset returns the OS to the state New built it in, over its own storage:
+// an empty address space, no mapped page, no allocation, nothing pending, not
+// panicked, nothing retired, zero counters, the default retirement
+// threshold. It is the constructor's own body; what it carries over is
+// wiring (Ctl, Space, OnRemap) and the emptied maps and slices, so a field
+// added to OS is fresh after a Reset unless it is named here. The controller
+// is the caller's to reset, as it was the caller's to build. Slices handed
+// out earlier (PeekCorruptions, PanicRecords, Retirements, RetiredFrames)
+// are overwritten by what follows.
+func (o *OS) Reset() {
+	o.Space.Reset()
+	clear(o.pageToFrm)
+	clear(o.frmToPage)
+	clear(o.regRefs)
+	clear(o.frameErrs)
+	clear(o.allocs)
+	clear(o.pending)
+	*o = OS{
+		Ctl:       o.Ctl,
+		Space:     o.Space,
+		pageToFrm: o.pageToFrm,
+		frmToPage: o.frmToPage,
+		allocs:    o.allocs[:0],
+		pending:   o.pending[:0],
+		panicRec:  o.panicRec[:0],
+		regRefs:   o.regRefs,
+		OnRemap:   o.OnRemap,
+
+		RetireThreshold: DefaultRetireThreshold,
+		frameErrs:       o.frameErrs,
+		retired:         o.retired[:0],
+		retirements:     o.retirements[:0],
+	}
 }
 
 // Malloc allocates size bytes under the node's default (strong) ECC.

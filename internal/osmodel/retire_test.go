@@ -1,10 +1,12 @@
 package osmodel
 
 import (
+	"reflect"
 	"testing"
 
 	"coopabft/internal/ecc"
 	"coopabft/internal/memctrl"
+	"coopabft/internal/trace"
 )
 
 // hitFrame plants an uncorrectable error on vaddr's line and demand-reads
@@ -171,4 +173,122 @@ func TestMoveFaultAndFaultsInRange(t *testing.T) {
 		t.Error("MoveFault left the old pattern")
 	}
 	o.Ctl.MoveFault(1<<20, 1<<21) // moving a clean line is a no-op
+}
+
+// osObserved is everything osScript can see of an OS.
+type osObserved struct {
+	Regions     []trace.Region
+	MCRegions   []memctrl.Region
+	NoRegister  bool
+	Phys        []uint64
+	Back        []uint64
+	Pending     []Corrupted
+	PendingName []string
+	Panicked    bool
+	PanicRecs   []memctrl.ErrorRecord
+	Retirements []RetireInfo
+	Retired     []uint64
+	Owner       string
+	Stats       Stats
+}
+
+// osScript allocates until the ECC region registers run out, takes an
+// uncorrectable error on ABFT data (exposed) and one on plain data (panic),
+// retires a page under a relaxed scheme, and reads back every mapping.
+func osScript(t *testing.T, o *OS) osObserved {
+	t.Helper()
+	var ob osObserved
+	plain := o.Malloc("plain", 3*PageSize)
+	var abft []*Allocation
+	for i := 0; i < memctrl.NumRegions+1; i++ {
+		// Alternate schemes so that no two neighbours merge into one register.
+		a, err := o.MallocECC("abft"+string(rune('a'+i)), 2*PageSize, []ecc.Scheme{ecc.None, ecc.SECDED}[i%2], true)
+		if err != nil {
+			ob.NoRegister = true
+			continue
+		}
+		abft = append(abft, a)
+	}
+	o.FreeECC(abft[0])
+	merged, err := o.MallocECC("merged", PageSize, ecc.SECDED, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two bits of one word and a third in another symbol of the same
+	// half-line: beyond SECDED and beyond chipkill. Read on the functional
+	// path, which is the one a recycled node takes.
+	var p memctrl.Pattern
+	p.Data[0], p.Data[9] = 0x03, 0x01
+	hit := func(v uint64) {
+		if err := o.InjectAt(v, p); err != nil {
+			t.Fatal(err)
+		}
+		paddr, _ := o.Translate(v)
+		o.Ctl.DemandRead(paddr)
+	}
+	sd := abft[1] // SECDED, ABFT-protected
+	for i := 0; i < DefaultRetireThreshold; i++ {
+		hit(sd.VBase() + PageSize + 128)
+		if err := o.ClearFaultAt(sd.VBase() + PageSize + 128); err != nil { // ABFT repairs it
+			t.Fatal(err)
+		}
+	}
+	hit(sd.VBase() + 64)
+	hit(plain.VBase() + 192)
+	ob.Regions, ob.MCRegions = append(ob.Regions, o.Space.Regions()...), o.Ctl.Regions()
+	for _, a := range append([]*Allocation{plain, merged}, abft...) {
+		for off := uint64(0); off < a.Region.Size; off += PageSize {
+			paddr, _ := o.Translate(a.VBase() + off + 8)
+			back, _ := o.PhysToVirt(paddr)
+			ob.Phys, ob.Back = append(ob.Phys, paddr), append(ob.Back, back)
+		}
+	}
+	if a, ok := o.AllocationAt(merged.VBase()); ok {
+		ob.Owner = a.Name
+	}
+	ob.Pending = append(ob.Pending, o.PeekCorruptions()...)
+	for i := range ob.Pending {
+		ob.PendingName = append(ob.PendingName, ob.Pending[i].Alloc.Name)
+		ob.Pending[i].Alloc = nil // compared by name: the pointers differ by construction
+	}
+	ob.Panicked, ob.PanicRecs = o.Panicked(), append(ob.PanicRecs, o.PanicRecords()...)
+	ob.Retirements, ob.Retired = append(ob.Retirements, o.Retirements()...), append(ob.Retired, o.RetiredFrames()...)
+	ob.Stats = o.Stats()
+	return ob
+}
+
+// TestResetEqualsNew: Reset then a scripted use equals New then the same
+// use, for an OS (and the controller under it) recycled out of the state the
+// script itself leaves: panicked, corruptions pending, a page retired, the
+// region registers exhausted, a residual pattern in the fault table.
+func TestResetEqualsNew(t *testing.T) {
+	used := newOS(ecc.SECDED)
+	remaps := 0
+	used.OnRemap = func(uint64) { remaps++ }
+	used.RetireThreshold = 1
+	osScript(t, used)
+	if !used.Panicked() || len(used.PeekCorruptions()) == 0 || remaps == 0 || used.Ctl.FaultyLines() == 0 {
+		t.Fatal("the OS to recycle was not left dirty")
+	}
+	used.Ctl.Reset(ecc.Chipkill)
+	used.Reset()
+	if used.Panicked() || len(used.PeekCorruptions()) != 0 || len(used.Retirements()) != 0 ||
+		used.Stats() != (Stats{}) || len(used.Space.Regions()) != 0 || used.RetireThreshold != DefaultRetireThreshold {
+		t.Fatalf("after Reset: panicked %v, %d pending, stats %+v", used.Panicked(), len(used.PeekCorruptions()), used.Stats())
+	}
+	if _, err := used.Translate(PageSize + 8); err == nil {
+		t.Fatal("after Reset the first page is still mapped")
+	}
+	remaps = 0
+	want, got := osScript(t, newOS(ecc.Chipkill)), osScript(t, used)
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("recycled OS diverged from a new one:\n new      %+v\n recycled %+v", want, got)
+	}
+	if remaps != 1 {
+		t.Errorf("OnRemap fired %d times on the recycled OS, want 1: the wiring is carried over", remaps)
+	}
+	if !want.NoRegister || !want.Panicked || len(want.Pending) == 0 || len(want.Retirements) != 1 ||
+		want.Stats.PagesRetired != 1 || want.Owner != "merged" {
+		t.Errorf("the script does not reach exhaustion, panic, exposure and retirement: %+v", want)
+	}
 }

@@ -9,6 +9,8 @@ package soak
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"coopabft/internal/abft"
@@ -51,13 +53,10 @@ func runBoth(t *testing.T, label string, cfg Config, kernel Kernel, strat core.S
 	return frep, frt
 }
 
-func TestFunctionalRuntimeMatchesTimed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("720 runs, half of them timed: ci.sh runs this under -race on a line of its own")
-	}
-	// The acceptance grid (3 kernels × 6 strategies × 4 kinds × 3 counts,
-	// notified DGEMM) plus the DGEMM rows again under full and fused
-	// verification: 360 cells.
+// equivGrids is the oracle's grid: the acceptance grid (3 kernels × 6
+// strategies × 4 kinds × 3 counts, notified DGEMM) plus the DGEMM rows again
+// under full and fused verification, 360 cells, seeds and defaults applied.
+func equivGrids() []Config {
 	grids := []Config{Default()}
 	for _, mode := range []abft.VerifyMode{abft.FullVerify, abft.FusedVerify} {
 		g := Default()
@@ -65,10 +64,19 @@ func TestFunctionalRuntimeMatchesTimed(t *testing.T) {
 		g.DGEMMMode = mode
 		grids = append(grids, g)
 	}
+	for gi := range grids {
+		grids[gi].Seed = 7 + uint64(gi)
+		grids[gi].defaults()
+	}
+	return grids
+}
+
+func TestFunctionalRuntimeMatchesTimed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("720 runs, half of them timed: ci.sh runs this under -race on a line of its own")
+	}
 	cells, armed, outcomes := 0, 0, map[recovery.Outcome]int{}
-	for gi, cfg := range grids {
-		cfg.Seed = 7 + uint64(gi)
-		cfg.defaults()
+	for _, cfg := range equivGrids() {
 		prev := mat.SetParallelism(cfg.Parallelism)
 		for i := 0; i < cfg.Cells(); i++ {
 			kernel, strat, kind, count := cfg.cell(i)
@@ -124,4 +132,99 @@ func TestFunctionalRuntimeSecondFaultWhileResident(t *testing.T) {
 	if frep.Injected != 2 || frt.M.Arms() != 1 {
 		t.Errorf("injected %d, armed %d times; want 2 injections on one arm", frep.Injected, frt.M.Arms())
 	}
+}
+
+// TestFunctionalRuntimeRecycledMatchesFresh is the same oracle turned on the
+// node's lifetime: serving keeps functional nodes in a pool and resets one
+// per request (core.Runtime.Reset), so a run on a node that has lived other
+// lives must end exactly as the run on a node built for it. ONE runtime is
+// reset between all 360 cells, in a seeded shuffled order and interleaved
+// with fault-free cells of every kernel, strategy and verify mode, so that
+// clean and faulted cells alike follow cells that armed the hierarchy,
+// panicked the OS, retired a page or left residual patterns in the fault
+// table. Report, machine.Result and answer bits must equal the
+// fresh-node run's. (No cell of the grid ends with corruptions pending or
+// the region registers exhausted: the coordinator drains the first and the
+// kernels need three registers of eight. core's TestRuntimeResetEqualsNew
+// recycles a node out of that state.)
+func TestFunctionalRuntimeRecycledMatchesFresh(t *testing.T) {
+	type cell struct {
+		cfg    Config
+		kernel Kernel
+		strat  core.Strategy
+		kind   bifit.Kind
+		count  int
+		seed   uint64
+	}
+	var faulted, clean []cell
+	for _, cfg := range equivGrids() {
+		for i := 0; i < cfg.Cells(); i++ {
+			kernel, strat, kind, count := cfg.cell(i)
+			faulted = append(faulted, cell{cfg, kernel, strat, kind, count, campaign.CellSeed(cfg.Seed, uint64(i))})
+		}
+		for _, kernel := range cfg.Kernels {
+			for si, strat := range cfg.Strategies {
+				clean = append(clean, cell{cfg, kernel, strat, bifit.SingleBit, 0, campaign.CellSeed(cfg.Seed, uint64(1000+si))})
+			}
+		}
+	}
+	// Faulted cells in shuffled order with a clean one after every second:
+	// half the faulted cells start where a faulted one stopped, and the few
+	// lives that end panicked or with a page retired are as likely to be
+	// followed by a clean cell as by a faulted one.
+	rng := rand.New(rand.NewSource(11))
+	rng.Shuffle(len(faulted), func(i, j int) { faulted[i], faulted[j] = faulted[j], faulted[i] })
+	var cells []cell
+	for i, c := range faulted {
+		cells = append(cells, c)
+		if i%2 == 1 {
+			cells = append(cells, clean[rng.Intn(len(clean))])
+		}
+	}
+
+	prev := mat.SetParallelism(cells[0].cfg.Parallelism)
+	defer mat.SetParallelism(prev)
+	mc := machine.ScaledConfig(32)
+	recycled := core.NewFunctionalRuntime(mc, core.NoECC, 0)
+	// What the previous life left behind, and how many cells of each kind
+	// (clean, faulted) started on a node in that state.
+	var left struct{ armed, panicked, retired, residual bool }
+	after := map[string][2]int{}
+	for _, c := range cells {
+		label := fmt.Sprintf("%v/%v/%v/%v×%d", c.cfg.DGEMMMode, c.kernel, c.strat, c.kind, c.count)
+		fresh := core.NewFunctionalRuntime(mc, c.strat, int64(c.seed))
+		wantRep, wantW := runOn(fresh, c.cfg, c.kernel, c.kind, c.count, c.seed)
+
+		recycled.Reset(c.strat, int64(c.seed))
+		gotRep, gotW := runOn(recycled, c.cfg, c.kernel, c.kind, c.count, c.seed)
+		sameRun(t, label, wantRep, gotRep, wantW, gotW)
+		wantRes, gotRes := fresh.Finish(), recycled.Finish()
+		if !reflect.DeepEqual(wantRes, gotRes) || fresh.M.Arms() != recycled.M.Arms() {
+			t.Errorf("%s: machine results differ\n fresh    %+v armed %d\n recycled %+v armed %d", label, wantRes, fresh.M.Arms(), gotRes, recycled.M.Arms())
+		}
+
+		kind := 0 // clean
+		if c.count > 0 {
+			kind = 1
+		}
+		for name, was := range map[string]bool{"armed": left.armed, "panicked": left.panicked, "retired": left.retired, "residual": left.residual} {
+			if was {
+				n := after[name]
+				n[kind]++
+				after[name] = n
+			}
+		}
+		left.armed = recycled.M.Arms() > 0
+		left.panicked = gotRes.OS.Panics > 0
+		left.retired = gotRes.OS.PagesRetired > 0
+		left.residual = recycled.M.Ctl.FaultyLines() > 0
+	}
+	// The comparison means little unless both kinds of cell followed each
+	// kind of leftover that the grid produces at all.
+	for _, name := range []string{"armed", "panicked", "retired", "residual"} {
+		if n := after[name]; n[0] == 0 || n[1] == 0 {
+			t.Errorf("no clean cell or no faulted cell ran on a node whose previous life left it %s: %v", name, after)
+		}
+	}
+	t.Logf("%d cells on one node; cells [clean faulted] that followed a life which left the node: %v", len(cells), after)
 }

@@ -63,13 +63,12 @@ func NewHandler(s *Service) http.Handler {
 }
 
 // handleKernel decodes the JSON body (an empty one is the all-defaults
-// request), forces the kernel from the route, and answers through
-// writeResult.
+// request; one with anything but whitespace after its JSON value is a 400),
+// forces the kernel from the route, and answers through writeResult.
 func (s *Service) handleKernel(kernel string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-		if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		if err := DecodeBody(r.Body, r.ContentLength, maxBodyBytes, &req); err != nil && !errors.Is(err, io.EOF) {
 			writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
 			return
 		}
@@ -95,7 +94,7 @@ const (
 func handleTask[T, R any](limit int64, do func(context.Context, T) (R, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var task T
-		if err := json.NewDecoder(io.LimitReader(r.Body, limit)).Decode(&task); err != nil {
+		if err := DecodeBody(r.Body, r.ContentLength, limit, &task); err != nil {
 			writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
 			return
 		}

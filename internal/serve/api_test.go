@@ -56,6 +56,48 @@ func TestAPIEmptyBodyUsesDefaults(t *testing.T) {
 	}
 }
 
+// TestAPIStrictBody: a body is one JSON value and whitespace. The routes used
+// to read with json.Decoder, which stops at the end of the first value and
+// never looks at what follows; now anything after it but whitespace is a 400
+// on every route, and a body of nothing (or nothing but whitespace) is still
+// the all-defaults request on the kernel routes and still a 400 on the task
+// routes, which have no defaults.
+func TestAPIStrictBody(t *testing.T) {
+	s := newTestService(t, Config{MaxConcurrency: 1, QueueDepth: 4})
+	h := NewHandler(s)
+	verify, err := json.Marshal(VerifyTask{Kernel: "gemm", N: 8, Seed: 3, Sig: "x", Answer: make([]byte, 8*8*8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := map[string]string{
+		"/v1/gemm":    `{"n": 16, "seed": 3}`,
+		"/v1/block":   `{"kernel": "gemm", "n": 8, "seed": 3, "role": "data", "row_splits": [0, 8], "col_splits": [0, 8]}`,
+		"/v1/verify":  string(verify), // refuted, which is a 200
+		"/v1/longjob": `{"job_id": "j", "kernel": "cg", "nx": 4, "ny": 4, "seed": 3}`,
+	}
+	for path, body := range bodies {
+		if rec := post(t, h, path, body+" \n\t\r\n"); rec.Code != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: status %d, body %s", path, rec.Code, rec.Body)
+		}
+		for _, tail := range []string{"x", "{}", body, "\n\n]", "\u00a0"} {
+			rec := post(t, h, path, body+tail)
+			var e errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusBadRequest || err != nil || e.Kind != "bad_request" {
+				t.Errorf("%s with %q after its JSON value: status %d, body %s; want a bad_request 400", path, tail, rec.Code, rec.Body)
+			}
+		}
+		want := http.StatusBadRequest
+		if path == "/v1/gemm" {
+			want = http.StatusOK
+		}
+		for _, empty := range []string{"", " \n\t"} {
+			if rec := post(t, h, path, empty); rec.Code != want {
+				t.Errorf("%s with body %q: status %d, want %d", path, empty, rec.Code, want)
+			}
+		}
+	}
+}
+
 // TestAPIBadRequests maps validation failures to 400 with the typed kind.
 func TestAPIBadRequests(t *testing.T) {
 	s := newTestService(t, Config{MaxConcurrency: 1, QueueDepth: 4})

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"coopabft/internal/abft"
+	"coopabft/internal/core"
 	"coopabft/internal/mat"
 )
 
@@ -99,6 +101,69 @@ func TestConcurrentRequestsMatchSolo(t *testing.T) {
 			t.Errorf("request %d (%s seed %d): concurrent %s/%s/%d B, alone %s/%s/%d B", i, req.Kernel, req.Seed,
 				got[i].Outcome, got[i].AnswerSig, len(got[i].Answer), want.Outcome, want.AnswerSig, len(want.Answer))
 		}
+	}
+}
+
+// TestConcurrentRequestsOnRecycledNodesMatchFreshNodes: f64 requests run on
+// functional nodes taken from a pool and reset, not built. 64 in flight on
+// four executors, clean and faulted, over all three kernels, all six
+// strategies and all four fault kinds, so that a node's next life rarely
+// resembles its last; each must come back exactly as the same request does
+// alone on a service that has never served anything, whose node is new.
+func TestConcurrentRequestsOnRecycledNodesMatchFreshNodes(t *testing.T) {
+	busy := newTestService(t, Config{MaxConcurrency: 4, QueueDepth: 64, QueueTimeout: time.Minute})
+	const total = 64
+	kernels := []Request{{Kernel: "gemm", N: 64}, {Kernel: "cholesky", N: 64}, {Kernel: "cg", NX: 16, NY: 16},
+		{Kernel: "gemm", N: 64, VerifyMode: "fused"}}
+	kinds := []string{"single-bit", "double-bit", "chip-failure", "scattered"}
+	reqs := make([]Request, total)
+	for i := range reqs {
+		reqs[i] = kernels[i%len(kernels)]
+		reqs[i].Strategy = core.Strategies[i%len(core.Strategies)].String()
+		reqs[i].Seed = uint64(500 + i)
+		reqs[i].Integrity = "vote"
+		if i%3 != 0 {
+			reqs[i].Faults, reqs[i].FaultKind = 1+i%4, kinds[i/4%len(kinds)]
+		}
+	}
+	got := make([]Response, total)
+	errs := make([]error, total)
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = busy.Do(context.Background(), reqs[i])
+		}(i)
+	}
+	wg.Wait()
+	if node, _ := busy.nodes.Get().(*core.Runtime); node == nil && !raceEnabled {
+		t.Error("64 requests left no node in the pool: nothing was recycled")
+	}
+	outcomes := map[string]int{}
+	for i, req := range reqs {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		alone := New(Config{MaxConcurrency: 1, QueueDepth: 1, QueueTimeout: time.Minute})
+		want, err := alone.Do(context.Background(), req)
+		alone.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcomes[want.Outcome]++
+		// Timings and batch size aside, the whole response.
+		got[i].QueueMS, got[i].RunMS, got[i].BatchSize = want.QueueMS, want.RunMS, want.BatchSize
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("request %d (%s %s faults=%d %s seed %d):\n concurrent, recycled node %+v\n alone, new node           %+v",
+				i, req.Kernel, req.Strategy, req.Faults, req.FaultKind, req.Seed, got[i], want)
+		}
+	}
+	if outcomes["corrected"] == 0 || outcomes["restarted"] == 0 {
+		t.Errorf("the mix does not reach both repair and rollback: %v", outcomes)
+	}
+	if armed := busy.Metrics().SimArmed.Value(); armed == 0 || armed == total {
+		t.Errorf("sim_armed = %d of %d: the mix should hold armed and dormant lives", armed, total)
 	}
 }
 
@@ -190,8 +255,8 @@ func (c panicOnThirdErr) Err() error {
 }
 
 // TestKernelPanicLeavesServiceCorrect: a panicking request is classified
-// aborted, its buffers are abandoned to the GC rather than pooled, and the
-// service goes on answering correctly out of the same pools.
+// aborted, its buffers and its node are abandoned to the GC rather than
+// pooled, and the service goes on answering correctly out of the same pools.
 func TestKernelPanicLeavesServiceCorrect(t *testing.T) {
 	s := newTestService(t, Config{MaxConcurrency: 2, QueueDepth: 16, QueueTimeout: time.Minute})
 	ctx := context.Background()
@@ -214,7 +279,25 @@ func TestKernelPanicLeavesServiceCorrect(t *testing.T) {
 			t.Errorf("%s: panicking request answered %+v", req.Kernel, resp)
 		}
 	}
-	for round := 0; round < 3; round++ {
+	// The same unwind, seen from where the node and the arena are: the ladder
+	// returns neither (a normal return hands back both, for execute to pool).
+	p, err := ParseRequest(s.cfg.Limits(), ladderMixKinds[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := new(atomic.Int32)
+	calls.Store(1) // the dispatcher's call
+	arena := new(mat.Arena)
+	if rep, w, node := s.runLadder(&job{ctx: panicOnThirdErr{ctx, calls}, req: p}, arena); rep.Outcome.String() != "aborted" ||
+		w != nil || node != nil || !reflect.DeepEqual(*arena, mat.Arena{}) {
+		t.Errorf("direct panicking run: %+v, workload %v, node %v, arena %+v; want aborted and nothing to pool", rep, w, node, *arena)
+	}
+	if _, _, node := s.runLadder(&job{ctx: ctx, req: p}, arena); node == nil || reflect.DeepEqual(*arena, mat.Arena{}) {
+		t.Error("a normal run returned no node or an empty arena: the check above proves nothing")
+	}
+	arena.Release()
+
+	for round := 0; round < 100/len(ladderMixKinds); round++ {
 		for i, req := range ladderMixKinds {
 			req.Seed = 77
 			resp, err := s.Do(ctx, req)
@@ -382,24 +465,41 @@ func warmAllocation(t *testing.T, req Request) uint64 {
 	serve := func(n int) {
 		for i := 0; i < n; i++ {
 			req.Seed++
-			if resp, err := s.Do(ctx, req); err != nil || resp.Outcome != "corrected" {
+			if resp, err := s.Do(ctx, req); err != nil || resp.Outcome != "corrected" || resp.Injected != req.Faults {
 				t.Fatalf("%+v, %v", resp, err)
 			}
 		}
 	}
-	serve(4) // fill the pools
-	const runs = 20
+	return warmBytesPerCall(func() { serve(1) })
+}
+
+// warmBytesPerCall calls f four times to fill the pools and returns the heap
+// bytes a further call allocates: the median of twenty, because a call that
+// finds a pool empty (a collector cycle empties them all, and an item parked
+// in another P's private slot cannot be stolen) is not a warm one, and its
+// refill would be charged to whichever budget happened to be measuring.
+func warmBytesPerCall(f func()) uint64 {
+	const warmup, runs = 4, 20
+	for i := 0; i < warmup; i++ {
+		f()
+	}
+	per := make([]uint64, runs)
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	serve(runs)
-	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / runs
+	for i := range per {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		per[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	sort.Slice(per, func(i, j int) bool { return per[i] < per[j] })
+	return per[runs/2]
 }
 
 // TestWarmGEMMAllocationBudget: a warm n=128 fused GEMM request used to
 // allocate 1.16 MB (three encoded matrices, two throw-away operands, a
 // checkpoint shadow and the oracle's reference); with the arena what is
-// left is the per-request machine model and bookkeeping, about 40 KiB. The
+// left was the per-request machine model and bookkeeping, about 40 KiB, and
+// with the node recycled too, bookkeeping alone, about 11 KB. The
 // budget fails long before an n²-sized buffer (128 KiB) could hide in it.
 func TestWarmGEMMAllocationBudget(t *testing.T) {
 	per := warmAllocation(t, Request{Kernel: "gemm", N: 128, VerifyMode: "fused"})
@@ -418,5 +518,57 @@ func TestWarmGEMM32AllocationBudget(t *testing.T) {
 	t.Logf("warm n=192 f32 gemm request: %d B allocated", per)
 	if per >= 16<<10 {
 		t.Errorf("warm n=192 f32 gemm request allocates %d B, budget is 16 KiB", per)
+	}
+}
+
+// TestWarmLadderAllocationBudget: a functional node used to be built per
+// request, and a warm n=64 product allocated 20 KB clean (page maps,
+// allocations, a DRAM bank table nobody reads) and 131 KB once a fault armed
+// the hierarchy (its line arrays, 102 KiB). A recycled node costs none of
+// that: what a warm request still allocates is its kernels' bookkeeping, the
+// checkpoint's and the response's, about 6 KB, and a faulted one adds the
+// injection plan and a fault-table entry. The clean budget (8 KiB) is below
+// what the node alone used to cost a clean request (14 KB), the faulted one
+// (10 KiB) a tenth of the line arrays.
+func TestWarmLadderAllocationBudget(t *testing.T) {
+	clean := warmAllocation(t, Request{Kernel: "gemm", N: 64})
+	t.Logf("warm clean n=64 gemm request: %d B allocated", clean)
+	if clean >= 8<<10 {
+		t.Errorf("warm clean n=64 gemm request allocates %d B, budget is 8 KiB", clean)
+	}
+	// One single-bit flip under chipkill: armed hierarchy, hardware
+	// correction, outcome corrected whatever the seed.
+	faulted := warmAllocation(t, Request{Kernel: "gemm", N: 64, Strategy: "W_CK", Faults: 1, FaultKind: "single-bit"})
+	t.Logf("warm faulted n=64 gemm request: %d B allocated", faulted)
+	if faulted >= 10<<10 {
+		t.Errorf("warm faulted n=64 gemm request allocates %d B, budget is 10 KiB", faulted)
+	}
+}
+
+// TestWarmVerifyAllocationBudget: a verify task used to allocate the claimed
+// product and both regenerated operands, three n² matrices, per task. With
+// the task-scoped arena a warm one allocates its probe vectors and strings:
+// less than a single n² matrix (32 KiB at n=64). The Answer bytes are the
+// caller's.
+func TestWarmVerifyAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts and sync.Pool drops items under it")
+	}
+	s := newTestService(t, Config{MaxConcurrency: 1, QueueDepth: 4, QueueTimeout: time.Minute})
+	ctx := context.Background()
+	const n = 64
+	resp, err := s.Do(ctx, Request{Kernel: "gemm", N: n, Seed: 9, Integrity: "verify-vote"})
+	if err != nil || resp.Outcome != "corrected" {
+		t.Fatalf("%+v, %v", resp, err)
+	}
+	task := VerifyTask{Kernel: "gemm", N: n, Seed: 9, Sig: resp.AnswerSig, Answer: resp.Answer}
+	per := warmBytesPerCall(func() {
+		if res, err := s.DoVerify(ctx, task); err != nil || !res.OK {
+			t.Fatalf("%+v, %v", res, err)
+		}
+	})
+	t.Logf("warm n=%d verify task: %d B allocated", n, per)
+	if per >= 8*n*n {
+		t.Errorf("warm n=%d verify task allocates %d B, as much as an n² matrix (%d B)", n, per, 8*n*n)
 	}
 }

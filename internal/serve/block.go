@@ -123,38 +123,47 @@ func (s *Service) DoBlock(ctx context.Context, t BlockTask) (BlockResult, error)
 // contract, bit-identical to the same region of the single-node product.
 // Checksum roles compute each sibling block the same way and fold, so
 // their parity is over exactly the bits the data workers produced.
+//
+// Operands and computed blocks live in a task-scoped arena, released before
+// returning: the result holds PackBlock copies. (EncodeChecksumBlocks
+// allocates its parity and sum on the heap; they are one block each.)
 func computeBlock(p Parsed, grid abft.BlockGrid, t BlockTask) BlockResult {
-	a := mat.Random(p.N, p.N, p.Seed)
-	b := mat.Random(p.N, p.N, p.Seed+1)
+	var arena mat.Arena
+	var res BlockResult
+	a, b := arena.New(p.N, p.N), arena.New(p.N, p.N)
+	mat.FillRandom(a, p.Seed)
+	mat.FillRandom(b, p.Seed+1)
 	one := func(bi, bj int) *mat.Matrix {
 		r0, r1 := grid.RowSpan(bi)
 		c0, c1 := grid.ColSpan(bj)
-		out := mat.New(r1-r0, c1-c0)
+		out := arena.New(r1-r0, c1-c0)
 		mat.MulAddInto(out, a.View(r0, 0, r1-r0, p.N), b.View(0, c0, p.N, c1-c0))
 		return out
+	}
+	pack := func(parity, sum *mat.Matrix) BlockResult {
+		return BlockResult{Rows: parity.Rows, Cols: parity.Cols,
+			Block: abft.PackBlock(parity), Sum: abft.PackBlock(sum)}
 	}
 
 	switch t.Role {
 	case BlockData:
 		blk := one(t.BI, t.BJ)
-		return BlockResult{Rows: blk.Rows, Cols: blk.Cols, Block: abft.PackBlock(blk)}
+		res = BlockResult{Rows: blk.Rows, Cols: blk.Cols, Block: abft.PackBlock(blk)}
 	case BlockColCheck:
 		c0, c1 := grid.ColSpan(t.BJ)
 		col := make([]*mat.Matrix, 0, grid.Rows())
 		for bi := 0; bi < grid.Rows(); bi++ {
 			col = append(col, one(bi, t.BJ))
 		}
-		parity, sum := abft.EncodeChecksumBlocks(col, grid.MaxRowSpan(), c1-c0)
-		return BlockResult{Rows: parity.Rows, Cols: parity.Cols,
-			Block: abft.PackBlock(parity), Sum: abft.PackBlock(sum)}
+		res = pack(abft.EncodeChecksumBlocks(col, grid.MaxRowSpan(), c1-c0))
 	default: // BlockRowCheck; parseBlockTask rejected everything else
 		r0, r1 := grid.RowSpan(t.BI)
 		row := make([]*mat.Matrix, 0, grid.Cols())
 		for bj := 0; bj < grid.Cols(); bj++ {
 			row = append(row, one(t.BI, bj))
 		}
-		parity, sum := abft.EncodeChecksumBlocks(row, r1-r0, grid.MaxColSpan())
-		return BlockResult{Rows: parity.Rows, Cols: parity.Cols,
-			Block: abft.PackBlock(parity), Sum: abft.PackBlock(sum)}
+		res = pack(abft.EncodeChecksumBlocks(row, r1-r0, grid.MaxColSpan()))
 	}
+	arena.Release()
+	return res
 }

@@ -15,16 +15,20 @@ import (
 )
 
 // execute runs one admitted request through the recovery ladder and
-// classifies it. Every f64 request gets a fresh functional node
-// (core.NewFunctionalRuntime) configured for its own ECC strategy — the
-// per-request malloc_ecc decision — so concurrent requests share no machine
-// state. The node keeps what decides an outcome (OS, ECC region registers,
-// fault table and codecs, and the cache hierarchy as the filter between a
-// kernel's reads and DRAM) and none of the paper platform's cycle and
-// energy accounting; its hierarchy does no work until an injection is
+// classifies it. Every f64 request runs on a functional node of its own,
+// configured for its own ECC strategy — the per-request malloc_ecc decision
+// — so concurrent requests share no machine state. As in the paper, where
+// malloc_ecc programs region registers on hardware that outlives every
+// kernel, the node is not built per request: the service keeps a pool of
+// them, and a request takes one and resets it (core.Runtime.Reset: the
+// constructor run over the storage the node has grown), or builds one when
+// the pool is empty. The node keeps what decides an outcome (OS, ECC region
+// registers, fault table and codecs, and the cache hierarchy as the filter
+// between a kernel's reads and DRAM) and none of the paper platform's cycle
+// and energy accounting; its hierarchy does no work until an injection is
 // delivered, so a fault-free request pays the kernels' Touch calls as one
 // branch each. DESIGN.md §4.2 has the argument for why outcomes are
-// exactly the timed platform's.
+// exactly the timed platform's, fresh node or recycled.
 func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	s.m.Running.Add(1)
 	defer s.m.Running.Add(-1)
@@ -32,17 +36,20 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	start := time.Now()
 	var rep recovery.Report
 	var w recovery.Workload
+	var node *core.Runtime
 	// The arena owns every n- and n²-sized buffer of the request, whatever
 	// its element type: operands, checkpoint shadows, oracle temporaries, the
-	// answer views w hands out. It is released below, once the response
-	// holds copies of whatever it reports. A ladder whose panic guard fired
-	// has emptied it first: nothing vouches for who still writes to those
-	// buffers, so they are left to the GC.
+	// answer views w hands out; the node holds the machine model w's regions
+	// are mapped in. One lifetime rule for both: they go back to their pools
+	// below, once the response holds copies of whatever it reports, and
+	// never after the ladder's panic guard fired. The guard has emptied the
+	// arena and dropped the node: nothing vouches for who still writes to
+	// them, so they are left to the GC.
 	arena := new(mat.Arena)
 	if j.req.Dtype == DtypeF32 {
 		rep = s.runLadder32(j, arena)
 	} else {
-		rep, w = s.runLadder(j, arena)
+		rep, w, node = s.runLadder(j, arena)
 	}
 	run := time.Since(start)
 
@@ -70,6 +77,9 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	}
 	s.stampIntegrity(&resp, j.req, rep, w)
 	arena.Release()
+	if node != nil {
+		s.nodes.Put(node)
+	}
 
 	switch rep.Outcome {
 	case recovery.Corrected:
@@ -88,28 +98,37 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	return resp
 }
 
-// runLadder builds runtime + workload + injection plan and drives the
-// coordinator under a panic guard: a kernel panic becomes an Aborted
+// runLadder takes a node, builds workload + injection plan on it and drives
+// the coordinator under a panic guard: a kernel panic becomes an Aborted
 // classification, never a crashed worker. The workload is returned
 // alongside the report so the integrity tier can fingerprint its answer
 // state; it is nil when construction failed or the kernel panicked. All of
-// the run's float64 storage comes from arena, which the caller releases (and
-// finds empty after a panic).
-func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w recovery.Workload) {
+// the run's float64 storage comes from arena and its machine model is node;
+// the caller returns both to their pools (and finds the arena empty and the
+// node nil after a panic).
+func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w recovery.Workload, node *core.Runtime) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep = recovery.Report{Outcome: recovery.Aborted,
 				Err: fmt.Errorf("serve: kernel panicked: %v", p)}
 			w = nil
 			// After an unwind nothing vouches for who still writes to the
-			// request's buffers: forget them, so the caller's Release pools
-			// nothing and they fall to the GC.
+			// request's buffers or what state its node stopped in: forget
+			// both, so the caller pools nothing and they fall to the GC.
 			*arena = mat.Arena{}
+			node = nil
 		}
 	}()
 
 	p := j.req
-	rt := core.NewFunctionalRuntime(machine.ScaledConfig(32), p.Strategy, int64(p.Seed))
+	// Every node is built with the same machine.Config, which is what lets
+	// a pooled one serve any request.
+	rt, _ := s.nodes.Get().(*core.Runtime)
+	if rt == nil {
+		rt = core.NewFunctionalRuntime(machine.ScaledConfig(32), p.Strategy, int64(p.Seed))
+	} else {
+		rt.Reset(p.Strategy, int64(p.Seed))
+	}
 	rt.Arena = arena
 	var err error
 	switch p.Kernel {
@@ -121,7 +140,7 @@ func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w re
 		w, err = recovery.NewDGEMMWorkload(rt, p.N, p.Seed, p.Mode)
 	}
 	if err != nil {
-		return recovery.Report{Outcome: recovery.Aborted, Err: err}, nil
+		return recovery.Report{Outcome: recovery.Aborted, Err: err}, nil, rt
 	}
 
 	co := &recovery.Coordinator{
@@ -133,7 +152,7 @@ func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w re
 	}
 	rep = co.Run()
 	s.countArmed(rt)
-	return rep, w
+	return rep, w, rt
 }
 
 // countArmed records a finished run whose hierarchy left dormancy.

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -247,5 +249,49 @@ func TestDoVerify(t *testing.T) {
 	}
 	if got := s.m.VerifyRefuted.Value(); got != 2 {
 		t.Errorf("verify_refuted = %d, want 2", got)
+	}
+}
+
+// TestQueuedVerifyTaskHoldsNoProduct: a verify task is parsed before it is
+// admitted, so whatever parsing allocates is held by every task waiting for
+// a slot and wasted on every task that is shed. With the slots held, 64
+// n=192 tasks that wait and end in ErrQueueTimeout must allocate far less
+// than the 64 products (288 KiB each) that unpacking at parse cost them.
+// The Answer bytes are the caller's and are shared here.
+func TestQueuedVerifyTaskHoldsNoProduct(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	s := newTestService(t, Config{BlockConcurrency: 1, QueueTimeout: 50 * time.Millisecond})
+	const n, tasks = 192, 64
+	task := VerifyTask{Kernel: "gemm", N: n, Seed: 5, Sig: "0123456789abcdef", Answer: make([]byte, 8*n*n)}
+	s.verify.sem <- struct{}{} // the route's only slot
+	defer func() { <-s.verify.sem }()
+
+	errs := make([]error, tasks)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = s.DoVerify(context.Background(), task)
+		}(i)
+	}
+	wg.Wait()
+	runtime.ReadMemStats(&after)
+	for i, err := range errs {
+		if !errors.Is(err, ErrQueueTimeout) {
+			t.Fatalf("task %d: err = %v, want ErrQueueTimeout", i, err)
+		}
+	}
+	if got := s.m.Verify.Shed.Value(); got != tasks {
+		t.Errorf("verify_shed = %d, want %d", got, tasks)
+	}
+	grown := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d shed n=%d verify tasks allocated %d KiB; their products are %d KiB", tasks, n, grown>>10, tasks*8*n*n>>10)
+	if grown >= tasks*8*n*n/8 {
+		t.Errorf("%d queued tasks allocated %d KiB: an n² buffer per task is back ahead of admission", tasks, grown>>10)
 	}
 }

@@ -108,7 +108,17 @@ type TenantMetrics struct {
 	Shed      expvar.Int
 }
 
-// Tenant returns (creating on first use) the named tenant's counters.
+// maxTenantLedgers bounds the per-tenant map: the tenant name is the
+// client's to choose, so without a cap the map is the client's to grow.
+const maxTenantLedgers = 1024
+
+// otherTenants is the ledger every tenant first seen after the cap shares.
+// A client may name itself "_other"; it then counts there too.
+const otherTenants = "_other"
+
+// Tenant returns (creating on first use) the named tenant's counters. The
+// first maxTenantLedgers names get a ledger each; later ones are counted
+// together under otherTenants, so totals stay exact and memory bounded.
 func (m *Metrics) Tenant(name string) *TenantMetrics {
 	m.tenantMu.Lock()
 	defer m.tenantMu.Unlock()
@@ -116,6 +126,10 @@ func (m *Metrics) Tenant(name string) *TenantMetrics {
 		m.tenants = make(map[string]*TenantMetrics)
 	}
 	tm, ok := m.tenants[name]
+	if !ok && len(m.tenants) >= maxTenantLedgers {
+		name = otherTenants
+		tm, ok = m.tenants[name]
+	}
 	if !ok {
 		tm = &TenantMetrics{}
 		m.tenants[name] = tm

@@ -96,7 +96,7 @@ type Quota struct {
 	mu      sync.Mutex
 	cfg     Config
 	now     func() time.Time
-	buckets map[string]*bucket
+	buckets bucketSet
 }
 
 // NewQuota builds a quota front from the bucket-relevant Config fields
@@ -106,7 +106,7 @@ func NewQuota(cfg Config) *Quota {
 	if now == nil {
 		now = time.Now
 	}
-	return &Quota{cfg: cfg, now: now, buckets: make(map[string]*bucket)}
+	return &Quota{cfg: cfg, now: now}
 }
 
 // Take spends one token from the tenant's bucket, returning nil on success
@@ -114,15 +114,51 @@ func NewQuota(cfg Config) *Quota {
 func (q *Quota) Take(tenant string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	b, ok := q.buckets[tenant]
-	if !ok {
-		b = newBucket(q.cfg, tenant, q.now())
-		q.buckets[tenant] = b
-	}
-	if ok, retry := b.take(q.now()); !ok {
+	now := q.now()
+	if ok, retry := q.buckets.get(q.cfg, tenant, now).take(now); !ok {
 		return &QuotaError{Tenant: tenant, RetryAfter: retry}
 	}
 	return nil
+}
+
+// maxIdleBuckets is how many buckets a bucketSet holds before it looks for
+// ones to drop. The tenant name is the client's to choose, so without a cap
+// the map is the client's to grow.
+const maxIdleBuckets = 4096
+
+// bucketSet is the tenant → bucket map behind Quota and Scheduler, bounded
+// without forgetting anything: a bucket that has refilled to its burst
+// behaves exactly like the one newBucket would make for the same tenant, so
+// dropping it loses nothing. What cannot be dropped is a bucket still
+// refilling, and there are at most as many of those as distinct tenants
+// seen within one refill time.
+type bucketSet struct {
+	m       map[string]*bucket
+	sweepAt int // size at which the next insertion sweeps first
+}
+
+// get returns the tenant's bucket, making a full one on first sight. Before
+// the map grows past sweepAt it drops every bucket that is full again at
+// now; the next sweep waits until the map has doubled over what survived,
+// so a sweep's cost is spread over at least as many insertions.
+func (s *bucketSet) get(cfg Config, tenant string, now time.Time) *bucket {
+	if b, ok := s.m[tenant]; ok {
+		return b
+	}
+	if s.m == nil {
+		s.m = make(map[string]*bucket)
+	}
+	if len(s.m) >= max(s.sweepAt, maxIdleBuckets) {
+		for name, b := range s.m {
+			if b.full(now) {
+				delete(s.m, name)
+			}
+		}
+		s.sweepAt = 2 * len(s.m)
+	}
+	b := newBucket(cfg, tenant, now)
+	s.m[tenant] = b
+	return b
 }
 
 // newBucket resolves the per-tenant rate/burst overrides against the
@@ -147,6 +183,12 @@ type bucket struct {
 	burst  float64
 	tokens float64
 	last   time.Time
+}
+
+// full reports whether the bucket, at now, is what newBucket would build:
+// unmetered, or refilled to its burst. It does not refill.
+func (b *bucket) full(now time.Time) bool {
+	return b.rate <= 0 || b.tokens+now.Sub(b.last).Seconds()*b.rate >= b.burst
 }
 
 func (b *bucket) take(now time.Time) (ok bool, retry time.Duration) {

@@ -2,6 +2,8 @@ package qos
 
 import (
 	"errors"
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -164,5 +166,73 @@ func TestReadySignal(t *testing.T) {
 	case <-s.Ready():
 	default:
 		t.Fatal("no ready signal after enqueue")
+	}
+}
+
+// TestQuotaMemoryBoundedByRefillWindow: the tenant name is the client's to
+// choose. A million distinct ones, each spending one token, must not leave a
+// million buckets behind, and the sweep that drops the refilled ones must not
+// forgive a tenant that is still over its quota.
+func TestQuotaMemoryBoundedByRefillWindow(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	q := NewQuota(Config{Rate: 10, Burst: 2, Now: clk.now})
+	throttled := func() bool {
+		var qe *QuotaError
+		return errors.As(q.Take("hog"), &qe)
+	}
+	for !throttled() {
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const tenants = 1_000_000
+	for i := 0; i < tenants; i++ {
+		clk.advance(time.Millisecond) // a bucket is full again 100 tenants later
+		if err := q.Take("t" + strconv.Itoa(i)); err != nil {
+			t.Fatalf("tenant %d's first request refused: %v", i, err)
+		}
+		if i%100 == 99 {
+			// The hog keeps asking, 100 ms apart: one token has refilled, the
+			// second request is refused, before and after every sweep.
+			if q.Take("hog") != nil || !throttled() {
+				t.Fatalf("after %d tenants the hog's bucket is not the one it drained", i)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := len(q.buckets.m); n > 2*maxIdleBuckets {
+		t.Errorf("%d buckets held after %d tenants, cap is %d", n, tenants, maxIdleBuckets)
+	}
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 512<<10 {
+		t.Errorf("heap grew %d KiB over %d distinct tenants", grown>>10, tenants)
+	}
+}
+
+// TestBucketSweepIsLossless: a swept set answers every later request as an
+// unswept one does. The reference never sweeps because it never sees more
+// than a handful of tenants; the set under test is flooded with one-shot
+// tenants between every step of the same script.
+func TestBucketSweepIsLossless(t *testing.T) {
+	cfg := Config{Rate: 5, Burst: 3, Rates: map[string]float64{"slow": 0.5}}
+	var ref, swept bucketSet
+	now := time.Unix(1000, 0)
+	flood := 0
+	for step := 0; step < 400; step++ {
+		now = now.Add(time.Duration(37*(step%11)) * time.Millisecond)
+		tenant := []string{"a", "b", "slow"}[step%3]
+		ok1, r1 := ref.get(cfg, tenant, now).take(now)
+		ok2, r2 := swept.get(cfg, tenant, now).take(now)
+		if ok1 != ok2 || r1 != r2 {
+			t.Fatalf("step %d tenant %s: unswept (%v, %s), swept (%v, %s)", step, tenant, ok1, r1, ok2, r2)
+		}
+		for i := 0; i < 50; i++ {
+			flood++
+			swept.get(cfg, "f"+strconv.Itoa(flood), now).take(now)
+		}
+	}
+	if flood < 4*maxIdleBuckets || len(swept.m) >= flood {
+		t.Fatalf("flooded %d tenants, %d buckets held: the set never swept", flood, len(swept.m))
 	}
 }

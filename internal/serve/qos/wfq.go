@@ -23,7 +23,7 @@ type Scheduler struct {
 	cfg     Config
 	now     func() time.Time
 	vtime   float64
-	buckets map[string]*bucket
+	buckets bucketSet
 	queues  map[string]*tenantQueue
 	order   []string // tenant first-seen order: deterministic scans and ties
 	size    int
@@ -51,11 +51,10 @@ func New(cfg Config) *Scheduler {
 		now = time.Now
 	}
 	return &Scheduler{
-		cfg:     cfg,
-		now:     now,
-		buckets: make(map[string]*bucket),
-		queues:  make(map[string]*tenantQueue),
-		ready:   make(chan struct{}, 1),
+		cfg:    cfg,
+		now:    now,
+		queues: make(map[string]*tenantQueue),
+		ready:  make(chan struct{}, 1),
 	}
 }
 
@@ -67,7 +66,8 @@ func (s *Scheduler) Enqueue(it Item) (evicted []Item, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	if ok, retry := s.bucketFor(it.Tenant).take(s.now()); !ok {
+	now := s.now()
+	if ok, retry := s.buckets.get(s.cfg, it.Tenant, now).take(now); !ok {
 		return nil, &QuotaError{Tenant: it.Tenant, RetryAfter: retry}
 	}
 	for s.size >= s.cfg.Capacity {
@@ -184,15 +184,6 @@ func (s *Scheduler) evictSpeculative() (Item, bool) {
 	tq.items = append(tq.items[:victimIdx], tq.items[victimIdx+1:]...)
 	s.size--
 	return victim.it, true
-}
-
-func (s *Scheduler) bucketFor(tenant string) *bucket {
-	b, ok := s.buckets[tenant]
-	if !ok {
-		b = newBucket(s.cfg, tenant, s.now())
-		s.buckets[tenant] = b
-	}
-	return b
 }
 
 func (s *Scheduler) queueFor(tenant string) *tenantQueue {

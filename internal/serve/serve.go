@@ -234,6 +234,10 @@ type Service struct {
 	bus        *Bus
 	ckptClient *http.Client
 
+	// nodes recycles the functional nodes f64 requests run on (*core.Runtime;
+	// see execute). It starts empty: the first requests build theirs.
+	nodes sync.Pool
+
 	// The side routes; verification is an offloaded O(n²) pass, much closer
 	// to a block task than to an interactive ladder run, so it shares the
 	// block route's slots.

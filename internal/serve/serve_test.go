@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -429,5 +431,41 @@ func TestTenantAndPriorityParsing(t *testing.T) {
 		if p.Priority != tc.want {
 			t.Errorf("strategy %s priority %q => %v, want %v", tc.strat, tc.name, p.Priority, tc.want)
 		}
+	}
+}
+
+// TestTenantLedgersBounded: the tenant name is the client's to choose. A
+// million distinct ones must not leave a million ledgers behind; the early
+// ones keep theirs, the rest are counted together, and nothing is lost from
+// the total.
+func TestTenantLedgersBounded(t *testing.T) {
+	var m Metrics
+	m.Tenant("gold").Completed.Add(3)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const tenants = 1_000_000
+	for i := 0; i < tenants; i++ {
+		m.Tenant("t" + strconv.Itoa(i)).Completed.Add(1)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 512<<10 {
+		t.Errorf("heap grew %d KiB over %d distinct tenants", grown>>10, tenants)
+	}
+	m.Tenant("gold").Completed.Add(1)
+	ledgers := m.Snapshot()["tenants"].(map[string]any)
+	if len(ledgers) != maxTenantLedgers+1 {
+		t.Errorf("%d ledgers, want the first %d tenants plus %q", len(ledgers), maxTenantLedgers, otherTenants)
+	}
+	var total int64
+	for _, l := range ledgers {
+		total += l.(map[string]any)["completed"].(int64)
+	}
+	if gold := ledgers["gold"].(map[string]any)["completed"]; gold != int64(4) || total != tenants+4 {
+		t.Errorf("gold completed %v (want 4), all ledgers %d (want %d)", gold, total, tenants+4)
+	}
+	if other := ledgers[otherTenants].(map[string]any)["completed"]; other != int64(tenants-maxTenantLedgers+1) {
+		t.Errorf("%s completed %v, want %d", otherTenants, other, tenants-maxTenantLedgers+1)
 	}
 }

@@ -41,26 +41,29 @@ type VerifyResult struct {
 }
 
 // parseVerifyTask funnels a verification task through the shared admission
-// entrypoint and decodes the claimed product.
-func parseVerifyTask(l Limits, t VerifyTask) (Parsed, *mat.Matrix, error) {
+// entrypoint and checks the claimed product's shape. Nothing n²-sized is
+// allocated here: a task is parsed before it is admitted, and one that waits
+// for a slot or is shed should hold only the bytes its caller decoded.
+func parseVerifyTask(l Limits, t VerifyTask) (Parsed, error) {
 	p, err := ParseRequest(l, Request{Kernel: t.Kernel, N: t.N, Seed: t.Seed})
 	if err != nil {
-		return p, nil, err
+		return p, err
 	}
 	if p.Kernel != KernelGEMM {
-		return p, nil, fmt.Errorf("%w: verify tasks support gemm only, got %s", ErrBadRequest, p.Kernel)
+		return p, fmt.Errorf("%w: verify tasks support gemm only, got %s", ErrBadRequest, p.Kernel)
 	}
-	c, err := abft.UnpackBlock(p.N, p.N, t.Answer)
-	if err != nil {
-		return p, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	if len(t.Answer) != 8*p.N*p.N {
+		return p, fmt.Errorf("%w: %v: %d-byte answer for a %dx%d product", ErrBadRequest, abft.ErrBadSize, len(t.Answer), p.N, p.N)
 	}
-	return p, c, nil
+	return p, nil
 }
 
 // DoVerify admits and executes one verification task: ErrBadRequest for a
-// malformed task, then the side routes' shared admission (acquire).
+// malformed task, then the side routes' shared admission (acquire). The
+// claimed product and the regenerated operands live in a task-scoped arena,
+// released before returning: the result holds strings and a bool.
 func (s *Service) DoVerify(ctx context.Context, t VerifyTask) (VerifyResult, error) {
-	p, c, err := parseVerifyTask(s.cfg.Limits(), t)
+	p, err := parseVerifyTask(s.cfg.Limits(), t)
 	if err != nil {
 		return VerifyResult{}, s.verify.reject(err)
 	}
@@ -71,6 +74,14 @@ func (s *Service) DoVerify(ctx context.Context, t VerifyTask) (VerifyResult, err
 	defer release()
 
 	start := time.Now()
+	// Released on the normal return only, like a request's: buffers a panic
+	// unwound through are left to the GC.
+	var arena mat.Arena
+	c, err := abft.UnpackBlockIn(&arena, p.N, p.N, t.Answer)
+	if err != nil {
+		// parseVerifyTask checked the length; nothing was allocated.
+		return VerifyResult{}, s.verify.reject(fmt.Errorf("%w: %v", ErrBadRequest, err))
+	}
 	res := VerifyResult{Sig: abft.BitDigest(c)}
 	switch {
 	case !abft.SameAnswer(res.Sig, t.Sig):
@@ -79,8 +90,9 @@ func (s *Service) DoVerify(ctx context.Context, t VerifyTask) (VerifyResult, err
 		// (or corruption in flight) either way.
 		res.Reason = fmt.Sprintf("claimed signature %s does not match shipped answer %s", t.Sig, res.Sig)
 	default:
-		a := mat.Random(p.N, p.N, p.Seed)
-		b := mat.Random(p.N, p.N, p.Seed+1)
+		a, b := arena.New(p.N, p.N), arena.New(p.N, p.N)
+		mat.FillRandom(a, p.Seed)
+		mat.FillRandom(b, p.Seed+1)
 		if err := abft.CheckProduct(a, b, c, p.Seed, abft.BlockTol(p.N)); err != nil {
 			res.Reason = err.Error()
 		} else {
@@ -90,6 +102,7 @@ func (s *Service) DoVerify(ctx context.Context, t VerifyTask) (VerifyResult, err
 	if !res.OK {
 		s.m.VerifyRefuted.Add(1)
 	}
+	arena.Release()
 	res.RunMS = s.verify.m.done(start)
 	return res, nil
 }

@@ -48,7 +48,18 @@ type Space struct {
 }
 
 // NewSpace returns an empty address space.
-func NewSpace() *Space { return &Space{next: PageSize} }
+func NewSpace() *Space {
+	s := new(Space)
+	s.Reset()
+	return s
+}
+
+// Reset empties the space as NewSpace built it, keeping the region slice's
+// storage: the next Alloc starts at the first page again.
+func (s *Space) Reset() {
+	clear(s.regions)
+	*s = Space{next: PageSize, regions: s.regions[:0]}
+}
 
 // Alloc reserves size bytes (rounded up to whole pages) and tags them.
 func (s *Space) Alloc(name string, size uint64, abft bool) Region {
