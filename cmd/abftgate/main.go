@@ -27,8 +27,9 @@
 // CG jobs ride the long path: the worker streams a checkpoint back to the
 // gateway every -checkpoint-every steps, and when the worker dies mid-solve
 // the gateway reschedules the job on a healthy capable node, ships the last
-// checkpoint, and the solve resumes from that step — not from zero. Set
-// -self-url when workers reach the gateway at an address other than -addr.
+// checkpoint, and the solve resumes from that step — not from zero. Workers
+// stream to the address the listener bound; set -self-url when they reach
+// the gateway at any other.
 //
 // Nodes are given as a comma-separated list of base URLs, each optionally
 // restricted to an ECC-capability set:
@@ -84,7 +85,7 @@ func run() error {
 		maxJobN         = flag.Int("max-job-n", 2048, "largest admitted job dimension")
 		maxJobs         = flag.Int("max-jobs", 128, "job records held before submissions are shed")
 		jobRetention    = flag.Duration("job-retention", 10*time.Minute, "how long terminal job records stay pollable")
-		selfURL         = flag.String("self-url", "", "externally reachable base URL of this gateway; workers stream long-job checkpoints back to it (default http://<addr>)")
+		selfURL         = flag.String("self-url", "", "externally reachable base URL of this gateway; workers stream long-job checkpoints back to it (default: the bound listen address)")
 		checkpointEvery = flag.Int("checkpoint-every", 8, "steps between long-job checkpoint uploads")
 		maxMigrations   = flag.Int("max-migrations", 3, "long-job reschedules before the job fails")
 		voteReplicas    = flag.Int("vote-replicas", 3, "default replica count R for integrity=vote|verify-vote requests")
@@ -128,14 +129,29 @@ func run() error {
 		SuspectDecayEvery: *suspectDecay,
 		TenantRate:        *tenantRate,
 		TenantBurst:       *tenantBurst,
+		SelfURL:           *selfURL,
 	})
 	if err != nil {
 		return err
 	}
-	if *selfURL != "" {
-		g.SetSelfURL(*selfURL)
-	} else {
-		g.SetSelfURL("http://" + *addr)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		g.Close()
+		return err
+	}
+	log.Printf("abftgate: serving on http://%s (%d nodes, window %d, retries %d)",
+		ln.Addr(), len(nodeCfgs), *window, *retries)
+	return serveGateway(ctx, g, ln, *drain)
+}
+
+// serveGateway serves g on ln until ctx is done, then drains for at most
+// drain and closes g. A gateway without a self URL gets the one address
+// that is known to be listening: ln's own, which is not the -addr text
+// when that names port 0 or no host.
+func serveGateway(ctx context.Context, g *cluster.Gateway, ln net.Listener, drain time.Duration) error {
+	defer g.Close()
+	if g.SelfURL() == "" {
+		g.SetSelfURL("http://" + ln.Addr().String())
 	}
 
 	mux := http.NewServeMux()
@@ -152,13 +168,6 @@ func run() error {
 		ReadHeaderTimeout: 5 * time.Second,
 		BaseContext:       func(net.Listener) context.Context { return ctx },
 	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	log.Printf("abftgate: serving on http://%s (%d nodes, window %d, retries %d)",
-		ln.Addr(), len(nodeCfgs), *window, *retries)
-
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
@@ -169,13 +178,12 @@ func run() error {
 	}
 	// Graceful drain: stop accepting, let in-flight forwards classify,
 	// then stop the prober.
-	log.Printf("abftgate: signal received, draining (budget %s)", *drain)
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	log.Printf("abftgate: signal received, draining (budget %s)", drain)
+	shutCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
-	g.Close()
 	log.Printf("abftgate: drained, exiting")
 	return nil
 }

@@ -12,16 +12,18 @@
 // Against a gateway, -integrity vote,verify-vote exercises the
 // replica-voting tier, and -forbid-node fails the sweep if any answer
 // was delivered by a named node (the lying-node gate).
-// With -bench-out, the per-cell aggregates are written as a
-// machine-readable JSON baseline (BENCH_serve.json).
 //
-// With -recover-out, abftload instead runs the migrate-vs-cold-restart
-// experiment against a gateway: one undisturbed CG long job prices the
-// full restart, then the same solve is re-run with the executing worker
-// SIGKILLed (-job-kill-nodes node=pid,...) after its first checkpoint.
-// The run fails unless the job migrated, resumed from a step > 0,
-// converged, and recovered faster than the cold baseline; the comparison
-// is written as BENCH_recover.json.
+// With -jobs, abftload instead submits async jobs through a gateway's
+// /v1/jobs API and polls each to a terminal state: -job-kernel gemm shards
+// across the pool (-job-verify recomputes the product locally and requires
+// a bit-digest match), -job-kernel cg rides the checkpoint-streaming long
+// path. The run fails unless every job finished done with zero block
+// recomputes.
+//
+// abftload is a gate-and-sweep client only. The repository's benchmark is
+// cmd/abftbench, and the fault gates (node death mid-sweep, mid-job and
+// mid-solve, the lying node, the tenant flood) are Go tests that strike on
+// observed state; abftload kills nothing and writes no file.
 package main
 
 import (
@@ -32,7 +34,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -40,7 +41,6 @@ import (
 	"coopabft/internal/bifit"
 	"coopabft/internal/core"
 	"coopabft/internal/serve"
-	"coopabft/internal/serve/benchjson"
 	"coopabft/internal/serve/loadgen"
 )
 
@@ -79,7 +79,6 @@ func run() error {
 		retry429   = flag.Int("retry-429", 0, "retries after a 429 shed, honoring Retry-After (0 = count 429s as data)")
 		retryCap   = flag.Duration("retry-after-cap", 2*time.Second, "upper bound on honored Retry-After waits")
 		minDone    = flag.Float64("min-complete", 0, "fail unless at least this fraction of sent requests completed")
-		benchOut   = flag.String("bench-out", "", "write machine-readable results (e.g. BENCH_serve.json)")
 
 		jobs       = flag.Int("jobs", 0, "run this many async jobs via /v1/jobs instead of the rate sweep")
 		jobKernel  = flag.String("job-kernel", "gemm", "job kernel: gemm (sharded) or cg (long path with checkpoint streaming)")
@@ -88,11 +87,6 @@ func run() error {
 		jobNY      = flag.Int("job-ny", 48, "job CG grid y (-job-kernel cg)")
 		jobVerify  = flag.Bool("job-verify", false, "recompute the reference product locally and require a bit-digest match")
 		jobTimeout = flag.Duration("job-timeout", 2*time.Minute, "per-job budget, submit through terminal state")
-		jobKillPID = flag.Int("job-kill-pid", 0, "SIGKILL this pid once a job reports running with blocks outstanding (chaos smoke); requires reconstructions >= 1 and recomputes == 0")
-
-		killNodes  = flag.String("job-kill-nodes", "", "comma-separated node=pid pairs; with -recover-out, SIGKILL the pid of the node executing the CG job once a checkpoint has landed")
-		recoverOut = flag.String("recover-out", "", "run the migrate-vs-cold-restart experiment and write BENCH_recover.json here (requires -job-kill-nodes)")
-		recoverCE  = flag.Int("recover-checkpoint-every", 8, "checkpoint cadence to stamp into the recover artifact (informational; must match the gateway's -checkpoint-every)")
 	)
 	flag.Parse()
 
@@ -108,48 +102,31 @@ func run() error {
 		Faults:        *faults,
 	}
 	var err error
-	if cfg.Rates, err = parseRates(*rates); err != nil {
+	if cfg.Rates, err = parseList(*rates, parseRate); err != nil {
 		return err
 	}
-	for _, name := range splitList(*kernels) {
-		k, err := serve.ParseKernel(name)
-		if err != nil {
-			return err
-		}
-		cfg.Kernels = append(cfg.Kernels, k)
+	if len(cfg.Rates) == 0 {
+		return fmt.Errorf("no rates given")
 	}
-	for _, name := range splitList(*strategies) {
-		s, err := core.ParseStrategy(name)
-		if err != nil {
-			return err
-		}
-		cfg.Strategies = append(cfg.Strategies, s)
+	if cfg.Kernels, err = parseList(*kernels, serve.ParseKernel); err != nil {
+		return err
 	}
-	for _, name := range splitList(*modes) {
-		m, err := abft.ParseVerifyMode(name)
-		if err != nil {
-			return err
-		}
-		cfg.Modes = append(cfg.Modes, m)
+	if cfg.Strategies, err = parseList(*strategies, core.ParseStrategy); err != nil {
+		return err
 	}
-	for _, name := range splitList(*integs) {
-		i, err := serve.ParseIntegrity(name)
-		if err != nil {
-			return err
-		}
-		cfg.Integrities = append(cfg.Integrities, i)
+	if cfg.Modes, err = parseList(*modes, abft.ParseVerifyMode); err != nil {
+		return err
+	}
+	if cfg.Integrities, err = parseList(*integs, serve.ParseIntegrity); err != nil {
+		return err
+	}
+	if cfg.Dtypes, err = parseList(*dtypes, serve.ParseDtype); err != nil {
+		return err
 	}
 	cfg.Replicas = *replicas
 	cfg.ForbidNodes = splitList(*forbidNode)
 	if cfg.FaultKind, err = parseKind(*kindName); err != nil {
 		return err
-	}
-	for _, name := range splitList(*dtypes) {
-		d, err := serve.ParseDtype(name)
-		if err != nil {
-			return err
-		}
-		cfg.Dtypes = append(cfg.Dtypes, d)
 	}
 	if cfg.Tenants, err = parseTenants(*tenants); err != nil {
 		return err
@@ -176,8 +153,8 @@ func run() error {
 			return err
 		}
 	}
-	if *jobs > 0 || *recoverOut != "" {
-		jcfg := loadgen.JobsConfig{
+	if *jobs > 0 {
+		return runJobs(ctx, client, loadgen.JobsConfig{
 			Jobs:    *jobs,
 			Kernel:  strings.ToLower(*jobKernel),
 			N:       *jobN,
@@ -186,28 +163,13 @@ func run() error {
 			Seed:    *seed,
 			Timeout: *jobTimeout,
 			Verify:  *jobVerify,
-		}
-		if *recoverOut != "" {
-			pids, err := parseKillNodes(*killNodes)
-			if err != nil {
-				return err
-			}
-			return runRecover(ctx, client, jcfg, pids, *recoverOut, *recoverCE)
-		}
-		return runJobs(ctx, client, jcfg, *jobKillPID)
+		})
 	}
 	res, err := loadgen.Run(ctx, client, cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Print(res.Table())
-
-	if *benchOut != "" {
-		if err := benchjson.Write(*benchOut, benchjson.FromResult(res)); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d cells)\n", *benchOut, len(res.Cells))
-	}
 
 	totals := res.Totals()
 	if totals.Unclassified > 0 {
@@ -271,6 +233,9 @@ func parseTenants(spec string) ([]loadgen.TenantSpec, error) {
 			return nil, fmt.Errorf("bad -tenants entry %q (want name=priority@rate)", part)
 		}
 		prioName, rateStr, hasRate := strings.Cut(rest, "@")
+		if prioName == "" {
+			return nil, fmt.Errorf("no priority in -tenants entry %q (want name=priority@rate)", part)
+		}
 		prio, err := serve.ParsePriority(prioName, serve.DefaultStrategy)
 		if err != nil {
 			return nil, err
@@ -278,7 +243,7 @@ func parseTenants(spec string) ([]loadgen.TenantSpec, error) {
 		spec := loadgen.TenantSpec{Name: name, Priority: prio}
 		if hasRate {
 			r, err := strconv.ParseFloat(rateStr, 64)
-			if err != nil || r <= 0 {
+			if err != nil || !(r > 0) { // also refuses NaN
 				return nil, fmt.Errorf("bad rate in -tenants entry %q", part)
 			}
 			spec.Rate = r
@@ -297,7 +262,7 @@ func parseTenantGates(spec string) (map[string]float64, error) {
 			return nil, fmt.Errorf("bad gate entry %q (want name=value)", part)
 		}
 		v, err := strconv.ParseFloat(valStr, 64)
-		if err != nil || v < 0 {
+		if err != nil || !(v >= 0) { // a NaN gate would pass every run
 			return nil, fmt.Errorf("bad value in gate entry %q", part)
 		}
 		out[name] = v
@@ -306,28 +271,10 @@ func parseTenantGates(spec string) (map[string]float64, error) {
 }
 
 // runJobs is the async-jobs mode: submit -jobs jobs, poll each to a
-// terminal state, optionally SIGKILL a worker mid-job, and apply the chaos
-// gates — every job done, digests matching, and (with a kill) recovery by
-// reconstruction only.
-func runJobs(ctx context.Context, client *loadgen.HTTPClient, cfg loadgen.JobsConfig, killPID int) error {
-	var killed atomic.Bool
-	if killPID > 0 {
-		cfg.OnProgress = func(st serve.JobStatus) {
-			// Strike at the first poll that shows the job running with
-			// blocks outstanding. Dispatch is immediate on run start, so
-			// this is mid-flight; waiting for a completed block instead
-			// would race the victim on a loaded host — it may finish all
-			// its tasks before a starved poller observes the first one.
-			if st.State == serve.JobRunning &&
-				st.BlocksDone < st.BlocksTotal && killed.CompareAndSwap(false, true) {
-				fmt.Printf("job %s: %d/%d blocks done, SIGKILL pid %d\n",
-					st.ID, st.BlocksDone, st.BlocksTotal, killPID)
-				if err := syscall.Kill(killPID, syscall.SIGKILL); err != nil {
-					fmt.Fprintf(os.Stderr, "abftload: kill %d: %v\n", killPID, err)
-				}
-			}
-		}
-	}
+// terminal state, and apply the gates: every job done, digests matching,
+// and no lost block re-executed (a gateway that lost a worker mid-job must
+// have reconstructed from the checksum blocks).
+func runJobs(ctx context.Context, client *loadgen.HTTPClient, cfg loadgen.JobsConfig) error {
 	rep, err := loadgen.RunJobs(ctx, client, cfg)
 	printJobs(rep)
 	if err != nil {
@@ -335,14 +282,6 @@ func runJobs(ctx context.Context, client *loadgen.HTTPClient, cfg loadgen.JobsCo
 	}
 	if err := rep.Gate(); err != nil {
 		return err
-	}
-	if killPID > 0 {
-		if !killed.Load() {
-			return fmt.Errorf("kill requested but no mid-flight poll observed — job too fast to strike")
-		}
-		if rep.Reconstructions < 1 {
-			return fmt.Errorf("worker killed mid-job but reconstructions=%d, want >= 1", rep.Reconstructions)
-		}
 	}
 	if rep.Recomputes > 0 {
 		return fmt.Errorf("recomputes=%d, want 0 (lost blocks must be reconstructed, not re-executed)", rep.Recomputes)
@@ -368,125 +307,6 @@ func printJobs(rep loadgen.JobsReport) {
 	}
 }
 
-// parseKillNodes reads the -job-kill-nodes spec: "nodeID=pid,nodeID=pid".
-func parseKillNodes(spec string) (map[string]int, error) {
-	out := map[string]int{}
-	for _, part := range splitList(spec) {
-		id, pidStr, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -job-kill-nodes entry %q (want node=pid)", part)
-		}
-		pid, err := strconv.Atoi(pidStr)
-		if err != nil || pid <= 0 {
-			return nil, fmt.Errorf("bad pid in -job-kill-nodes entry %q", part)
-		}
-		out[id] = pid
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-recover-out requires -job-kill-nodes node=pid[,node=pid]")
-	}
-	return out, nil
-}
-
-// nodeKiller SIGKILLs the worker executing a long job, but only once the
-// gateway has accepted a checkpoint — so the migration has real state to
-// resume from and a cold restart would be distinguishable.
-type nodeKiller struct {
-	pids   map[string]int
-	killed atomic.Bool
-	victim string
-}
-
-func (k *nodeKiller) onProgress(st serve.JobStatus) {
-	if st.State != serve.JobRunning || st.Node == "" || st.Checkpoints < 1 || st.Step < 1 {
-		return
-	}
-	pid, ok := k.pids[st.Node]
-	if !ok || !k.killed.CompareAndSwap(false, true) {
-		return
-	}
-	k.victim = st.Node
-	fmt.Printf("job %s: step %d, %d checkpoints on node %s — SIGKILL pid %d\n",
-		st.ID, st.Step, st.Checkpoints, st.Node, pid)
-	if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
-		fmt.Fprintf(os.Stderr, "abftload: kill %d: %v\n", pid, err)
-	}
-}
-
-// runRecover is the migrate-vs-cold-restart experiment behind
-// BENCH_recover.json: one undisturbed CG solve to price a full restart,
-// then the same solve with the executing worker SIGKILLed after its first
-// checkpoint. The gates demand a real migration (resume step > 0, one
-// migration, converged answer) and a recovery latency strictly below the
-// cold wall time — otherwise checkpoint shipping would be theater.
-func runRecover(ctx context.Context, client *loadgen.HTTPClient, cfg loadgen.JobsConfig, pids map[string]int, outPath string, checkpointEvery int) error {
-	cfg.Jobs = 1
-	cfg.Kernel = "cg"
-	cfg.Verify = false
-
-	fmt.Printf("recover: cold baseline solve (grid %dx%d, seed %d)\n", cfg.NX, cfg.NY, cfg.Seed)
-	coldRep, err := loadgen.RunJobs(ctx, client, cfg)
-	printJobs(coldRep)
-	if err != nil {
-		return err
-	}
-	if err := coldRep.Gate(); err != nil {
-		return fmt.Errorf("cold baseline: %w", err)
-	}
-	cold := coldRep.Jobs[0]
-
-	killer := &nodeKiller{pids: pids}
-	cfg.OnProgress = killer.onProgress
-	fmt.Println("recover: chaos solve (SIGKILL after first checkpoint)")
-	chaosRep, err := loadgen.RunJobs(ctx, client, cfg)
-	printJobs(chaosRep)
-	if err != nil {
-		return err
-	}
-	if err := chaosRep.Gate(); err != nil {
-		return fmt.Errorf("chaos run: %w", err)
-	}
-	st := chaosRep.Jobs[0].Status
-
-	f := benchjson.NewRecoverFile(cfg.Seed)
-	f.NX, f.NY, f.CheckpointEvery = cfg.NX, cfg.NY, checkpointEvery
-	f.ColdWallMS, f.ColdSteps = cold.WallMS, cold.Status.Step
-	f.KillWallMS = chaosRep.Jobs[0].WallMS
-	f.ResumeStep, f.Migrations = st.ResumeStep, st.Migrations
-	f.RecoveryMS, f.Checkpoints = st.RecoveryMS, st.Checkpoints
-	if st.Result != nil {
-		f.Outcome = st.Result.Outcome
-	}
-	if err := benchjson.WriteRecover(outPath, f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (cold %.0fms, recovery %.0fms, resumed from step %d)\n",
-		outPath, f.ColdWallMS, f.RecoveryMS, f.ResumeStep)
-
-	if !killer.killed.Load() {
-		return fmt.Errorf("no kill landed — job never polled running with a checkpoint on a named node")
-	}
-	if f.Outcome != "corrected" {
-		return fmt.Errorf("chaos outcome %q, want corrected", f.Outcome)
-	}
-	if f.Migrations < 1 {
-		return fmt.Errorf("migrations=%d, want >= 1", f.Migrations)
-	}
-	if f.ResumeStep <= 0 {
-		return fmt.Errorf("resume_step=%d, want > 0 (the replacement started cold)", f.ResumeStep)
-	}
-	if st.Node == killer.victim {
-		return fmt.Errorf("job finished on the killed node %s", st.Node)
-	}
-	if f.RecoveryMS <= 0 {
-		return fmt.Errorf("recovery_ms=%.1f, want > 0", f.RecoveryMS)
-	}
-	if f.RecoveryMS >= f.ColdWallMS {
-		return fmt.Errorf("recovery %.0fms not faster than a cold full restart (%.0fms)", f.RecoveryMS, f.ColdWallMS)
-	}
-	return nil
-}
-
 func splitList(s string) []string {
 	var out []string
 	for _, part := range strings.Split(s, ",") {
@@ -497,19 +317,25 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseRates(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range splitList(s) {
-		r, err := strconv.ParseFloat(part, 64)
-		if err != nil || r <= 0 {
-			return nil, fmt.Errorf("bad rate %q", part)
+// parseList parses every entry of a comma-separated flag value.
+func parseList[T any](spec string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, part := range splitList(spec) {
+		v, err := parse(part)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, r)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no rates given")
+		out = append(out, v)
 	}
 	return out, nil
+}
+
+func parseRate(s string) (float64, error) {
+	r, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(r > 0) { // also refuses NaN
+		return 0, fmt.Errorf("bad rate %q", s)
+	}
+	return r, nil
 }
 
 func parseKind(name string) (bifit.Kind, error) {

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -95,6 +96,63 @@ func TestDecodeGarbage(t *testing.T) {
 			t.Fatalf("Decode(%q): err = %v, want a typed snapshot error", buf, err)
 		}
 	}
+}
+
+// FuzzCheckpointDecode feeds Decode what a gateway accepts from the network
+// on PUT /v1/jobs/{id}/checkpoint. It must refuse with one of its two typed
+// errors or return a snapshot whose encoding decodes to the same snapshot
+// (to the same bytes, unless the input set the reserved field, which Decode
+// does not read); and a buffer it accepts must be refused once any byte of
+// its checksum trailer or of a length field (region count, name length,
+// float count) is flipped.
+func FuzzCheckpointDecode(f *testing.F) {
+	f.Add(Encode(sampleSnapshot()), byte(0x40))
+	f.Add(Encode(Snapshot{}), byte(1))
+	f.Fuzz(func(t *testing.T, buf []byte, flip byte) {
+		s, err := Decode(buf)
+		if err != nil {
+			if !errors.Is(err, ErrBadSnapshot) && !errors.Is(err, ErrSnapshotVersion) {
+				t.Fatalf("untyped refusal: %v", err)
+			}
+			return
+		}
+		again := Encode(s)
+		if buf[6] == 0 && buf[7] == 0 && !bytes.Equal(again, buf) {
+			t.Fatalf("accepted %d bytes that are not the encoding of what they decode to", len(buf))
+		}
+		if s2, err := Decode(again); err != nil || !bytes.Equal(Encode(s2), again) {
+			t.Fatalf("re-encoded snapshot decodes to a different one (err %v)", err)
+		}
+		if flip == 0 {
+			return
+		}
+		guarded := []int{20, 21, 22, 23} // region count
+		off := 24
+		for _, r := range s.Regions {
+			for i := 0; i < 4; i++ { // name length
+				guarded = append(guarded, off+i)
+			}
+			off += 4 + len(r.Name)
+			for i := 0; i < 8; i++ { // float count
+				guarded = append(guarded, off+i)
+			}
+			off += 8 + 8*len(r.Data)
+		}
+		for i := 0; i < 8; i++ { // trailer
+			guarded = append(guarded, off+i)
+		}
+		if off+8 != len(buf) {
+			t.Fatalf("accepted %d bytes, regions and trailer account for %d", len(buf), off+8)
+		}
+		mut := append([]byte(nil), buf...)
+		for _, at := range guarded {
+			mut[at] ^= flip
+			if _, err := Decode(mut); err == nil {
+				t.Fatalf("byte %d of %d flipped by %#x and still accepted", at, len(buf), flip)
+			}
+			mut[at] ^= flip
+		}
+	})
 }
 
 func TestSnapshotBeforeCheckpoint(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -137,13 +138,18 @@ func TestVoteOfOnePassthrough(t *testing.T) {
 // three-node cluster with one always-lying node serves a 64-request seeded
 // sweep under integrity=vote, and the liar never wins an election, every
 // delivery reaches quorum, the liar's suspect tally grows, and its breaker
-// trips on lost elections alone.
+// trips on lost elections alone. A verify-vote sweep over a second such pool
+// then banks cheap verification passes, delivers only what an honest node
+// computes, and ends every election the liar led in a typed abort.
 func TestByzantineSweep(t *testing.T) {
-	g := voteGateway(t, 3, 3,
-		NodeConfig{ID: "n0", BaseURL: serveNode(t)},
-		NodeConfig{ID: "n1", BaseURL: serveNode(t)},
-		NodeConfig{ID: "liar", BaseURL: byzNode(t, 1, 99)},
-	)
+	mixedPool := func() *Gateway {
+		return voteGateway(t, 3, 3,
+			NodeConfig{ID: "n0", BaseURL: serveNode(t)},
+			NodeConfig{ID: "n1", BaseURL: serveNode(t)},
+			NodeConfig{ID: "liar", BaseURL: byzNode(t, 1, 99)},
+		)
+	}
+	g := mixedPool()
 	ctx := context.Background()
 	sigs := map[uint64]string{}
 	for i := 0; i < 64; i++ {
@@ -176,11 +182,14 @@ func TestByzantineSweep(t *testing.T) {
 	if got := g.m.QuorumFail.Value(); got != 0 {
 		t.Errorf("quorum_fail = %d, want 0 — two honest nodes always outvote one liar", got)
 	}
+	if got := g.m.VotesTotal.Value(); got != 64+4 {
+		t.Errorf("votes_total = %d, want one per election (64 and 4 replays)", got)
+	}
 	// The liar is suspected whenever it was seated and lost; with its
 	// breaker periodically open it sits out some elections, but over 64
 	// requests the tally and at least one suspect trip must land.
-	if got := g.m.Node("liar").Suspects.Value(); got < 3 {
-		t.Errorf("liar suspects = %d, want >= 3", got)
+	if got := g.m.Node("liar").Suspects.Value(); got < 3 || got != g.m.SuspectsTotal.Value() {
+		t.Errorf("liar suspects = %d of %d in total, want >= 3 and all of them", got, g.m.SuspectsTotal.Value())
 	}
 	if g.m.Node("liar").SuspectTrips.Value() < 1 || g.m.SuspectTrips.Value() < 1 {
 		t.Error("lost elections never tripped the liar's breaker")
@@ -192,6 +201,69 @@ func TestByzantineSweep(t *testing.T) {
 	per, ok := snap["suspects_per_node"].(map[string]any)
 	if !ok || per["liar"] == int64(0) {
 		t.Errorf("snapshot suspects_per_node = %v", snap["suspects_per_node"])
+	}
+
+	// Verify-vote seats as primary the first node of the request's placement
+	// order, which depends on the size class: pick one size the liar leads
+	// and one an honest node leads, so both kinds of election are held.
+	gv := mixedPool()
+	honest := voteGateway(t, 1, 3, NodeConfig{ID: "ref", BaseURL: serveNode(t)})
+	var lyingN, honestN int
+	for _, n := range []int{160, 96, 48, 32, 16} { // the smallest of each kind
+		if rank(gv.nodes, placementKey(serve.KernelGEMM, sizeClass(n)))[0].id == "liar" {
+			lyingN = n
+		} else {
+			honestN = n
+		}
+	}
+	if lyingN == 0 || honestN == 0 {
+		t.Fatalf("no size class seats a lying primary (n=%d) and an honest one (n=%d)", lyingN, honestN)
+	}
+	aborted := 0
+	for i := 0; i < 16; i++ {
+		req := serve.Request{Kernel: "gemm", N: lyingN, Seed: uint64(2000 + i), Integrity: "verify-vote"}
+		if i%2 == 1 {
+			req.N = honestN
+		}
+		resp, err := gv.Do(ctx, req)
+		if err != nil {
+			t.Fatalf("verify-vote %d: %v", i, err)
+		}
+		if resp.Node == "liar" {
+			t.Fatalf("verify-vote %d: the lying node's product was delivered", i)
+		}
+		if resp.Outcome == "aborted" {
+			aborted++
+			if resp.VoteAgree >= 2 || resp.AnswerSig != "" || !strings.Contains(resp.Error, "refuted primary liar") {
+				t.Fatalf("verify-vote %d: abort is not the typed refutation of the liar: %+v", i, resp)
+			}
+			continue
+		}
+		if i == 0 {
+			t.Fatalf("the liar led the first election (n=%d, breaker closed) and it delivered: %+v", lyingN, resp)
+		}
+		req.Integrity = "vote"
+		want, err := honest.Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.VoteAgree < 2 || resp.AnswerSig != want.AnswerSig {
+			t.Fatalf("verify-vote %d delivered %s on %d approvals; an honest node computes %s", i, resp.AnswerSig, resp.VoteAgree, want.AnswerSig)
+		}
+	}
+	t.Logf("verify-vote: the liar leads n=%d, an honest node n=%d; %d of 16 elections refuted, %d cheap hits",
+		lyingN, honestN, aborted, gv.m.VerifyVoteCheapHits.Value())
+	if got := gv.m.VerifyVoteCheapHits.Value(); got == 0 {
+		t.Error("verify_vote_cheap_hits = 0: no election was settled by the cheap pass")
+	}
+	if got := gv.m.QuorumFail.Value(); got != int64(aborted) {
+		t.Errorf("quorum_fail = %d, want the %d refuted elections", got, aborted)
+	}
+	if got := gv.m.Node("liar").Suspects.Value(); got != int64(aborted) {
+		t.Errorf("liar suspects = %d, want one per refuted election (%d)", got, aborted)
+	}
+	if gv.m.Node("n0").Suspects.Value() != 0 || gv.m.Node("n1").Suspects.Value() != 0 {
+		t.Error("verify-vote suspected an honest node")
 	}
 }
 

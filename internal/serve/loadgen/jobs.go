@@ -18,7 +18,7 @@ import (
 
 // Jobs-API client: drives the gateway's versioned async routes
 // (POST /v1/jobs, GET /v1/jobs/{id}, DELETE /v1/jobs/{id}) and provides
-// the submit-poll-verify loop the CI chaos smoke is built on. Lives in
+// the submit-poll-verify loop behind abftload -jobs. Lives in
 // loadgen, not cluster, so the generator never imports the scheduler —
 // it speaks only the wire contract documented on serve.JobStatus.
 
@@ -137,10 +137,6 @@ type JobsConfig struct {
 	// digests — the end-to-end correctness gate. Costs an n³ GEMM per
 	// distinct (n, seed) on the client. GEMM jobs only.
 	Verify bool
-	// OnProgress observes every polled status. The chaos smoke uses the
-	// first observation with BlocksDone >= 1 to SIGKILL a worker while
-	// the job is demonstrably mid-flight.
-	OnProgress func(serve.JobStatus)
 }
 
 func (c JobsConfig) withDefaults() JobsConfig {
@@ -204,8 +200,8 @@ type JobsReport struct {
 }
 
 // Gate returns nil iff every job finished done and, when verification was
-// on, every sharded digest matched the reference — the pass/fail line the
-// CI smoke exits on.
+// on, every sharded digest matched the reference — the pass/fail line
+// abftload -jobs exits on.
 func (r JobsReport) Gate() error {
 	if r.Failed > 0 || r.Cancelled > 0 || r.Done != len(r.Jobs) {
 		return fmt.Errorf("%w: %d/%d done (%d failed, %d cancelled)",
@@ -304,9 +300,6 @@ func runOneJob(ctx context.Context, h *HTTPClient, cfg JobsConfig, seed uint64) 
 			delay = nextPollDelay(delay, cfg, seed)
 		}
 		st = next
-		if cfg.OnProgress != nil {
-			cfg.OnProgress(st)
-		}
 	}
 	out := JobOutcome{Status: st, WallMS: float64(time.Since(t0)) / float64(time.Millisecond)}
 	if cfg.Verify && st.State == serve.JobDone && st.Sharded {

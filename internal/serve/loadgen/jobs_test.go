@@ -49,8 +49,7 @@ func (f *fakeJobsServer) handler() http.Handler {
 }
 
 // TestRunJobsHappyPath: the loop submits, polls through running to done,
-// fires the progress hook, verifies the digest against the local
-// reference, and the gate passes.
+// verifies the digest against the local reference, and the gate passes.
 func TestRunJobsHappyPath(t *testing.T) {
 	const n, seed = 32, uint64(9)
 	done := serve.JobStatus{
@@ -64,23 +63,16 @@ func TestRunJobsHappyPath(t *testing.T) {
 	ts := httptest.NewServer(f.handler())
 	defer ts.Close()
 
-	var sawMidFlight atomic.Bool
-	rep, err := RunJobs(context.Background(), &HTTPClient{Base: ts.URL}, JobsConfig{
-		N: n, Seed: seed, Verify: true, Poll: time.Millisecond,
-		OnProgress: func(st serve.JobStatus) {
-			if st.State == serve.JobRunning && st.BlocksDone >= 1 {
-				sawMidFlight.Store(true)
-			}
-		},
-	})
+	rep, err := RunJobs(context.Background(), &HTTPClient{Base: ts.URL},
+		JobsConfig{N: n, Seed: seed, Verify: true, Poll: time.Millisecond})
 	if err != nil {
 		t.Fatalf("RunJobs: %v", err)
 	}
 	if rep.Done != 1 || rep.Sharded != 1 || rep.DigestMismatch != 0 {
 		t.Fatalf("report %+v", rep)
 	}
-	if !sawMidFlight.Load() {
-		t.Error("progress hook never saw a mid-flight status")
+	if got := f.mu.Load(); got != 2 {
+		t.Errorf("polled %d times, want 2 (running, then done)", got)
 	}
 	if err := rep.Gate(); err != nil {
 		t.Errorf("gate: %v", err)

@@ -235,10 +235,12 @@ func TestSweepF32Dtype(t *testing.T) {
 	}
 }
 
-// TestSweepMultiTenantQoS runs the adversarial two-tenant cell in-process:
-// a protected tenant inside its quota against a speculative flood at 10x
-// the bucket rate. The flood must be throttled; the protected tenant must
-// never be throttled and must keep completing.
+// TestSweepMultiTenantQoS is the QoS chaos gate, in process: a protected
+// tenant inside its quota against a speculative flood at 10x the bucket
+// rate, with a quarter of all requests carrying a chip failure. The flood
+// must be throttled; the protected tenant must never be throttled and must
+// complete at least 95% of what it sent; nothing may come back outside the
+// taxonomy.
 func TestSweepMultiTenantQoS(t *testing.T) {
 	s := serve.New(serve.Config{
 		MaxConcurrency: 2,
@@ -259,12 +261,17 @@ func TestSweepMultiTenantQoS(t *testing.T) {
 			{Name: "gold", Priority: serve.PriorityProtected, Rate: 10},
 			{Name: "flood", Priority: serve.PrioritySpeculative, Rate: 200},
 		},
+		FaultFraction: 0.25,
+		FaultKind:     bifit.ChipFailure,
 	}
 	res, err := Run(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkInvariants(t, res)
+	if res.Cells[0].FaultsLanded == 0 {
+		t.Errorf("no fault landed on %d injected requests", res.Cells[0].InjectedReqs)
+	}
 	if len(res.Cells) != 1 {
 		t.Fatalf("cells = %d, want 1", len(res.Cells))
 	}
@@ -279,8 +286,8 @@ func TestSweepMultiTenantQoS(t *testing.T) {
 	if gold.Throttled > 0 {
 		t.Errorf("protected tenant inside its quota was throttled %d times", gold.Throttled)
 	}
-	if frac := float64(gold.Completed) / float64(gold.Sent); frac < 0.8 {
-		t.Errorf("gold completed %.0f%% (%d/%d), want >= 80%%", 100*frac, gold.Completed, gold.Sent)
+	if frac := float64(gold.Completed) / float64(gold.Sent); frac < 0.95 {
+		t.Errorf("gold completed %.0f%% (%d/%d), want >= 95%%", 100*frac, gold.Completed, gold.Sent)
 	}
 	if flood.Throttled == 0 {
 		t.Errorf("flood at 10x quota was never throttled (sent %d)", flood.Sent)
@@ -338,5 +345,62 @@ func TestMultiTenantOverHTTP(t *testing.T) {
 	}
 	if flood.Errors > 0 {
 		t.Errorf("%d untyped transport errors — the kind mapping leaked", flood.Errors)
+	}
+}
+
+// doerFunc adapts a function to Doer.
+type doerFunc func(context.Context, serve.Request) (serve.Response, error)
+
+func (f doerFunc) Do(ctx context.Context, req serve.Request) (serve.Response, error) {
+	return f(ctx, req)
+}
+
+// TestSweepIntegrityTally: the integrity axis stamps mode and vote width on
+// every request and skips verify-vote off gemm; an answer delivered by a
+// forbidden node is counted (the lying-node gate abftload exits on), and an
+// abort below quorum is counted as no-quorum, not as a wrong answer.
+func TestSweepIntegrityTally(t *testing.T) {
+	target := doerFunc(func(_ context.Context, req serve.Request) (serve.Response, error) {
+		if req.Integrity == "" || req.Replicas != 3 {
+			t.Errorf("request without its integrity stamps: %+v", req)
+		}
+		if req.Integrity == "verify-vote" && req.Kernel != "gemm" {
+			t.Errorf("verify-vote sent off gemm: %+v", req)
+		}
+		resp := serve.Response{Kernel: req.Kernel, Outcome: "corrected", Node: "n0", VoteReplicas: 3, VoteAgree: 3}
+		switch req.Seed % 3 {
+		case 0:
+			resp.Node = "liar"
+		case 1:
+			resp.Outcome, resp.Node, resp.VoteAgree = "aborted", "", 1
+		}
+		return resp, nil
+	})
+	res, err := Run(context.Background(), target, Config{
+		Seed:        5,
+		Requests:    30,
+		Rates:       []float64{2000},
+		Kernels:     []serve.Kernel{serve.KernelGEMM, serve.KernelCholesky},
+		Integrities: []serve.Integrity{serve.IntegrityVote, serve.IntegrityVerifyVote},
+		Replicas:    3,
+		ForbidNodes: []string{"liar"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// gemm×{vote,verify-vote} + cholesky×{vote}.
+	if len(res.Cells) != 3 {
+		t.Fatalf("cells = %d, want 3 (verify-vote x cholesky skipped)", len(res.Cells))
+	}
+	checkInvariants(t, res)
+	totals := res.Totals()
+	if totals.Voted != 90 || totals.ForbiddenNode == 0 || totals.NoQuorum == 0 {
+		t.Fatalf("totals %+v, want all 90 voted, some forbidden-node hits, some no-quorum aborts", totals)
+	}
+	if totals.NoQuorum != totals.Aborted || totals.ForbiddenNode+totals.NoQuorum >= 90 {
+		t.Errorf("totals %+v: every abort here is below quorum, and a third of the answers are clean", totals)
+	}
+	if res.PerNode()["liar"] != totals.ForbiddenNode {
+		t.Errorf("node spread %v disagrees with %d forbidden-node hits", res.PerNode(), totals.ForbiddenNode)
 	}
 }
