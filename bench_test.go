@@ -484,15 +484,17 @@ func BenchmarkFunctionalNode(b *testing.B) {
 }
 
 // BenchmarkServeVerify is one warm verify-vote verification task, n=64,
-// through serve.Service.DoVerify: unpack the claimed product, regenerate the
-// operands, probe. B/op is bytes per task; the Answer bytes are the
-// caller's (on the wire they are the decoder's, once per task).
+// through serve.Service.DoVerify: regenerate the operands, check the two
+// projections the gateway took of the product. B/op is bytes per task; the
+// task's 2n values are the caller's (on the wire they are the decoder's,
+// once per task).
 func BenchmarkServeVerify(b *testing.B) {
-	const n, seed = 64, 11
+	const n, seed, probeSeed = 64, 11, 12
 	svc := serve.New(serve.Config{QueueTimeout: time.Minute})
 	defer svc.Close()
 	c := mat.Mul(mat.Random(n, n, seed), mat.Random(n, n, seed+1))
-	task := serve.VerifyTask{Kernel: "gemm", N: n, Seed: seed, Sig: abft.BitDigest(c), Answer: abft.PackBlock(c)}
+	task := serve.VerifyTask{Kernel: "gemm", N: n, Seed: seed, ProbeSeed: probeSeed,
+		Ce: mat.MulVec(c, mat.Ones(n)), Cr: mat.MulVec(c, mat.RandomVec(n, probeSeed))}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

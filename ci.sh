@@ -19,21 +19,28 @@ go test -race -short ./...
 # operands, product, checksum vectors, checkpoint shadow and oracle
 # reference from a request-scoped arena over internal/mat's pools); a warm
 # n=64 request, clean or faulted, under 8 and 10 KiB (its functional node is
-# recycled, not built); a warm n=64 verify task under one n² matrix (its
-# operands and claimed product are on a task-scoped arena); and 64 verify
-# tasks shed from the queue must not have unpacked their products. This
-# runs here, in a tier without -race, because the detector inflates
-# allocation counts and sync.Pool drops items under it; the race run above
-# skips the tests through the raceEnabled test constant.
+# recycled, not built); a warm n=64 verify task under 16 n-vectors (its
+# operands are on a task-scoped arena, and it carries two projections, not
+# the product); 64 verify tasks shed from the queue under their own 16n-byte
+# payload each; and a warm n=64 verify-vote request through the gateway and
+# three in-process nodes under 128 KiB (the gateway reads the product once;
+# verifiers never receive it). This runs here, in a tier without -race,
+# because the detector inflates allocation counts and sync.Pool drops items
+# under it; the race run above skips the tests through the raceEnabled test
+# constant.
 go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct' -count=1 -v ./internal/serve/
+go test -run 'TestWarmVerifyVoteAllocationBudget' -count=1 -v ./internal/cluster/
 
-# Fuzz smoke: the three native fuzz targets, five seconds each on top of
+# Fuzz smoke: the four native fuzz targets, five seconds each on top of
 # their committed corpora (which the plain test runs above already replay).
-# The body decoder is held to the json.Decoder it replaced; UnpackBlock to
-# exact sizes and bit-for-bit round trips; checkpoint.Decode (what the
+# The body decoder is held to the json.Decoder it replaced; the verify task
+# to an admission rule stated on its own, exact bits across the wire within
+# the route's body limit, and a verdict for every admitted task; UnpackBlock
+# to exact sizes and bit-for-bit round trips; checkpoint.Decode (what the
 # gateway accepts on the checkpoint PUT) to typed refusals, a canonical
 # re-encoding, and refusing any flipped trailer or length byte.
 go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 5s ./internal/serve/
+go test -run '^$' -fuzz '^FuzzParseVerifyTask$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzUnpackBlock$' -fuzztime 5s ./internal/abft/
 go test -run '^$' -fuzz '^FuzzCheckpointDecode$' -fuzztime 5s ./internal/checkpoint/
 

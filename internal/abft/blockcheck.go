@@ -227,19 +227,13 @@ func PackBlock(m *mat.Matrix) []byte {
 	return out
 }
 
-// UnpackBlock inverts PackBlock into an r×c matrix on the heap.
+// UnpackBlock inverts PackBlock into an r×c matrix. A payload of any other
+// length than 8·r·c is refused before anything is allocated.
 func UnpackBlock(r, c int, b []byte) (*mat.Matrix, error) {
-	return UnpackBlockIn(nil, r, c, b)
-}
-
-// UnpackBlockIn inverts PackBlock into an r×c matrix over storage from
-// arena (nil: the heap). A payload of any other length than 8·r·c is
-// refused before anything is allocated.
-func UnpackBlockIn(arena *mat.Arena, r, c int, b []byte) (*mat.Matrix, error) {
 	if !holdsBlock(len(b), r, c) {
 		return nil, fmt.Errorf("%w: %d-byte payload for a %dx%d block", ErrBadSize, len(b), r, c)
 	}
-	m := arena.New(r, c)
+	m := mat.New(r, c)
 	for k := range m.Data {
 		m.Data[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*k:]))
 	}

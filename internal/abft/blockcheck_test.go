@@ -228,37 +228,30 @@ func TestNewBlockGridShapes(t *testing.T) {
 // FuzzUnpackBlock: for any shape and any bytes, UnpackBlock never panics,
 // accepts exactly the payloads of 8·r·c bytes (the product taken exactly: it
 // can wrap around to a length that matches), and what it accepts packs back
-// to the same bytes, on the arena path and on the heap path alike.
+// to the same bytes.
 func FuzzUnpackBlock(f *testing.F) {
 	f.Add(2, 3, PackBlock(mat.Random(2, 3, 1)))
 	f.Add(0, 0, []byte{})
 	f.Fuzz(func(t *testing.T, r, c int, b []byte) {
 		hi, lo := bits.Mul64(uint64(r), uint64(c))
 		fits := r >= 0 && c >= 0 && hi == 0 && lo <= math.MaxInt64/8 && uint64(len(b)) == 8*lo
-		var arena mat.Arena
-		defer arena.Release()
-		for name, unpack := range map[string]func() (*mat.Matrix, error){
-			"heap":  func() (*mat.Matrix, error) { return UnpackBlock(r, c, b) },
-			"arena": func() (*mat.Matrix, error) { return UnpackBlockIn(&arena, r, c, b) },
-		} {
-			m, err := unpack()
-			if (err == nil) != fits {
-				t.Fatalf("%s: %d bytes for a %dx%d block: err = %v, want accepted = %v", name, len(b), r, c, err, fits)
+		m, err := UnpackBlock(r, c, b)
+		if (err == nil) != fits {
+			t.Fatalf("%d bytes for a %dx%d block: err = %v, want accepted = %v", len(b), r, c, err, fits)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadSize) {
+				t.Fatalf("refusal is not ErrBadSize: %v", err)
 			}
-			if err != nil {
-				if !errors.Is(err, ErrBadSize) {
-					t.Fatalf("%s: refusal is not ErrBadSize: %v", name, err)
-				}
-				continue
-			}
-			if m.Rows != r || m.Cols != c {
-				t.Fatalf("%s: unpacked %dx%d, want %dx%d", name, m.Rows, m.Cols, r, c)
-			}
-			// A shape without elements has nothing to round-trip, and
-			// PackBlock would walk its rows, however many it claims.
-			if len(b) > 0 && !bytes.Equal(PackBlock(m), b) {
-				t.Fatalf("%s: %dx%d block does not pack back to its bytes", name, r, c)
-			}
+			return
+		}
+		if m.Rows != r || m.Cols != c {
+			t.Fatalf("unpacked %dx%d, want %dx%d", m.Rows, m.Cols, r, c)
+		}
+		// A shape without elements has nothing to round-trip, and PackBlock
+		// would walk its rows, however many it claims.
+		if len(b) > 0 && !bytes.Equal(PackBlock(m), b) {
+			t.Fatalf("%dx%d block does not pack back to its bytes", r, c)
 		}
 	})
 }

@@ -50,31 +50,61 @@ func SameAnswer(a, b string) bool { return a != "" && a == b }
 // verification pass — the verify-vote verdict against a lying primary.
 var ErrProductMismatch = fmt.Errorf("abft: claimed product fails checksum verification")
 
-// CheckProduct is the replicated O(n²) verification pass behind the
-// DCRFT-style verify-vote integrity mode: given the regenerable operands A
-// and B and a primary's claimed product C, it checks C against two probe
-// vectors — the ones vector (the classic column-checksum identity
-// C·e = A·(B·e), which pins any single wrong element larger than tol) and
-// a seeded random vector (which defeats row-compensated corruption) —
-// without ever forming A·B. Cost: four matvecs plus operand regeneration,
-// ~6n² flops against the primary's n³.
+// SeedProbe is the random probe CheckProduct derives from a request seed.
+// Whoever knows the seed knows it, the node that computed the product
+// included, so it catches faults but not a node that chooses its answer.
+func SeedProbe(n int, seed uint64) []float64 { return mat.RandomVec(n, seed^0xa5f152ab67cd90de) }
+
+// CheckProduct checks a claimed product C of the regenerable operands A and
+// B with two probes, the ones vector and SeedProbe(seed): the projections
+// ProbeBlock takes, over a matrix, then CheckProbes.
 func CheckProduct(a, b, c *mat.Matrix, seed uint64, tol float64) error {
-	n := c.Rows
-	probe := func(r []float64, name string) error {
-		br := mat.MulVec(b, r)
-		want := mat.MulVec(a, br)
-		got := mat.MulVec(c, r)
+	r := SeedProbe(c.Rows, seed)
+	return CheckProbes(a, b, r, mat.MulVec(c, mat.Ones(c.Rows)), mat.MulVec(c, r), tol)
+}
+
+// CheckProbes is the verifier's half of Freivalds' check: it compares a
+// claimed product's projections ce = C·e (the column-checksum identity, which
+// pins any single wrong element larger than tol) and cr = C·r with A·(B·e)
+// and A·(B·r), in four matvecs, never forming A·B or seeing C. With r drawn
+// after C was fixed, a wrong C passes only if its error is orthogonal to r.
+func CheckProbes(a, b *mat.Matrix, r, ce, cr []float64, tol float64) error {
+	for k, x := range [2][]float64{mat.Ones(len(r)), r} {
+		want, claim := mat.MulVec(a, mat.MulVec(b, x)), [2][]float64{ce, cr}[k]
 		for i := range want {
-			d := math.Abs(want[i] - got[i])
-			if !(d <= tol) {
+			if d := math.Abs(want[i] - claim[i]); !(d <= tol) {
 				return fmt.Errorf("%w: %s probe row %d: |Δ|=%g > tol %g",
-					ErrProductMismatch, name, i, d, tol)
+					ErrProductMismatch, [2]string{"ones", "random"}[k], i, d, tol)
 			}
 		}
-		return nil
 	}
-	if err := probe(mat.Ones(n), "ones"); err != nil {
-		return err
+	return nil
+}
+
+// ProbeBlock reads a claimed n×n product in its PackBlock form once, without
+// unpacking it, and returns its canonical signature (AnswerSig over its rows)
+// and its projections C·e and C·r, each bit for bit what mat.MulVec computes.
+// A payload of any other length than 8n² is refused with ErrBadSize.
+func ProbeBlock(packed []byte, n int, r []float64) (sig string, ce, cr []float64, err error) {
+	if !holdsBlock(len(packed), n, n) || len(r) != n {
+		return "", nil, nil, fmt.Errorf("%w: %d-byte payload for a %dx%d product", ErrBadSize, len(packed), n, n)
 	}
-	return probe(mat.RandomVec(n, seed^0xa5f152ab67cd90de), "random")
+	e := mat.Ones(n)
+	ce, cr = make([]float64, n), make([]float64, n)
+	h := uint64(fnvOffset64)
+	for i := range ce {
+		se, sr := 0.0, 0.0
+		for j, w := range r {
+			bs := packed[8*(i*n+j):][:8]
+			for _, b := range bs {
+				h ^= uint64(b)
+				h *= fnvPrime64
+			}
+			v := math.Float64frombits(binary.LittleEndian.Uint64(bs))
+			se += v * e[j]
+			sr += v * w
+		}
+		ce[i], cr[i] = se, sr
+	}
+	return fmt.Sprintf("%016x", h), ce, cr, nil
 }

@@ -581,8 +581,8 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 // nodeReadLimit bounds one body read from a node: a response, or a
 // checkpoint PUT. The largest — a MaxJobN-sized checksum block result
 // (parity + sum, base64), a long-job snapshot, a verify-vote primary's
-// shipped answer (n²·8 bytes, base64) — run to tens of MB, and one limit
-// serves every route.
+// answer to the gateway (n²·8 bytes, base64; a verifier's ballot is a few
+// bytes) — run to tens of MB, and one limit serves every route.
 const nodeReadLimit = 64 << 20
 
 // postJSON is the gateway's one way of sending work to a node: POST body to

@@ -2,13 +2,17 @@ package cluster
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"coopabft/internal/abft"
 	"coopabft/internal/cluster/vote"
+	"coopabft/internal/mat"
 	"coopabft/internal/serve"
 )
 
@@ -21,12 +25,12 @@ import (
 //     node that lies anywhere — ladder, control flow, wire encoding —
 //     because the only thing trusted is agreement between independent
 //     machines.
-//   - verify-vote (DCRFT-style): one primary computes the O(n³) product,
-//     R−1 verifiers replicate only the O(n²) checksum-verification pass
-//     against the primary's shipped bytes. Roughly the cost of one
-//     computation instead of R, in exchange for weaker coverage: a
-//     corruption that survives the probe algebra (crafted to keep both
-//     probe projections, not a hardware-fault shape) would not be caught.
+//   - verify-vote (DCRFT-style): one primary computes the O(n³) product;
+//     the gateway hashes it and projects it onto e and onto a probe r it
+//     draws only then, and R−1 verifiers check the 2n projected values
+//     against regenerated operands. About one computation instead of R; no
+//     node can predict r, so what vote still catches and this does not is
+//     an error below the probe tolerance.
 //
 // Either way, delivery without a majority is structurally impossible:
 // the no-quorum path returns a typed aborted classification (or a typed
@@ -242,11 +246,19 @@ func (g *Gateway) doVote(ctx context.Context, p serve.Parsed, wire string, body 
 	return resp, nil
 }
 
-// doVerifyVote runs the DCRFT-style election: one primary computes, R−1
-// distinct verifiers replicate the cheap verification pass against its
-// shipped product. The primary's own ballot counts (it signed its
-// answer), so acceptance needs Quorum(R)−1 passing verifiers.
+// doVerifyVote runs the DCRFT-style election: one primary computes, the
+// gateway probes its shipped product, and R−1 distinct verifiers check the
+// projections. The primary's own ballot counts (it signed its answer), so
+// acceptance needs Quorum(R)−1 passing verifiers.
 func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte, ranked []*node, r int) (serve.Response, error) {
+	// The probe comes from crypto/rand, which nothing a node sees derives,
+	// and a node learns it only as a verifier, once the product is fixed.
+	var rs [8]byte
+	if _, err := rand.Read(rs[:]); err != nil {
+		g.m.Unavailable.Add(1)
+		return serve.Response{}, fmt.Errorf("%w: verify-vote probe: %v", ErrUnavailable, err)
+	}
+	probeSeed := binary.LittleEndian.Uint64(rs[:])
 	it := &candidateIter{ranked: ranked}
 	pri := g.voteReplica(ctx, it, "gemm", body)
 	switch {
@@ -258,44 +270,41 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 		return serve.Response{}, fmt.Errorf("%w: verify-vote primary: %v", ErrUnavailable, pri.err)
 	}
 
+	g.m.VotesTotal.Add(1)
+	g.m.Delivered.Add(1)
 	resp := pri.resp
 	resp.Node = pri.nd.id
 	resp.VoteReplicas = r
 	if resp.Outcome == "aborted" {
 		// An honest abort carries no answer to verify; it is already the
 		// typed "no answer" classification, delivered as such.
-		g.m.VotesTotal.Add(1)
-		g.m.Delivered.Add(1)
 		g.m.Aborted.Add(1)
 		resp.VoteAgree = 1
 		return resp, nil
 	}
-	if resp.AnswerSig == "" || len(resp.Answer) == 0 {
-		// A non-aborted primary that did not play the protocol cannot be
-		// verified, hence cannot be delivered.
-		g.m.VotesTotal.Add(1)
+	// refute ends the election against the primary, the proven liar.
+	refute := func(agree int, why string) (serve.Response, error) {
+		g.suspect(pri.nd, time.Now())
 		g.m.QuorumFail.Add(1)
-		g.m.Delivered.Add(1)
 		g.m.Aborted.Add(1)
-		return abortedResponse(p, r, 1,
-			fmt.Sprintf("%v: primary %s returned no verifiable answer", vote.ErrNoQuorum, pri.nd.id)), nil
+		return abortedResponse(p, r, agree, fmt.Sprintf("%v: %s", vote.ErrNoQuorum, why)), nil
 	}
 
-	task := serve.VerifyTask{
-		Kernel: "gemm",
-		N:      p.N,
-		Seed:   p.Seed,
-		Sig:    resp.AnswerSig,
-		Answer: resp.Answer,
-	}
-	// The task carries the answer again (base64), and every verifier gets
-	// the same bytes: encode once into a pooled buffer, recycled when the
-	// verdicts are in and no request over it is still being written.
+	// One pass binds the shipped bytes to the primary's signature; json
+	// refuses NaN or ±Inf, which an honest product never projects to. The
+	// task is encoded once, for every verifier; a refusal here asks none.
+	sig, ce, cr, err := abft.ProbeBlock(resp.Answer, p.N, mat.RandomVec(p.N, probeSeed))
 	tbuf := serve.GetBody()
 	defer serve.PutBody(tbuf)
-	if err := json.NewEncoder(tbuf).Encode(task); err != nil {
-		g.m.Unavailable.Add(1)
-		return serve.Response{}, fmt.Errorf("%w: %v", ErrUnavailable, err)
+	switch {
+	case err != nil:
+	case !abft.SameAnswer(sig, resp.AnswerSig):
+		err = fmt.Errorf("shipped answer hashes to %s, signed %q", sig, resp.AnswerSig)
+	default:
+		err = json.NewEncoder(tbuf).Encode(serve.VerifyTask{Kernel: "gemm", N: p.N, Seed: p.Seed, ProbeSeed: probeSeed, Ce: ce, Cr: cr})
+	}
+	if err != nil {
+		return refute(1, fmt.Sprintf("gateway refuted primary %s: %v", pri.nd.id, err))
 	}
 	tbody := tbuf.Bytes()
 
@@ -311,7 +320,6 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 	wg.Wait()
 
 	approvals := 1 // the primary backs its own signature
-	cheapHits := 0
 	var refuters []*node
 	for _, v := range verdicts {
 		if v == nil {
@@ -319,30 +327,21 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 		}
 		if v.ok {
 			approvals++
-			cheapHits++
 		} else {
 			refuters = append(refuters, v.nd)
 		}
 	}
 
-	g.m.VotesTotal.Add(1)
-	g.m.Delivered.Add(1)
-	now := time.Now()
 	if approvals < vote.Quorum(r) {
-		// The verifier majority refuted the primary's product: the primary
-		// is the proven liar, and there is no answer to deliver.
-		g.suspect(pri.nd, now)
-		g.m.QuorumFail.Add(1)
-		g.m.Aborted.Add(1)
-		return abortedResponse(p, r, approvals,
-			fmt.Sprintf("%v: replicated verification refuted primary %s (%d of %d approvals, quorum %d)",
-				vote.ErrNoQuorum, pri.nd.id, approvals, r, vote.Quorum(r))), nil
+		return refute(approvals, fmt.Sprintf("replicated verification refuted primary %s (%d of %d approvals, quorum %d)",
+			pri.nd.id, approvals, r, vote.Quorum(r)))
 	}
 	// Accepted: a refuting minority voted against a reached majority.
+	now := time.Now()
 	for _, nd := range refuters {
 		g.suspect(nd, now)
 	}
-	g.m.VerifyVoteCheapHits.Add(int64(cheapHits))
+	g.m.VerifyVoteCheapHits.Add(int64(approvals - 1))
 	resp.Answer = nil
 	resp.VoteAgree = approvals
 	switch resp.Outcome {

@@ -6,12 +6,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"coopabft/internal/abft"
+	"coopabft/internal/cluster/vote"
+	"coopabft/internal/mat"
 	"coopabft/internal/serve"
 )
 
@@ -141,6 +148,13 @@ func TestVoteOfOnePassthrough(t *testing.T) {
 // trips on lost elections alone. A verify-vote sweep over a second such pool
 // then banks cheap verification passes, delivers only what an honest node
 // computes, and ends every election the liar led in a typed abort.
+//
+// The liar lies adaptively: its answers pass every probe a worker can
+// predict. That is nothing to vote, which never probes: it compares exact
+// signatures, the lie's signature differs from the honest answer's, and the
+// two honest replicas agree bit for bit, so one liar holds one ballot of
+// three and can never win a majority. Verify-vote holds only because the
+// gateway draws its probe after the primary answered.
 func TestByzantineSweep(t *testing.T) {
 	mixedPool := func() *Gateway {
 		return voteGateway(t, 3, 3,
@@ -367,6 +381,119 @@ func TestVerifyVoteRefutesLyingPrimary(t *testing.T) {
 	}
 	if g.m.SuspectsTotal.Value() != 1 {
 		t.Errorf("suspects_total = %d, want 1 (the refuted primary)", g.m.SuspectsTotal.Value())
+	}
+}
+
+// TestVerifyVoteGatewayRefusals: the gateway's own pass over the primary's
+// shipped product refuses, before any verifier is asked, bytes that do not
+// hash to the answer_sig the primary signed, an answer of the wrong length or
+// none, and a product json cannot project (a NaN, ±Inf, or finite entries
+// whose projection overflows; an honest product of finite operands has
+// none). Each is a typed abort with the primary suspected and QuorumFail
+// counted. Every fake node approves whatever verify task it is sent, so a
+// refusal the gateway left to its verifiers would be delivered.
+func TestVerifyVoteGatewayRefusals(t *testing.T) {
+	const n, seed = 16, 4
+	c := mat.Mul(mat.Random(n, n, seed), mat.Random(n, n, seed+1))
+	signed := func(at int, vs ...float64) serve.Response {
+		m := c.Clone()
+		copy(m.Data[at:], vs)
+		return serve.Response{Kernel: "gemm", N: n, Outcome: "corrected", Integrity: "verify-vote",
+			AnswerSig: abft.BitDigest(m), Answer: abft.PackBlock(m)}
+	}
+	unbound, short, none := signed(0), signed(0), signed(0)
+	unbound.AnswerSig = abft.BitDigest(mat.Random(n, n, 1))
+	short.Answer = short.Answer[:8*n*n-8]
+	none.Answer = nil
+	for name, primary := range map[string]serve.Response{
+		"bytes do not hash to answer_sig": unbound,
+		"answer one value short":          short,
+		"no answer":                       none,
+		"NaN":                             signed(5, math.NaN()),
+		"+Inf":                            signed(5, math.Inf(1)),
+		"-Inf":                            signed(5, math.Inf(-1)),
+		"projection overflows":            signed(0, math.MaxFloat64, math.MaxFloat64),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var verifies atomic.Int64
+			fake := func() string {
+				return stubNode(t, func(w http.ResponseWriter, r *http.Request) {
+					switch r.URL.Path {
+					case "/v1/verify":
+						verifies.Add(1)
+						json.NewEncoder(w).Encode(serve.VerifyResult{OK: true})
+					case "/v1/gemm":
+						json.NewEncoder(w).Encode(primary)
+					default:
+						http.NotFound(w, r)
+					}
+				})
+			}
+			g := voteGateway(t, 3, 3,
+				NodeConfig{ID: "n0", BaseURL: fake()},
+				NodeConfig{ID: "n1", BaseURL: fake()},
+				NodeConfig{ID: "n2", BaseURL: fake()},
+			)
+			pri := rank(g.nodes, placementKey(serve.KernelGEMM, sizeClass(n)))[0].id
+			resp, err := g.Do(context.Background(), serve.Request{Kernel: "gemm", N: n, Seed: seed, Integrity: "verify-vote"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Outcome != "aborted" || resp.VoteAgree > 1 || resp.AnswerSig != "" || resp.Answer != nil ||
+				!strings.HasPrefix(resp.Error, vote.ErrNoQuorum.Error()) || !strings.Contains(resp.Error, "gateway refuted primary "+pri) {
+				t.Fatalf("not the gateway's typed refutation of %s: %+v", pri, resp)
+			}
+			if got := verifies.Load(); got != 0 {
+				t.Errorf("%d verify tasks forwarded, want 0", got)
+			}
+			if g.m.QuorumFail.Value() != 1 || g.m.Aborted.Value() != 1 {
+				t.Errorf("quorum_fail = %d, aborted = %d, want 1 each", g.m.QuorumFail.Value(), g.m.Aborted.Value())
+			}
+			if g.m.Node(pri).Suspects.Value() != 1 || g.m.SuspectsTotal.Value() != 1 {
+				t.Errorf("primary %s suspects = %d of %d in total, want the one", pri, g.m.Node(pri).Suspects.Value(), g.m.SuspectsTotal.Value())
+			}
+			t.Log(resp.Error)
+		})
+	}
+}
+
+// TestWarmVerifyVoteAllocationBudget: the gateway reads the primary's product
+// once and sends each verifier 2n values. With the product on the verifier
+// wire, a warm n=64 request allocates about 265 KiB across the gateway and
+// three nodes: two more base64 decodes of the answer (40 KiB each) and two
+// net/http copy buffers for 43.7 KB task bodies (32 KiB each). Everything of
+// one request, both ends of every exchange included, runs in this process;
+// the median of 20 warm requests must stay under 128 KiB.
+func TestWarmVerifyVoteAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts and sync.Pool drops items under it")
+	}
+	g := voteGateway(t, 3, 3,
+		NodeConfig{ID: "n0", BaseURL: serveNode(t)},
+		NodeConfig{ID: "n1", BaseURL: serveNode(t)},
+		NodeConfig{ID: "n2", BaseURL: serveNode(t)},
+	)
+	req := serve.Request{Kernel: "gemm", N: 64, Seed: 9, Integrity: "verify-vote"}
+	do := func() {
+		if resp, err := g.Do(context.Background(), req); err != nil || resp.Outcome != "corrected" || resp.VoteAgree != 3 {
+			t.Fatalf("%+v, %v", resp, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		do()
+	}
+	per := make([]uint64, 20)
+	var before, after runtime.MemStats
+	for i := range per {
+		runtime.ReadMemStats(&before)
+		do()
+		runtime.ReadMemStats(&after)
+		per[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	sort.Slice(per, func(i, j int) bool { return per[i] < per[j] })
+	t.Logf("warm n=64 verify-vote request: %d B allocated (median of %d; min %d, max %d)", per[len(per)/2], len(per), per[0], per[len(per)-1])
+	if per[len(per)/2] >= 128<<10 {
+		t.Errorf("warm n=64 verify-vote request allocates %d B, budget is 128 KiB", per[len(per)/2])
 	}
 }
 

@@ -55,7 +55,7 @@ func NewHandler(s *Service) http.Handler {
 		mux.HandleFunc("POST /v1/"+k.String(), s.handleKernel(k.String()))
 	}
 	mux.HandleFunc("POST /v1/block", handleTask(blockMaxBodyBytes, s.DoBlock))
-	mux.HandleFunc("POST /v1/verify", handleTask(verifyMaxBodyBytes, s.DoVerify))
+	mux.HandleFunc("POST /v1/verify", handleTask(verifyMaxBodyBytes(s.cfg.MaxN), s.DoVerify))
 	mux.HandleFunc("POST /v1/longjob", handleTask(longMaxBodyBytes, s.DoLong))
 	mux.HandleFunc("GET /v1/events", s.handleEvents)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -79,15 +79,18 @@ func (s *Service) handleKernel(kernel string) http.HandlerFunc {
 }
 
 // Side-route body limits. Block-task grid splits scale with the job size; a
-// verification task carries the claimed answer (n·n·8 bytes, base64 in
-// JSON), so its limit scales with the interactive MaxN; a long task may ship
-// a snapshot with the CG state vectors (x and b), which scale with
-// MaxJobN²/16 grid areas.
+// long task may ship a snapshot with the CG state vectors (x and b), which
+// scale with MaxJobN²/16 grid areas.
 const (
-	blockMaxBodyBytes  = 1 << 20
-	verifyMaxBodyBytes = 4 << 20
-	longMaxBodyBytes   = 64 << 20
+	blockMaxBodyBytes = 1 << 20
+	longMaxBodyBytes  = 64 << 20
 )
+
+// verifyMaxBodyBytes bounds a verification task on a worker admitting n up
+// to maxN: its two projections are 2·maxN numbers (16·maxN bytes as
+// floats), each at most 24 bytes of JSON and a separator, plus 1 KiB for
+// the scalar fields.
+func verifyMaxBodyBytes(maxN int) int64 { return int64(2*maxN*25 + 1<<10) }
 
 // handleTask is the side routes' one HTTP handler: decode a task of at most
 // limit bytes, run it through do, answer through writeResult.

@@ -65,7 +65,7 @@ func TestAPIEmptyBodyUsesDefaults(t *testing.T) {
 func TestAPIStrictBody(t *testing.T) {
 	s := newTestService(t, Config{MaxConcurrency: 1, QueueDepth: 4})
 	h := NewHandler(s)
-	verify, err := json.Marshal(VerifyTask{Kernel: "gemm", N: 8, Seed: 3, Sig: "x", Answer: make([]byte, 8*8*8)})
+	verify, err := json.Marshal(VerifyTask{Kernel: "gemm", N: 8, Seed: 3, Ce: make([]float64, 8), Cr: make([]float64, 8)})
 	if err != nil {
 		t.Fatal(err)
 	}

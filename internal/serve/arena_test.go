@@ -545,11 +545,12 @@ func TestWarmLadderAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestWarmVerifyAllocationBudget: a verify task used to allocate the claimed
-// product and both regenerated operands, three n² matrices, per task. With
-// the task-scoped arena a warm one allocates its probe vectors and strings:
-// less than a single n² matrix (32 KiB at n=64). The Answer bytes are the
-// caller's.
+// TestWarmVerifyAllocationBudget: a verify task's operands come from the
+// task-scoped arena and it carries two projections, not the product, so a
+// warm one allocates its probe vectors (the random probe, the ones vector
+// and four matvec results, n values each) and little else: under 16
+// n-vectors (8 KiB at n=64, a quarter of one n² matrix). The task's values
+// are the caller's.
 func TestWarmVerifyAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts and sync.Pool drops items under it")
@@ -561,14 +562,14 @@ func TestWarmVerifyAllocationBudget(t *testing.T) {
 	if err != nil || resp.Outcome != "corrected" {
 		t.Fatalf("%+v, %v", resp, err)
 	}
-	task := VerifyTask{Kernel: "gemm", N: n, Seed: 9, Sig: resp.AnswerSig, Answer: resp.Answer}
+	task := verifyTask(t, n, 9, 10, resp.Answer)
 	per := warmBytesPerCall(func() {
 		if res, err := s.DoVerify(ctx, task); err != nil || !res.OK {
 			t.Fatalf("%+v, %v", res, err)
 		}
 	})
 	t.Logf("warm n=%d verify task: %d B allocated", n, per)
-	if per >= 8*n*n {
-		t.Errorf("warm n=%d verify task allocates %d B, as much as an n² matrix (%d B)", n, per, 8*n*n)
+	if per >= 16*8*n {
+		t.Errorf("warm n=%d verify task allocates %d B, as much as 16 n-vectors (%d B)", n, per, 16*8*n)
 	}
 }

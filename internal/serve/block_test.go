@@ -222,7 +222,7 @@ func TestSideRoutesNegativeQueueTimeoutDisablesBudget(t *testing.T) {
 	block := BlockTask{Kernel: "gemm", N: n, Seed: 3, Role: BlockData, RowSplits: g.RowSplits, ColSplits: g.ColSplits}
 	c := mat.New(n, n)
 	mat.MulAddInto(c, mat.Random(n, n, 3), mat.Random(n, n, 4))
-	verify := VerifyTask{Kernel: "gemm", N: n, Seed: 3, Sig: abft.BitDigest(c), Answer: abft.PackBlock(c)}
+	verify := verifyTask(t, n, 3, 4, abft.PackBlock(c))
 	long := LongTask{Kernel: "cg", NX: 4, NY: 4, Seed: 3}
 
 	routes := []struct {

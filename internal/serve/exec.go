@@ -184,7 +184,7 @@ func (s *Service) stampIntegrity(resp *Response, p Parsed, rep recovery.Report, 
 	}
 	chunks := aw.AnswerData()
 	if s.lies(p.Seed) {
-		chunks = corruptAnswer(chunks, s.cfg.LieSeed)
+		chunks = corruptAnswer(chunks, s.cfg.LieSeed, p.Seed)
 		s.m.ByzantineLies.Add(1)
 	}
 	resp.Integrity = p.Integrity.String()
@@ -207,19 +207,45 @@ func (s *Service) lies(seed uint64) bool {
 	return float64(draw)/float64(^uint64(0)) < s.cfg.LieFraction
 }
 
-// corruptAnswer deep-copies the answer chunks and perturbs one element —
-// a plausible, finite, well-formed wrong answer (not NaN garbage a client
-// would spot without voting). The perturbation magnitude derives from the
-// node's LieSeed, so independent liars tell different lies: two Byzantine
+// corruptAnswer deep-copies the answer chunks and lies adaptively: a
+// plausible, finite, well-formed wrong answer that every check a worker can
+// predict passes. It adds to three entries of the first chunk (a product's
+// first row) a perturbation δ in the null space of the only probes a worker
+// knows, the ones vector and abft.SeedProbe of the request seed: δ = e × q
+// over the entries where q is smallest, largest and nearest their middle,
+// so Σδ = 0 and Σ q·δ = 0, and the checksums and the seed-derived projection
+// move by rounding only. Each |δ| is at least 1.5 plus an amount derived from
+// the node's LieSeed, so independent liars tell different lies: two Byzantine
 // nodes only outvote an honest one by actually colluding (same LieSeed),
-// never by accident of the fixture.
-func corruptAnswer(chunks [][]float64, lieSeed uint64) [][]float64 {
+// never by accident of the fixture. Every served answer's first chunk has at
+// least 8 entries.
+func corruptAnswer(chunks [][]float64, lieSeed, seed uint64) [][]float64 {
 	out := make([][]float64, len(chunks))
 	for i, c := range chunks {
 		out[i] = append([]float64(nil), c...)
 	}
-	if len(out) > 0 && len(out[0]) > 0 {
-		out[0][0] = -(out[0][0] + 1.5 + float64(campaign.Splitmix64(lieSeed)%4096))
+	row := out[0]
+	q := abft.SeedProbe(len(row), seed)
+	lo, hi := 0, 0
+	for j, v := range q {
+		if v < q[lo] {
+			lo = j
+		}
+		if v > q[hi] {
+			hi = j
+		}
+	}
+	mid := -1
+	for j, v := range q {
+		if j != lo && j != hi && (mid < 0 || math.Abs(2*v-q[lo]-q[hi]) < math.Abs(2*q[mid]-q[lo]-q[hi])) {
+			mid = j
+		}
+	}
+	at := [3]int{lo, mid, hi}
+	d := [3]float64{q[hi] - q[mid], q[lo] - q[hi], q[mid] - q[lo]}
+	s := (1.5 + float64(campaign.Splitmix64(lieSeed)%4096)) / min(d[0], d[2]) // |d[1]| = d[0] + d[2]
+	for k, j := range at {
+		row[j] += s * d[k]
 	}
 	return out
 }

@@ -5,12 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"coopabft/internal/abft"
+	"coopabft/internal/mat"
 )
 
 func testLimits() Limits { return Limits{MaxN: 192, MaxFaults: 8} }
@@ -105,8 +108,8 @@ func TestIntegrityStamping(t *testing.T) {
 	if len(vv.Answer) != 48*48*8 {
 		t.Fatalf("verify-vote answer = %d bytes, want %d", len(vv.Answer), 48*48*8)
 	}
-	// The shipped bytes must hash to the shipped signature (the binding
-	// verifiers check).
+	// The shipped bytes must hash to the shipped signature (the binding the
+	// gateway checks).
 	c, err := abft.UnpackBlock(48, 48, vv.Answer)
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +170,26 @@ func TestByzantineLieFixture(t *testing.T) {
 	if got := abft.BitDigest(c); got != l1.AnswerSig {
 		t.Errorf("liar's payload hashes to %s, claims %s — lie is malformed, not Byzantine", got, l1.AnswerSig)
 	}
+	// Adaptive: three entries of the first row moved by at least 1.5 each,
+	// and both probes a worker can predict (the ones vector and the one
+	// derived from the request seed) pass the lie.
+	moved := 0
+	for k, v := range h.Answer {
+		if v != l1.Answer[k] {
+			i := k / 8
+			d := math.Abs(c.Data[i] - math.Float64frombits(binary.LittleEndian.Uint64(h.Answer[8*i:])))
+			if i >= 48 || !(d >= 1.5) {
+				t.Fatalf("the lie moved element %d by %g: want three entries of row 0, each by at least 1.5", i, d)
+			}
+			moved |= 1 << i
+		}
+	}
+	if bits.OnesCount(uint(moved)) != 3 {
+		t.Errorf("the lie moved %d entries of row 0, want 3", bits.OnesCount(uint(moved)))
+	}
+	if err := abft.CheckProduct(mat.Random(48, 48, 13), mat.Random(48, 48, 14), c, 13, abft.BlockTol(48)); err != nil {
+		t.Errorf("the seed-derived probes catch the lie, so it is not adaptive: %v", err)
+	}
 	if liar.m.ByzantineLies.Value() != 2 {
 		t.Errorf("byzantine_lies = %d, want 2", liar.m.ByzantineLies.Value())
 	}
@@ -182,70 +205,70 @@ func TestByzantineLieFixture(t *testing.T) {
 	}
 }
 
-// TestDoVerify: the replicated verification pass accepts the primary's
-// honest product, refutes a payload that does not hash to the claimed
-// signature (binding), and refutes an internally consistent lie via the
-// checksum probes.
+// verifyTask is the task a gateway sends a verifier for the product a
+// primary shipped as packed, probed with probeSeed.
+func verifyTask(t testing.TB, n int, seed, probeSeed uint64, packed []byte) VerifyTask {
+	t.Helper()
+	_, ce, cr, err := abft.ProbeBlock(packed, n, mat.RandomVec(n, probeSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return VerifyTask{Kernel: "gemm", N: n, Seed: seed, ProbeSeed: probeSeed, Ce: ce, Cr: cr}
+}
+
+// TestDoVerify: the replicated verification pass accepts the projections of
+// the primary's honest product, refutes those of a lying node's adaptive lie
+// (which passes every probe a worker can predict) and those of the honest
+// product under any other probe than the one they were taken with, and types
+// a malformed task a 400.
 func TestDoVerify(t *testing.T) {
 	s := newTestService(t, Config{MaxConcurrency: 2, QueueDepth: 16, QueueTimeout: time.Minute})
+	liar := newTestService(t, Config{MaxConcurrency: 2, QueueDepth: 16, QueueTimeout: time.Minute,
+		LieFraction: 1, LieSeed: 42})
 	ctx := context.Background()
-	resp, err := s.Do(ctx, Request{Kernel: "gemm", N: 48, Seed: 21, Integrity: "verify-vote"})
+	req := Request{Kernel: "gemm", N: 48, Seed: 21, Integrity: "verify-vote"}
+	resp, err := s.Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Outcome == "aborted" {
 		t.Fatalf("fixture run aborted: %s", resp.Error)
 	}
-	task := VerifyTask{Kernel: "gemm", N: 48, Seed: 21, Sig: resp.AnswerSig, Answer: resp.Answer}
-
+	task := verifyTask(t, 48, 21, 0x5eed, resp.Answer)
 	res, err := s.DoVerify(ctx, task)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.OK || res.Sig != resp.AnswerSig {
+	if !res.OK || res.Reason != "" {
 		t.Fatalf("honest product refuted: %+v", res)
 	}
 
-	// Binding violation: flip a payload byte, keep the claimed signature.
-	bound := task
-	bound.Answer = append([]byte(nil), task.Answer...)
-	bound.Answer[0] ^= 0x01
-	res, err = s.DoVerify(ctx, bound)
+	lie, err := liar.Do(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OK || res.Reason == "" {
-		t.Errorf("binding violation accepted: %+v", res)
+	res, err = s.DoVerify(ctx, verifyTask(t, 48, 21, 0x5eed, lie.Answer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OK || !strings.Contains(res.Reason, "random probe row 0") {
+		t.Errorf("adaptive lie: %+v, want refuted by the random probe on row 0", res)
 	}
 
-	// Internally consistent lie: corrupt the product ABOVE the probe
-	// tolerance AND re-sign it — the shape a lying primary actually ships.
-	// Only the probe algebra can catch this one.
-	lie := task
-	lie.Answer = append([]byte(nil), task.Answer...)
-	orig := math.Float64frombits(binary.LittleEndian.Uint64(lie.Answer[:8]))
-	binary.LittleEndian.PutUint64(lie.Answer[:8], math.Float64bits(-(orig + 2.5)))
-	c, err := abft.UnpackBlock(48, 48, lie.Answer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lie.Sig = abft.BitDigest(c)
-	res, err = s.DoVerify(ctx, lie)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OK || res.Reason == "" {
-		t.Errorf("consistent lie accepted: %+v", res)
+	other := task
+	other.ProbeSeed++
+	if res, err = s.DoVerify(ctx, other); err != nil || res.OK {
+		t.Errorf("projections checked against another probe: %+v, %v", res, err)
 	}
 
-	// Admission taxonomy: non-gemm and malformed payloads are typed 400s.
-	if _, err := s.DoVerify(ctx, VerifyTask{Kernel: "cholesky", N: 32, Sig: "x"}); !errors.Is(err, ErrBadRequest) {
+	// Admission taxonomy: non-gemm and malformed tasks are typed 400s.
+	if _, err := s.DoVerify(ctx, VerifyTask{Kernel: "cholesky", N: 32}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("cholesky verify task: err = %v, want ErrBadRequest", err)
 	}
 	short := task
-	short.Answer = task.Answer[:8]
+	short.Cr = task.Cr[:47]
 	if _, err := s.DoVerify(ctx, short); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("short payload: err = %v, want ErrBadRequest", err)
+		t.Errorf("47 probe values for n=48: err = %v, want ErrBadRequest", err)
 	}
 	if got := s.m.VerifyRefuted.Value(); got != 2 {
 		t.Errorf("verify_refuted = %d, want 2", got)
@@ -254,17 +277,18 @@ func TestDoVerify(t *testing.T) {
 
 // TestQueuedVerifyTaskHoldsNoProduct: a verify task is parsed before it is
 // admitted, so whatever parsing allocates is held by every task waiting for
-// a slot and wasted on every task that is shed. With the slots held, 64
-// n=192 tasks that wait and end in ErrQueueTimeout must allocate far less
-// than the 64 products (288 KiB each) that unpacking at parse cost them.
-// The Answer bytes are the caller's and are shared here.
+// a slot and wasted on every task that is shed. A task carries 2n probe
+// values and no product; with the slots held, 64 n=192 tasks that wait and
+// end in ErrQueueTimeout must each allocate less than their own 16n-byte
+// payload, which rules out anything n-sized, let alone the operands. The
+// task's values are the caller's and are shared here.
 func TestQueuedVerifyTaskHoldsNoProduct(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
 	}
 	s := newTestService(t, Config{BlockConcurrency: 1, QueueTimeout: 50 * time.Millisecond})
 	const n, tasks = 192, 64
-	task := VerifyTask{Kernel: "gemm", N: n, Seed: 5, Sig: "0123456789abcdef", Answer: make([]byte, 8*n*n)}
+	task := VerifyTask{Kernel: "gemm", N: n, Seed: 5, ProbeSeed: 6, Ce: make([]float64, n), Cr: make([]float64, n)}
 	s.verify.sem <- struct{}{} // the route's only slot
 	defer func() { <-s.verify.sem }()
 
@@ -290,8 +314,8 @@ func TestQueuedVerifyTaskHoldsNoProduct(t *testing.T) {
 		t.Errorf("verify_shed = %d, want %d", got, tasks)
 	}
 	grown := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d shed n=%d verify tasks allocated %d KiB; their products are %d KiB", tasks, n, grown>>10, tasks*8*n*n>>10)
-	if grown >= tasks*8*n*n/8 {
-		t.Errorf("%d queued tasks allocated %d KiB: an n² buffer per task is back ahead of admission", tasks, grown>>10)
+	t.Logf("%d shed n=%d verify tasks allocated %d B each; a task's payload is %d B", tasks, n, grown/tasks, 16*n)
+	if grown >= tasks*16*n {
+		t.Errorf("%d queued tasks allocated %d B each, as much as their %d-byte payload: something n-sized is back ahead of admission", tasks, grown/tasks, 16*n)
 	}
 }
