@@ -31,16 +31,18 @@ go test -race -short ./...
 go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct' -count=1 -v ./internal/serve/
 go test -run 'TestWarmVerifyVoteAllocationBudget' -count=1 -v ./internal/cluster/
 
-# Fuzz smoke: the four native fuzz targets, five seconds each on top of
+# Fuzz smoke: the five native fuzz targets, five seconds each on top of
 # their committed corpora (which the plain test runs above already replay).
 # The body decoder is held to the json.Decoder it replaced; the verify task
 # to an admission rule stated on its own, exact bits across the wire within
-# the route's body limit, and a verdict for every admitted task; UnpackBlock
-# to exact sizes and bit-for-bit round trips; checkpoint.Decode (what the
-# gateway accepts on the checkpoint PUT) to typed refusals, a canonical
-# re-encoding, and refusing any flipped trailer or length byte.
+# the route's body limit, and a verdict for every admitted task; the long
+# task to typed refusals and, when accepted, cg with a decodable snapshot;
+# UnpackBlock to exact sizes and bit-for-bit round trips; checkpoint.Decode
+# (what the gateway accepts on the checkpoint PUT) to typed refusals, a
+# canonical re-encoding, and refusing any flipped trailer or length byte.
 go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseVerifyTask$' -fuzztime 5s ./internal/serve/
+go test -run '^$' -fuzz '^FuzzParseLongTask$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzUnpackBlock$' -fuzztime 5s ./internal/abft/
 go test -run '^$' -fuzz '^FuzzCheckpointDecode$' -fuzztime 5s ./internal/checkpoint/
 

@@ -1,9 +1,17 @@
 package cluster
 
 import (
+	"expvar"
 	"math"
 	"sync"
 	"time"
+)
+
+// The elevated-aborted trip: once the last abortWindow delivered outcomes
+// are at least abortTrip aborted, the breaker opens.
+const (
+	abortWindow = 20
+	abortTrip   = 0.9
 )
 
 // breakerState is the classic three-state circuit: closed (traffic flows),
@@ -36,18 +44,19 @@ func (s breakerState) String() string {
 // then admits a single trial — a successful health probe or one live
 // request — to close again. Delivered classifications are never failures:
 // an aborted answer feeds the rate window but does not count as a
-// connection fault.
+// connection fault. Every trip, whatever fed it, counts in trips: the
+// node's breaker_trips.
 type breaker struct {
 	mu          sync.Mutex
 	state       breakerState
 	consecFails int
 	openedAt    time.Time
-	trips       int64
+	trips       *expvar.Int
 
 	// Sliding outcome window for the aborted-rate trip.
-	ring  []bool // true = aborted
-	ringN int    // filled entries
-	ringI int    // next write slot
+	ring  [abortWindow]bool // true = aborted
+	ringN int               // filled entries
+	ringI int               // next write slot
 
 	// Cumulative minority-vote count for the integrity tier's suspect
 	// trip. Deliberately NOT reset by honest deliveries: a Byzantine node
@@ -65,19 +74,17 @@ type breaker struct {
 
 	failLimit    int
 	cooldown     time.Duration
-	abortTrip    float64
 	suspectTrip  int
 	suspectDecay int
 }
 
-func newBreaker(failLimit int, cooldown time.Duration, abortWindow int, abortTrip float64, suspectTrip, suspectDecay int) *breaker {
+func newBreaker(failLimit int, cooldown time.Duration, suspectTrip, suspectDecay int, trips *expvar.Int) *breaker {
 	return &breaker{
 		failLimit:    failLimit,
 		cooldown:     cooldown,
-		ring:         make([]bool, abortWindow),
-		abortTrip:    abortTrip,
 		suspectTrip:  suspectTrip,
 		suspectDecay: suspectDecay,
+		trips:        trips,
 	}
 }
 
@@ -104,8 +111,7 @@ func (b *breaker) allow(now time.Time) bool {
 // onDelivered records a classified answer. A delivery closes a HALF-OPEN
 // breaker (it is the trial's verdict) and clears the consecutive-failure
 // count; aborted outcomes feed the sliding rate window, which trips once it
-// is full and the aborted fraction reaches abortTrip. Returns true when
-// this delivery tripped the breaker.
+// is full and the aborted fraction reaches abortTrip.
 //
 // A delivery landing on an OPEN breaker is ignored: it is an in-flight
 // request from before the trip, and letting it re-close the circuit would
@@ -113,7 +119,7 @@ func (b *breaker) allow(now time.Time) bool {
 // (Byzantine quarantine) would be re-opened for traffic by the very node's
 // own concurrent answers. Only the half-open trial or a health probe may
 // close an open breaker.
-func (b *breaker) onDelivered(now time.Time, aborted bool) bool {
+func (b *breaker) onDelivered(now time.Time, aborted bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consecFails = 0
@@ -122,7 +128,7 @@ func (b *breaker) onDelivered(now time.Time, aborted bool) bool {
 		b.state = breakerClosed
 		b.resetRing()
 	case breakerOpen:
-		return false
+		return
 	}
 	if b.suspects > 0 && b.suspectDecay > 0 {
 		b.sinceSuspect++
@@ -143,26 +149,22 @@ func (b *breaker) onDelivered(now time.Time, aborted bool) bool {
 				abortedN++
 			}
 		}
-		if abortedN >= int(math.Ceil(b.abortTrip*float64(len(b.ring)))) {
+		if abortedN >= int(math.Ceil(abortTrip*abortWindow)) {
 			b.trip(now)
-			return true
 		}
 	}
-	return false
 }
 
 // onFailure records a connection failure or 503. A failed half-open trial
 // re-opens immediately; otherwise the consecutive-failure threshold
-// applies. Returns true when this failure tripped the breaker.
-func (b *breaker) onFailure(now time.Time) bool {
+// applies.
+func (b *breaker) onFailure(now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consecFails++
 	if b.state == breakerHalfOpen || (b.state == breakerClosed && b.consecFails >= b.failLimit) {
 		b.trip(now)
-		return true
 	}
-	return false
 }
 
 // onSuspect records a vote election this node lost — it delivered a
@@ -209,7 +211,7 @@ func (b *breaker) trip(now time.Time) {
 	b.state = breakerOpen
 	b.openedAt = now
 	b.consecFails = 0
-	b.trips++
+	b.trips.Add(1)
 	b.resetRing()
 }
 
@@ -218,9 +220,9 @@ func (b *breaker) resetRing() {
 	b.ringN, b.ringI = 0, 0
 }
 
-// snapshot returns the state and cumulative trip count.
-func (b *breaker) snapshot() (breakerState, int64) {
+// snapshot returns the state.
+func (b *breaker) snapshot() breakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state, b.trips
+	return b.state
 }

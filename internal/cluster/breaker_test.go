@@ -1,32 +1,32 @@
 package cluster
 
 import (
+	"expvar"
 	"testing"
 	"time"
 )
 
-func testBreaker() *breaker {
-	return newBreaker(3, time.Second, 4, 0.75, 3, 16)
+func testBreaker() (*breaker, *expvar.Int) {
+	trips := new(expvar.Int)
+	return newBreaker(3, time.Second, 3, 16, trips), trips
 }
 
 // TestBreakerConsecutiveFailuresOpen: the failure threshold opens the
 // circuit; deliveries in between reset the count.
 func TestBreakerConsecutiveFailuresOpen(t *testing.T) {
-	b := testBreaker()
+	b, trips := testBreaker()
 	now := time.Unix(1000, 0)
 	b.onFailure(now)
 	b.onFailure(now)
 	b.onDelivered(now, false) // resets the streak
 	b.onFailure(now)
 	b.onFailure(now)
-	if st, _ := b.snapshot(); st != breakerClosed {
+	if st := b.snapshot(); st != breakerClosed {
 		t.Fatalf("state %v after interleaved failures, want closed", st)
 	}
-	if !b.onFailure(now) {
-		t.Fatal("third consecutive failure did not trip")
-	}
-	if st, trips := b.snapshot(); st != breakerOpen || trips != 1 {
-		t.Fatalf("state %v trips %d, want open/1", st, trips)
+	b.onFailure(now)
+	if st := b.snapshot(); st != breakerOpen || trips.Value() != 1 {
+		t.Fatalf("state %v trips %d after the third consecutive failure, want open/1", st, trips.Value())
 	}
 	if b.allow(now.Add(500 * time.Millisecond)) {
 		t.Error("open breaker allowed a request before cooldown")
@@ -36,7 +36,7 @@ func TestBreakerConsecutiveFailuresOpen(t *testing.T) {
 // TestBreakerHalfOpenTrial: after the cooldown exactly one trial flows; a
 // delivery closes, a failure re-opens.
 func TestBreakerHalfOpenTrial(t *testing.T) {
-	b := testBreaker()
+	b, trips := testBreaker()
 	now := time.Unix(1000, 0)
 	for i := 0; i < 3; i++ {
 		b.onFailure(now)
@@ -49,7 +49,7 @@ func TestBreakerHalfOpenTrial(t *testing.T) {
 		t.Fatal("second trial granted while half-open")
 	}
 	b.onDelivered(later, false)
-	if st, _ := b.snapshot(); st != breakerClosed {
+	if st := b.snapshot(); st != breakerClosed {
 		t.Fatalf("state %v after successful trial, want closed", st)
 	}
 
@@ -61,43 +61,41 @@ func TestBreakerHalfOpenTrial(t *testing.T) {
 	if !b.allow(again) {
 		t.Fatal("no second trial")
 	}
-	if !b.onFailure(again) {
-		t.Fatal("failed half-open trial did not re-trip")
-	}
-	if st, trips := b.snapshot(); st != breakerOpen || trips != 3 {
-		t.Fatalf("state %v trips %d, want open/3", st, trips)
+	b.onFailure(again)
+	if st := b.snapshot(); st != breakerOpen || trips.Value() != 3 {
+		t.Fatalf("state %v trips %d after a failed half-open trial, want open/3", st, trips.Value())
 	}
 }
 
 // TestBreakerAbortRateTrips: a full window of mostly-aborted deliveries
 // opens the circuit even though every answer was typed.
 func TestBreakerAbortRateTrips(t *testing.T) {
-	b := testBreaker() // window 4, trip at 75%
+	b, trips := testBreaker() // window 20, trip at 90%
 	now := time.Unix(1000, 0)
-	b.onDelivered(now, true)
-	b.onDelivered(now, true)
+	for i := 0; i < abortWindow-3; i++ {
+		b.onDelivered(now, true)
+	}
 	b.onDelivered(now, false)
-	if st, _ := b.snapshot(); st != breakerClosed {
+	b.onDelivered(now, false)
+	if st := b.snapshot(); st != breakerClosed {
 		t.Fatal("tripped before the window filled")
 	}
-	if !b.onDelivered(now, true) { // 3/4 aborted = 75%
-		t.Fatal("abort-rate threshold did not trip")
-	}
-	if st, _ := b.snapshot(); st != breakerOpen {
-		t.Fatal("want open after abort-rate trip")
+	b.onDelivered(now, true) // 18/20 aborted = 90%
+	if st := b.snapshot(); st != breakerOpen || trips.Value() != 1 {
+		t.Fatalf("state %v trips %d after the abort-rate threshold, want open/1", st, trips.Value())
 	}
 }
 
 // TestBreakerHealthyAbortMixStaysClosed: scattered aborts below the
 // threshold never trip.
 func TestBreakerHealthyAbortMixStaysClosed(t *testing.T) {
-	b := testBreaker()
+	b, trips := testBreaker()
 	now := time.Unix(1000, 0)
 	for i := 0; i < 40; i++ {
-		b.onDelivered(now, i%2 == 0) // 50% aborted < 75%
+		b.onDelivered(now, i%2 == 0) // 50% aborted < 90%
 	}
-	if st, trips := b.snapshot(); st != breakerClosed || trips != 0 {
-		t.Fatalf("state %v trips %d under 50%% aborts, want closed/0", st, trips)
+	if st := b.snapshot(); st != breakerClosed || trips.Value() != 0 {
+		t.Fatalf("state %v trips %d under 50%% aborts, want closed/0", st, trips.Value())
 	}
 }
 
@@ -106,16 +104,16 @@ func TestBreakerHealthyAbortMixStaysClosed(t *testing.T) {
 // circuit — re-closing would bypass the cooldown, and for suspect trips it
 // would let a Byzantine node's own concurrent answers lift its quarantine.
 func TestBreakerInFlightDeliveryDoesNotReclose(t *testing.T) {
-	b := testBreaker()
+	b, _ := testBreaker()
 	now := time.Unix(1000, 0)
 	for i := 0; i < 3; i++ {
 		b.onSuspect(now) // suspect trip: quarantine
 	}
-	if st, _ := b.snapshot(); st != breakerOpen {
+	if st := b.snapshot(); st != breakerOpen {
 		t.Fatal("suspect accumulation did not trip")
 	}
 	b.onDelivered(now.Add(10*time.Millisecond), false) // in-flight honest answer
-	if st, _ := b.snapshot(); st != breakerOpen {
+	if st := b.snapshot(); st != breakerOpen {
 		t.Fatal("in-flight delivery re-closed an open breaker (cooldown bypass)")
 	}
 	if b.allow(now.Add(100 * time.Millisecond)) {
@@ -127,7 +125,7 @@ func TestBreakerInFlightDeliveryDoesNotReclose(t *testing.T) {
 		t.Fatal("no trial after cooldown")
 	}
 	b.onDelivered(later, false)
-	if st, _ := b.snapshot(); st != breakerClosed {
+	if st := b.snapshot(); st != breakerClosed {
 		t.Fatal("successful trial did not close")
 	}
 }
@@ -136,7 +134,7 @@ func TestBreakerInFlightDeliveryDoesNotReclose(t *testing.T) {
 // at one per suspectDecay, so sparse minority losses never build to a trip,
 // while a steady liar still trips.
 func TestBreakerSuspectDecay(t *testing.T) {
-	b := newBreaker(3, time.Second, 4, 0.75, 3, 4) // decay every 4 deliveries
+	b := newBreaker(3, time.Second, 3, 4, new(expvar.Int)) // decay every 4 deliveries
 	now := time.Unix(1000, 0)
 	// Two suspects, then enough honest traffic to decay both.
 	b.onSuspect(now)
@@ -153,7 +151,7 @@ func TestBreakerSuspectDecay(t *testing.T) {
 	}
 	// A steady liar outpaces decay: suspects arrive faster than one per
 	// four deliveries.
-	b2 := newBreaker(3, time.Second, 4, 0.75, 3, 4)
+	b2 := newBreaker(3, time.Second, 3, 4, new(expvar.Int))
 	tripped := false
 	for i := 0; i < 6 && !tripped; i++ {
 		b2.onDelivered(now, false)
@@ -168,17 +166,17 @@ func TestBreakerSuspectDecay(t *testing.T) {
 // open breaker (the restart-rejoin path), and a failed probe of a
 // half-open breaker re-opens it.
 func TestBreakerProbeCloses(t *testing.T) {
-	b := testBreaker()
+	b, _ := testBreaker()
 	now := time.Unix(1000, 0)
 	for i := 0; i < 3; i++ {
 		b.onFailure(now)
 	}
 	b.onProbe(now.Add(100*time.Millisecond), true) // before cooldown: ignored
-	if st, _ := b.snapshot(); st != breakerOpen {
+	if st := b.snapshot(); st != breakerOpen {
 		t.Fatal("probe before cooldown must not close")
 	}
 	b.onProbe(now.Add(2*time.Second), true)
-	if st, _ := b.snapshot(); st != breakerClosed {
+	if st := b.snapshot(); st != breakerClosed {
 		t.Fatal("probe after cooldown should close")
 	}
 
@@ -190,7 +188,7 @@ func TestBreakerProbeCloses(t *testing.T) {
 		t.Fatal("no trial after second cooldown")
 	}
 	b.onProbe(trialAt, false) // probe sees it dead while a trial is out
-	if st, _ := b.snapshot(); st != breakerOpen {
+	if st := b.snapshot(); st != breakerOpen {
 		t.Fatal("failed probe of half-open breaker should re-open")
 	}
 }

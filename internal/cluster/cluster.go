@@ -93,11 +93,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker parks a node before the
 	// next trial (default 1s).
 	BreakerCooldown time.Duration
-	// AbortWindow and AbortTripFraction configure the elevated-Aborted
-	// trip: once the last AbortWindow delivered outcomes are at least
-	// AbortTripFraction aborted, the breaker opens (defaults 20, 0.9).
-	AbortWindow       int
-	AbortTripFraction float64
 
 	// VoteReplicas is the default replica count R for integrity-tier
 	// requests that do not specify one (default 3: tolerates one lying or
@@ -158,11 +153,6 @@ type Config struct {
 	// MaxMigrations bounds how many times one long job may be rescheduled
 	// onto a new node after worker deaths (default 3).
 	MaxMigrations int
-	// EventBuffer sizes the gateway's error-bus replay ring (default 256).
-	EventBuffer int
-	// DisableEventStream turns off the per-node /v1/events watchers; node
-	// death is then discovered by probes and transport errors only.
-	DisableEventStream bool
 
 	// Seed feeds the deterministic retry jitter.
 	Seed uint64
@@ -196,12 +186,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = time.Second
-	}
-	if c.AbortWindow <= 0 {
-		c.AbortWindow = 20
-	}
-	if c.AbortTripFraction <= 0 || c.AbortTripFraction > 1 {
-		c.AbortTripFraction = 0.9
 	}
 	if c.VoteReplicas <= 0 {
 		c.VoteReplicas = 3
@@ -242,9 +226,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxMigrations <= 0 {
 		c.MaxMigrations = 3
 	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 256
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 2 * time.Minute}
 	}
@@ -263,12 +244,29 @@ type node struct {
 
 	window   chan struct{}
 	br       *breaker
-	healthy  atomic.Bool
 	draining atomic.Bool
-	m        *NodeMetrics
+	m        *NodeMetrics // its Healthy gauge is the node's health: probes and the event stream set it
 }
 
 func (nd *node) supports(s core.Strategy) bool { return nd.caps == nil || nd.caps[s] }
+
+// inRotation reports whether placement may count on nd at all: not drained,
+// and healthy by the last probe or event stream.
+func (nd *node) inRotation() bool { return !nd.draining.Load() && nd.m.Healthy.Value() == 1 }
+
+// admits reports whether nd may take a request now: in rotation, and its
+// breaker allows one (a breaker refusal counts in BreakerSkips). Admission
+// to an election counts inRotation nodes; every dispatch asks this.
+func (nd *node) admits(now time.Time) bool {
+	if !nd.inRotation() {
+		return false
+	}
+	if !nd.br.allow(now) {
+		nd.m.BreakerSkips.Add(1)
+		return false
+	}
+	return true
+}
 
 func (nd *node) tryAcquire() bool {
 	select {
@@ -341,7 +339,7 @@ func New(cfg Config) (*Gateway, error) {
 		byID:       make(map[string]*node, len(cfg.Nodes)),
 		quit:       make(chan struct{}),
 		jobs:       make(map[string]*jobRecord),
-		bus:        serve.NewBus(cfg.EventBuffer),
+		bus:        serve.NewBus(),
 		longClient: &http.Client{},
 	}
 	if cfg.TenantRate > 0 {
@@ -367,32 +365,26 @@ func New(cfg Config) (*Gateway, error) {
 			base:   base,
 			hash:   fnv64a(id),
 			window: make(chan struct{}, cfg.Window),
-			br: newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown,
-				cfg.AbortWindow, cfg.AbortTripFraction, cfg.SuspectTrip, cfg.SuspectDecayEvery),
-			m: g.m.Node(id),
+			m:      g.m.Node(id),
 		}
+		nd.br = newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown, cfg.SuspectTrip, cfg.SuspectDecayEvery, &nd.m.BreakerTrips)
 		if len(nc.Strategies) > 0 {
 			nd.caps = make(map[core.Strategy]bool, len(nc.Strategies))
 			for _, s := range nc.Strategies {
 				nd.caps[s] = true
 			}
 		}
-		nd.healthy.Store(true) // optimistic until the first probe
+		nd.m.Healthy.Set(1) // optimistic until the first probe
 		g.nodes = append(g.nodes, nd)
 		g.byID[id] = nd
-	}
-	if cfg.ProbeInterval > 0 {
-		for _, nd := range g.nodes {
-			g.probeWG.Add(1)
-			go g.probeLoop(nd)
-		}
 	}
 	// Event watchers ride the same switch as the prober: ProbeInterval < 0
 	// means "no background node traffic" (deterministic tests), and the
 	// push-on-fault stream is a complement to probing, not a replacement.
-	if cfg.ProbeInterval > 0 && !cfg.DisableEventStream {
+	if cfg.ProbeInterval > 0 {
 		for _, nd := range g.nodes {
-			g.probeWG.Add(1)
+			g.probeWG.Add(2)
+			go g.probeLoop(nd)
 			go g.watchLoop(nd)
 		}
 	}
@@ -470,17 +462,11 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 		}
 	}
 
-	capable := make([]*node, 0, len(g.nodes))
-	for _, nd := range g.nodes {
-		if nd.supports(p.Strategy) {
-			capable = append(capable, nd)
-		}
-	}
-	if len(capable) == 0 {
+	ranked := g.placement(p)
+	if len(ranked) == 0 {
 		g.m.NoNodes.Add(1)
 		return serve.Response{}, fmt.Errorf("%w: %s", ErrNoNodes, p.Strategy)
 	}
-	ranked := rank(capable, placementKey(p.Kernel, sizeClass(p.Size())))
 
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -502,11 +488,7 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 		if forwards > g.cfg.Retries {
 			break
 		}
-		if nd.draining.Load() || !nd.healthy.Load() {
-			continue
-		}
-		if !nd.br.allow(time.Now()) {
-			nd.m.BreakerSkips.Add(1)
+		if !nd.admits(time.Now()) {
 			continue
 		}
 		if needBackoff {
@@ -528,19 +510,7 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 		forwards++
 		switch class {
 		case fcDelivered:
-			if tripped := nd.br.onDelivered(time.Now(), resp.Outcome == "aborted"); tripped {
-				nd.m.BreakerTrips.Add(1)
-			}
-			nd.m.Delivered.Add(1)
-			g.m.Delivered.Add(1)
-			switch resp.Outcome {
-			case "corrected":
-				g.m.Corrected.Add(1)
-			case "restarted":
-				g.m.Restarted.Add(1)
-			case "aborted":
-				g.m.Aborted.Add(1)
-			}
+			g.delivered(resp.Outcome)
 			resp.Node = nd.id
 			resp.GatewayRetries = forwards - 1
 			return resp, nil
@@ -548,13 +518,9 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 			g.m.BadRequests.Add(1)
 			return serve.Response{}, err
 		case fcShed:
-			nd.m.Rejected429.Add(1)
 			sawShed = true
 			lastErr = err
 		case fcFailed:
-			if tripped := nd.br.onFailure(time.Now()); tripped {
-				nd.m.BreakerTrips.Add(1)
-			}
 			lastErr = err
 			needBackoff = true
 			if ctx.Err() != nil {
@@ -578,6 +544,31 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 	return serve.Response{}, fmt.Errorf("%w after %d attempts: %v", ErrUnavailable, forwards, lastErr)
 }
 
+// placement lists the nodes capable of p's strategy in p's rendezvous order.
+func (g *Gateway) placement(p serve.Parsed) []*node {
+	capable := make([]*node, 0, len(g.nodes))
+	for _, nd := range g.nodes {
+		if nd.supports(p.Strategy) {
+			capable = append(capable, nd)
+		}
+	}
+	return rank(capable, placementKey(p.Kernel, sizeClass(p.Size())))
+}
+
+// delivered counts one classified answer the gateway hands a client or a
+// job, by outcome. A vote counts its election once, not its ballots.
+func (g *Gateway) delivered(outcome string) {
+	g.m.Delivered.Add(1)
+	switch outcome {
+	case "corrected":
+		g.m.Corrected.Add(1)
+	case "restarted":
+		g.m.Restarted.Add(1)
+	case "aborted":
+		g.m.Aborted.Add(1)
+	}
+}
+
 // nodeReadLimit bounds one body read from a node: a response, or a
 // checkpoint PUT. The largest — a MaxJobN-sized checksum block result
 // (parity + sum, base64), a long-job snapshot, a verify-vote primary's
@@ -586,13 +577,15 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 const nodeReadLimit = 64 << 20
 
 // postJSON is the gateway's one way of sending work to a node: POST body to
-// path on nd and classify the transport result. Only fcDelivered carries a
-// decoded R; fcBadRequest is the node's own 400 (final), fcShed its 429
-// (alive but full — try elsewhere), fcFailed a connection failure, an
-// unreadable or undecodable body, or a 503 — a breaker fault, charged to the
-// node's TransportErrors/Failed503.
+// path on nd, classify the transport result, and settle the node's books
+// for it. Only fcDelivered carries a decoded R; fcBadRequest is the node's
+// own 400 (final), fcShed its 429 (alive but full — try elsewhere), fcFailed
+// a connection failure, an unreadable or undecodable body, or a 503 — a
+// breaker fault, charged to the node's TransportErrors/Failed503. What the
+// caller does next is its dispatch policy; the books are done.
 func postJSON[R any](ctx context.Context, client *http.Client, nd *node, path string, body []byte) (res R, class forwardClass, err error) {
 	nd.m.Forwarded.Add(1)
+	defer func() { nd.settle(class, aborted(&res)) }()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, nd.base+path, bytes.NewReader(body))
 	if err != nil {
 		return res, fcFailed, err
@@ -627,6 +620,35 @@ func postJSON[R any](ctx context.Context, client *http.Client, nd *node, path st
 		nd.m.Failed503.Add(1)
 		return res, fcFailed, fmt.Errorf("node %s: HTTP %d: %s", nd.id, hresp.StatusCode, wireError(payload))
 	}
+}
+
+// settle books one classified exchange on its node: a delivery feeds the
+// breaker's outcome window and the node's delivered count, a shed its
+// rejected_429, a fault the breaker's failure count. A 400 is the request's
+// fault, not the node's, and touches neither.
+func (nd *node) settle(class forwardClass, aborted bool) {
+	switch class {
+	case fcDelivered:
+		nd.br.onDelivered(time.Now(), aborted)
+		nd.m.Delivered.Add(1)
+	case fcShed:
+		nd.m.Rejected429.Add(1)
+	case fcFailed:
+		nd.br.onFailure(time.Now())
+	}
+}
+
+// aborted reports whether a decoded reply classifies its work aborted: the
+// outcome the breaker's rate window watches. Only kernel answers and long-job
+// results carry an outcome.
+func aborted(res any) bool {
+	switch r := res.(type) {
+	case *serve.Response:
+		return r.Outcome == "aborted"
+	case *serve.LongResult:
+		return r.Outcome == "aborted"
+	}
+	return false
 }
 
 // backoff derives the jittered failover delay from the request seed and
@@ -684,12 +706,11 @@ type NodeStatus struct {
 func (g *Gateway) Status() []NodeStatus {
 	out := make([]NodeStatus, 0, len(g.nodes))
 	for _, nd := range g.nodes {
-		state, _ := nd.br.snapshot()
 		out = append(out, NodeStatus{
 			ID:         nd.id,
-			Healthy:    nd.healthy.Load(),
+			Healthy:    nd.m.Healthy.Value() == 1,
 			Draining:   nd.draining.Load(),
-			Breaker:    state.String(),
+			Breaker:    nd.br.snapshot().String(),
 			Inflight:   nd.m.Inflight.Value(),
 			QueueDepth: nd.m.QueueDepth.Value(),
 			Suspects:   nd.m.Suspects.Value(),

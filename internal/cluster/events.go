@@ -101,7 +101,6 @@ func (g *Gateway) watchOnce(nd *node) {
 		return // shutdown tore the stream down; not a death
 	default:
 	}
-	nd.healthy.Store(false)
 	nd.m.Healthy.Set(0)
 	g.m.NodeDeaths.Add(1)
 	g.bus.Publish(serve.Event{Type: serve.EventNodeDeath, Node: nd.id, Detail: "event stream dropped"})

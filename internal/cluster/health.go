@@ -60,6 +60,5 @@ func (g *Gateway) probe(nd *node) {
 	} else {
 		nd.m.Healthy.Set(0)
 	}
-	nd.healthy.Store(ok)
 	nd.br.onProbe(time.Now(), ok)
 }

@@ -81,6 +81,19 @@ func (r *jobRecord) finish(g *Gateway, started time.Time, f func(*serve.JobStatu
 	close(r.done)
 }
 
+// fail finishes the job with err: cancelled when err is the job context's
+// own cause, failed otherwise.
+func (r *jobRecord) fail(ctx context.Context, g *Gateway, started time.Time, err error) {
+	r.finish(g, started, func(st *serve.JobStatus) {
+		if ctx.Err() != nil && errors.Is(err, context.Cause(ctx)) {
+			st.State = serve.JobCancelled
+		} else {
+			st.State = serve.JobFailed
+		}
+		st.Error = err.Error()
+	})
+}
+
 // jobLimits bounds jobs-API admission; the sync path shares it, so the
 // gateway's 400 taxonomy comes from the same serve.ParseRequest the nodes
 // use.
@@ -298,22 +311,12 @@ func (g *Gateway) runShardedJob(ctx context.Context, rec *jobRecord, p serve.Par
 	}
 	wg.Wait()
 
-	fail := func(err error) {
-		rec.finish(g, started, func(st *serve.JobStatus) {
-			if ctx.Err() != nil && errors.Is(err, context.Cause(ctx)) {
-				st.State = serve.JobCancelled
-			} else {
-				st.State = serve.JobFailed
-			}
-			st.Error = err.Error()
-		})
-	}
 	if ctx.Err() != nil {
-		fail(context.Cause(ctx))
+		rec.fail(ctx, g, started, context.Cause(ctx))
 		return
 	}
 	if fatal != nil {
-		fail(fatal)
+		rec.fail(ctx, g, started, fatal)
 		return
 	}
 
@@ -339,18 +342,18 @@ func (g *Gateway) runShardedJob(ctx context.Context, rec *jobRecord, p serve.Par
 		// column): recompute on a surviving worker.
 		nd := g.fallbackWorker(plan, lost)
 		if nd == nil {
-			fail(fmt.Errorf("%w: block (%d,%d) unrecoverable and no worker left to recompute it",
+			rec.fail(ctx, g, started, fmt.Errorf("%w: block (%d,%d) unrecoverable and no worker left to recompute it",
 				ErrUnavailable, t.bi, t.bj))
 			return
 		}
 		blk, _, err := g.runBlockTask(ctx, shardTask{role: serve.BlockData, bi: t.bi, bj: t.bj, node: nd},
 			plan, p, rec.id)
 		if err != nil {
-			fail(fmt.Errorf("recomputing block (%d,%d): %w", t.bi, t.bj, err))
+			rec.fail(ctx, g, started, fmt.Errorf("recomputing block (%d,%d): %w", t.bi, t.bj, err))
 			return
 		}
 		if blk.Rows != r1-r0 || blk.Cols != c1-c0 {
-			fail(fmt.Errorf("recomputed block (%d,%d) has wrong shape", t.bi, t.bj))
+			rec.fail(ctx, g, started, fmt.Errorf("recomputed block (%d,%d) has wrong shape", t.bi, t.bj))
 			return
 		}
 		data[t.bi][t.bj] = blk
@@ -371,7 +374,7 @@ func (g *Gateway) runShardedJob(ctx context.Context, rec *jobRecord, p serve.Par
 			col = append(col, data[i][j])
 		}
 		if err := abft.VerifyBlockSum(colCheck[j].sum, col, tol); err != nil {
-			fail(fmt.Errorf("column %d: %w", j, err))
+			rec.fail(ctx, g, started, fmt.Errorf("column %d: %w", j, err))
 			return
 		}
 	}
@@ -380,7 +383,7 @@ func (g *Gateway) runShardedJob(ctx context.Context, rec *jobRecord, p serve.Par
 			continue
 		}
 		if err := abft.VerifyBlockSum(rowCheck[i].sum, data[i], tol); err != nil {
-			fail(fmt.Errorf("row %d: %w", i, err))
+			rec.fail(ctx, g, started, fmt.Errorf("row %d: %w", i, err))
 			return
 		}
 	}
@@ -461,7 +464,7 @@ func (g *Gateway) fallbackWorker(plan shardPlan, lost []shardTask) *node {
 		dead[t.node.id] = true
 	}
 	for _, nd := range plan.workers {
-		if !dead[nd.id] && !nd.draining.Load() && nd.healthy.Load() {
+		if !dead[nd.id] && nd.inRotation() {
 			return nd
 		}
 	}
@@ -491,19 +494,13 @@ func (g *Gateway) runBlockTask(ctx context.Context, t shardTask, plan shardPlan,
 				return nil, nil, err
 			}
 		}
-		select {
-		case nd.window <- struct{}{}:
-			nd.m.Inflight.Add(1)
-		case <-ctx.Done():
-			return nil, nil, context.Cause(ctx)
+		if err := nd.acquire(ctx); err != nil {
+			return nil, nil, err
 		}
 		res, class, err := postJSON[serve.BlockResult](ctx, g.cfg.Client, nd, "/v1/block", body)
 		nd.release()
 		switch class {
 		case fcDelivered:
-			if tripped := nd.br.onDelivered(time.Now(), false); tripped {
-				nd.m.BreakerTrips.Add(1)
-			}
 			g.m.BlockTasksDispatched.Add(1)
 			if t.role != serve.BlockData {
 				g.m.ChecksumTasks.Add(1)
@@ -512,12 +509,8 @@ func (g *Gateway) runBlockTask(ctx context.Context, t shardTask, plan shardPlan,
 		case fcBadRequest:
 			return nil, nil, err
 		case fcShed:
-			nd.m.Rejected429.Add(1)
 			lastErr = err
 		case fcFailed:
-			if tripped := nd.br.onFailure(time.Now()); tripped {
-				nd.m.BreakerTrips.Add(1)
-			}
 			lastErr = err
 			if ctx.Err() != nil {
 				return nil, nil, context.Cause(ctx)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"time"
 
@@ -42,27 +41,16 @@ func (g *Gateway) runLongJob(ctx context.Context, rec *jobRecord, p serve.Parsed
 	started := time.Now()
 	rec.update(func(st *serve.JobStatus) { st.State = serve.JobRunning })
 
-	fail := func(err error) {
-		rec.finish(g, started, func(st *serve.JobStatus) {
-			if ctx.Err() != nil && errors.Is(err, context.Cause(ctx)) {
-				st.State = serve.JobCancelled
-			} else {
-				st.State = serve.JobFailed
-			}
-			st.Error = err.Error()
-		})
-	}
-
 	avoid := make(map[string]bool)
 	migrations, sheds := 0, 0
 	for {
 		if ctx.Err() != nil {
-			fail(context.Cause(ctx))
+			rec.fail(ctx, g, started, context.Cause(ctx))
 			return
 		}
 		nd := g.pickLongNode(p, avoid)
 		if nd == nil {
-			fail(fmt.Errorf("%w: no healthy capable node for long job", ErrUnavailable))
+			rec.fail(ctx, g, started, fmt.Errorf("%w: no healthy capable node for long job", ErrUnavailable))
 			return
 		}
 		task, resumeStep := g.buildLongTask(rec, p, req)
@@ -74,7 +62,7 @@ func (g *Gateway) runLongJob(ctx context.Context, rec *jobRecord, p serve.Parsed
 		})
 		body, err := json.Marshal(task)
 		if err != nil {
-			fail(fmt.Errorf("%w: %w", serve.ErrBadRequest, err))
+			rec.fail(ctx, g, started, fmt.Errorf("%w: %w", serve.ErrBadRequest, err))
 			return
 		}
 		// The call blocks for the solve's duration: long jobs use the
@@ -83,38 +71,31 @@ func (g *Gateway) runLongJob(ctx context.Context, rec *jobRecord, p serve.Parsed
 		res, class, err := postJSON[serve.LongResult](ctx, g.longClient, nd, "/v1/longjob", body)
 		switch class {
 		case fcDelivered:
-			if tripped := nd.br.onDelivered(time.Now(), res.Outcome == "aborted"); tripped {
-				nd.m.BreakerTrips.Add(1)
-			}
 			g.noteRecovered(rec)
 			g.finishLong(rec, started, nd, p, res)
 			return
 		case fcBadRequest:
 			g.m.BadRequests.Add(1)
-			fail(err)
+			rec.fail(ctx, g, started, err)
 			return
 		case fcShed:
-			nd.m.Rejected429.Add(1)
 			sheds++
 			if sheds > g.cfg.Retries {
-				fail(fmt.Errorf("%w: %v", serve.ErrOverloaded, err))
+				rec.fail(ctx, g, started, fmt.Errorf("%w: %v", serve.ErrOverloaded, err))
 				return
 			}
 			if serr := sleepCtx(ctx, g.backoff(p.Seed, sheds)); serr != nil {
-				fail(serr)
+				rec.fail(ctx, g, started, serr)
 				return
 			}
 		case fcFailed:
-			if tripped := nd.br.onFailure(time.Now()); tripped {
-				nd.m.BreakerTrips.Add(1)
-			}
 			if ctx.Err() != nil {
-				fail(context.Cause(ctx))
+				rec.fail(ctx, g, started, context.Cause(ctx))
 				return
 			}
 			migrations++
 			if migrations > g.cfg.MaxMigrations {
-				fail(fmt.Errorf("%w: long job lost %d workers (budget %d): %v",
+				rec.fail(ctx, g, started, fmt.Errorf("%w: long job lost %d workers (budget %d): %v",
 					ErrUnavailable, migrations, g.cfg.MaxMigrations, err))
 				return
 			}
@@ -131,26 +112,14 @@ func (g *Gateway) runLongJob(ctx context.Context, rec *jobRecord, p serve.Parsed
 	}
 }
 
-// pickLongNode chooses the long job's worker: healthy, not draining, not
-// behind an open breaker, capable of the strategy, and not on the avoid
-// list (nodes that already died under this job), ranked by the same
-// rendezvous placement as the synchronous path.
+// pickLongNode chooses the long job's worker: the first node in the
+// synchronous path's placement order that is not on the avoid list (nodes
+// that already died under this job) and admits work.
 func (g *Gateway) pickLongNode(p serve.Parsed, avoid map[string]bool) *node {
-	capable := make([]*node, 0, len(g.nodes))
-	for _, nd := range g.nodes {
-		if avoid[nd.id] || nd.draining.Load() || !nd.healthy.Load() || !nd.supports(p.Strategy) {
-			continue
-		}
-		capable = append(capable, nd)
-	}
-	if len(capable) == 0 {
-		return nil
-	}
-	for _, nd := range rank(capable, placementKey(p.Kernel, sizeClass(p.Size()))) {
-		if nd.br.allow(time.Now()) {
+	for _, nd := range g.placement(p) {
+		if !avoid[nd.id] && nd.admits(time.Now()) {
 			return nd
 		}
-		nd.m.BreakerSkips.Add(1)
 	}
 	return nil
 }
@@ -185,16 +154,7 @@ func (g *Gateway) buildLongTask(rec *jobRecord, p serve.Parsed, req serve.Reques
 // wrong answer remains structurally unreachable (the oracle gate ran on
 // the worker) and "failed" is reserved for jobs the cluster itself lost.
 func (g *Gateway) finishLong(rec *jobRecord, started time.Time, nd *node, p serve.Parsed, res serve.LongResult) {
-	nd.m.Delivered.Add(1)
-	g.m.Delivered.Add(1)
-	switch res.Outcome {
-	case "corrected":
-		g.m.Corrected.Add(1)
-	case "restarted":
-		g.m.Restarted.Add(1)
-	case "aborted":
-		g.m.Aborted.Add(1)
-	}
+	g.delivered(res.Outcome)
 	resp := &serve.Response{
 		Kernel: res.Kernel, N: p.Size(), Strategy: p.Strategy.String(),
 		Outcome: res.Outcome, Error: res.Error,

@@ -85,15 +85,15 @@ func planShards(n int, ws []*node, shardBlock int, seed uint64) (shardPlan, erro
 	return shardPlan{grid: grid, workers: rotated, tasks: tasks}, nil
 }
 
-// eligibleWorkers snapshots the nodes a sharded job may use: in rotation
-// (not draining), believed healthy, and not parked behind an open breaker.
+// eligibleWorkers snapshots the nodes a sharded job may use: those in
+// rotation. A block is bound to its planned node, so breakers are left to
+// runBlockTask's same-node retries.
 func (g *Gateway) eligibleWorkers() []*node {
 	out := make([]*node, 0, len(g.nodes))
 	for _, nd := range g.nodes {
-		if nd.draining.Load() || !nd.healthy.Load() {
-			continue
+		if nd.inRotation() {
+			out = append(out, nd)
 		}
-		out = append(out, nd)
 	}
 	return out
 }

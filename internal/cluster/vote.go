@@ -37,10 +37,10 @@ import (
 // 503 at admission), never a guess.
 
 // candidateIter hands out the ranked placement order one node at a time,
-// each node at most once — the distinctness guarantee. Draining,
-// unhealthy, and breaker-open nodes are skipped at take time (admission
-// deliberately ignored breaker state; scheduling must not, or an open
-// breaker would still receive traffic).
+// each node at most once — the distinctness guarantee. Nodes that do not
+// admit work are skipped at take time (admission deliberately ignored
+// breaker state; scheduling must not, or an open breaker would still
+// receive traffic).
 type candidateIter struct {
 	mu     sync.Mutex
 	ranked []*node
@@ -53,24 +53,68 @@ func (it *candidateIter) take(now time.Time) *node {
 	for it.next < len(it.ranked) {
 		nd := it.ranked[it.next]
 		it.next++
-		if nd.draining.Load() || !nd.healthy.Load() {
-			continue
+		if nd.admits(now) {
+			return nd
 		}
-		if !nd.br.allow(now) {
-			nd.m.BreakerSkips.Add(1)
-			continue
-		}
-		return nd
 	}
 	return nil
 }
 
-// replicaResult is one replica worker's terminal state.
-type replicaResult struct {
-	nd   *node
-	resp serve.Response
-	err  error // non-nil when no candidate delivered
-	bad  error // non-nil on a node-validated 400 (global, deterministic)
+// errNoCandidate ends a seat whose candidate order ran out before any node
+// was asked.
+var errNoCandidate = errors.New("no distinct candidate left")
+
+// seat is one election seat's terminal reply: fcDelivered with the node and
+// its decoded R, fcBadRequest with the node and its 400, or fcFailed with
+// no node and the last error when no candidate answered.
+type seat[R any] struct {
+	nd    *node
+	res   R
+	class forwardClass
+	err   error
+}
+
+// fillSeat drives one election seat to a terminal reply on route path: walk
+// the shared candidate order, blocking-acquire the node's window (a vote
+// needs this specific node; spilling would shrink the electorate), forward,
+// and fail over to the next candidate on sheds and faults. What a 400 means
+// is the route's to decide.
+func fillSeat[R any](ctx context.Context, g *Gateway, it *candidateIter, path string, body []byte) seat[R] {
+	lastErr := errNoCandidate
+	for {
+		nd := it.take(time.Now())
+		if nd == nil {
+			return seat[R]{class: fcFailed, err: lastErr}
+		}
+		if err := nd.acquire(ctx); err != nil {
+			return seat[R]{class: fcFailed, err: err}
+		}
+		res, class, err := postJSON[R](ctx, g.cfg.Client, nd, path, body)
+		nd.release()
+		switch {
+		case class == fcDelivered || class == fcBadRequest:
+			return seat[R]{nd: nd, res: res, class: class, err: err}
+		case class == fcFailed && ctx.Err() != nil:
+			return seat[R]{class: fcFailed, err: err}
+		}
+		lastErr = err
+	}
+}
+
+// fillSeats fills k seats at once from one candidate order, which keeps
+// their nodes distinct.
+func fillSeats[R any](ctx context.Context, g *Gateway, it *candidateIter, k int, path string, body []byte) []seat[R] {
+	seats := make([]seat[R], k)
+	var wg sync.WaitGroup
+	for i := range seats {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			seats[i] = fillSeat[R](ctx, g, it, path, body)
+		}(i)
+	}
+	wg.Wait()
+	return seats
 }
 
 // doIntegrity admits and dispatches one integrity-tier request. ranked is
@@ -89,7 +133,7 @@ func (g *Gateway) doIntegrity(ctx context.Context, p serve.Parsed, wire string, 
 	// only ever makes delivery harder, never easier.
 	eligible := 0
 	for _, nd := range ranked {
-		if !nd.draining.Load() && nd.healthy.Load() {
+		if nd.inRotation() {
 			eligible++
 		}
 	}
@@ -104,49 +148,6 @@ func (g *Gateway) doIntegrity(ctx context.Context, p serve.Parsed, wire string, 
 	return g.doVote(ctx, p, wire, body, ranked, r)
 }
 
-// voteReplica drives one replica to a terminal state: walk the shared
-// candidate order, blocking-acquire the node's window (a vote needs this
-// specific node; spilling would shrink the electorate), forward, and fail
-// over to the next candidate on sheds and transport faults.
-func (g *Gateway) voteReplica(ctx context.Context, it *candidateIter, wire string, body []byte) replicaResult {
-	var lastErr error
-	for {
-		nd := it.take(time.Now())
-		if nd == nil {
-			if lastErr == nil {
-				lastErr = errors.New("no distinct candidate left")
-			}
-			return replicaResult{err: lastErr}
-		}
-		if err := nd.acquire(ctx); err != nil {
-			return replicaResult{err: err}
-		}
-		resp, class, err := postJSON[serve.Response](ctx, g.cfg.Client, nd, "/v1/"+wire, body)
-		nd.release()
-		switch class {
-		case fcDelivered:
-			if tripped := nd.br.onDelivered(time.Now(), resp.Outcome == "aborted"); tripped {
-				nd.m.BreakerTrips.Add(1)
-			}
-			nd.m.Delivered.Add(1)
-			return replicaResult{nd: nd, resp: resp}
-		case fcBadRequest:
-			return replicaResult{bad: err}
-		case fcShed:
-			nd.m.Rejected429.Add(1)
-			lastErr = err
-		case fcFailed:
-			if tripped := nd.br.onFailure(time.Now()); tripped {
-				nd.m.BreakerTrips.Add(1)
-			}
-			lastErr = err
-			if ctx.Err() != nil {
-				return replicaResult{err: lastErr}
-			}
-		}
-	}
-}
-
 // suspect charges one minority node: its well-formed answer lost an
 // election with a reached majority, which is exactly the Byzantine signal
 // transport-level breakers cannot see.
@@ -155,7 +156,6 @@ func (g *Gateway) suspect(nd *node, now time.Time) {
 	g.m.SuspectsTotal.Add(1)
 	if nd.br.onSuspect(now) {
 		nd.m.SuspectTrips.Add(1)
-		nd.m.BreakerTrips.Add(1)
 		g.m.SuspectTrips.Add(1)
 	}
 }
@@ -180,32 +180,22 @@ func abortedResponse(p serve.Parsed, r, agree int, why string) serve.Response {
 // doVote runs the FRFT-style election: R concurrent replica workers over
 // the shared candidate order, then one count.
 func (g *Gateway) doVote(ctx context.Context, p serve.Parsed, wire string, body []byte, ranked []*node, r int) (serve.Response, error) {
-	it := &candidateIter{ranked: ranked}
-	results := make([]replicaResult, r)
-	var wg sync.WaitGroup
-	for i := 0; i < r; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = g.voteReplica(ctx, it, wire, body)
-		}(i)
-	}
-	wg.Wait()
+	results := fillSeats[serve.Response](ctx, g, &candidateIter{ranked: ranked}, r, "/v1/"+wire, body)
 
 	ballots := make([]vote.Ballot, 0, r)
 	slots := make([]int, 0, r) // ballot index -> results index
 	var lastErr error
 	for i, res := range results {
-		switch {
-		case res.bad != nil:
+		switch res.class {
+		case fcBadRequest:
 			// Admission is deterministic across honest nodes: one node's
 			// 400 is every node's 400.
 			g.m.BadRequests.Add(1)
-			return serve.Response{}, res.bad
-		case res.err != nil:
+			return serve.Response{}, res.err
+		case fcFailed:
 			lastErr = res.err
 		default:
-			ballots = append(ballots, vote.Ballot{Node: res.nd.id, Outcome: res.resp.Outcome, Sig: res.resp.AnswerSig})
+			ballots = append(ballots, vote.Ballot{Node: res.nd.id, Outcome: res.res.Outcome, Sig: res.res.AnswerSig})
 			slots = append(slots, i)
 		}
 	}
@@ -216,10 +206,9 @@ func (g *Gateway) doVote(ctx context.Context, p serve.Parsed, wire string, body 
 
 	d := vote.Decide(r, ballots)
 	g.m.VotesTotal.Add(1)
-	g.m.Delivered.Add(1)
 	if !d.Reached {
 		g.m.QuorumFail.Add(1)
-		g.m.Aborted.Add(1)
+		g.delivered("aborted")
 		return abortedResponse(p, r, d.Best,
 			fmt.Sprintf("%v: best agreement %d of %d replicas (quorum %d)",
 				vote.ErrNoQuorum, d.Best, r, vote.Quorum(r))), nil
@@ -230,19 +219,12 @@ func (g *Gateway) doVote(ctx context.Context, p serve.Parsed, wire string, body 
 		g.suspect(results[slots[si]].nd, now)
 	}
 	win := results[slots[d.Winner]]
-	resp := win.resp
+	resp := win.res
 	resp.Node = win.nd.id
 	resp.Answer = nil // never ship payload bytes to voting clients
 	resp.VoteReplicas = r
 	resp.VoteAgree = len(d.Agree)
-	switch resp.Outcome {
-	case "corrected":
-		g.m.Corrected.Add(1)
-	case "restarted":
-		g.m.Restarted.Add(1)
-	case "aborted":
-		g.m.Aborted.Add(1)
-	}
+	g.delivered(resp.Outcome)
 	return resp, nil
 }
 
@@ -260,25 +242,24 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 	}
 	probeSeed := binary.LittleEndian.Uint64(rs[:])
 	it := &candidateIter{ranked: ranked}
-	pri := g.voteReplica(ctx, it, "gemm", body)
-	switch {
-	case pri.bad != nil:
+	pri := fillSeat[serve.Response](ctx, g, it, "/v1/gemm", body)
+	switch pri.class {
+	case fcBadRequest:
 		g.m.BadRequests.Add(1)
-		return serve.Response{}, pri.bad
-	case pri.err != nil:
+		return serve.Response{}, pri.err
+	case fcFailed:
 		g.m.Unavailable.Add(1)
 		return serve.Response{}, fmt.Errorf("%w: verify-vote primary: %v", ErrUnavailable, pri.err)
 	}
 
 	g.m.VotesTotal.Add(1)
-	g.m.Delivered.Add(1)
-	resp := pri.resp
+	resp := pri.res
 	resp.Node = pri.nd.id
 	resp.VoteReplicas = r
 	if resp.Outcome == "aborted" {
 		// An honest abort carries no answer to verify; it is already the
 		// typed "no answer" classification, delivered as such.
-		g.m.Aborted.Add(1)
+		g.delivered(resp.Outcome)
 		resp.VoteAgree = 1
 		return resp, nil
 	}
@@ -286,7 +267,7 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 	refute := func(agree int, why string) (serve.Response, error) {
 		g.suspect(pri.nd, time.Now())
 		g.m.QuorumFail.Add(1)
-		g.m.Aborted.Add(1)
+		g.delivered("aborted")
 		return abortedResponse(p, r, agree, fmt.Sprintf("%v: %s", vote.ErrNoQuorum, why)), nil
 	}
 
@@ -308,26 +289,19 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 	}
 	tbody := tbuf.Bytes()
 
-	verdicts := make([]*verdictResult, r-1)
-	var wg sync.WaitGroup
-	for i := 0; i < r-1; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			verdicts[i] = g.verifyReplica(ctx, it, tbody)
-		}(i)
-	}
-	wg.Wait()
+	verdicts := fillSeats[serve.VerifyResult](ctx, g, it, r-1, "/v1/verify", tbody)
 
 	approvals := 1 // the primary backs its own signature
 	var refuters []*node
 	for _, v := range verdicts {
-		if v == nil {
-			continue // no verifier reachable for this slot; quorum bar unchanged
-		}
-		if v.ok {
+		switch {
+		case v.class == fcFailed:
+			// No verifier reachable for this slot; quorum bar unchanged.
+		case v.class == fcDelivered && v.res.OK:
 			approvals++
-		} else {
+		default:
+			// A verifier calling the task malformed while the primary
+			// produced it is itself a disagreement: a refusal.
 			refuters = append(refuters, v.nd)
 		}
 	}
@@ -344,54 +318,6 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 	g.m.VerifyVoteCheapHits.Add(int64(approvals - 1))
 	resp.Answer = nil
 	resp.VoteAgree = approvals
-	switch resp.Outcome {
-	case "corrected":
-		g.m.Corrected.Add(1)
-	case "restarted":
-		g.m.Restarted.Add(1)
-	}
+	g.delivered(resp.Outcome)
 	return resp, nil
-}
-
-// verifyReplica drives one verifier slot to a verdict (or nil when no
-// distinct candidate could be reached): same candidate discipline as
-// voteReplica, POSTing /v1/verify instead of a kernel route.
-func (g *Gateway) verifyReplica(ctx context.Context, it *candidateIter, tbody []byte) *verdictResult {
-	for {
-		nd := it.take(time.Now())
-		if nd == nil {
-			return nil
-		}
-		if err := nd.acquire(ctx); err != nil {
-			return nil
-		}
-		res, class, _ := postJSON[serve.VerifyResult](ctx, g.cfg.Client, nd, "/v1/verify", tbody)
-		nd.release()
-		switch class {
-		case fcDelivered:
-			if tripped := nd.br.onDelivered(time.Now(), false); tripped {
-				nd.m.BreakerTrips.Add(1)
-			}
-			nd.m.Delivered.Add(1)
-			return &verdictResult{nd: nd, ok: res.OK}
-		case fcBadRequest:
-			// A verifier calling the task malformed while the primary
-			// produced it is itself a disagreement; treat as a refusal.
-			return &verdictResult{nd: nd, ok: false}
-		case fcFailed:
-			if tripped := nd.br.onFailure(time.Now()); tripped {
-				nd.m.BreakerTrips.Add(1)
-			}
-			if ctx.Err() != nil {
-				return nil
-			}
-		case fcShed:
-			nd.m.Rejected429.Add(1)
-		}
-	}
-}
-
-type verdictResult struct {
-	nd *node
-	ok bool
 }

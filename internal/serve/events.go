@@ -57,12 +57,13 @@ type Bus struct {
 	dropped int64
 }
 
-// NewBus builds a bus with the given replay-ring capacity (default 256).
-func NewBus(capacity int) *Bus {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &Bus{ring: make([]Event, capacity), subs: map[int]chan Event{}}
+// eventBuffer is the replay ring's capacity, a node's and the gateway's
+// alike.
+const eventBuffer = 256
+
+// NewBus builds a bus with an eventBuffer-event replay ring.
+func NewBus() *Bus {
+	return &Bus{ring: make([]Event, eventBuffer), subs: map[int]chan Event{}}
 }
 
 // Publish stamps the event (Seq, TimeMS) and delivers it to the ring and

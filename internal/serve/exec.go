@@ -81,14 +81,7 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 		s.nodes.Put(node)
 	}
 
-	switch rep.Outcome {
-	case recovery.Corrected:
-		s.m.Corrected.Add(1)
-	case recovery.Restarted:
-		s.m.Restarted.Add(1)
-	default:
-		s.m.Aborted.Add(1)
-	}
+	s.countOutcome(rep.Outcome)
 	s.m.Tenant(j.req.Tenant).Completed.Add(1)
 	s.m.InjectedFaults.Add(int64(rep.Injected))
 	s.m.ABFTCorrections.Add(int64(rep.Corrections))
@@ -121,14 +114,7 @@ func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w re
 	}()
 
 	p := j.req
-	// Every node is built with the same machine.Config, which is what lets
-	// a pooled one serve any request.
-	rt, _ := s.nodes.Get().(*core.Runtime)
-	if rt == nil {
-		rt = core.NewFunctionalRuntime(machine.ScaledConfig(32), p.Strategy, int64(p.Seed))
-	} else {
-		rt.Reset(p.Strategy, int64(p.Seed))
-	}
+	rt := s.takeNode(p.Strategy, p.Seed)
 	rt.Arena = arena
 	var err error
 	switch p.Kernel {
@@ -153,6 +139,33 @@ func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w re
 	rep = co.Run()
 	s.countArmed(rt)
 	return rep, w, rt
+}
+
+// takeNode returns a functional node configured for strategy and seed: one
+// from the pool, reset, or a new one when the pool is empty. Every node is
+// built with the same machine.Config, which is what lets a pooled one serve
+// any request. The caller puts it back once nothing reads it, and never
+// after a panic guard fired.
+func (s *Service) takeNode(strategy core.Strategy, seed uint64) *core.Runtime {
+	rt, _ := s.nodes.Get().(*core.Runtime)
+	if rt == nil {
+		return core.NewFunctionalRuntime(machine.ScaledConfig(32), strategy, int64(seed))
+	}
+	rt.Reset(strategy, int64(seed))
+	return rt
+}
+
+// countOutcome adds one finished run, request or long task, to the
+// corrected/restarted/aborted tally.
+func (s *Service) countOutcome(o recovery.Outcome) {
+	switch o {
+	case recovery.Corrected:
+		s.m.Corrected.Add(1)
+	case recovery.Restarted:
+		s.m.Restarted.Add(1)
+	default:
+		s.m.Aborted.Add(1)
+	}
 }
 
 // countArmed records a finished run whose hierarchy left dormancy.

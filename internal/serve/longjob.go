@@ -13,7 +13,6 @@ import (
 	"coopabft/internal/abft"
 	"coopabft/internal/checkpoint"
 	"coopabft/internal/core"
-	"coopabft/internal/machine"
 	"coopabft/internal/mat"
 	"coopabft/internal/recovery"
 )
@@ -122,20 +121,25 @@ func (s *Service) DoLong(ctx context.Context, t LongTask) (LongResult, error) {
 
 // runLong drives one admitted long task under a panic guard, mirroring
 // runLadder's contract: a kernel panic becomes an Aborted classification.
+// The task runs on a node from the service's pool, on an arena of its own,
+// under execute's lifetime rule: both go back once the result is built,
+// construction failure included, and neither after the guard fired.
 func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *checkpoint.Snapshot) (res LongResult) {
 	res = LongResult{JobID: t.JobID, Kernel: p.Kernel.String()}
+	var arena mat.Arena
+	var rt *core.Runtime
 	defer func() {
 		if pn := recover(); pn != nil {
 			res.Outcome = recovery.Aborted.String()
 			res.Error = fmt.Sprintf("serve: long task panicked: %v", pn)
+			return
 		}
+		arena.Release()
+		s.nodes.Put(rt)
 	}()
 	start := time.Now()
 
-	// Same lifetime rule as execute: the arena is released on the normal
-	// path only, after the last read of the workload's state.
-	var arena mat.Arena
-	rt := core.NewFunctionalRuntime(machine.ScaledConfig(32), p.Strategy, int64(p.Seed))
+	rt = s.takeNode(p.Strategy, p.Seed)
 	rt.Arena = &arena
 	w, err := recovery.NewCGWorkload(rt, p.NX, p.NY, p.Seed)
 	if err != nil {
@@ -197,16 +201,8 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 		res.Steps = out.Iterations
 		res.Residual = out.Residual
 	}
-	arena.Release()
 	res.RunMS = s.long.m.done(start)
-	switch rep.Outcome {
-	case recovery.Corrected:
-		s.m.Corrected.Add(1)
-	case recovery.Restarted:
-		s.m.Restarted.Add(1)
-	default:
-		s.m.Aborted.Add(1)
-	}
+	s.countOutcome(rep.Outcome)
 	s.bus.Publish(Event{Type: EventJobDone, Job: t.JobID, Step: res.Steps, Detail: res.Outcome})
 	return res
 }

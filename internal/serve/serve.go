@@ -112,8 +112,6 @@ type Config struct {
 	// CheckpointEvery is the default step interval between streamed
 	// checkpoints for long tasks that do not specify one (default 8).
 	CheckpointEvery int
-	// EventBuffer sizes the error bus's replay ring (default 256).
-	EventBuffer int
 	// CheckpointClient issues checkpoint PUTs to the gateway; nil gets a
 	// client with a 10s timeout.
 	CheckpointClient *http.Client
@@ -179,9 +177,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 8
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 256
 	}
 	if c.CheckpointClient == nil {
 		c.CheckpointClient = &http.Client{Timeout: 10 * time.Second}
@@ -265,7 +260,7 @@ func New(cfg Config) *Service {
 		}),
 		sem:        make(chan struct{}, cfg.MaxConcurrency),
 		quit:       make(chan struct{}),
-		bus:        NewBus(cfg.EventBuffer),
+		bus:        NewBus(),
 		ckptClient: cfg.CheckpointClient,
 	}
 	blockSem := make(chan struct{}, cfg.BlockConcurrency)

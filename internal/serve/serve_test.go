@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -324,6 +326,40 @@ func TestSnapshotCoversCounters(t *testing.T) {
 			t.Errorf("snapshot[%q] has non-numeric type %T", k, v)
 		}
 	}
+}
+
+// TestSnapshotKeySet pins the /debug/vars names a running service exports,
+// its tenant ledgers' included: dashboards and the wiring smoke read them.
+func TestSnapshotKeySet(t *testing.T) {
+	s := New(Config{MaxConcurrency: 1})
+	defer s.Close()
+	if _, err := s.Do(context.Background(), Request{Kernel: "gemm", N: 16, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Metrics().Snapshot()
+	const want = "abft_corrections aborted accepted bad_requests batched_requests batches " +
+		"block_rejected block_run_ms_sum block_shed block_tasks byzantine_lies checkpoint_put_errors " +
+		"checkpoints_streamed corrected events_dropped events_published inflight injected_faults " +
+		"long_rejected long_run_ms_sum long_shed long_tasks queue_cap queue_depth queue_ms_sum " +
+		"queue_timeouts rejected restarted restarts run_ms_sum running shed sim_armed tenants " +
+		"throttled verify_refuted verify_rejected verify_run_ms_sum verify_shed verify_tasks"
+	if got := sortedKeys(snap); got != want {
+		t.Errorf("snapshot keys\n got  %s\n want %s", got, want)
+	}
+	ledger, _ := snap["tenants"].(map[string]any)[DefaultTenant].(map[string]any)
+	if got := sortedKeys(ledger); got != "completed shed throttled" {
+		t.Errorf("tenant ledger keys %q", got)
+	}
+}
+
+// sortedKeys lists a map's keys in order, space-separated.
+func sortedKeys(m map[string]any) string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, " ")
 }
 
 // TestKernelParse pins the wire names.
