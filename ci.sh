@@ -31,18 +31,21 @@ go test -race -short ./...
 go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct' -count=1 -v ./internal/serve/
 go test -run 'TestWarmVerifyVoteAllocationBudget' -count=1 -v ./internal/cluster/
 
-# Fuzz smoke: the five native fuzz targets, five seconds each on top of
+# Fuzz smoke: the six native fuzz targets, five seconds each on top of
 # their committed corpora (which the plain test runs above already replay).
 # The body decoder is held to the json.Decoder it replaced; the verify task
 # to an admission rule stated on its own, exact bits across the wire within
 # the route's body limit, and a verdict for every admitted task; the long
 # task to typed refusals and, when accepted, cg with a decodable snapshot;
+# the block task to typed refusals and, when accepted, splits that run
+# strictly from 0 to an admitted n and a role inside the grid;
 # UnpackBlock to exact sizes and bit-for-bit round trips; checkpoint.Decode
 # (what the gateway accepts on the checkpoint PUT) to typed refusals, a
 # canonical re-encoding, and refusing any flipped trailer or length byte.
 go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseVerifyTask$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseLongTask$' -fuzztime 5s ./internal/serve/
+go test -run '^$' -fuzz '^FuzzParseBlockTask$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzUnpackBlock$' -fuzztime 5s ./internal/abft/
 go test -run '^$' -fuzz '^FuzzCheckpointDecode$' -fuzztime 5s ./internal/checkpoint/
 
@@ -66,6 +69,12 @@ go test -race -timeout 10m -run 'TestFunctionalRuntime' ./internal/recovery/soak
 # ends every f64 request kind exactly as serve.Service.Do does — a second,
 # independent check of the same equivalence.
 (cd cmd/abftbench && go vet . && go test .)
+
+# The reproduction as a gate: every paper table and figure at full scale
+# (≈20 s) must come out byte for byte as committed in paperfigs_output.txt.
+# Its test-scale twin is TestSmallOutputGolden in internal/experiments, which
+# the test runs above include.
+go run ./cmd/paperfigs | cmp - paperfigs_output.txt
 
 # Bench smoke: compile and run every benchmark once so the GFLOP/s suite
 # (kernel layer, tables/figures) can't silently rot.

@@ -26,32 +26,15 @@ import (
 	"time"
 
 	"coopabft/internal/campaign"
-	"coopabft/internal/cluster/vote"
 	"coopabft/internal/core"
 	"coopabft/internal/serve"
 	"coopabft/internal/serve/qos"
 )
 
-// Typed gateway errors; the HTTP layer maps them to status codes, and
-// serve's ErrBadRequest/ErrOverloaded are reused so in-process callers and
-// the load generator tally gateway answers exactly like node answers.
-var (
-	// ErrNoNodes means no configured node advertises the requested ECC
-	// strategy — a capability miss, not a transient failure.
-	ErrNoNodes = errors.New("cluster: no node advertises the requested strategy")
-	// ErrUnavailable means every placement attempt failed at the
-	// connection/503 level and the retry budget is spent.
-	ErrUnavailable = errors.New("cluster: no replica available")
-	// ErrUnknownNode reports an admin operation against an ID the gateway
-	// does not manage.
-	ErrUnknownNode = errors.New("cluster: unknown node")
-	// ErrNoQuorum means an integrity-tier request could not assemble its
-	// answer-signature majority at admission: fewer eligible distinct nodes
-	// than replicas requested. (Vote-time quorum loss is delivered as a
-	// typed aborted classification instead — see doVote.) Wraps the vote
-	// package's sentinel so errors.Is works against either.
-	ErrNoQuorum = fmt.Errorf("cluster: %w", vote.ErrNoQuorum)
-)
+// ErrUnknownNode reports an admin operation against an ID the gateway does
+// not manage. The gateway's request errors (serve.ErrNoNodes,
+// ErrUnavailable, ErrNoQuorum) live with the wire contract in serve.
+var ErrUnknownNode = errors.New("cluster: unknown node")
 
 // NodeConfig describes one backend worker.
 type NodeConfig struct {
@@ -465,7 +448,7 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 	ranked := g.placement(p)
 	if len(ranked) == 0 {
 		g.m.NoNodes.Add(1)
-		return serve.Response{}, fmt.Errorf("%w: %s", ErrNoNodes, p.Strategy)
+		return serve.Response{}, fmt.Errorf("%w: %s", serve.ErrNoNodes, p.Strategy)
 	}
 
 	body, err := json.Marshal(req)
@@ -494,7 +477,7 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 		if needBackoff {
 			needBackoff = false
 			if err := sleepCtx(ctx, g.backoff(req.Seed, forwards)); err != nil {
-				return serve.Response{}, fmt.Errorf("%w: %w", ErrUnavailable, err)
+				return serve.Response{}, fmt.Errorf("%w: %w", serve.ErrUnavailable, err)
 			}
 		}
 		if !nd.tryAcquire() {
@@ -524,8 +507,10 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 			lastErr = err
 			needBackoff = true
 			if ctx.Err() != nil {
+				// The node's own error is detail (%v): a 503's kind
+				// must not outrank this one on the wire.
 				g.m.Unavailable.Add(1)
-				return serve.Response{}, fmt.Errorf("%w: %w", ErrUnavailable, lastErr)
+				return serve.Response{}, fmt.Errorf("%w: %v", serve.ErrUnavailable, lastErr)
 			}
 		}
 	}
@@ -541,7 +526,7 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 	if lastErr == nil {
 		lastErr = errors.New("every eligible replica is parked (breaker open or unhealthy)")
 	}
-	return serve.Response{}, fmt.Errorf("%w after %d attempts: %v", ErrUnavailable, forwards, lastErr)
+	return serve.Response{}, fmt.Errorf("%w after %d attempts: %v", serve.ErrUnavailable, forwards, lastErr)
 }
 
 // placement lists the nodes capable of p's strategy in p's rendezvous order.
@@ -569,20 +554,15 @@ func (g *Gateway) delivered(outcome string) {
 	}
 }
 
-// nodeReadLimit bounds one body read from a node: a response, or a
-// checkpoint PUT. The largest — a MaxJobN-sized checksum block result
-// (parity + sum, base64), a long-job snapshot, a verify-vote primary's
-// answer to the gateway (n²·8 bytes, base64; a verifier's ballot is a few
-// bytes) — run to tens of MB, and one limit serves every route.
-const nodeReadLimit = 64 << 20
-
 // postJSON is the gateway's one way of sending work to a node: POST body to
 // path on nd, classify the transport result, and settle the node's books
 // for it. Only fcDelivered carries a decoded R; fcBadRequest is the node's
 // own 400 (final), fcShed its 429 (alive but full — try elsewhere), fcFailed
 // a connection failure, an unreadable or undecodable body, or a 503 — a
-// breaker fault, charged to the node's TransportErrors/Failed503. What the
-// caller does next is its dispatch policy; the books are done.
+// breaker fault, charged to the node's TransportErrors/Failed503. The class
+// goes by status alone; the error of a reply that is not a 200 is the one
+// serve.ReadError reads from it. What the caller does next is its dispatch
+// policy; the books are done.
 func postJSON[R any](ctx context.Context, client *http.Client, nd *node, path string, body []byte) (res R, class forwardClass, err error) {
 	nd.m.Forwarded.Add(1)
 	defer func() { nd.settle(class, aborted(&res)) }()
@@ -597,7 +577,7 @@ func postJSON[R any](ctx context.Context, client *http.Client, nd *node, path st
 		return res, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
 	}
 	defer hresp.Body.Close()
-	buf, err := serve.ReadBody(hresp.Body, hresp.ContentLength, nodeReadLimit)
+	buf, err := serve.ReadBody(hresp.Body, hresp.ContentLength, serve.ReplyLimit)
 	if err != nil {
 		nd.m.TransportErrors.Add(1)
 		return res, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
@@ -613,13 +593,14 @@ func postJSON[R any](ctx context.Context, client *http.Client, nd *node, path st
 		}
 		return res, fcDelivered, nil
 	case http.StatusBadRequest:
-		return res, fcBadRequest, fmt.Errorf("%w: node %s: %s", serve.ErrBadRequest, nd.id, wireError(payload))
+		class = fcBadRequest
 	case http.StatusTooManyRequests:
-		return res, fcShed, fmt.Errorf("node %s: %s", nd.id, wireError(payload))
+		class = fcShed
 	default: // 503 and anything else unexpected is a node fault
 		nd.m.Failed503.Add(1)
-		return res, fcFailed, fmt.Errorf("node %s: HTTP %d: %s", nd.id, hresp.StatusCode, wireError(payload))
+		class = fcFailed
 	}
+	return res, class, fmt.Errorf("node %s: %w", nd.id, serve.ReadError(hresp.StatusCode, hresp.Header, payload))
 }
 
 // settle books one classified exchange on its node: a delivery feeds the
@@ -732,15 +713,4 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return context.Cause(ctx)
 	}
-}
-
-// wireError extracts a node's error envelope for diagnostics.
-func wireError(payload []byte) string {
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(payload, &e) == nil && e.Error != "" {
-		return e.Error
-	}
-	return strings.TrimSpace(string(payload))
 }

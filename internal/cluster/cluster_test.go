@@ -139,8 +139,8 @@ func TestCapabilityRouting(t *testing.T) {
 	gNone := testGateway(t, NodeConfig{ID: "ck-only", BaseURL: stubNode(t, okStub(t, &ckHits, "corrected")),
 		Strategies: []core.Strategy{core.WholeChipkill}})
 	if _, err := gNone.Do(context.Background(),
-		serve.Request{Kernel: "gemm", N: 48, Strategy: "No_ECC"}); !errors.Is(err, ErrNoNodes) {
-		t.Errorf("err = %v, want ErrNoNodes", err)
+		serve.Request{Kernel: "gemm", N: 48, Strategy: "No_ECC"}); !errors.Is(err, serve.ErrNoNodes) {
+		t.Errorf("err = %v, want serve.ErrNoNodes", err)
 	}
 }
 
@@ -402,7 +402,7 @@ func TestGatewayAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e errorBody
+	var e struct{ Kind string }
 	json.NewDecoder(resp.Body).Decode(&e)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || e.Kind != "bad_request" {

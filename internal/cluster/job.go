@@ -343,7 +343,7 @@ func (g *Gateway) runShardedJob(ctx context.Context, rec *jobRecord, p serve.Par
 		nd := g.fallbackWorker(plan, lost)
 		if nd == nil {
 			rec.fail(ctx, g, started, fmt.Errorf("%w: block (%d,%d) unrecoverable and no worker left to recompute it",
-				ErrUnavailable, t.bi, t.bj))
+				serve.ErrUnavailable, t.bi, t.bj))
 			return
 		}
 		blk, _, err := g.runBlockTask(ctx, shardTask{role: serve.BlockData, bi: t.bi, bj: t.bj, node: nd},

@@ -1,9 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -20,38 +17,18 @@ import (
 //
 // The wire contract — JobStatus's shape and its field-stability
 // guarantees — is documented on serve.JobStatus, next to the types.
-
-// handleJobSubmit decodes a serve.Request body (the same shape the sync
-// kernel routes take, kernel named in the body) and admits it as a job.
-func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var req serve.Request
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeErr(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
-		return
-	}
-	st, err := g.SubmitJob(req)
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusAccepted, st)
-	case errors.Is(err, serve.ErrBadRequest):
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-	case errors.Is(err, serve.ErrOverloaded):
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests, "overloaded", err.Error())
-	default:
-		writeErr(w, http.StatusInternalServerError, "internal", err.Error())
-	}
-}
+// Submission is serve.HandleRequest over SubmitJob: the body is a
+// serve.Request (the same shape the sync kernel routes take, kernel named in
+// the body).
 
 // handleJobGet returns a job's current status.
 func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	st, err := g.JobStatusOf(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, "unknown_job", err.Error())
+		serve.WriteErr(w, http.StatusNotFound, "unknown_job", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	serve.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleJobCancel requests cancellation and returns the status at call
@@ -59,10 +36,10 @@ func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	st, err := g.CancelJob(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, "unknown_job", err.Error())
+		serve.WriteErr(w, http.StatusNotFound, "unknown_job", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	serve.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleJobCheckpoint receives one streamed snapshot from a long job's
@@ -77,35 +54,36 @@ func (g *Gateway) handleJobCheckpoint(w http.ResponseWriter, r *http.Request) {
 	rec, ok := g.jobs[id]
 	g.jobMu.Unlock()
 	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown_job", "no such job: "+id)
+		serve.WriteErr(w, http.StatusNotFound, "unknown_job", "no such job: "+id)
 		return
 	}
 	epoch, err := strconv.ParseInt(r.URL.Query().Get("epoch"), 10, 64)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", "epoch must be an integer")
+		serve.WriteErr(w, http.StatusBadRequest, "bad_request", "epoch must be an integer")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, nodeReadLimit))
+	body, err := serve.ReadBody(r.Body, r.ContentLength, serve.ReplyLimit)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", "reading snapshot: "+err.Error())
+		serve.WriteErr(w, http.StatusBadRequest, "bad_request", "reading snapshot: "+err.Error())
 		return
 	}
-	snap, err := checkpoint.Decode(body)
+	defer serve.PutBody(body)
+	snap, err := checkpoint.Decode(body.Bytes())
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
+		serve.WriteErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	stored, recoveredMS := rec.acceptCheckpoint(epoch, snap.Step, snap.Restarts, body)
+	stored, recoveredMS := rec.acceptCheckpoint(epoch, snap.Step, snap.Restarts, body.Bytes())
 	if !stored {
 		g.m.CheckpointsStale.Add(1)
-		writeJSON(w, http.StatusOK, map[string]any{"stored": false})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"stored": false})
 		return
 	}
 	g.m.CheckpointsStored.Add(1)
 	if recoveredMS > 0 {
 		g.m.RecoveryMSSum.Add(recoveredMS)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"stored": true, "step": snap.Step})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"stored": true, "step": snap.Step})
 }
 
 // handleEvents re-exports the gateway's error bus — every node's fault

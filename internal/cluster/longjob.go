@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -50,7 +51,7 @@ func (g *Gateway) runLongJob(ctx context.Context, rec *jobRecord, p serve.Parsed
 		}
 		nd := g.pickLongNode(p, avoid)
 		if nd == nil {
-			rec.fail(ctx, g, started, fmt.Errorf("%w: no healthy capable node for long job", ErrUnavailable))
+			rec.fail(ctx, g, started, fmt.Errorf("%w: no healthy capable node for long job", serve.ErrUnavailable))
 			return
 		}
 		task, resumeStep := g.buildLongTask(rec, p, req)
@@ -96,7 +97,7 @@ func (g *Gateway) runLongJob(ctx context.Context, rec *jobRecord, p serve.Parsed
 			migrations++
 			if migrations > g.cfg.MaxMigrations {
 				rec.fail(ctx, g, started, fmt.Errorf("%w: long job lost %d workers (budget %d): %v",
-					ErrUnavailable, migrations, g.cfg.MaxMigrations, err))
+					serve.ErrUnavailable, migrations, g.cfg.MaxMigrations, err))
 				return
 			}
 			avoid[nd.id] = true
@@ -201,9 +202,9 @@ func (g *Gateway) noteRecovered(rec *jobRecord) {
 
 // acceptCheckpoint decides one checkpoint PUT's fate under the record
 // lock: wrong epoch or non-advancing step is stale (discarded); an
-// accepted snapshot becomes the job's migration state and closes any open
-// recovery-latency window. Returns whether it was stored and the latency
-// recorded (0 when no window was open).
+// accepted snapshot, a copy of body, becomes the job's migration state and
+// closes any open recovery-latency window. Returns whether it was stored and
+// the latency recorded (0 when no window was open).
 func (rec *jobRecord) acceptCheckpoint(epoch int64, step, restarts int, body []byte) (bool, float64) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
@@ -213,7 +214,7 @@ func (rec *jobRecord) acceptCheckpoint(epoch int64, step, restarts int, body []b
 	if rec.long.snap != nil && step <= rec.long.snapStep {
 		return false, 0
 	}
-	rec.long.snap = body
+	rec.long.snap = bytes.Clone(body)
 	rec.long.snapStep = step
 	rec.status.Step = step
 	rec.status.Checkpoints++

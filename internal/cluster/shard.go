@@ -46,7 +46,7 @@ func planShards(n int, ws []*node, shardBlock int, seed uint64) (shardPlan, erro
 	w := len(ws)
 	if w < 3 {
 		return shardPlan{}, fmt.Errorf("%w: sharding needs >= 3 eligible workers, have %d",
-			ErrUnavailable, w)
+			serve.ErrUnavailable, w)
 	}
 	rot := int(campaign.Splitmix64(seed) % uint64(w))
 	rotated := append(append(make([]*node, 0, w), ws[rot:]...), ws[:rot]...)

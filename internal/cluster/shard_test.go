@@ -99,7 +99,7 @@ func TestPlanShardsSeedRotation(t *testing.T) {
 // TestPlanShardsTooFewWorkers: fewer than 3 workers cannot hold distinct
 // checksum blocks.
 func TestPlanShardsTooFewWorkers(t *testing.T) {
-	if _, err := planShards(256, mkNodes("a", "b"), 128, 1); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("err = %v, want ErrUnavailable", err)
+	if _, err := planShards(256, mkNodes("a", "b"), 128, 1); !errors.Is(err, serve.ErrUnavailable) {
+		t.Fatalf("err = %v, want serve.ErrUnavailable", err)
 	}
 }

@@ -140,7 +140,7 @@ func (g *Gateway) doIntegrity(ctx context.Context, p serve.Parsed, wire string, 
 	if eligible < r {
 		g.m.QuorumFail.Add(1)
 		return serve.Response{}, fmt.Errorf("%w: integrity %s needs %d distinct healthy capable nodes, have %d",
-			ErrNoQuorum, p.Integrity, r, eligible)
+			serve.ErrNoQuorum, p.Integrity, r, eligible)
 	}
 	if p.Integrity == serve.IntegrityVerifyVote {
 		return g.doVerifyVote(ctx, p, body, ranked, r)
@@ -201,7 +201,7 @@ func (g *Gateway) doVote(ctx context.Context, p serve.Parsed, wire string, body 
 	}
 	if len(ballots) == 0 {
 		g.m.Unavailable.Add(1)
-		return serve.Response{}, fmt.Errorf("%w: no vote replica delivered: %v", ErrUnavailable, lastErr)
+		return serve.Response{}, fmt.Errorf("%w: no vote replica delivered: %v", serve.ErrUnavailable, lastErr)
 	}
 
 	d := vote.Decide(r, ballots)
@@ -238,7 +238,7 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 	var rs [8]byte
 	if _, err := rand.Read(rs[:]); err != nil {
 		g.m.Unavailable.Add(1)
-		return serve.Response{}, fmt.Errorf("%w: verify-vote probe: %v", ErrUnavailable, err)
+		return serve.Response{}, fmt.Errorf("%w: verify-vote probe: %v", serve.ErrUnavailable, err)
 	}
 	probeSeed := binary.LittleEndian.Uint64(rs[:])
 	it := &candidateIter{ranked: ranked}
@@ -249,7 +249,7 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 		return serve.Response{}, pri.err
 	case fcFailed:
 		g.m.Unavailable.Add(1)
-		return serve.Response{}, fmt.Errorf("%w: verify-vote primary: %v", ErrUnavailable, pri.err)
+		return serve.Response{}, fmt.Errorf("%w: verify-vote primary: %v", serve.ErrUnavailable, pri.err)
 	}
 
 	g.m.VotesTotal.Add(1)

@@ -67,13 +67,13 @@ func TestVoteAdmission(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(g))
 	defer ts.Close()
 
-	post := func(body string) (*http.Response, errorBody) {
+	post := func(body string) (*http.Response, struct{ Kind string }) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/gemm", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e errorBody
+		var e struct{ Kind string }
 		json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		return resp, e
@@ -97,8 +97,8 @@ func TestVoteAdmission(t *testing.T) {
 		t.Error("no-quorum 503 without Retry-After")
 	}
 	if _, err := g.Do(context.Background(),
-		serve.Request{Kernel: "gemm", N: 32, Seed: 1, Integrity: "vote", Replicas: 3}); !errors.Is(err, ErrNoQuorum) {
-		t.Errorf("Do: err = %v, want ErrNoQuorum", err)
+		serve.Request{Kernel: "gemm", N: 32, Seed: 1, Integrity: "vote", Replicas: 3}); !errors.Is(err, serve.ErrNoQuorum) {
+		t.Errorf("Do: err = %v, want serve.ErrNoQuorum", err)
 	}
 	if g.m.QuorumFail.Value() != 2 {
 		t.Errorf("quorum_fail = %d, want 2", g.m.QuorumFail.Value())

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"coopabft/internal/bifit"
+	"coopabft/internal/campaign"
 	"coopabft/internal/checkpoint"
 	"coopabft/internal/core"
 )
@@ -62,6 +63,29 @@ type Injection struct {
 	Kind   bifit.Kind
 	Target int // index into Workload.InjectTargets()
 	Elem   int
+}
+
+// PlanInjections derives count injections of kind into w from seed: timing,
+// target and element each come from a splitmix stream over seed, so the same
+// seed injects the same faults at the same ticks. It is the one plan behind
+// both a served request's faults and a soak cell's.
+func PlanInjections(w Workload, seed uint64, kind bifit.Kind, count int) []Injection {
+	if count <= 0 {
+		return nil
+	}
+	targets, steps := w.InjectTargets(), w.Steps()
+	next := func() uint64 { seed++; return campaign.Splitmix64(seed) }
+	plan := make([]Injection, 0, count)
+	for e := 0; e < count; e++ {
+		ti := int(next() % uint64(len(targets)))
+		plan = append(plan, Injection{
+			Tick:   int(next() % uint64(steps)),
+			Kind:   kind,
+			Target: ti,
+			Elem:   int(next() % uint64(len(targets[ti].T.Data))),
+		})
+	}
+	return plan
 }
 
 // Report summarizes one coordinated run for the outcome tables.

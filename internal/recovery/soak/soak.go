@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"coopabft/internal/abft"
@@ -172,12 +173,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	prev := mat.SetParallelism(cfg.Parallelism)
 	defer mat.SetParallelism(prev)
 
+	var nodes sync.Pool // functional nodes between cells; see runCell
 	eng := campaign.New(campaign.WithWorkers(cfg.Workers))
 	runs, _, err := campaign.Map(ctx, eng, cfg.Cells(), func(ctx context.Context, i int) (RunResult, error) {
 		if err := ctx.Err(); err != nil {
 			return RunResult{}, err
 		}
-		return runCell(cfg, i), nil
+		return runCell(cfg, &nodes, i), nil
 	})
 	if err != nil {
 		return nil, err
@@ -207,40 +209,52 @@ func (c Config) cell(i int) (Kernel, core.Strategy, bifit.Kind, int) {
 	return c.Kernels[i], c.Strategies[si], c.Kinds[di], c.Counts[ci]
 }
 
-// runCell executes one coordinated run under a panic guard and deadline.
-func runCell(cfg Config, i int) RunResult {
+// runCell executes one coordinated run under a panic guard and deadline, on
+// the functional runtime: the harness reports outcomes only, and those are
+// the timed platform's (equiv_test.go holds the two side by side). The node
+// is one from nodes, reset for the cell, or a new one when the pool is
+// empty, under serving's lifetime rule: it goes back only from a run that
+// ended. After a panic nothing vouches for the state it stopped in, and a
+// hung run still holds it; both leave it to the GC.
+func runCell(cfg Config, nodes *sync.Pool, i int) RunResult {
 	kernel, strat, kind, count := cfg.cell(i)
+	seed := campaign.CellSeed(cfg.Seed, uint64(i))
 	out := RunResult{Cell: i, Kernel: kernel, Strategy: strat, Kind: kind, Count: count}
 
-	done := make(chan RunResult, 1)
+	type ended struct {
+		r  RunResult
+		rt *core.Runtime // nil after a panic
+	}
+	done := make(chan ended, 1)
 	go func() {
-		r := out // goroutine-local copy; published only via the channel
+		e := ended{r: out} // goroutine-local copy; published only via the channel
 		defer func() {
 			if p := recover(); p != nil {
-				r.Panicked = true
-				r.PanicMsg = fmt.Sprint(p)
+				e.r.Panicked = true
+				e.r.PanicMsg = fmt.Sprint(p)
 			}
-			done <- r
+			done <- e
 		}()
-		r.Report = runOne(cfg, kernel, strat, kind, count, campaign.CellSeed(cfg.Seed, uint64(i)))
+		rt, _ := nodes.Get().(*core.Runtime)
+		if rt == nil {
+			rt = core.NewFunctionalRuntime(machine.ScaledConfig(32), strat, int64(seed))
+		} else {
+			rt.Reset(strat, int64(seed))
+		}
+		e.r.Report, _ = runOn(rt, cfg, kernel, kind, count, seed)
+		e.rt = rt
 	}()
 
 	select {
-	case r := <-done:
-		return r
+	case e := <-done:
+		if e.rt != nil {
+			nodes.Put(e.rt)
+		}
+		return e.r
 	case <-time.After(cfg.Deadline):
 		out.Hung = true
 		return out
 	}
-}
-
-// runOne runs one cell on the functional runtime: the harness reports
-// outcomes only, and those are the timed platform's (equiv_test.go holds
-// the two side by side).
-func runOne(cfg Config, kernel Kernel, strat core.Strategy, kind bifit.Kind, count int, seed uint64) recovery.Report {
-	rt := core.NewFunctionalRuntime(machine.ScaledConfig(32), strat, int64(seed))
-	rep, _ := runOn(rt, cfg, kernel, kind, count, seed)
-	return rep
 }
 
 // runOn builds workload + injection plan for one cell on rt and drives the
@@ -260,28 +274,10 @@ func runOn(rt *core.Runtime, cfg Config, kernel Kernel, kind bifit.Kind, count i
 	if err != nil {
 		return recovery.Report{Outcome: recovery.Aborted, Err: err}, nil
 	}
-
-	// Seed-deterministic plan: error timing, target and element all come
-	// from a splitmix stream over the cell seed.
-	s := seed
-	next := func() uint64 { s++; return campaign.Splitmix64(s) }
-	targets := w.InjectTargets()
-	steps := w.Steps()
-	plan := make([]recovery.Injection, 0, count)
-	for e := 0; e < count; e++ {
-		ti := int(next() % uint64(len(targets)))
-		plan = append(plan, recovery.Injection{
-			Tick:   int(next() % uint64(steps)),
-			Kind:   kind,
-			Target: ti,
-			Elem:   int(next() % uint64(len(targets[ti].T.Data))),
-		})
-	}
-
 	co := &recovery.Coordinator{
 		RT:              rt,
 		W:               w,
-		Plan:            plan,
+		Plan:            recovery.PlanInjections(w, seed, kind, count),
 		CheckpointEvery: cfg.CheckpointEvery,
 		MaxRestarts:     cfg.MaxRestarts,
 	}

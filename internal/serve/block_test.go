@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -149,6 +150,58 @@ func TestDoBlockRejects(t *testing.T) {
 	if got := s.Metrics().Block.Rejected.Value(); got != int64(len(cases)) {
 		t.Errorf("BlockRejected = %d, want %d", got, len(cases))
 	}
+}
+
+// splitsOf reads b as little-endian int16 split points; a trailing odd byte
+// is dropped. Sixteen bits with a sign reach past every admitted n both ways.
+func splitsOf(b []byte) []int {
+	sp := make([]int, len(b)/2)
+	for i := range sp {
+		sp[i] = int(int16(binary.LittleEndian.Uint16(b[2*i:])))
+	}
+	return sp
+}
+
+// FuzzParseBlockTask: for any kernel name, size, seed, role, grid and grid
+// position, parseBlockTask never panics and refuses only with ErrBadRequest.
+// What it accepts is a gemm task of n ≤ MaxJobN (0 meaning the default 64)
+// whose row and column splits each run strictly upwards from 0 to n, and
+// whose role names a block inside that grid.
+func FuzzParseBlockTask(f *testing.F) {
+	l := Config{}.withDefaults().blockLimits()
+	f.Add("gemm", 64, uint64(3), BlockData, []byte("\x00\x00\x20\x00\x40\x00"), []byte("\x00\x00\x40\x00"), 1, 0)
+	f.Fuzz(func(t *testing.T, kernel string, n int, seed uint64, role string, rows, cols []byte, bi, bj int) {
+		task := BlockTask{Kernel: kernel, N: n, Seed: seed, Role: role,
+			RowSplits: splitsOf(rows), ColSplits: splitsOf(cols), BI: bi, BJ: bj}
+		p, g, err := parseBlockTask(l, task)
+		if err != nil {
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("refusal is not ErrBadRequest: %v", err)
+			}
+			return
+		}
+		size := n
+		if size == 0 {
+			size = 64
+		}
+		if p.Kernel != KernelGEMM || p.N != size || size > l.MaxN || g.N != size || p.Seed != seed {
+			t.Fatalf("accepted kernel %s n=%d seed %d over a grid of %d, from kernel %q n=%d seed %d",
+				p.Kernel, p.N, p.Seed, g.N, kernel, n, seed)
+		}
+		for _, sp := range [][]int{g.RowSplits, g.ColSplits} {
+			ok := len(sp) >= 2 && sp[0] == 0 && sp[len(sp)-1] == size
+			for i := 1; ok && i < len(sp); i++ {
+				ok = sp[i] > sp[i-1]
+			}
+			if !ok {
+				t.Fatalf("accepted splits %v over n=%d", sp, size)
+			}
+		}
+		inRows, inCols := bi >= 0 && bi < len(g.RowSplits)-1, bj >= 0 && bj < len(g.ColSplits)-1
+		if !map[string]bool{BlockData: inRows && inCols, BlockColCheck: inCols, BlockRowCheck: inRows}[role] {
+			t.Fatalf("accepted role %q at (%d,%d) on a %dx%d grid", role, bi, bj, g.Rows(), g.Cols())
+		}
+	})
 }
 
 // TestBlockHTTPRoute exercises POST /v1/block end to end.

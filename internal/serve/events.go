@@ -152,7 +152,7 @@ func ServeEventStream(w http.ResponseWriter, r *http.Request, b *Bus, quit <-cha
 	if v := r.URL.Query().Get("replay"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad_request", "replay must be a non-negative integer")
+			WriteErr(w, http.StatusBadRequest, "bad_request", "replay must be a non-negative integer")
 			return
 		}
 		replay = n

@@ -132,7 +132,7 @@ func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w re
 	co := &recovery.Coordinator{
 		RT:          rt,
 		W:           w,
-		Plan:        injectionPlan(p, w),
+		Plan:        recovery.PlanInjections(w, p.Seed, p.Kind, p.Faults),
 		MaxRestarts: s.cfg.MaxRestarts,
 		Ctx:         j.ctx,
 	}
@@ -280,28 +280,4 @@ func packChunks(chunks [][]float64) []byte {
 		}
 	}
 	return out
-}
-
-// injectionPlan derives the request's fault schedule from its seed — the
-// same splitmix stream discipline the soak harness uses, so a request
-// replayed with the same seed injects the same faults at the same ticks.
-func injectionPlan(p Parsed, w recovery.Workload) []recovery.Injection {
-	if p.Faults <= 0 {
-		return nil
-	}
-	targets := w.InjectTargets()
-	steps := w.Steps()
-	st := p.Seed
-	next := func() uint64 { st++; return campaign.Splitmix64(st) }
-	plan := make([]recovery.Injection, 0, p.Faults)
-	for e := 0; e < p.Faults; e++ {
-		ti := int(next() % uint64(len(targets)))
-		plan = append(plan, recovery.Injection{
-			Tick:   int(next() % uint64(steps)),
-			Kind:   p.Kind,
-			Target: ti,
-			Elem:   int(next() % uint64(len(targets[ti].T.Data))),
-		})
-	}
-	return plan
 }

@@ -82,8 +82,8 @@ func (s *Service) runLadder32(j *job, arena *mat.Arena) (rep recovery.Report) {
 }
 
 // armPlan32 derives the request's bit-flip schedule from its seed — the
-// same splitmix stream discipline as injectionPlan, so a replayed seed
-// flips the same bits at the same panels — and installs it on the run's
+// same splitmix stream discipline as recovery.PlanInjections, so a replayed
+// seed flips the same bits at the same panels — and installs it on the run's
 // OnPanel hook. Each fault flips the top exponent bit (bit 30) of one
 // element of C, A, or B at the top of one panel: C flips exercise
 // locate-and-repair, operand flips exercise detect-and-restart.

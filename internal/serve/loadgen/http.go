@@ -17,9 +17,9 @@ import (
 // Retry-After before resending a shed request.
 const defaultRetryAfterCap = 2 * time.Second
 
-// HTTPClient drives a live abftd (or abftgate) over the wire, mapping the
-// daemon's status codes back onto the service's typed errors so in-process
-// and over-the-wire sweeps tally identically.
+// HTTPClient drives a live abftd (or abftgate) over the wire, reading every
+// error reply back into the service's typed error through serve.ReadError,
+// so in-process and over-the-wire sweeps tally identically.
 type HTTPClient struct {
 	// Base is the server root, e.g. http://127.0.0.1:8080.
 	Base string
@@ -43,8 +43,8 @@ func (h *HTTPClient) client() *http.Client {
 }
 
 // Do implements Doer over HTTP. With Retry429 > 0 it resends shed (429)
-// requests after honoring the capped Retry-After; all other statuses map
-// straight onto the service's typed errors.
+// requests after honoring the capped Retry-After; every other reply is
+// final.
 func (h *HTTPClient) Do(ctx context.Context, req serve.Request) (serve.Response, error) {
 	// Resolve the kernel through the wire-name table before any URL is
 	// built: an unknown kernel string must fail as a typed bad request
@@ -62,7 +62,8 @@ func (h *HTTPClient) Do(ctx context.Context, req serve.Request) (serve.Response,
 		return serve.Response{}, err
 	}
 	for attempt := 0; ; attempt++ {
-		resp, retryAfter, err := h.post(ctx, wire, body)
+		var resp serve.Response
+		retryAfter, err := h.call(ctx, http.MethodPost, "/v1/"+wire, body, http.StatusOK, &resp)
 		if retryAfter >= 0 && attempt < h.Retry429 {
 			if err := sleepCtx(ctx, retryAfter); err != nil {
 				return serve.Response{}, fmt.Errorf("%w: %w", serve.ErrOverloaded, err)
@@ -73,54 +74,45 @@ func (h *HTTPClient) Do(ctx context.Context, req serve.Request) (serve.Response,
 	}
 }
 
-// post sends one attempt. retryAfter >= 0 marks a 429 whose (capped)
-// Retry-After delay the caller may honor before resending; -1 means the
-// attempt is final (success or a non-retryable error).
-func (h *HTTPClient) post(ctx context.Context, kernel string, body []byte) (serve.Response, time.Duration, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		h.Base+"/v1/"+kernel, bytes.NewReader(body))
-	if err != nil {
-		return serve.Response{}, -1, err
+// call is the client's one exchange: send body (none when nil) to path and
+// decode a reply of status want into out; any other reply comes back as the
+// error serve.ReadError reads from it. retryAfter >= 0 marks a 429 and is
+// its (capped) Retry-After delay, which the caller may honor before
+// resending; -1 means the reply is final.
+func (h *HTTPClient) call(ctx context.Context, method, path string, body []byte, want int, out any) (retryAfter time.Duration, err error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq, err := http.NewRequestWithContext(ctx, method, h.Base+path, rd)
+	if err != nil {
+		return -1, err
+	}
+	if body != nil {
+		hreq.Header.Set("Content-Type", "application/json")
+	}
 	hresp, err := h.client().Do(hreq)
 	if err != nil {
-		return serve.Response{}, -1, err
+		return -1, err
 	}
 	defer hresp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(hresp.Body, 1<<20))
+	buf, err := serve.ReadBody(hresp.Body, hresp.ContentLength, serve.ReplyLimit)
 	if err != nil {
-		return serve.Response{}, -1, err
+		return -1, err
 	}
-
+	defer serve.PutBody(buf) // out and the error hold copies
 	switch hresp.StatusCode {
-	case http.StatusOK:
-		var resp serve.Response
-		if err := json.Unmarshal(payload, &resp); err != nil {
-			return serve.Response{}, -1, fmt.Errorf("loadgen: bad response body: %w", err)
+	case want:
+		if err := json.Unmarshal(buf.Bytes(), out); err != nil {
+			return -1, fmt.Errorf("loadgen: bad %s reply body: %w", path, err)
 		}
-		return resp, -1, nil
+		return -1, nil
 	case http.StatusTooManyRequests:
-		wait := parseRetryAfter(hresp.Header.Get("Retry-After"), h.retryAfterCap())
-		// The kind discriminator picks the typed error back out of the
-		// envelope so wire sweeps tally throttled/shed exactly like
-		// in-process sweeps; both still satisfy errors.Is(ErrOverloaded).
-		switch wireKind(payload) {
-		case "throttled":
-			return serve.Response{}, wait, fmt.Errorf("%w: %s",
-				&serve.ThrottleError{RetryAfter: wait}, wireError(payload))
-		case "shed":
-			return serve.Response{}, wait, fmt.Errorf("%w: %s",
-				&serve.ShedError{}, wireError(payload))
-		}
-		return serve.Response{}, wait, fmt.Errorf("%w: %s", serve.ErrOverloaded, wireError(payload))
-	case http.StatusServiceUnavailable:
-		return serve.Response{}, -1, fmt.Errorf("%w: %s", serve.ErrQueueTimeout, wireError(payload))
-	case http.StatusBadRequest:
-		return serve.Response{}, -1, fmt.Errorf("%w: %s", serve.ErrBadRequest, wireError(payload))
+		retryAfter = parseRetryAfter(hresp.Header.Get("Retry-After"), h.retryAfterCap())
 	default:
-		return serve.Response{}, -1, fmt.Errorf("loadgen: HTTP %d: %s", hresp.StatusCode, wireError(payload))
+		retryAfter = -1
 	}
+	return retryAfter, serve.ReadError(hresp.StatusCode, hresp.Header, buf.Bytes())
 }
 
 func (h *HTTPClient) retryAfterCap() time.Duration {
@@ -190,24 +182,4 @@ func (h *HTTPClient) WaitReady(ctx context.Context, budget time.Duration) error 
 		time.Sleep(50 * time.Millisecond)
 	}
 	return fmt.Errorf("loadgen: server not ready after %s: %w", budget, lastErr)
-}
-
-// wireKind extracts the error envelope's machine-readable discriminator.
-func wireKind(payload []byte) string {
-	var e struct {
-		Kind string `json:"kind"`
-	}
-	_ = json.Unmarshal(payload, &e)
-	return e.Kind
-}
-
-// wireError extracts the error envelope's message for diagnostics.
-func wireError(payload []byte) string {
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(payload, &e) == nil && e.Error != "" {
-		return e.Error
-	}
-	return string(payload)
 }

@@ -130,6 +130,52 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestWireTallyMatchesInProcess: a sweep through a Doer that returns a typed
+// error tallies exactly as the same sweep through HTTPClient against a
+// server that writes it, for every typed error either server writes. Before
+// the kind table, every 503 read back as a queue timeout, so a draining
+// daemon's closed and a gateway's no_nodes, no_quorum and unavailable were
+// QueueTimeout over the wire and Errors in process.
+func TestWireTallyMatchesInProcess(t *testing.T) {
+	cfg := Config{Seed: 3, Requests: 2, Rates: []float64{500}}
+	for _, err := range []error{
+		serve.ErrBadRequest, &serve.ThrottleError{RetryAfter: time.Second}, &serve.ShedError{}, serve.ErrOverloaded,
+		serve.ErrQueueTimeout, serve.ErrClosed, serve.ErrNoNodes, serve.ErrNoQuorum, serve.ErrUnavailable,
+		errors.New("kernel exploded"),
+	} {
+		d := doerFunc(func(context.Context, serve.Request) (serve.Response, error) { return serve.Response{}, err })
+		want, werr := Run(context.Background(), d, cfg)
+		ts := httptest.NewServer(serve.HandleRequest("", http.StatusOK, d.Do))
+		got, gerr := Run(context.Background(), &HTTPClient{Base: ts.URL}, cfg)
+		ts.Close()
+		if werr != nil || gerr != nil {
+			t.Fatalf("%v: sweeps failed: %v, %v", err, werr, gerr)
+		}
+		if w, g := want.Totals(), got.Totals(); w != g || w == (Outcomes{}) {
+			t.Errorf("%v: tallied in process %+v, over the wire %+v", err, w, g)
+		}
+	}
+}
+
+// TestReplyOverOneMiB: a verify-vote answer is n²·8 bytes, base64 in JSON,
+// so from n = 314 a worker's reply is over 1 MiB. The client reads replies
+// under serve.ReplyLimit, as the gateway does; under a 1 MiB cap this reply
+// was cut short and counted as an error.
+func TestReplyOverOneMiB(t *testing.T) {
+	svc := serve.New(serve.Config{MaxN: 320, Parallelism: 1})
+	defer svc.Close()
+	ts := httptest.NewServer(serve.NewHandler(svc))
+	defer ts.Close()
+	resp, err := (&HTTPClient{Base: ts.URL}).Do(context.Background(),
+		serve.Request{Kernel: "gemm", N: 320, Seed: 5, Integrity: "verify-vote"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Answer) != 320*320*8 || resp.Outcome != "corrected" {
+		t.Fatalf("outcome %q with a %d-byte answer, want corrected with %d bytes", resp.Outcome, len(resp.Answer), 320*320*8)
+	}
+}
+
 // TestRetrySleepRespectsContext: cancelling mid-backoff unblocks Do.
 func TestRetrySleepRespectsContext(t *testing.T) {
 	h, _ := shedThenServe(99, "30")

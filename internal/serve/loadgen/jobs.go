@@ -1,12 +1,10 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -63,48 +61,15 @@ func (h *HTTPClient) CancelJob(ctx context.Context, id string) (serve.JobStatus,
 	return h.jobCall(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, http.StatusOK)
 }
 
-// jobCall is the shared wire plumbing: one request, the gateway's error
-// envelope mapped back onto the service's typed errors.
+// jobCall is one jobs-API exchange through call; a 429 comes back as a
+// shedError carrying its delay.
 func (h *HTTPClient) jobCall(ctx context.Context, method, path string, body []byte, want int) (serve.JobStatus, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	var st serve.JobStatus
+	after, err := h.call(ctx, method, path, body, want, &st)
+	if after >= 0 {
+		return st, &shedError{err: err, after: after}
 	}
-	hreq, err := http.NewRequestWithContext(ctx, method, h.Base+path, rd)
-	if err != nil {
-		return serve.JobStatus{}, err
-	}
-	if body != nil {
-		hreq.Header.Set("Content-Type", "application/json")
-	}
-	hresp, err := h.client().Do(hreq)
-	if err != nil {
-		return serve.JobStatus{}, err
-	}
-	defer hresp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(hresp.Body, 1<<20))
-	if err != nil {
-		return serve.JobStatus{}, err
-	}
-	switch hresp.StatusCode {
-	case want:
-		var st serve.JobStatus
-		if err := json.Unmarshal(payload, &st); err != nil {
-			return serve.JobStatus{}, fmt.Errorf("loadgen: bad job status body: %w", err)
-		}
-		return st, nil
-	case http.StatusBadRequest:
-		return serve.JobStatus{}, fmt.Errorf("%w: %s", serve.ErrBadRequest, wireError(payload))
-	case http.StatusTooManyRequests:
-		return serve.JobStatus{}, &shedError{
-			err:   fmt.Errorf("%w: %s", serve.ErrOverloaded, wireError(payload)),
-			after: parseRetryAfter(hresp.Header.Get("Retry-After"), h.retryAfterCap()),
-		}
-	case http.StatusNotFound:
-		return serve.JobStatus{}, fmt.Errorf("loadgen: unknown job: %s", wireError(payload))
-	default:
-		return serve.JobStatus{}, fmt.Errorf("loadgen: HTTP %d: %s", hresp.StatusCode, wireError(payload))
-	}
+	return st, err
 }
 
 // JobsConfig drives RunJobs.

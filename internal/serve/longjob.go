@@ -164,7 +164,7 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 	co := &recovery.Coordinator{
 		RT:              rt,
 		W:               w,
-		Plan:            injectionPlan(p, w),
+		Plan:            recovery.PlanInjections(w, p.Seed, p.Kind, p.Faults),
 		CheckpointEvery: every,
 		MaxRestarts:     s.cfg.MaxRestarts,
 		Ctx:             ctx,

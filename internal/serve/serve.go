@@ -25,7 +25,7 @@ import (
 )
 
 // Typed admission errors. The HTTP layer maps them onto status codes
-// (429/503); in-process callers branch with errors.Is.
+// (429/503, see errorKinds); in-process callers branch with errors.Is.
 var (
 	// ErrOverloaded means admission refused the request under load. It is
 	// the umbrella both QoS rejections satisfy via errors.Is — callers that
@@ -43,7 +43,8 @@ var (
 // ThrottleError reports a tenant over its own token-bucket quota: the
 // tenant's excess was rejected at the door, other tenants are unaffected.
 // The HTTP layer maps it to 429 kind "throttled" with a computed
-// Retry-After. Satisfies errors.Is(err, ErrOverloaded).
+// Retry-After. Satisfies errors.Is(err, ErrOverloaded), and
+// errors.Is(err, &ThrottleError{}) asks whether err is a throttle at all.
 type ThrottleError struct {
 	Tenant     string
 	RetryAfter time.Duration
@@ -53,12 +54,16 @@ func (e *ThrottleError) Error() string {
 	return fmt.Sprintf("serve: tenant %q over quota, retry after %s", e.Tenant, e.RetryAfter)
 }
 
-func (e *ThrottleError) Is(target error) bool { return target == ErrOverloaded }
+func (e *ThrottleError) Is(target error) bool {
+	_, throttle := target.(*ThrottleError)
+	return throttle || target == ErrOverloaded
+}
 
 // ShedError reports a request sacrificed to overload: a speculative arrival
 // refused at a full queue, or a queued speculative request evicted to make
 // room for a protected arrival. The HTTP layer maps it to 429 kind "shed".
-// Satisfies errors.Is(err, ErrOverloaded).
+// Satisfies errors.Is(err, ErrOverloaded), and errors.Is(err, &ShedError{})
+// asks whether err is a shed at all.
 type ShedError struct {
 	Tenant  string
 	Evicted bool // true when evicted from the queue, false when refused at the door
@@ -71,7 +76,10 @@ func (e *ShedError) Error() string {
 	return fmt.Sprintf("serve: tenant %q speculative request shed (queue full)", e.Tenant)
 }
 
-func (e *ShedError) Is(target error) bool { return target == ErrOverloaded }
+func (e *ShedError) Is(target error) bool {
+	_, shed := target.(*ShedError)
+	return shed || target == ErrOverloaded
+}
 
 // Config sizes the service. The zero value is usable: defaults are applied
 // by New.
