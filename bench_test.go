@@ -399,6 +399,60 @@ func BenchmarkServeGEMM32Bare(b *testing.B) {
 	}
 }
 
+// BenchmarkServeCG is ladder_f64_mix's CG request in process: one 24×24
+// FT-CG solve through serve.Service.Do, serial, seeds varying so the
+// right-hand side is regenerated every time. Its ns/op over
+// BenchmarkServeCGBare's is the request-over-kernel ratio of the mix's CG
+// request, and B/op the warm request's heap.
+func BenchmarkServeCG(b *testing.B) {
+	defer mat.SetParallelism(mat.SetParallelism(1))
+	svc := serve.New(serve.Config{QueueTimeout: time.Minute})
+	defer svc.Close()
+	req := serve.Request{Kernel: "cg", NX: 24, NY: 24, Seed: uint64(b.N) << 20}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Seed++
+		resp, err := svc.Do(context.Background(), req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.Outcome != "corrected" {
+			b.Fatalf("outcome %q (%s), want corrected", resp.Outcome, resp.Error)
+		}
+	}
+}
+
+// BenchmarkServeCGBare is the yardstick for BenchmarkServeCG and the
+// denominator cmd/abftbench uses for a CG request: unpreconditioned CG over
+// the same 24×24 mat.Poisson2D operator, unprotected, to a relative
+// residual of 1e-9, on a right-hand side built once.
+func BenchmarkServeCGBare(b *testing.B) {
+	defer mat.SetParallelism(mat.SetParallelism(1))
+	a := mat.Poisson2D(24, 24)
+	rhs := make([]float64, a.N)
+	a.MulVecInto(rhs, mat.RandomVec(a.N, 1))
+	x, r, p, q := make([]float64, a.N), make([]float64, a.N), make([]float64, a.N), make([]float64, a.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(x)
+		copy(r, rhs)
+		copy(p, rhs)
+		rho := mat.Dot(r, r)
+		for stop, it := 1e-18*rho, 0; it < 20*a.N && rho > stop; it++ {
+			a.MulVecInto(q, p)
+			alpha := rho / mat.Dot(p, q)
+			mat.Axpy(alpha, p, x)
+			mat.Axpy(-alpha, q, r)
+			next := mat.Dot(r, r)
+			mat.Scale(next/rho, p)
+			mat.Axpy(1, r, p)
+			rho = next
+		}
+	}
+}
+
 // BenchmarkServeGEMMBatched holds a small batching window open; the
 // delta against BenchmarkServeGEMM prices the coalescing stage.
 func BenchmarkServeGEMMBatched(b *testing.B) {

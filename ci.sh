@@ -31,9 +31,12 @@ go test -race -short ./...
 go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct' -count=1 -v ./internal/serve/
 go test -run 'TestWarmVerifyVoteAllocationBudget' -count=1 -v ./internal/cluster/
 
-# Fuzz smoke: the six native fuzz targets, five seconds each on top of
+# Fuzz smoke: the seven native fuzz targets, five seconds each on top of
 # their committed corpora (which the plain test runs above already replay).
-# The body decoder is held to the json.Decoder it replaced; the verify task
+# The body decoder is held to the json.Decoder it replaced; the request to
+# typed refusals and, when accepted, sizes and grid areas inside the limits
+# (the area taken without overflow) and only the pairings admission allows;
+# the verify task
 # to an admission rule stated on its own, exact bits across the wire within
 # the route's body limit, and a verdict for every admitted task; the long
 # task to typed refusals and, when accepted, cg with a decodable snapshot;
@@ -43,6 +46,7 @@ go test -run 'TestWarmVerifyVoteAllocationBudget' -count=1 -v ./internal/cluster
 # (what the gateway accepts on the checkpoint PUT) to typed refusals, a
 # canonical re-encoding, and refusing any flipped trailer or length byte.
 go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 5s ./internal/serve/
+go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseVerifyTask$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseLongTask$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseBlockTask$' -fuzztime 5s ./internal/serve/

@@ -142,6 +142,62 @@ func TestDGEMMDormantAccounting(t *testing.T) {
 	}
 }
 
+// TestCGDormantMatvec: with nobody listening matvec runs as the plain CSR
+// kernel. A solve, clean or with a residual element hit mid-run, must end
+// with the bits, op buckets, iteration count, recoveries and residual of the
+// instrumented walk a counting listener hears. The stencil's values are
+// built straight into the metered cg.A.val storage, equal to the heap
+// stencil's bit for bit.
+func TestCGDormantMatvec(t *testing.T) {
+	for _, g := range [][2]int{{4, 4}, {17, 9}, {24, 24}} {
+		nx, ny := g[0], g[1]
+		heapA := mat.Poisson2D(nx, ny)
+		for _, mode := range []VerifyMode{FullVerify, NotifiedVerify} {
+			for _, hit := range []bool{false, true} {
+				run := func(env Env) (*CG, CGOutcome) {
+					c := NewCG(env, nx, ny, 7)
+					c.Mode = mode
+					if hit {
+						c.OnIteration = func(iter int) {
+							if iter == 3 {
+								c.R()[nx] += 1e3
+							}
+						}
+					}
+					out, err := c.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return c, out
+				}
+				quiet := Standalone()
+				heard := Standalone()
+				touches := 0
+				heard.Mem.Probe = func(uint64, bool) { touches++ }
+				cq, oq := run(quiet)
+				ch, oh := run(heard)
+				tag := fmt.Sprintf("%dx%d %v hit=%v", nx, ny, mode, hit)
+				if touches == 0 {
+					t.Fatalf("%s: the probe heard nothing; the walk did not run", tag)
+				}
+				if cq.Ops != ch.Ops || cq.Recoveries != ch.Recoveries || oq != oh {
+					t.Errorf("%s: dormant %+v %d recoveries %+v, walked %+v %d recoveries %+v",
+						tag, cq.Ops, cq.Recoveries, oq, ch.Ops, ch.Recoveries, oh)
+				}
+				if hit && mode == FullVerify && cq.Recoveries == 0 {
+					t.Errorf("%s: the residual hit was never recovered", tag)
+				}
+				if AnswerSig(cq.X()) != AnswerSig(ch.X()) {
+					t.Errorf("%s: solution bits differ between dormant and walked runs", tag)
+				}
+				if &cq.A.Val[0] != &cq.aVal.Data[0] || AnswerSig(cq.A.Val) != AnswerSig(heapA.Val) {
+					t.Errorf("%s: A.Val is not cg.A.val's storage or differs from mat.Poisson2D", tag)
+				}
+			}
+		}
+	}
+}
+
 // TestCholeskyTriangularOracleVerdicts: the oracle reconstructs only the
 // lower triangle of L·Lᵀ, and only the products L's zeros do not annihilate.
 // Its verdict must be the full product's — mat.Mul against a materialised

@@ -111,6 +111,26 @@ func TestGatewayEndToEnd(t *testing.T) {
 	}
 }
 
+// TestGatewayRefusesOverflowingGrid: a CG grid whose side product wraps a
+// 64-bit int is a 400 at the gateway, on the sync route and the jobs API,
+// and never reaches a node.
+func TestGatewayRefusesOverflowingGrid(t *testing.T) {
+	var hits atomic.Int64
+	g := testGateway(t, NodeConfig{ID: "n0", BaseURL: stubNode(t, okStub(t, &hits, "corrected"))})
+	for _, grid := range [][2]int{{4, 1 << 62}, {1 << 32, 1 << 32}, {1 << 33, 1 << 31}} {
+		req := serve.Request{Kernel: "cg", NX: grid[0], NY: grid[1], Seed: 1}
+		if _, err := g.Do(context.Background(), req); !errors.Is(err, serve.ErrBadRequest) {
+			t.Errorf("Do cg %dx%d: err = %v, want ErrBadRequest", grid[0], grid[1], err)
+		}
+		if _, err := g.SubmitJob(req); !errors.Is(err, serve.ErrBadRequest) {
+			t.Errorf("SubmitJob cg %dx%d: err = %v, want ErrBadRequest", grid[0], grid[1], err)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("node saw %d requests, want 0", n)
+	}
+}
+
 // TestCapabilityRouting: a request's strategy only lands on nodes that
 // advertise it — the cluster-level malloc_ecc contract.
 func TestCapabilityRouting(t *testing.T) {

@@ -53,38 +53,51 @@ func (a *CSR) Diag() []float64 {
 	return d
 }
 
+// Poisson2DNNZ returns the nonzero count of Poisson2D(nx, ny): five entries
+// per node less the neighbors the four edges lack.
+func Poisson2DNNZ(nx, ny int) int { return max(5*nx*ny-2*nx-2*ny, 0) }
+
 // Poisson2D builds the standard 5-point stencil discretization of the
 // Poisson equation on an nx×ny grid: SPD, 4 on the diagonal, −1 to each
 // neighbor. This is the classic CG benchmark operator.
 func Poisson2D(nx, ny int) *CSR {
-	n := nx * ny
-	// Five entries per node less the neighbors the four edges lack.
-	nnz := max(5*n-2*nx-2*ny, 0)
-	a := &CSR{N: n, RowPtr: make([]int32, 1, n+1),
-		Col: make([]int32, 0, nnz), Val: make([]float64, 0, nnz)}
-	idx := func(x, y int) int32 { return int32(y*nx + x) }
+	return Poisson2DInto(make([]float64, Poisson2DNNZ(nx, ny)), nx, ny)
+}
+
+// Poisson2DInto builds Poisson2D(nx, ny) with its values written into val,
+// which must hold exactly Poisson2DNNZ(nx, ny) entries and becomes the
+// result's Val: a caller whose values live in metered or pooled storage
+// builds the operator there instead of copying it in. Every entry of val is
+// overwritten, so it may arrive dirty.
+func Poisson2DInto(val []float64, nx, ny int) *CSR {
+	n, nnz := nx*ny, Poisson2DNNZ(nx, ny)
+	if len(val) != nnz {
+		panic(fmt.Sprintf("mat: Poisson2DInto val[%d] for a %dx%d grid (%d nonzeros)", len(val), nx, ny, nnz))
+	}
+	a := &CSR{N: n, RowPtr: make([]int32, n+1), Col: make([]int32, nnz), Val: val}
+	k := 0
+	put := func(col int, v float64) {
+		a.Col[k], a.Val[k] = int32(col), v
+		k++
+	}
 	for y := 0; y < ny; y++ {
 		for x := 0; x < nx; x++ {
 			// Keep column indices sorted: S, W, C, E, N.
+			i := y*nx + x
 			if y > 0 {
-				a.Col = append(a.Col, idx(x, y-1))
-				a.Val = append(a.Val, -1)
+				put(i-nx, -1)
 			}
 			if x > 0 {
-				a.Col = append(a.Col, idx(x-1, y))
-				a.Val = append(a.Val, -1)
+				put(i-1, -1)
 			}
-			a.Col = append(a.Col, idx(x, y))
-			a.Val = append(a.Val, 4)
+			put(i, 4)
 			if x < nx-1 {
-				a.Col = append(a.Col, idx(x+1, y))
-				a.Val = append(a.Val, -1)
+				put(i+1, -1)
 			}
 			if y < ny-1 {
-				a.Col = append(a.Col, idx(x, y+1))
-				a.Val = append(a.Val, -1)
+				put(i+nx, -1)
 			}
-			a.RowPtr = append(a.RowPtr, int32(len(a.Val)))
+			a.RowPtr[i+1] = int32(k)
 		}
 	}
 	return a

@@ -97,5 +97,47 @@ func TestPoisson2DSizedOnce(t *testing.T) {
 			t.Errorf("%dx%d: caps val %d col %d rowptr %d, want %d %d %d",
 				nx, ny, cap(a.Val), cap(a.Col), cap(a.RowPtr), want, want, nx*ny+1)
 		}
+		if Poisson2DNNZ(nx, ny) != want {
+			t.Errorf("%dx%d: Poisson2DNNZ = %d, want %d", nx, ny, Poisson2DNNZ(nx, ny), want)
+		}
 	}
+}
+
+// TestPoisson2DIntoDirtyStorage: built into NaN-filled storage, the stencil
+// is the 5-point operator written out densely on its own (4 on the diagonal,
+// −1 to each grid neighbor), and its Val is the caller's slice. Storage of
+// the wrong length is refused.
+func TestPoisson2DIntoDirtyStorage(t *testing.T) {
+	for _, g := range [][2]int{{1, 1}, {4, 4}, {17, 9}, {9, 17}} {
+		nx, ny := g[0], g[1]
+		want := New(nx*ny, nx*ny)
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				i := y*nx + x
+				want.Set(i, i, 4)
+				for _, nb := range [][2]int{{x - 1, y}, {x + 1, y}, {x, y - 1}, {x, y + 1}} {
+					if nb[0] >= 0 && nb[0] < nx && nb[1] >= 0 && nb[1] < ny {
+						want.Set(i, nb[1]*nx+nb[0], -1)
+					}
+				}
+			}
+		}
+		val := make([]float64, Poisson2DNNZ(nx, ny))
+		for i := range val {
+			val[i] = math.NaN()
+		}
+		got := Poisson2DInto(val, nx, ny)
+		if &got.Val[0] != &val[0] {
+			t.Fatalf("%dx%d: Val is not the caller's storage", nx, ny)
+		}
+		if !Equal(got.Dense(), want, 0) {
+			t.Errorf("%dx%d: stencil differs from the dense 5-point operator", nx, ny)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Poisson2DInto accepted storage one entry short")
+		}
+	}()
+	Poisson2DInto(make([]float64, Poisson2DNNZ(4, 4)-1), 4, 4)
 }

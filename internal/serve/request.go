@@ -317,9 +317,12 @@ func ParseRequest(l Limits, r Request) (Parsed, error) {
 		if p.NY == 0 {
 			p.NY = 16
 		}
-		if p.NX < 4 || p.NY < 4 || p.NX*p.NY > l.MaxN*l.MaxN/16 {
+		// NX > area/NY is NX·NY > area without forming the product, which
+		// wraps for sides near 2³² and would admit a grid of area 0.
+		area := l.MaxN * l.MaxN / 16
+		if p.NX < 4 || p.NY < 4 || p.NX > area/p.NY {
 			return p, fmt.Errorf("%w: cg grid %dx%d outside [4x4, area %d]",
-				ErrBadRequest, p.NX, p.NY, l.MaxN*l.MaxN/16)
+				ErrBadRequest, p.NX, p.NY, area)
 		}
 	}
 	p.Seed = r.Seed
