@@ -150,6 +150,11 @@ gw=http://127.0.0.1:18430
 "$tmp/abftload" -addr "$gw" -jobs 1 -job-n 512 -job-verify -seed 13
 "$tmp/abftload" -addr "$gw" -jobs 1 -job-kernel cg -seed 17
 curl -fsS "$gw/debug/vars" | grep -q '"checkpoints_stored":[1-9]'
+# The workers' counters reach /debug/vars too (abftd's Publish wiring); the
+# sweep lands on at least one of them.
+for port in 18431 18432 18433; do
+	curl -fsS "http://127.0.0.1:$port/debug/vars"
+done | grep -q '"accepted":[1-9]'
 # The gateway first, so nothing is forwarded to a worker that is leaving.
 for p in $gate $workers; do
 	kill -INT "$p"

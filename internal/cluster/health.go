@@ -9,13 +9,11 @@ import (
 )
 
 // healthPayload is the slice of abftd's /healthz body the prober reads:
-// liveness plus the backpressure gauges the serve layer exports (the same
-// values appear under serve.* in the node's /debug/vars).
+// liveness plus the queue depth the serve layer exports (the same value
+// appears as serve.queue_depth in the node's /debug/vars).
 type healthPayload struct {
 	Status     string `json:"status"`
 	QueueDepth int64  `json:"queue_depth"`
-	Inflight   int64  `json:"inflight"`
-	QueueCap   int64  `json:"queue_cap"`
 }
 
 // probeLoop probes one node every ProbeInterval until Close.

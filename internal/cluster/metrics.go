@@ -2,113 +2,98 @@ package cluster
 
 import (
 	"expvar"
-	"sort"
 	"sync"
+
+	"coopabft/internal/serve"
 )
 
 // Metrics is the gateway's observability surface: cluster-wide counters
 // plus a per-node breakdown, all plain expvar values safe for concurrent
-// use and exported under the "cluster" key once Publish is called.
+// use and exported under the "cluster" key once Publish is called. Each
+// field's /debug/vars key is its var tag (see serve.Vars).
 type Metrics struct {
 	// Request path.
-	Requests  expvar.Int // requests entering the gateway
-	Delivered expvar.Int // classified answers returned to clients
-	Retries   expvar.Int // failover forwards after a failed attempt
+	Requests  expvar.Int `var:"requests"`  // requests entering the gateway
+	Delivered expvar.Int `var:"delivered"` // classified answers returned to clients
+	Retries   expvar.Int `var:"retries"`   // failover forwards after a failed attempt
 
 	// Terminal client-visible failures.
-	BadRequests expvar.Int // 400s (gateway parse or node validation)
-	Overloaded  expvar.Int // every eligible replica shed or window-full
-	Throttled   expvar.Int // tenant-over-quota rejections at the gateway door
-	Unavailable expvar.Int // retries exhausted on connection failures/503s
-	NoNodes     expvar.Int // no node advertises the requested strategy
+	BadRequests expvar.Int `var:"bad_requests"` // 400s (gateway parse or node validation)
+	Overloaded  expvar.Int `var:"overloaded"`   // every eligible replica shed or window-full
+	Throttled   expvar.Int `var:"throttled"`    // tenant-over-quota rejections at the gateway door
+	Unavailable expvar.Int `var:"unavailable"`  // retries exhausted on connection failures/503s
+	NoNodes     expvar.Int `var:"no_nodes"`     // no node advertises the requested strategy
 
 	// Cluster-wide outcome taxonomy (sums over delivered answers).
-	Corrected expvar.Int
-	Restarted expvar.Int
-	Aborted   expvar.Int
+	Corrected expvar.Int `var:"corrected"`
+	Restarted expvar.Int `var:"restarted"`
+	Aborted   expvar.Int `var:"aborted"`
 
 	// Async jobs (the /v1/jobs surface).
-	JobsSubmitted   expvar.Int // jobs admitted
-	JobsCompleted   expvar.Int // jobs that reached "done"
-	JobsFailed      expvar.Int // jobs that reached "failed"
-	JobsCancelled   expvar.Int // jobs that reached "cancelled"
-	JobsPassthrough expvar.Int // jobs forwarded whole (below shard threshold)
+	JobsSubmitted   expvar.Int `var:"jobs_submitted"`   // jobs admitted
+	JobsCompleted   expvar.Int `var:"jobs_completed"`   // jobs that reached "done"
+	JobsFailed      expvar.Int `var:"jobs_failed"`      // jobs that reached "failed"
+	JobsCancelled   expvar.Int `var:"jobs_cancelled"`   // jobs that reached "cancelled"
+	JobsPassthrough expvar.Int `var:"jobs_passthrough"` // jobs forwarded whole (below shard threshold)
 
 	// Sharded execution.
-	BlockTasksDispatched expvar.Int // block tasks delivered by workers
-	ChecksumTasks        expvar.Int // of those, dedicated checksum-block tasks
+	BlockTasksDispatched expvar.Int `var:"block_tasks_dispatched"` // block tasks delivered by workers
+	ChecksumTasks        expvar.Int `var:"checksum_tasks"`         // of those, dedicated checksum-block tasks
 	// Reconstructions counts blocks recovered algebraically from checksum
 	// blocks after a node loss; BlockRecomputes counts the last-resort
 	// re-executions when reconstruction was impossible. The kill-mid-job
 	// chaos gate requires Reconstructions >= 1 with BlockRecomputes == 0.
-	Reconstructions expvar.Int
-	BlockRecomputes expvar.Int
+	Reconstructions expvar.Int `var:"reconstructions"`
+	BlockRecomputes expvar.Int `var:"block_recomputes"`
 
 	// Long jobs (step-granular CG solves) and the error bus.
-	JobsLong expvar.Int // jobs dispatched on the long path
+	JobsLong expvar.Int `var:"jobs_long"` // jobs dispatched on the long path
 	// Migrations counts long-job reschedules onto a new node after a
 	// worker died mid-solve; the SIGKILL-mid-CG chaos gate requires
 	// Migrations >= 1 with zero wrong answers.
-	Migrations        expvar.Int
-	CheckpointsStored expvar.Int   // checkpoint PUTs accepted and retained
-	CheckpointsStale  expvar.Int   // checkpoint PUTs discarded (old epoch or step)
-	EventsRelayed     expvar.Int   // node events re-published on the gateway bus
-	NodeDeaths        expvar.Int   // established event streams that dropped
-	RecoveryMSSum     expvar.Float // fault→resumed latency summed over migrations
+	Migrations        expvar.Int   `var:"migrations"`
+	CheckpointsStored expvar.Int   `var:"checkpoints_stored"` // checkpoint PUTs accepted and retained
+	CheckpointsStale  expvar.Int   `var:"checkpoints_stale"`  // checkpoint PUTs discarded (old epoch or step)
+	EventsRelayed     expvar.Int   `var:"events_relayed"`     // node events re-published on the gateway bus
+	NodeDeaths        expvar.Int   `var:"node_deaths"`        // established event streams that dropped
+	RecoveryMSSum     expvar.Float `var:"recovery_ms_sum"`    // fault→resumed latency summed over migrations
 
 	// Integrity tier (replica voting).
-	VotesTotal expvar.Int // vote/verify-vote elections decided (delivered or typed-aborted)
+	VotesTotal expvar.Int `var:"votes_total"` // vote/verify-vote elections decided (delivered or typed-aborted)
 	// QuorumFail counts elections that could not deliver: ballots split or
 	// lost below the majority bar, or a primary refuted by its verifiers.
 	// The lying-node CI gate requires this to stay 0 while a Byzantine
 	// minority is outvoted.
-	QuorumFail          expvar.Int
-	VerifyVoteCheapHits expvar.Int // O(n²) verification passes that stood in for full replicas
-	SuspectsTotal       expvar.Int // minority ballots charged to nodes across all elections
-	SuspectTrips        expvar.Int // breaker trips caused by accumulated suspects
+	QuorumFail          expvar.Int `var:"quorum_fail"`
+	VerifyVoteCheapHits expvar.Int `var:"verify_vote_cheap_hits"` // O(n²) verification passes that stood in for full replicas
+	SuspectsTotal       expvar.Int `var:"suspects_total"`         // minority ballots charged to nodes across all elections
+	SuspectTrips        expvar.Int `var:"suspect_trips"`          // breaker trips caused by accumulated suspects
 
 	// bus, when set by New, surfaces gateway error-bus counters.
-	bus interface {
-		Published() uint64
-		Dropped() int64
-	}
+	bus *serve.Bus
 
-	mu    sync.Mutex
-	nodes map[string]*NodeMetrics
+	nodes serve.Ledgers[NodeMetrics]
 }
 
 // NodeMetrics is one backend's breakdown.
 type NodeMetrics struct {
-	Forwarded       expvar.Int // attempts sent to this node
-	Delivered       expvar.Int // classified answers it returned
-	TransportErrors expvar.Int // connection-level failures
-	Rejected429     expvar.Int // node-side sheds (alive but full)
-	Failed503       expvar.Int // node-side queue timeouts / closing
-	WindowSkips     expvar.Int // placements skipped: outstanding window full
-	BreakerSkips    expvar.Int // placements skipped: breaker open
-	BreakerTrips    expvar.Int // times this node's breaker opened
-	Inflight        expvar.Int // gauge: outstanding requests on this node
-	Healthy         expvar.Int // gauge (0/1): last probe verdict
-	QueueDepth      expvar.Int // gauge: node-reported queue depth (probe)
-	Suspects        expvar.Int // vote elections this node lost
-	SuspectTrips    expvar.Int // breaker trips from accumulated suspects
+	Forwarded       expvar.Int `var:"forwarded"`        // attempts sent to this node
+	Delivered       expvar.Int `var:"delivered"`        // classified answers it returned
+	TransportErrors expvar.Int `var:"transport_errors"` // connection-level failures
+	Rejected429     expvar.Int `var:"rejected_429"`     // node-side sheds (alive but full)
+	Failed503       expvar.Int `var:"failed_503"`       // node-side queue timeouts / closing
+	WindowSkips     expvar.Int `var:"window_skips"`     // placements skipped: outstanding window full
+	BreakerSkips    expvar.Int `var:"breaker_skips"`    // placements skipped: breaker open
+	BreakerTrips    expvar.Int `var:"breaker_trips"`    // times this node's breaker opened
+	Inflight        expvar.Int `var:"inflight"`         // gauge: outstanding requests on this node
+	Healthy         expvar.Int `var:"healthy"`          // gauge (0/1): last probe verdict; New starts it at 1
+	QueueDepth      expvar.Int `var:"queue_depth"`      // gauge: node-reported queue depth (probe)
+	Suspects        expvar.Int `var:"suspects"`         // vote elections this node lost
+	SuspectTrips    expvar.Int `var:"suspect_trips"`    // breaker trips from accumulated suspects
 }
 
 // Node returns (lazily creating) the per-node metrics for id.
-func (m *Metrics) Node(id string) *NodeMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.nodes == nil {
-		m.nodes = make(map[string]*NodeMetrics)
-	}
-	nm, ok := m.nodes[id]
-	if !ok {
-		nm = &NodeMetrics{}
-		nm.Healthy.Set(1)
-		m.nodes[id] = nm
-	}
-	return nm
-}
+func (m *Metrics) Node(id string) *NodeMetrics { return m.nodes.Get(id) }
 
 var publishOnce sync.Once
 
@@ -120,78 +105,15 @@ func (m *Metrics) Publish() {
 	})
 }
 
-// Snapshot renders the counters as a nested map (the /debug/vars payload).
+// Snapshot renders the counters as a nested map (the /debug/vars payload):
+// the per-node ledgers under "nodes", and each node's suspects again under
+// "suspects_per_node".
 func (m *Metrics) Snapshot() map[string]any {
-	snap := map[string]any{
-		"requests":     m.Requests.Value(),
-		"delivered":    m.Delivered.Value(),
-		"retries":      m.Retries.Value(),
-		"bad_requests": m.BadRequests.Value(),
-		"overloaded":   m.Overloaded.Value(),
-		"throttled":    m.Throttled.Value(),
-		"unavailable":  m.Unavailable.Value(),
-		"no_nodes":     m.NoNodes.Value(),
-		"corrected":    m.Corrected.Value(),
-		"restarted":    m.Restarted.Value(),
-		"aborted":      m.Aborted.Value(),
-
-		"jobs_submitted":         m.JobsSubmitted.Value(),
-		"jobs_completed":         m.JobsCompleted.Value(),
-		"jobs_failed":            m.JobsFailed.Value(),
-		"jobs_cancelled":         m.JobsCancelled.Value(),
-		"jobs_passthrough":       m.JobsPassthrough.Value(),
-		"block_tasks_dispatched": m.BlockTasksDispatched.Value(),
-		"checksum_tasks":         m.ChecksumTasks.Value(),
-		"reconstructions":        m.Reconstructions.Value(),
-		"block_recomputes":       m.BlockRecomputes.Value(),
-
-		"votes_total":            m.VotesTotal.Value(),
-		"quorum_fail":            m.QuorumFail.Value(),
-		"verify_vote_cheap_hits": m.VerifyVoteCheapHits.Value(),
-		"suspects_total":         m.SuspectsTotal.Value(),
-		"suspect_trips":          m.SuspectTrips.Value(),
-
-		"jobs_long":          m.JobsLong.Value(),
-		"migrations":         m.Migrations.Value(),
-		"checkpoints_stored": m.CheckpointsStored.Value(),
-		"checkpoints_stale":  m.CheckpointsStale.Value(),
-		"events_relayed":     m.EventsRelayed.Value(),
-		"node_deaths":        m.NodeDeaths.Value(),
-		"recovery_ms_sum":    m.RecoveryMSSum.Value(),
-	}
-	if m.bus != nil {
-		snap["events_published"] = m.bus.Published()
-		snap["events_dropped"] = m.bus.Dropped()
-	}
-	m.mu.Lock()
-	ids := make([]string, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	nodes := make(map[string]any, len(ids))
-	suspectsPerNode := make(map[string]any, len(ids))
-	for _, id := range ids {
-		nm := m.nodes[id]
-		nodes[id] = map[string]any{
-			"forwarded":        nm.Forwarded.Value(),
-			"delivered":        nm.Delivered.Value(),
-			"transport_errors": nm.TransportErrors.Value(),
-			"rejected_429":     nm.Rejected429.Value(),
-			"failed_503":       nm.Failed503.Value(),
-			"window_skips":     nm.WindowSkips.Value(),
-			"breaker_skips":    nm.BreakerSkips.Value(),
-			"breaker_trips":    nm.BreakerTrips.Value(),
-			"inflight":         nm.Inflight.Value(),
-			"healthy":          nm.Healthy.Value(),
-			"queue_depth":      nm.QueueDepth.Value(),
-			"suspects":         nm.Suspects.Value(),
-			"suspect_trips":    nm.SuspectTrips.Value(),
-		}
-		suspectsPerNode[id] = nm.Suspects.Value()
-	}
-	m.mu.Unlock()
-	snap["nodes"] = nodes
-	snap["suspects_per_node"] = suspectsPerNode
+	snap := serve.Vars(m)
+	m.bus.AddVars(snap)
+	snap["nodes"] = m.nodes.Snapshot()
+	perNode := map[string]any{}
+	m.nodes.Each(func(id string, nm *NodeMetrics) { perNode[id] = nm.Suspects.Value() })
+	snap["suspects_per_node"] = perNode
 	return snap
 }

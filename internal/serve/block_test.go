@@ -266,7 +266,7 @@ func TestKernelWireRejectsInvalid(t *testing.T) {
 // at once (a timer armed with a negative duration is born expired), and an
 // idle service must never shed.
 func TestSideRoutesNegativeQueueTimeoutDisablesBudget(t *testing.T) {
-	s := newTestService(t, Config{QueueTimeout: -time.Second, BlockConcurrency: 1, LongConcurrency: 1, Parallelism: 1})
+	s := newTestService(t, Config{QueueTimeout: -time.Second, BlockConcurrency: 1, Parallelism: 1})
 	n := 8
 	g, err := abft.NewBlockGrid(n, 1, 1)
 	if err != nil {

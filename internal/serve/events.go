@@ -142,6 +142,16 @@ func (b *Bus) Published() uint64 {
 	return b.seq
 }
 
+// AddVars adds the bus's counters to a /debug/vars map as events_published
+// and events_dropped; a nil bus adds nothing.
+func (b *Bus) AddVars(out map[string]any) {
+	if b == nil {
+		return
+	}
+	out["events_published"] = b.Published()
+	out["events_dropped"] = b.Dropped()
+}
+
 // ServeEventStream streams a bus as newline-delimited JSON until the client
 // disconnects or quit closes. ?replay=N prepends up to N buffered events
 // (default 0); live events follow, deduplicated against the replay by

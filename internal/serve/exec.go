@@ -133,7 +133,7 @@ func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w re
 		RT:          rt,
 		W:           w,
 		Plan:        recovery.PlanInjections(w, p.Seed, p.Kind, p.Faults),
-		MaxRestarts: s.cfg.MaxRestarts,
+		MaxRestarts: maxRestarts,
 		Ctx:         j.ctx,
 	}
 	rep = co.Run()

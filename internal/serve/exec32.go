@@ -17,7 +17,7 @@ import (
 // float64 coordinator provides. Detected result corruption is repaired in
 // place (Corrected); operand corruption is detection-only, so the attempt
 // is discarded and rebuilt from the seed (Restarted), bounded by the
-// MaxRestarts budget; anything else is Aborted. GEMM32 runs on plain
+// maxRestarts budget; anything else is Aborted. GEMM32 runs on plain
 // memory, outside the simulated-DRAM coordinator, so the fault model is the
 // splitmix bit-flip plan below rather than the bifit kinds. Every attempt's
 // operands, product and checksum vectors, and the oracle's temporaries, come
@@ -56,10 +56,10 @@ func (s *Service) runLadder32(j *job, arena *mat.Arena) (rep recovery.Report) {
 					Corrections: corrections, Restarts: restarts, RestartsTotal: restarts, Err: runErr}
 			}
 			restarts++
-			if restarts > s.cfg.MaxRestarts {
+			if restarts > maxRestarts {
 				return recovery.Report{Outcome: recovery.Aborted, Injected: injected,
 					Corrections: corrections, Restarts: restarts, RestartsTotal: restarts,
-					Err: fmt.Errorf("serve: f32 restart budget (%d) exhausted: %w", s.cfg.MaxRestarts, runErr)}
+					Err: fmt.Errorf("serve: f32 restart budget (%d) exhausted: %w", maxRestarts, runErr)}
 			}
 			continue
 		}

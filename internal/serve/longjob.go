@@ -166,7 +166,7 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 		W:               w,
 		Plan:            recovery.PlanInjections(w, p.Seed, p.Kind, p.Faults),
 		CheckpointEvery: every,
-		MaxRestarts:     s.cfg.MaxRestarts,
+		MaxRestarts:     maxRestarts,
 		Ctx:             ctx,
 		Resume:          resume,
 		OnCheckpoint:    onCkpt,

@@ -1,5 +1,5 @@
 // Package qos is the multi-tenant admission subsystem for the serving
-// layer: per-tenant token-bucket quotas, weighted-fair queueing across
+// layer: per-tenant token-bucket quotas, fair queueing across
 // tenants, and priority load-shedding that sacrifices speculative work
 // before protected work.
 //
@@ -10,9 +10,8 @@
 //
 //   - Token buckets (per tenant) reject a tenant's own excess at the door
 //     with a computed Retry-After, before it consumes queue space.
-//   - Weighted-fair queueing orders admitted work by virtual finish tag, so
-//     a burst from one tenant delays its own later requests, not other
-//     tenants'.
+//   - Fair queueing orders admitted work by virtual finish tag, so a burst
+//     from one tenant delays its own later requests, not other tenants'.
 //   - Load shedding: when the queue is full, an arriving protected request
 //     evicts the speculative item with the largest finish tag (the one that
 //     would have run last anyway); arriving speculative work is shed
@@ -84,7 +83,6 @@ type Config struct {
 	Burst    float64            // default bucket depth; <1 lifted to 1 when Rate>0
 	Rates    map[string]float64 // per-tenant rate overrides
 	Bursts   map[string]float64 // per-tenant burst overrides
-	Weights  map[string]float64 // WFQ weights; default 1
 	Capacity int                // max queued items across all tenants
 	Now      func() time.Time   // injectable clock; nil means time.Now
 }

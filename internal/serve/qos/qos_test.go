@@ -58,29 +58,6 @@ func TestZeroRateDisablesQuota(t *testing.T) {
 	}
 }
 
-func TestWFQWeightedShare(t *testing.T) {
-	s, _ := newTest(Config{Capacity: 100, Weights: map[string]float64{"heavy": 3, "light": 1}})
-	for i := 0; i < 12; i++ {
-		s.Enqueue(Item{Tenant: "heavy", Value: i})
-	}
-	for i := 0; i < 12; i++ {
-		s.Enqueue(Item{Tenant: "light", Value: i})
-	}
-	// First 8 pops should split 6:2 — the 3:1 weight ratio — even though
-	// heavy's burst arrived first.
-	counts := map[string]int{}
-	for i := 0; i < 8; i++ {
-		it, ok := s.Pop()
-		if !ok {
-			t.Fatal("queue empty early")
-		}
-		counts[it.Tenant]++
-	}
-	if counts["heavy"] != 6 || counts["light"] != 2 {
-		t.Fatalf("first 8 pops split %v, want heavy:6 light:2", counts)
-	}
-}
-
 func TestPerTenantFIFO(t *testing.T) {
 	s, _ := newTest(Config{Capacity: 100})
 	for i := 0; i < 5; i++ {

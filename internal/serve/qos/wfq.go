@@ -5,19 +5,19 @@ import (
 	"time"
 )
 
-// Scheduler is a weighted-fair queue with per-tenant admission quotas and
-// priority load-shedding. Safe for concurrent use.
+// Scheduler is a fair queue with per-tenant admission quotas and priority
+// load-shedding. Safe for concurrent use.
 //
-// Fairness model: classic virtual-finish-tag WFQ. Each tenant keeps a FIFO
-// of its own items; item i of tenant t gets finish tag
+// Fairness model: classic virtual-finish-tag WFQ with every tenant at unit
+// weight. Each tenant keeps a FIFO of its own items; item i of tenant t
+// gets finish tag
 //
-//	F = max(V, lastF[t]) + cost/weight[t]
+//	F = max(V, lastF[t]) + cost
 //
 // where V is the scheduler's virtual time (the finish tag of the last item
 // dispatched). Pop always serves the smallest finish tag among tenant queue
-// HEADS — per-tenant order is FIFO by construction, and between tenants the
-// share of service converges to the weight ratio regardless of arrival
-// bursts.
+// HEADS — per-tenant order is FIFO by construction, and backlogged tenants
+// converge to equal shares of service regardless of arrival bursts.
 type Scheduler struct {
 	mu      sync.Mutex
 	cfg     Config
@@ -31,9 +31,8 @@ type Scheduler struct {
 }
 
 type tenantQueue struct {
-	weight float64
-	lastF  float64
-	items  []entry
+	lastF float64
+	items []entry
 }
 
 type entry struct {
@@ -90,7 +89,7 @@ func (s *Scheduler) Enqueue(it Item) (evicted []Item, err error) {
 	if tq.lastF > f {
 		f = tq.lastF
 	}
-	f += cost / tq.weight
+	f += cost
 	tq.lastF = f
 	tq.items = append(tq.items, entry{it: it, finish: f})
 	s.size++
@@ -189,11 +188,7 @@ func (s *Scheduler) evictSpeculative() (Item, bool) {
 func (s *Scheduler) queueFor(tenant string) *tenantQueue {
 	tq, ok := s.queues[tenant]
 	if !ok {
-		w := s.cfg.Weights[tenant]
-		if w <= 0 {
-			w = 1
-		}
-		tq = &tenantQueue{weight: w}
+		tq = &tenantQueue{}
 		s.queues[tenant] = tq
 		s.order = append(s.order, tenant)
 	}

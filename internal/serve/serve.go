@@ -81,6 +81,11 @@ func (e *ShedError) Is(target error) bool {
 	return shed || target == ErrOverloaded
 }
 
+// maxRestarts is the per-request checkpoint-restart budget handed to the
+// coordinator. For long jobs the budget is cumulative across migrations: a
+// resumed task's snapshot carries the restarts already consumed.
+const maxRestarts = 3
+
 // Config sizes the service. The zero value is usable: defaults are applied
 // by New.
 type Config struct {
@@ -109,20 +114,9 @@ type Config struct {
 	// their own semaphore, isolated from the interactive path (default
 	// MaxConcurrency).
 	BlockConcurrency int
-	// MaxRestarts is the per-request checkpoint-restart budget handed to
-	// the coordinator (default 3). For long jobs the budget is cumulative
-	// across migrations: a resumed task's snapshot carries the restarts
-	// already consumed.
-	MaxRestarts int
-	// LongConcurrency bounds simultaneously executing long tasks (CG
-	// solves) on their own semaphore (default 1).
-	LongConcurrency int
 	// CheckpointEvery is the default step interval between streamed
 	// checkpoints for long tasks that do not specify one (default 8).
 	CheckpointEvery int
-	// CheckpointClient issues checkpoint PUTs to the gateway; nil gets a
-	// client with a 10s timeout.
-	CheckpointClient *http.Client
 	// Parallelism, when > 0, sets the process-global mat worker count at
 	// New time. Serving throughput comes from request concurrency, so the
 	// daemon defaults this to 1.
@@ -144,10 +138,6 @@ type Config struct {
 	// TenantBurst is the bucket depth per tenant (default: 2×TenantRate,
 	// minimum 1, when TenantRate > 0).
 	TenantBurst float64
-	// TenantWeights overrides fair-queueing weights per tenant (default 1
-	// each): a weight-3 tenant gets 3× the service share of a weight-1
-	// tenant while both are backlogged.
-	TenantWeights map[string]float64
 	// Metrics receives counters; nil allocates a private set.
 	Metrics *Metrics
 }
@@ -171,23 +161,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxFaults <= 0 {
 		c.MaxFaults = 8
 	}
-	if c.MaxRestarts <= 0 {
-		c.MaxRestarts = 3
-	}
 	if c.MaxJobN <= 0 {
 		c.MaxJobN = 2048
 	}
 	if c.BlockConcurrency <= 0 {
 		c.BlockConcurrency = c.MaxConcurrency
 	}
-	if c.LongConcurrency <= 0 {
-		c.LongConcurrency = 1
-	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 8
-	}
-	if c.CheckpointClient == nil {
-		c.CheckpointClient = &http.Client{Timeout: 10 * time.Second}
 	}
 	if c.TenantRate > 0 && c.TenantBurst <= 0 {
 		c.TenantBurst = 2 * c.TenantRate
@@ -263,18 +244,17 @@ func New(cfg Config) *Service {
 		sched: qos.New(qos.Config{
 			Rate:     cfg.TenantRate,
 			Burst:    cfg.TenantBurst,
-			Weights:  cfg.TenantWeights,
 			Capacity: cfg.QueueDepth,
 		}),
 		sem:        make(chan struct{}, cfg.MaxConcurrency),
 		quit:       make(chan struct{}),
 		bus:        NewBus(),
-		ckptClient: cfg.CheckpointClient,
+		ckptClient: &http.Client{Timeout: 10 * time.Second},
 	}
 	blockSem := make(chan struct{}, cfg.BlockConcurrency)
 	s.block = sideRoute{"block", blockSem, &s.m.Block}
 	s.verify = sideRoute{"verify", blockSem, &s.m.Verify}
-	s.long = sideRoute{"long-job", make(chan struct{}, cfg.LongConcurrency), &s.m.Long}
+	s.long = sideRoute{"long-job", make(chan struct{}, 1), &s.m.Long} // one solve at a time
 	s.m.QueueCap.Set(int64(cfg.QueueDepth))
 	s.m.bus = s.bus
 	s.dispatchWG.Add(1)

@@ -491,8 +491,8 @@ func TestTenantLedgersBounded(t *testing.T) {
 	}
 	m.Tenant("gold").Completed.Add(1)
 	ledgers := m.Snapshot()["tenants"].(map[string]any)
-	if len(ledgers) != maxTenantLedgers+1 {
-		t.Errorf("%d ledgers, want the first %d tenants plus %q", len(ledgers), maxTenantLedgers, otherTenants)
+	if len(ledgers) != maxLedgers+1 {
+		t.Errorf("%d ledgers, want the first %d tenants plus %q", len(ledgers), maxLedgers, otherLedger)
 	}
 	var total int64
 	for _, l := range ledgers {
@@ -501,7 +501,7 @@ func TestTenantLedgersBounded(t *testing.T) {
 	if gold := ledgers["gold"].(map[string]any)["completed"]; gold != int64(4) || total != tenants+4 {
 		t.Errorf("gold completed %v (want 4), all ledgers %d (want %d)", gold, total, tenants+4)
 	}
-	if other := ledgers[otherTenants].(map[string]any)["completed"]; other != int64(tenants-maxTenantLedgers+1) {
-		t.Errorf("%s completed %v, want %d", otherTenants, other, tenants-maxTenantLedgers+1)
+	if other := ledgers[otherLedger].(map[string]any)["completed"]; other != int64(tenants-maxLedgers+1) {
+		t.Errorf("%s completed %v, want %d", otherLedger, other, tenants-maxLedgers+1)
 	}
 }
