@@ -8,6 +8,7 @@ package coopabft
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -559,5 +560,47 @@ func BenchmarkServeVerify(b *testing.B) {
 		if !res.OK {
 			b.Fatalf("verifier refuted the true product: %s", res.Reason)
 		}
+	}
+}
+
+// BenchmarkServeBlockTask is one sharded-job data block through
+// serve.Service.DoBlock at the sizes block tasks take past the interactive
+// MaxN: the n×n operands regenerated on the task's arena and the top-left
+// block of a 2×2 grid multiplied, serial, as a worker runs it. With
+// interactive, every task is followed by one n=128 fused GEMM request, so
+// the large classes a task leaves idle and the interactive ones take turns
+// in the buffer budget. ns/op and B/op are per task (with its request).
+func BenchmarkServeBlockTask(b *testing.B) {
+	defer mat.SetParallelism(mat.SetParallelism(1))
+	for _, bc := range []struct {
+		n           int
+		interactive bool
+	}{{512, false}, {1024, false}, {1024, true}} {
+		name := fmt.Sprintf("n=%d", bc.n)
+		if bc.interactive {
+			name += "/interactive"
+		}
+		b.Run(name, func(b *testing.B) {
+			svc := serve.New(serve.Config{QueueTimeout: time.Minute})
+			defer svc.Close()
+			splits := []int{0, bc.n / 2, bc.n}
+			task := serve.BlockTask{Kernel: "gemm", N: bc.n, Seed: 5, Role: serve.BlockData,
+				RowSplits: splits, ColSplits: splits}
+			req := serve.Request{Kernel: "gemm", N: 128, VerifyMode: "fused"}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := svc.DoBlock(context.Background(), task); err != nil {
+					b.Fatal(err)
+				}
+				if !bc.interactive {
+					continue
+				}
+				req.Seed = uint64(i)
+				if resp, err := svc.Do(context.Background(), req); err != nil || resp.Outcome != "corrected" {
+					b.Fatalf("outcome %q, err %v", resp.Outcome, err)
+				}
+			}
+		})
 	}
 }

@@ -17,18 +17,25 @@ go test -race -short ./...
 # Allocation budgets: a warm n=128 fused GEMM request must stay under 64 KiB
 # of heap and a warm n=192 f32 request under 16 KiB (each takes its
 # operands, product, checksum vectors, checkpoint shadow and oracle
-# reference from a request-scoped arena over internal/mat's pools); a warm
-# n=64 request, clean or faulted, under 8 and 10 KiB (its functional node is
-# recycled, not built); a warm n=64 verify task under 16 n-vectors (its
-# operands are on a task-scoped arena, and it carries two projections, not
-# the product); 64 verify tasks shed from the queue under their own 16n-byte
+# reference from a request-scoped arena over internal/mat's free lists); a
+# warm n=64 request, clean or faulted, under 8 and 10 KiB (its functional
+# node is recycled, not built); a warm 24x24 CG request under 8 KiB (its
+# stencil indices are on the arena); one request of each ladder_f64_mix kind
+# and an n=192 f32 one, replayed after two garbage collections, under 128
+# KiB for all five (the free lists keep buffers, panels and the node across
+# collections); a warm n=64 verify task under 16 n-vectors (its operands
+# are on a task-scoped arena, and it carries two projections, not the
+# product); 64 verify tasks shed from the queue under their own 16n-byte
 # payload each; and a warm n=64 verify-vote request through the gateway and
 # three in-process nodes under 128 KiB (the gateway reads the product once;
-# verifiers never receive it). This runs here, in a tier without -race,
-# because the detector inflates allocation counts and sync.Pool drops items
-# under it; the race run above skips the tests through the raceEnabled test
-# constant.
-go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct' -count=1 -v ./internal/serve/
+# verifiers never receive it). The free lists' idle bytes stay inside their
+# budgets, a full budget evicts its coldest lists to keep another's item,
+# and steady-state GEMM over mixed sizes allocates nothing. The
+# race run above runs all of these but the verify-vote budget, whose HTTP
+# exchanges the detector inflates (its raceEnabled test constant skips it);
+# this tier reads them without the detector.
+go test -run 'TestFreeList|TestBufPoolClassRoundTrip|TestMulAddIntoSteadyStateZeroAllocs' -count=1 -v ./internal/mat/
+go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmCGAllocationBudget|TestWarmWorkerSurvivesGC|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct' -count=1 -v ./internal/serve/
 go test -run 'TestWarmVerifyVoteAllocationBudget' -count=1 -v ./internal/cluster/
 
 # Fuzz smoke: the seven native fuzz targets, five seconds each on top of

@@ -60,7 +60,9 @@ type CGOutcome struct {
 // NewCG builds a Poisson problem on an nx×ny grid with a known solution.
 func NewCG(env Env, nx, ny int, seed uint64) *CG {
 	aVal := env.NewVec("cg.A.val", mat.Poisson2DNNZ(nx, ny), false)
-	a := mat.Poisson2DInto(aVal.Data, nx, ny) // metered storage is the live storage
+	// Metered storage is the live storage, and the indices come from the
+	// arena like every other buffer of the run.
+	a := mat.Poisson2DInto(aVal.Data, env.Arena.Int32s(nx*ny+1), env.Arena.Int32s(len(aVal.Data)), nx, ny)
 	n := a.N
 	c := &CG{
 		A:           a,

@@ -47,9 +47,11 @@ type DGEMM struct {
 	// scratch holds verification partial sums; it is ordinary unprotected
 	// working memory (the "refs to blocks w/o ABFT" of Table 4). fused
 	// holds the online path's kernel-accumulated checksums, allocated on
-	// first use.
+	// first use, and fs the kernel's view of them, kept here so that a
+	// panel hands the kernel no fresh heap object.
 	scratch Vec
 	fused   Vec
+	fs      mat.FusedSums
 
 	env Env
 }
@@ -223,9 +225,9 @@ func (d *DGEMM) runPanelFused(panel, kk, kMax int) error {
 	cs := d.fused.Data[n+1 : 2*(n+1)]
 	asum := d.fused.Data[2*(n+1) : 2*(n+1)+kb]
 	bsum := d.fused.Data[2*(n+1)+kb : 2*(n+1)+2*kb]
+	d.fs = mat.FusedSums{RowSums: rs, ColSums: cs, ASums: asum, BSums: bsum}
 	mat.MulAddIntoFused(d.Cf.Matrix,
-		d.Ac.View(0, kk, n+1, kb), d.Br.View(kk, 0, kb, n+1),
-		&mat.FusedSums{RowSums: rs, ColSums: cs, ASums: asum, BSums: bsum})
+		d.Ac.View(0, kk, n+1, kb), d.Br.View(kk, 0, kb, n+1), &d.fs)
 	return d.verifyFused(panel, kk, kb, rs, cs, asum, bsum)
 }
 

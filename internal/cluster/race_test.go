@@ -3,5 +3,5 @@
 package cluster
 
 // raceEnabled gates the allocation-budget test: the race detector's shadow
-// bookkeeping inflates allocation counts and sync.Pool drops items under it.
+// bookkeeping inflates the allocation counts of its HTTP exchanges.
 const raceEnabled = true

@@ -61,23 +61,27 @@ func Poisson2DNNZ(nx, ny int) int { return max(5*nx*ny-2*nx-2*ny, 0) }
 // Poisson equation on an nx×ny grid: SPD, 4 on the diagonal, −1 to each
 // neighbor. This is the classic CG benchmark operator.
 func Poisson2D(nx, ny int) *CSR {
-	return Poisson2DInto(make([]float64, Poisson2DNNZ(nx, ny)), nx, ny)
+	nnz := Poisson2DNNZ(nx, ny)
+	return Poisson2DInto(make([]float64, nnz), make([]int32, nx*ny+1), make([]int32, nnz), nx, ny)
 }
 
-// Poisson2DInto builds Poisson2D(nx, ny) with its values written into val,
-// which must hold exactly Poisson2DNNZ(nx, ny) entries and becomes the
-// result's Val: a caller whose values live in metered or pooled storage
-// builds the operator there instead of copying it in. Every entry of val is
-// overwritten, so it may arrive dirty.
-func Poisson2DInto(val []float64, nx, ny int) *CSR {
+// Poisson2DInto builds Poisson2D(nx, ny) over the caller's storage: val and
+// col must hold exactly Poisson2DNNZ(nx, ny) entries and rowPtr nx·ny+1, and
+// they become the result's Val, Col and RowPtr. A caller whose values live
+// in metered or recycled storage builds the operator there instead of
+// copying it in. Every entry is overwritten, so the storage may arrive
+// dirty.
+func Poisson2DInto(val []float64, rowPtr, col []int32, nx, ny int) *CSR {
 	n, nnz := nx*ny, Poisson2DNNZ(nx, ny)
-	if len(val) != nnz {
-		panic(fmt.Sprintf("mat: Poisson2DInto val[%d] for a %dx%d grid (%d nonzeros)", len(val), nx, ny, nnz))
+	if len(val) != nnz || len(col) != nnz || len(rowPtr) != n+1 {
+		panic(fmt.Sprintf("mat: Poisson2DInto val[%d] col[%d] rowPtr[%d] for a %dx%d grid (%d nonzeros)",
+			len(val), len(col), len(rowPtr), nx, ny, nnz))
 	}
-	a := &CSR{N: n, RowPtr: make([]int32, n+1), Col: make([]int32, nnz), Val: val}
+	a := &CSR{N: n, RowPtr: rowPtr, Col: col, Val: val}
+	a.RowPtr[0] = 0
 	k := 0
-	put := func(col int, v float64) {
-		a.Col[k], a.Val[k] = int32(col), v
+	put := func(j int, v float64) {
+		a.Col[k], a.Val[k] = int32(j), v
 		k++
 	}
 	for y := 0; y < ny; y++ {

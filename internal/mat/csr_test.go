@@ -105,8 +105,8 @@ func TestPoisson2DSizedOnce(t *testing.T) {
 
 // TestPoisson2DIntoDirtyStorage: built into NaN-filled storage, the stencil
 // is the 5-point operator written out densely on its own (4 on the diagonal,
-// −1 to each grid neighbor), and its Val is the caller's slice. Storage of
-// the wrong length is refused.
+// −1 to each grid neighbor), and its Val, RowPtr and Col are the caller's
+// slices. Storage of the wrong length, any of the three, is refused.
 func TestPoisson2DIntoDirtyStorage(t *testing.T) {
 	for _, g := range [][2]int{{1, 1}, {4, 4}, {17, 9}, {9, 17}} {
 		nx, ny := g[0], g[1]
@@ -122,22 +122,31 @@ func TestPoisson2DIntoDirtyStorage(t *testing.T) {
 				}
 			}
 		}
-		val := make([]float64, Poisson2DNNZ(nx, ny))
+		nnz := Poisson2DNNZ(nx, ny)
+		val, rowPtr, col := make([]float64, nnz), make([]int32, nx*ny+1), make([]int32, nnz)
 		for i := range val {
-			val[i] = math.NaN()
+			val[i], col[i] = math.NaN(), -7
 		}
-		got := Poisson2DInto(val, nx, ny)
-		if &got.Val[0] != &val[0] {
-			t.Fatalf("%dx%d: Val is not the caller's storage", nx, ny)
+		for i := range rowPtr {
+			rowPtr[i] = -7
+		}
+		got := Poisson2DInto(val, rowPtr, col, nx, ny)
+		if &got.Val[0] != &val[0] || &got.RowPtr[0] != &rowPtr[0] || &got.Col[0] != &col[0] {
+			t.Fatalf("%dx%d: Val, RowPtr or Col is not the caller's storage", nx, ny)
 		}
 		if !Equal(got.Dense(), want, 0) {
 			t.Errorf("%dx%d: stencil differs from the dense 5-point operator", nx, ny)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Poisson2DInto accepted storage one entry short")
-		}
-	}()
-	Poisson2DInto(make([]float64, Poisson2DNNZ(4, 4)-1), 4, 4)
+	nnz := Poisson2DNNZ(4, 4)
+	for _, short := range [][3]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Poisson2DInto accepted storage one entry short (val, rowPtr, col short by %v)", short)
+				}
+			}()
+			Poisson2DInto(make([]float64, nnz-short[0]), make([]int32, 17-short[1]), make([]int32, nnz-short[2]), 4, 4)
+		}()
+	}
 }

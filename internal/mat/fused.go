@@ -125,7 +125,7 @@ func MulAddIntoFused[T Float](c, a, b *Dense[T], fs *FusedSums) {
 	}
 
 	// Parallel: each row band folds into disjoint RowSums/AbsRowSums rows
-	// directly and into pooled per-band column/operand partials; bands are
+	// directly and into recycled per-band column/operand partials; bands are
 	// then reduced in ascending order, so the sums depend only on (shape,
 	// workers). BSums/BMoments cover all of b in every band, so only band 0
 	// derives them; AMoments is per-band (each band packs its own rows) and

@@ -3,7 +3,7 @@ package mat
 import (
 	"fmt"
 	"math/bits"
-	"sync"
+	"unsafe"
 )
 
 // Packed GEMM micro-kernel layer.
@@ -13,7 +13,8 @@ import (
 // exactly in kernel consumption order, then run an unrolled register
 // micro-kernel over them (Goto & van de Geijn; the same substrate FT-BLAS
 // and FT-GEMM build their fault-tolerant GEMMs on). Packing buffers are
-// recycled through a sync.Pool so steady-state GEMM does no allocation.
+// recycled through free lists that outlive garbage collections (below), so
+// steady-state GEMM does no allocation, however rarely a size recurs.
 //
 // The layer is generic over the element type: float64 and float32 are two
 // instantiations of the same pack routines, micro-kernel and drivers (Go
@@ -56,33 +57,74 @@ const (
 	packMinFlops = 1 << 15
 )
 
-// Packing and reduction buffers are recycled through size-classed pools:
-// one sync.Pool per power-of-two capacity class. A single shared pool
-// thrashes under mixed request sizes — a Get can return a buffer too small
-// for this call (reallocate, dropping the pooled one) while large buffers
-// sit idle in the pool — so steady state keeps allocating. With per-class
-// pools every Get either hits a buffer guaranteed to fit or takes the one
-// allocation that seeds the class. Each element type has its own set, so
-// mixed f32/f64 traffic never pops a buffer of the wrong type.
-const maxPoolClass = 26 // 2^26 elements; anything larger is not pooled
+// Packing and reduction buffers, and every Arena hand-out, are recycled
+// through size-classed free lists: one FreeList per power-of-two capacity
+// class. A single shared list thrashes under mixed request sizes — a Get
+// can return a buffer too small for this call (reallocate, dropping the
+// recycled one) while large buffers sit idle — so steady state keeps
+// allocating. With per-class lists every Get either hits a buffer guaranteed
+// to fit or takes the one allocation that seeds the class. Each element type
+// has its own set, so mixed f32/f64 traffic never pops a buffer of the wrong
+// type. A buffer that went back stays until a Get takes it, through any
+// number of collections, so a class a worker uses once per GC cycle, or
+// less, is still warm when it comes round again.
+//
+// maxPoolClass is the largest class kept: 2²⁶ elements. Below it, what
+// stays is for the budget to decide: a buffer larger than the whole budget
+// is never kept, and the coldest classes make room for the rest (FreeList).
+const maxPoolClass = 26
 
-type poolSet [maxPoolClass + 1]sync.Pool
+// bufBudget bounds the idle bytes of every class of every element type
+// together, the arenas' bookkeeping lists included, in one process. Its two
+// parts are measured (DESIGN.md §2.3): the largest peak of idle bytes under
+// any of cmd/abftbench's four workloads, three workers and a gateway in one
+// process, was 7.6 MiB (chaos_vote_mix; ladder_f64_mix 6.9 MiB), and one
+// n=1024 block task keeps ≈ 19.5 MiB (two 8 MiB operands, its 2 MiB block,
+// its panels). 32 MiB holds both at once; past it the coldest classes go.
+const bufBudget = 32 << 20
 
-var bufPools64, bufPools32 poolSet
+// bufSet is one element type's classes, all drawing on bufBytes.
+type bufSet[T poolElem] [maxPoolClass + 1]*FreeList[*[]T]
 
-// poolsFor picks the element type's pool set. A named type that is neither
-// float32 nor float64 shares the float64 set and simply misses on Get.
-func poolsFor[T Float]() *poolSet {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return &bufPools32
+// poolElem is what the free lists hold: the two float types the kernels
+// compute in, and the int32 indices of a CSR operator (Arena.Int32s).
+type poolElem interface{ Float | ~int32 }
+
+var (
+	bufBytes = byteBudget{limit: bufBudget}
+
+	bufs64  = newBufSet[float64]()
+	bufs32  = newBufSet[float32]()
+	bufsI32 = newBufSet[int32]()
+)
+
+func newBufSet[T poolElem]() *bufSet[T] {
+	s := new(bufSet[T])
+	for i := range s {
+		s[i] = newSharedList[*[]T](&bufBytes)
 	}
-	return &bufPools64
+	return s
 }
 
-// getBuf returns a length-n buffer (contents unspecified) from the pool of
+// setFor picks the element type's set. A named type (type F float64) has
+// none: its buffers are allocated on Get and dropped on put.
+func setFor[T poolElem]() *bufSet[T] {
+	var set any
+	switch any(*new(T)).(type) {
+	case float64:
+		set = bufs64
+	case float32:
+		set = bufs32
+	case int32:
+		set = bufsI32
+	}
+	s, _ := set.(*bufSet[T])
+	return s
+}
+
+// getBuf returns a length-n buffer (contents unspecified) from the list of
 // the smallest power-of-two capacity class holding n.
-func getBuf[T Float](n int) *[]T {
+func getBuf[T poolElem](n int) *[]T {
 	if n < 1 {
 		n = 1
 	}
@@ -91,9 +133,11 @@ func getBuf[T Float](n int) *[]T {
 		p := make([]T, n)
 		return &p
 	}
-	if p, ok := poolsFor[T]()[class].Get().(*[]T); ok {
-		*p = (*p)[:n]
-		return p
+	if s := setFor[T](); s != nil {
+		if p, ok := s[class].Get(); ok {
+			*p = (*p)[:n]
+			return p
+		}
 	}
 	p := make([]T, n, 1<<class)
 	return &p
@@ -101,23 +145,25 @@ func getBuf[T Float](n int) *[]T {
 
 // putBuf returns a buffer to its capacity class. Buffers always leave getBuf
 // with an exact power-of-two capacity, so the class is recoverable from
-// cap alone; anything else (or oversized) is dropped for the GC.
-func putBuf[T Float](p *[]T) {
+// cap alone; anything else (or oversized) is dropped for the GC, and so is a
+// buffer the budget has no room for.
+func putBuf[T poolElem](p *[]T) {
 	c := cap(*p)
 	if c == 0 || c&(c-1) != 0 {
 		return
 	}
 	class := bits.Len(uint(c - 1))
-	if class > maxPoolClass {
+	s := setFor[T]()
+	if class > maxPoolClass || s == nil {
 		return
 	}
 	*p = (*p)[:c]
-	poolsFor[T]()[class].Put(p)
+	s[class].Put(p, c*int(unsafe.Sizeof((*p)[0])))
 }
 
-// getZeroBuf returns a zeroed length-n pooled buffer (sum accumulators,
+// getZeroBuf returns a zeroed length-n recycled buffer (sum accumulators,
 // arena hand-outs).
-func getZeroBuf[T Float](n int) *[]T {
+func getZeroBuf[T poolElem](n int) *[]T {
 	p := getBuf[T](n)
 	clear(*p)
 	return p

@@ -22,6 +22,17 @@ func testBufPoolClassRoundTrip[T Float](t *testing.T) {
 	// A foreign buffer with a non-power-of-two cap is dropped, not pooled.
 	odd := make([]T, 100, 100)
 	putBuf(&odd) // must not panic; nothing to assert beyond that
+	// A buffer put back outlives collections: the next Get of its class,
+	// two collections later, is the same buffer.
+	p := getBuf[T](100)
+	putBuf(p)
+	runtime.GC()
+	runtime.GC()
+	if q := getBuf[T](100); q != p {
+		t.Error("a recycled buffer did not survive two collections")
+	} else {
+		putBuf(q)
+	}
 }
 
 func TestBufPoolClassRoundTrip(t *testing.T) {
@@ -30,9 +41,6 @@ func TestBufPoolClassRoundTrip(t *testing.T) {
 	// The element types' pools are separate: alternating float32 and float64
 	// requests of one class must each find their own buffer again, where a
 	// shared set would hand each the other's and allocate on every Get.
-	if raceEnabled {
-		return // sync.Pool drops items under -race
-	}
 	mixed := func() {
 		putBuf(getBuf[float32](100))
 		putBuf(getBuf[float64](100))
@@ -61,8 +69,8 @@ func TestBufPoolClassRoundTrip(t *testing.T) {
 		arenaTrip()
 	}
 	runtime.ReadMemStats(&after)
-	// Two matrix headers and the arena's list are all a trip may allocate;
-	// one missed buffer would be 64 KiB or more.
+	// Two matrix headers are all a trip may allocate (the arena's list is
+	// recycled with its buffers); one missed buffer would be 64 KiB or more.
 	if per := (after.TotalAlloc - before.TotalAlloc) / 10; per > 1024 {
 		t.Errorf("two-type arena round trips allocate %d B per trip, want only headers", per)
 	}
@@ -136,26 +144,31 @@ func testArena[T Float](t *testing.T) {
 func TestArena(t *testing.T) {
 	t.Run("f64", testArena[float64])
 	t.Run("f32", testArena[float32])
-	// One arena serves both types at once, and the float64 methods are the
-	// generic functions at float64.
+	// One arena serves both float types and CSR indices at once, and the
+	// float64 methods are the generic functions at float64.
 	var a Arena
 	f32s, f64s, m := FloatsIn[float32](&a, 100), a.Floats(100), a.New(2, 3)
 	f32s[0], f64s[0] = 1, 2
 	if f32s[0] != 1 || f64s[0] != 2 || len(m.Data) != 6 {
 		t.Error("hand-outs of the two element types from one arena interfere")
 	}
+	idx := a.Int32s(100)
+	for i := range idx {
+		idx[i] = -1
+	}
+	a.Release()
+	if idx = a.Int32s(100); len(idx) != 100 || idx[0] != 0 || idx[99] != 0 {
+		t.Errorf("Int32s(100) from a dirty list: len %d, ends %d and %d, want 100 zeroes", len(idx), idx[0], idx[99])
+	}
 	a.Release()
 }
 
 // testSteadyStateZeroAllocs: after warmup, serial GEMM over a *mix* of
-// problem sizes must not allocate — the size-classed pools guarantee a
-// pooled buffer always fits, where the old single shared pool could hand a
+// problem sizes must not allocate — the size-classed lists guarantee a
+// recycled buffer always fits, where the old single shared pool could hand a
 // small request's recycled buffer to a large request and force a
 // reallocation on every call.
 func testSteadyStateZeroAllocs[T Float](t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race; zero-alloc cannot hold")
-	}
 	type prob struct{ c, a, b *Dense[T] }
 	var probs []prob
 	// All above packMinFlops so every call takes the packed (pooled) path;

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"coopabft/internal/abft"
@@ -173,13 +172,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	prev := mat.SetParallelism(cfg.Parallelism)
 	defer mat.SetParallelism(prev)
 
-	var nodes sync.Pool // functional nodes between cells; see runCell
+	// Functional nodes between cells (see runCell), each Put at weight 1:
+	// at most one per worker.
+	nodes := mat.NewFreeList[*core.Runtime](cfg.Workers)
 	eng := campaign.New(campaign.WithWorkers(cfg.Workers))
 	runs, _, err := campaign.Map(ctx, eng, cfg.Cells(), func(ctx context.Context, i int) (RunResult, error) {
 		if err := ctx.Err(); err != nil {
 			return RunResult{}, err
 		}
-		return runCell(cfg, &nodes, i), nil
+		return runCell(cfg, nodes, i), nil
 	})
 	if err != nil {
 		return nil, err
@@ -212,11 +213,11 @@ func (c Config) cell(i int) (Kernel, core.Strategy, bifit.Kind, int) {
 // runCell executes one coordinated run under a panic guard and deadline, on
 // the functional runtime: the harness reports outcomes only, and those are
 // the timed platform's (equiv_test.go holds the two side by side). The node
-// is one from nodes, reset for the cell, or a new one when the pool is
+// is one from nodes, reset for the cell, or a new one when the list is
 // empty, under serving's lifetime rule: it goes back only from a run that
 // ended. After a panic nothing vouches for the state it stopped in, and a
 // hung run still holds it; both leave it to the GC.
-func runCell(cfg Config, nodes *sync.Pool, i int) RunResult {
+func runCell(cfg Config, nodes *mat.FreeList[*core.Runtime], i int) RunResult {
 	kernel, strat, kind, count := cfg.cell(i)
 	seed := campaign.CellSeed(cfg.Seed, uint64(i))
 	out := RunResult{Cell: i, Kernel: kernel, Strategy: strat, Kind: kind, Count: count}
@@ -235,8 +236,8 @@ func runCell(cfg Config, nodes *sync.Pool, i int) RunResult {
 			}
 			done <- e
 		}()
-		rt, _ := nodes.Get().(*core.Runtime)
-		if rt == nil {
+		rt, ok := nodes.Get()
+		if !ok {
 			rt = core.NewFunctionalRuntime(machine.ScaledConfig(32), strat, int64(seed))
 		} else {
 			rt.Reset(strat, int64(seed))
@@ -248,7 +249,7 @@ func runCell(cfg Config, nodes *sync.Pool, i int) RunResult {
 	select {
 	case e := <-done:
 		if e.rt != nil {
-			nodes.Put(e.rt)
+			nodes.Put(e.rt, 1)
 		}
 		return e.r
 	case <-time.After(cfg.Deadline):

@@ -4,27 +4,45 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"sync"
+	"unsafe"
+
+	"coopabft/internal/mat"
 )
 
 // Every JSON body a worker or the gateway reads — a client's request, a
 // task, a node's response — is read whole into a recycled buffer and
 // unmarshalled from there. json.Decoder grows a private buffer by doubling
 // on every call and io.ReadAll does the same, so a 43 KiB verify-vote answer
-// cost each of its three decoders ~130 KiB of garbage; a warm pooled buffer
-// costs nothing. Nothing decoded aliases the buffer: encoding/json copies
-// strings and decodes base64 into slices of its own.
+// cost each of its three decoders ~130 KiB of garbage; a warm recycled
+// buffer costs nothing, however long ago it was last used. Nothing decoded
+// aliases the buffer: encoding/json copies strings and decodes base64 into
+// slices of its own.
 
 // maxPooledBody is the largest buffer kept for reuse. Interactive bodies are
 // under 64 KiB and a verify task for the default MaxN is under 400 KiB;
-// long-job snapshots reach 64 MiB, and a pool that kept those would pin them.
+// long-job snapshots reach 64 MiB, and a list that kept those would pin them.
 const maxPooledBody = 1 << 20
 
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bodyBudget bounds the idle body buffers of the process, each weighed at
+// its capacity. A buffer is held only while its body is read and decoded,
+// so the working set is the bodies a process decodes at once: at a worker,
+// up to the ten requests its defaults admit (MaxConcurrency 2 executing,
+// QueueDepth 8 queued), under 64 KiB each when interactive; at a gateway in
+// the same process, one reply per node of an R=3 vote, a verify-vote reply
+// at the default MaxN being under 400 KiB. 4 MiB keeps all of those; the
+// measured peak under cmd/abftbench's four workloads was 0.33 MB.
+const bodyBudget = 4 << 20
 
-// GetBody returns an empty buffer from the body pool, for a caller that
+var bodies = mat.NewFreeList[*bytes.Buffer](bodyBudget)
+
+// GetBody returns an empty buffer from the body list, for a caller that
 // encodes a body it will send more than once. Pair it with PutBody.
-func GetBody() *bytes.Buffer { return bodyPool.Get().(*bytes.Buffer) }
+func GetBody() *bytes.Buffer {
+	if b, ok := bodies.Get(); ok {
+		return b
+	}
+	return new(bytes.Buffer)
+}
 
 // PutBody recycles a buffer from GetBody or ReadBody. Nothing may still read
 // its bytes: an http.Request built over them must have been answered and the
@@ -34,11 +52,11 @@ func PutBody(b *bytes.Buffer) {
 		return
 	}
 	b.Reset()
-	bodyPool.Put(b)
+	bodies.Put(b, b.Cap()+int(unsafe.Sizeof(*b)))
 }
 
 // ReadBody reads at most limit bytes of r — what lies beyond is ignored, as
-// io.LimitReader ignores it — into a pooled buffer, which the caller hands
+// io.LimitReader ignores it — into a recycled buffer, which the caller hands
 // to PutBody once it has decoded what it wants. size is the Content-Length
 // (−1 when unknown) and only pre-sizes the buffer, and only up to
 // maxPooledBody: the header is the sender's claim, and memory is not

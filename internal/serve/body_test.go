@@ -70,10 +70,8 @@ func TestReadBodyPoolsUpToOneMiB(t *testing.T) {
 		t.Fatalf("%d bytes read, %v", big.Len(), err)
 	}
 	PutBody(big)
-	if !raceEnabled { // sync.Pool drops items at random under the detector
-		if b := GetBody(); b == big || b.Cap() > maxPooledBody {
-			t.Errorf("a %d-byte buffer came back from the pool", b.Cap())
-		}
+	if b := GetBody(); b == big || b.Cap() > maxPooledBody {
+		t.Errorf("a %d-byte buffer came back from the body list", b.Cap())
 	}
 	lied, err := ReadBody(bytes.NewReader([]byte("{}")), 64<<20, 64<<20)
 	if err != nil || lied.Len() != 2 || lied.Cap() > maxPooledBody {

@@ -19,13 +19,15 @@ import (
 // configured for its own ECC strategy — the per-request malloc_ecc decision
 // — so concurrent requests share no machine state. As in the paper, where
 // malloc_ecc programs region registers on hardware that outlives every
-// kernel, the node is not built per request: the service keeps a pool of
-// them, and a request takes one and resets it (core.Runtime.Reset: the
-// constructor run over the storage the node has grown), or builds one when
-// the pool is empty. The node keeps what decides an outcome (OS, ECC region
-// registers, fault table and codecs, and the cache hierarchy as the filter
-// between a kernel's reads and DRAM) and none of the paper platform's cycle
-// and energy accounting; its hierarchy does no work until an injection is
+// kernel, the node is not built per request: the service keeps them on a
+// free list that survives garbage collection (mat.FreeList, bounded at one
+// node per executor slot and one for the long-task route), and a request
+// takes one and resets it (core.Runtime.Reset: the constructor run over the
+// storage the node has grown), or builds one when the list is empty. The
+// node keeps what decides an outcome (OS, ECC region registers, fault table
+// and codecs, and the cache hierarchy as the filter between a kernel's
+// reads and DRAM) and none of the paper platform's cycle and energy
+// accounting; its hierarchy does no work until an injection is
 // delivered, so a fault-free request pays the kernels' Touch calls as one
 // branch each. DESIGN.md §4.2 has the argument for why outcomes are
 // exactly the timed platform's, fresh node or recycled.
@@ -40,8 +42,8 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	// The arena owns every n- and n²-sized buffer of the request, whatever
 	// its element type: operands, checkpoint shadows, oracle temporaries, the
 	// answer views w hands out; the node holds the machine model w's regions
-	// are mapped in. One lifetime rule for both: they go back to their pools
-	// below, once the response holds copies of whatever it reports, and
+	// are mapped in. One lifetime rule for both: they go back to their free
+	// lists below, once the response holds copies of whatever it reports, and
 	// never after the ladder's panic guard fired. The guard has emptied the
 	// arena and dropped the node: nothing vouches for who still writes to
 	// them, so they are left to the GC.
@@ -78,7 +80,7 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	s.stampIntegrity(&resp, j.req, rep, w)
 	arena.Release()
 	if node != nil {
-		s.nodes.Put(node)
+		s.nodes.Put(node, 1)
 	}
 
 	s.countOutcome(rep.Outcome)
@@ -97,8 +99,8 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 // alongside the report so the integrity tier can fingerprint its answer
 // state; it is nil when construction failed or the kernel panicked. All of
 // the run's float64 storage comes from arena and its machine model is node;
-// the caller returns both to their pools (and finds the arena empty and the
-// node nil after a panic).
+// the caller returns both to their free lists (and finds the arena empty and
+// the node nil after a panic).
 func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w recovery.Workload, node *core.Runtime) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -107,7 +109,7 @@ func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w re
 			w = nil
 			// After an unwind nothing vouches for who still writes to the
 			// request's buffers or what state its node stopped in: forget
-			// both, so the caller pools nothing and they fall to the GC.
+			// both, so the caller recycles nothing and they fall to the GC.
 			*arena = mat.Arena{}
 			node = nil
 		}
@@ -142,13 +144,13 @@ func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w re
 }
 
 // takeNode returns a functional node configured for strategy and seed: one
-// from the pool, reset, or a new one when the pool is empty. Every node is
-// built with the same machine.Config, which is what lets a pooled one serve
-// any request. The caller puts it back once nothing reads it, and never
-// after a panic guard fired.
+// from the free list, reset, or a new one when the list is empty. Every
+// node is built with the same machine.Config, which is what lets a recycled
+// one serve any request. The caller puts it back once nothing reads it, and
+// never after a panic guard fired.
 func (s *Service) takeNode(strategy core.Strategy, seed uint64) *core.Runtime {
-	rt, _ := s.nodes.Get().(*core.Runtime)
-	if rt == nil {
+	rt, ok := s.nodes.Get()
+	if !ok {
 		return core.NewFunctionalRuntime(machine.ScaledConfig(32), strategy, int64(seed))
 	}
 	rt.Reset(strategy, int64(seed))

@@ -283,9 +283,6 @@ func TestDoVerify(t *testing.T) {
 // payload, which rules out anything n-sized, let alone the operands. The
 // task's values are the caller's and are shared here.
 func TestQueuedVerifyTaskHoldsNoProduct(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector inflates allocation counts")
-	}
 	s := newTestService(t, Config{BlockConcurrency: 1, QueueTimeout: 50 * time.Millisecond})
 	const n, tasks = 192, 64
 	task := VerifyTask{Kernel: "gemm", N: n, Seed: 5, ProbeSeed: 6, Ce: make([]float64, n), Cr: make([]float64, n)}

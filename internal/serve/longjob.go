@@ -121,9 +121,9 @@ func (s *Service) DoLong(ctx context.Context, t LongTask) (LongResult, error) {
 
 // runLong drives one admitted long task under a panic guard, mirroring
 // runLadder's contract: a kernel panic becomes an Aborted classification.
-// The task runs on a node from the service's pool, on an arena of its own,
-// under execute's lifetime rule: both go back once the result is built,
-// construction failure included, and neither after the guard fired.
+// The task runs on a node from the service's free list, on an arena of its
+// own, under execute's lifetime rule: both go back once the result is
+// built, construction failure included, and neither after the guard fired.
 func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *checkpoint.Snapshot) (res LongResult) {
 	res = LongResult{JobID: t.JobID, Kernel: p.Kernel.String()}
 	var arena mat.Arena
@@ -135,7 +135,7 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 			return
 		}
 		arena.Release()
-		s.nodes.Put(rt)
+		s.nodes.Put(rt, 1)
 	}()
 	start := time.Now()
 

@@ -62,13 +62,11 @@ func TestLongTaskRecycledNode(t *testing.T) {
 				Strategy: "No_ECC", Faults: 3, FaultKind: "scattered"}); err != nil {
 				t.Fatal(err)
 			}
-			if !raceEnabled { // sync.Pool drops items under the race detector
-				nd := s.nodes.Get()
-				if nd == nil {
-					t.Fatal("the long task left no node in the pool")
-				}
-				s.nodes.Put(nd)
+			nd, ok := s.nodes.Get()
+			if !ok {
+				t.Fatal("the long task left no node in the free list")
 			}
+			s.nodes.Put(nd, 1)
 			if recycled := run(s); recycled != fresh {
 				t.Errorf("recycled node:\n got  %s\n want %s", recycled, fresh)
 			}

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"coopabft/internal/core"
 	"coopabft/internal/mat"
 	"coopabft/internal/serve/qos"
 )
@@ -218,9 +219,12 @@ type Service struct {
 	bus        *Bus
 	ckptClient *http.Client
 
-	// nodes recycles the functional nodes f64 requests run on (*core.Runtime;
-	// see execute). It starts empty: the first requests build theirs.
-	nodes sync.Pool
+	// nodes keeps the functional nodes f64 requests and long tasks run on
+	// (see execute) between them, through garbage collections. It starts
+	// empty: the first requests build theirs. Every node is Put at weight 1,
+	// so its budget is a count: one node per slot that can hold one,
+	// MaxConcurrency executors and the long-task route's one.
+	nodes *mat.FreeList[*core.Runtime]
 
 	// The side routes; verification is an offloaded O(n²) pass, much closer
 	// to a block task than to an interactive ladder run, so it shares the
@@ -250,6 +254,7 @@ func New(cfg Config) *Service {
 		quit:       make(chan struct{}),
 		bus:        NewBus(),
 		ckptClient: &http.Client{Timeout: 10 * time.Second},
+		nodes:      mat.NewFreeList[*core.Runtime](cfg.MaxConcurrency + 1),
 	}
 	blockSem := make(chan struct{}, cfg.BlockConcurrency)
 	s.block = sideRoute{"block", blockSem, &s.m.Block}
