@@ -26,17 +26,20 @@ go test -race -short ./...
 # collections); a warm n=64 verify task under 16 n-vectors (its operands
 # are on a task-scoped arena, and it carries two projections, not the
 # product); 64 verify tasks shed from the queue under their own 16n-byte
-# payload each; and a warm n=64 verify-vote request through the gateway and
+# payload each; a warm n=64 verify-vote request through the gateway and
 # three in-process nodes under 128 KiB (the gateway reads the product once;
-# verifiers never receive it). The free lists' idle bytes stay inside their
-# budgets, a full budget evicts its coldest lists to keep another's item,
-# and steady-state GEMM over mixed sizes allocates nothing. The
-# race run above runs all of these but the verify-vote budget, whose HTTP
-# exchanges the detector inflates (its raceEnabled test constant skips it);
-# this tier reads them without the detector.
+# verifiers never receive it); and a warm f32 n=16 request through the
+# gateway and one loopback worker under 10 KiB (the forward is one RoundTrip
+# on the gateway's own transport, not an http.Client exchange with its
+# redirect header copy, timer and gzip negotiation). The free lists' idle
+# bytes stay inside their budgets, a full budget evicts its coldest lists
+# to keep another's item, and steady-state GEMM over mixed sizes allocates
+# nothing. The race run above runs all of these but the two gateway
+# budgets, whose HTTP exchanges the detector inflates (the raceEnabled test
+# constant skips them); this tier reads them without the detector.
 go test -run 'TestFreeList|TestBufPoolClassRoundTrip|TestMulAddIntoSteadyStateZeroAllocs' -count=1 -v ./internal/mat/
 go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmCGAllocationBudget|TestWarmWorkerSurvivesGC|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct' -count=1 -v ./internal/serve/
-go test -run 'TestWarmVerifyVoteAllocationBudget' -count=1 -v ./internal/cluster/
+go test -run 'TestWarmVerifyVoteAllocationBudget|TestWarmForwardAllocationBudget' -count=1 -v ./internal/cluster/
 
 # Fuzz smoke: the seven native fuzz targets, five seconds each on top of
 # their committed corpora (which the plain test runs above already replay).

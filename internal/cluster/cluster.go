@@ -19,7 +19,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,7 +53,9 @@ type NodeConfig struct {
 }
 
 // Config sizes the gateway. The zero value (plus at least one node) is
-// usable: defaults are applied by New.
+// usable: defaults are applied by New. No field configures HTTP: the gateway
+// owns its transports (newTransport), and Window sizes each node's pool of
+// connections.
 type Config struct {
 	Nodes []NodeConfig
 
@@ -139,9 +144,6 @@ type Config struct {
 
 	// Seed feeds the deterministic retry jitter.
 	Seed uint64
-	// Client is the forwarding transport (default: a dedicated client
-	// with sane timeouts).
-	Client *http.Client
 	// Metrics receives counters; nil allocates a private set.
 	Metrics *Metrics
 }
@@ -209,9 +211,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxMigrations <= 0 {
 		c.MaxMigrations = 3
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 2 * time.Minute}
-	}
 	if c.Metrics == nil {
 		c.Metrics = &Metrics{}
 	}
@@ -222,6 +221,7 @@ func (c Config) withDefaults() Config {
 type node struct {
 	id   string
 	base string
+	url  *url.URL               // base, parsed once: every request's URL is a copy
 	caps map[core.Strategy]bool // nil = all strategies
 	hash uint64
 
@@ -301,13 +301,42 @@ type Gateway struct {
 	jobCancel context.CancelFunc
 	jobWG     sync.WaitGroup
 
+	// fwd carries every windowed node exchange: sync forwards, vote and
+	// verify seats, block tasks. long is its clone with neither the
+	// connection cap nor the response-header timeout, for long-job POSTs (a
+	// solve's lifetime is bounded by the job context), event streams (open
+	// indefinitely) and probes (bounded by ProbeTimeout, and never queued
+	// behind a full window of forwards).
+	fwd  *http.Transport
+	long *http.Transport
+
 	// Error bus and long-job plumbing. selfURL is atomic so the daemon can
-	// set it after binding its listener; longClient has no overall timeout
-	// (a long solve's lifetime is bounded by the job context, and event
-	// streams stay open indefinitely).
-	bus        *serve.Bus
-	selfURL    atomic.Value // string
-	longClient *http.Client
+	// set it after binding its listener.
+	bus     *serve.Bus
+	selfURL atomic.Value // string
+}
+
+// forwardTimeout bounds how long a node may take to answer a bounded
+// exchange with its response headers.
+const forwardTimeout = 2 * time.Minute
+
+// newTransport builds the gateway's forwarding transport, the way a reverse
+// proxy holds one: window connections per node, all kept when idle, so a
+// full window of callers finds a warm connection each and never redials (the
+// cap also stops a caller that finds none idle from dialing one more while
+// another's is on its way back); no gzip negotiation, which no worker
+// answers; and forwardTimeout on the response headers. A body that stalls
+// after its headers is left to the caller's context and TCP keepalive.
+func newTransport(window int) *http.Transport {
+	return &http.Transport{
+		Proxy:                 http.ProxyFromEnvironment,
+		DialContext:           (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		MaxConnsPerHost:       window,
+		MaxIdleConnsPerHost:   window,
+		IdleConnTimeout:       90 * time.Second,
+		DisableCompression:    true,
+		ResponseHeaderTimeout: forwardTimeout,
+	}
 }
 
 // New builds a gateway and starts its health prober.
@@ -317,14 +346,17 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, errors.New("cluster: no nodes configured")
 	}
 	g := &Gateway{
-		cfg:        cfg,
-		m:          cfg.Metrics,
-		byID:       make(map[string]*node, len(cfg.Nodes)),
-		quit:       make(chan struct{}),
-		jobs:       make(map[string]*jobRecord),
-		bus:        serve.NewBus(),
-		longClient: &http.Client{},
+		cfg:  cfg,
+		m:    cfg.Metrics,
+		byID: make(map[string]*node, len(cfg.Nodes)),
+		quit: make(chan struct{}),
+		jobs: make(map[string]*jobRecord),
+		bus:  serve.NewBus(),
+		fwd:  newTransport(cfg.Window),
 	}
+	g.long = g.fwd.Clone()
+	g.long.MaxConnsPerHost = 0
+	g.long.ResponseHeaderTimeout = 0
 	if cfg.TenantRate > 0 {
 		g.quota = qos.NewQuota(qos.Config{Rate: cfg.TenantRate, Burst: cfg.TenantBurst})
 	}
@@ -336,6 +368,10 @@ func New(cfg Config) (*Gateway, error) {
 		if base == "" {
 			return nil, errors.New("cluster: node with empty BaseURL")
 		}
+		u, err := url.Parse(base)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: node BaseURL: %w", err)
+		}
 		id := nc.ID
 		if id == "" {
 			id = strings.TrimPrefix(strings.TrimPrefix(base, "http://"), "https://")
@@ -346,6 +382,7 @@ func New(cfg Config) (*Gateway, error) {
 		nd := &node{
 			id:     id,
 			base:   base,
+			url:    u,
 			hash:   fnv64a(id),
 			window: make(chan struct{}, cfg.Window),
 			m:      g.m.Node(id),
@@ -399,6 +436,8 @@ func (g *Gateway) Close() {
 	})
 	g.probeWG.Wait()
 	g.jobWG.Wait()
+	g.fwd.CloseIdleConnections()
+	g.long.CloseIdleConnections()
 }
 
 // forwardClass discriminates one placement attempt's result.
@@ -488,7 +527,7 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 		if forwards > 0 {
 			g.m.Retries.Add(1)
 		}
-		resp, class, err := postJSON[serve.Response](ctx, g.cfg.Client, nd, "/v1/"+wire, body)
+		resp, class, err := postJSON[serve.Response](ctx, g.fwd, nd, "/v1/"+wire, body)
 		nd.release()
 		forwards++
 		switch class {
@@ -563,15 +602,26 @@ func (g *Gateway) delivered(outcome string) {
 // goes by status alone; the error of a reply that is not a 200 is the one
 // serve.ReadError reads from it. What the caller does next is its dispatch
 // policy; the books are done.
-func postJSON[R any](ctx context.Context, client *http.Client, nd *node, path string, body []byte) (res R, class forwardClass, err error) {
+//
+// The exchange is one RoundTrip on rt, as a reverse proxy makes it: no
+// redirect policy and its header copy, no client timer, a URL copied from the
+// node's parsed base and the shared jsonHeader. GetBody lets the transport
+// replay the POST on a fresh connection when a reused one closed before
+// anything was written, as http.NewRequest's would.
+func postJSON[R any](ctx context.Context, rt http.RoundTripper, nd *node, path string, body []byte) (res R, class forwardClass, err error) {
 	nd.m.Forwarded.Add(1)
 	defer func() { nd.settle(class, aborted(&res)) }()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, nd.base+path, bytes.NewReader(body))
-	if err != nil {
-		return res, fcFailed, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := client.Do(hreq)
+	u := *nd.url
+	u.Path += path
+	hreq := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           &u,
+		Header:        jsonHeader,
+		Body:          io.NopCloser(bytes.NewReader(body)),
+		GetBody:       func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
+		ContentLength: int64(len(body)),
+	}).WithContext(ctx)
+	hresp, err := rt.RoundTrip(hreq)
 	if err != nil {
 		nd.m.TransportErrors.Add(1)
 		return res, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
@@ -602,6 +652,10 @@ func postJSON[R any](ctx context.Context, client *http.Client, nd *node, path st
 	}
 	return res, class, fmt.Errorf("node %s: %w", nd.id, serve.ReadError(hresp.StatusCode, hresp.Header, payload))
 }
+
+// jsonHeader is every node POST's header, shared and never written: the
+// content type, and an empty User-Agent, which the transport omits.
+var jsonHeader = http.Header{"Content-Type": {"application/json"}, "User-Agent": {""}}
 
 // settle books one classified exchange on its node: a delivery feeds the
 // breaker's outcome window and the node's delivered count, a shed its

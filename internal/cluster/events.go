@@ -65,7 +65,7 @@ func (g *Gateway) watchOnce(nd *node) {
 	if err != nil {
 		return
 	}
-	resp, err := g.longClient.Do(req)
+	resp, err := g.long.RoundTrip(req)
 	if err != nil {
 		return
 	}

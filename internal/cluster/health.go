@@ -43,7 +43,7 @@ func (g *Gateway) probe(nd *node) {
 	var hp healthPayload
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, nd.base+"/healthz", nil)
 	if err == nil {
-		if resp, rerr := g.cfg.Client.Do(req); rerr == nil {
+		if resp, rerr := g.long.RoundTrip(req); rerr == nil {
 			payload, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK &&

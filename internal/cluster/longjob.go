@@ -67,9 +67,9 @@ func (g *Gateway) runLongJob(ctx context.Context, rec *jobRecord, p serve.Parsed
 			return
 		}
 		// The call blocks for the solve's duration: long jobs use the
-		// gateway's untimed client, bounded by the job context, not the
-		// forwarding client's request timeout.
-		res, class, err := postJSON[serve.LongResult](ctx, g.longClient, nd, "/v1/longjob", body)
+		// gateway's long transport, bounded by the job context, not the
+		// forwarding transport's response-header timeout.
+		res, class, err := postJSON[serve.LongResult](ctx, g.long, nd, "/v1/longjob", body)
 		switch class {
 		case fcDelivered:
 			g.noteRecovered(rec)

@@ -18,21 +18,39 @@ import (
 // dispatched). Pop always serves the smallest finish tag among tenant queue
 // HEADS — per-tenant order is FIFO by construction, and backlogged tenants
 // converge to equal shares of service regardless of arrival bursts.
+//
+// Only tenants with queued work are scanned: they sit in an active list, and
+// ties between equal finish tags go to the tenant whose queue went from empty
+// to non-empty first. A drained tenant's record is dropped at the next sweep
+// unless its lastF is still above V (a speculative eviction can leave it so):
+// a fresh record (lastF 0) tags the tenant's next item exactly as the old one
+// would. So the tenant name, which is the client's to choose, does not grow
+// Pop's scan, and grows the records kept only to minSweep or to twice those a
+// sweep must keep, whichever is larger.
 type Scheduler struct {
 	mu      sync.Mutex
 	cfg     Config
 	now     func() time.Time
 	vtime   float64
 	buckets bucketSet
-	queues  map[string]*tenantQueue
-	order   []string // tenant first-seen order: deterministic scans and ties
+	queues  map[string]*tenantQueue // queued and drained tenants, until a sweep
+	active  []*tenantQueue          // tenants with queued work, any order
+	sweepAt int                     // size at which the next new tenant sweeps first
+	seq     uint64                  // activations so far
 	size    int
 	ready   chan struct{}
 }
 
+// minSweep is how many tenant records a Scheduler holds before a new tenant
+// sweeps the drained ones out. Until then a tenant whose queue drains between
+// requests keeps its record, and allocates none per request.
+const minSweep = 1024
+
 type tenantQueue struct {
 	lastF float64
 	items []entry
+	seq   uint64 // activation order: the tie-break between equal finish tags
+	pos   int    // index in active while items are queued
 }
 
 type entry struct {
@@ -110,29 +128,22 @@ func (s *Scheduler) PopWhere(match func(Item) bool) (Item, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	bestTenant := ""
-	bestF := 0.0
-	for _, name := range s.order {
-		tq := s.queues[name]
-		if len(tq.items) == 0 {
-			continue
-		}
+	var best *tenantQueue
+	for _, tq := range s.active {
 		head := tq.items[0]
 		if match != nil && !match(head.it) {
 			continue
 		}
-		if bestTenant == "" || head.finish < bestF {
-			bestTenant, bestF = name, head.finish
+		if best == nil || head.finish < best.items[0].finish ||
+			head.finish == best.items[0].finish && tq.seq < best.seq {
+			best = tq
 		}
 	}
-	if bestTenant == "" {
+	if best == nil {
 		return Item{}, false
 	}
-	tq := s.queues[bestTenant]
-	head := tq.items[0]
-	copy(tq.items, tq.items[1:])
-	tq.items = tq.items[:len(tq.items)-1]
-	s.size--
+	head := best.items[0]
+	s.remove(best, 0)
 	if head.finish > s.vtime {
 		s.vtime = head.finish
 	}
@@ -163,34 +174,74 @@ func (s *Scheduler) signal() {
 // LARGEST finish tag — the one that would have been served last anyway, so
 // eviction disturbs the fair order least.
 func (s *Scheduler) evictSpeculative() (Item, bool) {
-	victimTenant, victimIdx, victimF := "", -1, 0.0
-	for _, name := range s.order {
-		tq := s.queues[name]
+	var victim *tenantQueue
+	victimIdx := -1
+	for _, tq := range s.active {
 		for i, e := range tq.items {
 			if e.it.Class != Speculative {
 				continue
 			}
-			if victimIdx < 0 || e.finish > victimF {
-				victimTenant, victimIdx, victimF = name, i, e.finish
+			if victim == nil {
+				victim, victimIdx = tq, i
+				continue
+			}
+			if vf := victim.items[victimIdx].finish; e.finish > vf || e.finish == vf && tq.seq < victim.seq {
+				victim, victimIdx = tq, i
 			}
 		}
 	}
-	if victimIdx < 0 {
+	if victim == nil {
 		return Item{}, false
 	}
-	tq := s.queues[victimTenant]
-	victim := tq.items[victimIdx]
-	tq.items = append(tq.items[:victimIdx], tq.items[victimIdx+1:]...)
-	s.size--
-	return victim.it, true
+	it := victim.items[victimIdx].it
+	s.remove(victim, victimIdx)
+	return it, true
 }
 
+// remove takes item i off tq's queue; a queue left empty leaves the active
+// list.
+func (s *Scheduler) remove(tq *tenantQueue, i int) {
+	n := len(tq.items) - 1
+	copy(tq.items[i:], tq.items[i+1:])
+	tq.items[n] = entry{}
+	tq.items = tq.items[:n]
+	s.size--
+	if n == 0 {
+		last := s.active[len(s.active)-1]
+		s.active[tq.pos], last.pos = last, tq.pos
+		s.active[len(s.active)-1] = nil
+		s.active = s.active[:len(s.active)-1]
+	}
+}
+
+// queueFor returns the tenant's record, in the active list. A tenant new to
+// the map sweeps it first once it holds sweepAt records.
 func (s *Scheduler) queueFor(tenant string) *tenantQueue {
 	tq, ok := s.queues[tenant]
 	if !ok {
+		if len(s.queues) >= s.sweepAt {
+			s.sweep()
+		}
 		tq = &tenantQueue{}
 		s.queues[tenant] = tq
-		s.order = append(s.order, tenant)
+	}
+	if len(tq.items) == 0 {
+		s.seq++
+		tq.seq, tq.pos = s.seq, len(s.active)
+		s.active = append(s.active, tq)
 	}
 	return tq
+}
+
+// sweep drops every drained record whose lastF is at or below vtime. What
+// survives is a tenant with queued work or one an eviction left ahead of
+// vtime; the next sweep waits until the map has doubled over that, so the
+// sweeps cost O(1) per new tenant.
+func (s *Scheduler) sweep() {
+	for name, tq := range s.queues {
+		if len(tq.items) == 0 && tq.lastF <= s.vtime {
+			delete(s.queues, name)
+		}
+	}
+	s.sweepAt = max(2*len(s.queues), minSweep)
 }
