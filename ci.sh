@@ -41,7 +41,7 @@ go test -run 'TestFreeList|TestBufPoolClassRoundTrip|TestMulAddIntoSteadyStateZe
 go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmCGAllocationBudget|TestWarmWorkerSurvivesGC|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct' -count=1 -v ./internal/serve/
 go test -run 'TestWarmVerifyVoteAllocationBudget|TestWarmForwardAllocationBudget' -count=1 -v ./internal/cluster/
 
-# Fuzz smoke: the seven native fuzz targets, five seconds each on top of
+# Fuzz smoke: the nine native fuzz targets, five seconds each on top of
 # their committed corpora (which the plain test runs above already replay).
 # The body decoder is held to the json.Decoder it replaced; the request to
 # typed refusals and, when accepted, sizes and grid areas inside the limits
@@ -54,7 +54,10 @@ go test -run 'TestWarmVerifyVoteAllocationBudget|TestWarmForwardAllocationBudget
 # strictly from 0 to an admitted n and a role inside the grid;
 # UnpackBlock to exact sizes and bit-for-bit round trips; checkpoint.Decode
 # (what the gateway accepts on the checkpoint PUT) to typed refusals, a
-# canonical re-encoding, and refusing any flipped trailer or length byte.
+# canonical re-encoding, and refusing any flipped trailer or length byte;
+# the SECDED and RS codecs to exact correction of one flipped bit or
+# symbol, detection of two bits or of 2 to nCheck-1 symbols, and, beyond
+# that, no panic and a valid codeword from every correction.
 go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseVerifyTask$' -fuzztime 5s ./internal/serve/
@@ -62,6 +65,8 @@ go test -run '^$' -fuzz '^FuzzParseLongTask$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseBlockTask$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzUnpackBlock$' -fuzztime 5s ./internal/abft/
 go test -run '^$' -fuzz '^FuzzCheckpointDecode$' -fuzztime 5s ./internal/checkpoint/
+go test -run '^$' -fuzz '^FuzzSECDED$' -fuzztime 5s ./internal/ecc/
+go test -run '^$' -fuzz '^FuzzRSDecode$' -fuzztime 5s ./internal/ecc/
 
 # Chaos soak gate: the seeded short grid (24 fault-injected runs through
 # the §4 recovery ladder, deterministic outcome table) under the race

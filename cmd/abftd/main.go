@@ -1,7 +1,8 @@
 // Command abftd is the fault-tolerant ABFT compute daemon: every request
 // runs an ABFT kernel through the §4 recovery ladder on a fresh simulated
 // node configured with the request's ECC strategy, behind a bounded
-// admission queue, a small-GEMM batching stage, and a concurrency limit.
+// admission queue, an optional small-GEMM batching stage, and a
+// concurrency limit.
 //
 // Endpoints:
 //
@@ -47,7 +48,7 @@ func run() error {
 		concurrency  = flag.Int("max-concurrency", 2, "simultaneously executing batches")
 		queueDepth   = flag.Int("queue-depth", 0, "admission queue depth (default 4x concurrency)")
 		queueTimeout = flag.Duration("queue-timeout", 2*time.Second, "max time a request may wait queued")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "how long to hold a small-GEMM batch open (0 disables batching)")
+		batchWindow  = flag.Duration("batch-window", 0, "how long to hold a small-GEMM batch open (0, the default, disables batching)")
 		maxBatch     = flag.Int("max-batch", 8, "max requests per execution batch")
 		maxN         = flag.Int("max-n", 192, "largest accepted gemm/cholesky dimension")
 		maxJobN      = flag.Int("max-job-n", 2048, "largest accepted sharded-job dimension on /v1/block")

@@ -363,9 +363,7 @@ func (c *Cholesky) VerifyTrailing(t int) error {
 	n := c.N
 	for j := t; j < n; j++ {
 		s, s2 := c.trailingColSums(j, t)
-		delta := c.cs.Data[j] - s
-		delta2 := c.cs2.Data[j] - s2
-		if err := c.repairColumn(j, t, delta, delta2, false); err != nil {
+		if err := c.repairColumn(j, t, s, s2, false); err != nil {
 			return err
 		}
 	}
@@ -376,53 +374,38 @@ func (c *Cholesky) VerifyTrailing(t int) error {
 func (c *Cholesky) VerifyL(upto int) error {
 	for j := 0; j < upto; j++ {
 		s, s2 := c.lColSums(j)
-		delta := c.lcs.Data[j] - s
-		delta2 := c.lcs2.Data[j] - s2
-		if err := c.repairColumn(j, j, delta, delta2, true); err != nil {
+		if err := c.repairColumn(j, j, s, s2, true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// repairColumn interprets a (δ, δ₂) mismatch on column j whose live rows
-// start at rowLo. inL selects which checksum pair to re-derive when the
-// corruption is in the checksum itself.
-func (c *Cholesky) repairColumn(j, rowLo int, delta, delta2 float64, inL bool) error {
-	tol := c.Tol
-	if math.Abs(delta) <= tol && math.Abs(delta2) <= tol {
-		return nil
-	}
+// repairColumn interprets column j's stored checksums against its
+// recomputed sums (s, s2); its live rows start at rowLo. inL selects the
+// factored-L checksum pair over the trailing one. A corrupted checksum is
+// restored to its recomputed sum.
+func (c *Cholesky) repairColumn(j, rowLo int, s, s2 float64, inL bool) error {
 	cs, cs2 := &c.cs, &c.cs2
 	name := "chol.A"
 	if inL {
 		cs, cs2 = &c.lcs, &c.lcs2
 		name = "chol.L"
 	}
-	if math.Abs(delta) <= tol {
-		// Only the weighted checksum is off: cs2[j] itself is corrupted.
-		// Restore it to the recomputed sum (s2 = cs2[j] − δ₂).
-		cs2.Data[j] -= delta2
-		cs2.Touch(j, 1, true)
-		c.Corrections = append(c.Corrections, Correction{Structure: name + ".cs2", J: j, Delta: -delta2})
-		c.env.corrected(cs2.Addr(j))
+	tol := c.Tol
+	delta, delta2 := cs.Data[j]-s, cs2.Data[j]-s2
+	v, ri, err := locateDual(delta, delta2, tol, rowLo, c.N)
+	switch {
+	case err != nil:
+		return fmt.Errorf("column %d: %w", j, err)
+	case v == dualClean:
 		return nil
-	}
-	row := delta2/delta - 1
-	ri := int(math.Round(row))
-	if !(math.Abs(row-float64(ri)) <= 0.25) || ri < rowLo || ri >= c.N {
-		// No consistent single-element location: either the plain checksum
-		// itself is corrupted (δ₂ consistent with nothing) or multiple
-		// errors hit the column.
-		if math.Abs(delta2) <= tol {
-			cs.Data[j] -= delta
-			cs.Touch(j, 1, true)
-			c.Corrections = append(c.Corrections, Correction{Structure: name + ".cs", J: j, Delta: -delta})
-			c.env.corrected(cs.Addr(j))
-			return nil
-		}
-		return fmt.Errorf("%w: column %d deltas (%g, %g) locate no element",
-			ErrUncorrectable, j, delta, delta2)
+	case v == dualWeighted:
+		c.restoreChecksum(cs2, j, s2, name+".cs2", -delta2)
+		return nil
+	case v == dualPlain:
+		c.restoreChecksum(cs, j, s, name+".cs", -delta)
+		return nil
 	}
 	// Repair the located element; logical (ri, j) may live at (j, ri).
 	si, sj := ri, j
@@ -435,21 +418,27 @@ func (c *Cholesky) repairColumn(j, rowLo int, delta, delta2 float64, inL bool) e
 	// Post-repair re-verification: multiple errors in one column can alias
 	// to a plausible single-element explanation; a true fix leaves the
 	// column consistent.
-	var s, s2 float64
 	if inL {
 		s, s2 = c.lColSums(j)
-		s, s2 = cs.Data[j]-s, cs2.Data[j]-s2
 	} else {
 		s, s2 = c.trailingColSums(j, rowLo)
-		s, s2 = cs.Data[j]-s, cs2.Data[j]-s2
 	}
-	if !(math.Abs(s) <= tol && math.Abs(s2) <= tol) {
+	if !(math.Abs(cs.Data[j]-s) <= tol && math.Abs(cs2.Data[j]-s2) <= tol) {
 		c.A.Add(si, sj, -delta)
 		return fmt.Errorf("%w: column %d has multiple corrupted elements", ErrUncorrectable, j)
 	}
 	c.Corrections = append(c.Corrections, Correction{Structure: name, I: si, J: sj, Delta: delta})
 	c.env.corrected(c.A.Addr(si, sj))
 	return nil
+}
+
+// restoreChecksum rewrites checksum entry j of v to its recomputed sum
+// want; delta is the recorded adjustment.
+func (c *Cholesky) restoreChecksum(v *Vec, j int, want float64, name string, delta float64) {
+	v.Data[j] = want
+	v.Touch(j, 1, true)
+	c.Corrections = append(c.Corrections, Correction{Structure: name, J: j, Delta: delta})
+	c.env.corrected(v.Addr(j))
 }
 
 // VerifyNotified consumes pending OS corruption reports and repairs the

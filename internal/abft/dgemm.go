@@ -346,42 +346,60 @@ func (d *DGEMM) VerifyFull() error {
 // and repairs every correctable pattern (§2.1); both the two-pass sweep and
 // the fused online check feed it the same delta convention.
 func (d *DGEMM) locateAndFix(rowBad []int, rowDelta []float64, colBad []int, colDelta []float64) error {
+	return locateCross(rowBad, rowDelta, colBad, colDelta,
+		func(_, gap float64) bool { return gap <= d.Tol*10 },
+		func(r, c int, fromRow bool, _ float64) {
+			if fromRow {
+				d.fixFromRow(r, c)
+			} else {
+				d.fixFromColumn(r, c)
+			}
+		})
+}
+
+// locateCross is the case analysis of a matrix coded with a row-checksum
+// column and a column-checksum row: it maps the flagged rows and columns
+// (with their deltas, checksum − recomputed sum) to corrupted elements and
+// repairs every correctable pattern. All flags on one row: each flagged
+// element is rebuilt from its intact column. All flags on one column: from
+// its intact row. As many rows as columns: rows pair with columns by delta
+// magnitude, each pair one element rebuilt from its row, while pairs
+// accepts the gap between the magnitudes given the row's delta. Anything
+// else wraps ErrUncorrectable. fix(r, c, fromRow, delta) rebuilds element
+// (r, c) from its row when fromRow is set and from its column otherwise;
+// delta is that line's mismatch.
+func locateCross(rowBad []int, rowDelta []float64, colBad []int, colDelta []float64,
+	pairs func(delta, gap float64) bool, fix func(r, c int, fromRow bool, delta float64)) error {
 	switch {
 	case len(rowBad) == 0 && len(colBad) == 0:
 		return nil
 	case len(rowBad) == 1 && len(colBad) >= 1:
-		// All corruptions on one row: rebuild each flagged element from
-		// its intact column.
-		r := rowBad[0]
-		for _, c := range colBad {
-			d.fixFromColumn(r, c)
+		for i, c := range colBad {
+			fix(rowBad[0], c, false, colDelta[i])
 		}
 		return nil
 	case len(colBad) == 1 && len(rowBad) >= 1:
-		c := colBad[0]
-		for _, r := range rowBad {
-			d.fixFromRow(r, c)
+		for i, r := range rowBad {
+			fix(r, colBad[0], true, rowDelta[i])
 		}
 		return nil
 	case len(rowBad) == len(colBad):
-		// Pair row and column mismatches by magnitude; distinct
-		// rows/columns each carry a single error.
 		used := make([]bool, len(colBad))
 		for ri, r := range rowBad {
-			best, bestDiff := -1, math.Inf(1)
+			best, bestGap := -1, math.Inf(1)
 			for ci := range colBad {
 				if used[ci] {
 					continue
 				}
-				if diff := math.Abs(math.Abs(rowDelta[ri]) - math.Abs(colDelta[ci])); diff < bestDiff {
-					best, bestDiff = ci, diff
+				if gap := math.Abs(math.Abs(rowDelta[ri]) - math.Abs(colDelta[ci])); gap < bestGap {
+					best, bestGap = ci, gap
 				}
 			}
-			if best < 0 || !(bestDiff <= d.Tol*10) {
+			if best < 0 || !pairs(rowDelta[ri], bestGap) {
 				return fmt.Errorf("%w: unmatchable row/column deltas", ErrUncorrectable)
 			}
 			used[best] = true
-			d.fixFromRow(r, colBad[best])
+			fix(r, colBad[best], true, rowDelta[ri])
 		}
 		return nil
 	default:

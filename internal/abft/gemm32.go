@@ -242,8 +242,16 @@ func (g *GEMM32) verifyPanel(panel, kk, kb int) error {
 		for i, c := range colBad {
 			g.Faults = append(g.Faults, PanelFault{Panel: panel, Source: FaultResultCol, Index: c, Delta: colDelta[i]})
 		}
-		if err := g.locateAndFix32(panel, rowBad, rowDelta, colBad, colDelta); err != nil {
-			return err
+		// The magnitude pairing tolerance derives from the adaptive bounds
+		// of the first flagged row and column, not from a fixed Tol.
+		pairs := func(delta, gap float64) bool {
+			pairTol := 10 * (LineBound32(g.kAcc, g.N, g.fs.AbsRowSums[rowBad[0]], g.aMom, g.bMom) +
+				LineBound32(g.kAcc, g.M, g.fs.AbsColSums[colBad[0]], g.aMom, g.bMom))
+			return gap <= pairTol || gap <= 1e-6*math.Abs(delta)
+		}
+		fix := func(r, c int, _ bool, delta float64) { g.applyFix(r, c, delta) }
+		if err := locateCross(rowBad, rowDelta, colBad, colDelta, pairs, fix); err != nil {
+			return fmt.Errorf("f32 check at panel %d: %w", panel, err)
 		}
 		// A repair changed C, and a huge-magnitude corruption may have
 		// absorbed its line's float64 sums entirely (the folded sum carries
@@ -268,53 +276,6 @@ func (g *GEMM32) scanLines(maintained, folded, absSums []float64, lineLen int) (
 		}
 	}
 	return bad, deltas
-}
-
-// locateAndFix32 maps line mismatches to corrupted elements and repairs
-// every correctable pattern — the same case analysis as the float64
-// locateAndFix, with the magnitude pairing tolerance derived from the
-// adaptive bounds instead of a fixed Tol.
-func (g *GEMM32) locateAndFix32(panel int, rowBad []int, rowDelta []float64, colBad []int, colDelta []float64) error {
-	switch {
-	case len(rowBad) == 1 && len(colBad) >= 1:
-		r := rowBad[0]
-		for i, c := range colBad {
-			g.applyFix(r, c, colDelta[i])
-		}
-		return nil
-	case len(colBad) == 1 && len(rowBad) >= 1:
-		c := colBad[0]
-		for i, r := range rowBad {
-			g.applyFix(r, c, rowDelta[i])
-		}
-		return nil
-	case len(rowBad) == len(colBad):
-		// Pair row and column mismatches by magnitude; distinct rows and
-		// columns each carry a single error.
-		pairTol := 10 * (LineBound32(g.kAcc, g.N, g.fs.AbsRowSums[rowBad[0]], g.aMom, g.bMom) +
-			LineBound32(g.kAcc, g.M, g.fs.AbsColSums[colBad[0]], g.aMom, g.bMom))
-		used := make([]bool, len(colBad))
-		for ri, r := range rowBad {
-			best, bestDiff := -1, math.Inf(1)
-			for ci := range colBad {
-				if used[ci] {
-					continue
-				}
-				if diff := math.Abs(math.Abs(rowDelta[ri]) - math.Abs(colDelta[ci])); diff < bestDiff {
-					best, bestDiff = ci, diff
-				}
-			}
-			if best < 0 || !(bestDiff <= pairTol || bestDiff <= 1e-6*math.Abs(rowDelta[ri])) {
-				return fmt.Errorf("%w: f32 check at panel %d: unmatchable row/column deltas", ErrUncorrectable, panel)
-			}
-			used[best] = true
-			g.applyFix(r, colBad[best], rowDelta[ri])
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: f32 check at panel %d: %d corrupted rows, %d corrupted columns",
-			ErrUncorrectable, panel, len(rowBad), len(colBad))
-	}
 }
 
 // applyFix repairs C[r][c] by the float64 line delta (true − computed),

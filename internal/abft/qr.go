@@ -1,7 +1,6 @@
 package abft
 
 import (
-	"fmt"
 	"math"
 
 	"coopabft/internal/mat"
@@ -18,7 +17,7 @@ import (
 // dual row checksums as its columns are written. Verification re-sums rows
 // and locates a corrupted column as δ₂/δ − 1, exactly as in FT-LU.
 type QR struct {
-	N int
+	rowCoded
 
 	// Af is n×(n+2): the matrix transforming into R, plus checksum columns.
 	Af Mat
@@ -29,79 +28,42 @@ type QR struct {
 	// recomputable from V, and are left unprotected.
 	beta Vec
 	b    Vec
-
-	CheckPeriod int
-	Mode        VerifyMode
-	Tol         float64
-
-	Ops         OpCounters
-	Corrections []Correction
-
-	env Env
-	k   int
 }
 
 // NewQR builds a random well-conditioned system of size n.
 func NewQR(env Env, n int, seed uint64) *QR {
-	q := &QR{
-		N:           n,
-		CheckPeriod: 1,
-		Tol:         1e-7 * float64(n) * float64(n),
-		env:         env,
-	}
+	q := &QR{rowCoded: newRowCoded(env, n)}
 	q.Af = env.NewMat("qr.Af", n, n+2, true)
 	q.Vf = env.NewMat("qr.Vf", n, n+2, true)
 	q.beta = env.NewVec("qr.beta", n, false)
 	q.b = env.NewVec("qr.b", n, false)
+	q.coded = []codedMat{
+		{m: q.Af, name: "qr.Af", cs: "qr.Af.cs", cs2: "qr.Af.cs2"},
+		{m: q.Vf, name: "qr.Vf", cs: "qr.Vf.cs", cs2: "qr.Vf.cs2"},
+	}
 
 	src := mat.DiagonallyDominant(n, seed)
 	for i := 0; i < n; i++ {
-		row := q.Af.Row(i)
-		copy(row[:n], src.Row(i))
-		s, s2 := 0.0, 0.0
-		for j := 0; j < n; j++ {
-			s += row[j]
-			s2 += float64(j+1) * row[j]
-		}
-		row[n] = s
-		row[n+1] = s2
-		q.Af.TouchRow(i, 0, n+2, true)
-		q.ops(&q.Ops.Checksum, 3*n)
+		copy(q.Af.Row(i)[:n], src.Row(i))
 	}
+	q.encode(q.Af)
 	xTrue := mat.RandomVec(n, seed+9)
 	copy(q.b.Data, mat.MulVec(src, xTrue))
 	return q
-}
-
-func (q *QR) ops(bucket *uint64, n int) {
-	*bucket += uint64(n)
-	q.env.Mem.Ops(n)
 }
 
 // Run factors the matrix with per-step verification.
 func (q *QR) Run() error {
 	n := q.N
 	for k := 0; k < n; k++ {
-		q.k = k
-		if q.CheckPeriod > 0 && k%q.CheckPeriod == 0 {
-			if err := q.verifyStep(k); err != nil {
-				return err
-			}
+		if err := q.verifyStep(k); err != nil {
+			return err
 		}
 		if err := q.householder(k); err != nil {
 			return err
 		}
 	}
-	q.k = n
-	if q.CheckPeriod > 0 && q.Mode == FullVerify {
-		if err := q.VerifyR(); err != nil {
-			return err
-		}
-		return q.VerifyV(n)
-	} else if q.Mode == NotifiedVerify {
-		return q.verifyNotified()
-	}
-	return nil
+	return q.finish()
 }
 
 // householder performs reflection k over the extended matrix, mirroring
@@ -191,150 +153,12 @@ func (q *QR) householder(k int) error {
 	return nil
 }
 
-func (q *QR) verifyStep(k int) error {
-	if q.Mode == NotifiedVerify {
-		return q.verifyNotified()
-	}
-	return q.verifyRows(q.Af, "qr.Af", k)
-}
-
 // VerifyR re-checks every row of the (partially or fully) factored matrix.
-func (q *QR) VerifyR() error { return q.verifyRows(q.Af, "qr.Af", 0) }
+func (q *QR) VerifyR() error { return q.sweep(&q.coded[0], 0, q.N) }
 
 // VerifyV re-checks the reflector store's incremental checksums for rows
 // [0, upto).
-func (q *QR) VerifyV(upto int) error {
-	n := q.N
-	for i := 0; i < upto; i++ {
-		row := q.Vf.Row(i)
-		s, s2 := 0.0, 0.0
-		for j := 0; j < n; j++ {
-			s += row[j]
-			s2 += float64(j+1) * row[j]
-		}
-		q.Vf.TouchRow(i, 0, n+2, false)
-		q.ops(&q.Ops.Verify, 3*n)
-		if err := q.repairRow(q.Vf, "qr.Vf", i, row[n]-s, row[n+1]-s2); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// verifyRows re-sums rows [lo, n) of an extended matrix.
-func (q *QR) verifyRows(m Mat, name string, lo int) error {
-	n := q.N
-	for i := lo; i < n; i++ {
-		row := m.Row(i)
-		s, s2 := 0.0, 0.0
-		for j := 0; j < n; j++ {
-			s += row[j]
-			s2 += float64(j+1) * row[j]
-		}
-		m.TouchRow(i, 0, n+2, false)
-		q.ops(&q.Ops.Verify, 3*n)
-		if err := q.repairRow(m, name, i, row[n]-s, row[n+1]-s2); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// repairRow interprets a (δ, δ₂) mismatch on row i of an extended matrix.
-func (q *QR) repairRow(m Mat, name string, i int, delta, delta2 float64) error {
-	n := q.N
-	tol := q.Tol
-	if math.Abs(delta) <= tol && math.Abs(delta2) <= tol {
-		return nil
-	}
-	if math.Abs(delta) <= tol {
-		m.Add(i, n+1, -delta2)
-		m.TouchElem(i, n+1, true)
-		q.Corrections = append(q.Corrections, Correction{Structure: name + ".cs2", I: i, Delta: -delta2})
-		q.env.corrected(m.Addr(i, n+1))
-		return nil
-	}
-	col := delta2/delta - 1
-	cj := int(math.Round(col))
-	if !(math.Abs(col-float64(cj)) <= 0.25) || cj < 0 || cj >= n {
-		if math.Abs(delta2) <= tol {
-			m.Add(i, n, -delta)
-			m.TouchElem(i, n, true)
-			q.Corrections = append(q.Corrections, Correction{Structure: name + ".cs", I: i, Delta: -delta})
-			q.env.corrected(m.Addr(i, n))
-			return nil
-		}
-		return fmt.Errorf("%w: %s row %d deltas (%g, %g) locate no element",
-			ErrUncorrectable, name, i, delta, delta2)
-	}
-	m.Add(i, cj, delta)
-	m.TouchElem(i, cj, true)
-	q.ops(&q.Ops.Verify, 2)
-	// Post-repair re-verification guards against multi-error aliasing (see
-	// the FT-LU analogue).
-	row := m.Row(i)
-	s, s2 := 0.0, 0.0
-	for j := 0; j < n; j++ {
-		s += row[j]
-		s2 += float64(j+1) * row[j]
-	}
-	q.ops(&q.Ops.Verify, 3*n)
-	if !(math.Abs(row[n]-s) <= tol && math.Abs(row[n+1]-s2) <= tol) {
-		m.Add(i, cj, -delta)
-		return fmt.Errorf("%w: %s row %d has multiple corrupted elements", ErrUncorrectable, name, i)
-	}
-	q.Corrections = append(q.Corrections, Correction{Structure: name, I: i, J: cj, Delta: delta})
-	q.env.corrected(m.Addr(i, cj))
-	return nil
-}
-
-// verifyNotified re-sums exactly the rows the OS reported corrupted.
-func (q *QR) verifyNotified() error {
-	if q.env.Notify == nil {
-		return nil
-	}
-	type key struct {
-		inV bool
-		row int
-	}
-	seen := map[key]bool{}
-	for _, note := range q.env.Notify() {
-		for off := uint64(0); off < 64; off += 8 {
-			addr := note.VirtAddr + off
-			if i, _, ok := q.Af.ElemAt(addr); ok && !seen[key{false, i}] {
-				seen[key{false, i}] = true
-				if err := q.verifyOne(q.Af, "qr.Af", i); err != nil {
-					return err
-				}
-			} else if i, _, ok := q.Vf.ElemAt(addr); ok && !seen[key{true, i}] {
-				seen[key{true, i}] = true
-				if err := q.verifyOne(q.Vf, "qr.Vf", i); err != nil {
-					return err
-				}
-			}
-		}
-		// Examined: above-tolerance damage was repaired, the rest is
-		// roundoff-level; resolve the hardware fault state for the line.
-		q.env.corrected(note.VirtAddr)
-	}
-	return nil
-}
-
-func (q *QR) verifyOne(m Mat, name string, i int) error {
-	n := q.N
-	row := m.Row(i)
-	s, s2 := 0.0, 0.0
-	for j := 0; j < n; j++ {
-		s += row[j]
-		s2 += float64(j+1) * row[j]
-	}
-	m.TouchRow(i, 0, n+2, false)
-	q.ops(&q.Ops.Verify, 3*n)
-	return q.repairRow(m, name, i, row[n]-s, row[n+1]-s2)
-}
-
-// VerifyNotified consumes pending OS corruption reports (public entry).
-func (q *QR) VerifyNotified() error { return q.verifyNotified() }
+func (q *QR) VerifyV(upto int) error { return q.sweep(&q.coded[1], 0, upto) }
 
 // Solve returns x with A·x = b via R·x = Qᵀ·b.
 func (q *QR) Solve() []float64 {
@@ -365,17 +189,5 @@ func (q *QR) Solve() []float64 {
 
 // CheckResult compares the solve against a reference LU of the original.
 func (q *QR) CheckResult(orig *mat.Matrix) error {
-	ref := orig.Clone()
-	piv, err := mat.LU(ref, nil)
-	if err != nil {
-		return err
-	}
-	want := mat.SolveLU(ref, piv, q.b.Data)
-	got := q.Solve()
-	for i := range got {
-		if !(math.Abs(got[i]-want[i]) <= 1e-6) {
-			return fmt.Errorf("abft: QR solution diverges at %d: %g vs %g", i, got[i], want[i])
-		}
-	}
-	return nil
+	return q.checkSolve("QR", orig, q.b.Data, q.Solve)
 }

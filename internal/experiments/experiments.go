@@ -201,12 +201,6 @@ func newRunConfig(opts ...Option) (runConfig, error) {
 	return rc, rc.o.Validate()
 }
 
-// WithOptions replaces the whole base configuration (e.g. a pre-built
-// Small() or a previous NewOptions result).
-func WithOptions(o Options) Option {
-	return func(rc *runConfig) error { rc.o = o; return nil }
-}
-
 // WithSmall switches to the fast test-scale configuration.
 func WithSmall() Option {
 	return func(rc *runConfig) error {
@@ -243,34 +237,9 @@ func WithMatrixSize(n int) Option {
 	}
 }
 
-// WithCGGrid sets the CG 5-point-stencil grid.
-func WithCGGrid(x, y int) Option {
-	return func(rc *runConfig) error {
-		rc.o.CGX, rc.o.CGY = x, y
-		rc.o.ScalingCfg.GridX, rc.o.ScalingCfg.GridY = x, y
-		return nil
-	}
-}
-
-// WithCGIters sets the fixed CG iteration count.
-func WithCGIters(iters int) Option {
-	return func(rc *runConfig) error { rc.o.CGIters = iters; return nil }
-}
-
 // WithL2Divisor sets the node scaling divisor (see machine.ScaledConfig).
 func WithL2Divisor(d int) Option {
 	return func(rc *runConfig) error { rc.o.L2Divisor = d; return nil }
-}
-
-// WithCaseTrials sets the Monte-Carlo budget of the §4 case study.
-func WithCaseTrials(n int) Option {
-	return func(rc *runConfig) error { rc.o.CaseTrials = n; return nil }
-}
-
-// WithCapabilityTrials sets the per-cell trial budget of the capability
-// curves.
-func WithCapabilityTrials(n int) Option {
-	return func(rc *runConfig) error { rc.o.CapTrials = n; return nil }
 }
 
 // WithProgress installs a live progress callback (e.g.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"coopabft/internal/cache"
-	"coopabft/internal/ecc"
 )
 
 // ErrBadConfig reports an invalid machine configuration; NewConfig wraps
@@ -33,20 +32,9 @@ func WithL2Divisor(divisor int) Option {
 	}
 }
 
-// WithDefaultScheme sets the strong protection covering all memory not
-// explicitly relaxed through malloc_ecc.
-func WithDefaultScheme(s ecc.Scheme) Option {
-	return func(c *Config) { c.DefaultScheme = s }
-}
-
 // WithClockHz sets the core clock.
 func WithClockHz(hz float64) Option {
 	return func(c *Config) { c.CPU.ClockHz = hz }
-}
-
-// WithL2Size sets the L2 capacity in bytes directly.
-func WithL2Size(bytes int) Option {
-	return func(c *Config) { c.L2.SizeBytes = bytes }
 }
 
 // NewConfig builds a validated Config: Table 3 defaults, then the given

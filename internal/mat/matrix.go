@@ -204,17 +204,6 @@ func (m *Dense[T]) MaxAbs() float64 {
 	return max
 }
 
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Dense[T]) FrobeniusNorm() float64 {
-	s := 0.0
-	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Row(i) {
-			s += float64(v) * float64(v)
-		}
-	}
-	return math.Sqrt(s)
-}
-
 // String renders small matrices for debugging.
 func (m *Dense[T]) String() string {
 	if m.Rows*m.Cols > 400 {
