@@ -473,18 +473,54 @@ func BenchmarkServeGEMMFaulted(b *testing.B) {
 // BenchmarkServeLadderMix is cmd/abftbench's ladder_f64_mix in process: one
 // iteration serves the mix's six-request cycle (two fused and one notified
 // n=128 GEMM, two n=128 Cholesky, one 24×24 CG) back to back through
-// serve.Service.Do, so ns/op and B/op are per cycle — a sixth of each is
-// the per-request figure to hold against the contract run's
-// cpu_ms_per_req and alloc_kb_per_req.
+// serve.Service.Do, serial as the benchmark's workers run it, so ns/op and
+// B/op are per cycle — a sixth of each is the per-request figure to hold
+// against the contract run's cpu_ms_per_req and alloc_kb_per_req.
 func BenchmarkServeLadderMix(b *testing.B) {
-	cycle := []serve.Request{
+	benchServeCycle(b, []serve.Request{
 		{Kernel: "gemm", N: 128, VerifyMode: "fused"},
 		{Kernel: "cholesky", N: 128},
 		{Kernel: "gemm", N: 128, VerifyMode: "notified"},
 		{Kernel: "gemm", N: 128, VerifyMode: "fused"},
 		{Kernel: "cholesky", N: 128},
 		{Kernel: "cg", NX: 24, NY: 24},
-	}
+	})
+}
+
+// BenchmarkServeChaosMix is the worker half of cmd/abftbench's
+// chaos_vote_mix in process: one iteration serves the mix's eleven-request
+// cycle (two clean and one chip-failure notified n=64 GEMM, two clean and
+// one double-bit n=64 Cholesky, two clean and one faulted n=64 f32 GEMM, one
+// vote replica and one verify-vote primary) back to back through
+// serve.Service.Do, serial as the benchmark's workers run it. The vote
+// replica and the verify-vote primary are the requests a worker serves for
+// an election; the primary's packed answer goes back to the answer list as
+// the worker's handler hands it back once written. What the gateway adds
+// (the other ballots, the verify tasks, the decode of the answer) is not in
+// it, so B/op over eleven sits below the contract run's alloc_kb_per_req.
+func BenchmarkServeChaosMix(b *testing.B) {
+	benchServeCycle(b, []serve.Request{
+		{Kernel: "gemm", N: 64, VerifyMode: "notified"},
+		{Kernel: "cholesky", N: 64},
+		{Kernel: "gemm", N: 64, Dtype: "f32"},
+		{Kernel: "gemm", N: 64, VerifyMode: "fused", Integrity: "vote"},
+		{Kernel: "gemm", N: 64, VerifyMode: "notified", Faults: 1, FaultKind: "chip-failure"},
+		{Kernel: "cholesky", N: 64, Faults: 1, FaultKind: "double-bit"},
+		{Kernel: "gemm", N: 64, Dtype: "f32", Faults: 1},
+		{Kernel: "gemm", N: 64, VerifyMode: "notified"},
+		{Kernel: "cholesky", N: 64},
+		{Kernel: "gemm", N: 64, Dtype: "f32"},
+		{Kernel: "gemm", N: 64, VerifyMode: "fused", Integrity: "verify-vote"},
+	})
+}
+
+// benchServeCycle serves cycle back to back through one serve.Service.Do
+// per iteration at mat parallelism 1, seeds varying, and fails on any
+// outcome but corrected (or restarted, for a request that injects faults).
+// A packed answer is released, as the worker's handler releases it once
+// written.
+func benchServeCycle(b *testing.B, cycle []serve.Request) {
+	defer mat.SetParallelism(mat.SetParallelism(1)) // as the benchmark's workers run
 	svc := serve.New(serve.Config{QueueTimeout: time.Minute})
 	defer svc.Close()
 	seed := uint64(b.N) << 20
@@ -498,9 +534,10 @@ func BenchmarkServeLadderMix(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if resp.Outcome != "corrected" {
-				b.Fatalf("%s: outcome %q (%s), want corrected", req.Kernel, resp.Outcome, resp.Error)
+			if resp.Outcome != "corrected" && (req.Faults == 0 || resp.Outcome != "restarted") {
+				b.Fatalf("%+v: outcome %q (%s)", req, resp.Outcome, resp.Error)
 			}
+			resp.Answer.Release()
 		}
 	}
 }

@@ -14,36 +14,46 @@ go vet ./...
 go build ./...
 go test -race -short ./...
 
-# Allocation budgets: a warm n=128 fused GEMM request must stay under 64 KiB
-# of heap and a warm n=192 f32 request under 16 KiB (each takes its
-# operands, product, checksum vectors, checkpoint shadow and oracle
-# reference from a request-scoped arena over internal/mat's free lists); a
-# warm n=64 request, clean or faulted, under 8 and 10 KiB (its functional
-# node is recycled, not built); a warm 24x24 CG request under 8 KiB (its
+# Allocation budgets, the serve ones read with the kernels serial as the
+# benchmark's workers run them: a warm n=128 fused GEMM request must stay
+# under 512 B of heap and a warm n=192 f32 request under 4 KiB (each takes
+# its operands, product, checksum vectors, checkpoint shadow and oracle
+# reference from a request-scoped arena over internal/mat's free lists, and
+# its job from the service's job list); a warm n=64 request under 512 B
+# for a clean notified product, 1 KiB for a Cholesky factorization and 1 KiB
+# for a faulted product (its functional node is recycled, not built, and
+# keeps the ladder's object graph: Env, allocation records, kernel object,
+# coordinator and checkpointer); a warm 24x24 CG request under 768 B (its
 # stencil indices are on the arena); one request of each ladder_f64_mix kind
 # and an n=192 f32 one, replayed after two garbage collections, under 128
 # KiB for all five (the free lists keep buffers, panels and the node across
 # collections); a warm n=64 verify task under 16 n-vectors (its operands
 # are on a task-scoped arena, and it carries two projections, not the
 # product); 64 verify tasks shed from the queue under their own 16n-byte
-# payload each; a warm n=64 verify-vote request through the gateway and
-# three in-process nodes under 128 KiB (the gateway reads the product once;
-# verifiers never receive it); and a warm f32 n=16 request through the
-# gateway and one loopback worker under 10 KiB (the forward is one RoundTrip
-# on the gateway's own transport, not an http.Client exchange with its
-# redirect header copy, timer and gzip negotiation). The free lists' idle
-# bytes stay inside their budgets, a full budget evicts its coldest lists
-# to keep another's item, and steady-state GEMM over mixed sizes allocates
-# nothing. The race run above runs all of these but the two gateway
-# budgets, whose HTTP exchanges the detector inflates (the raceEnabled test
-# constant skips them); this tier reads them without the detector.
+# payload each; a worker's packed verify-vote product back on the answer
+# list once its handler returns, and concurrent verify-votes through the
+# gateway and three in-process nodes each delivering the right signature
+# while those buffers cycle (both TestAnswerBuffersRecycled); a warm n=64
+# verify-vote request through the gateway and three in-process nodes under
+# 48 KiB (the gateway reads the product once, verifiers never receive it,
+# and both copies of it travel in buffers of the answer list); and a warm
+# f32 n=16 request through the gateway and one loopback worker under 10 KiB
+# (the forward is one RoundTrip on the gateway's own transport, not an
+# http.Client exchange with its redirect header copy, timer and gzip
+# negotiation). The free lists' idle bytes stay inside their budgets, a full
+# budget evicts its coldest lists to keep another's item, and steady-state
+# GEMM over mixed sizes allocates nothing. The race run above runs all of
+# these but the two gateway budgets, whose HTTP exchanges the detector
+# inflates (the raceEnabled test constant skips them); this tier reads them
+# without the detector.
 go test -run 'TestFreeList|TestBufPoolClassRoundTrip|TestMulAddIntoSteadyStateZeroAllocs' -count=1 -v ./internal/mat/
-go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmCGAllocationBudget|TestWarmWorkerSurvivesGC|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct' -count=1 -v ./internal/serve/
-go test -run 'TestWarmVerifyVoteAllocationBudget|TestWarmForwardAllocationBudget' -count=1 -v ./internal/cluster/
+go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmCGAllocationBudget|TestWarmWorkerSurvivesGC|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct|TestAnswerBuffersRecycled' -count=1 -v ./internal/serve/
+go test -run 'TestWarmVerifyVoteAllocationBudget|TestWarmForwardAllocationBudget|TestAnswerBuffersRecycled' -count=1 -v ./internal/cluster/
 
-# Fuzz smoke: the nine native fuzz targets, five seconds each on top of
+# Fuzz smoke: the ten native fuzz targets, five seconds each on top of
 # their committed corpora (which the plain test runs above already replay).
-# The body decoder is held to the json.Decoder it replaced; the request to
+# The verify-vote answer's decoder is held to encoding/json's own []byte
+# decoding; the body decoder to the json.Decoder it replaced; the request to
 # typed refusals and, when accepted, sizes and grid areas inside the limits
 # (the area taken without overflow) and only the pairings admission allows;
 # the verify task
@@ -58,6 +68,7 @@ go test -run 'TestWarmVerifyVoteAllocationBudget|TestWarmForwardAllocationBudget
 # the SECDED and RS codecs to exact correction of one flipped bit or
 # symbol, detection of two bits or of 2 to nCheck-1 symbols, and, beyond
 # that, no panic and a valid codeword from every correction.
+go test -run '^$' -fuzz '^FuzzAnswerJSON$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseVerifyTask$' -fuzztime 5s ./internal/serve/

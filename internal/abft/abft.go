@@ -168,8 +168,14 @@ type Mat struct {
 
 // NewMat allocates an r×c matrix in the environment.
 func (e *Env) NewMat(name string, r, c int, abft bool) Mat {
+	return e.matIn(new(mat.Matrix), name, r, c, abft)
+}
+
+// matIn is NewMat over the header m, for a kernel that keeps its headers
+// across Resets.
+func (e *Env) matIn(m *mat.Matrix, name string, r, c int, abft bool) Mat {
 	return Mat{
-		Matrix: e.Arena.New(r, c),
+		Matrix: mat.InitIn(e.Arena, m, r, c),
 		Reg:    e.Alloc(name, r*c, abft),
 		mem:    e.Mem,
 	}

@@ -48,6 +48,7 @@ type CG struct {
 	rho   float64
 	bnorm float64
 	iter  int
+	xTrue mat.Matrix // the header of the known solution Reset draws
 }
 
 // CGOutcome reports a finished solve.
@@ -59,18 +60,29 @@ type CGOutcome struct {
 
 // NewCG builds a Poisson problem on an nx×ny grid with a known solution.
 func NewCG(env Env, nx, ny int, seed uint64) *CG {
+	c := new(CG)
+	c.Reset(env, nx, ny, seed)
+	return c
+}
+
+// Reset makes c the solver NewCG(env, nx, ny, seed) builds, over c's own
+// correction list: it is the constructor's body. Nothing from before the call may still be in use:
+// slices c handed out (Corrections, X, R, P) are overwritten by what
+// follows.
+func (c *CG) Reset(env Env, nx, ny int, seed uint64) {
 	aVal := env.NewVec("cg.A.val", mat.Poisson2DNNZ(nx, ny), false)
 	// Metered storage is the live storage, and the indices come from the
 	// arena like every other buffer of the run.
 	a := mat.Poisson2DInto(aVal.Data, env.Arena.Int32s(nx*ny+1), env.Arena.Int32s(len(aVal.Data)), nx, ny)
 	n := a.N
-	c := &CG{
+	*c = CG{
 		A:           a,
 		aVal:        aVal,
 		CheckPeriod: 8,
 		InvTol:      1e-6,
 		RelTol:      1e-10,
 		MaxIter:     20 * (nx + ny),
+		Corrections: c.Corrections[:0],
 		env:         env,
 	}
 	c.aCol = env.NewVec("cg.A.col", (a.NNZ()+1)/2, false)
@@ -82,13 +94,12 @@ func NewCG(env Env, nx, ny int, seed uint64) *CG {
 	c.z = env.NewVec("cg.z", n, true)
 	c.mdiag = env.NewVec("cg.M", n, true)
 
-	xTrue := env.Arena.New(1, n)
+	xTrue := mat.InitIn(env.Arena, &c.xTrue, 1, n)
 	mat.FillRandom(xTrue, seed)
 	a.MulVecInto(c.b.Data, xTrue.Data)
 	for i := range c.mdiag.Data {
 		c.mdiag.Data[i] = diagOf(a, i)
 	}
-	return c
 }
 
 // N returns the unknown count.

@@ -42,32 +42,48 @@ type Cholesky struct {
 	Ops         OpCounters
 	Corrections []Correction
 
+	// hdr holds the header of every matrix c hands the dense kernels, so
+	// that neither a run nor a Reset allocates one: A and W, the operand
+	// FillSPD builds A from, the blocks of the current step (a11, a21, a22
+	// and W's live rows), and CheckResult's copy of L and its product.
+	hdr struct{ a, w, spd, a11, a21, a22, wp, l, rec mat.Matrix }
+
 	env Env
 	k   int // current factorization offset
 }
 
 // NewCholesky builds a random SPD problem of size n.
 func NewCholesky(env Env, n int, seed uint64) *Cholesky {
-	c := &Cholesky{
+	c := new(Cholesky)
+	c.Reset(env, n, seed)
+	return c
+}
+
+// Reset makes c the kernel NewCholesky(env, n, seed) builds, over c's own
+// headers and correction list: it is the constructor's body. Nothing from
+// before the call may still be in use: slices c handed out (Corrections)
+// are overwritten by what follows.
+func (c *Cholesky) Reset(env Env, n int, seed uint64) {
+	*c = Cholesky{
 		N:           n,
 		Block:       32,
 		CheckPeriod: 1,
 		Tol:         1e-7 * float64(n) * float64(n),
+		Corrections: c.Corrections[:0],
 		env:         env,
 	}
 	if c.Block > n {
 		c.Block = n
 	}
-	c.A = env.NewMat("chol.A", n, n, true)
+	c.A = env.matIn(&c.hdr.a, "chol.A", n, n, true)
 	c.cs = env.NewVec("chol.cs", n, true)
 	c.cs2 = env.NewVec("chol.cs2", n, true)
 	c.lcs = env.NewVec("chol.lcs", n, true)
 	c.lcs2 = env.NewVec("chol.lcs2", n, true)
-	c.W = env.NewMat("chol.W", n, c.Block, false)
+	c.W = env.matIn(&c.hdr.w, "chol.W", n, c.Block, false)
 
-	mat.FillSPD(c.A.Matrix, env.Arena.New(n, n), seed)
+	mat.FillSPD(c.A.Matrix, mat.InitIn(env.Arena, &c.hdr.spd, n, n), seed)
 	c.initChecksums()
-	return c
 }
 
 // Checksums exposes the four checksum vectors — the trailing pair (cs, cs2)
@@ -109,8 +125,11 @@ func (c *Cholesky) ops(bucket *uint64, n int) {
 
 // L returns a copy of the factor (valid after Run); the strictly upper
 // triangle is zero.
-func (c *Cholesky) L() *mat.Matrix {
-	out := c.env.Arena.New(c.N, c.N)
+func (c *Cholesky) L() *mat.Matrix { return c.lInto(new(mat.Matrix)) }
+
+// lInto is L over the header out.
+func (c *Cholesky) lInto(out *mat.Matrix) *mat.Matrix {
+	mat.InitIn(c.env.Arena, out, c.N, c.N)
 	for i := 0; i < c.N; i++ {
 		copy(out.Row(i)[:i+1], c.A.Row(i))
 	}
@@ -152,7 +171,7 @@ func (c *Cholesky) RunFrom(startStep int) error {
 		c.k = k + b // cs/cs2 now cover the [k+b, n) trailing square
 
 		// 2. Factor the diagonal block.
-		a11 := c.A.View(k, k, b, b)
+		a11 := c.A.ViewInto(&c.hdr.a11, k, k, b, b)
 		if err := mat.Cholesky(a11); err != nil {
 			return err
 		}
@@ -161,7 +180,7 @@ func (c *Cholesky) RunFrom(startStep int) error {
 
 		if rest > 0 {
 			// 3. Panel solve A21 → L21.
-			a21 := c.A.View(k+b, k, rest, b)
+			a21 := c.A.ViewInto(&c.hdr.a21, k+b, k, rest, b)
 			mat.SolveXLT(a21, a11)
 			c.touchBlockFull(k+b, k, rest, b, true)
 			c.ops(&c.Ops.Compute, rest*b*b)
@@ -225,8 +244,8 @@ func (c *Cholesky) touchBlockFull(r0, c0, rows, cols int, write bool) {
 // the packed SYRK kernel, then reports the same per-row access pattern the
 // scalar loop produced so the simulated traffic is unchanged.
 func (c *Cholesky) trailingUpdate(t, rest, b int) {
-	a22 := c.A.View(t, t, rest, rest)
-	w := c.W.View(0, 0, rest, b)
+	a22 := c.A.ViewInto(&c.hdr.a22, t, t, rest, rest)
+	w := c.W.ViewInto(&c.hdr.wp, 0, 0, rest, b)
 	mat.SyrkLowerSub(a22, w)
 	for i := 0; i < rest; i++ {
 		c.W.TouchRow(i, 0, b, false)
@@ -555,8 +574,8 @@ func (c *Cholesky) repairChecksumAddr(addr uint64) {
 // over the lower triangle, and L's zeros above its diagonal bound each
 // product's k range.
 func (c *Cholesky) CheckResult(orig *mat.Matrix) error {
-	rec := c.env.Arena.New(c.N, c.N)
-	mat.SyrkLowerAdd(rec, c.L(), true)
+	rec := mat.InitIn(c.env.Arena, &c.hdr.rec, c.N, c.N)
+	mat.SyrkLowerAdd(rec, c.lInto(&c.hdr.l), true)
 	if !mat.EqualLower(rec, orig, c.Tol*10) {
 		return fmt.Errorf("abft: Cholesky L·Lᵀ differs from A")
 	}

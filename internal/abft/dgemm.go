@@ -53,6 +53,12 @@ type DGEMM struct {
 	fused   Vec
 	fs      mat.FusedSums
 
+	// hdr holds the header of every matrix d hands the packed kernel, so
+	// that neither a run nor a Reset allocates one: the three encodings, the
+	// n×n blocks of Ac, Br and Cf (a, b, c), the current k-panels of Ac and
+	// Br, and CheckResult's reference.
+	hdr struct{ ac, br, cf, a, b, c, acP, brP, ref mat.Matrix }
+
 	env Env
 }
 
@@ -79,26 +85,42 @@ const (
 
 // NewDGEMM builds the encoded operands for a random n×n problem.
 func NewDGEMM(env Env, n int, seed uint64) (*DGEMM, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("%w: DGEMM size %d too small", ErrBadSize, n)
+	d := new(DGEMM)
+	if err := d.Reset(env, n, seed); err != nil {
+		return nil, err
 	}
-	d := &DGEMM{
+	return d, nil
+}
+
+// Reset makes d the kernel NewDGEMM(env, n, seed) builds, over d's own
+// headers and correction lists: it is the constructor's body. Nothing from
+// before the call may still be in use: views and slices d handed out
+// (C, Corrections, Faults) are overwritten by what follows.
+func (d *DGEMM) Reset(env Env, n int, seed uint64) error {
+	if n < 2 {
+		return fmt.Errorf("%w: DGEMM size %d too small", ErrBadSize, n)
+	}
+	*d = DGEMM{
 		N:           n,
 		Block:       32,
 		CheckPeriod: 1,
 		Tol:         1e-9 * float64(n) * float64(n),
+		Corrections: d.Corrections[:0],
+		Faults:      d.Faults[:0],
 		env:         env,
 	}
-	d.Ac = env.NewMat("dgemm.Ac", n+1, n, true)
-	d.Br = env.NewMat("dgemm.Br", n, n+1, true)
-	d.Cf = env.NewMat("dgemm.Cf", n+1, n+1, true)
+	h := &d.hdr
+	d.Ac = env.matIn(&h.ac, "dgemm.Ac", n+1, n, true)
+	d.Br = env.matIn(&h.br, "dgemm.Br", n, n+1, true)
+	d.Cf = env.matIn(&h.cf, "dgemm.Cf", n+1, n+1, true)
 	d.scratch = env.NewVec("dgemm.scratch", 2*(n+1), false)
 
 	// The operands are generated in place: A and B are the mat.Random
 	// streams of seed and seed+1, and the checksum row and column sum them
 	// in ascending index order.
-	a := d.Ac.View(0, 0, n, n)
-	b := d.Br.View(0, 0, n, n)
+	a := d.Ac.ViewInto(&h.a, 0, 0, n, n)
+	b := d.Br.ViewInto(&h.b, 0, 0, n, n)
+	d.Cf.ViewInto(&h.c, 0, 0, n, n)
 	mat.FillRandom(a, seed)
 	mat.FillRandom(b, seed+1)
 	csum := d.Ac.Row(n) // eᵀA, zero from NewMat
@@ -108,11 +130,11 @@ func NewDGEMM(env Env, n int, seed uint64) (*DGEMM, error) {
 			csum[j] += v
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // C returns the result block of Cf (valid after Run).
-func (d *DGEMM) C() *mat.Matrix { return d.Cf.View(0, 0, d.N, d.N) }
+func (d *DGEMM) C() *mat.Matrix { return &d.hdr.c }
 
 func (d *DGEMM) ops(bucket *uint64, n int) {
 	*bucket += uint64(n)
@@ -157,7 +179,7 @@ func (d *DGEMM) RunFrom(startPanel int) error {
 			}
 		} else {
 			mat.MulAddInto(d.Cf.Matrix,
-				d.Ac.View(0, kk, n+1, kMax-kk), d.Br.View(kk, 0, kMax-kk, n+1))
+				d.Ac.ViewInto(&d.hdr.acP, 0, kk, n+1, kMax-kk), d.Br.ViewInto(&d.hdr.brP, kk, 0, kMax-kk, n+1))
 		}
 		d.accountPanel(kk, kMax)
 		if err := d.maybeVerify(panel + 1); err != nil {
@@ -227,7 +249,7 @@ func (d *DGEMM) runPanelFused(panel, kk, kMax int) error {
 	bsum := d.fused.Data[2*(n+1)+kb : 2*(n+1)+2*kb]
 	d.fs = mat.FusedSums{RowSums: rs, ColSums: cs, ASums: asum, BSums: bsum}
 	mat.MulAddIntoFused(d.Cf.Matrix,
-		d.Ac.View(0, kk, n+1, kb), d.Br.View(kk, 0, kb, n+1), &d.fs)
+		d.Ac.ViewInto(&d.hdr.acP, 0, kk, n+1, kb), d.Br.ViewInto(&d.hdr.brP, kk, 0, kb, n+1), &d.fs)
 	return d.verifyFused(panel, kk, kb, rs, cs, asum, bsum)
 }
 
@@ -483,8 +505,8 @@ func (d *DGEMM) verifyNotified() error {
 // reference (O(n³)).
 func (d *DGEMM) CheckResult() error {
 	n := d.N
-	ref := d.env.Arena.New(n, n)
-	mat.MulAddInto(ref, d.Ac.View(0, 0, n, n), d.Br.View(0, 0, n, n))
+	ref := mat.InitIn(d.env.Arena, &d.hdr.ref, n, n)
+	mat.MulAddInto(ref, &d.hdr.a, &d.hdr.b)
 	if !mat.Equal(d.C(), ref, d.Tol) {
 		return fmt.Errorf("abft: DGEMM result differs from reference")
 	}

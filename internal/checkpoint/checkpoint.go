@@ -60,6 +60,7 @@ type Checkpointer struct {
 	storage trace.Region
 	targets []target
 	saved   [][]float64
+	stored  bool // storage and saved are allocated
 	step    int
 	have    bool
 	stats   Stats
@@ -69,7 +70,19 @@ type Checkpointer struct {
 // allocator (use the kernel Env's fields; both may come from
 // abft.Standalone for unmetered runs).
 func New(mem *trace.Memory, alloc Alloc) *Checkpointer {
-	return &Checkpointer{mem: mem, alloc: alloc}
+	c := new(Checkpointer)
+	c.Reset(mem, alloc)
+	return c
+}
+
+// Reset makes c the checkpointer New(mem, alloc) builds, over the target
+// and shadow lists c grew: it is the constructor's body. Nothing from before
+// the call may still be in use; the shadow copies are forgotten, not
+// released (they were the old Arena's).
+func (c *Checkpointer) Reset(mem *trace.Memory, alloc Alloc) {
+	clear(c.targets)
+	clear(c.saved)
+	*c = Checkpointer{mem: mem, alloc: alloc, targets: c.targets[:0], saved: c.saved[:0]}
 }
 
 // Register adds application state to the checkpoint set. reg is the state's
@@ -86,13 +99,13 @@ func (c *Checkpointer) Register(name string, data []float64, reg trace.Region) {
 // ensureStorage allocates stable storage and the shadow copies once, sized
 // to the state.
 func (c *Checkpointer) ensureStorage() {
-	if c.saved != nil {
+	if c.stored {
 		return
 	}
+	c.stored = true
 	total := 0
-	c.saved = make([][]float64, len(c.targets))
-	for i, t := range c.targets {
-		c.saved[i] = c.Arena.Floats(len(t.data))
+	for _, t := range c.targets {
+		c.saved = append(c.saved, c.Arena.Floats(len(t.data)))
 		total += len(t.data)
 	}
 	if c.alloc != nil {

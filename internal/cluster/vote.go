@@ -275,6 +275,7 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 	// refuses NaN or ±Inf, which an honest product never projects to. The
 	// task is encoded once, for every verifier; a refusal here asks none.
 	sig, ce, cr, err := abft.ProbeBlock(resp.Answer, p.N, mat.RandomVec(p.N, probeSeed))
+	resp.Answer.Release() // the probe was its last reader
 	tbuf := serve.GetBody()
 	defer serve.PutBody(tbuf)
 	switch {
@@ -316,7 +317,6 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 		g.suspect(nd, now)
 	}
 	g.m.VerifyVoteCheapHits.Add(int64(approvals - 1))
-	resp.Answer = nil
 	resp.VoteAgree = approvals
 	g.delivered(resp.Outcome)
 	return resp, nil

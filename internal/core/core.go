@@ -140,6 +140,41 @@ type Runtime struct {
 	// abft.Env.Arena); whoever set it releases it once nothing reads the
 	// run's data any more. Nil allocates from the heap.
 	Arena *mat.Arena
+
+	// env is Env's closures, built once per node.
+	env abft.Env
+	// kept holds the node's kernel objects across Resets: the first kernel
+	// of each served kind (FT-DGEMM, FT-Cholesky, FT-CG) built in a life is
+	// the kept one, re-initialised in place by its Reset; a second one in
+	// the same life is built fresh and not kept. taken marks the kinds this
+	// life has handed out.
+	kept struct {
+		dgemm *abft.DGEMM
+		chol  *abft.Cholesky
+		cg    *abft.CG
+		taken [3]bool
+	}
+}
+
+// Indices of the kept kernel kinds in Runtime.kept.taken.
+const (
+	keptDGEMM = iota
+	keptCholesky
+	keptCG
+)
+
+// keep returns the object of kind k this life's kernel is built over: the
+// kept one (made on the node's first) for the life's first of its kind, a
+// fresh one after that.
+func keep[T any](rt *Runtime, slot **T, k int) *T {
+	if rt.kept.taken[k] {
+		return new(T)
+	}
+	rt.kept.taken[k] = true
+	if *slot == nil {
+		*slot = new(T)
+	}
+	return *slot
 }
 
 // NewRuntime builds a timed node configured for the strategy.
@@ -160,36 +195,8 @@ func NewFunctionalRuntime(cfg machine.Config, s Strategy, seed int64) *Runtime {
 func newRuntime(m *machine.Machine, s Strategy, seed int64) *Runtime {
 	rt := &Runtime{M: m, Injector: bifit.New(m.OS, seed)}
 	rt.Injector.InstallRepairHandler(m.Ctl)
-	rt.init(s)
-	return rt
-}
-
-// init is the one body behind the constructors and Reset: the node and its
-// injector carried over, everything else (the arena too) at its initial
-// value.
-func (rt *Runtime) init(s Strategy) {
-	*rt = Runtime{Strategy: s, M: rt.M, Injector: rt.Injector}
-}
-
-// Reset returns a functional runtime to the state NewFunctionalRuntime(cfg,
-// s, seed) built it in, for the cfg it was built with, over the storage its
-// node has grown: machine.Machine.Reset and bifit.Injector.Reset composed.
-// Nothing from before the call may still be in use: kernels, workloads and
-// coordinators built on the runtime are dead, and the arena is forgotten,
-// not released.
-func (rt *Runtime) Reset(s Strategy, seed int64) {
-	rt.M.Reset(s.DefaultScheme())
-	rt.Injector.Reset(seed)
-	rt.init(s)
-}
-
-// Env returns the kernel environment implementing the §3.2 coordination:
-// ABFT allocations go through malloc_ecc with the relaxed scheme, the
-// notifier drains the OS's shared corruption list, and ABFT repairs clear
-// residual fault state.
-func (rt *Runtime) Env() abft.Env {
-	return abft.Env{
-		Mem:   rt.M.Memory(),
+	rt.env = abft.Env{
+		Mem:   m.Memory(),
 		Alloc: rt.alloc,
 		Notify: func() []abft.Notification {
 			pend := rt.M.OS.PendingCorruptions()
@@ -203,8 +210,41 @@ func (rt *Runtime) Env() abft.Env {
 			// ABFT rewrote the data: drop the line's residual pattern.
 			_ = rt.M.OS.ClearFaultAt(addr)
 		},
-		Arena: rt.Arena,
 	}
+	rt.init(s)
+	return rt
+}
+
+// init is the one body behind the constructors and Reset: the node, its
+// injector, its Env closures and its kept kernel objects carried over (each
+// kind free to be handed out again), everything else (the arena too) at its
+// initial value.
+func (rt *Runtime) init(s Strategy) {
+	*rt = Runtime{Strategy: s, M: rt.M, Injector: rt.Injector, env: rt.env, kept: rt.kept}
+	rt.kept.taken = [3]bool{}
+}
+
+// Reset returns a functional runtime to the state NewFunctionalRuntime(cfg,
+// s, seed) built it in, for the cfg it was built with, over the storage its
+// node has grown: machine.Machine.Reset and bifit.Injector.Reset composed.
+// Nothing from before the call may still be in use: kernels, workloads and
+// coordinators built on the runtime are dead (the next life rebuilds its
+// kernels over the same objects), and the arena is forgotten, not released.
+func (rt *Runtime) Reset(s Strategy, seed int64) {
+	rt.M.Reset(s.DefaultScheme())
+	rt.Injector.Reset(seed)
+	rt.init(s)
+}
+
+// Env returns the kernel environment implementing the §3.2 coordination:
+// ABFT allocations go through malloc_ecc with the relaxed scheme, the
+// notifier drains the OS's shared corruption list, and ABFT repairs clear
+// residual fault state. Its closures are built once per node; Arena is the
+// runtime's at the time of the call.
+func (rt *Runtime) Env() abft.Env {
+	env := rt.env
+	env.Arena = rt.Arena
+	return env
 }
 
 func (rt *Runtime) alloc(name string, n int, abftProtected bool) trace.Region {
@@ -227,8 +267,8 @@ func (rt *Runtime) RegisterTarget(data []float64, reg trace.Region) {
 
 // NewDGEMM builds an FT-DGEMM wired to this runtime (targets registered).
 func (rt *Runtime) NewDGEMM(n int, seed uint64) (*abft.DGEMM, error) {
-	d, err := abft.NewDGEMM(rt.Env(), n, seed)
-	if err != nil {
+	d := keep(rt, &rt.kept.dgemm, keptDGEMM)
+	if err := d.Reset(rt.Env(), n, seed); err != nil {
 		return nil, err
 	}
 	rt.RegisterTarget(d.Ac.Data, d.Ac.Reg)
@@ -239,14 +279,16 @@ func (rt *Runtime) NewDGEMM(n int, seed uint64) (*abft.DGEMM, error) {
 
 // NewCholesky builds an FT-Cholesky wired to this runtime.
 func (rt *Runtime) NewCholesky(n int, seed uint64) *abft.Cholesky {
-	c := abft.NewCholesky(rt.Env(), n, seed)
+	c := keep(rt, &rt.kept.chol, keptCholesky)
+	c.Reset(rt.Env(), n, seed)
 	rt.RegisterTarget(c.A.Data, c.A.Reg)
 	return c
 }
 
 // NewCG builds an FT-CG wired to this runtime.
 func (rt *Runtime) NewCG(nx, ny int, seed uint64) *abft.CG {
-	c := abft.NewCG(rt.Env(), nx, ny, seed)
+	c := keep(rt, &rt.kept.cg, keptCG)
+	c.Reset(rt.Env(), nx, ny, seed)
 	for _, name := range []string{"r", "p", "q", "x", "b", "z"} {
 		if v, ok := c.VecFor(name); ok {
 			rt.RegisterTarget(v.Data, v.Reg)

@@ -50,11 +50,17 @@ func handOut[T poolElem](a *Arena, n int) []T {
 }
 
 // NewIn returns a zeroed r×c matrix of T over storage from a.
-func NewIn[T Float](a *Arena, r, c int) *Dense[T] {
+func NewIn[T Float](a *Arena, r, c int) *Dense[T] { return InitIn(a, new(Dense[T]), r, c) }
+
+// InitIn is NewIn over the header m: it points m at a zeroed r×c matrix of
+// storage from a and returns it. Whatever m pointed at before is left as it
+// was.
+func InitIn[T Float](a *Arena, m *Dense[T], r, c int) *Dense[T] {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("mat: negative dimension %dx%d", r, c))
 	}
-	return &Dense[T]{Rows: r, Cols: c, Stride: c, Data: FloatsIn[T](a, r*c)}
+	*m = Dense[T]{Rows: r, Cols: c, Stride: c, Data: FloatsIn[T](a, r*c)}
+	return m
 }
 
 // Floats returns a zeroed length-n float64 slice.

@@ -75,16 +75,21 @@ func (m *Dense[T]) Add(i, j int, v T) { m.Data[i*m.Stride+j] += v }
 func (m *Dense[T]) Row(i int) []T { return m.Data[i*m.Stride : i*m.Stride+m.Cols] }
 
 // View returns an r×c submatrix starting at (i, j) sharing storage with m.
-func (m *Dense[T]) View(i, j, r, c int) *Dense[T] {
+func (m *Dense[T]) View(i, j, r, c int) *Dense[T] { return m.ViewInto(new(Dense[T]), i, j, r, c) }
+
+// ViewInto is View over the header v: it points v at the r×c submatrix of m
+// starting at (i, j) and returns v, so a caller that keeps its headers takes
+// views without allocating.
+func (m *Dense[T]) ViewInto(v *Dense[T], i, j, r, c int) *Dense[T] {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(fmt.Sprintf("mat: View(%d,%d,%d,%d) out of bounds for %dx%d", i, j, r, c, m.Rows, m.Cols))
 	}
-	if r == 0 || c == 0 {
-		return &Dense[T]{Rows: r, Cols: c, Stride: m.Stride}
+	var data []T
+	if r > 0 && c > 0 {
+		data = m.Data[i*m.Stride+j : (i+r-1)*m.Stride+j+c]
 	}
-	off := i*m.Stride + j
-	end := (i+r-1)*m.Stride + j + c
-	return &Dense[T]{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[off:end]}
+	*v = Dense[T]{Rows: r, Cols: c, Stride: m.Stride, Data: data}
+	return v
 }
 
 // Clone returns a deep copy of m with a compact stride.

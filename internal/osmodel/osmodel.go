@@ -108,17 +108,18 @@ func New(ctl *memctrl.Controller) *OS {
 // panicked, nothing retired, zero counters, the default retirement
 // threshold. It is the constructor's own body; what it carries over is
 // wiring (Ctl, Space, OnRemap) and the emptied maps and slices, so a field
-// added to OS is fresh after a Reset unless it is named here. The controller
-// is the caller's to reset, as it was the caller's to build. Slices handed
-// out earlier (PeekCorruptions, PanicRecords, Retirements, RetiredFrames)
-// are overwritten by what follows.
+// added to OS is fresh after a Reset unless it is named here. The emptied
+// allocation list keeps its records in its spare capacity, and the next
+// life's allocations are written over them (see record). The controller is
+// the caller's to reset, as it was the caller's to build. Allocations and
+// slices handed out earlier (Malloc, MallocECC, PeekCorruptions,
+// PanicRecords, Retirements, RetiredFrames) are overwritten by what follows.
 func (o *OS) Reset() {
 	o.Space.Reset()
 	clear(o.pageToFrm)
 	clear(o.frmToPage)
 	clear(o.regRefs)
 	clear(o.frameErrs)
-	clear(o.allocs)
 	clear(o.pending)
 	*o = OS{
 		Ctl:       o.Ctl,
@@ -168,7 +169,8 @@ func (o *OS) alloc(name string, size uint64, scheme ecc.Scheme, abft, programMC 
 	o.nextFrame += pages
 	o.stats.PagesAllocated += pages
 
-	a := &Allocation{Name: name, Region: region, Scheme: scheme, regIdx: -1}
+	a := o.record()
+	*a = Allocation{Name: name, Region: region, Scheme: scheme, regIdx: -1, extraRegs: a.extraRegs[:0]}
 	if programMC {
 		physStart := physBase + baseFrame*PageSize
 		// Merge with an adjacent same-scheme region when possible, so
@@ -193,6 +195,17 @@ func (o *OS) alloc(name string, size uint64, scheme ecc.Scheme, abft, programMC 
 	}
 	o.allocs = append(o.allocs, a)
 	return a
+}
+
+// record returns the record for the allocation appended next: the one an
+// earlier life left in the list's spare capacity, or a new one.
+func (o *OS) record() *Allocation {
+	if n := len(o.allocs); n < cap(o.allocs) {
+		if a := o.allocs[:n+1][n]; a != nil {
+			return a
+		}
+	}
+	return new(Allocation)
 }
 
 // FreeECC implements free_ecc: releases the MC ECC register. (The simulated

@@ -170,11 +170,25 @@ type Coordinator struct {
 	// EventEscalation, EventCheckpoint) as they happen.
 	OnEvent func(kind string, step int, detail string)
 
+	// ck and hook (c.onStep as a func value) are built by the first Run and
+	// kept by Reuse; ck is reset at the top of every Run.
 	ck          *checkpoint.Checkpointer
+	hook        func(step int)
 	tick        int
 	lastStep    int
 	seenDropped uint64
 	rep         Report
+}
+
+// Reuse makes c the coordinator next describes, over what c's earlier runs
+// built (its checkpointer and step hook), and returns c: a node that keeps
+// one coordinator drives every run on it without rebuilding either. Nothing
+// from c's earlier runs may still be in use.
+func (c *Coordinator) Reuse(next Coordinator) *Coordinator {
+	ck, hook := c.ck, c.hook
+	*c = next
+	c.ck, c.hook = ck, hook
+	return c
 }
 
 // Run executes the workload under the escalation ladder and always returns
@@ -188,13 +202,20 @@ func (c *Coordinator) Run() Report {
 		c.MaxRestarts = 3
 	}
 	env := c.RT.Env()
-	c.ck = checkpoint.New(env.Mem, env.Alloc)
+	if c.ck == nil {
+		c.ck = checkpoint.New(env.Mem, env.Alloc)
+	} else {
+		c.ck.Reset(env.Mem, env.Alloc)
+	}
 	c.ck.MaxRestarts = c.MaxRestarts
 	c.ck.Arena = env.Arena
 	for _, s := range c.W.CheckpointSet() {
 		c.ck.Register(s.Name, s.Data, s.Reg)
 	}
-	c.W.SetHook(c.onStep)
+	if c.hook == nil {
+		c.hook = c.onStep
+	}
+	c.W.SetHook(c.hook)
 
 	step := 0
 	if c.Resume != nil {

@@ -66,7 +66,8 @@ type Answerer interface {
 // ---- FT-DGEMM ----
 
 type dgemmWork struct {
-	d *abft.DGEMM
+	d      *abft.DGEMM
+	states [1]State // CheckpointSet's, built once
 }
 
 // NewDGEMMWorkload builds an FT-DGEMM workload in the given verify mode
@@ -81,7 +82,9 @@ func NewDGEMMWorkload(rt *core.Runtime, n int, seed uint64, mode abft.VerifyMode
 	}
 	d.Mode = mode
 	d.Block = 16
-	return &dgemmWork{d: d}, nil
+	// Cf is the only mutated state; Ac/Br are read-only inputs and stay
+	// pristine because injections target the result encoding.
+	return &dgemmWork{d: d, states: [1]State{{Name: "dgemm.Cf", Data: d.Cf.Data, Reg: d.Cf.Reg}}}, nil
 }
 
 func (w *dgemmWork) Name() string              { return "dgemm" }
@@ -90,11 +93,7 @@ func (w *dgemmWork) SetHook(fn func(step int)) { w.d.OnPanel = fn }
 func (w *dgemmWork) RunFrom(step int) error    { return w.d.RunFrom(step) }
 func (w *dgemmWork) Corrections() int          { return len(w.d.Corrections) }
 
-func (w *dgemmWork) CheckpointSet() []State {
-	// Cf is the only mutated state; Ac/Br are read-only inputs and stay
-	// pristine because injections target the result encoding.
-	return []State{{Name: "dgemm.Cf", Data: w.d.Cf.Data, Reg: w.d.Cf.Reg}}
-}
+func (w *dgemmWork) CheckpointSet() []State { return w.states[:] }
 
 func (w *dgemmWork) InjectTargets() []InjectTarget {
 	return []InjectTarget{
@@ -120,8 +119,9 @@ func (w *dgemmWork) AnswerData() [][]float64 {
 // ---- FT-Cholesky ----
 
 type cholWork struct {
-	c    *abft.Cholesky
-	orig *mat.Matrix
+	c      *abft.Cholesky
+	orig   mat.Matrix
+	states [5]State // CheckpointSet's, built once
 }
 
 // NewCholeskyWorkload builds an FT-Cholesky workload in notified mode. Its
@@ -138,9 +138,15 @@ func NewCholeskyWorkload(rt *core.Runtime, n int, seed uint64) (Workload, error)
 	for _, v := range []abft.Vec{cs, cs2, lcs, lcs2} {
 		rt.RegisterTarget(v.Data, v.Reg)
 	}
-	orig := rt.Arena.New(n, n)
-	orig.CopyFrom(c.A.Matrix)
-	return &cholWork{c: c, orig: orig}, nil
+	w := &cholWork{c: c, states: [5]State{
+		{Name: "chol.A", Data: c.A.Data, Reg: c.A.Reg},
+		{Name: "chol.cs", Data: cs.Data, Reg: cs.Reg},
+		{Name: "chol.cs2", Data: cs2.Data, Reg: cs2.Reg},
+		{Name: "chol.lcs", Data: lcs.Data, Reg: lcs.Reg},
+		{Name: "chol.lcs2", Data: lcs2.Data, Reg: lcs2.Reg},
+	}}
+	mat.InitIn(rt.Arena, &w.orig, n, n).CopyFrom(c.A.Matrix)
+	return w, nil
 }
 
 func (w *cholWork) Name() string              { return "cholesky" }
@@ -149,16 +155,7 @@ func (w *cholWork) SetHook(fn func(step int)) { w.c.OnPanel = fn }
 func (w *cholWork) RunFrom(step int) error    { return w.c.RunFrom(step) }
 func (w *cholWork) Corrections() int          { return len(w.c.Corrections) }
 
-func (w *cholWork) CheckpointSet() []State {
-	cs, cs2, lcs, lcs2 := w.c.Checksums()
-	return []State{
-		{Name: "chol.A", Data: w.c.A.Data, Reg: w.c.A.Reg},
-		{Name: "chol.cs", Data: cs.Data, Reg: cs.Reg},
-		{Name: "chol.cs2", Data: cs2.Data, Reg: cs2.Reg},
-		{Name: "chol.lcs", Data: lcs.Data, Reg: lcs.Reg},
-		{Name: "chol.lcs2", Data: lcs2.Data, Reg: lcs2.Reg},
-	}
-}
+func (w *cholWork) CheckpointSet() []State { return w.states[:] }
 
 func (w *cholWork) InjectTargets() []InjectTarget {
 	cs, cs2, _, _ := w.c.Checksums()
@@ -172,7 +169,7 @@ func (w *cholWork) InjectTargets() []InjectTarget {
 
 func (w *cholWork) DrainNotified() error { return w.c.VerifyNotified() }
 func (w *cholWork) FullVerify() error    { return w.c.VerifyL(w.c.N) }
-func (w *cholWork) Check() error         { return w.c.CheckResult(w.orig) }
+func (w *cholWork) Check() error         { return w.c.CheckResult(&w.orig) }
 
 // AnswerData is the factor L's rows — the user-visible answer of a
 // Cholesky request.
@@ -188,9 +185,10 @@ func (w *cholWork) AnswerData() [][]float64 {
 // ---- FT-CG ----
 
 type cgWork struct {
-	c    *abft.CG
-	b0   []float64
-	last abft.CGOutcome
+	c      *abft.CG
+	b0     []float64
+	last   abft.CGOutcome
+	states [2]State // CheckpointSet's, built once
 }
 
 // NewCGWorkload builds an FT-CG workload in notified mode. CG's restart is
@@ -204,7 +202,11 @@ func NewCGWorkload(rt *core.Runtime, nx, ny int, seed uint64) (Workload, error) 
 	b, _ := c.VecFor("b")
 	b0 := rt.Arena.Floats(len(b.Data))
 	copy(b0, b.Data)
-	return &cgWork{c: c, b0: b0}, nil
+	x, _ := c.VecFor("x")
+	return &cgWork{c: c, b0: b0, states: [2]State{
+		{Name: "cg.x", Data: x.Data, Reg: x.Reg},
+		{Name: "cg.b", Data: b.Data, Reg: b.Reg},
+	}}, nil
 }
 
 func (w *cgWork) Name() string              { return "cg" }
@@ -232,14 +234,7 @@ func (w *cgWork) Solve() abft.CGOutcome { return w.last }
 // AnswerData is the solution vector x as a single chunk.
 func (w *cgWork) AnswerData() [][]float64 { return [][]float64{w.c.X()} }
 
-func (w *cgWork) CheckpointSet() []State {
-	x, _ := w.c.VecFor("x")
-	b, _ := w.c.VecFor("b")
-	return []State{
-		{Name: "cg.x", Data: x.Data, Reg: x.Reg},
-		{Name: "cg.b", Data: b.Data, Reg: b.Reg},
-	}
-}
+func (w *cgWork) CheckpointSet() []State { return w.states[:] }
 
 func (w *cgWork) InjectTargets() []InjectTarget {
 	out := make([]InjectTarget, 0, 6)

@@ -40,7 +40,8 @@ func NewHandler(s *Service) http.Handler {
 // decode the body (an empty one is the all-defaults request; one with
 // anything but whitespace after its JSON value is a 400), force the kernel
 // from the route when kernel is set, run the request through do, and answer
-// with status or the error through WriteResult.
+// with status or the error through WriteResult. A Response's packed answer
+// goes back to the answer list once it is written.
 func HandleRequest[R any](kernel string, status int, do func(context.Context, Request) (R, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Request
@@ -53,6 +54,9 @@ func HandleRequest[R any](kernel string, status int, do func(context.Context, Re
 		}
 		res, err := do(r.Context(), req)
 		WriteResult(w, status, res, err)
+		if resp, ok := any(&res).(*Response); ok {
+			resp.Answer.Release()
+		}
 	}
 }
 

@@ -454,9 +454,13 @@ func TestF32CancelOnRestartKeepsCorrections(t *testing.T) {
 }
 
 // warmAllocation serves req (seeds varying) on an idle service until the
-// free lists are full and returns the heap bytes one further request allocates.
+// free lists are full and returns the heap bytes one further request
+// allocates. The kernels run serially, as cmd/abftbench's workers run them
+// (Parallelism 1): above that, every parallel kernel call adds its band
+// goroutines, and the reading would depend on the host's core count.
 func warmAllocation(t *testing.T, req Request) uint64 {
 	t.Helper()
+	defer mat.SetParallelism(mat.SetParallelism(1))
 	s := newTestService(t, Config{MaxConcurrency: 1, QueueDepth: 4, QueueTimeout: time.Minute})
 	ctx := context.Background()
 	serve := func(n int) {
@@ -495,63 +499,82 @@ func warmBytesPerCall(f func()) uint64 {
 // TestWarmGEMMAllocationBudget: a warm n=128 fused GEMM request used to
 // allocate 1.16 MB (three encoded matrices, two throw-away operands, a
 // checkpoint shadow and the oracle's reference); with the arena what is
-// left was the per-request machine model and bookkeeping, about 40 KiB, and
-// with the node recycled too, bookkeeping alone, about 11 KB. The
-// budget fails long before an n²-sized buffer (128 KiB) could hide in it.
+// left was the per-request machine model and bookkeeping, about 40 KiB, with
+// the node recycled too, bookkeeping alone, about 11 KB, and with the node
+// keeping its kernel objects, coordinator and checkpointer and the job
+// recycled, about 0.2 KB: the workload. The budget (512 B) fails before
+// the coordinator and checkpointer (0.6 KB) or the kernel object (1.1 KB)
+// could be rebuilt per request again.
 func TestWarmGEMMAllocationBudget(t *testing.T) {
 	per := warmAllocation(t, Request{Kernel: "gemm", N: 128, VerifyMode: "fused"})
 	t.Logf("warm n=128 fused gemm request: %d B allocated", per)
-	if per >= 64<<10 {
-		t.Errorf("warm n=128 fused gemm request allocates %d B, budget is 64 KiB", per)
+	if per >= 512 {
+		t.Errorf("warm n=128 fused gemm request allocates %d B, budget is 512 B", per)
 	}
 }
 
 // TestWarmGEMM32AllocationBudget: a warm n=192 f32 request used to allocate
 // 504 KB (A, B and C at 144 KiB each, eight n-sized float64 vectors); with
-// the arena what is left is bookkeeping, about 6 KB. The budget fails long
+// the arena what is left is bookkeeping, about 6 KB, and with the job
+// recycled and the kernel serial about 1.3 KB. The budget (4 KiB) fails long
 // before one n² float32 buffer (144 KiB) could hide in it.
 func TestWarmGEMM32AllocationBudget(t *testing.T) {
 	per := warmAllocation(t, Request{Kernel: "gemm", N: 192, Dtype: "f32"})
 	t.Logf("warm n=192 f32 gemm request: %d B allocated", per)
-	if per >= 16<<10 {
-		t.Errorf("warm n=192 f32 gemm request allocates %d B, budget is 16 KiB", per)
+	if per >= 4<<10 {
+		t.Errorf("warm n=192 f32 gemm request allocates %d B, budget is 4 KiB", per)
 	}
 }
 
 // TestWarmLadderAllocationBudget: a functional node used to be built per
 // request, and a warm n=64 product allocated 20 KB clean (page maps,
 // allocations, a DRAM bank table nobody reads) and 131 KB once a fault armed
-// the hierarchy (its line arrays, 102 KiB). A recycled node costs none of
-// that: what a warm request still allocates is its kernels' bookkeeping, the
-// checkpoint's and the response's, about 6 KB, and a faulted one adds the
-// injection plan and a fault-table entry. The clean budget (8 KiB) is below
-// what the node alone used to cost a clean request (14 KB), the faulted one
-// (10 KiB) a tenth of the line arrays.
+// the hierarchy (its line arrays, 102 KiB). A recycled node cost none of
+// that, and what a warm request still allocated was the ladder's object
+// graph: the kernel object, its views and matrix headers, the OS's
+// allocation records, the Env closures, the coordinator and the
+// checkpointer, 3.5 KB for a notified product and 5.0 KB for a Cholesky
+// factorization, plus the job (0.6 KB). The node keeps that graph and the
+// job is recycled: a clean product allocates about 0.2 KB (its workload), a
+// Cholesky factorization 0.6 KB (its workload carries the checkpoint set and
+// the reference header), and a faulted product adds the injection plan, the
+// inject target list and a fault-table entry, about 0.6 KB. Each budget
+// (512 B, 1 KiB and 1 KiB, two to three times the reading) fails before the
+// coordinator and the checkpointer (0.6 KB) or the kernel object (1.1 KB)
+// could be rebuilt per request again, and far before the node.
 func TestWarmLadderAllocationBudget(t *testing.T) {
-	clean := warmAllocation(t, Request{Kernel: "gemm", N: 64})
-	t.Logf("warm clean n=64 gemm request: %d B allocated", clean)
-	if clean >= 8<<10 {
-		t.Errorf("warm clean n=64 gemm request allocates %d B, budget is 8 KiB", clean)
-	}
-	// One single-bit flip under chipkill: armed hierarchy, hardware
-	// correction, outcome corrected whatever the seed.
-	faulted := warmAllocation(t, Request{Kernel: "gemm", N: 64, Strategy: "W_CK", Faults: 1, FaultKind: "single-bit"})
-	t.Logf("warm faulted n=64 gemm request: %d B allocated", faulted)
-	if faulted >= 10<<10 {
-		t.Errorf("warm faulted n=64 gemm request allocates %d B, budget is 10 KiB", faulted)
+	for _, c := range []struct {
+		name   string
+		req    Request
+		budget uint64
+	}{
+		{"clean n=64 notified gemm", Request{Kernel: "gemm", N: 64, VerifyMode: "notified"}, 512},
+		{"clean n=64 cholesky", Request{Kernel: "cholesky", N: 64}, 1 << 10},
+		// One single-bit flip under chipkill: armed hierarchy, hardware
+		// correction, outcome corrected whatever the seed.
+		{"faulted n=64 gemm", Request{Kernel: "gemm", N: 64, Strategy: "W_CK", Faults: 1, FaultKind: "single-bit"}, 1 << 10},
+	} {
+		per := warmAllocation(t, c.req)
+		t.Logf("warm %s request: %d B allocated", c.name, per)
+		if per >= c.budget {
+			t.Errorf("warm %s request allocates %d B, budget is %d B", c.name, per, c.budget)
+		}
 	}
 }
 
 // TestWarmCGAllocationBudget: a warm 24×24 CG request (ladder_f64_mix's)
 // used to allocate about 20 KB, two thirds of it the stencil's row pointers
 // and column indices (13.4 KB), built per request; they come from the arena
-// now, and what is left is the solver's and the ladder's bookkeeping, about
-// 4 KB. The budget fails before the indices could hide in it.
+// now, and with the node keeping the solver object, the coordinator and the
+// checkpointer and the job recycled, what is left is the workload and the
+// operator's header, about 0.4 KB. The budget (768 B) fails before the
+// coordinator and the checkpointer (0.6 KB) or the solver object (0.9 KB)
+// could be rebuilt per request again.
 func TestWarmCGAllocationBudget(t *testing.T) {
 	per := warmAllocation(t, Request{Kernel: "cg", NX: 24, NY: 24})
 	t.Logf("warm 24x24 cg request: %d B allocated", per)
-	if per >= 8<<10 {
-		t.Errorf("warm 24x24 cg request allocates %d B, budget is 8 KiB", per)
+	if per >= 768 {
+		t.Errorf("warm 24x24 cg request allocates %d B, budget is 768 B", per)
 	}
 }
 

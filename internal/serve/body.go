@@ -16,21 +16,28 @@ import (
 // cost each of its three decoders ~130 KiB of garbage; a warm recycled
 // buffer costs nothing, however long ago it was last used. Nothing decoded
 // aliases the buffer: encoding/json copies strings and decodes base64 into
-// slices of its own.
+// slices of its own, and Answer decodes its base64 into a buffer of the
+// answer list (answer.go).
 
-// maxPooledBody is the largest buffer kept for reuse. Interactive bodies are
-// under 64 KiB and a verify task for the default MaxN is under 400 KiB;
-// long-job snapshots reach 64 MiB, and a list that kept those would pin them.
+// maxPooledBody is the largest buffer kept for reuse, body or answer.
+// Interactive requests are under 64 KiB (maxBodyBytes) and a verify task,
+// two projections of n values, is at most verifyMaxBodyBytes(MaxN): 10 624 B
+// at the default MaxN of 192. The largest body kept is a verify-vote
+// primary's reply, the product's 8n² bytes as base64 (384 KiB at n=192),
+// whose decoded product is the largest answer buffer (288 KiB). Long-job
+// snapshots reach 64 MiB, and a list that kept those would pin them.
 const maxPooledBody = 1 << 20
 
 // bodyBudget bounds the idle body buffers of the process, each weighed at
 // its capacity. A buffer is held only while its body is read and decoded,
 // so the working set is the bodies a process decodes at once: at a worker,
 // up to the ten requests its defaults admit (MaxConcurrency 2 executing,
-// QueueDepth 8 queued), under 64 KiB each when interactive; at a gateway in
-// the same process, one reply per node of an R=3 vote, a verify-vote reply
+// QueueDepth 8 queued), under 64 KiB each when interactive, and the verify
+// tasks its block slots run, about 10 KiB each; at a gateway in the same
+// process, one reply per node of an R=3 vote, a verify-vote primary's reply
 // at the default MaxN being under 400 KiB. 4 MiB keeps all of those; the
-// measured peak under cmd/abftbench's four workloads was 0.33 MB.
+// measured peak under cmd/abftbench's four workloads was 0.33 MB. The
+// decoded answers have their own list and budget (answerBudget).
 const bodyBudget = 4 << 20
 
 var bodies = mat.NewFreeList[*bytes.Buffer](bodyBudget)

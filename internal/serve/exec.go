@@ -38,7 +38,7 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	start := time.Now()
 	var rep recovery.Report
 	var w recovery.Workload
-	var node *core.Runtime
+	var nd *node
 	// The arena owns every n- and n²-sized buffer of the request, whatever
 	// its element type: operands, checkpoint shadows, oracle temporaries, the
 	// answer views w hands out; the node holds the machine model w's regions
@@ -51,7 +51,7 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	if j.req.Dtype == DtypeF32 {
 		rep = s.runLadder32(j, arena)
 	} else {
-		rep, w, node = s.runLadder(j, arena)
+		rep, w, nd = s.runLadder(j, arena)
 	}
 	run := time.Since(start)
 
@@ -79,8 +79,8 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	}
 	s.stampIntegrity(&resp, j.req, rep, w)
 	arena.Release()
-	if node != nil {
-		s.nodes.Put(node, 1)
+	if nd != nil {
+		s.putNode(nd)
 	}
 
 	s.countOutcome(rep.Outcome)
@@ -101,7 +101,7 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 // the run's float64 storage comes from arena and its machine model is node;
 // the caller returns both to their free lists (and finds the arena empty and
 // the node nil after a panic).
-func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w recovery.Workload, node *core.Runtime) {
+func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w recovery.Workload, nd *node) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep = recovery.Report{Outcome: recovery.Aborted,
@@ -111,12 +111,13 @@ func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w re
 			// request's buffers or what state its node stopped in: forget
 			// both, so the caller recycles nothing and they fall to the GC.
 			*arena = mat.Arena{}
-			node = nil
+			nd = nil
 		}
 	}()
 
 	p := j.req
-	rt := s.takeNode(p.Strategy, p.Seed)
+	nd = s.takeNode(p.Strategy, p.Seed)
+	rt := nd.rt
 	rt.Arena = arena
 	var err error
 	switch p.Kernel {
@@ -128,33 +129,48 @@ func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w re
 		w, err = recovery.NewDGEMMWorkload(rt, p.N, p.Seed, p.Mode)
 	}
 	if err != nil {
-		return recovery.Report{Outcome: recovery.Aborted, Err: err}, nil, rt
+		return recovery.Report{Outcome: recovery.Aborted, Err: err}, nil, nd
 	}
 
-	co := &recovery.Coordinator{
+	rep = nd.co.Reuse(recovery.Coordinator{
 		RT:          rt,
 		W:           w,
 		Plan:        recovery.PlanInjections(w, p.Seed, p.Kind, p.Faults),
 		MaxRestarts: maxRestarts,
 		Ctx:         j.ctx,
-	}
-	rep = co.Run()
+	}).Run()
 	s.countArmed(rt)
-	return rep, w, rt
+	return rep, w, nd
+}
+
+// node is one recycled functional node and the coordinator that drives the
+// ladder on it. Both are kept across requests with what they build: the
+// runtime its Env, allocation records and kernel objects (core.Runtime.Reset),
+// the coordinator its checkpointer and step hook (recovery.Coordinator.Reuse).
+type node struct {
+	rt *core.Runtime
+	co recovery.Coordinator
 }
 
 // takeNode returns a functional node configured for strategy and seed: one
 // from the free list, reset, or a new one when the list is empty. Every
 // node is built with the same machine.Config, which is what lets a recycled
-// one serve any request. The caller puts it back once nothing reads it, and
-// never after a panic guard fired.
-func (s *Service) takeNode(strategy core.Strategy, seed uint64) *core.Runtime {
-	rt, ok := s.nodes.Get()
+// one serve any request. The caller puts it back with putNode once nothing
+// reads it, and never after a panic guard fired.
+func (s *Service) takeNode(strategy core.Strategy, seed uint64) *node {
+	nd, ok := s.nodes.Get()
 	if !ok {
-		return core.NewFunctionalRuntime(machine.ScaledConfig(32), strategy, int64(seed))
+		return &node{rt: core.NewFunctionalRuntime(machine.ScaledConfig(32), strategy, int64(seed))}
 	}
-	rt.Reset(strategy, int64(seed))
-	return rt
+	nd.rt.Reset(strategy, int64(seed))
+	return nd
+}
+
+// putNode returns nd to the free list. Its coordinator lets go of the run's
+// workload, context and observers first, so an idle node holds none of them.
+func (s *Service) putNode(nd *node) {
+	nd.co.Reuse(recovery.Coordinator{})
+	s.nodes.Put(nd, 1)
 }
 
 // countOutcome adds one finished run, request or long task, to the
@@ -267,13 +283,15 @@ func corruptAnswer(chunks [][]float64, lieSeed, seed uint64) [][]float64 {
 
 // packChunks serializes answer chunks as little-endian IEEE-754 bit
 // patterns in chunk order — the same exact-bits encoding abft.PackBlock
-// uses, so for an n×n answer the bytes equal PackBlock of the matrix.
-func packChunks(chunks [][]float64) []byte {
+// uses, so for an n×n answer the bytes equal PackBlock of the matrix. The
+// buffer comes from the answer list; HandleRequest hands it back once the
+// reply is written.
+func packChunks(chunks [][]float64) Answer {
 	n := 0
 	for _, c := range chunks {
 		n += len(c)
 	}
-	out := make([]byte, 8*n)
+	out := getAnswer(8 * n)
 	off := 0
 	for _, c := range chunks {
 		for _, v := range c {

@@ -12,7 +12,6 @@ import (
 
 	"coopabft/internal/abft"
 	"coopabft/internal/checkpoint"
-	"coopabft/internal/core"
 	"coopabft/internal/mat"
 	"coopabft/internal/recovery"
 )
@@ -127,7 +126,7 @@ func (s *Service) DoLong(ctx context.Context, t LongTask) (LongResult, error) {
 func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *checkpoint.Snapshot) (res LongResult) {
 	res = LongResult{JobID: t.JobID, Kernel: p.Kernel.String()}
 	var arena mat.Arena
-	var rt *core.Runtime
+	var nd *node
 	defer func() {
 		if pn := recover(); pn != nil {
 			res.Outcome = recovery.Aborted.String()
@@ -135,11 +134,12 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 			return
 		}
 		arena.Release()
-		s.nodes.Put(rt, 1)
+		s.putNode(nd)
 	}()
 	start := time.Now()
 
-	rt = s.takeNode(p.Strategy, p.Seed)
+	nd = s.takeNode(p.Strategy, p.Seed)
+	rt := nd.rt
 	rt.Arena = &arena
 	w, err := recovery.NewCGWorkload(rt, p.NX, p.NY, p.Seed)
 	if err != nil {
@@ -161,7 +161,7 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 
 	var streamed atomic.Int64
 	onCkpt, flush := s.startCheckpointStream(ctx, t.CheckpointURL, &streamed)
-	co := &recovery.Coordinator{
+	co := nd.co.Reuse(recovery.Coordinator{
 		RT:              rt,
 		W:               w,
 		Plan:            recovery.PlanInjections(w, p.Seed, p.Kind, p.Faults),
@@ -180,7 +180,7 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 				s.bus.Publish(Event{Type: EventCheckpoint, Job: t.JobID, Step: step})
 			}
 		},
-	}
+	})
 	rep := co.Run()
 	flush()
 	s.countArmed(rt)

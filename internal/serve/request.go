@@ -433,11 +433,11 @@ type Response struct {
 	// canonical output signature (abft.AnswerSig over the answer's
 	// IEEE-754 bits) the gateway votes on; Answer carries the packed
 	// output for verify-vote primaries (stripped by the gateway before
-	// delivery); VoteReplicas/VoteAgree are stamped by the gateway: how
+	// delivery; see Answer for who releases its buffer); VoteReplicas/VoteAgree are stamped by the gateway: how
 	// many replicas answered and how many signed the delivered answer.
 	Integrity    string `json:"integrity,omitempty"`
 	AnswerSig    string `json:"answer_sig,omitempty"`
-	Answer       []byte `json:"answer,omitempty"`
+	Answer       Answer `json:"answer,omitempty"`
 	VoteReplicas int    `json:"vote_replicas,omitempty"`
 	VoteAgree    int    `json:"vote_agree,omitempty"`
 }

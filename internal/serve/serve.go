@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"coopabft/internal/core"
 	"coopabft/internal/mat"
 	"coopabft/internal/serve/qos"
 )
@@ -182,6 +181,13 @@ func (c Config) withDefaults() Config {
 
 // job states: a job is delivered exactly once, either by the executor
 // (queued→running→done) or by the abandoning waiter (queued→abandoned).
+//
+// Jobs are recycled on one rule: the waiter that received a job's result is
+// the last to touch it — the deliverer is done with it once the result is in
+// the channel, and the scheduler let go of it when it was popped or evicted
+// — so that waiter, and only it, puts the job back on the service's job
+// list (Service.receive). An abandoned job was never delivered and may still
+// sit in the scheduler; it is left to the GC.
 const (
 	stateQueued int32 = iota
 	stateRunning
@@ -219,12 +225,17 @@ type Service struct {
 	bus        *Bus
 	ckptClient *http.Client
 
+	// jobs keeps delivered jobs and their channels for the next requests
+	// (see the job states). Every job is Put at weight 1: as many as can be
+	// queued and executing at once.
+	jobs *mat.FreeList[*job]
+
 	// nodes keeps the functional nodes f64 requests and long tasks run on
 	// (see execute) between them, through garbage collections. It starts
 	// empty: the first requests build theirs. Every node is Put at weight 1,
 	// so its budget is a count: one node per slot that can hold one,
 	// MaxConcurrency executors and the long-task route's one.
-	nodes *mat.FreeList[*core.Runtime]
+	nodes *mat.FreeList[*node]
 
 	// The side routes; verification is an offloaded O(n²) pass, much closer
 	// to a block task than to an interactive ladder run, so it shares the
@@ -254,7 +265,8 @@ func New(cfg Config) *Service {
 		quit:       make(chan struct{}),
 		bus:        NewBus(),
 		ckptClient: &http.Client{Timeout: 10 * time.Second},
-		nodes:      mat.NewFreeList[*core.Runtime](cfg.MaxConcurrency + 1),
+		jobs:       mat.NewFreeList[*job](cfg.QueueDepth + cfg.MaxConcurrency),
+		nodes:      mat.NewFreeList[*node](cfg.MaxConcurrency + 1),
 	}
 	blockSem := make(chan struct{}, cfg.BlockConcurrency)
 	s.block = sideRoute{"block", blockSem, &s.m.Block}
@@ -354,18 +366,23 @@ func (s *Service) Do(ctx context.Context, req Request) (Response, error) {
 		defer cancel()
 	}
 
-	j := &job{ctx: ctx, req: p, enq: time.Now(), done: make(chan result, 1)}
 	select {
 	case <-s.quit:
 		return Response{}, ErrClosed
 	default:
 	}
+	j, ok := s.jobs.Get()
+	if !ok {
+		j = &job{done: make(chan result, 1)}
+	}
+	j.ctx, j.req, j.enq = ctx, p, time.Now()
 	class := qos.Protected
 	if p.Priority == PrioritySpeculative {
 		class = qos.Speculative
 	}
 	evicted, err := s.sched.Enqueue(qos.Item{Tenant: p.Tenant, Class: class, Value: j})
 	if err != nil {
+		s.putJob(j) // never queued: nobody else has seen it
 		var qe *qos.QuotaError
 		if errors.As(err, &qe) {
 			s.m.Rejected.Add(1)
@@ -402,6 +419,7 @@ func (s *Service) Do(ctx context.Context, req Request) (Response, error) {
 
 	select {
 	case r := <-j.done:
+		s.putJob(j)
 		return r.resp, r.err
 	case <-ctx.Done():
 		if j.state.CompareAndSwap(stateQueued, stateAbandoned) {
@@ -412,8 +430,7 @@ func (s *Service) Do(ctx context.Context, req Request) (Response, error) {
 		}
 		// Already running: the coordinator observes the same context and
 		// aborts at the next step boundary — wait for the classification.
-		r := <-j.done
-		return r.resp, r.err
+		return s.receive(j)
 	case <-s.quit:
 		// Shutdown while queued: abandon (the drain may already have run
 		// past this job, so do not rely on it delivering).
@@ -421,7 +438,21 @@ func (s *Service) Do(ctx context.Context, req Request) (Response, error) {
 			s.m.QueueDepth.Add(-1)
 			return Response{}, ErrClosed
 		}
-		r := <-j.done
-		return r.resp, r.err
+		return s.receive(j)
 	}
+}
+
+// receive waits for j's result and recycles j: its waiter is the last to
+// touch a delivered job.
+func (s *Service) receive(j *job) (Response, error) {
+	r := <-j.done
+	s.putJob(j)
+	return r.resp, r.err
+}
+
+// putJob returns a job nobody else holds to the job list, emptied of its
+// request and context, with its channel drained.
+func (s *Service) putJob(j *job) {
+	*j = job{done: j.done}
+	s.jobs.Put(j, 1)
 }
