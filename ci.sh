@@ -16,10 +16,12 @@ go test -race -short ./...
 
 # Allocation budgets, the serve ones read with the kernels serial as the
 # benchmark's workers run them: a warm n=128 fused GEMM request must stay
-# under 512 B of heap and a warm n=192 f32 request under 4 KiB (each takes
+# under 512 B of heap and a warm n=192 f32 request under 512 B (each takes
 # its operands, product, checksum vectors, checkpoint shadow and oracle
 # reference from a request-scoped arena over internal/mat's free lists, and
-# its job from the service's job list); a warm n=64 request under 512 B
+# its job from the service's job list; the f32 one also its kernel object,
+# with its matrix headers and panel views, from the service's GEMM32 list);
+# a warm n=64 request under 512 B
 # for a clean notified product, 1 KiB for a Cholesky factorization and 1 KiB
 # for a faulted product (its functional node is recycled, not built, and
 # keeps the ladder's object graph: Env, allocation records, kernel object,
@@ -35,22 +37,27 @@ go test -race -short ./...
 # gateway and three in-process nodes each delivering the right signature
 # while those buffers cycle (both TestAnswerBuffersRecycled); a warm n=64
 # verify-vote request through the gateway and three in-process nodes under
-# 48 KiB (the gateway reads the product once, verifiers never receive it,
-# and both copies of it travel in buffers of the answer list); and a warm
-# f32 n=16 request through the gateway and one loopback worker under 10 KiB
-# (the forward is one RoundTrip on the gateway's own transport, not an
-# http.Client exchange with its redirect header copy, timer and gzip
-# negotiation). The free lists' idle bytes stay inside their budgets, a full
-# budget evicts its coldest lists to keep another's item, and steady-state
-# GEMM over mixed sizes allocates nothing. The race run above runs all of
-# these but the two gateway budgets, whose HTTP exchanges the detector
-# inflates (the raceEnabled test constant skips them); this tier reads them
-# without the detector.
+# 36 KiB (the gateway reads the product once, verifiers never receive it,
+# both copies of it travel in buffers of the answer list, and every exchange
+# is the node hop's one write and one read); and a warm f32 n=16 request
+# through the gateway and one loopback worker under 6 KiB (the forward is one
+# templated write and one bounded read on the node's pooled connection, not
+# an http.Transport round trip with its loop handoffs, request copies and
+# reply header map). The free lists' idle bytes stay inside their budgets, a
+# full budget evicts its coldest lists to keep another's item, and
+# steady-state GEMM over mixed sizes allocates nothing. The race run above
+# runs all of these but the two gateway budgets, whose HTTP exchanges the
+# detector inflates (the raceEnabled test constant skips them); this tier
+# reads them without the detector, next to the node hop's own rules: a
+# caller that gives up books nothing on its node, a cancelled forward ends
+# at once and closes its connection, a pooled connection the worker closed
+# costs no forward, only a reply that can be followed on its connection
+# leaves it pooled, and every reply captured from a real server parses.
 go test -run 'TestFreeList|TestBufPoolClassRoundTrip|TestMulAddIntoSteadyStateZeroAllocs' -count=1 -v ./internal/mat/
 go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmCGAllocationBudget|TestWarmWorkerSurvivesGC|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct|TestAnswerBuffersRecycled' -count=1 -v ./internal/serve/
-go test -run 'TestWarmVerifyVoteAllocationBudget|TestWarmForwardAllocationBudget|TestAnswerBuffersRecycled' -count=1 -v ./internal/cluster/
+go test -run 'TestWarmVerifyVoteAllocationBudget|TestWarmForwardAllocationBudget|TestAnswerBuffersRecycled|TestCallerCancelIsNotANodeFault|TestForwardEndsWithCallerContext|TestStaleKeepAliveRedials|TestHopKeepsOnlyReusableConnections|TestHopReadsRealReplies' -count=1 -v ./internal/cluster/
 
-# Fuzz smoke: the ten native fuzz targets, five seconds each on top of
+# Fuzz smoke: the eleven native fuzz targets, five seconds each on top of
 # their committed corpora (which the plain test runs above already replay).
 # The verify-vote answer's decoder is held to encoding/json's own []byte
 # decoding; the body decoder to the json.Decoder it replaced; the request to
@@ -67,7 +74,10 @@ go test -run 'TestWarmVerifyVoteAllocationBudget|TestWarmForwardAllocationBudget
 # canonical re-encoding, and refusing any flipped trailer or length byte;
 # the SECDED and RS codecs to exact correction of one flipped bit or
 # symbol, detection of two bits or of 2 to nCheck-1 symbols, and, beyond
-# that, no panic and a valid codeword from every correction.
+# that, no panic and a valid codeword from every correction; the gateway's
+# node-reply parser to http.ReadResponse on the same bytes: no panic, and
+# every reply it accepts read with the same status, Retry-After, close flag,
+# body and bytes consumed.
 go test -run '^$' -fuzz '^FuzzAnswerJSON$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 5s ./internal/serve/
@@ -78,6 +88,7 @@ go test -run '^$' -fuzz '^FuzzUnpackBlock$' -fuzztime 5s ./internal/abft/
 go test -run '^$' -fuzz '^FuzzCheckpointDecode$' -fuzztime 5s ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzSECDED$' -fuzztime 5s ./internal/ecc/
 go test -run '^$' -fuzz '^FuzzRSDecode$' -fuzztime 5s ./internal/ecc/
+go test -run '^$' -fuzz '^FuzzNodeReply$' -fuzztime 5s ./internal/cluster/
 
 # Chaos soak gate: the seeded short grid (24 fault-injected runs through
 # the §4 recovery ladder, deterministic outcome table) under the race

@@ -71,6 +71,11 @@ type GEMM32 struct {
 	// arena backs everything above that is sized by the problem, and the
 	// oracle's temporaries; nil is the heap.
 	arena *mat.Arena
+
+	// hdr holds the matrix headers A, B and C point at when the problem
+	// owns them, and the panel views Run takes, so a GEMM32 that is Reset
+	// builds none of them again.
+	hdr struct{ a, b, c, aP, bP mat.Matrix32 }
 }
 
 // maxRepairRounds bounds the repair→refold→reverify loop at one panel
@@ -90,33 +95,57 @@ func NewGEMM32(n int, seed uint64) (*GEMM32, error) { return NewGEMM32In(nil, n,
 // and of its oracle taken from arena, whose owner must keep it unreleased
 // for as long as the GEMM32 is in use.
 func NewGEMM32In(arena *mat.Arena, n int, seed uint64) (*GEMM32, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("%w: GEMM32 size %d too small", ErrBadSize, n)
+	g := new(GEMM32)
+	if err := g.Reset(arena, n, seed); err != nil {
+		return nil, err
 	}
-	a, b := mat.NewIn[float32](arena, n, n), mat.NewIn[float32](arena, n, n)
+	return g, nil
+}
+
+// Reset makes g the problem NewGEMM32In(arena, n, seed) builds, over g's own
+// headers and correction lists: it is the constructor's body. Nothing from
+// before the call may still be in use: the matrices and slices g handed out
+// (A, B, C, Corrections, Faults) are overwritten by what follows, and
+// OnPanel is cleared.
+func (g *GEMM32) Reset(arena *mat.Arena, n int, seed uint64) error {
+	if n < 2 {
+		return fmt.Errorf("%w: GEMM32 size %d too small", ErrBadSize, n)
+	}
+	a, b := mat.InitIn(arena, &g.hdr.a, n, n), mat.InitIn(arena, &g.hdr.b, n, n)
 	mat.FillRandom(a, seed)
 	mat.FillRandom(b, seed+1)
-	return newGEMM32(arena, a, b)
+	return g.build(arena, a, b)
 }
 
 // NewGEMM32FromMatrices builds the problem over caller-supplied operands
 // (any compatible rectangular shape — tall-skinny and batched-small ML
 // shapes included). The operands are encoded as-is; they must be pristine.
-func NewGEMM32FromMatrices(a, b *mat.Matrix32) (*GEMM32, error) { return newGEMM32(nil, a, b) }
+func NewGEMM32FromMatrices(a, b *mat.Matrix32) (*GEMM32, error) {
+	g := new(GEMM32)
+	if err := g.build(nil, a, b); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
 
-func newGEMM32(arena *mat.Arena, a, b *mat.Matrix32) (*GEMM32, error) {
+// build makes g the problem over the operands a and b, encoding them.
+func (g *GEMM32) build(arena *mat.Arena, a, b *mat.Matrix32) error {
 	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("%w: GEMM32 a %dx%d × b %dx%d", ErrBadSize, a.Rows, a.Cols, b.Rows, b.Cols)
+		return fmt.Errorf("%w: GEMM32 a %dx%d × b %dx%d", ErrBadSize, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	if a.Rows < 2 || a.Cols < 2 || b.Cols < 2 {
-		return nil, fmt.Errorf("%w: GEMM32 %dx%dx%d too small", ErrBadSize, a.Rows, a.Cols, b.Cols)
+		return fmt.Errorf("%w: GEMM32 %dx%dx%d too small", ErrBadSize, a.Rows, a.Cols, b.Cols)
 	}
-	g := &GEMM32{
+	*g = GEMM32{
 		M: a.Rows, K: a.Cols, N: b.Cols,
-		A: a, B: b, C: mat.NewIn[float32](arena, a.Rows, b.Cols),
-		Block: 32,
-		arena: arena,
+		A: a, B: b,
+		Block:       32,
+		Corrections: g.Corrections[:0],
+		Faults:      g.Faults[:0],
+		arena:       arena,
+		hdr:         g.hdr,
 	}
+	g.C = mat.InitIn(arena, &g.hdr.c, a.Rows, b.Cols)
 	// One buffer, carved: the float64 vectors live and die together.
 	vecs := arena.Floats(2*g.K + 3*g.M + 3*g.N + 2*g.Block)
 	take := func(n int) []float64 {
@@ -144,7 +173,7 @@ func newGEMM32(arena *mat.Arena, a, b *mat.Matrix32) (*GEMM32, error) {
 		AbsRowSums: take(g.M), AbsColSums: take(g.N),
 	}
 	g.abuf = take(2 * g.Block)
-	return g, nil
+	return nil
 }
 
 // Panels returns the number of k-panels a full run executes.
@@ -175,7 +204,7 @@ func (g *GEMM32) Run() error {
 		g.fs.ASums = g.abuf[:kb]
 		g.fs.BSums = g.abuf[g.Block : g.Block+kb]
 		mat.MulAddIntoFused32(g.C,
-			g.A.View(0, kk, g.M, kb), g.B.View(kk, 0, kb, g.N), &g.fs)
+			g.A.ViewInto(&g.hdr.aP, 0, kk, g.M, kb), g.B.ViewInto(&g.hdr.bP, kk, 0, kb, g.N), &g.fs)
 		g.aMom.Merge(g.fs.AMoments)
 		g.bMom.Merge(g.fs.BMoments)
 		g.kAcc += kb

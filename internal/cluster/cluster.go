@@ -14,12 +14,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -44,7 +42,8 @@ type NodeConfig struct {
 	// ID names the node in metrics, responses, and admin calls; defaults
 	// to BaseURL without its scheme.
 	ID string
-	// BaseURL is the node's root, e.g. http://127.0.0.1:8321.
+	// BaseURL is the node's root, e.g. http://127.0.0.1:8321; its scheme
+	// must be http.
 	BaseURL string
 	// Strategies is the node's ECC-capability set: the strategies whose
 	// requests it accepts. Empty means all six — a node whose memory
@@ -54,8 +53,8 @@ type NodeConfig struct {
 
 // Config sizes the gateway. The zero value (plus at least one node) is
 // usable: defaults are applied by New. No field configures HTTP: the gateway
-// owns its transports (newTransport), and Window sizes each node's pool of
-// connections.
+// owns its node hops (hop.go) and its transport for the GET streams, and
+// Window sizes each node's pool of idle connections.
 type Config struct {
 	Nodes []NodeConfig
 
@@ -221,7 +220,7 @@ func (c Config) withDefaults() Config {
 type node struct {
 	id   string
 	base string
-	url  *url.URL               // base, parsed once: every request's URL is a copy
+	hop  *hop                   // carries every POST to the node
 	caps map[core.Strategy]bool // nil = all strategies
 	hash uint64
 
@@ -301,13 +300,9 @@ type Gateway struct {
 	jobCancel context.CancelFunc
 	jobWG     sync.WaitGroup
 
-	// fwd carries every windowed node exchange: sync forwards, vote and
-	// verify seats, block tasks. long is its clone with neither the
-	// connection cap nor the response-header timeout, for long-job POSTs (a
-	// solve's lifetime is bounded by the job context), event streams (open
-	// indefinitely) and probes (bounded by ProbeTimeout, and never queued
-	// behind a full window of forwards).
-	fwd  *http.Transport
+	// long carries the two GET streams: event watches (open indefinitely)
+	// and probes (bounded by ProbeTimeout). Every POST to a node goes
+	// through the node's hop.
 	long *http.Transport
 
 	// Error bus and long-job plumbing. selfURL is atomic so the daemon can
@@ -316,28 +311,9 @@ type Gateway struct {
 	selfURL atomic.Value // string
 }
 
-// forwardTimeout bounds how long a node may take to answer a bounded
-// exchange with its response headers.
+// forwardTimeout bounds how long a node may take to answer a windowed
+// exchange with its reply's headers.
 const forwardTimeout = 2 * time.Minute
-
-// newTransport builds the gateway's forwarding transport, the way a reverse
-// proxy holds one: window connections per node, all kept when idle, so a
-// full window of callers finds a warm connection each and never redials (the
-// cap also stops a caller that finds none idle from dialing one more while
-// another's is on its way back); no gzip negotiation, which no worker
-// answers; and forwardTimeout on the response headers. A body that stalls
-// after its headers is left to the caller's context and TCP keepalive.
-func newTransport(window int) *http.Transport {
-	return &http.Transport{
-		Proxy:                 http.ProxyFromEnvironment,
-		DialContext:           (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
-		MaxConnsPerHost:       window,
-		MaxIdleConnsPerHost:   window,
-		IdleConnTimeout:       90 * time.Second,
-		DisableCompression:    true,
-		ResponseHeaderTimeout: forwardTimeout,
-	}
-}
 
 // New builds a gateway and starts its health prober.
 func New(cfg Config) (*Gateway, error) {
@@ -352,11 +328,13 @@ func New(cfg Config) (*Gateway, error) {
 		quit: make(chan struct{}),
 		jobs: make(map[string]*jobRecord),
 		bus:  serve.NewBus(),
-		fwd:  newTransport(cfg.Window),
+		long: &http.Transport{
+			Proxy:              http.ProxyFromEnvironment,
+			DialContext:        (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+			IdleConnTimeout:    90 * time.Second,
+			DisableCompression: true,
+		},
 	}
-	g.long = g.fwd.Clone()
-	g.long.MaxConnsPerHost = 0
-	g.long.ResponseHeaderTimeout = 0
 	if cfg.TenantRate > 0 {
 		g.quota = qos.NewQuota(qos.Config{Rate: cfg.TenantRate, Burst: cfg.TenantBurst})
 	}
@@ -372,9 +350,13 @@ func New(cfg Config) (*Gateway, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node BaseURL: %w", err)
 		}
+		h, err := newHop(u, cfg.Window)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: node %w", err)
+		}
 		id := nc.ID
 		if id == "" {
-			id = strings.TrimPrefix(strings.TrimPrefix(base, "http://"), "https://")
+			id = strings.TrimPrefix(base, "http://")
 		}
 		if _, dup := g.byID[id]; dup {
 			return nil, fmt.Errorf("cluster: duplicate node ID %q", id)
@@ -382,7 +364,7 @@ func New(cfg Config) (*Gateway, error) {
 		nd := &node{
 			id:     id,
 			base:   base,
-			url:    u,
+			hop:    h,
 			hash:   fnv64a(id),
 			window: make(chan struct{}, cfg.Window),
 			m:      g.m.Node(id),
@@ -436,7 +418,9 @@ func (g *Gateway) Close() {
 	})
 	g.probeWG.Wait()
 	g.jobWG.Wait()
-	g.fwd.CloseIdleConnections()
+	for _, nd := range g.nodes {
+		nd.hop.close()
+	}
 	g.long.CloseIdleConnections()
 }
 
@@ -527,7 +511,7 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 		if forwards > 0 {
 			g.m.Retries.Add(1)
 		}
-		resp, class, err := postJSON[serve.Response](ctx, g.fwd, nd, "/v1/"+wire, body)
+		resp, class, err := postJSON[serve.Response](ctx, nd, "/v1/"+wire, body)
 		nd.release()
 		forwards++
 		switch class {
@@ -594,48 +578,35 @@ func (g *Gateway) delivered(outcome string) {
 }
 
 // postJSON is the gateway's one way of sending work to a node: POST body to
-// path on nd, classify the transport result, and settle the node's books
-// for it. Only fcDelivered carries a decoded R; fcBadRequest is the node's
-// own 400 (final), fcShed its 429 (alive but full — try elsewhere), fcFailed
-// a connection failure, an unreadable or undecodable body, or a 503 — a
-// breaker fault, charged to the node's TransportErrors/Failed503. The class
-// goes by status alone; the error of a reply that is not a 200 is the one
-// serve.ReadError reads from it. What the caller does next is its dispatch
-// policy; the books are done.
+// path on nd, classify the reply, and settle the node's books for it. Only
+// fcDelivered carries a decoded R; fcBadRequest is the node's own 400
+// (final), fcShed its 429 (alive but full — try elsewhere), fcFailed a failed
+// exchange, an undecodable body, or a 503 — a breaker fault, charged to the
+// node's TransportErrors/Failed503. An exchange that fails once ctx has ended
+// is the caller giving up, not the node failing: it books nothing on the
+// node, and its error wraps ctx's. The class goes by status alone; the error
+// of a reply that is not a 200 is the one serve.ReadError reads from it.
+// What the caller does next is its dispatch policy; the books are done.
 //
-// The exchange is one RoundTrip on rt, as a reverse proxy makes it: no
-// redirect policy and its header copy, no client timer, a URL copied from the
-// node's parsed base and the shared jsonHeader. GetBody lets the transport
-// replay the POST on a fresh connection when a reused one closed before
-// anything was written, as http.NewRequest's would.
-func postJSON[R any](ctx context.Context, rt http.RoundTripper, nd *node, path string, body []byte) (res R, class forwardClass, err error) {
+// Every route but the long job's is windowed: bounded by the hop's header
+// timeout and resent once when a pooled connection turns out closed. A long
+// job's POST waits as long as its solve, and is never resent.
+func postJSON[R any](ctx context.Context, nd *node, path string, body []byte) (res R, class forwardClass, err error) {
 	nd.m.Forwarded.Add(1)
+	rep, err := nd.hop.post(ctx, path, body, path != longJobRoute)
+	if err != nil {
+		if ctx.Err() != nil {
+			return res, fcFailed, fmt.Errorf("node %s: %w (%v)", nd.id, ctx.Err(), err)
+		}
+		nd.m.TransportErrors.Add(1)
+		nd.settle(fcFailed, false)
+		return res, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
+	}
 	defer func() { nd.settle(class, aborted(&res)) }()
-	u := *nd.url
-	u.Path += path
-	hreq := (&http.Request{
-		Method:        http.MethodPost,
-		URL:           &u,
-		Header:        jsonHeader,
-		Body:          io.NopCloser(bytes.NewReader(body)),
-		GetBody:       func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
-		ContentLength: int64(len(body)),
-	}).WithContext(ctx)
-	hresp, err := rt.RoundTrip(hreq)
-	if err != nil {
-		nd.m.TransportErrors.Add(1)
-		return res, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
-	}
-	defer hresp.Body.Close()
-	buf, err := serve.ReadBody(hresp.Body, hresp.ContentLength, serve.ReplyLimit)
-	if err != nil {
-		nd.m.TransportErrors.Add(1)
-		return res, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
-	}
-	defer serve.PutBody(buf) // res and the errors below hold copies
-	payload := buf.Bytes()
+	defer serve.PutBody(rep.body) // res and the errors below hold copies
+	payload := rep.body.Bytes()
 
-	switch hresp.StatusCode {
+	switch rep.status {
 	case http.StatusOK:
 		if err := json.Unmarshal(payload, &res); err != nil {
 			nd.m.TransportErrors.Add(1)
@@ -650,12 +621,15 @@ func postJSON[R any](ctx context.Context, rt http.RoundTripper, nd *node, path s
 		nd.m.Failed503.Add(1)
 		class = fcFailed
 	}
-	return res, class, fmt.Errorf("node %s: %w", nd.id, serve.ReadError(hresp.StatusCode, hresp.Header, payload))
+	var h http.Header
+	if rep.retryAfter != "" {
+		h = http.Header{"Retry-After": {rep.retryAfter}}
+	}
+	return res, class, fmt.Errorf("node %s: %w", nd.id, serve.ReadError(rep.status, h, payload))
 }
 
-// jsonHeader is every node POST's header, shared and never written: the
-// content type, and an empty User-Agent, which the transport omits.
-var jsonHeader = http.Header{"Content-Type": {"application/json"}, "User-Agent": {""}}
+// longJobRoute is the one route whose POST is not windowed.
+const longJobRoute = "/v1/longjob"
 
 // settle books one classified exchange on its node: a delivery feeds the
 // breaker's outcome window and the node's delivered count, a shed its

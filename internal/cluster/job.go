@@ -497,7 +497,7 @@ func (g *Gateway) runBlockTask(ctx context.Context, t shardTask, plan shardPlan,
 		if err := nd.acquire(ctx); err != nil {
 			return nil, nil, err
 		}
-		res, class, err := postJSON[serve.BlockResult](ctx, g.fwd, nd, "/v1/block", body)
+		res, class, err := postJSON[serve.BlockResult](ctx, nd, "/v1/block", body)
 		nd.release()
 		switch class {
 		case fcDelivered:

@@ -66,10 +66,9 @@ func (g *Gateway) runLongJob(ctx context.Context, rec *jobRecord, p serve.Parsed
 			rec.fail(ctx, g, started, fmt.Errorf("%w: %w", serve.ErrBadRequest, err))
 			return
 		}
-		// The call blocks for the solve's duration: long jobs use the
-		// gateway's long transport, bounded by the job context, not the
-		// forwarding transport's response-header timeout.
-		res, class, err := postJSON[serve.LongResult](ctx, g.long, nd, "/v1/longjob", body)
+		// The call blocks for the solve's duration: a long job's POST is
+		// bounded by the job context, not the hop's header timeout.
+		res, class, err := postJSON[serve.LongResult](ctx, nd, longJobRoute, body)
 		switch class {
 		case fcDelivered:
 			g.noteRecovered(rec)

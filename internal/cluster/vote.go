@@ -89,7 +89,7 @@ func fillSeat[R any](ctx context.Context, g *Gateway, it *candidateIter, path st
 		if err := nd.acquire(ctx); err != nil {
 			return seat[R]{class: fcFailed, err: err}
 		}
-		res, class, err := postJSON[R](ctx, g.fwd, nd, path, body)
+		res, class, err := postJSON[R](ctx, nd, path, body)
 		nd.release()
 		switch {
 		case class == fcDelivered || class == fcBadRequest:

@@ -43,7 +43,8 @@ const bodyBudget = 4 << 20
 var bodies = mat.NewFreeList[*bytes.Buffer](bodyBudget)
 
 // GetBody returns an empty buffer from the body list, for a caller that
-// encodes a body it will send more than once. Pair it with PutBody.
+// encodes a body into it (WriteJSON, a vote's shared task) or reads one
+// itself (the gateway's node hop). Pair it with PutBody.
 func GetBody() *bytes.Buffer {
 	if b, ok := bodies.Get(); ok {
 		return b

@@ -39,17 +39,19 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	var rep recovery.Report
 	var w recovery.Workload
 	var nd *node
+	var g32 *abft.GEMM32
 	// The arena owns every n- and n²-sized buffer of the request, whatever
 	// its element type: operands, checkpoint shadows, oracle temporaries, the
 	// answer views w hands out; the node holds the machine model w's regions
-	// are mapped in. One lifetime rule for both: they go back to their free
-	// lists below, once the response holds copies of whatever it reports, and
-	// never after the ladder's panic guard fired. The guard has emptied the
-	// arena and dropped the node: nothing vouches for who still writes to
-	// them, so they are left to the GC.
+	// are mapped in, and g32 is the f32 kernel object. One lifetime rule for
+	// all three: they go back to their free lists below, once the response
+	// holds copies of whatever it reports, and never after the ladder's panic
+	// guard fired. The guard has emptied the arena and dropped the node or
+	// the kernel: nothing vouches for who still writes to them, so they are
+	// left to the GC.
 	arena := new(mat.Arena)
 	if j.req.Dtype == DtypeF32 {
-		rep = s.runLadder32(j, arena)
+		rep, g32 = s.runLadder32(j, arena)
 	} else {
 		rep, w, nd = s.runLadder(j, arena)
 	}
@@ -81,6 +83,9 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	arena.Release()
 	if nd != nil {
 		s.putNode(nd)
+	}
+	if g32 != nil {
+		s.gemm32s.Put(g32, 1)
 	}
 
 	s.countOutcome(rep.Outcome)

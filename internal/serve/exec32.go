@@ -21,26 +21,32 @@ import (
 // memory, outside the simulated-DRAM coordinator, so the fault model is the
 // splitmix bit-flip plan below rather than the bifit kinds. Every attempt's
 // operands, product and checksum vectors, and the oracle's temporaries, come
-// from arena, which the caller releases.
-func (s *Service) runLadder32(j *job, arena *mat.Arena) (rep recovery.Report) {
+// from arena, which the caller releases. Every attempt resets one kernel
+// object, taken from the service's list; the caller puts it back, and finds
+// it nil after a panic, as runLadder's node.
+func (s *Service) runLadder32(j *job, arena *mat.Arena) (rep recovery.Report, g *abft.GEMM32) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep = recovery.Report{Outcome: recovery.Aborted,
 				Err: fmt.Errorf("serve: f32 kernel panicked: %v", p)}
 			*arena = mat.Arena{} // as in runLadder: the buffers fall to the GC
+			g = nil
 		}
 	}()
 
+	g, ok := s.gemm32s.Get()
+	if !ok {
+		g = new(abft.GEMM32)
+	}
 	p := j.req
 	restarts, corrections, injected := 0, 0, 0
 	for {
 		if err := j.ctx.Err(); err != nil {
 			return recovery.Report{Outcome: recovery.Aborted, Injected: injected,
-				Corrections: corrections, Restarts: restarts, RestartsTotal: restarts, Err: err}
+				Corrections: corrections, Restarts: restarts, RestartsTotal: restarts, Err: err}, g
 		}
-		g, err := abft.NewGEMM32In(arena, p.N, p.Seed)
-		if err != nil {
-			return recovery.Report{Outcome: recovery.Aborted, Err: err}
+		if err := g.Reset(arena, p.N, p.Seed); err != nil {
+			return recovery.Report{Outcome: recovery.Aborted, Err: err}, g
 		}
 		if restarts == 0 && p.Faults > 0 {
 			// Transient model: faults strike the first incarnation only —
@@ -53,13 +59,13 @@ func (s *Service) runLadder32(j *job, arena *mat.Arena) (rep recovery.Report) {
 		if runErr != nil {
 			if !errors.Is(runErr, abft.ErrUncorrectable) {
 				return recovery.Report{Outcome: recovery.Aborted, Injected: injected,
-					Corrections: corrections, Restarts: restarts, RestartsTotal: restarts, Err: runErr}
+					Corrections: corrections, Restarts: restarts, RestartsTotal: restarts, Err: runErr}, g
 			}
 			restarts++
 			if restarts > maxRestarts {
 				return recovery.Report{Outcome: recovery.Aborted, Injected: injected,
 					Corrections: corrections, Restarts: restarts, RestartsTotal: restarts,
-					Err: fmt.Errorf("serve: f32 restart budget (%d) exhausted: %w", maxRestarts, runErr)}
+					Err: fmt.Errorf("serve: f32 restart budget (%d) exhausted: %w", maxRestarts, runErr)}, g
 			}
 			continue
 		}
@@ -69,7 +75,7 @@ func (s *Service) runLadder32(j *job, arena *mat.Arena) (rep recovery.Report) {
 			// element bound, or the request refuses rather than lie.
 			if err := oracle32(g, p); err != nil {
 				return recovery.Report{Outcome: recovery.Aborted, Injected: injected,
-					Corrections: corrections, Restarts: restarts, RestartsTotal: restarts, Err: err}
+					Corrections: corrections, Restarts: restarts, RestartsTotal: restarts, Err: err}, g
 			}
 		}
 		rep = recovery.Report{Outcome: recovery.Corrected, Injected: injected,
@@ -77,7 +83,7 @@ func (s *Service) runLadder32(j *job, arena *mat.Arena) (rep recovery.Report) {
 		if restarts > 0 {
 			rep.Outcome = recovery.Restarted
 		}
-		return rep
+		return rep, g
 	}
 }
 

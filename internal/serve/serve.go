@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"coopabft/internal/abft"
 	"coopabft/internal/mat"
 	"coopabft/internal/serve/qos"
 )
@@ -237,6 +238,10 @@ type Service struct {
 	// MaxConcurrency executors and the long-task route's one.
 	nodes *mat.FreeList[*node]
 
+	// gemm32s keeps the f32 kernel objects between requests as nodes keeps
+	// the f64 ladder's, by the same rule (see execute); one per executor.
+	gemm32s *mat.FreeList[*abft.GEMM32]
+
 	// The side routes; verification is an offloaded O(n²) pass, much closer
 	// to a block task than to an interactive ladder run, so it shares the
 	// block route's slots.
@@ -267,6 +272,7 @@ func New(cfg Config) *Service {
 		ckptClient: &http.Client{Timeout: 10 * time.Second},
 		jobs:       mat.NewFreeList[*job](cfg.QueueDepth + cfg.MaxConcurrency),
 		nodes:      mat.NewFreeList[*node](cfg.MaxConcurrency + 1),
+		gemm32s:    mat.NewFreeList[*abft.GEMM32](cfg.MaxConcurrency),
 	}
 	blockSem := make(chan struct{}, cfg.BlockConcurrency)
 	s.block = sideRoute{"block", blockSem, &s.m.Block}

@@ -165,11 +165,24 @@ func RetryAfterSeconds(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// WriteJSON answers with status and v as JSON.
+// WriteJSON answers with status and v as JSON, encoded into a recycled body
+// buffer first so that the reply carries its Content-Length and goes out in
+// one write, whatever its size: net/http would chunk a reply written in
+// pieces past its 2 KiB buffer, and a client then reads it without knowing
+// its length. A v that does not encode is answered with status and an empty
+// body, as json.Encoder, which writes nothing on error, answered it.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b := GetBody()
+	defer PutBody(b)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	if err := json.NewEncoder(b).Encode(v); err != nil {
+		w.WriteHeader(status)
+		return
+	}
+	h.Set("Content-Length", strconv.Itoa(b.Len()))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(b.Bytes())
 }
 
 // WriteErr answers with the error envelope; WriteResult is its caller for

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -128,5 +129,39 @@ func TestReadErrorFallsBackByStatus(t *testing.T) {
 				t.Errorf("%d %q: errors.Is(%s) = %v", c.status, c.payload, k.kind, errors.Is(got, k.is))
 			}
 		}
+	}
+}
+
+// TestWriteJSONSetsContentLength: a JSON reply carries its Content-Length
+// however large it is, so net/http, which chunks a reply written in pieces
+// past its 2 KiB buffer, sends even a verify-vote primary's answer framed by
+// its length; and a value that does not encode is answered with its status
+// and an empty body.
+func TestWriteJSONSetsContentLength(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/bad" {
+			WriteJSON(w, http.StatusTeapot, func() {})
+			return
+		}
+		WriteJSON(w, http.StatusOK, map[string]string{"answer": strings.Repeat("x", 64<<10)})
+	}))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 || len(body) < 64<<10 {
+		t.Errorf("%d-byte reply sent with Content-Length %d, Transfer-Encoding %v", len(body), resp.ContentLength, resp.TransferEncoding)
+	}
+	resp, err = http.Get(ts.URL + "/bad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTeapot || len(body) != 0 {
+		t.Errorf("unencodable value answered %d with %q, want %d and no body", resp.StatusCode, body, http.StatusTeapot)
 	}
 }
