@@ -57,38 +57,15 @@ go test -run 'TestFreeList|TestBufPoolClassRoundTrip|TestMulAddIntoSteadyStateZe
 go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmCGAllocationBudget|TestWarmWorkerSurvivesGC|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct|TestAnswerBuffersRecycled' -count=1 -v ./internal/serve/
 go test -run 'TestWarmVerifyVoteAllocationBudget|TestWarmForwardAllocationBudget|TestAnswerBuffersRecycled|TestCallerCancelIsNotANodeFault|TestForwardEndsWithCallerContext|TestStaleKeepAliveRedials|TestHopKeepsOnlyReusableConnections|TestHopReadsRealReplies' -count=1 -v ./internal/cluster/
 
-# Fuzz smoke: the eleven native fuzz targets, five seconds each on top of
-# their committed corpora (which the plain test runs above already replay).
-# The verify-vote answer's decoder is held to encoding/json's own []byte
-# decoding; the body decoder to the json.Decoder it replaced; the request to
-# typed refusals and, when accepted, sizes and grid areas inside the limits
-# (the area taken without overflow) and only the pairings admission allows;
-# the verify task
-# to an admission rule stated on its own, exact bits across the wire within
-# the route's body limit, and a verdict for every admitted task; the long
-# task to typed refusals and, when accepted, cg with a decodable snapshot;
-# the block task to typed refusals and, when accepted, splits that run
-# strictly from 0 to an admitted n and a role inside the grid;
-# UnpackBlock to exact sizes and bit-for-bit round trips; checkpoint.Decode
-# (what the gateway accepts on the checkpoint PUT) to typed refusals, a
-# canonical re-encoding, and refusing any flipped trailer or length byte;
-# the SECDED and RS codecs to exact correction of one flipped bit or
-# symbol, detection of two bits or of 2 to nCheck-1 symbols, and, beyond
-# that, no panic and a valid codeword from every correction; the gateway's
-# node-reply parser to http.ReadResponse on the same bytes: no panic, and
-# every reply it accepts read with the same status, Retry-After, close flag,
-# body and bytes consumed.
-go test -run '^$' -fuzz '^FuzzAnswerJSON$' -fuzztime 5s ./internal/serve/
-go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 5s ./internal/serve/
-go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 5s ./internal/serve/
-go test -run '^$' -fuzz '^FuzzParseVerifyTask$' -fuzztime 5s ./internal/serve/
-go test -run '^$' -fuzz '^FuzzParseLongTask$' -fuzztime 5s ./internal/serve/
-go test -run '^$' -fuzz '^FuzzParseBlockTask$' -fuzztime 5s ./internal/serve/
-go test -run '^$' -fuzz '^FuzzUnpackBlock$' -fuzztime 5s ./internal/abft/
-go test -run '^$' -fuzz '^FuzzCheckpointDecode$' -fuzztime 5s ./internal/checkpoint/
-go test -run '^$' -fuzz '^FuzzSECDED$' -fuzztime 5s ./internal/ecc/
-go test -run '^$' -fuzz '^FuzzRSDecode$' -fuzztime 5s ./internal/ecc/
-go test -run '^$' -fuzz '^FuzzNodeReply$' -fuzztime 5s ./internal/cluster/
+# Fuzz smoke: every native fuzz target, found per package by `go test
+# -list`, five seconds each on top of its committed corpus (the plain test
+# runs above already replay it). Each target's doc comment states its
+# property. Minimization is bounded so the five seconds go to exploring.
+fuzz=$(go test -list '^Fuzz' ./... | awk '/^Fuzz/ {f[n++] = $1} /^ok/ {for (i = 0; i < n; i++) print $2 "," f[i]; n = 0}')
+test -n "$fuzz"
+for t in $fuzz; do
+	go test -run '^$' -fuzz "^${t#*,}\$" -fuzztime 5s -fuzzminimizetime 1x "${t%,*}"
+done
 
 # Chaos soak gate: the seeded short grid (24 fault-injected runs through
 # the §4 recovery ladder, deterministic outcome table) under the race

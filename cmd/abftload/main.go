@@ -58,7 +58,7 @@ func run() error {
 		rates      = flag.String("rates", "25", "comma-separated request rates (req/s)")
 		kernels    = flag.String("kernels", "gemm", "comma-separated kernels (gemm,cholesky,cg)")
 		strategies = flag.String("strategies", serve.DefaultStrategy.String(), "comma-separated ECC strategies (paper labels)")
-		modes      = flag.String("verify-modes", "notified", "comma-separated verify modes (full,notified,fused); fused pairs only with gemm")
+		modes      = flag.String("verify-modes", "notified", "comma-separated verify modes (full,notified,fused); full and fused pair only with gemm")
 		integs     = flag.String("integrity", "none", "comma-separated integrity modes (none,vote,verify-vote); verify-vote pairs only with gemm")
 		replicas   = flag.Int("replicas", 0, "vote width R for non-none integrity requests (0 = gateway default)")
 		forbidNode = flag.String("forbid-node", "", "comma-separated node IDs that must never deliver an answer (lying-node gate; any hit fails the sweep)")

@@ -218,6 +218,11 @@ func (h *hop) get(ctx context.Context) (hc *hopConn, reused bool, err error) {
 func (h *hop) dial(ctx context.Context) (*hopConn, error) {
 	c, err := h.dialer.DialContext(ctx, "tcp", h.addr)
 	if err != nil {
+		// A dial bounded by ctx's deadline can fail a moment before ctx's
+		// timer ends ctx: wait for it, so callers read the caller's error.
+		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+			<-ctx.Done()
+		}
 		return nil, err
 	}
 	return &hopConn{c: c, br: bufio.NewReader(c), cancel: func() { c.SetDeadline(aLongTimeAgo) }}, nil

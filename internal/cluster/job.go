@@ -104,9 +104,9 @@ func (g *Gateway) jobLimits() serve.Limits {
 // SubmitJob admits one async job: large GEMMs shard into checksum-block
 // tasks across the pool; CG solves run as step-granular long jobs that
 // stream checkpoints back to the gateway and migrate across worker
-// deaths; everything else passes through the synchronous forwarding path
-// unchanged. Returns the job's initial status (State "queued") with its
-// polling ID.
+// deaths (Parsed.Shards, Parsed.RunsLong); everything else, f32 and voted
+// jobs included, passes through the synchronous forwarding path unchanged.
+// Returns the job's initial status (State "queued") with its polling ID.
 func (g *Gateway) SubmitJob(req serve.Request) (serve.JobStatus, error) {
 	p, err := serve.ParseRequest(g.jobLimits(), req)
 	if err != nil {
@@ -114,8 +114,8 @@ func (g *Gateway) SubmitJob(req serve.Request) (serve.JobStatus, error) {
 		return serve.JobStatus{}, err
 	}
 
-	long := p.Kernel == serve.KernelCG
-	sharded := p.Kernel == serve.KernelGEMM && p.N >= g.cfg.ShardThreshold
+	long := p.RunsLong()
+	sharded := p.Shards() && p.N >= g.cfg.ShardThreshold
 	var plan shardPlan
 	if sharded {
 		if p.Faults > 0 {

@@ -212,6 +212,48 @@ func TestJobPassthrough(t *testing.T) {
 	}
 }
 
+// TestJobRouteKeepsWhatWasAsked: the shard and long routes compute f64 with
+// no integrity tier, so a job asking for f32 or a vote passes through the
+// synchronous path and reports what was asked, even at a size that shards
+// and on a kernel that runs long.
+func TestJobRouteKeepsWhatWasAsked(t *testing.T) {
+	g := jobGateway(t,
+		NodeConfig{ID: "n0", BaseURL: serveNode(t)},
+		NodeConfig{ID: "n1", BaseURL: serveNode(t)},
+		NodeConfig{ID: "n2", BaseURL: serveNode(t)},
+	)
+	for _, c := range []struct {
+		req              serve.Request
+		dtype, integrity string
+		replicas         int
+	}{
+		{serve.Request{Kernel: "gemm", N: 96, Seed: 1, Dtype: "f32"}, "f32", "", 0},
+		{serve.Request{Kernel: "gemm", N: 96, Seed: 2, Integrity: "vote", Replicas: 3}, "", "vote", 3},
+		{serve.Request{Kernel: "gemm", N: 96, Seed: 3, Integrity: "verify-vote"}, "", "verify-vote", 3},
+		{serve.Request{Kernel: "cg", NX: 8, NY: 8, Seed: 4, Integrity: "vote"}, "", "vote", 3},
+	} {
+		st, err := g.SubmitJob(c.req)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.req, err)
+		}
+		if st.Sharded || st.Long {
+			t.Errorf("%+v routed sharded=%v long=%v, want passthrough", c.req, st.Sharded, st.Long)
+		}
+		final := waitJob(t, g, st.ID)
+		if final.State != serve.JobDone || final.Result == nil {
+			t.Fatalf("%+v: final %+v", c.req, final)
+		}
+		r := final.Result
+		if r.Dtype != c.dtype || r.Integrity != c.integrity || r.VoteReplicas != c.replicas {
+			t.Errorf("%+v answered dtype %q integrity %q vote_replicas %d, want %q %q %d",
+				c.req, r.Dtype, r.Integrity, r.VoteReplicas, c.dtype, c.integrity, c.replicas)
+		}
+	}
+	if n := g.m.JobsPassthrough.Value(); n != 4 {
+		t.Errorf("jobs_passthrough = %d, want 4", n)
+	}
+}
+
 // TestJobRejections: sharded jobs refuse fault injection; bad requests are
 // typed through the shared entrypoint.
 func TestJobRejections(t *testing.T) {

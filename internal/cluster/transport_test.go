@@ -98,10 +98,10 @@ func hungNode(t *testing.T) string {
 }
 
 // TestHungWorkerBounded: a worker that accepts a forward and never writes its
-// headers is cut by the forwarding transport's response-header timeout. The
-// forward ends as a transport error, charged to the node's TransportErrors
-// and its breaker, and fails over to the next node. The hung node is placed
-// first by taking its ID from the request's rendezvous order.
+// headers is cut by its node hop's headerTimeout, which bounds every windowed
+// exchange. The forward ends as a transport error, charged to the node's
+// TransportErrors and its breaker, and fails over to the next node. The hung
+// node is placed first by taking its ID from the request's rendezvous order.
 func TestHungWorkerBounded(t *testing.T) {
 	req := serve.Request{Kernel: "gemm", N: 16, Seed: 5}
 	hung, good := hungNode(t), serveNode(t)
@@ -142,8 +142,9 @@ func TestHungWorkerBounded(t *testing.T) {
 }
 
 // TestLongJobOutlivesHeaderTimeout: a long-job POST whose worker answers only
-// after the forwarding transport's response-header timeout is not cut, since
-// it rides the long transport, which has none.
+// after its node hop's headerTimeout is not cut, since the hop sends a long
+// job's POST unwindowed, and an unwindowed exchange waits for its reply
+// without that bound.
 func TestLongJobOutlivesHeaderTimeout(t *testing.T) {
 	const timeout = 50 * time.Millisecond
 	var calls atomic.Int64
@@ -229,22 +230,36 @@ func countingServer(t *testing.T, h http.Handler, config func(*http.Server)) (st
 }
 
 // TestCallerCancelIsNotANodeFault: a caller whose context ends mid-forward
-// has given up; the node did nothing wrong. Two such callers against a
-// healthy worker leave its transport errors at 0 and its breaker closed with
-// no failure, so a patient request right after is served. Each used to book
-// a transport error and a breaker failure, and two opened testGateway's
-// breaker: the patient request was refused with "every eligible replica is
-// parked".
+// has given up; the node did nothing wrong. The worker holds each impatient
+// caller's reply until that request ends, so the caller's 1 ms deadline
+// always expires mid-exchange. Two such callers against a healthy worker
+// leave its transport errors at 0 and its breaker closed with no failure,
+// so a patient request right after is served. Each used to book a transport
+// error and a breaker failure, and two opened testGateway's breaker: the
+// patient request was refused with "every eligible replica is parked".
 func TestCallerCancelIsNotANodeFault(t *testing.T) {
-	g := testGateway(t, NodeConfig{ID: "n0", BaseURL: serveNode(t)})
+	svc := serve.New(serve.Config{MaxConcurrency: 2, QueueDepth: 64, QueueTimeout: 30 * time.Second})
+	t.Cleanup(svc.Close)
+	h := serve.NewHandler(svc)
+	var hold atomic.Bool
+	hold.Store(true)
+	g := testGateway(t, NodeConfig{ID: "n0", BaseURL: stubNode(t, func(w http.ResponseWriter, r *http.Request) {
+		if hold.Load() {
+			_, _ = io.Copy(io.Discard, r.Body) // net/http watches the connection once the body is read
+			<-r.Context().Done()
+			return
+		}
+		h.ServeHTTP(w, r)
+	})})
 	for i := 0; i < 2; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		_, err := g.Do(ctx, serve.Request{Kernel: "gemm", N: 128, Seed: uint64(i)})
 		cancel()
 		if err == nil {
-			t.Fatal("an n=128 product was answered within 1 ms: the caller never gave up")
+			t.Fatal("a held forward was answered: the caller never gave up")
 		}
 	}
+	hold.Store(false)
 	nm, br := g.m.Node("n0"), g.byID["n0"].br
 	if nm.TransportErrors.Value() != 0 || br.snapshot() != breakerClosed || br.consecFails != 0 {
 		t.Errorf("after two callers gave up: transport_errors %d, breaker %v with %d failures; want 0, closed with 0",

@@ -283,7 +283,7 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 	case !abft.SameAnswer(sig, resp.AnswerSig):
 		err = fmt.Errorf("shipped answer hashes to %s, signed %q", sig, resp.AnswerSig)
 	default:
-		err = json.NewEncoder(tbuf).Encode(serve.VerifyTask{Kernel: "gemm", N: p.N, Seed: p.Seed, ProbeSeed: probeSeed, Ce: ce, Cr: cr})
+		err = json.NewEncoder(tbuf).Encode(serve.VerifyTask{Kernel: p.Kernel.String(), N: p.N, Seed: p.Seed, ProbeSeed: probeSeed, Ce: ce, Cr: cr})
 	}
 	if err != nil {
 		return refute(1, fmt.Sprintf("gateway refuted primary %s: %v", pri.nd.id, err))

@@ -58,10 +58,6 @@ type BlockResult struct {
 	RunMS float64 `json:"run_ms"`
 }
 
-// blockLimits derives the block-task admission bounds: sharded jobs may be
-// much larger than interactive requests, so they get their own size cap.
-func (c Config) blockLimits() Limits { return Limits{MaxN: c.MaxJobN, MaxFaults: c.MaxFaults} }
-
 // parseBlockTask funnels a block task through the shared admission
 // entrypoint (ParseRequest, so the 400 taxonomy is the daemon's), then
 // validates the grid geometry on top.
@@ -71,8 +67,8 @@ func parseBlockTask(l Limits, t BlockTask) (Parsed, abft.BlockGrid, error) {
 	if err != nil {
 		return p, g, err
 	}
-	if p.Kernel != KernelGEMM {
-		return p, g, fmt.Errorf("%w: block tasks support gemm only, got %s", ErrBadRequest, p.Kernel)
+	if !p.Kernel.row().product {
+		return p, g, fmt.Errorf("%w: kernel %s has no block route", ErrBadRequest, p.Kernel)
 	}
 	g = abft.BlockGrid{N: p.N, RowSplits: t.RowSplits, ColSplits: t.ColSplits}
 	if err := g.Validate(); err != nil {
@@ -101,7 +97,7 @@ func parseBlockTask(l Limits, t BlockTask) (Parsed, abft.BlockGrid, error) {
 // DoBlock admits and executes one block task: ErrBadRequest for a
 // malformed task, then the side routes' shared admission (acquire).
 func (s *Service) DoBlock(ctx context.Context, t BlockTask) (BlockResult, error) {
-	p, grid, err := parseBlockTask(s.cfg.blockLimits(), t)
+	p, grid, err := parseBlockTask(s.cfg.jobLimits(), t)
 	if err != nil {
 		return BlockResult{}, s.block.reject(err)
 	}

@@ -168,7 +168,7 @@ func splitsOf(b []byte) []int {
 // whose row and column splits each run strictly upwards from 0 to n, and
 // whose role names a block inside that grid.
 func FuzzParseBlockTask(f *testing.F) {
-	l := Config{}.withDefaults().blockLimits()
+	l := Config{}.withDefaults().jobLimits()
 	f.Add("gemm", 64, uint64(3), BlockData, []byte("\x00\x00\x20\x00\x40\x00"), []byte("\x00\x00\x40\x00"), 1, 0)
 	f.Fuzz(func(t *testing.T, kernel string, n int, seed uint64, role string, rows, cols []byte, bi, bj int) {
 		task := BlockTask{Kernel: kernel, N: n, Seed: seed, Role: role,

@@ -124,15 +124,7 @@ func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w re
 	nd = s.takeNode(p.Strategy, p.Seed)
 	rt := nd.rt
 	rt.Arena = arena
-	var err error
-	switch p.Kernel {
-	case KernelCholesky:
-		w, err = recovery.NewCholeskyWorkload(rt, p.N, p.Seed)
-	case KernelCG:
-		w, err = recovery.NewCGWorkload(rt, p.NX, p.NY, p.Seed)
-	default:
-		w, err = recovery.NewDGEMMWorkload(rt, p.N, p.Seed, p.Mode)
-	}
+	w, err := p.Kernel.row().build(rt, p)
 	if err != nil {
 		return recovery.Report{Outcome: recovery.Aborted, Err: err}, nil, nd
 	}

@@ -27,8 +27,7 @@ const (
 	IntegrityVote
 	// IntegrityVerifyVote is DCRFT-style complementary replication: one
 	// node computes, R−1 nodes replicate only the O(n²) checksum
-	// verification pass against the primary's shipped output. Gemm-only,
-	// mirroring the fused verify mode's admission rule.
+	// verification pass against the primary's shipped output.
 	IntegrityVerifyVote
 )
 

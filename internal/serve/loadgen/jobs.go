@@ -227,12 +227,8 @@ func runOneJob(ctx context.Context, h *HTTPClient, cfg JobsConfig, seed uint64) 
 	jctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
 	t0 := time.Now()
-	req := serve.Request{Kernel: cfg.Kernel, Seed: seed}
-	if cfg.Kernel == "cg" {
-		req.NX, req.NY = cfg.NX, cfg.NY
-	} else {
-		req.N = cfg.N
-	}
+	// Admission reads the size its kernel's row names and ignores the other.
+	req := serve.Request{Kernel: cfg.Kernel, N: cfg.N, NX: cfg.NX, NY: cfg.NY, Seed: seed}
 	st, err := h.SubmitJob(jctx, req)
 	if err != nil {
 		return JobOutcome{Status: serve.JobStatus{State: serve.JobFailed, Error: err.Error()}}, err

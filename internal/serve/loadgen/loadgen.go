@@ -48,14 +48,13 @@ type Config struct {
 	Rates      []float64 // requests/second (default {25})
 	Kernels    []serve.Kernel
 	Strategies []core.Strategy
-	// Modes is the verify-mode sweep axis (default {NotifiedVerify}).
-	// FusedVerify is gemm-only: fused × non-gemm coordinates are skipped
-	// rather than sent, so a sweep never manufactures 400s.
-	Modes []abft.VerifyMode
-	// Integrities is the integrity-tier sweep axis (default
-	// {IntegrityNone}). IntegrityVerifyVote is gemm-only and skipped off
-	// other kernels, mirroring the fused rule.
+	// Modes, Integrities and Dtypes are the verify-mode, integrity-tier and
+	// element-type sweep axes (defaults {NotifiedVerify}, {IntegrityNone},
+	// {DtypeF64}). A coordinate admission refuses (serve.Kernel.Admits) is
+	// skipped rather than sent, so a sweep never manufactures 400s.
+	Modes       []abft.VerifyMode
 	Integrities []serve.Integrity
+	Dtypes      []serve.Dtype
 	// Replicas is the vote width R stamped on non-none integrity requests
 	// (0 defers to the gateway default).
 	Replicas int
@@ -64,11 +63,6 @@ type Config struct {
 	// ever wins an election the sweep records a ForbiddenNode hit, which
 	// the gates treat like a wrong answer.
 	ForbidNodes []string
-	// Dtypes is the element-type sweep axis (default {DtypeF64}). f32 is
-	// gemm-only, pairs only with the fused verify mode, and excludes the
-	// integrity tier; incompatible coordinates are skipped rather than
-	// sent, mirroring the fused rule.
-	Dtypes []serve.Dtype
 	// Tenants, when non-empty, turns every cell into a concurrent
 	// multi-tenant flood: each spec fires its own open-loop stream at its
 	// own rate, stamped with its name and priority class, and the cell
@@ -235,22 +229,10 @@ func Run(ctx context.Context, d Doer, cfg Config) (*Result, error) {
 		for _, kernel := range cfg.Kernels {
 			for _, strat := range cfg.Strategies {
 				for _, mode := range cfg.Modes {
-					if mode == abft.FusedVerify && kernel != serve.KernelGEMM {
-						continue // fused is a DGEMM-only verify mode
-					}
 					for _, integ := range cfg.Integrities {
-						if integ == serve.IntegrityVerifyVote && kernel != serve.KernelGEMM {
-							continue // verify-vote replicates the gemm checksum pass
-						}
 						for _, dt := range cfg.Dtypes {
-							if dt == serve.DtypeF32 &&
-								(kernel != serve.KernelGEMM ||
-									mode != abft.FusedVerify ||
-									integ != serve.IntegrityNone) {
-								// f32 admits only gemm x fused x no integrity
-								// tier; skip the coordinate, don't manufacture
-								// 400s.
-								continue
+							if kernel.Admits(mode, integ, dt) != nil {
+								continue // admission refuses the pairing: skip it, don't manufacture 400s
 							}
 							if err := ctx.Err(); err != nil {
 								return res, err

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -402,5 +403,43 @@ func TestSweepIntegrityTally(t *testing.T) {
 	}
 	if res.PerNode()["liar"] != totals.ForbiddenNode {
 		t.Errorf("node spread %v disagrees with %d forbidden-node hits", res.PerNode(), totals.ForbiddenNode)
+	}
+}
+
+// TestSweepSendsOnlyAdmittedPairings sweeps every value of the kernel,
+// verify-mode, integrity and dtype axes against a service: the sweep skips
+// exactly the coordinates admission refuses, so the 14 admitted pairings
+// each run as a cell and no request comes back 400.
+func TestSweepSendsOnlyAdmittedPairings(t *testing.T) {
+	s := serve.New(serve.Config{MaxConcurrency: 2, QueueDepth: 64, QueueTimeout: 30 * time.Second})
+	defer s.Close()
+	target := doerFunc(func(ctx context.Context, req serve.Request) (serve.Response, error) {
+		resp, err := s.Do(ctx, req)
+		if errors.Is(err, serve.ErrBadRequest) {
+			t.Errorf("sweep sent a request admission refuses: %+v: %v", req, err)
+		}
+		return resp, err
+	})
+	res, err := Run(context.Background(), target, Config{
+		Seed:        3,
+		Requests:    1,
+		Rates:       []float64{1000},
+		Kernels:     serve.Kernels,
+		Modes:       []abft.VerifyMode{abft.FullVerify, abft.NotifiedVerify, abft.FusedVerify},
+		Integrities: []serve.Integrity{serve.IntegrityNone, serve.IntegrityVote, serve.IntegrityVerifyVote},
+		Dtypes:      []serve.Dtype{serve.DtypeF64, serve.DtypeF32},
+		N:           16,
+		NX:          8,
+		NY:          8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) != 14 {
+		t.Fatalf("cells = %d, want 14", len(res.Cells))
+	}
+	checkInvariants(t, res)
+	if tot := res.Totals(); tot.Corrected+tot.Restarted != 14 {
+		t.Errorf("totals %+v, want all 14 requests answered", tot)
 	}
 }

@@ -72,10 +72,6 @@ type LongResult struct {
 	RunMS       float64 `json:"run_ms"`
 }
 
-// longLimits derives long-task admission bounds: the CG grid area cap
-// follows the job-size cap, not the interactive one.
-func (c Config) longLimits() Limits { return Limits{MaxN: c.MaxJobN, MaxFaults: c.MaxFaults} }
-
 // parseLongTask funnels a long task through the shared admission
 // entrypoint and decodes the resume snapshot, if any.
 func parseLongTask(l Limits, t LongTask) (Parsed, *checkpoint.Snapshot, error) {
@@ -86,8 +82,8 @@ func parseLongTask(l Limits, t LongTask) (Parsed, *checkpoint.Snapshot, error) {
 	if err != nil {
 		return p, nil, err
 	}
-	if p.Kernel != KernelCG {
-		return p, nil, fmt.Errorf("%w: long tasks support cg only, got %s", ErrBadRequest, p.Kernel)
+	if !p.Kernel.row().long {
+		return p, nil, fmt.Errorf("%w: kernel %s has no long route", ErrBadRequest, p.Kernel)
 	}
 	if t.CheckpointEvery < 0 {
 		return p, nil, fmt.Errorf("%w: checkpoint_every must be >= 0", ErrBadRequest)
@@ -106,7 +102,7 @@ func parseLongTask(l Limits, t LongTask) (Parsed, *checkpoint.Snapshot, error) {
 // streaming checkpoints off-node as it goes: ErrBadRequest for a malformed
 // task, then the side routes' shared admission (acquire).
 func (s *Service) DoLong(ctx context.Context, t LongTask) (LongResult, error) {
-	p, resume, err := parseLongTask(s.cfg.longLimits(), t)
+	p, resume, err := parseLongTask(s.cfg.jobLimits(), t)
 	if err != nil {
 		return LongResult{}, s.long.reject(err)
 	}
@@ -141,7 +137,7 @@ func (s *Service) runLong(ctx context.Context, t LongTask, p Parsed, resume *che
 	nd = s.takeNode(p.Strategy, p.Seed)
 	rt := nd.rt
 	rt.Arena = &arena
-	w, err := recovery.NewCGWorkload(rt, p.NX, p.NY, p.Seed)
+	w, err := p.Kernel.row().build(rt, p)
 	if err != nil {
 		res.Outcome = recovery.Aborted.String()
 		res.Error = err.Error()

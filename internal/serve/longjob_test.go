@@ -80,7 +80,7 @@ func TestLongTaskRecycledNode(t *testing.T) {
 // task with checkpoint_every >= 0 whose snapshot, when it carries one, is
 // one checkpoint.Decode accepts and the one the task resumes from.
 func FuzzParseLongTask(f *testing.F) {
-	l := Config{}.withDefaults().longLimits()
+	l := Config{}.withDefaults().jobLimits()
 	f.Add("cg", 12, 12, uint64(5), "P_CK+P_SD", 2, "double-bit", 8,
 		checkpoint.Encode(checkpoint.Snapshot{Step: 24, Restarts: 1, Regions: []checkpoint.SnapRegion{{Name: "x", Data: []float64{1, -0.5, 3}}}}))
 	f.Fuzz(func(t *testing.T, kernel string, nx, ny int, seed uint64, strategy string, faults int, faultKind string, every int, snapshot []byte) {

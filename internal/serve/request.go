@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"coopabft/internal/abft"
 	"coopabft/internal/bifit"
 	"coopabft/internal/core"
+	"coopabft/internal/recovery"
 )
 
 // ErrBadRequest reports a request the service refuses to admit: unknown
@@ -15,7 +18,7 @@ import (
 // spec. The HTTP layer maps it to 400.
 var ErrBadRequest = errors.New("serve: bad request")
 
-// Kernel identifies which ABFT workload a request runs.
+// Kernel identifies which ABFT workload a request runs: its row in kernels.
 type Kernel int
 
 const (
@@ -29,22 +32,58 @@ const (
 	KernelCG
 )
 
+// Kernels lists the served kernels in wire order.
+var Kernels = []Kernel{KernelGEMM, KernelCholesky, KernelCG}
+
+// kernelRow is all the service states about one served kernel: admission,
+// execution, the side routes, the gateway's job routes and the load
+// generator read it here (DESIGN.md §2.2 prints the table).
+type kernelRow struct {
+	wire       string            // the /v1/<kernel> path component
+	grid       bool              // sized by a CG grid (sides ≥ 4, area ≤ MaxN²/16), not n in [8, MaxN]
+	modes      []abft.VerifyMode // the verify modes its workload runs
+	verifyVote bool              // verifiers re-check the shipped answer's checksums
+	f32        bool              // the mixed-precision path (exec32.go)
+	product    bool              // /v1/block, /v1/verify and sharded jobs
+	long       bool              // /v1/longjob and long jobs
+	build      func(rt *core.Runtime, p Parsed) (recovery.Workload, error)
+}
+
+var kernels = [...]kernelRow{
+	KernelGEMM: {
+		wire: "gemm", modes: []abft.VerifyMode{abft.FullVerify, abft.NotifiedVerify, abft.FusedVerify},
+		verifyVote: true, f32: true, product: true,
+		build: func(rt *core.Runtime, p Parsed) (recovery.Workload, error) {
+			return recovery.NewDGEMMWorkload(rt, p.N, p.Seed, p.Mode)
+		},
+	},
+	KernelCholesky: {
+		wire: "cholesky", modes: []abft.VerifyMode{abft.NotifiedVerify},
+		build: func(rt *core.Runtime, p Parsed) (recovery.Workload, error) {
+			return recovery.NewCholeskyWorkload(rt, p.N, p.Seed)
+		},
+	},
+	KernelCG: {
+		wire: "cg", grid: true, modes: []abft.VerifyMode{abft.NotifiedVerify}, long: true,
+		build: func(rt *core.Runtime, p Parsed) (recovery.Workload, error) {
+			return recovery.NewCGWorkload(rt, p.NX, p.NY, p.Seed)
+		},
+	},
+}
+
+// row returns k's row; k is Valid (it comes from ParseKernel, or Admits checked it).
+func (k Kernel) row() *kernelRow { return &kernels[k] }
+
 // String returns the wire name (the /v1/<kernel> path component).
 func (k Kernel) String() string {
-	switch k {
-	case KernelGEMM:
-		return "gemm"
-	case KernelCholesky:
-		return "cholesky"
-	case KernelCG:
-		return "cg"
-	default:
+	if !k.Valid() {
 		return fmt.Sprintf("Kernel(%d)", int(k))
 	}
+	return kernels[k].wire
 }
 
 // Valid reports whether k is one of the served kernels.
-func (k Kernel) Valid() bool { return k >= KernelGEMM && k <= KernelCG }
+func (k Kernel) Valid() bool { return k >= 0 && int(k) < len(kernels) }
 
 // Wire returns the route component for k, refusing invalid values: the
 // String fallback ("Kernel(%d)") is a diagnostic label and must never be
@@ -57,8 +96,36 @@ func (k Kernel) Wire() (string, error) {
 	return k.String(), nil
 }
 
-// Kernels lists the served kernels in wire order.
-var Kernels = []Kernel{KernelGEMM, KernelCholesky, KernelCG}
+// ParseKernel maps a wire name to its Kernel.
+func ParseKernel(name string) (Kernel, error) {
+	for k := range kernels {
+		if strings.EqualFold(kernels[k].wire, name) {
+			return Kernel(k), nil
+		}
+	}
+	return 0, fmt.Errorf("%w: unknown kernel %q (want one of %v)", ErrBadRequest, name, Kernels)
+}
+
+// Admits is admission's pairing rule: nil when kernel k runs verify mode m
+// under integrity i at dtype d, an ErrBadRequest otherwise. ParseRequest
+// applies it after defaults; the load generator skips the cells it refuses.
+// The f32 path runs outside the simulated-memory coordinator, so it pairs
+// only with fused verification and no answer voting; f32 is checked first,
+// since it sets the default mode, so its refusal names the dtype asked for.
+func (k Kernel) Admits(m abft.VerifyMode, i Integrity, d Dtype) error {
+	switch {
+	case !k.Valid():
+		return fmt.Errorf("%w: unknown kernel %v", ErrBadRequest, k)
+	case d == DtypeF32 && (!k.row().f32 || i != IntegrityNone || m != abft.FusedVerify):
+		return fmt.Errorf("%w: dtype f32 needs a kernel with an f32 path, verify mode %q and integrity %q; got %q, %q, %q",
+			ErrBadRequest, abft.FusedVerify, IntegrityNone, k, m, i)
+	case !slices.Contains(k.row().modes, m):
+		return fmt.Errorf("%w: kernel %q does not run verify mode %q", ErrBadRequest, k, m)
+	case i == IntegrityVerifyVote && !k.row().verifyVote:
+		return fmt.Errorf("%w: integrity %q replicates a checksum pass kernel %q lacks", ErrBadRequest, i, k)
+	}
+	return nil
+}
 
 // Dtype selects the arithmetic precision a request runs at.
 type Dtype int
@@ -68,8 +135,7 @@ const (
 	// coordinator (the default).
 	DtypeF64 Dtype = iota
 	// DtypeF32 is the mixed-precision path: float32 data and arithmetic,
-	// float64 checksums, variance-adaptive detection thresholds. Serving-
-	// native: gemm-only, fused verify only, integrity none.
+	// float64 checksums, variance-adaptive detection thresholds.
 	DtypeF32
 )
 
@@ -158,16 +224,6 @@ func parseTenant(name string) (string, error) {
 	return name, nil
 }
 
-// ParseKernel maps a wire name to its Kernel.
-func ParseKernel(name string) (Kernel, error) {
-	for _, k := range Kernels {
-		if strings.EqualFold(k.String(), name) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: unknown kernel %q (want one of %v)", ErrBadRequest, name, Kernels)
-}
-
 // parseKind maps a wire fault-kind name to its bifit.Kind.
 func parseKind(name string) (bifit.Kind, error) {
 	for _, k := range []bifit.Kind{bifit.SingleBit, bifit.DoubleBitSameWord, bifit.ChipFailure, bifit.Scattered} {
@@ -207,16 +263,14 @@ type Request struct {
 	// TimeoutMS bounds the request end to end (queue wait + execution);
 	// the deadline propagates into the kernel's step loop.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// VerifyMode is full|notified|fused (default notified). Fused selects
-	// the kernel-resident online checks and is gemm-only — requests pairing
-	// it with another kernel are rejected at admission.
+	// VerifyMode is full|notified|fused (default notified, fused for f32).
+	// Fused selects the kernel-resident online checks. Which kernels pair
+	// with which verify mode, integrity and dtype is Kernel.Admits's rule.
 	VerifyMode string `json:"verify_mode,omitempty"`
 	// Integrity is none|vote|verify-vote (default none). Non-none modes
 	// buy Byzantine answer coverage at the cluster gateway: the request is
 	// replicated across distinct nodes and delivered only on an output-
-	// signature majority. Verify-vote is gemm-only — requests pairing it
-	// with another kernel are rejected at admission, mirroring the fused
-	// verify-mode rule. A bare node accepts non-none integrity too (it
+	// signature majority. A bare node accepts non-none integrity too (it
 	// computes the answer signature the gateway votes on).
 	Integrity string `json:"integrity,omitempty"`
 	// Replicas is the vote's R (distinct nodes asked for the same answer);
@@ -230,8 +284,7 @@ type Request struct {
 	// (W_* write-back strategies are speculative, the rest protected).
 	Priority string `json:"priority,omitempty"`
 	// Dtype is f64|f32 (default f64). f32 selects the mixed-precision GEMM
-	// with variance-adaptive thresholds: gemm-only, fused verify only,
-	// integrity none — other combinations are rejected at admission.
+	// with variance-adaptive thresholds.
 	Dtype string `json:"dtype,omitempty"`
 }
 
@@ -255,6 +308,11 @@ type Limits struct {
 // Limits derives the service's admission bounds from its configuration.
 func (c Config) Limits() Limits { return Limits{MaxN: c.MaxN, MaxFaults: c.MaxFaults} }
 
+// jobLimits bounds the block and long-task routes: sharded and long jobs may
+// be much larger than interactive requests, so n and the CG grid area follow
+// the job-size cap.
+func (c Config) jobLimits() Limits { return Limits{MaxN: c.MaxJobN, MaxFaults: c.MaxFaults} }
+
 // Parsed is the admitted, typed form of a Request — the output of
 // ParseRequest, shared by the daemon, the cluster gateway, and the
 // block-task path.
@@ -276,11 +334,18 @@ type Parsed struct {
 
 // Size returns the user-facing problem size (n, or the CG grid area).
 func (p Parsed) Size() int {
-	if p.Kernel == KernelCG {
+	if p.Kernel.row().grid {
 		return p.NX * p.NY
 	}
 	return p.N
 }
+
+// Shards reports whether p may run as a sharded job once large enough, and
+// RunsLong whether it runs as a long job: a product or long kernel at f64
+// with no integrity tier, the only requests block and long tasks carry.
+func (p Parsed) Shards() bool   { return p.Kernel.row().product && p.plain() }
+func (p Parsed) RunsLong() bool { return p.Kernel.row().long && p.plain() }
+func (p Parsed) plain() bool    { return p.Dtype == DtypeF64 && p.Integrity == IntegrityNone }
 
 // ParseRequest is the single admission/validation entrypoint: it resolves
 // a wire Request's string fields (kernel, strategy, fault kind), applies
@@ -300,23 +365,9 @@ func ParseRequest(l Limits, r Request) (Parsed, error) {
 		}
 		p.Strategy = s
 	}
-	p.N = r.N
-	if p.N == 0 {
-		p.N = 64
-	}
-	switch p.Kernel {
-	case KernelGEMM, KernelCholesky:
-		if p.N < 8 || p.N > l.MaxN {
-			return p, fmt.Errorf("%w: n=%d outside [8, %d]", ErrBadRequest, p.N, l.MaxN)
-		}
-	case KernelCG:
-		p.NX, p.NY = r.NX, r.NY
-		if p.NX == 0 {
-			p.NX = 16
-		}
-		if p.NY == 0 {
-			p.NY = 16
-		}
+	p.N = cmp.Or(r.N, 64)
+	if p.Kernel.row().grid {
+		p.NX, p.NY = cmp.Or(r.NX, 16), cmp.Or(r.NY, 16)
 		// NX > area/NY is NX·NY > area without forming the product, which
 		// wraps for sides near 2³² and would admit a grid of area 0.
 		area := l.MaxN * l.MaxN / 16
@@ -324,6 +375,8 @@ func ParseRequest(l Limits, r Request) (Parsed, error) {
 			return p, fmt.Errorf("%w: cg grid %dx%d outside [4x4, area %d]",
 				ErrBadRequest, p.NX, p.NY, area)
 		}
+	} else if p.N < 8 || p.N > l.MaxN {
+		return p, fmt.Errorf("%w: n=%d outside [8, %d]", ErrBadRequest, p.N, l.MaxN)
 	}
 	p.Seed = r.Seed
 	p.Faults = r.Faults
@@ -340,16 +393,8 @@ func ParseRequest(l Limits, r Request) (Parsed, error) {
 			return p, fmt.Errorf("%w: %w", ErrBadRequest, err)
 		}
 	}
-	if p.Mode == abft.FusedVerify && p.Kernel != KernelGEMM {
-		return p, fmt.Errorf("%w: verify mode %q requires kernel gemm, got %q",
-			ErrBadRequest, p.Mode, p.Kernel)
-	}
 	if p.Integrity, err = ParseIntegrity(r.Integrity); err != nil {
 		return p, err
-	}
-	if p.Integrity == IntegrityVerifyVote && p.Kernel != KernelGEMM {
-		return p, fmt.Errorf("%w: integrity %q replicates the gemm checksum pass and requires kernel gemm, got %q",
-			ErrBadRequest, p.Integrity, p.Kernel)
 	}
 	p.Replicas = r.Replicas
 	if p.Replicas < 0 || p.Replicas > MaxReplicas {
@@ -368,25 +413,10 @@ func ParseRequest(l Limits, r Request) (Parsed, error) {
 	if p.Dtype, err = ParseDtype(r.Dtype); err != nil {
 		return p, err
 	}
-	if p.Dtype == DtypeF32 {
-		// The mixed-precision path is serving-native: it runs outside the
-		// simulated-memory coordinator, so only the combinations its own
-		// machinery covers are admitted.
-		if p.Kernel != KernelGEMM {
-			return p, fmt.Errorf("%w: dtype f32 requires kernel gemm, got %q", ErrBadRequest, p.Kernel)
-		}
-		if p.Integrity != IntegrityNone {
-			return p, fmt.Errorf("%w: dtype f32 does not support integrity %q (answer voting is f64-only)",
-				ErrBadRequest, p.Integrity)
-		}
-		if r.VerifyMode == "" {
-			p.Mode = abft.FusedVerify // online ABFT is the f32 path's only verifier
-		} else if p.Mode != abft.FusedVerify {
-			return p, fmt.Errorf("%w: dtype f32 requires verify mode %q, got %q",
-				ErrBadRequest, abft.FusedVerify, p.Mode)
-		}
+	if p.Dtype == DtypeF32 && r.VerifyMode == "" {
+		p.Mode = abft.FusedVerify // online ABFT is the f32 path's only verifier
 	}
-	return p, nil
+	return p, p.Kernel.Admits(p.Mode, p.Integrity, p.Dtype)
 }
 
 // Response reports one classified request. Outcome is always one of the

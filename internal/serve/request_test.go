@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"math/bits"
+	"strings"
 	"testing"
 
 	"coopabft/internal/abft"
@@ -17,12 +18,12 @@ func TestCGGridAreaOverflow(t *testing.T) {
 	for _, g := range [][2]int{{4, 1 << 62}, {1 << 32, 1 << 32}, {1 << 33, 1 << 31}} {
 		for _, sw := range [][2]int{g, {g[1], g[0]}} {
 			nx, ny := sw[0], sw[1]
-			for name, l := range map[string]Limits{"request": cfg.Limits(), "job": cfg.longLimits()} {
+			for name, l := range map[string]Limits{"request": cfg.Limits(), "job": cfg.jobLimits()} {
 				if p, err := ParseRequest(l, Request{Kernel: "cg", NX: nx, NY: ny}); !errors.Is(err, ErrBadRequest) {
 					t.Errorf("%s limits: cg %dx%d admitted with size %d (err %v)", name, nx, ny, p.Size(), err)
 				}
 			}
-			if p, _, err := parseLongTask(cfg.longLimits(), LongTask{Kernel: "cg", NX: nx, NY: ny}); !errors.Is(err, ErrBadRequest) {
+			if p, _, err := parseLongTask(cfg.jobLimits(), LongTask{Kernel: "cg", NX: nx, NY: ny}); !errors.Is(err, ErrBadRequest) {
 				t.Errorf("long task: cg %dx%d admitted with size %d (err %v)", nx, ny, p.Size(), err)
 			}
 		}
@@ -38,12 +39,84 @@ func TestCGGridAreaOverflow(t *testing.T) {
 	}
 }
 
+// TestAdmissionMatrix pins every pairing admission decides, kernel × verify
+// mode × integrity × dtype with each named explicitly (54 cells), and that
+// an admitted request parses without allocating. admitted lists the cells
+// admission accepts; the other 36 are 400s. The four marked false are full
+// verification on the kernels whose workloads run notified only: refused
+// rather than answered "full" over a notified run. An f32 refusal names
+// the dtype, whatever else the cell pairs it with. Kernel.String is pinned
+// for valid and invalid values alike, and Admits refuses an invalid Kernel
+// with a 400.
+func TestAdmissionMatrix(t *testing.T) {
+	admitted := map[string]bool{
+		"gemm/notified/none/f64": true, "gemm/notified/vote/f64": true, "gemm/notified/verify-vote/f64": true,
+		"gemm/full/none/f64": true, "gemm/full/vote/f64": true, "gemm/full/verify-vote/f64": true,
+		"gemm/fused/none/f64": true, "gemm/fused/vote/f64": true, "gemm/fused/verify-vote/f64": true,
+		"gemm/fused/none/f32":        true,
+		"cholesky/notified/none/f64": true, "cholesky/notified/vote/f64": true,
+		"cg/notified/none/f64": true, "cg/notified/vote/f64": true,
+		"cholesky/full/none/f64": false, "cholesky/full/vote/f64": false,
+		"cg/full/none/f64": false, "cg/full/vote/f64": false,
+	}
+	l := Config{}.withDefaults().Limits()
+	cells := 0
+	for _, k := range []string{"gemm", "cholesky", "cg"} {
+		for _, m := range []string{"notified", "full", "fused"} {
+			for _, i := range []string{"none", "vote", "verify-vote"} {
+				for _, d := range []string{"f64", "f32"} {
+					cells++
+					cell := k + "/" + m + "/" + i + "/" + d
+					p, err := ParseRequest(l, Request{Kernel: k, VerifyMode: m, Integrity: i, Dtype: d})
+					if err != nil && !errors.Is(err, ErrBadRequest) {
+						t.Fatalf("%s: refusal is not ErrBadRequest: %v", cell, err)
+					}
+					if (err == nil) != admitted[cell] {
+						t.Errorf("%s: admitted = %v (%v), want %v", cell, err == nil, err, admitted[cell])
+					}
+					if err != nil && d == "f32" && !strings.Contains(err.Error(), "dtype f32") {
+						t.Errorf("%s: refusal does not name the dtype asked for: %v", cell, err)
+					}
+					if err == nil && (p.Mode.String() != m || p.Integrity.String() != i || p.Dtype.String() != d) {
+						t.Errorf("%s: parsed as %s/%s/%s", cell, p.Mode, p.Integrity, p.Dtype)
+					}
+				}
+			}
+		}
+	}
+	if cells != 54 {
+		t.Fatalf("%d cells, want 54", cells)
+	}
+
+	for k, want := range map[Kernel]string{KernelGEMM: "gemm", KernelCholesky: "cholesky", KernelCG: "cg",
+		Kernel(3): "Kernel(3)", Kernel(-1): "Kernel(-1)"} {
+		if got := k.String(); got != want {
+			t.Errorf("Kernel(%d).String() = %q, want %q", int(k), got, want)
+		}
+	}
+	for _, k := range []Kernel{Kernel(3), Kernel(-1)} {
+		if err := k.Admits(abft.NotifiedVerify, IntegrityNone, DtypeF64); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("Kernel(%d).Admits = %v, want ErrBadRequest", int(k), err)
+		}
+	}
+
+	for _, r := range []Request{{Kernel: "gemm", N: 16, Dtype: "f32"}, {Kernel: "gemm", Integrity: "verify-vote"},
+		{Kernel: "cholesky"}, {Kernel: "cg"}} {
+		if _, err := ParseRequest(l, r); err != nil {
+			t.Fatalf("%+v: %v", r, err)
+		}
+		if a := testing.AllocsPerRun(100, func() { _, _ = ParseRequest(l, r) }); a != 0 {
+			t.Errorf("%+v: ParseRequest allocates %.0f times, want 0", r, a)
+		}
+	}
+}
+
 // FuzzParseRequest: for any wire fields, ParseRequest never panics and
 // refuses only with ErrBadRequest. What it accepts names a served kernel; a
 // gemm/cholesky size in [8, MaxN]; a cg grid of sides ≥ 4 whose area, taken
 // without overflow, is at most MaxN²/16; a fault count in [0, MaxFaults];
-// fused verification, verify-vote and f32 only on gemm; and replicas only
-// with an integrity mode.
+// full and fused verification, verify-vote and f32 only on gemm; and
+// replicas only with an integrity mode.
 func FuzzParseRequest(f *testing.F) {
 	l := Config{}.withDefaults().Limits()
 	f.Add("cg", 0, 4, 1<<62, "", uint64(1), 0, "", "", "", 0, "", "", "")
@@ -76,7 +149,7 @@ func FuzzParseRequest(f *testing.F) {
 		if p.Faults < 0 || p.Faults > l.MaxFaults {
 			t.Fatalf("accepted faults=%d outside [0, %d]", p.Faults, l.MaxFaults)
 		}
-		if (p.Mode == abft.FusedVerify || p.Integrity == IntegrityVerifyVote || p.Dtype == DtypeF32) && p.Kernel != KernelGEMM {
+		if (p.Mode != abft.NotifiedVerify || p.Integrity == IntegrityVerifyVote || p.Dtype == DtypeF32) && p.Kernel != KernelGEMM {
 			t.Fatalf("accepted mode %s integrity %s dtype %s on kernel %s", p.Mode, p.Integrity, p.Dtype, p.Kernel)
 		}
 		if p.Replicas != 0 && p.Integrity == IntegrityNone {

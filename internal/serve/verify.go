@@ -40,8 +40,8 @@ func parseVerifyTask(l Limits, t VerifyTask) (Parsed, error) {
 	if err != nil {
 		return p, err
 	}
-	if p.Kernel != KernelGEMM {
-		return p, fmt.Errorf("%w: verify tasks support gemm only, got %s", ErrBadRequest, p.Kernel)
+	if !p.Kernel.row().product {
+		return p, fmt.Errorf("%w: kernel %s has no verify route", ErrBadRequest, p.Kernel)
 	}
 	if len(t.Ce) != p.N || len(t.Cr) != p.N {
 		return p, fmt.Errorf("%w: %d and %d probe values for a %dx%d product", ErrBadRequest, len(t.Ce), len(t.Cr), p.N, p.N)
