@@ -14,48 +14,17 @@ go vet ./...
 go build ./...
 go test -race -short ./...
 
-# Allocation budgets, the serve ones read with the kernels serial as the
-# benchmark's workers run them: a warm n=128 fused GEMM request must stay
-# under 512 B of heap and a warm n=192 f32 request under 512 B (each takes
-# its operands, product, checksum vectors, checkpoint shadow and oracle
-# reference from a request-scoped arena over internal/mat's free lists, and
-# its job from the service's job list; the f32 one also its kernel object,
-# with its matrix headers and panel views, from the service's GEMM32 list);
-# a warm n=64 request under 512 B
-# for a clean notified product, 1 KiB for a Cholesky factorization and 1 KiB
-# for a faulted product (its functional node is recycled, not built, and
-# keeps the ladder's object graph: Env, allocation records, kernel object,
-# coordinator and checkpointer); a warm 24x24 CG request under 768 B (its
-# stencil indices are on the arena); one request of each ladder_f64_mix kind
-# and an n=192 f32 one, replayed after two garbage collections, under 128
-# KiB for all five (the free lists keep buffers, panels and the node across
-# collections); a warm n=64 verify task under 16 n-vectors (its operands
-# are on a task-scoped arena, and it carries two projections, not the
-# product); 64 verify tasks shed from the queue under their own 16n-byte
-# payload each; a worker's packed verify-vote product back on the answer
-# list once its handler returns, and concurrent verify-votes through the
-# gateway and three in-process nodes each delivering the right signature
-# while those buffers cycle (both TestAnswerBuffersRecycled); a warm n=64
-# verify-vote request through the gateway and three in-process nodes under
-# 36 KiB (the gateway reads the product once, verifiers never receive it,
-# both copies of it travel in buffers of the answer list, and every exchange
-# is the node hop's one write and one read); and a warm f32 n=16 request
-# through the gateway and one loopback worker under 6 KiB (the forward is one
-# templated write and one bounded read on the node's pooled connection, not
-# an http.Transport round trip with its loop handoffs, request copies and
-# reply header map). The free lists' idle bytes stay inside their budgets, a
-# full budget evicts its coldest lists to keep another's item, and
-# steady-state GEMM over mixed sizes allocates nothing. The race run above
-# runs all of these but the two gateway budgets, whose HTTP exchanges the
-# detector inflates (the raceEnabled test constant skips them); this tier
-# reads them without the detector, next to the node hop's own rules: a
-# caller that gives up books nothing on its node, a cancelled forward ends
-# at once and closes its connection, a pooled connection the worker closed
-# costs no forward, only a reply that can be followed on its connection
-# leaves it pooled, and every reply captured from a real server parses.
+# Allocation budgets without the race detector: every *AllocationBudget
+# test of any package, one package at a time (-p 1: a budget read beside
+# another package's tests measures the contention too); each test's doc
+# comment states its reading and its budget. The race run above skips the
+# two gateway budgets, whose HTTP exchanges the detector inflates. Beside
+# them: the free lists' budget rules, the worker's working set across GC,
+# the verify-vote answer buffers, and the node hop's connection rules.
+go test -p 1 -run 'AllocationBudget$' -count=1 -v ./...
 go test -run 'TestFreeList|TestBufPoolClassRoundTrip|TestMulAddIntoSteadyStateZeroAllocs' -count=1 -v ./internal/mat/
-go test -run 'TestWarmGEMMAllocationBudget|TestWarmGEMM32AllocationBudget|TestWarmLadderAllocationBudget|TestWarmCGAllocationBudget|TestWarmWorkerSurvivesGC|TestWarmVerifyAllocationBudget|TestQueuedVerifyTaskHoldsNoProduct|TestAnswerBuffersRecycled' -count=1 -v ./internal/serve/
-go test -run 'TestWarmVerifyVoteAllocationBudget|TestWarmForwardAllocationBudget|TestAnswerBuffersRecycled|TestCallerCancelIsNotANodeFault|TestForwardEndsWithCallerContext|TestStaleKeepAliveRedials|TestHopKeepsOnlyReusableConnections|TestHopReadsRealReplies' -count=1 -v ./internal/cluster/
+go test -run 'TestWarmWorkerSurvivesGC|TestQueuedVerifyTaskHoldsNoProduct|TestAnswerBuffersRecycled' -count=1 -v ./internal/serve/
+go test -run 'TestAnswerBuffersRecycled|TestCallerCancelIsNotANodeFault|TestForwardEndsWithCallerContext|TestStaleKeepAliveRedials|TestHopKeepsOnlyReusableConnections|TestHopReadsRealReplies' -count=1 -v ./internal/cluster/
 
 # Fuzz smoke: every native fuzz target, found per package by `go test
 # -list`, five seconds each on top of its committed corpus (the plain test

@@ -28,6 +28,7 @@ import (
 
 	"coopabft/internal/campaign"
 	"coopabft/internal/core"
+	"coopabft/internal/mat"
 	"coopabft/internal/serve"
 	"coopabft/internal/serve/qos"
 )
@@ -474,11 +475,19 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 		return serve.Response{}, fmt.Errorf("%w: %s", serve.ErrNoNodes, p.Strategy)
 	}
 
-	body, err := json.Marshal(req)
+	// Every forward of this request sends these bytes, encoded once from a
+	// recycled copy of req (encoding req itself would move it to the heap).
+	buf := serve.GetBody()
+	defer serve.PutBody(buf)
+	rec := getRecord[serve.Request]()
+	*rec = req
+	err = buf.Encode(rec)
+	putRecord(rec)
 	if err != nil {
 		g.m.BadRequests.Add(1)
 		return serve.Response{}, fmt.Errorf("%w: %w", serve.ErrBadRequest, err)
 	}
+	body := buf.Bytes()
 
 	// Integrity-tier requests leave the single-placement path here: they
 	// are elections over distinct nodes, not failover chains.
@@ -579,7 +588,8 @@ func (g *Gateway) delivered(outcome string) {
 
 // postJSON is the gateway's one way of sending work to a node: POST body to
 // path on nd, classify the reply, and settle the node's books for it. Only
-// fcDelivered carries a decoded R; fcBadRequest is the node's own 400
+// fcDelivered carries a decoded R, decoded into a recycled record (see
+// records) and copied out; fcBadRequest is the node's own 400
 // (final), fcShed its 429 (alive but full — try elsewhere), fcFailed a failed
 // exchange, an undecodable body, or a 503 — a breaker fault, charged to the
 // node's TransportErrors/Failed503. An exchange that fails once ctx has ended
@@ -602,16 +612,21 @@ func postJSON[R any](ctx context.Context, nd *node, path string, body []byte) (r
 		nd.settle(fcFailed, false)
 		return res, fcFailed, fmt.Errorf("node %s: %w", nd.id, err)
 	}
-	defer func() { nd.settle(class, aborted(&res)) }()
 	defer serve.PutBody(rep.body) // res and the errors below hold copies
 	payload := rep.body.Bytes()
 
 	switch rep.status {
 	case http.StatusOK:
-		if err := json.Unmarshal(payload, &res); err != nil {
+		rec := getRecord[R]()
+		err := json.Unmarshal(payload, rec)
+		res = *rec
+		putRecord(rec)
+		if err != nil {
 			nd.m.TransportErrors.Add(1)
+			nd.settle(fcFailed, false)
 			return res, fcFailed, fmt.Errorf("node %s: bad %s response body: %w", nd.id, path, err)
 		}
+		nd.settle(fcDelivered, aborted(&res))
 		return res, fcDelivered, nil
 	case http.StatusBadRequest:
 		class = fcBadRequest
@@ -621,11 +636,52 @@ func postJSON[R any](ctx context.Context, nd *node, path string, body []byte) (r
 		nd.m.Failed503.Add(1)
 		class = fcFailed
 	}
+	nd.settle(class, false)
 	var h http.Header
 	if rep.retryAfter != "" {
 		h = http.Header{"Retry-After": {rep.retryAfter}}
 	}
 	return res, class, fmt.Errorf("node %s: %w", nd.id, serve.ReadError(rep.status, h, payload))
+}
+
+// records keeps the structs the gateway encodes a forwarded request from
+// and decodes node replies into, one free list per type, so that neither is
+// a fresh struct that escapes to the heap: encoding/json takes its value as
+// an interface. A record goes back zeroed once its value is copied in or
+// out; each list keeps as many as the forwards in flight at once, up to
+// maxIdleRecords.
+var records = [...]any{
+	mat.NewFreeList[*serve.Request](maxIdleRecords),
+	mat.NewFreeList[*serve.Response](maxIdleRecords),
+	mat.NewFreeList[*serve.VerifyResult](maxIdleRecords),
+	mat.NewFreeList[*serve.BlockResult](maxIdleRecords),
+	mat.NewFreeList[*serve.LongResult](maxIdleRecords),
+}
+
+const maxIdleRecords = 64
+
+// recordList returns the free list of T's records.
+func recordList[T any]() *mat.FreeList[*T] {
+	for _, l := range records {
+		if tl, ok := l.(*mat.FreeList[*T]); ok {
+			return tl
+		}
+	}
+	panic(fmt.Sprintf("cluster: no records kept for %T", *new(T)))
+}
+
+// getRecord returns a zero T from its list, or a new one.
+func getRecord[T any]() *T {
+	if rec, ok := recordList[T]().Get(); ok {
+		return rec
+	}
+	return new(T)
+}
+
+// putRecord zeroes rec and hands it back to its list.
+func putRecord[T any](rec *T) {
+	*rec = *new(T)
+	recordList[T]().Put(rec, 1)
 }
 
 // longJobRoute is the one route whose POST is not windowed.

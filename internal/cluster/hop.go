@@ -95,7 +95,7 @@ func newHop(u *url.URL, window int) (*hop, error) {
 type reply struct {
 	status     int
 	retryAfter string
-	body       *bytes.Buffer
+	body       *serve.Body
 }
 
 // post sends body to route and reads the reply. A windowed exchange — every
@@ -367,7 +367,7 @@ func readHead(br *bufio.Reader) (hd replyHead, err error) {
 // lr as its limit. A Content-Length body is read to exactly its length; a
 // chunked one to its last chunk and the empty trailer section, and no
 // further than serve.ReplyLimit.
-func readBody(br *bufio.Reader, hd replyHead, lr *io.LimitedReader) (*bytes.Buffer, error) {
+func readBody(br *bufio.Reader, hd replyHead, lr *io.LimitedReader) (*serve.Body, error) {
 	b := serve.GetBody()
 	var err error
 	if hd.length >= 0 {

@@ -15,7 +15,7 @@ import (
 )
 
 // readReply is the hop's reply parser end to end: head, then body.
-func readReply(br *bufio.Reader) (replyHead, *bytes.Buffer, error) {
+func readReply(br *bufio.Reader) (replyHead, *serve.Body, error) {
 	hd, err := readHead(br)
 	if err != nil {
 		return hd, nil, err

@@ -102,17 +102,22 @@ func fillSeat[R any](ctx context.Context, g *Gateway, it *candidateIter, path st
 }
 
 // fillSeats fills k seats at once from one candidate order, which keeps
-// their nodes distinct.
+// their nodes distinct: k−1 on goroutines of their own and the last on the
+// caller's.
 func fillSeats[R any](ctx context.Context, g *Gateway, it *candidateIter, k int, path string, body []byte) []seat[R] {
 	seats := make([]seat[R], k)
+	if k == 0 {
+		return seats
+	}
 	var wg sync.WaitGroup
-	for i := range seats {
+	for i := range seats[:k-1] {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			seats[i] = fillSeat[R](ctx, g, it, path, body)
 		}(i)
 	}
+	seats[k-1] = fillSeat[R](ctx, g, it, path, body)
 	wg.Wait()
 	return seats
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
+
+	"coopabft/internal/mat"
 )
 
 // maxBodyBytes bounds request bodies; compute requests are tiny JSON.
@@ -40,23 +42,56 @@ func NewHandler(s *Service) http.Handler {
 // decode the body (an empty one is the all-defaults request; one with
 // anything but whitespace after its JSON value is a 400), force the kernel
 // from the route when kernel is set, run the request through do, and answer
-// with status or the error through WriteResult. A Response's packed answer
-// goes back to the answer list once it is written.
+// with status or the error through WriteResult.
 func HandleRequest[R any](kernel string, status int, do func(context.Context, Request) (R, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		if err := DecodeBody(r.Body, r.ContentLength, maxBodyBytes, &req); err != nil && !errors.Is(err, io.EOF) {
-			WriteErr(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
-			return
-		}
+	return handle(maxBodyBytes, true, status, func(ctx context.Context, req Request) (R, error) {
 		if kernel != "" {
 			req.Kernel = kernel
 		}
-		res, err := do(r.Context(), req)
-		WriteResult(w, status, res, err)
-		if resp, ok := any(&res).(*Response); ok {
-			resp.Answer.Release()
+		return do(ctx, req)
+	})
+}
+
+// exchange is what one HTTP exchange decodes and answers: the request or
+// task, and its result. A route keeps its exchanges on a free list and
+// decodes into and encodes from them where they lie, so neither escapes to
+// the heap per exchange nor is boxed into an interface.
+type exchange[T, R any] struct {
+	in  T
+	out R
+}
+
+// maxIdleExchanges bounds each route's idle exchanges: as many as the
+// exchanges it serves at once, the ten requests a worker admits by default
+// (MaxConcurrency 2 executing, QueueDepth 8 queued) or a gateway's node
+// windows' worth, and more than either under cmd/abftbench's load.
+const maxIdleExchanges = 64
+
+// handle is the handler behind every route that decodes a body: decode at
+// most limit bytes into a recycled exchange (an all-whitespace body is the
+// zero T where emptyOK, a 400 otherwise), run it through do, and answer
+// with status or the error through WriteResult. A Response's packed answer
+// goes back to the answer list once it is written, and the exchange, zeroed,
+// to the route's list; an exchange whose do panicked is left to the GC.
+func handle[T, R any](limit int64, emptyOK bool, status int, do func(context.Context, T) (R, error)) http.HandlerFunc {
+	idle := mat.NewFreeList[*exchange[T, R]](maxIdleExchanges)
+	return func(w http.ResponseWriter, r *http.Request) {
+		x, ok := idle.Get()
+		if !ok {
+			x = new(exchange[T, R])
 		}
+		if err := DecodeBody(r.Body, r.ContentLength, limit, &x.in); err != nil && !(emptyOK && errors.Is(err, io.EOF)) {
+			WriteErr(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
+		} else {
+			var err error
+			x.out, err = do(r.Context(), x.in)
+			WriteResult(w, status, &x.out, err)
+			if resp, ok := any(&x.out).(*Response); ok {
+				resp.Answer.Release()
+			}
+		}
+		*x = exchange[T, R]{}
+		idle.Put(x, 1)
 	}
 }
 
@@ -77,15 +112,7 @@ func verifyMaxBodyBytes(maxN int) int64 { return int64(2*maxN*25 + 1<<10) }
 // handleTask is the side routes' one HTTP handler: decode a task of at most
 // limit bytes, run it through do, answer through WriteResult.
 func handleTask[T, R any](limit int64, do func(context.Context, T) (R, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var task T
-		if err := DecodeBody(r.Body, r.ContentLength, limit, &task); err != nil {
-			WriteErr(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
-			return
-		}
-		res, err := do(r.Context(), task)
-		WriteResult(w, http.StatusOK, res, err)
-	}
+	return handle(limit, false, http.StatusOK, do)
 }
 
 // handleEvents streams the service's error bus (push-on-fault: the gateway

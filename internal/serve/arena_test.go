@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"sort"
@@ -239,7 +241,7 @@ func TestResponseSurvivesBufferReuse(t *testing.T) {
 }
 
 // panicOnThirdErr is a context whose third Err() call panics. The
-// dispatcher asks once before it starts the job and the coordinator's step
+// slot holder asks once before it starts the job and the coordinator's step
 // hook once per tick, so the panic unwinds out of the kernel's panel loop
 // after the first panel has run, with the request's buffers live.
 type panicOnThirdErr struct {
@@ -286,7 +288,7 @@ func TestKernelPanicLeavesServiceCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := new(atomic.Int32)
-	calls.Store(1) // the dispatcher's call
+	calls.Store(1) // the slot holder's call
 	arena := new(mat.Arena)
 	if rep, w, node := s.runLadder(&job{ctx: panicOnThirdErr{ctx, calls}, req: p}, arena); rep.Outcome.String() != "aborted" ||
 		w != nil || node != nil || !reflect.DeepEqual(*arena, mat.Arena{}) {
@@ -347,7 +349,7 @@ func TestF32ResponseSurvivesBufferReuse(t *testing.T) {
 }
 
 // TestF32PanicOnRestartLeavesServiceCorrect: the f32 ladder asks its context
-// once per attempt, after the dispatcher asked once, so the third Err() is
+// once per attempt, after the slot holder asked once, so the third Err() is
 // the restart that follows an operand fault, when the arena already holds a
 // whole attempt's buffers. The guard must classify the request aborted and
 // empty the arena, so that execute's Release pools nothing, and the service
@@ -383,7 +385,7 @@ func TestF32PanicOnRestartLeavesServiceCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := new(atomic.Int32)
-	calls.Store(1) // the dispatcher's call
+	calls.Store(1) // the slot holder's call
 	arena := new(mat.Arena)
 	if rep, g := s.runLadder32(&job{ctx: panicOnThirdErr{ctx, calls}, req: p}, arena); rep.Outcome.String() != "aborted" || g != nil {
 		t.Errorf("direct panicking run: %+v, kernel object %p kept for the list", rep, g)
@@ -502,14 +504,16 @@ func warmBytesPerCall(f func()) uint64 {
 // left was the per-request machine model and bookkeeping, about 40 KiB, with
 // the node recycled too, bookkeeping alone, about 11 KB, and with the node
 // keeping its kernel objects, coordinator and checkpointer and the job
-// recycled, about 0.2 KB: the workload. The budget (512 B) fails before
+// recycled, 176 B: the workload, and the dispatcher's batch and executor
+// goroutine. With the request run on its caller's goroutine, 120 B is left.
+// The budget (256 B: the reading plus 136 B) fails before the job (176 B),
 // the coordinator and checkpointer (0.6 KB) or the kernel object (1.1 KB)
-// could be rebuilt per request again.
+// could be built per request again.
 func TestWarmGEMMAllocationBudget(t *testing.T) {
 	per := warmAllocation(t, Request{Kernel: "gemm", N: 128, VerifyMode: "fused"})
 	t.Logf("warm n=128 fused gemm request: %d B allocated", per)
-	if per >= 512 {
-		t.Errorf("warm n=128 fused gemm request allocates %d B, budget is 512 B", per)
+	if per >= 256 {
+		t.Errorf("warm n=128 fused gemm request allocates %d B, budget is 256 B", per)
 	}
 }
 
@@ -519,13 +523,16 @@ func TestWarmGEMMAllocationBudget(t *testing.T) {
 // recycled and the kernel serial about 1.3 KB, most of it the kernel object
 // with its matrix headers and two panel views per k-panel (twelve at
 // K=192). The service keeps its GEMM32s and each keeps those headers
-// (GEMM32.Reset): about 80 B is left. The budget (512 B) fails before the
-// kernel object or its panel views could be built per request again.
+// (GEMM32.Reset): 80 B was left, and 24 B once the request ran on its
+// caller's goroutine rather than a dispatcher's batch on an executor
+// goroutine. The budget (128 B: the reading plus 104 B) fails before the
+// kernel object, its panel views or the job could be built per request
+// again.
 func TestWarmGEMM32AllocationBudget(t *testing.T) {
 	per := warmAllocation(t, Request{Kernel: "gemm", N: 192, Dtype: "f32"})
 	t.Logf("warm n=192 f32 gemm request: %d B allocated", per)
-	if per >= 512 {
-		t.Errorf("warm n=192 f32 gemm request allocates %d B, budget is 512 B", per)
+	if per >= 128 {
+		t.Errorf("warm n=192 f32 gemm request allocates %d B, budget is 128 B", per)
 	}
 }
 
@@ -538,11 +545,12 @@ func TestWarmGEMM32AllocationBudget(t *testing.T) {
 // allocation records, the Env closures, the coordinator and the
 // checkpointer, 3.5 KB for a notified product and 5.0 KB for a Cholesky
 // factorization, plus the job (0.6 KB). The node keeps that graph and the
-// job is recycled: a clean product allocates about 0.2 KB (its workload), a
-// Cholesky factorization 0.6 KB (its workload carries the checkpoint set and
-// the reference header), and a faulted product adds the injection plan, the
-// inject target list and a fault-table entry, about 0.6 KB. Each budget
-// (512 B, 1 KiB and 1 KiB, two to three times the reading) fails before the
+// job is recycled, and the request runs on its caller's goroutine: a clean
+// product allocates 120 B (its workload), a Cholesky factorization 536 B
+// (its workload carries the checkpoint set and the reference header), and a
+// faulted product adds the injection plan, the inject target list and a
+// fault-table entry, 536 B (568 B under -race). Each budget (256 B, 768 B
+// and 768 B: the reading plus 136 B, 232 B and 200 B) fails before the
 // coordinator and the checkpointer (0.6 KB) or the kernel object (1.1 KB)
 // could be rebuilt per request again, and far before the node.
 func TestWarmLadderAllocationBudget(t *testing.T) {
@@ -551,11 +559,11 @@ func TestWarmLadderAllocationBudget(t *testing.T) {
 		req    Request
 		budget uint64
 	}{
-		{"clean n=64 notified gemm", Request{Kernel: "gemm", N: 64, VerifyMode: "notified"}, 512},
-		{"clean n=64 cholesky", Request{Kernel: "cholesky", N: 64}, 1 << 10},
+		{"clean n=64 notified gemm", Request{Kernel: "gemm", N: 64, VerifyMode: "notified"}, 256},
+		{"clean n=64 cholesky", Request{Kernel: "cholesky", N: 64}, 768},
 		// One single-bit flip under chipkill: armed hierarchy, hardware
 		// correction, outcome corrected whatever the seed.
-		{"faulted n=64 gemm", Request{Kernel: "gemm", N: 64, Strategy: "W_CK", Faults: 1, FaultKind: "single-bit"}, 1 << 10},
+		{"faulted n=64 gemm", Request{Kernel: "gemm", N: 64, Strategy: "W_CK", Faults: 1, FaultKind: "single-bit"}, 768},
 	} {
 		per := warmAllocation(t, c.req)
 		t.Logf("warm %s request: %d B allocated", c.name, per)
@@ -569,15 +577,16 @@ func TestWarmLadderAllocationBudget(t *testing.T) {
 // used to allocate about 20 KB, two thirds of it the stencil's row pointers
 // and column indices (13.4 KB), built per request; they come from the arena
 // now, and with the node keeping the solver object, the coordinator and the
-// checkpointer and the job recycled, what is left is the workload and the
-// operator's header, about 0.4 KB. The budget (768 B) fails before the
-// coordinator and the checkpointer (0.6 KB) or the solver object (0.9 KB)
-// could be rebuilt per request again.
+// checkpointer and the job recycled, and the request on its caller's
+// goroutine, what is left is the workload and the operator's header, 328 B.
+// The budget (512 B: the reading plus 184 B) fails before the job (176 B),
+// the coordinator and the checkpointer (0.6 KB) or the solver object
+// (0.9 KB) could be built per request again.
 func TestWarmCGAllocationBudget(t *testing.T) {
 	per := warmAllocation(t, Request{Kernel: "cg", NX: 24, NY: 24})
 	t.Logf("warm 24x24 cg request: %d B allocated", per)
-	if per >= 768 {
-		t.Errorf("warm 24x24 cg request allocates %d B, budget is 768 B", per)
+	if per >= 512 {
+		t.Errorf("warm 24x24 cg request allocates %d B, budget is 512 B", per)
 	}
 }
 
@@ -643,5 +652,52 @@ func TestWarmVerifyAllocationBudget(t *testing.T) {
 	t.Logf("warm n=%d verify task: %d B allocated", n, per)
 	if per >= 16*8*n {
 		t.Errorf("warm n=%d verify task allocates %d B, as much as 16 n-vectors (%d B)", n, per, 16*8*n)
+	}
+}
+
+// replyDiscard is a ResponseWriter that keeps one header map and drops the
+// body it is written, so that a handler's own allocation is all a reading
+// of it shows.
+type replyDiscard struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *replyDiscard) Header() http.Header         { return w.h }
+func (w *replyDiscard) WriteHeader(status int)      { w.status = status }
+func (w *replyDiscard) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// TestWarmHandlerAllocationBudget: one f32 n=16 request through
+// NewHandler — the body decoded, Do, the reply encoded — the wire
+// workload's worker half without the sockets. The request and its Response
+// used to escape to the heap per request (the Request decoded through an
+// interface, the Response boxed for the encoder), with the body's limit
+// reader, the encoder and the dispatcher's goroutine and batch beside them:
+// 840 B. The handler decodes into and encodes from a recycled exchange now,
+// the body keeps its limit reader and encoder, and the request runs on the
+// handler's goroutine: what is left, 280 B, is encoding/json's decoder
+// state and the reply's two header values. The budget (384 B, the reading
+// plus a third) fails before the Request (184 B) or the Response (280 B)
+// could escape again.
+func TestWarmHandlerAllocationBudget(t *testing.T) {
+	defer mat.SetParallelism(mat.SetParallelism(1))
+	s := newTestService(t, Config{MaxConcurrency: 1, QueueDepth: 4, QueueTimeout: time.Minute})
+	h := NewHandler(s)
+	body := []byte(`{"n":16,"dtype":"f32","seed":9}`)
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/gemm", rd)
+	w := &replyDiscard{h: make(http.Header)}
+	per := warmBytesPerCall(func() {
+		rd.Reset(body)
+		w.status, w.n = 0, 0
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK || w.n == 0 {
+			t.Fatalf("status %d, %d body bytes", w.status, w.n)
+		}
+	})
+	t.Logf("warm f32 n=16 request through the handler: %d B allocated", per)
+	if per >= 384 {
+		t.Errorf("warm f32 n=16 request through the handler allocates %d B, budget is 384 B", per)
 	}
 }

@@ -25,52 +25,66 @@ func compatible(a, b Parsed) bool {
 		a.Integrity == b.Integrity && a.Dtype == b.Dtype && a.Tenant == b.Tenant
 }
 
-// dispatch is the scheduling loop: pop the fair-queue head, optionally hold
-// a small-GEMM batch open for BatchWindow, then acquire a concurrency slot
-// and hand the batch to an executor goroutine. Exactly one dispatcher runs
-// per service, so batch formation never races with itself.
-func (s *Service) dispatch() {
-	defer s.dispatchWG.Done()
-	for {
-		it, ok := s.sched.Pop()
-		if !ok {
-			select {
-			case <-s.sched.Ready():
-				continue
-			case <-s.quit:
-				s.drain()
-				return
-			}
-		}
-		first := it.Value.(*job)
-		batch := []*job{first}
-		if s.cfg.BatchWindow > 0 && s.cfg.MaxBatch > 1 && first.req.Kernel == KernelGEMM {
-			batch = s.collect(first)
-		}
+// work runs fair-queue heads on the concurrency slot won by the caller of Do
+// whose job is own, and gives the slot back when it stops. It pops the head
+// (which may be another caller's job), runs it, delivers it, and goes on
+// until own has been taken, by this caller or by another slot holder, or
+// the queue is empty, or own's context ends (its caller then abandons it),
+// or the service closes. The state check comes before every pop, so a
+// caller runs at most one head that it popped after own was taken: the one
+// it popped while another holder was taking own. With BatchWindow > 0 a
+// GEMM head opens a batch that the slot holder forms (collect) and runs
+// back-to-back on its slot.
+func (s *Service) work(own *job) {
+	defer func() { <-s.sem }()
+	for own.state.Load() == stateQueued {
 		select {
-		case s.sem <- struct{}{}:
 		case <-s.quit:
-			s.fail(batch)
-			s.drain()
+			return
+		case <-own.ctx.Done():
+			return
+		default:
+		}
+		head, ok := s.take(nil)
+		if !ok {
 			return
 		}
-		s.execWG.Add(1)
-		go s.runBatch(batch)
+		if s.cfg.BatchWindow > 0 && s.cfg.MaxBatch > 1 && head.req.Kernel == KernelGEMM {
+			s.runBatch(s.collect(head))
+		} else {
+			s.runBatch([]*job{head})
+		}
+	}
+}
+
+// take pops the first fair-queue head match accepts (nil accepts all) whose
+// waiter still waits, and marks it running: from here its slot holder
+// delivers it. Heads whose waiters gave up are dropped on the way.
+func (s *Service) take(match func(qos.Item) bool) (*job, bool) {
+	for {
+		it, ok := s.sched.PopWhere(match)
+		if !ok {
+			return nil, false
+		}
+		if j := it.Value.(*job); j.state.CompareAndSwap(stateQueued, stateRunning) {
+			s.m.QueueDepth.Add(-1)
+			return j, true
+		}
 	}
 }
 
 // collect holds first's batch open for BatchWindow, coalescing compatible
 // followers up to MaxBatch. Only fair-queue heads are considered (PopWhere),
 // so batching can never reorder one tenant's requests; incompatible work
-// simply stays queued for the next dispatch round.
+// simply stays queued for the next slot holder.
 func (s *Service) collect(first *job) []*job {
 	batch := []*job{first}
 	timer := time.NewTimer(s.cfg.BatchWindow)
 	defer timer.Stop()
 	match := func(it qos.Item) bool { return compatible(first.req, it.Value.(*job).req) }
 	for len(batch) < s.cfg.MaxBatch {
-		if it, ok := s.sched.PopWhere(match); ok {
-			batch = append(batch, it.Value.(*job))
+		if j, ok := s.take(match); ok {
+			batch = append(batch, j)
 			continue
 		}
 		select {
@@ -84,10 +98,8 @@ func (s *Service) collect(first *job) []*job {
 	return batch
 }
 
-// runBatch executes a batch on one concurrency slot.
+// runBatch executes a batch on the caller's concurrency slot.
 func (s *Service) runBatch(batch []*job) {
-	defer s.execWG.Done()
-	defer func() { <-s.sem }()
 	s.m.Batches.Add(1)
 	if len(batch) > 1 {
 		s.m.BatchedRequests.Add(int64(len(batch)))
@@ -97,13 +109,9 @@ func (s *Service) runBatch(batch []*job) {
 	}
 }
 
-// runJob transitions one job to running (skipping abandoned waiters),
-// enforces the queue-wait budget, and executes the ladder.
+// runJob enforces the queue-wait budget on one taken job and executes the
+// ladder.
 func (s *Service) runJob(j *job, batchSize int) {
-	if !j.state.CompareAndSwap(stateQueued, stateRunning) {
-		return // waiter gave up while queued; nothing to deliver
-	}
-	s.m.QueueDepth.Add(-1)
 	wait := time.Since(j.enq)
 	if qt := s.cfg.QueueTimeout; qt > 0 && wait > qt {
 		s.m.QueueTimeouts.Add(1)
@@ -117,25 +125,4 @@ func (s *Service) runJob(j *job, batchSize int) {
 		return
 	}
 	j.deliver(s.execute(j, batchSize, wait), nil)
-}
-
-// fail delivers ErrClosed to every job in the slice that has not started.
-func (s *Service) fail(jobs []*job) {
-	for _, j := range jobs {
-		if j.state.CompareAndSwap(stateQueued, stateRunning) {
-			s.m.QueueDepth.Add(-1)
-			j.deliver(Response{}, ErrClosed)
-		}
-	}
-}
-
-// drain flushes the queue at shutdown, failing everything still parked.
-func (s *Service) drain() {
-	for {
-		it, ok := s.sched.Pop()
-		if !ok {
-			return
-		}
-		s.fail([]*job{it.Value.(*job)})
-	}
 }

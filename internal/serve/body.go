@@ -40,27 +40,45 @@ const maxPooledBody = 1 << 20
 // decoded answers have their own list and budget (answerBudget).
 const bodyBudget = 4 << 20
 
-var bodies = mat.NewFreeList[*bytes.Buffer](bodyBudget)
+var bodies = mat.NewFreeList[*Body](bodyBudget)
+
+// Body is a recycled body buffer. The limit reader ReadBody reads through and
+// the encoder Encode writes with travel with it, so a body read or written
+// through one allocates neither.
+type Body struct {
+	bytes.Buffer
+	limit io.LimitedReader
+	enc   *json.Encoder // over Buffer; made on the first Encode
+}
 
 // GetBody returns an empty buffer from the body list, for a caller that
-// encodes a body into it (WriteJSON, a vote's shared task) or reads one
-// itself (the gateway's node hop). Pair it with PutBody.
-func GetBody() *bytes.Buffer {
+// encodes a body into it (WriteJSON, a forwarded request, a vote's shared
+// task) or reads one itself (the gateway's node hop). Pair it with PutBody.
+func GetBody() *Body {
 	if b, ok := bodies.Get(); ok {
 		return b
 	}
-	return new(bytes.Buffer)
+	return new(Body)
 }
 
 // PutBody recycles a buffer from GetBody or ReadBody. Nothing may still read
 // its bytes: an http.Request built over them must have been answered and the
 // response body closed, or have failed.
-func PutBody(b *bytes.Buffer) {
+func PutBody(b *Body) {
 	if b.Cap() > maxPooledBody {
 		return
 	}
 	b.Reset()
 	bodies.Put(b, b.Cap()+int(unsafe.Sizeof(*b)))
+}
+
+// Encode appends v to b as JSON followed by a newline, as json.Encoder
+// writes it. Nothing is appended when v does not encode.
+func (b *Body) Encode(v any) error {
+	if b.enc == nil {
+		b.enc = json.NewEncoder(&b.Buffer)
+	}
+	return b.enc.Encode(v)
 }
 
 // ReadBody reads at most limit bytes of r — what lies beyond is ignored, as
@@ -69,13 +87,16 @@ func PutBody(b *bytes.Buffer) {
 // (−1 when unknown) and only pre-sizes the buffer, and only up to
 // maxPooledBody: the header is the sender's claim, and memory is not
 // committed to a claim.
-func ReadBody(r io.Reader, size, limit int64) (*bytes.Buffer, error) {
+func ReadBody(r io.Reader, size, limit int64) (*Body, error) {
 	b := GetBody()
 	if size > 0 {
 		// ReadFrom wants MinRead spare bytes before the read that finds EOF.
 		b.Grow(int(min(min(size, limit)+bytes.MinRead, maxPooledBody)))
 	}
-	if _, err := b.ReadFrom(io.LimitReader(r, limit)); err != nil {
+	b.limit = io.LimitedReader{R: r, N: limit}
+	_, err := b.ReadFrom(&b.limit)
+	b.limit.R = nil // an idle body pins no reader
+	if err != nil {
 		PutBody(b)
 		return nil, err
 	}

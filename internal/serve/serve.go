@@ -1,8 +1,13 @@
 // Package serve puts the §4 recovery ladder behind a request path: a
-// bounded admission queue with typed overload rejections, a small-GEMM
-// batching stage, semaphore-limited concurrent execution, and per-request
-// ECC strategy selection mapped through core.Strategy — the serving
-// analogue of the paper's malloc_ecc flag. Every admitted request executes
+// bounded fair admission queue with typed overload rejections, execution on
+// a bounded number of concurrency slots, an optional small-GEMM batching
+// stage, and per-request ECC strategy selection mapped through
+// core.Strategy — the serving analogue of the paper's malloc_ecc flag. The
+// service starts no goroutine of its own: each request runs on the goroutine
+// that called Do (an HTTP handler's, on a worker). A caller whose job is
+// queued waits for a slot; the caller that wins one runs the fair-queue
+// head, which may be another caller's job, and delivers it, until its own
+// job has been taken. Every admitted request executes
 // through recovery.Coordinator, so a fault-injected request degrades per
 // the Case 1–4 ladder (silent hardware correction → notified ABFT repair →
 // bounded checkpoint restart) instead of ever returning a wrong answer:
@@ -90,7 +95,9 @@ const maxRestarts = 3
 // Config sizes the service. The zero value is usable: defaults are applied
 // by New.
 type Config struct {
-	// MaxConcurrency bounds simultaneously executing batches (default 2).
+	// MaxConcurrency is the number of concurrency slots: batches executing
+	// at once, each on the goroutine of the caller that won its slot
+	// (default 2).
 	MaxConcurrency int
 	// QueueDepth bounds admitted-but-not-running requests; a full queue
 	// rejects with ErrOverloaded (default 4×MaxConcurrency).
@@ -98,8 +105,9 @@ type Config struct {
 	// QueueTimeout bounds time spent queued regardless of the request
 	// deadline (default 2s; <0 disables).
 	QueueTimeout time.Duration
-	// BatchWindow is how long the dispatcher holds a batchable request
-	// open for compatible followers (default 0: batching off).
+	// BatchWindow is how long the slot holder that pops a GEMM request
+	// keeps its batch open for compatible followers, on its slot (default 0:
+	// batching off).
 	BatchWindow time.Duration
 	// MaxBatch caps requests coalesced into one batch (default 8).
 	MaxBatch int
@@ -180,8 +188,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job states: a job is delivered exactly once, either by the executor
-// (queued→running→done) or by the abandoning waiter (queued→abandoned).
+// job states: a job is delivered exactly once, either by the slot holder
+// that took it from the queue or the arrival that evicted it
+// (queued→running→done), or by the abandoning waiter (queued→abandoned).
 //
 // Jobs are recycled on one rule: the waiter that received a job's result is
 // the last to touch it — the deliverer is done with it once the result is in
@@ -213,15 +222,15 @@ func (j *job) deliver(r Response, err error) {
 	j.done <- result{resp: r, err: err}
 }
 
-// Service is the fault-tolerant compute service: admission control in Do,
-// a dispatcher goroutine that batches and schedules, and per-batch
-// executor goroutines that run the recovery ladder.
+// Service is the fault-tolerant compute service: admission control and
+// fair queueing in Do, and MaxConcurrency slots on which the callers of Do
+// run the recovery ladder, their own requests and each other's (see work).
 type Service struct {
 	cfg Config
 	m   *Metrics
 
 	sched      *qos.Scheduler
-	sem        chan struct{}
+	sem        chan struct{} // the concurrency slots; a send wins one
 	quit       chan struct{}
 	bus        *Bus
 	ckptClient *http.Client
@@ -235,11 +244,12 @@ type Service struct {
 	// (see execute) between them, through garbage collections. It starts
 	// empty: the first requests build theirs. Every node is Put at weight 1,
 	// so its budget is a count: one node per slot that can hold one,
-	// MaxConcurrency executors and the long-task route's one.
+	// MaxConcurrency concurrency slots and the long-task route's one.
 	nodes *mat.FreeList[*node]
 
 	// gemm32s keeps the f32 kernel objects between requests as nodes keeps
-	// the f64 ladder's, by the same rule (see execute); one per executor.
+	// the f64 ladder's, by the same rule (see execute); one per concurrency
+	// slot.
 	gemm32s *mat.FreeList[*abft.GEMM32]
 
 	// The side routes; verification is an offloaded O(n²) pass, much closer
@@ -247,12 +257,11 @@ type Service struct {
 	// block route's slots.
 	block, verify, long sideRoute
 
-	dispatchWG sync.WaitGroup
-	execWG     sync.WaitGroup
-	closeOnce  sync.Once
+	closeOnce sync.Once
 }
 
-// New builds and starts a service.
+// New builds a service. It starts no goroutine: requests run on their
+// callers'.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	if cfg.Parallelism > 0 {
@@ -280,8 +289,6 @@ func New(cfg Config) *Service {
 	s.long = sideRoute{"long-job", make(chan struct{}, 1), &s.m.Long} // one solve at a time
 	s.m.QueueCap.Set(int64(cfg.QueueDepth))
 	s.m.bus = s.bus
-	s.dispatchWG.Add(1)
-	go s.dispatch()
 	return s
 }
 
@@ -345,17 +352,24 @@ func (s *Service) acquire(ctx context.Context, rt *sideRoute, timeoutMS int) (_ 
 func (s *Service) Bus() *Bus { return s.bus }
 
 // Close stops admission, fails queued-but-unstarted requests with
-// ErrClosed, and waits for running batches to finish. In-flight requests
-// complete normally, so callers draining an HTTP server should Shutdown
-// the server first, then Close the service.
+// ErrClosed (each waiter fails its own), and waits for running batches to
+// finish by taking every concurrency slot, which it keeps. In-flight
+// requests complete normally, so callers draining an HTTP server should
+// Shutdown the server first, then Close the service.
 func (s *Service) Close() {
-	s.closeOnce.Do(func() { close(s.quit) })
-	s.dispatchWG.Wait()
-	s.execWG.Wait()
+	s.closeOnce.Do(func() {
+		close(s.quit)
+		for range cap(s.sem) {
+			s.sem <- struct{}{}
+		}
+	})
 }
 
-// Do admits, queues, and executes one request, blocking until it is
-// classified or rejected. Rejections are typed: ErrBadRequest,
+// Do admits, queues, and executes one request on the calling goroutine,
+// blocking until it is classified or rejected. While its job is queued the
+// caller waits for a concurrency slot, its result, its deadline or
+// shutdown; with a slot it runs queue heads until its own job has been
+// taken (see work). Rejections are typed: ErrBadRequest,
 // ThrottleError (tenant over quota), ShedError (sacrificed to overload) —
 // both satisfying errors.Is(err, ErrOverloaded) — ErrQueueTimeout (admitted
 // but expired in queue), ErrClosed. A nil error means the Response carries
@@ -423,28 +437,35 @@ func (s *Service) Do(ctx context.Context, req Request) (Response, error) {
 	s.m.Inflight.Add(1)
 	defer s.m.Inflight.Add(-1)
 
-	select {
-	case r := <-j.done:
-		s.putJob(j)
-		return r.resp, r.err
-	case <-ctx.Done():
-		if j.state.CompareAndSwap(stateQueued, stateAbandoned) {
-			// Never started: the executor will skip it when drained.
-			s.m.QueueDepth.Add(-1)
-			s.m.QueueTimeouts.Add(1)
-			return Response{}, fmt.Errorf("%w: %w", ErrQueueTimeout, context.Cause(ctx))
+	for {
+		select {
+		case r := <-j.done:
+			s.putJob(j)
+			return r.resp, r.err
+		case s.sem <- struct{}{}:
+			s.work(j)
+			if j.state.Load() != stateQueued {
+				return s.receive(j)
+			}
+		case <-ctx.Done():
+			if j.state.CompareAndSwap(stateQueued, stateAbandoned) {
+				// Never taken: the slot holder that pops it drops it.
+				s.m.QueueDepth.Add(-1)
+				s.m.QueueTimeouts.Add(1)
+				return Response{}, fmt.Errorf("%w: %w", ErrQueueTimeout, context.Cause(ctx))
+			}
+			// Already taken: its slot holder delivers it, a queue timeout if
+			// it has not started yet; once running, the coordinator observes
+			// the same context and aborts at the next step boundary.
+			return s.receive(j)
+		case <-s.quit:
+			// Shutdown while queued: no slot holder takes work any more.
+			if j.state.CompareAndSwap(stateQueued, stateAbandoned) {
+				s.m.QueueDepth.Add(-1)
+				return Response{}, ErrClosed
+			}
+			return s.receive(j)
 		}
-		// Already running: the coordinator observes the same context and
-		// aborts at the next step boundary — wait for the classification.
-		return s.receive(j)
-	case <-s.quit:
-		// Shutdown while queued: abandon (the drain may already have run
-		// past this job, so do not rely on it delivering).
-		if j.state.CompareAndSwap(stateQueued, stateAbandoned) {
-			s.m.QueueDepth.Add(-1)
-			return Response{}, ErrClosed
-		}
-		return s.receive(j)
 	}
 }
 

@@ -170,8 +170,7 @@ func TestOverloadRejection(t *testing.T) {
 	close(start)
 
 	// Rejections are synchronous; the accepted requests stay parked in the
-	// queue (depth 2, plus the job the dispatcher holds at the semaphore),
-	// so collect until a lull.
+	// queue (depth 2), so collect until a lull.
 	overloaded := 0
 collect:
 	for overloaded < 8 {
@@ -185,7 +184,7 @@ collect:
 			break collect
 		}
 	}
-	if overloaded < 5 {
+	if overloaded < 6 {
 		t.Fatalf("only %d of 8 requests were shed with queue depth 2", overloaded)
 	}
 	if got := s.m.Rejected.Value(); int(got) < overloaded {

@@ -176,7 +176,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	defer PutBody(b)
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	if err := json.NewEncoder(b).Encode(v); err != nil {
+	if err := b.Encode(v); err != nil {
 		w.WriteHeader(status)
 		return
 	}
