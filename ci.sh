@@ -92,10 +92,11 @@ go test -race -timeout 5m \
 # reaches is the three main packages: flags parsed into the right Config
 # fields, real sockets, expvar, and the SIGINT drain. So: three race-built
 # workers behind a race-built gateway whose sharding, checkpoint and vote
-# flags are set away from their defaults, four short abftload runs that
+# flags are set away from their defaults, five short abftload runs that
 # each exit nonzero on a wrong answer (a fault-injected f64/f32 sweep, a
-# vote sweep, a sharded job checked against the client's own product, a CG
-# long job), nothing killed, and every daemon required to drain on SIGINT
+# vote sweep, a verify-vote sweep, whose verifiers decode their tasks and
+# check them on real sockets, a sharded job checked against the client's own
+# product, a CG long job), nothing killed, and every daemon required to drain on SIGINT
 # with exit 0. The gateway gets no -self-url: workers must be handed the
 # address its listener bound, and the CG job's checkpoints arriving there
 # is the one counter read here, because only the binary has that default.
@@ -130,6 +131,8 @@ gw=http://127.0.0.1:18430
 	-retry-429 2 -min-complete 0.95
 "$tmp/abftload" -addr "$gw" -kernels gemm -integrity vote \
 	-rates 40 -requests 32 -n 48 -seed 19 -retry-429 2
+"$tmp/abftload" -addr "$gw" -kernels gemm -integrity verify-vote \
+	-rates 40 -requests 32 -n 48 -seed 23 -retry-429 2
 "$tmp/abftload" -addr "$gw" -jobs 1 -job-n 512 -job-verify -seed 13
 "$tmp/abftload" -addr "$gw" -jobs 1 -job-kernel cg -seed 17
 curl -fsS "$gw/debug/vars" | grep -q '"checkpoints_stored":[1-9]'

@@ -38,7 +38,19 @@ func AnswerSig(chunks ...[]float64) string {
 			}
 		}
 	}
-	return fmt.Sprintf("%016x", h)
+	return sigString(h)
+}
+
+// sigString formats a signature hash as its 16 lower-case hex digits, the
+// string fmt's "%016x" makes of it.
+func sigString(h uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[h&0xf]
+		h >>= 4
+	}
+	return string(b[:])
 }
 
 // SameAnswer reports whether two canonical signatures denote the same
@@ -60,7 +72,7 @@ func SeedProbe(n int, seed uint64) []float64 { return mat.RandomVec(n, seed^0xa5
 // ProbeBlock takes, over a matrix, then CheckProbes.
 func CheckProduct(a, b, c *mat.Matrix, seed uint64, tol float64) error {
 	r := SeedProbe(c.Rows, seed)
-	return CheckProbes(a, b, r, mat.MulVec(c, mat.Ones(c.Rows)), mat.MulVec(c, r), tol)
+	return CheckProbes(nil, a, b, r, mat.MulVec(c, mat.Ones(c.Rows)), mat.MulVec(c, r), tol)
 }
 
 // CheckProbes is the verifier's half of Freivalds' check: it compares a
@@ -68,9 +80,17 @@ func CheckProduct(a, b, c *mat.Matrix, seed uint64, tol float64) error {
 // pins any single wrong element larger than tol) and cr = C·r with A·(B·e)
 // and A·(B·r), in four matvecs, never forming A·B or seeing C. With r drawn
 // after C was fixed, a wrong C passes only if its error is orthogonal to r.
-func CheckProbes(a, b *mat.Matrix, r, ce, cr []float64, tol float64) error {
-	for k, x := range [2][]float64{mat.Ones(len(r)), r} {
-		want, claim := mat.MulVec(a, mat.MulVec(b, x)), [2][]float64{ce, cr}[k]
+// The ones vector and the matvecs' results come from ar, which may be nil
+// (the heap).
+func CheckProbes(ar *mat.Arena, a, b *mat.Matrix, r, ce, cr []float64, tol float64) error {
+	e, bx, want := ar.Floats(len(r)), ar.Floats(b.Rows), ar.Floats(a.Rows)
+	for i := range e {
+		e[i] = 1
+	}
+	for k, x := range [2][]float64{e, r} {
+		mat.MulVecInto(bx, b, x)
+		mat.MulVecInto(want, a, bx)
+		claim := [2][]float64{ce, cr}[k]
 		for i := range want {
 			if d := math.Abs(want[i] - claim[i]); !(d <= tol) {
 				return fmt.Errorf("%w: %s probe row %d: |Δ|=%g > tol %g",
@@ -82,15 +102,14 @@ func CheckProbes(a, b *mat.Matrix, r, ce, cr []float64, tol float64) error {
 }
 
 // ProbeBlock reads a claimed n×n product in its PackBlock form once, without
-// unpacking it, and returns its canonical signature (AnswerSig over its rows)
-// and its projections C·e and C·r, each bit for bit what mat.MulVec computes.
-// A payload of any other length than 8n² is refused with ErrBadSize.
-func ProbeBlock(packed []byte, n int, r []float64) (sig string, ce, cr []float64, err error) {
-	if !holdsBlock(len(packed), n, n) || len(r) != n {
-		return "", nil, nil, fmt.Errorf("%w: %d-byte payload for a %dx%d product", ErrBadSize, len(packed), n, n)
+// unpacking it, writes its projections C·e and C·r into ce and cr, each bit
+// for bit what mat.MulVec computes, and returns its canonical signature
+// (AnswerSig over its rows). A payload of any other length than 8n², or r,
+// ce or cr of any other length than n, is refused with ErrBadSize.
+func ProbeBlock(packed []byte, n int, r, ce, cr []float64) (sig string, err error) {
+	if !holdsBlock(len(packed), n, n) || len(r) != n || len(ce) != n || len(cr) != n {
+		return "", fmt.Errorf("%w: %d-byte payload for a %dx%d product", ErrBadSize, len(packed), n, n)
 	}
-	e := mat.Ones(n)
-	ce, cr = make([]float64, n), make([]float64, n)
 	h := uint64(fnvOffset64)
 	for i := range ce {
 		se, sr := 0.0, 0.0
@@ -101,10 +120,10 @@ func ProbeBlock(packed []byte, n int, r []float64) (sig string, ce, cr []float64
 				h *= fnvPrime64
 			}
 			v := math.Float64frombits(binary.LittleEndian.Uint64(bs))
-			se += v * e[j]
+			se += v // v·1, exactly
 			sr += v * w
 		}
 		ce[i], cr[i] = se, sr
 	}
-	return fmt.Sprintf("%016x", h), ce, cr, nil
+	return sigString(h), nil
 }

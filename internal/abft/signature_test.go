@@ -2,6 +2,7 @@ package abft
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // product gives, bit for bit, the signature of the unpacked rows and
 // mat.MulVec's projections, over odd shapes, −0, subnormals, infinities and
 // NaN payloads in the product and in the probe; and it refuses every length
-// but 8n², and a probe of the wrong length, as ErrBadSize.
+// but 8n², and a probe or a projection of the wrong length, as ErrBadSize.
 func TestProbeBlockMatchesUnpacked(t *testing.T) {
 	specials := []float64{
 		math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1060, 0x1.fffffp-1023,
@@ -35,7 +36,8 @@ func TestProbeBlockMatchesUnpacked(t *testing.T) {
 			if trial == 3 {
 				r[n/2] = specials[int(seed)%len(specials)]
 			}
-			sig, ce, cr, err := ProbeBlock(PackBlock(c), n, r)
+			ce, cr := make([]float64, n), make([]float64, n)
+			sig, err := ProbeBlock(PackBlock(c), n, r, ce, cr)
 			if err != nil {
 				t.Fatalf("n=%d trial %d: %v", n, trial, err)
 			}
@@ -58,13 +60,17 @@ func TestProbeBlockMatchesUnpacked(t *testing.T) {
 			}
 		}
 		packed := PackBlock(mat.Random(n, n, 1))
-		r := mat.RandomVec(n, 2)
+		r, ce, cr := mat.RandomVec(n, 2), make([]float64, n), make([]float64, n)
 		for _, bad := range []struct {
-			b []byte
-			r []float64
-		}{{packed[:len(packed)-8], r}, {append(packed, 0), r}, {packed, r[:n-1]}, {nil, r}} {
-			if _, _, _, err := ProbeBlock(bad.b, n, bad.r); !errors.Is(err, ErrBadSize) {
-				t.Errorf("n=%d: %d bytes and a %d-value probe: err = %v, want ErrBadSize", n, len(bad.b), len(bad.r), err)
+			b         []byte
+			r, ce, cr []float64
+		}{
+			{packed[:len(packed)-8], r, ce, cr}, {append(packed, 0), r, ce, cr}, {packed, r[:n-1], ce, cr}, {nil, r, ce, cr},
+			{packed, r, ce[:n-1], cr}, {packed, r, ce, append(cr, 0)},
+		} {
+			if _, err := ProbeBlock(bad.b, n, bad.r, bad.ce, bad.cr); !errors.Is(err, ErrBadSize) {
+				t.Errorf("n=%d: %d bytes, a %d-value probe and %d, %d projection slots: err = %v, want ErrBadSize",
+					n, len(bad.b), len(bad.r), len(bad.ce), len(bad.cr), err)
 			}
 		}
 	}
@@ -108,8 +114,28 @@ func TestCheckProductVerdicts(t *testing.T) {
 		t.Errorf("a lie orthogonal to both seed-derived probes was refuted (%v): the test no longer shows what they miss", err)
 	}
 	r := mat.RandomVec(n, 0x5eed)
-	if err := CheckProbes(a, b, r, mat.MulVec(adaptive, mat.Ones(n)), mat.MulVec(adaptive, r), tol); !errors.Is(err, ErrProductMismatch) ||
+	if err := CheckProbes(nil, a, b, r, mat.MulVec(adaptive, mat.Ones(n)), mat.MulVec(adaptive, r), tol); !errors.Is(err, ErrProductMismatch) ||
 		!strings.Contains(err.Error(), "random probe row 5") {
 		t.Errorf("a probe the liar did not know: %v", err)
+	}
+}
+
+// TestSigStringIsPercent016x: a signature's text is the string fmt's "%016x"
+// makes of its hash, for every hex digit in every position, the hash's
+// extremes, and 256 scrambled hashes.
+func TestSigStringIsPercent016x(t *testing.T) {
+	hs := []uint64{0, 1, math.MaxUint64, fnvOffset64, fnvPrime64}
+	for pos := 0; pos < 64; pos += 4 {
+		for d := uint64(0); d < 16; d++ {
+			hs = append(hs, d<<pos)
+		}
+	}
+	for _, v := range mat.RandomVec(256, 11) {
+		hs = append(hs, math.Float64bits(v)*0x9e3779b97f4a7c15)
+	}
+	for _, h := range hs {
+		if got, want := sigString(h), fmt.Sprintf("%016x", h); got != want {
+			t.Fatalf("sigString(%#x) = %q, want %q", h, got, want)
+		}
 	}
 }

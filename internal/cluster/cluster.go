@@ -15,7 +15,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -222,7 +221,7 @@ type node struct {
 	id   string
 	base string
 	hop  *hop                   // carries every POST to the node
-	caps map[core.Strategy]bool // nil = all strategies
+	caps map[core.Strategy]bool // nil = all strategies; fixed at New (placement caches by it)
 	hash uint64
 
 	window   chan struct{}
@@ -271,6 +270,11 @@ func (nd *node) release() {
 // nodes, so spilling to the next-ranked replica on a momentarily full
 // window would silently shrink the electorate.
 func (nd *node) acquire(ctx context.Context) error {
+	// A free slot is taken before ctx is asked for its Done channel, which
+	// a cancelCtx makes on first request.
+	if nd.tryAcquire() {
+		return nil
+	}
 	select {
 	case nd.window <- struct{}{}:
 		nd.m.Inflight.Add(1)
@@ -310,6 +314,20 @@ type Gateway struct {
 	// set it after binding its listener.
 	bus     *serve.Bus
 	selfURL atomic.Value // string
+
+	// placed holds each (strategy, placement key)'s rendezvous order over
+	// the nodes capable of the strategy, ranked on first use and never
+	// mutated: the node list and every node's capability set are fixed at
+	// New. It keeps at most one order per strategy, kernel and size class.
+	placeMu sync.RWMutex
+	placed  map[placeAt][]*node
+}
+
+// placeAt is one placement coordinate: the strategy that filters the nodes
+// and the key that orders them.
+type placeAt struct {
+	strategy core.Strategy
+	key      uint64
 }
 
 // forwardTimeout bounds how long a node may take to answer a windowed
@@ -323,12 +341,13 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, errors.New("cluster: no nodes configured")
 	}
 	g := &Gateway{
-		cfg:  cfg,
-		m:    cfg.Metrics,
-		byID: make(map[string]*node, len(cfg.Nodes)),
-		quit: make(chan struct{}),
-		jobs: make(map[string]*jobRecord),
-		bus:  serve.NewBus(),
+		cfg:    cfg,
+		m:      cfg.Metrics,
+		byID:   make(map[string]*node, len(cfg.Nodes)),
+		quit:   make(chan struct{}),
+		jobs:   make(map[string]*jobRecord),
+		bus:    serve.NewBus(),
+		placed: make(map[placeAt][]*node),
 		long: &http.Transport{
 			Proxy:              http.ProxyFromEnvironment,
 			DialContext:        (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
@@ -562,14 +581,26 @@ func (g *Gateway) Do(ctx context.Context, req serve.Request) (serve.Response, er
 }
 
 // placement lists the nodes capable of p's strategy in p's rendezvous order.
+// The list is shared: callers read it and never write it.
 func (g *Gateway) placement(p serve.Parsed) []*node {
+	at := placeAt{p.Strategy, placementKey(p.Kernel, sizeClass(p.Size()))}
+	g.placeMu.RLock()
+	ranked, ok := g.placed[at]
+	g.placeMu.RUnlock()
+	if ok {
+		return ranked
+	}
 	capable := make([]*node, 0, len(g.nodes))
 	for _, nd := range g.nodes {
-		if nd.supports(p.Strategy) {
+		if nd.supports(at.strategy) {
 			capable = append(capable, nd)
 		}
 	}
-	return rank(capable, placementKey(p.Kernel, sizeClass(p.Size())))
+	ranked = rank(capable, at.key)
+	g.placeMu.Lock()
+	g.placed[at] = ranked
+	g.placeMu.Unlock()
+	return ranked
 }
 
 // delivered counts one classified answer the gateway hands a client or a
@@ -588,15 +619,16 @@ func (g *Gateway) delivered(outcome string) {
 
 // postJSON is the gateway's one way of sending work to a node: POST body to
 // path on nd, classify the reply, and settle the node's books for it. Only
-// fcDelivered carries a decoded R, decoded into a recycled record (see
-// records) and copied out; fcBadRequest is the node's own 400
-// (final), fcShed its 429 (alive but full — try elsewhere), fcFailed a failed
-// exchange, an undecodable body, or a 503 — a breaker fault, charged to the
-// node's TransportErrors/Failed503. An exchange that fails once ctx has ended
-// is the caller giving up, not the node failing: it books nothing on the
-// node, and its error wraps ctx's. The class goes by status alone; the error
-// of a reply that is not a 200 is the one serve.ReadError reads from it.
-// What the caller does next is its dispatch policy; the books are done.
+// fcDelivered carries a decoded R, decoded by the reply body's decoder
+// (serve.Body.Decode) into a recycled record (see records) and copied out;
+// fcBadRequest is the node's own 400 (final), fcShed its 429 (alive but full
+// — try elsewhere), fcFailed a failed exchange, an undecodable body, or a
+// 503 — a breaker fault, charged to the node's TransportErrors/Failed503. An
+// exchange that fails once ctx has ended is the caller giving up, not the
+// node failing: it books nothing on the node, and its error wraps ctx's. The
+// class goes by status alone; the error of a reply that is not a 200 is the
+// one serve.ReadError reads from it. What the caller does next is its
+// dispatch policy; the books are done.
 //
 // Every route but the long job's is windowed: bounded by the hop's header
 // timeout and resent once when a pooled connection turns out closed. A long
@@ -618,7 +650,7 @@ func postJSON[R any](ctx context.Context, nd *node, path string, body []byte) (r
 	switch rep.status {
 	case http.StatusOK:
 		rec := getRecord[R]()
-		err := json.Unmarshal(payload, rec)
+		err := rep.body.Decode(rec)
 		res = *rec
 		putRecord(rec)
 		if err != nil {
@@ -644,18 +676,21 @@ func postJSON[R any](ctx context.Context, nd *node, path string, body []byte) (r
 	return res, class, fmt.Errorf("node %s: %w", nd.id, serve.ReadError(rep.status, h, payload))
 }
 
-// records keeps the structs the gateway encodes a forwarded request from
-// and decodes node replies into, one free list per type, so that neither is
-// a fresh struct that escapes to the heap: encoding/json takes its value as
-// an interface. A record goes back zeroed once its value is copied in or
-// out; each list keeps as many as the forwards in flight at once, up to
-// maxIdleRecords.
+// records keeps the structs the gateway encodes a forwarded request or a
+// verify task from and decodes node replies into, one free list per type, so
+// that neither is a fresh struct that escapes to the heap: encoding/json
+// takes its value as an interface. A record goes back zeroed once its value
+// is copied in or out; each list keeps as many as the forwards in flight at
+// once, up to maxIdleRecords. Elections (vote.go) are kept the same way.
 var records = [...]any{
 	mat.NewFreeList[*serve.Request](maxIdleRecords),
+	mat.NewFreeList[*serve.VerifyTask](maxIdleRecords),
 	mat.NewFreeList[*serve.Response](maxIdleRecords),
 	mat.NewFreeList[*serve.VerifyResult](maxIdleRecords),
 	mat.NewFreeList[*serve.BlockResult](maxIdleRecords),
 	mat.NewFreeList[*serve.LongResult](maxIdleRecords),
+	mat.NewFreeList[*election[serve.Response]](maxIdleRecords),
+	mat.NewFreeList[*election[serve.VerifyResult]](maxIdleRecords),
 }
 
 const maxIdleRecords = 64

@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"coopabft/internal/core"
 	"coopabft/internal/serve"
 )
 
@@ -101,6 +102,53 @@ func TestPlacementSizeDefaults(t *testing.T) {
 		}
 		if got := p.Size(); got != tc.want {
 			t.Errorf("%+v: size = %d, want %d", tc.req, got, tc.want)
+		}
+	}
+}
+
+// TestWarmPlacementAllocationBudget: once a strategy, kernel and size class
+// has been placed, placing it again reads the order kept for it — no copy,
+// no sort, no allocation — and that order is rank's over the nodes capable
+// of the strategy, for a strategy every node serves and for one only some
+// do.
+func TestWarmPlacementAllocationBudget(t *testing.T) {
+	g := testGateway(t,
+		NodeConfig{ID: "a", BaseURL: "http://127.0.0.1:1"},
+		NodeConfig{ID: "b", BaseURL: "http://127.0.0.1:2", Strategies: []core.Strategy{core.NoECC, core.WholeChipkill}},
+		NodeConfig{ID: "c", BaseURL: "http://127.0.0.1:3"},
+		NodeConfig{ID: "d", BaseURL: "http://127.0.0.1:4", Strategies: []core.Strategy{core.WholeChipkill}},
+	)
+	limits := serve.Limits{MaxN: 2048, MaxFaults: 8}
+	for _, req := range []serve.Request{
+		{Kernel: "gemm", N: 48},
+		{Kernel: "cholesky", N: 96, Strategy: "W_CK"},
+		{Kernel: "gemm", N: 48, Strategy: "No_ECC"},
+		{Kernel: "cg", NX: 8, NY: 4, Strategy: "P_SD+No_ECC"},
+	} {
+		p, err := serve.ParseRequest(limits, req)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		var capable []*node
+		for _, nd := range g.nodes {
+			if nd.supports(p.Strategy) {
+				capable = append(capable, nd)
+			}
+		}
+		want := rank(capable, placementKey(p.Kernel, sizeClass(p.Size())))
+		for round := 0; round < 2; round++ {
+			got := g.placement(p)
+			if len(got) != len(want) {
+				t.Fatalf("%+v: %d nodes placed, want %d", req, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%+v: node %d is %s, rank gives %s", req, i, got[i].id, want[i].id)
+				}
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { g.placement(p) }); n != 0 {
+			t.Errorf("%+v: a warm placement allocates %.0f times", req, n)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -101,24 +100,39 @@ func fillSeat[R any](ctx context.Context, g *Gateway, it *candidateIter, path st
 	}
 }
 
-// fillSeats fills k seats at once from one candidate order, which keeps
-// their nodes distinct: k−1 on goroutines of their own and the last on the
-// caller's.
-func fillSeats[R any](ctx context.Context, g *Gateway, it *candidateIter, k int, path string, body []byte) []seat[R] {
-	seats := make([]seat[R], k)
+// election is one election's candidate order and seats, recycled per reply
+// type (see records) so that neither is allocated per election.
+type election[R any] struct {
+	it    candidateIter
+	seats [serve.MaxReplicas]seat[R]
+	wg    sync.WaitGroup
+}
+
+// newElection returns a recycled election over the ranked candidate order.
+// Its owner hands it back with putRecord once nothing reads its seats.
+func newElection[R any](ranked []*node) *election[R] {
+	el := getRecord[election[R]]()
+	el.it.ranked = ranked
+	return el
+}
+
+// fillSeats fills k seats at once from the election's candidate order, which
+// keeps their nodes distinct: k−1 on goroutines of their own and the last on
+// the caller's. k is at most serve.MaxReplicas.
+func (el *election[R]) fillSeats(ctx context.Context, g *Gateway, k int, path string, body []byte) []seat[R] {
+	seats := el.seats[:k]
 	if k == 0 {
 		return seats
 	}
-	var wg sync.WaitGroup
 	for i := range seats[:k-1] {
-		wg.Add(1)
+		el.wg.Add(1)
 		go func(i int) {
-			defer wg.Done()
-			seats[i] = fillSeat[R](ctx, g, it, path, body)
+			defer el.wg.Done()
+			seats[i] = fillSeat[R](ctx, g, &el.it, path, body)
 		}(i)
 	}
-	seats[k-1] = fillSeat[R](ctx, g, it, path, body)
-	wg.Wait()
+	seats[k-1] = fillSeat[R](ctx, g, &el.it, path, body)
+	el.wg.Wait()
 	return seats
 }
 
@@ -185,10 +199,14 @@ func abortedResponse(p serve.Parsed, r, agree int, why string) serve.Response {
 // doVote runs the FRFT-style election: R concurrent replica workers over
 // the shared candidate order, then one count.
 func (g *Gateway) doVote(ctx context.Context, p serve.Parsed, wire string, body []byte, ranked []*node, r int) (serve.Response, error) {
-	results := fillSeats[serve.Response](ctx, g, &candidateIter{ranked: ranked}, r, "/v1/"+wire, body)
+	el := newElection[serve.Response](ranked)
+	defer putRecord(el)
+	results := el.fillSeats(ctx, g, r, "/v1/"+wire, body)
 
-	ballots := make([]vote.Ballot, 0, r)
-	slots := make([]int, 0, r) // ballot index -> results index
+	var ballotArr [serve.MaxReplicas]vote.Ballot
+	var slotArr [serve.MaxReplicas]int
+	ballots := ballotArr[:0]
+	slots := slotArr[:0] // ballot index -> results index
 	var lastErr error
 	for i, res := range results {
 		switch res.class {
@@ -246,8 +264,9 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 		return serve.Response{}, fmt.Errorf("%w: verify-vote probe: %v", serve.ErrUnavailable, err)
 	}
 	probeSeed := binary.LittleEndian.Uint64(rs[:])
-	it := &candidateIter{ranked: ranked}
-	pri := fillSeat[serve.Response](ctx, g, it, "/v1/gemm", body)
+	el := newElection[serve.VerifyResult](ranked)
+	defer putRecord(el)
+	pri := fillSeat[serve.Response](ctx, g, &el.it, "/v1/gemm", body)
 	switch pri.class {
 	case fcBadRequest:
 		g.m.BadRequests.Add(1)
@@ -279,7 +298,13 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 	// One pass binds the shipped bytes to the primary's signature; json
 	// refuses NaN or ±Inf, which an honest product never projects to. The
 	// task is encoded once, for every verifier; a refusal here asks none.
-	sig, ce, cr, err := abft.ProbeBlock(resp.Answer, p.N, mat.RandomVec(p.N, probeSeed))
+	// The probe r = mat.RandomVec(n, probeSeed) and the projections live in
+	// the election's arena until then.
+	var arena mat.Arena
+	var probe mat.Matrix
+	mat.FillRandom(mat.InitIn(&arena, &probe, 1, p.N), probeSeed)
+	ce, cr := arena.Floats(p.N), arena.Floats(p.N)
+	sig, err := abft.ProbeBlock(resp.Answer, p.N, probe.Data, ce, cr)
 	resp.Answer.Release() // the probe was its last reader
 	tbuf := serve.GetBody()
 	defer serve.PutBody(tbuf)
@@ -288,14 +313,18 @@ func (g *Gateway) doVerifyVote(ctx context.Context, p serve.Parsed, body []byte,
 	case !abft.SameAnswer(sig, resp.AnswerSig):
 		err = fmt.Errorf("shipped answer hashes to %s, signed %q", sig, resp.AnswerSig)
 	default:
-		err = json.NewEncoder(tbuf).Encode(serve.VerifyTask{Kernel: p.Kernel.String(), N: p.N, Seed: p.Seed, ProbeSeed: probeSeed, Ce: ce, Cr: cr})
+		task := getRecord[serve.VerifyTask]()
+		*task = serve.VerifyTask{Kernel: p.Kernel.String(), N: p.N, Seed: p.Seed, ProbeSeed: probeSeed, Ce: ce, Cr: cr}
+		err = tbuf.Encode(task)
+		putRecord(task)
 	}
+	arena.Release()
 	if err != nil {
 		return refute(1, fmt.Sprintf("gateway refuted primary %s: %v", pri.nd.id, err))
 	}
 	tbody := tbuf.Bytes()
 
-	verdicts := fillSeats[serve.VerifyResult](ctx, g, it, r-1, "/v1/verify", tbody)
+	verdicts := el.fillSeats(ctx, g, r-1, "/v1/verify", tbody)
 
 	approvals := 1 // the primary backs its own signature
 	var refuters []*node

@@ -39,8 +39,9 @@ type Ballot struct {
 	Sig string
 }
 
-// key is the equivalence class a ballot votes for.
-func (b Ballot) key() string { return b.Outcome + "|" + b.Sig }
+// same reports whether two ballots vote for the same class: the same
+// outcome and the same signature.
+func (b Ballot) same(o Ballot) bool { return b.Outcome == o.Outcome && b.Sig == o.Sig }
 
 // Decision is the counted election.
 type Decision struct {
@@ -65,36 +66,44 @@ type Decision struct {
 // Decide counts ballots from an election over r requested replicas. Fewer
 // than r ballots may be present (lost replicas); the quorum bar stays
 // ⌈(r+1)/2⌉ regardless. At most one class can reach a strict majority, so
-// the outcome is never ambiguous.
+// the outcome is never ambiguous. An election is a handful of ballots, so
+// each is counted against all the others, and Agree and Suspects share one
+// allocation.
 func Decide(r int, ballots []Ballot) Decision {
 	d := Decision{Winner: -1}
-	counts := make(map[string]int, len(ballots))
-	for _, b := range ballots {
-		counts[b.key()]++
-	}
 	need := Quorum(r)
-	winKey := ""
-	for _, b := range ballots {
-		if c := counts[b.key()]; c > d.Best {
+	for i, b := range ballots {
+		c := 0
+		for _, o := range ballots {
+			if o.same(b) {
+				c++
+			}
+		}
+		// Only the first ballot of a class can raise Best.
+		if c > d.Best {
 			d.Best = c
 			if c >= need {
-				winKey = b.key()
+				d.Winner = i
 			}
 		}
 	}
-	if winKey == "" {
+	if d.Winner < 0 {
 		return d
 	}
 	d.Reached = true
+	win := ballots[d.Winner]
+	idx := make([]int, len(ballots))
+	agree, suspects := idx[:0:d.Best], idx[d.Best:d.Best]
 	for i, b := range ballots {
-		if b.key() == winKey {
-			if d.Winner < 0 {
-				d.Winner = i
-			}
-			d.Agree = append(d.Agree, i)
+		if b.same(win) {
+			agree = append(agree, i)
 		} else {
-			d.Suspects = append(d.Suspects, i)
+			suspects = append(suspects, i)
 		}
+	}
+	d.Agree = agree
+	if len(suspects) > 0 {
+		d.Suspects = suspects
 	}
 	return d
 }

@@ -60,20 +60,23 @@ func MulVecInto(y []float64, a *Matrix, x []float64) {
 		panic(fmt.Sprintf("mat: MulVecInto shape mismatch: y[%d] = a %dx%d · x[%d]",
 			len(y), a.Rows, a.Cols, len(x)))
 	}
-	rows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := a.Data[i*a.Stride : i*a.Stride+a.Cols]
-			s := 0.0
-			for j, v := range row {
-				s += v * x[j]
-			}
-			y[i] = s
-		}
-	}
 	workers := workersFor(a.Rows, 2*a.Rows*a.Cols)
 	if workers <= 1 {
-		rows(0, a.Rows)
+		mulVecRows(y, a, x, 0, a.Rows)
 		return
 	}
-	runBands(rowBands(a.Rows, workers), rows)
+	am := *a // the bands read a copy of the header, so a itself stays the caller's
+	runBands(rowBands(a.Rows, workers), func(lo, hi int) { mulVecRows(y, &am, x, lo, hi) })
+}
+
+// mulVecRows computes rows [lo, hi) of y = a·x.
+func mulVecRows(y []float64, a *Matrix, x []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		row := a.Data[i*a.Stride : i*a.Stride+a.Cols]
+		s := 0.0
+		for j, v := range row {
+			s += v * x[j]
+		}
+		y[i] = s
+	}
 }

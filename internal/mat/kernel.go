@@ -635,22 +635,26 @@ func SolveXLT(b, l *Matrix) {
 			b.Rows, b.Cols, l.Rows, l.Cols))
 	}
 	workers := workersFor(b.Rows, b.Rows*n*n)
-	solve := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := b.Data[i*b.Stride : i*b.Stride+n]
-			for j := 0; j < n; j++ {
-				s := row[j]
-				lrow := l.Data[j*l.Stride : j*l.Stride+j]
-				for p, lv := range lrow {
-					s -= lv * row[p]
-				}
-				row[j] = s / l.At(j, j)
-			}
-		}
-	}
 	if workers <= 1 {
-		solve(0, b.Rows)
+		solveXLTRows(b, l, 0, b.Rows)
 		return
 	}
-	runBands(rowBands(b.Rows, workers), solve)
+	bm, lm := *b, *l // the bands read copies of the headers, so b and l stay the caller's
+	runBands(rowBands(b.Rows, workers), func(lo, hi int) { solveXLTRows(&bm, &lm, lo, hi) })
+}
+
+// solveXLTRows solves rows [lo, hi) of X·Lᵀ = B in place.
+func solveXLTRows(b, l *Matrix, lo, hi int) {
+	n := l.Rows
+	for i := lo; i < hi; i++ {
+		row := b.Data[i*b.Stride : i*b.Stride+n]
+		for j := 0; j < n; j++ {
+			s := row[j]
+			lrow := l.Data[j*l.Stride : j*l.Stride+j]
+			for p, lv := range lrow {
+				s -= lv * row[p]
+			}
+			row[j] = s / l.At(j, j)
+		}
+	}
 }

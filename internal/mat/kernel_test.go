@@ -262,6 +262,62 @@ func TestMulVecIntoDeterministic(t *testing.T) {
 	}
 }
 
+// TestSerialBandHelpersAllocationBudget: at Parallelism 1, MulVecInto and
+// SolveXLT run their rows on the caller's stack and allocate nothing (each
+// allocated its band closure on every call while the closure was built
+// before the serial branch), and their bits are the scalar loops' — a dot
+// product per row, a forward substitution per row — on compact and strided
+// operands.
+func TestSerialBandHelpersAllocationBudget(t *testing.T) {
+	withParallelism(1, func() {
+		for _, n := range []int{1, 7, 64, 130} {
+			for _, strided := range []bool{false, true} {
+				a := operand[float64](n, n, uint64(n), strided)
+				x, y := RandomVec(n, uint64(n)+1), make([]float64, n)
+				MulVecInto(y, a, x)
+				for i := 0; i < n; i++ {
+					s := 0.0
+					for j := 0; j < n; j++ {
+						s += a.At(i, j) * x[j]
+					}
+					if math.Float64bits(y[i]) != math.Float64bits(s) {
+						t.Fatalf("n=%d strided=%v: MulVecInto row %d = %v, the dot product gives %v", n, strided, i, y[i], s)
+					}
+				}
+				if allocs := testing.AllocsPerRun(20, func() { MulVecInto(y, a, x) }); allocs != 0 {
+					t.Errorf("n=%d strided=%v: serial MulVecInto allocates %.0f times per call", n, strided, allocs)
+				}
+
+				l := SymmetricPositiveDefinite(n, uint64(n)+2)
+				if err := Cholesky(l); err != nil {
+					t.Fatal(err)
+				}
+				b := operand[float64](3, n, uint64(n)+3, strided)
+				b0 := b.Clone()
+				SolveXLT(b, l)
+				for i := 0; i < b0.Rows; i++ {
+					want := append([]float64(nil), b0.Row(i)...)
+					for j := range want {
+						s := want[j]
+						for p := 0; p < j; p++ {
+							s -= l.At(j, p) * want[p]
+						}
+						want[j] = s / l.At(j, j)
+					}
+					for j, v := range b.Row(i) {
+						if math.Float64bits(v) != math.Float64bits(want[j]) {
+							t.Fatalf("n=%d strided=%v: SolveXLT (%d, %d) = %v, forward substitution gives %v", n, strided, i, j, v, want[j])
+						}
+					}
+				}
+				if allocs := testing.AllocsPerRun(20, func() { SolveXLT(b, l) }); allocs != 0 {
+					t.Errorf("n=%d strided=%v: serial SolveXLT allocates %.0f times per call", n, strided, allocs)
+				}
+			}
+		}
+	})
+}
+
 // TestCholeskyBlockedParallelBitIdentical: the full blocked factorization —
 // panel, TRSM, SYRK — must give identical bits at any worker count.
 func TestCholeskyBlockedParallelBitIdentical(t *testing.T) {

@@ -37,7 +37,7 @@ func sameRun(t *testing.T, label string, timed, fn recovery.Report, tw, fw recov
 		t.Errorf("%s: workload exposes no answer data", label)
 		return
 	}
-	if ts, fs := abft.AnswerSig(ta.AnswerData()...), abft.AnswerSig(fa.AnswerData()...); ts != fs {
+	if ts, fs := abft.AnswerSig(ta.AppendAnswer(nil)...), abft.AnswerSig(fa.AppendAnswer(nil)...); ts != fs {
 		t.Errorf("%s: answers differ: timed %s, functional %s", label, ts, fs)
 	}
 }

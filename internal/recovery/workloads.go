@@ -56,11 +56,13 @@ type Workload interface {
 // cluster gateway). It is deliberately not part of Workload: fingerprinting
 // is a serving concern, and the coordinator never needs it.
 type Answerer interface {
-	// AnswerData returns the answer's float64 chunks in canonical order —
-	// the exact bits abft.AnswerSig hashes. All honest replicas of the
-	// same request produce bit-identical chunks under the determinism
-	// contract (same seed → same data, same faults, same repairs).
-	AnswerData() [][]float64
+	// AppendAnswer appends the answer's float64 chunks to dst in canonical
+	// order — the exact bits abft.AnswerSig hashes — and returns the
+	// extended slice. The chunks are views of the workload's own storage,
+	// valid while it is. All honest replicas of the same request produce
+	// bit-identical chunks under the determinism contract (same seed → same
+	// data, same faults, same repairs).
+	AppendAnswer(dst [][]float64) [][]float64
 }
 
 // ---- FT-DGEMM ----
@@ -105,15 +107,15 @@ func (w *dgemmWork) DrainNotified() error { return w.d.VerifyNotified() }
 func (w *dgemmWork) FullVerify() error    { return w.d.VerifyFull() }
 func (w *dgemmWork) Check() error         { return w.d.CheckResult() }
 
-// AnswerData is the n×n result view's rows — the user-visible product,
-// excluding the checksum row/column (an encoding detail, not the answer).
-func (w *dgemmWork) AnswerData() [][]float64 {
+// AppendAnswer appends the n×n result view's rows — the user-visible
+// product, excluding the checksum row/column (an encoding detail, not the
+// answer).
+func (w *dgemmWork) AppendAnswer(dst [][]float64) [][]float64 {
 	c := w.d.C()
-	chunks := make([][]float64, c.Rows)
 	for i := 0; i < c.Rows; i++ {
-		chunks[i] = c.Row(i)
+		dst = append(dst, c.Row(i))
 	}
-	return chunks
+	return dst
 }
 
 // ---- FT-Cholesky ----
@@ -171,15 +173,14 @@ func (w *cholWork) DrainNotified() error { return w.c.VerifyNotified() }
 func (w *cholWork) FullVerify() error    { return w.c.VerifyL(w.c.N) }
 func (w *cholWork) Check() error         { return w.c.CheckResult(&w.orig) }
 
-// AnswerData is the factor L's rows — the user-visible answer of a
+// AppendAnswer appends the factor L's rows — the user-visible answer of a
 // Cholesky request.
-func (w *cholWork) AnswerData() [][]float64 {
+func (w *cholWork) AppendAnswer(dst [][]float64) [][]float64 {
 	l := w.c.L()
-	chunks := make([][]float64, l.Rows)
 	for i := 0; i < l.Rows; i++ {
-		chunks[i] = l.Row(i)
+		dst = append(dst, l.Row(i))
 	}
-	return chunks
+	return dst
 }
 
 // ---- FT-CG ----
@@ -231,8 +232,8 @@ func (w *cgWork) RunFrom(step int) error {
 // residual) — the long-job serving layer surfaces it in job status.
 func (w *cgWork) Solve() abft.CGOutcome { return w.last }
 
-// AnswerData is the solution vector x as a single chunk.
-func (w *cgWork) AnswerData() [][]float64 { return [][]float64{w.c.X()} }
+// AppendAnswer appends the solution vector x as a single chunk.
+func (w *cgWork) AppendAnswer(dst [][]float64) [][]float64 { return append(dst, w.c.X()) }
 
 func (w *cgWork) CheckpointSet() []State { return w.states[:] }
 

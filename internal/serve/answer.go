@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"unsafe"
 
 	"coopabft/internal/mat"
@@ -56,10 +55,14 @@ func (a *Answer) Release() {
 // UnmarshalJSON decodes data exactly as encoding/json decodes a []byte —
 // base64 text, null, or an array of byte values — into a buffer from the
 // answer list. Only a string without escapes, the form encoding/json
-// writes, takes the short path; the rest is encoding/json's own decoding.
+// writes, takes the short path; the rest is encoding/json's own decoding,
+// through a recycled body (Body.Decode).
 func (a *Answer) UnmarshalJSON(data []byte) error {
 	if len(data) < 2 || data[0] != '"' || bytes.IndexByte(data, '\\') >= 0 {
-		return json.Unmarshal(data, (*[]byte)(a))
+		b := GetBody()
+		defer PutBody(b)
+		b.Write(data)
+		return b.Decode((*[]byte)(a))
 	}
 	text := data[1 : len(data)-1]
 	b := getAnswer(base64.StdEncoding.DecodedLen(len(text)))

@@ -61,6 +61,18 @@ type exchange[T, R any] struct {
 	out R
 }
 
+// reset empties x for the next exchange. An input that keeps storage across
+// decodes (a verify task's projections) zeroes itself; anything else is
+// zeroed whole.
+func (x *exchange[T, R]) reset() {
+	if in, ok := any(&x.in).(interface{ reset() }); ok {
+		in.reset()
+		x.out = *new(R)
+		return
+	}
+	*x = exchange[T, R]{}
+}
+
 // maxIdleExchanges bounds each route's idle exchanges: as many as the
 // exchanges it serves at once, the ten requests a worker admits by default
 // (MaxConcurrency 2 executing, QueueDepth 8 queued) or a gateway's node
@@ -71,7 +83,7 @@ const maxIdleExchanges = 64
 // most limit bytes into a recycled exchange (an all-whitespace body is the
 // zero T where emptyOK, a 400 otherwise), run it through do, and answer
 // with status or the error through WriteResult. A Response's packed answer
-// goes back to the answer list once it is written, and the exchange, zeroed,
+// goes back to the answer list once it is written, and the exchange, reset,
 // to the route's list; an exchange whose do panicked is left to the GC.
 func handle[T, R any](limit int64, emptyOK bool, status int, do func(context.Context, T) (R, error)) http.HandlerFunc {
 	idle := mat.NewFreeList[*exchange[T, R]](maxIdleExchanges)
@@ -90,7 +102,7 @@ func handle[T, R any](limit int64, emptyOK bool, status int, do func(context.Con
 				resp.Answer.Release()
 			}
 		}
-		*x = exchange[T, R]{}
+		x.reset()
 		idle.Put(x, 1)
 	}
 }

@@ -32,20 +32,32 @@ func compatible(a, b Parsed) bool {
 // the queue is empty, or own's context ends (its caller then abandons it),
 // or the service closes. The state check comes before every pop, so a
 // caller runs at most one head that it popped after own was taken: the one
-// it popped while another holder was taking own. With BatchWindow > 0 a
-// GEMM head opens a batch that the slot holder forms (collect) and runs
+// it popped while another holder was taking own. Own's context is asked only
+// about another caller's head, never about own (which runJob checks before
+// running it): asking a cancelCtx for Done makes its channel, and a caller
+// that runs only its own job never needs one. With BatchWindow > 0 a GEMM
+// head opens a batch that the slot holder forms (collect) and runs
 // back-to-back on its slot.
 func (s *Service) work(own *job) {
 	defer func() { <-s.sem }()
+	live := func(it qos.Item) bool {
+		if it.Value.(*job) == own {
+			return true
+		}
+		select {
+		case <-own.ctx.Done():
+			return false // past its deadline, a slot holder runs nobody else's request
+		default:
+			return true
+		}
+	}
 	for own.state.Load() == stateQueued {
 		select {
 		case <-s.quit:
 			return
-		case <-own.ctx.Done():
-			return
 		default:
 		}
-		head, ok := s.take(nil)
+		head, ok := s.take(live)
 		if !ok {
 			return
 		}

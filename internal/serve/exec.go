@@ -79,7 +79,7 @@ func (s *Service) execute(j *job, batchSize int, wait time.Duration) Response {
 	if rep.Err != nil {
 		resp.Error = rep.Err.Error()
 	}
-	s.stampIntegrity(&resp, j.req, rep, w)
+	s.stampIntegrity(&resp, j.req, rep, w, nd)
 	arena.Release()
 	if nd != nil {
 		s.putNode(nd)
@@ -144,9 +144,12 @@ func (s *Service) runLadder(j *job, arena *mat.Arena) (rep recovery.Report, w re
 // ladder on it. Both are kept across requests with what they build: the
 // runtime its Env, allocation records and kernel objects (core.Runtime.Reset),
 // the coordinator its checkpointer and step hook (recovery.Coordinator.Reuse).
+// rows is the list stampIntegrity views an answer's chunks through, emptied
+// after each use.
 type node struct {
-	rt *core.Runtime
-	co recovery.Coordinator
+	rt   *core.Runtime
+	co   recovery.Coordinator
+	rows [][]float64
 }
 
 // takeNode returns a functional node configured for strategy and seed: one
@@ -197,8 +200,9 @@ func (s *Service) countArmed(rt *core.Runtime) {
 // here: a lying node corrupts the copy it fingerprints, so the wire
 // response is well-formed and internally consistent (signature matches the
 // shipped answer) but wrong — exactly the adversary replica voting exists
-// to out-vote.
-func (s *Service) stampIntegrity(resp *Response, p Parsed, rep recovery.Report, w recovery.Workload) {
+// to out-vote. w is nd's workload; the chunks are viewed through nd's row
+// list.
+func (s *Service) stampIntegrity(resp *Response, p Parsed, rep recovery.Report, w recovery.Workload, nd *node) {
 	if p.Integrity == IntegrityNone || rep.Outcome == recovery.Aborted {
 		return
 	}
@@ -210,7 +214,8 @@ func (s *Service) stampIntegrity(resp *Response, p Parsed, rep recovery.Report, 
 		resp.Error = fmt.Sprintf("serve: %s workload exposes no answer data for integrity %s", p.Kernel, p.Integrity)
 		return
 	}
-	chunks := aw.AnswerData()
+	rows := aw.AppendAnswer(nd.rows[:0])
+	chunks := rows
 	if s.lies(p.Seed) {
 		chunks = corruptAnswer(chunks, s.cfg.LieSeed, p.Seed)
 		s.m.ByzantineLies.Add(1)
@@ -222,6 +227,8 @@ func (s *Service) stampIntegrity(resp *Response, p Parsed, rep recovery.Report, 
 		// O(n²) check against these exact bytes (gemm-only by admission).
 		resp.Answer = packChunks(chunks)
 	}
+	clear(rows) // an idle node views none of the request's storage
+	nd.rows = rows[:0]
 }
 
 // lies draws the Byzantine lottery for one request: a pure function of

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/bits"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -209,7 +213,8 @@ func TestByzantineLieFixture(t *testing.T) {
 // primary shipped as packed, probed with probeSeed.
 func verifyTask(t testing.TB, n int, seed, probeSeed uint64, packed []byte) VerifyTask {
 	t.Helper()
-	_, ce, cr, err := abft.ProbeBlock(packed, n, mat.RandomVec(n, probeSeed))
+	ce, cr := make([]float64, n), make([]float64, n)
+	_, err := abft.ProbeBlock(packed, n, mat.RandomVec(n, probeSeed), ce, cr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,6 +277,71 @@ func TestDoVerify(t *testing.T) {
 	}
 	if got := s.m.VerifyRefuted.Value(); got != 2 {
 		t.Errorf("verify_refuted = %d, want 2", got)
+	}
+}
+
+// TestVerifyRouteKeepsNoValues: the verify route's recycled exchange keeps
+// the storage of the projections it decoded but none of their values. Over
+// one route, whole tasks alternate with ones that leave ce or cr out, send
+// it null or send one value short, which must each be a 400 however many
+// values the task before carried; the whole task is still accepted, and one
+// under another probe still refuted, so nothing of one task's values reaches
+// the next.
+func TestVerifyRouteKeepsNoValues(t *testing.T) {
+	s := newTestService(t, Config{MaxConcurrency: 1, QueueDepth: 4, QueueTimeout: time.Minute})
+	resp, err := s.Do(context.Background(), Request{Kernel: "gemm", N: 48, Seed: 21, Integrity: "verify-vote"})
+	if err != nil || resp.Outcome == "aborted" {
+		t.Fatalf("%+v, %v", resp, err)
+	}
+	task := verifyTask(t, 48, 21, 0x5eed, resp.Answer)
+	// body encodes task with edit applied to its JSON object.
+	body := func(edit func(map[string]any)) []byte {
+		b, err := json.Marshal(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		edit(m)
+		if b, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	whole := body(func(map[string]any) {})
+	otherProbe := body(func(m map[string]any) { m["probe_seed"] = float64(0x5eef) })
+	bad := map[string][]byte{
+		"no ce":        body(func(m map[string]any) { delete(m, "ce") }),
+		"no cr":        body(func(m map[string]any) { delete(m, "cr") }),
+		"null ce":      body(func(m map[string]any) { m["ce"] = nil }),
+		"47 cr values": body(func(m map[string]any) { m["cr"] = m["cr"].([]any)[:47] }),
+	}
+	h := NewHandler(s)
+	post := func(b []byte) (int, VerifyResult) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/verify", bytes.NewReader(b)))
+		var res VerifyResult
+		if w.Code == http.StatusOK {
+			if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w.Code, res
+	}
+	for round := 0; round < 3; round++ {
+		for name, b := range bad {
+			if code, res := post(whole); code != http.StatusOK || !res.OK {
+				t.Fatalf("round %d: whole task answered %d %+v", round, code, res)
+			}
+			if code, _ := post(b); code != http.StatusBadRequest {
+				t.Errorf("round %d: task with %s after a whole one answered %d, want 400", round, name, code)
+			}
+		}
+		if code, res := post(otherProbe); code != http.StatusOK || res.OK {
+			t.Errorf("round %d: task under another probe answered %d %+v, want refuted", round, code, res)
+		}
 	}
 }
 

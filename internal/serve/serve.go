@@ -322,6 +322,14 @@ func (s *Service) acquire(ctx context.Context, rt *sideRoute, timeoutMS int) (_ 
 	if timeoutMS > 0 {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
 	}
+	// A free slot is taken before anything that waits is made: the queue
+	// timer, and ctx's Done channel, which a cancelCtx makes on first
+	// request.
+	select {
+	case rt.sem <- struct{}{}:
+		return ctx, func() { <-rt.sem; cancel() }, nil
+	default:
+	}
 	// QueueTimeout < 0 disables the queue budget: expired stays nil and
 	// never fires (a timer armed with a negative duration is born expired).
 	var expired <-chan time.Time
@@ -437,6 +445,17 @@ func (s *Service) Do(ctx context.Context, req Request) (Response, error) {
 	s.m.Inflight.Add(1)
 	defer s.m.Inflight.Add(-1)
 
+	// A free slot is taken before ctx is asked for its Done channel, which
+	// a cancelCtx makes on first request: a caller that never waits makes
+	// none.
+	select {
+	case s.sem <- struct{}{}:
+		s.work(j)
+		if j.state.Load() != stateQueued {
+			return s.receive(j)
+		}
+	default:
+	}
 	for {
 		select {
 		case r := <-j.done:

@@ -25,6 +25,11 @@ type VerifyTask struct {
 	TimeoutMS int       `json:"timeout_ms,omitempty"`
 }
 
+// reset zeroes t but keeps its projections' storage, for the verify route's
+// recycled exchange: decoding the next task's ce and cr reuses it, and
+// admission reads only their lengths.
+func (t *VerifyTask) reset() { *t = VerifyTask{Ce: t.Ce[:0], Cr: t.Cr[:0]} }
+
 // VerifyResult is the verifier's ballot: OK means both projections match
 // the regenerated operands' within abft.BlockTol.
 type VerifyResult struct {
@@ -65,13 +70,15 @@ func (s *Service) DoVerify(ctx context.Context, t VerifyTask) (VerifyResult, err
 
 	start := time.Now()
 	// Released on the normal return only, like a request's: buffers a panic
-	// unwound through are left to the GC.
+	// unwound through are left to the GC. The probe r is the row
+	// mat.RandomVec(n, ProbeSeed) draws, drawn into the arena.
 	var arena mat.Arena
-	a, b := arena.New(p.N, p.N), arena.New(p.N, p.N)
-	mat.FillRandom(a, p.Seed)
-	mat.FillRandom(b, p.Seed+1)
+	var a, b, r mat.Matrix
+	mat.FillRandom(mat.InitIn(&arena, &a, p.N, p.N), p.Seed)
+	mat.FillRandom(mat.InitIn(&arena, &b, p.N, p.N), p.Seed+1)
+	mat.FillRandom(mat.InitIn(&arena, &r, 1, p.N), t.ProbeSeed)
 	var res VerifyResult
-	if err := abft.CheckProbes(a, b, mat.RandomVec(p.N, t.ProbeSeed), t.Ce, t.Cr, abft.BlockTol(p.N)); err != nil {
+	if err := abft.CheckProbes(&arena, &a, &b, r.Data, t.Ce, t.Cr, abft.BlockTol(p.N)); err != nil {
 		res.Reason = err.Error()
 		s.m.VerifyRefuted.Add(1)
 	} else {
