@@ -174,8 +174,7 @@ func (b *Body) Decode(v any) error {
 		return json.Unmarshal(data, v)
 	}
 	if b.dec == nil {
-		b.src = decodeSource{}
-		b.dec = json.NewDecoder(&b.src)
+		b.dec = json.NewDecoder(&b.src) // src is zero: new, or reset by dropDecoder
 	}
 	b.src.data, b.src.off = value, 0
 	start := b.dec.InputOffset()
