@@ -25,13 +25,26 @@ import (
 	"coopabft/internal/serve"
 )
 
-// benchOptions returns small-scale options with a per-benchmark,
-// per-iteration seed so the harness result cache cannot short-circuit the
-// work being measured.
-func benchOptions(base, i int) experiments.Options {
-	o := experiments.Small()
-	o.Seed = uint64(base + i)
-	return o
+// runExperiment runs the experiment registered as name through
+// experiments.Lookup, the harness's one entry point, at test scale with a
+// per-benchmark, per-iteration seed so the harness result cache cannot
+// short-circuit the work being measured, and returns its typed rows.
+func runExperiment[T any](b *testing.B, name string, base, i int, opts ...experiments.Option) T {
+	b.Helper()
+	e, err := experiments.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts = append([]experiments.Option{experiments.WithSmall(), experiments.WithSeed(uint64(base + i))}, opts...)
+	res, err := e.Run(context.Background(), opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows, ok := res.Data.(T)
+	if !ok {
+		b.Fatalf("%s: data is %T", name, res.Data)
+	}
+	return rows
 }
 
 // BenchmarkFig3OverheadBreakdown regenerates the ABFT overhead split
@@ -39,11 +52,7 @@ func benchOptions(base, i int) experiments.Options {
 func BenchmarkFig3OverheadBreakdown(b *testing.B) {
 	var last []experiments.OverheadBreakdown
 	for i := 0; i < b.N; i++ {
-		var err error
-		last, err = experiments.Fig3Ctx(context.Background(), benchOptions(1000, i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		last = runExperiment[[]experiments.OverheadBreakdown](b, "fig3", 1000, i)
 	}
 	for _, r := range last {
 		b.ReportMetric(100*r.VerifyFraction, r.Kernel.String()+"-verify-%ovh")
@@ -55,11 +64,7 @@ func BenchmarkFig3OverheadBreakdown(b *testing.B) {
 func BenchmarkTable1SimplifiedVerification(b *testing.B) {
 	var last []experiments.Table1Row
 	for i := 0; i < b.N; i++ {
-		var err error
-		last, err = experiments.Table1Ctx(context.Background(), benchOptions(2000, i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		last = runExperiment[[]experiments.Table1Row](b, "table1", 2000, i)
 	}
 	for _, r := range last {
 		b.ReportMetric(r.ImprovementPct, r.Kernel.String()+"-improv-%")
@@ -71,11 +76,7 @@ func BenchmarkTable1SimplifiedVerification(b *testing.B) {
 func BenchmarkTable4AccessClassification(b *testing.B) {
 	var last []experiments.Table4Row
 	for i := 0; i < b.N; i++ {
-		var err error
-		last, err = experiments.Table4Ctx(context.Background(), benchOptions(3000, i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		last = runExperiment[[]experiments.Table4Row](b, "table4", 3000, i)
 	}
 	for _, r := range last {
 		b.ReportMetric(r.Ratio, r.Kernel.String()+"-ratio")
@@ -87,11 +88,7 @@ func BenchmarkTable4AccessClassification(b *testing.B) {
 func BenchmarkFig5MemoryEnergy(b *testing.B) {
 	var h experiments.Headline
 	for i := 0; i < b.N; i++ {
-		var err error
-		h, err = experiments.HeadlinesCtx(context.Background(), benchOptions(4000, i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		h = runExperiment[experiments.Headline](b, "headlines", 4000, i)
 	}
 	b.ReportMetric(100*h.CGWholeChipkillMemIncrease, "CG-WCK-mem-increase-%")
 	b.ReportMetric(100*h.PartialVsWholeChipkillSaving[experiments.KDGEMM], "DGEMM-partial-saving-%")
@@ -103,11 +100,7 @@ func BenchmarkFig5MemoryEnergy(b *testing.B) {
 func BenchmarkFig6SystemEnergy(b *testing.B) {
 	var h experiments.Headline
 	for i := 0; i < b.N; i++ {
-		var err error
-		h, err = experiments.HeadlinesCtx(context.Background(), benchOptions(5000, i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		h = runExperiment[experiments.Headline](b, "headlines", 5000, i)
 	}
 	for _, k := range experiments.AllKernels {
 		b.ReportMetric(100*h.SystemSavingPartialChipkill[k], k.String()+"-sys-saving-%")
@@ -119,11 +112,7 @@ func BenchmarkFig6SystemEnergy(b *testing.B) {
 func BenchmarkFig7Performance(b *testing.B) {
 	var rows []experiments.StrategyMetrics
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig567Ctx(context.Background(), benchOptions(6000, i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows = runExperiment[[]experiments.StrategyMetrics](b, "fig5", 6000, i)
 	}
 	for _, r := range rows {
 		if r.Kernel == experiments.KCG && r.Strategy == core.WholeChipkill {
@@ -141,11 +130,7 @@ func BenchmarkFig7Performance(b *testing.B) {
 func BenchmarkFig8WeakScaling(b *testing.B) {
 	var series []experiments.ScalingSeries
 	for i := 0; i < b.N; i++ {
-		var err error
-		series, err = experiments.Fig8Ctx(context.Background(), benchOptions(7000, i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		series = runExperiment[[]experiments.ScalingSeries](b, "fig8", 7000, i)
 	}
 	for _, s := range series {
 		last := s.Points[len(s.Points)-1]
@@ -162,11 +147,7 @@ func BenchmarkFig8WeakScaling(b *testing.B) {
 func BenchmarkFig9StrongScaling(b *testing.B) {
 	var series []experiments.ScalingSeries
 	for i := 0; i < b.N; i++ {
-		var err error
-		series, err = experiments.Fig9Ctx(context.Background(), benchOptions(8000, i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		series = runExperiment[[]experiments.ScalingSeries](b, "fig9", 8000, i)
 	}
 	for _, s := range series {
 		first, last := s.Points[0], s.Points[len(s.Points)-1]
@@ -182,11 +163,7 @@ func BenchmarkFig9StrongScaling(b *testing.B) {
 func BenchmarkFig10DGMS(b *testing.B) {
 	var rows []experiments.Fig10Row
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Fig10Ctx(context.Background(), benchOptions(9000, i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows = runExperiment[[]experiments.Fig10Row](b, "fig10", 9000, i)
 	}
 	get := func(k experiments.KernelID, mech string) experiments.Fig10Row {
 		for _, r := range rows {
@@ -275,11 +252,7 @@ func BenchmarkSimulatedNodeCG(b *testing.B) {
 // results at any width), so reusing a base would time cache hits.
 func benchSweep(b *testing.B, base, workers int) {
 	for i := 0; i < b.N; i++ {
-		o := benchOptions(base, i)
-		o.Workers = workers
-		if _, err := experiments.BasicCtx(context.Background(), o); err != nil {
-			b.Fatal(err)
-		}
+		runExperiment[[]experiments.StrategyMetrics](b, "fig5", base, i, experiments.WithWorkers(workers))
 	}
 }
 

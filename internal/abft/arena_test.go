@@ -321,7 +321,7 @@ func TestGEMM32OnArenaMatchesHeap(t *testing.T) {
 			if n < 64 && plant != "clean" {
 				continue // one panel: nothing is ahead of the cursor
 			}
-			ref, err := NewGEMM32FromMatrices(a.Clone(), b.Clone())
+			ref, err := newGEMM32FromMatrices(a.Clone(), b.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,10 @@ import (
 // and with a seeded mid-run fault each — and fails if the fused faulted
 // throughput regresses below the two-pass faulted throughput. The table
 // of floors is logged (-v). FUSED_BENCH_N overrides the problem size
-// (default 256 for the CI smoke; EXPERIMENTS.md quotes n=1024).
+// (default 256 for the CI smoke; EXPERIMENTS.md quotes n=1024). n=256 is
+// the smallest size where the contract structurally holds: below it the
+// whole product is cache-resident and the two-pass sweep's memory-traffic
+// penalty (the cost fused detection avoids) vanishes.
 
 func TestFusedVsTwoPassGate(t *testing.T) {
 	if os.Getenv("FUSED_BENCH") == "" {

@@ -117,17 +117,6 @@ func (g *GEMM32) Reset(arena *mat.Arena, n int, seed uint64) error {
 	return g.build(arena, a, b)
 }
 
-// NewGEMM32FromMatrices builds the problem over caller-supplied operands
-// (any compatible rectangular shape — tall-skinny and batched-small ML
-// shapes included). The operands are encoded as-is; they must be pristine.
-func NewGEMM32FromMatrices(a, b *mat.Matrix32) (*GEMM32, error) {
-	g := new(GEMM32)
-	if err := g.build(nil, a, b); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // build makes g the problem over the operands a and b, encoding them.
 func (g *GEMM32) build(arena *mat.Arena, a, b *mat.Matrix32) error {
 	if a.Cols != b.Rows {

@@ -56,6 +56,18 @@ var dists = []dist{
 	{"tiny-magnitude", 64, 64, 64, tiny32},
 }
 
+// newGEMM32FromMatrices builds the problem over caller-supplied operands of
+// any compatible rectangular shape (the adversarial shapes above, and the
+// heap references the arena tests compare against), encoded as-is: they
+// must be pristine.
+func newGEMM32FromMatrices(a, b *mat.Matrix32) (*GEMM32, error) {
+	g := new(GEMM32)
+	if err := g.build(nil, a, b); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
 // TestGEMM32CleanSweepNoFalsePositives is the calibration property the ci
 // gate runs by name: across adversarial distributions and seeds, a clean
 // run must never trip the adaptive bound — no faults, no corrections, no
@@ -63,7 +75,7 @@ var dists = []dist{
 func TestGEMM32CleanSweepNoFalsePositives(t *testing.T) {
 	for _, d := range dists {
 		for seed := uint64(1); seed <= 8; seed++ {
-			g, err := NewGEMM32FromMatrices(d.gen(d.m, d.k, seed), d.gen(d.k, d.n, seed+101))
+			g, err := newGEMM32FromMatrices(d.gen(d.m, d.k, seed), d.gen(d.k, d.n, seed+101))
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", d.name, seed, err)
 			}
@@ -91,7 +103,7 @@ func TestGEMM32FaultAboveBoundAlwaysDetected(t *testing.T) {
 		for seed := uint64(1); seed <= 4; seed++ {
 			a := d.gen(d.m, d.k, seed)
 			b := d.gen(d.k, d.n, seed+101)
-			g, err := NewGEMM32FromMatrices(a, b)
+			g, err := newGEMM32FromMatrices(a, b)
 			if err != nil {
 				t.Fatalf("%s: %v", d.name, err)
 			}
@@ -149,7 +161,7 @@ func TestGEMM32BitFlipNeverSilent(t *testing.T) {
 		pristineRef := mat.New(80, 80)
 		mat.MulAddInto(pristineRef, a.To64(), b.To64())
 
-		g, err := NewGEMM32FromMatrices(a, b)
+		g, err := newGEMM32FromMatrices(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -301,13 +301,6 @@ func (h *HPL) VerifyEncoding() float64 {
 	return worst
 }
 
-// Solve returns the solution of A·x = b using the in-place factors.
-func (h *HPL) Solve() []float64 {
-	x := mat.SolveLU(h.A.Matrix, h.piv, h.b.Data)
-	h.ops(&h.Ops.Compute, 2*h.N*h.N)
-	return x
-}
-
 // CheckResult factors a clean copy and compares solutions (test helper).
 func (h *HPL) CheckResult(orig *mat.Matrix) error {
 	lu := orig.Clone()
@@ -316,7 +309,7 @@ func (h *HPL) CheckResult(orig *mat.Matrix) error {
 		return err
 	}
 	want := mat.SolveLU(lu, piv, h.b.Data)
-	got := h.Solve()
+	got := mat.SolveLU(h.A.Matrix, h.piv, h.b.Data)
 	for i := range got {
 		if !(math.Abs(got[i]-want[i]) <= 1e-6) {
 			return fmt.Errorf("abft: HPL solution diverges at %d: %g vs %g", i, got[i], want[i])

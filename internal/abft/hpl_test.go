@@ -140,16 +140,3 @@ func TestHPLOpsBuckets(t *testing.T) {
 		t.Errorf("ops = %+v", h.Ops)
 	}
 }
-
-func TestHPLSolveMatchesDirect(t *testing.T) {
-	h, orig := hplProblem(24, 4, 9)
-	if err := h.Run(); err != nil {
-		t.Fatal(err)
-	}
-	x := h.Solve()
-	// Residual check against the original matrix.
-	r := mat.Sub(h.b.Data, mat.MulVec(orig, x))
-	if mat.Norm2(r) > 1e-6*mat.Norm2(h.b.Data) {
-		t.Errorf("residual too large: %g", mat.Norm2(r))
-	}
-}

@@ -225,49 +225,3 @@ func (in *Injector) InjectKind(t Target, idx int, kind Kind) error {
 
 // RandomElement picks a uniformly random element index of t.
 func (in *Injector) RandomElement(t Target) int { return in.rand().Intn(len(t.Data)) }
-
-// Schedule draws `count` injection times uniformly from [0, steps) and
-// returns them sorted — BIFIT's "inject at specific time" knob for
-// iteration-indexed campaigns.
-func (in *Injector) Schedule(steps, count int) []int {
-	out := make([]int, count)
-	for i := range out {
-		out[i] = in.rand().Intn(steps)
-	}
-	// Insertion sort (count is small).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// ExpectedErrors returns the expected number of raw errors for a memory
-// footprint over a duration at a FIT rate (failures per 10⁹ device-hours
-// per Mbit): the scaling law behind Equation (4).
-func ExpectedErrors(footprintBytes float64, fitPerMbit float64, seconds float64) float64 {
-	mbit := footprintBytes * 8 / 1e6
-	hours := seconds / 3600
-	return fitPerMbit * mbit * hours / 1e9
-}
-
-// Poisson draws a Poisson-distributed count with the given mean (Knuth's
-// method; means here are small).
-func (in *Injector) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= in.rand().Float64()
-		if p <= l {
-			return k
-		}
-		k++
-		if k > 1e6 {
-			return k
-		}
-	}
-}

@@ -28,15 +28,6 @@ type Stats struct {
 	Writebacks   uint64
 }
 
-// MissRate returns misses/(hits+misses), 0 when idle.
-func (s Stats) MissRate() float64 {
-	t := s.Hits + s.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(t)
-}
-
 // Outcome describes the result of a single-level access.
 type Outcome struct {
 	Hit bool

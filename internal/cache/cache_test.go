@@ -91,21 +91,6 @@ func TestCleanEvictionSilent(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	c := New(tiny())
-	c.Access(0, false)
-	c.Access(0, false)
-	c.Access(0, false)
-	c.Access(0, false)
-	if mr := c.Stats().MissRate(); mr != 0.25 {
-		t.Errorf("miss rate = %v, want 0.25", mr)
-	}
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("empty miss rate not 0")
-	}
-}
-
 func TestHierarchyLevels(t *testing.T) {
 	var misses []MissEvent
 	h := NewHierarchy(tiny(), Config{SizeBytes: 16 * 4 * LineBytes, Ways: 4},

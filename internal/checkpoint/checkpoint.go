@@ -154,8 +154,5 @@ func (c *Checkpointer) Restore(currentStep int) (int, error) {
 	return c.step, nil
 }
 
-// HasCheckpoint reports whether a snapshot exists.
-func (c *Checkpointer) HasCheckpoint() bool { return c.have }
-
 // Stats returns activity counters.
 func (c *Checkpointer) Stats() Stats { return c.stats }

@@ -47,8 +47,8 @@ func TestRestoreWithoutCheckpoint(t *testing.T) {
 	if _, err := c.Restore(5); err != ErrNoCheckpoint {
 		t.Errorf("err = %v", err)
 	}
-	if c.HasCheckpoint() {
-		t.Error("HasCheckpoint true before any save")
+	if c.have {
+		t.Error("a snapshot is recorded before any save")
 	}
 }
 

@@ -25,15 +25,6 @@ type SnapRegion struct {
 	Data []float64
 }
 
-// Bytes returns the payload size of the region data in bytes.
-func (s Snapshot) Bytes() int {
-	n := 0
-	for _, r := range s.Regions {
-		n += len(r.Data) * 8
-	}
-	return n
-}
-
 // ErrBadSnapshot is returned by Decode for any malformed input — truncated,
 // corrupted (checksum mismatch), or structurally invalid. Decode never
 // panics on hostile bytes.

@@ -199,8 +199,8 @@ func TestRestartBudgetSurvivesMigration(t *testing.T) {
 	if bx[0] != 1 || bx[2] != 3 {
 		t.Errorf("live data not installed: %v", bx)
 	}
-	if !b.HasCheckpoint() {
-		t.Error("HasCheckpoint false after Install")
+	if !b.have {
+		t.Error("no snapshot recorded after Install")
 	}
 
 	// One restart remains of the carried budget of 3.

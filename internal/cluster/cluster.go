@@ -416,10 +416,6 @@ func New(cfg Config) (*Gateway, error) {
 // Metrics returns the gateway's counters.
 func (g *Gateway) Metrics() *Metrics { return g.m }
 
-// Bus returns the gateway's error bus: every node's fault events, relayed
-// with Node stamped, plus the gateway's own node_death publications.
-func (g *Gateway) Bus() *serve.Bus { return g.bus }
-
 // SetSelfURL records the gateway's externally reachable base URL after
 // the daemon binds its listener, enabling checkpoint streaming for long
 // jobs submitted from then on.

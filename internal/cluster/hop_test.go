@@ -33,7 +33,7 @@ func readReply(br *bufio.Reader) (replyHead, *serve.Body, error) {
 // committed corpus is replies captured from real servers: a worker's small
 // and verify-vote-sized 200s, its throttled 429 with Retry-After, a closed
 // service's 503 with Connection: close, net/http's own 404 and 405, and a
-// stub's chunked 200; TestHopReadsRealReplies requires the parser to
+// stub's chunked 200; TestWarmHopReadsRealReplies requires the parser to
 // accept every one of them.
 func FuzzNodeReply(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}tail"))
@@ -72,10 +72,10 @@ func FuzzNodeReply(f *testing.F) {
 	})
 }
 
-// TestHopReadsRealReplies: every reply of FuzzNodeReply's committed corpus,
-// each captured from a real server, is accepted, with the status its file
-// is named for.
-func TestHopReadsRealReplies(t *testing.T) {
+// TestWarmHopReadsRealReplies: every reply of FuzzNodeReply's committed
+// corpus, each captured from a real server, is accepted, with the status its
+// file is named for.
+func TestWarmHopReadsRealReplies(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzNodeReply/*")
 	if err != nil || len(files) < 7 {
 		t.Fatalf("corpus: %d files, %v", len(files), err)

@@ -67,7 +67,7 @@ func TestLongJobMigratesOnWorkerDeath(t *testing.T) {
 		t.Fatalf("undisturbed solve: %+v", cold)
 	}
 
-	events, cancelSub := g.Bus().Subscribe(512)
+	events, cancelSub := g.bus.Subscribe(512)
 	defer cancelSub()
 	t0 = time.Now()
 	if st, err = g.SubmitJob(req); err != nil {
@@ -183,7 +183,7 @@ func TestLongJobEventRelay(t *testing.T) {
 
 	// Relay is asynchronous; wait for the terminal event to appear.
 	waitFor(t, "job_done relayed onto the gateway bus", func() bool {
-		for _, e := range g.Bus().Recent(0) {
+		for _, e := range g.bus.Recent(0) {
 			if e.Type == serve.EventJobDone && e.Job == st.ID && e.Node == "w0" {
 				return true
 			}
@@ -191,7 +191,7 @@ func TestLongJobEventRelay(t *testing.T) {
 		return false
 	})
 	var sawResume, sawCkpt bool
-	for _, e := range g.Bus().Recent(0) {
+	for _, e := range g.bus.Recent(0) {
 		if e.Node != "w0" {
 			continue
 		}

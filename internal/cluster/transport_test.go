@@ -226,15 +226,15 @@ func countingServer(t *testing.T, h http.Handler, config func(*http.Server)) (st
 	return ts.URL, &accepted
 }
 
-// TestCallerCancelIsNotANodeFault: a caller whose context ends mid-forward
-// has given up; the node did nothing wrong. The worker holds each impatient
-// caller's reply until that request ends, so the caller's 1 ms deadline
-// always expires mid-exchange. Two such callers against a healthy worker
-// leave its transport errors at 0 and its breaker closed with no failure,
-// so a patient request right after is served. Each used to book a transport
+// TestWarmHopCallerCancelIsNotANodeFault: a caller whose context ends
+// mid-forward has given up; the node did nothing wrong. The worker holds each
+// impatient caller's reply until that request ends, so the caller's 1 ms
+// deadline always expires mid-exchange. Two such callers against a healthy
+// worker leave its transport errors at 0 and its breaker closed with no
+// failure, so a patient request right after is served. Each used to book a transport
 // error and a breaker failure, and two opened testGateway's breaker: the
 // patient request was refused with "every eligible replica is parked".
-func TestCallerCancelIsNotANodeFault(t *testing.T) {
+func TestWarmHopCallerCancelIsNotANodeFault(t *testing.T) {
 	svc := serve.New(serve.Config{MaxConcurrency: 2, QueueDepth: 64, QueueTimeout: 30 * time.Second})
 	t.Cleanup(svc.Close)
 	h := serve.NewHandler(svc)
@@ -267,11 +267,11 @@ func TestCallerCancelIsNotANodeFault(t *testing.T) {
 	}
 }
 
-// TestForwardEndsWithCallerContext: cancelling the caller of a forward to a
-// hung node ends the forward at once, closes its connection, so the node's
+// TestWarmHopForwardEndsWithCallerContext: cancelling the caller of a forward
+// to a hung node ends the forward at once, closes its connection, so the node's
 // handler sees its request context end, and never puts that connection back
 // for the next forward, which dials a new one.
-func TestForwardEndsWithCallerContext(t *testing.T) {
+func TestWarmHopForwardEndsWithCallerContext(t *testing.T) {
 	var calls atomic.Int64
 	handlerSawCancel := make(chan struct{})
 	url, accepted := countingServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -308,11 +308,11 @@ func TestForwardEndsWithCallerContext(t *testing.T) {
 	}
 }
 
-// TestStaleKeepAliveRedials: a worker closes a connection idle for 20 ms,
-// so the gateway's second forward, 100 ms after the first, finds its pooled
-// connection closed. That costs the forward nothing: it is delivered by the
-// same node without a failover or a transport error.
-func TestStaleKeepAliveRedials(t *testing.T) {
+// TestWarmHopStaleKeepAliveRedials: a worker closes a connection idle for
+// 20 ms, so the gateway's second forward, 100 ms after the first, finds its
+// pooled connection closed. That costs the forward nothing: it is delivered
+// by the same node without a failover or a transport error.
+func TestWarmHopStaleKeepAliveRedials(t *testing.T) {
 	svc := serve.New(serve.Config{MaxConcurrency: 2, QueueDepth: 64, QueueTimeout: 30 * time.Second})
 	t.Cleanup(svc.Close)
 	url, accepted := countingServer(t, serve.NewHandler(svc), func(s *http.Server) { s.IdleTimeout = 20 * time.Millisecond })
@@ -332,13 +332,13 @@ func TestStaleKeepAliveRedials(t *testing.T) {
 	}
 }
 
-// TestHopKeepsOnlyReusableConnections: after a reply framed by its
+// TestWarmHopKeepsOnlyReusableConnections: after a reply framed by its
 // Content-Length or chunked, the connection serves the next forward; after a
 // reply carrying Connection: close, or one declaring more than
 // serve.ReplyLimit (a transport error, which fails over nowhere here), the
 // next forward dials anew. The node is a raw HTTP/1.1 responder that never
 // closes a connection itself, so every dial counted is the hop's decision.
-func TestHopKeepsOnlyReusableConnections(t *testing.T) {
+func TestWarmHopKeepsOnlyReusableConnections(t *testing.T) {
 	const ok = `{"kernel":"gemm","n":16,"outcome":"corrected"}`
 	framed := func(header string) string {
 		return "HTTP/1.1 200 OK\r\n" + header + "Content-Type: application/json\r\nContent-Length: " +

@@ -555,7 +555,7 @@ func TestWarmVoteAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestAnswerBuffersRecycled: a verify-vote product is packed into a buffer
+// TestWarmAnswerBuffersRecycled: a verify-vote product is packed into a buffer
 // of serve's answer list by the primary, decoded into another by the
 // gateway, and both go back to that one list, shared by the gateway and the
 // three nodes of this process, while other elections take them out again.
@@ -565,7 +565,7 @@ func TestWarmVoteAllocationBudget(t *testing.T) {
 // every verifier approving: a buffer handed back while still read, or handed
 // out twice, shows as a wrong signature or a refuted primary. ci.sh runs it
 // under -race.
-func TestAnswerBuffersRecycled(t *testing.T) {
+func TestWarmAnswerBuffersRecycled(t *testing.T) {
 	g := voteGateway(t, 3, 3,
 		NodeConfig{ID: "n0", BaseURL: serveNode(t)},
 		NodeConfig{ID: "n1", BaseURL: serveNode(t)},

@@ -154,9 +154,6 @@ type AccessResult struct {
 	EnergyJ  float64 // dynamic energy of this access
 }
 
-// Latency returns the request latency including queueing.
-func (r AccessResult) Latency(now uint64) uint64 { return r.Complete - now }
-
 // Stats accumulates memory-system counters.
 type Stats struct {
 	Reads, Writes    uint64

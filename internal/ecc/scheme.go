@@ -91,7 +91,8 @@ func (s Scheme) FITPerMbit() float64 {
 	}
 }
 
-// Stronger reports whether s provides strictly stronger protection than o.
+// Stronger reports whether s provides strictly stronger protection than o:
+// §4's "strong" against "relaxed" ECC.
 func (s Scheme) Stronger(o Scheme) bool { return s > o }
 
 // LineCodec applies a scheme to a whole 64-byte cacheline, the granularity
@@ -107,7 +108,8 @@ const LineSize = 64
 
 // CheckBytes returns the number of redundant bytes stored per 64-byte line:
 // 8 for SECDED (one check byte per 64-bit word) and 8 for chipkill (two
-// 4-check-symbol codewords per line pair, amortized to 8 bytes per line).
+// 4-check-symbol codewords per line pair, amortized to 8 bytes per line);
+// §2.2's 12.5% storage overhead at line granularity.
 func (c LineCodec) CheckBytes() int {
 	if c.Scheme == None {
 		return 0

@@ -7,11 +7,9 @@
 // 10 (comparison with DGMS). Each experiment returns a typed result plus a
 // text rendering with the same rows/series the paper reports.
 //
-// Every evaluation entry point is exposed twice: as a registered
-// Experiment (see registry.go) dispatched by name with context,
-// functional options and parallel fan-out through the campaign engine,
-// and as the original Fig*/Table* functions, kept as thin deprecated
-// wrappers.
+// Every experiment is run one way: Lookup(name).Run(ctx, opts...), the
+// registry of registry.go, with context, functional options and parallel
+// fan-out through the campaign engine.
 package experiments
 
 import (
@@ -181,13 +179,6 @@ func (rc runConfig) engine() *campaign.Engine { return rc.o.engine(rc.progress) 
 // Option is a functional option for the Experiment API.
 type Option func(*runConfig) error
 
-// NewOptions applies functional options over the Default configuration
-// and validates the result.
-func NewOptions(opts ...Option) (Options, error) {
-	rc, err := newRunConfig(opts...)
-	return rc.o, err
-}
-
 func newRunConfig(opts ...Option) (runConfig, error) {
 	rc := runConfig{o: Default()}
 	for _, opt := range opts {
@@ -223,23 +214,6 @@ func WithSeed(seed uint64) Option {
 // WithWorkers sizes the worker pool (0 = runtime.NumCPU()).
 func WithWorkers(n int) Option {
 	return func(rc *runConfig) error { rc.o.Workers = n; return nil }
-}
-
-// WithMatrixSize sets the dense-kernel edge (DGEMM, Cholesky and HPL; HPL
-// is rounded down to its block size).
-func WithMatrixSize(n int) Option {
-	return func(rc *runConfig) error {
-		rc.o.DGEMMN, rc.o.CholN = n, n
-		if rc.o.HPLNB > 0 {
-			rc.o.HPLN = n - n%rc.o.HPLNB
-		}
-		return nil
-	}
-}
-
-// WithL2Divisor sets the node scaling divisor (see machine.ScaledConfig).
-func WithL2Divisor(d int) Option {
-	return func(rc *runConfig) error { rc.o.L2Divisor = d; return nil }
 }
 
 // WithProgress installs a live progress callback (e.g.
@@ -356,12 +330,6 @@ func basicCached(ctx context.Context, rc runConfig) (BasicResults, error) {
 	basicCache[key] = out
 	basicMu.Unlock()
 	return out, nil
-}
-
-// BasicCtx runs (once per Options, cached) the full §5.1 sweep through
-// the campaign engine.
-func BasicCtx(ctx context.Context, o Options) (BasicResults, error) {
-	return basicCached(ctx, runConfig{o: o})
 }
 
 // header writes a row of column labels.

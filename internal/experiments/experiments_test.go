@@ -120,7 +120,7 @@ func TestTable4Ordering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale sweep skipped in -short mode")
 	}
-	rows := mustTable4(t, Default())
+	rows := run[[]Table4Row](t, "table4")
 	byK := map[KernelID]Table4Row{}
 	for _, r := range rows {
 		byK[r.Kernel] = r
@@ -141,7 +141,7 @@ func TestTable4Ordering(t *testing.T) {
 
 // TestFig3VerificationDominates: Figure 3's observation.
 func TestFig3VerificationDominates(t *testing.T) {
-	rows := mustFig3(t, Small())
+	rows := run[[]OverheadBreakdown](t, "fig3", WithSmall())
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -164,7 +164,7 @@ func TestFig3VerificationDominates(t *testing.T) {
 // TestTable1ImprovementPositive: notified verification is faster for all
 // three fail-continue kernels.
 func TestTable1ImprovementPositive(t *testing.T) {
-	rows := mustTable1(t, Small())
+	rows := run[[]Table1Row](t, "table1", WithSmall())
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -181,7 +181,7 @@ func TestTable1ImprovementPositive(t *testing.T) {
 // TestFig10Claims: DGMS behaves like whole chipkill on high-locality
 // workloads while the cooperative approach relaxes ABFT data.
 func TestFig10Claims(t *testing.T) {
-	rows := mustFig10(t, Small())
+	rows := run[[]Fig10Row](t, "fig10", WithSmall())
 	get := func(k KernelID, mech string) Fig10Row {
 		for _, r := range rows {
 			if r.Kernel == k && r.Mechanism == mech {
@@ -212,7 +212,7 @@ func TestFig10Claims(t *testing.T) {
 }
 
 func TestHeadlinesComputable(t *testing.T) {
-	h := mustHeadlines(t, Small())
+	h := run[Headline](t, "headlines", WithSmall())
 	if h.CGWholeChipkillMemIncrease <= 0 {
 		t.Errorf("CG chipkill increase = %v", h.CGWholeChipkillMemIncrease)
 	}
@@ -229,16 +229,16 @@ func TestHeadlinesComputable(t *testing.T) {
 func TestRenderersProduceOutput(t *testing.T) {
 	o := Small()
 	var b bytes.Buffer
-	RenderFig3(&b, mustFig3(t, o))
-	RenderTable1(&b, mustTable1(t, o))
+	RenderFig3(&b, run[[]OverheadBreakdown](t, "fig3", WithSmall()))
+	RenderTable1(&b, run[[]Table1Row](t, "table1", WithSmall()))
 	RenderTable3(&b, o)
-	RenderTable4(&b, mustTable4(t, o))
-	rows := mustFig567(t, o)
+	RenderTable4(&b, run[[]Table4Row](t, "table4", WithSmall()))
+	rows := run[[]StrategyMetrics](t, "fig5", WithSmall())
 	RenderFig5(&b, rows)
 	RenderFig6(&b, rows)
 	RenderFig7(&b, rows)
 	RenderTable5(&b)
-	RenderFig10(&b, mustFig10(t, o))
+	RenderFig10(&b, run[[]Fig10Row](t, "fig10", WithSmall()))
 	out := b.String()
 	for _, want := range []string{"Figure 3", "Table 1", "Table 3", "Table 4",
 		"Figure 5", "Figure 6", "Figure 7", "Table 5", "Figure 10",
@@ -250,8 +250,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 }
 
 func TestFig8SmokeSmall(t *testing.T) {
-	o := Small()
-	series := mustFig8(t, o)
+	series := run[[]ScalingSeries](t, "fig8", WithSmall())
 	if len(series) != 3 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -273,8 +272,7 @@ func TestFig8SmokeSmall(t *testing.T) {
 }
 
 func TestFig9SmokeSmall(t *testing.T) {
-	o := Small()
-	series := mustFig9(t, o)
+	series := run[[]ScalingSeries](t, "fig9", WithSmall())
 	for _, s := range series {
 		if len(s.Points) != len(StrongScalingProcs) {
 			t.Fatalf("%v: points = %d", s.Strategy, len(s.Points))
@@ -295,7 +293,7 @@ func TestFig9SweetPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale strong-scaling study skipped in -short mode")
 	}
-	series := mustFig9(t, Default())
+	series := run[[]ScalingSeries](t, "fig9")
 	for _, s := range series {
 		if s.Strategy.String() == "P_SD+No_ECC" {
 			continue // the SECDED-relative benefit is small and flat

@@ -45,11 +45,6 @@ func fig3Run(ctx context.Context, rc runConfig) ([]OverheadBreakdown, error) {
 	return out, err
 }
 
-// Fig3Ctx computes the Figure 3 overhead breakdown.
-func Fig3Ctx(ctx context.Context, o Options) ([]OverheadBreakdown, error) {
-	return fig3Run(ctx, runConfig{o: o})
-}
-
 // kernelOps runs a kernel standalone (no machine) and returns its buckets.
 func kernelOps(ctx context.Context, o Options, k KernelID) (abft.OpCounters, error) {
 	if err := ctx.Err(); err != nil {
@@ -132,11 +127,6 @@ func table1Run(ctx context.Context, rc runConfig) ([]Table1Row, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// Table1Ctx computes the Table 1 verification comparison.
-func Table1Ctx(ctx context.Context, o Options) ([]Table1Row, error) {
-	return table1Run(ctx, runConfig{o: o})
 }
 
 // RenderTable1 writes Table 1 as text.

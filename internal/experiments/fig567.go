@@ -62,11 +62,6 @@ func fig567Run(ctx context.Context, rc runConfig) ([]StrategyMetrics, error) {
 	return out, nil
 }
 
-// Fig567Ctx computes the normalized §5.1 sweep rows.
-func Fig567Ctx(ctx context.Context, o Options) ([]StrategyMetrics, error) {
-	return fig567Run(ctx, runConfig{o: o})
-}
-
 // RenderFig5 writes the memory-energy figure.
 func RenderFig5(w io.Writer, rows []StrategyMetrics) {
 	header(w, "Figure 5: memory energy normalized to No_ECC", []string{"strategy", "dynamic", "standby", "total"})
@@ -130,11 +125,6 @@ func headlinesRun(ctx context.Context, rc runConfig) (Headline, error) {
 	}
 	h.WholeSECDEDAvgMemIncrease = sdSum / float64(len(AllKernels))
 	return h, nil
-}
-
-// HeadlinesCtx computes the quoted §5.1 percentages from the sweep.
-func HeadlinesCtx(ctx context.Context, o Options) (Headline, error) {
-	return headlinesRun(ctx, runConfig{o: o})
 }
 
 // RenderHeadlines writes the §5.1 headline comparisons.

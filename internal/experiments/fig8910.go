@@ -44,11 +44,6 @@ func fig8Run(ctx context.Context, rc runConfig) ([]ScalingSeries, error) {
 	return out, err
 }
 
-// Fig8Ctx runs the Figure 8 weak-scaling study.
-func Fig8Ctx(ctx context.Context, o Options) ([]ScalingSeries, error) {
-	return fig8Run(ctx, runConfig{o: o})
-}
-
 // fig9Run runs the mixed strong-scaling study. The paper's base deployment
 // is 100 weak-scaled processes at 12K² (4× the weak-scaling problem edge);
 // correspondingly the base grid is twice the Fig-8 edge, so the
@@ -76,11 +71,6 @@ func fig9Run(ctx context.Context, rc runConfig) ([]ScalingSeries, error) {
 		out = append(out, ScalingSeries{Strategy: s, Points: pts[si*nPts : (si+1)*nPts]})
 	}
 	return out, nil
-}
-
-// Fig9Ctx runs the Figure 9 mixed strong-scaling study.
-func Fig9Ctx(ctx context.Context, o Options) ([]ScalingSeries, error) {
-	return fig9Run(ctx, runConfig{o: o})
 }
 
 // RenderScaling writes a Figure 8/9-style table.
@@ -157,11 +147,6 @@ func fig10Run(ctx context.Context, rc runConfig) ([]Fig10Row, error) {
 		)
 	}
 	return out, nil
-}
-
-// Fig10Ctx runs the Figure 10 DGMS comparison.
-func Fig10Ctx(ctx context.Context, o Options) ([]Fig10Row, error) {
-	return fig10Run(ctx, runConfig{o: o})
 }
 
 // runDGMS executes a kernel on a DGMS-equipped machine.

@@ -5,93 +5,42 @@ import (
 	"testing"
 )
 
-// The must* helpers run the Ctx experiment entry points and fail the test on
-// error, keeping table-driven assertions free of error plumbing.
+// run runs the experiment registered as name through the registry, the
+// package's one entry point, and returns its typed rows; it fails the test
+// on error, keeping table-driven assertions free of error plumbing.
+func run[T any](t testing.TB, name string, opts ...Option) T {
+	t.Helper()
+	e, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(context.Background(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, ok := res.Data.(T)
+	if !ok {
+		t.Fatalf("%s: data is %T", name, res.Data)
+	}
+	return rows
+}
 
+// mustBasic returns the cached §5.1 sweep that fig5, fig6 and fig7 read;
+// no experiment returns it whole.
 func mustBasic(t testing.TB, o Options) BasicResults {
 	t.Helper()
-	r, err := BasicCtx(context.Background(), o)
+	r, err := basicCached(context.Background(), runConfig{o: o})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
 }
 
-func mustFig3(t testing.TB, o Options) []OverheadBreakdown {
-	t.Helper()
-	rows, err := Fig3Ctx(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
-func mustTable1(t testing.TB, o Options) []Table1Row {
-	t.Helper()
-	rows, err := Table1Ctx(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
-func mustTable4(t testing.TB, o Options) []Table4Row {
-	t.Helper()
-	rows, err := Table4Ctx(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
-func mustFig567(t testing.TB, o Options) []StrategyMetrics {
-	t.Helper()
-	rows, err := Fig567Ctx(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
-func mustHeadlines(t testing.TB, o Options) Headline {
-	t.Helper()
-	h, err := HeadlinesCtx(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
-}
-
-func mustFig8(t testing.TB, o Options) []ScalingSeries {
-	t.Helper()
-	s, err := Fig8Ctx(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func mustFig9(t testing.TB, o Options) []ScalingSeries {
-	t.Helper()
-	s, err := Fig9Ctx(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func mustFig10(t testing.TB, o Options) []Fig10Row {
-	t.Helper()
-	rows, err := Fig10Ctx(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
+// mustThreshold runs the ARE-vs-ASE sweep over errorCounts rather than the
+// registered experiment's DefaultThresholdErrors.
 func mustThreshold(t testing.TB, o Options, errorCounts []int) []ThresholdPoint {
 	t.Helper()
-	pts, err := ThresholdStudyCtx(context.Background(), o, errorCounts)
+	pts, err := thresholdStudyRun(context.Background(), runConfig{o: o}, errorCounts)
 	if err != nil {
 		t.Fatal(err)
 	}

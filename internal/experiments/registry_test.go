@@ -75,20 +75,29 @@ func TestExperimentRunAndRender(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
-	if _, err := NewOptions(WithMatrixSize(-4)); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("negative matrix size: err = %v, want ErrBadConfig", err)
-	}
-	if _, err := NewOptions(WithWorkers(-1)); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("negative workers: err = %v, want ErrBadConfig", err)
-	}
-	if _, err := NewOptions(WithL2Divisor(0)); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("zero L2 divisor: err = %v, want ErrBadConfig", err)
-	}
-	o, err := NewOptions(WithSmall(), WithSeed(7), WithWorkers(3))
+	e, err := Lookup("table3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Seed != 7 || o.ScalingCfg.Seed != 7 || o.Workers != 3 {
+	if _, err := e.Run(context.Background(), WithWorkers(-1)); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("negative workers: err = %v, want ErrBadConfig", err)
+	}
+	for name, edit := range map[string]func(*Options){
+		"negative matrix size": func(o *Options) { o.DGEMMN = -4 },
+		"zero L2 divisor":      func(o *Options) { o.L2Divisor = 0 },
+	} {
+		o := Small()
+		edit(&o)
+		if err := o.Validate(); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: err = %v, want ErrBadConfig", name, err)
+		}
+	}
+	// table3 reports the options it ran with.
+	res, err := e.Run(context.Background(), WithSmall(), WithSeed(7), WithWorkers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := res.Data.(Options); o.Seed != 7 || o.ScalingCfg.Seed != 7 || o.Workers != 3 || o.DGEMMN != Small().DGEMMN {
 		t.Errorf("options not applied: %+v", o)
 	}
 }
@@ -269,15 +278,13 @@ func machineResultsSame(a, b BasicResults) bool {
 	return true
 }
 
-func TestMachineConfigOptions(t *testing.T) {
-	if _, err := machine.NewConfig(machine.WithClockHz(-1)); !errors.Is(err, machine.ErrBadConfig) {
-		t.Errorf("negative clock: err = %v, want machine.ErrBadConfig", err)
-	}
-	c, err := machine.NewConfig(machine.WithL2Divisor(32))
-	if err != nil {
+func TestMachineConfigValidate(t *testing.T) {
+	c := machine.ScaledConfig(32)
+	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if want := machine.ScaledConfig(32); c != want {
-		t.Errorf("NewConfig(WithL2Divisor(32)) = %+v, want ScaledConfig(32)", c)
+	c.CPU.ClockHz = -1
+	if err := c.Validate(); !errors.Is(err, machine.ErrBadConfig) {
+		t.Errorf("negative clock: err = %v, want machine.ErrBadConfig", err)
 	}
 }

@@ -37,11 +37,6 @@ func table4Run(ctx context.Context, rc runConfig) ([]Table4Row, error) {
 	return out, nil
 }
 
-// Table4Ctx computes the Table 4 LLC-miss classification.
-func Table4Ctx(ctx context.Context, o Options) ([]Table4Row, error) {
-	return table4Run(ctx, runConfig{o: o})
-}
-
 // RenderTable4 writes Table 4 as text.
 func RenderTable4(w io.Writer, rows []Table4Row) {
 	header(w, "Table 4: LLC misses by ABFT protection", []string{"w/ ABFT", "w/o ABFT", "ratio"})

@@ -70,11 +70,6 @@ func thresholdStudyRun(ctx context.Context, rc runConfig, errorCounts []int) ([]
 	return out, nil
 }
 
-// ThresholdStudyCtx runs the ARE-vs-ASE sweep over the given error counts.
-func ThresholdStudyCtx(ctx context.Context, o Options, errorCounts []int) ([]ThresholdPoint, error) {
-	return thresholdStudyRun(ctx, runConfig{o: o}, errorCounts)
-}
-
 // thresholdRun executes FT-CG with n injected errors under a strategy.
 func thresholdRun(o Options, s core.Strategy, n int) (res machine.Result, recoveries int, err error) {
 	rt := core.NewRuntime(o.machineConfig(), s, int64(o.Seed))

@@ -7,8 +7,8 @@ import (
 	"coopabft/internal/cache"
 )
 
-// ErrBadConfig reports an invalid machine configuration; NewConfig wraps
-// it with the specific violation.
+// ErrBadConfig reports an invalid machine configuration; Validate wraps it
+// with the specific violation.
 var ErrBadConfig = errors.New("machine: bad config")
 
 // Option adjusts a Config under construction.
@@ -30,25 +30,6 @@ func WithL2Divisor(divisor int) Option {
 		c.CPU.IdlePowerW /= d
 		c.DRAM.BackgroundPowerW /= d
 	}
-}
-
-// WithClockHz sets the core clock.
-func WithClockHz(hz float64) Option {
-	return func(c *Config) { c.CPU.ClockHz = hz }
-}
-
-// NewConfig builds a validated Config: Table 3 defaults, then the given
-// options, then an invariant check. Misconfigurations return an error
-// wrapping ErrBadConfig instead of a machine that panics mid-simulation.
-func NewConfig(opts ...Option) (Config, error) {
-	c := DefaultConfig()
-	for _, o := range opts {
-		o(&c)
-	}
-	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
 }
 
 // Validate checks the structural invariants the simulator relies on.

@@ -30,16 +30,6 @@ func (a *CSR) MulVecInto(y, x []float64) {
 	}
 }
 
-// RowDot returns row i of a dotted with x — used for single-element
-// recomputation during ABFT correction.
-func (a *CSR) RowDot(i int, x []float64) float64 {
-	s := 0.0
-	for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-		s += a.Val[k] * x[a.Col[k]]
-	}
-	return s
-}
-
 // Diag extracts the diagonal (the Jacobi preconditioner M).
 func (a *CSR) Diag() []float64 {
 	d := make([]float64, a.N)

@@ -50,18 +50,6 @@ func TestCSRMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestCSRRowDot(t *testing.T) {
-	a := Poisson2D(4, 4)
-	x := RandomVec(a.N, 9)
-	y := make([]float64, a.N)
-	a.MulVecInto(y, x)
-	for i := 0; i < a.N; i++ {
-		if math.Abs(a.RowDot(i, x)-y[i]) > 1e-12 {
-			t.Fatalf("RowDot(%d) mismatch", i)
-		}
-	}
-}
-
 func TestCSRMulVecShapePanics(t *testing.T) {
 	a := Poisson2D(2, 2)
 	defer func() {

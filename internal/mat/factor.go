@@ -262,33 +262,3 @@ func SolveLU(lu *Matrix, piv []int, b []float64) []float64 {
 	}
 	return x
 }
-
-// SolveLower solves L·x = b for lower-triangular L (non-unit diagonal).
-func SolveLower(l *Matrix, b []float64) []float64 {
-	n := l.Rows
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		row := l.Data[i*l.Stride : i*l.Stride+i]
-		for j, v := range row {
-			s -= v * x[j]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x
-}
-
-// SolveUpperT solves Lᵀ·x = b for lower-triangular L (i.e. an upper
-// triangular solve against the transpose of L).
-func SolveUpperT(l *Matrix, b []float64) []float64 {
-	n := l.Rows
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= l.At(j, i) * x[j]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x
-}

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestFreeListKeepsItemsAcrossGC: what goes in comes back, last in first
+// TestWarmFreeListKeepsItemsAcrossGC: what goes in comes back, last in first
 // out, after any number of collections.
-func TestFreeListKeepsItemsAcrossGC(t *testing.T) {
+func TestWarmFreeListKeepsItemsAcrossGC(t *testing.T) {
 	l := NewFreeList[*[]float64](1 << 20)
 	a, b := make([]float64, 8), make([]float64, 8)
 	l.Put(&a, 64)
@@ -27,11 +27,11 @@ func TestFreeListKeepsItemsAcrossGC(t *testing.T) {
 	}
 }
 
-// TestFreeListIdleBytesNeverExceedBudget: a Put that would take the idle
+// TestWarmFreeListIdleBytesNeverExceedBudget: a Put that would take the idle
 // bytes past the budget drops its item, lists that share a budget share the
 // bound, and under concurrent Puts and Gets the idle bytes are never seen
 // past it and come back to exactly zero once every list is drained.
-func TestFreeListIdleBytesNeverExceedBudget(t *testing.T) {
+func TestWarmFreeListIdleBytesNeverExceedBudget(t *testing.T) {
 	l := NewFreeList[int](1000)
 	for i, want := range []bool{true, true, true, false} {
 		if kept := l.Put(i, 300); kept != want {
@@ -109,11 +109,11 @@ func TestFreeListIdleBytesNeverExceedBudget(t *testing.T) {
 	}
 }
 
-// TestFreeListEvictsColdestList: once one list has filled a shared budget,
+// TestWarmFreeListEvictsColdestList: once one list has filled a shared budget,
 // a Put to another list is still kept, by evicting idle items of the list
 // used longest ago; a list is never evicted for its own Put, and an item
 // larger than the whole budget evicts nothing.
-func TestFreeListEvictsColdestList(t *testing.T) {
+func TestWarmFreeListEvictsColdestList(t *testing.T) {
 	b := &byteBudget{limit: 1000}
 	burst, cold, warm, hot := newSharedList[int](b), newSharedList[int](b), newSharedList[int](b), newSharedList[int](b)
 	cold.Put(-1, 100)

@@ -283,6 +283,3 @@ func (m Moments) MeanSq() float64 {
 	}
 	return m.SumSq / float64(m.Count)
 }
-
-// RMS returns the root-mean-square magnitude.
-func (m Moments) RMS() float64 { return math.Sqrt(m.MeanSq()) }

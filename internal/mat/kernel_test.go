@@ -262,13 +262,13 @@ func TestMulVecIntoDeterministic(t *testing.T) {
 	}
 }
 
-// TestSerialBandHelpersAllocationBudget: at Parallelism 1, MulVecInto and
+// TestWarmSerialBandHelpersAllocationBudget: at Parallelism 1, MulVecInto and
 // SolveXLT run their rows on the caller's stack and allocate nothing (each
 // allocated its band closure on every call while the closure was built
 // before the serial branch), and their bits are the scalar loops' — a dot
 // product per row, a forward substitution per row — on compact and strided
 // operands.
-func TestSerialBandHelpersAllocationBudget(t *testing.T) {
+func TestWarmSerialBandHelpersAllocationBudget(t *testing.T) {
 	withParallelism(1, func() {
 		for _, n := range []int{1, 7, 64, 130} {
 			for _, strided := range []bool{false, true} {

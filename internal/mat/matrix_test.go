@@ -372,53 +372,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestTriangularSolves(t *testing.T) {
-	n := 12
-	a := SymmetricPositiveDefinite(n, 11)
-	l := a.Clone()
-	if err := Cholesky(l); err != nil {
-		t.Fatal(err)
-	}
-	xTrue := RandomVec(n, 13)
-	// L·y = b, then Lᵀ·x = y should solve A·x = b.
-	b := MulVec(a, xTrue)
-	y := SolveLower(l, b)
-	x := SolveUpperT(l, y)
-	for i := range x {
-		if math.Abs(x[i]-xTrue[i]) > 1e-8 {
-			t.Fatalf("x[%d] = %v, want %v", i, x[i], xTrue[i])
-		}
-	}
-}
-
-func TestCGSolves(t *testing.T) {
-	for _, n := range []int{2, 10, 60} {
-		a := SymmetricPositiveDefinite(n, uint64(n))
-		xTrue := RandomVec(n, 21)
-		b := MulVec(a, xTrue)
-		res, err := CG(a, b, 1e-12, 10*n)
-		if err != nil {
-			t.Fatalf("n=%d: %v (res %g after %d iters)", n, err, res.Residual, res.Iterations)
-		}
-		for i := range res.X {
-			if math.Abs(res.X[i]-xTrue[i]) > 1e-6 {
-				t.Fatalf("n=%d: x[%d] = %v, want %v", n, i, res.X[i], xTrue[i])
-			}
-		}
-	}
-}
-
-func TestCGZeroRHS(t *testing.T) {
-	a := SymmetricPositiveDefinite(5, 1)
-	res, err := CG(a, make([]float64, 5), 1e-12, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Norm2(res.X) > 1e-12 {
-		t.Errorf("CG(A, 0) returned nonzero x: %v", res.X)
-	}
-}
-
 func TestVectorOps(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}

@@ -35,7 +35,7 @@ func testBufPoolClassRoundTrip[T Float](t *testing.T) {
 	}
 }
 
-func TestBufPoolClassRoundTrip(t *testing.T) {
+func TestWarmBufPoolClassRoundTrip(t *testing.T) {
 	t.Run("f64", testBufPoolClassRoundTrip[float64])
 	t.Run("f32", testBufPoolClassRoundTrip[float32])
 	// The element types' pools are separate: alternating float32 and float64
@@ -195,7 +195,7 @@ func testSteadyStateZeroAllocs[T Float](t *testing.T) {
 	})
 }
 
-func TestMulAddIntoSteadyStateZeroAllocs(t *testing.T) {
+func TestWarmMulAddIntoSteadyStateZeroAllocs(t *testing.T) {
 	t.Run("f64", testSteadyStateZeroAllocs[float64])
 	t.Run("f32", testSteadyStateZeroAllocs[float32])
 }

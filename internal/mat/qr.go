@@ -86,24 +86,6 @@ func HouseholderStep(r, v *Matrix, beta []float64, k int) (float64, error) {
 	return b, nil
 }
 
-// ApplyQT computes y = Qᵀ·x using the stored reflectors.
-func (q *QR) ApplyQT(x []float64) []float64 {
-	n := q.R.Rows
-	y := make([]float64, n)
-	copy(y, x)
-	for k := 0; k < n; k++ {
-		s := 0.0
-		for i := k; i < n; i++ {
-			s += q.V.At(i, k) * y[i]
-		}
-		s *= q.Beta[k]
-		for i := k; i < n; i++ {
-			y[i] -= s * q.V.At(i, k)
-		}
-	}
-	return y
-}
-
 // ApplyQ computes y = Q·x (reflectors in reverse order).
 func (q *QR) ApplyQ(x []float64) []float64 {
 	n := q.R.Rows
@@ -120,22 +102,6 @@ func (q *QR) ApplyQ(x []float64) []float64 {
 		}
 	}
 	return y
-}
-
-// Solve returns x with A·x = b via R·x = Qᵀ·b.
-func (q *QR) Solve(b []float64) []float64 {
-	n := q.R.Rows
-	y := q.ApplyQT(b)
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		row := q.R.Data[i*q.R.Stride+i+1 : i*q.R.Stride+n]
-		for j, v := range row {
-			s -= v * x[i+1+j]
-		}
-		x[i] = s / q.R.At(i, i)
-	}
-	return x
 }
 
 // QMatrix materializes Q explicitly (test helper, O(n³)).

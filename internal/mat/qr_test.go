@@ -46,39 +46,6 @@ func TestQROrthogonality(t *testing.T) {
 	}
 }
 
-func TestQRSolve(t *testing.T) {
-	for _, n := range []int{3, 10, 40} {
-		a := DiagonallyDominant(n, uint64(n)+70)
-		xTrue := RandomVec(n, 5)
-		b := MulVec(a, xTrue)
-		q, err := QRFactor(a, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := q.Solve(b)
-		for i := range x {
-			if math.Abs(x[i]-xTrue[i]) > 1e-8 {
-				t.Fatalf("n=%d: x[%d] = %g, want %g", n, i, x[i], xTrue[i])
-			}
-		}
-	}
-}
-
-func TestQRApplyQInvertsApplyQT(t *testing.T) {
-	a := DiagonallyDominant(15, 3)
-	q, err := QRFactor(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := RandomVec(15, 8)
-	y := q.ApplyQ(q.ApplyQT(x))
-	for i := range x {
-		if math.Abs(y[i]-x[i]) > 1e-10 {
-			t.Fatalf("Q·Qᵀ·x ≠ x at %d", i)
-		}
-	}
-}
-
 func TestQRStepHook(t *testing.T) {
 	a := DiagonallyDominant(8, 2)
 	var steps []int

@@ -182,7 +182,9 @@ func (c *Controller) UpdateRegion(idx int, scheme ecc.Scheme) {
 	c.regions[idx].Scheme = scheme
 }
 
-// ClearRegion frees register idx (free_ecc).
+// ClearRegion frees register idx: the controller half of §3.2.1's
+// free_ecc, reached through osmodel.OS.FreeECC. No experiment frees an
+// allocation, so no program calls it.
 func (c *Controller) ClearRegion(idx int) {
 	if idx < 0 || idx >= NumRegions {
 		panic(fmt.Sprintf("memctrl: ClearRegion(%d) out of range", idx))
@@ -460,8 +462,10 @@ func (c *Controller) pushErrorRecord(rec ErrorRecord) {
 	c.errRegs = append(c.errRegs, rec)
 }
 
-// ReadErrorRegisters returns the recorded fault sites (memory-mapped
-// register read by the OS) and clears them.
+// ReadErrorRegisters returns the recorded fault sites and clears them: the
+// OS's memory-mapped read of §3.1's n error registers. The simulated OS
+// takes the records through the OnUncorr interrupt instead, so no program
+// calls it.
 func (c *Controller) ReadErrorRegisters() []ErrorRecord {
 	out := make([]ErrorRecord, len(c.errRegs))
 	copy(out, c.errRegs)

@@ -280,90 +280,6 @@ func TestUpdateRegionPanicsOnInvalid(t *testing.T) {
 	c.UpdateRegion(0, ecc.None)
 }
 
-func TestScrubberFindsAndFixesLatentErrors(t *testing.T) {
-	c := newCtl(ecc.SECDED)
-	s := NewScrubber(c, 16)
-	s.AddRange(0, 4096) // 64 lines
-
-	// A latent single-bit error deep in the range: correctable, but only
-	// once something reads the line.
-	var p Pattern
-	p.Data[0] = 0x10
-	c.InjectFault(40*64, p)
-
-	found := s.ScrubAll(0)
-	if found != 1 {
-		t.Errorf("scrub found %d faulty lines, want 1", found)
-	}
-	if st := c.Stats(); st.CorrectedErrors != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	if c.FaultyLines() != 0 {
-		t.Error("latent error not repaired by the patrol")
-	}
-	if s.Passes != 1 || s.LinesScrubbed != 64 {
-		t.Errorf("scrubber stats: passes=%d lines=%d", s.Passes, s.LinesScrubbed)
-	}
-}
-
-func TestScrubberIncrementalPasses(t *testing.T) {
-	c := newCtl(ecc.SECDED)
-	s := NewScrubber(c, 10)
-	s.AddRange(0, 64*25) // 25 lines
-	for i := 0; i < 5; i++ {
-		s.Scrub(0)
-	}
-	if s.LinesScrubbed != 50 {
-		t.Errorf("lines scrubbed = %d", s.LinesScrubbed)
-	}
-	if s.Passes != 2 {
-		t.Errorf("passes = %d, want 2 (50/25)", s.Passes)
-	}
-}
-
-func TestScrubberUncorrectableRaisesInterrupt(t *testing.T) {
-	c := newCtl(ecc.SECDED)
-	fired := 0
-	c.OnUncorr = func(ErrorRecord) { fired++ }
-	s := NewScrubber(c, 8)
-	s.AddRange(0, 512)
-	var p Pattern
-	p.Data[0] = 0x03 // double bit
-	c.InjectFault(128, p)
-	s.ScrubAll(0)
-	if fired != 1 {
-		t.Errorf("interrupts = %d", fired)
-	}
-}
-
-func TestScrubberEmptySafe(t *testing.T) {
-	c := newCtl(ecc.SECDED)
-	s := NewScrubber(c, 8)
-	if s.Scrub(0) != 0 || s.ScrubAll(0) != 0 {
-		t.Error("empty scrubber reported findings")
-	}
-}
-
-func TestScrubberMultipleRanges(t *testing.T) {
-	c := newCtl(ecc.Chipkill)
-	s := NewScrubber(c, 1000)
-	s.AddRange(0, 256)
-	s.AddRange(1<<20, 256)
-	var p Pattern
-	p.Data[7] = 0xff // chip failure: chipkill corrects
-	c.InjectFault(1<<20+64, p)
-	// The patrol may repair the line via a lock-stepped companion prefetch
-	// one step before its own cursor reaches it; what matters is that the
-	// latent error is gone after one full pass.
-	s.ScrubAll(0)
-	if c.FaultyLines() != 0 {
-		t.Error("second-range fault not repaired")
-	}
-	if st := c.Stats(); st.CorrectedErrors != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
 // ctlObserved is everything ctlScript can see of a controller.
 type ctlObserved struct {
 	Regions   []Region

@@ -208,9 +208,9 @@ func (o *OS) record() *Allocation {
 	return new(Allocation)
 }
 
-// FreeECC implements free_ecc: releases the MC ECC register. (The simulated
-// address space is not recycled; allocations are long-lived in these
-// workloads.)
+// FreeECC implements §3.2.1's free_ecc: releases the MC ECC register. (The
+// simulated address space is not recycled; allocations live as long as the
+// node, so no program calls it.)
 func (o *OS) FreeECC(a *Allocation) {
 	if a.freed {
 		panic(fmt.Sprintf("osmodel: double free of %q", a.Name))

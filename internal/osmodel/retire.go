@@ -16,9 +16,6 @@ type RetireInfo struct {
 	MovedFaults        int
 }
 
-// frameErrorCount returns how many uncorrectable events frame has produced.
-func (o *OS) frameErrorCount(frame uint64) int { return o.frameErrs[frame] }
-
 // noteFrameError bumps a frame's error count and retires it past the
 // threshold. Called from the interrupt handler.
 func (o *OS) noteFrameError(paddr uint64) {

@@ -71,6 +71,11 @@ func equivGrids() []Config {
 	return grids
 }
 
+// TestFunctionalRuntimeMatchesTimed: serving and the soak harness run on the
+// functional runtime (no cache or DRAM timing, the hierarchy dormant until a
+// fault is injected), so every cell of equivGrids must end with the same
+// recovery.Report and the same answer bits on it as on the paper's timed
+// platform.
 func TestFunctionalRuntimeMatchesTimed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("720 runs, half of them timed: ci.sh runs this under -race on a line of its own")

@@ -11,14 +11,14 @@ import (
 	"time"
 )
 
-// TestAnswerBuffersRecycled: a worker packs a verify-vote product into a
+// TestWarmAnswerBuffersRecycled: a worker packs a verify-vote product into a
 // buffer of the answer list, and once its handler returns the buffer is back
 // on the list, the reply having carried the product's bytes. The list starts
 // holding one buffer of exactly the product's size, so the one on it
 // afterwards must be that buffer: the pack took it and HandleRequest put it
 // back. (The gateway's half, and buffers cycling under concurrent
-// elections, is cluster's TestAnswerBuffersRecycled.)
-func TestAnswerBuffersRecycled(t *testing.T) {
+// elections, is cluster's TestWarmAnswerBuffersRecycled.)
+func TestWarmAnswerBuffersRecycled(t *testing.T) {
 	s := newTestService(t, Config{QueueTimeout: time.Minute})
 	const n = 32
 	for {

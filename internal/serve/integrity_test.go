@@ -345,14 +345,14 @@ func TestVerifyRouteKeepsNoValues(t *testing.T) {
 	}
 }
 
-// TestQueuedVerifyTaskHoldsNoProduct: a verify task is parsed before it is
+// TestWarmQueuedVerifyTaskHoldsNoProduct: a verify task is parsed before it is
 // admitted, so whatever parsing allocates is held by every task waiting for
 // a slot and wasted on every task that is shed. A task carries 2n probe
 // values and no product; with the slots held, 64 n=192 tasks that wait and
 // end in ErrQueueTimeout must each allocate less than their own 16n-byte
 // payload, which rules out anything n-sized, let alone the operands. The
 // task's values are the caller's and are shared here.
-func TestQueuedVerifyTaskHoldsNoProduct(t *testing.T) {
+func TestWarmQueuedVerifyTaskHoldsNoProduct(t *testing.T) {
 	s := newTestService(t, Config{BlockConcurrency: 1, QueueTimeout: 50 * time.Millisecond})
 	const n, tasks = 192, 64
 	task := VerifyTask{Kernel: "gemm", N: n, Seed: 5, ProbeSeed: 6, Ce: make([]float64, n), Cr: make([]float64, n)}

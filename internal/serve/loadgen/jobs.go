@@ -56,11 +56,6 @@ func (h *HTTPClient) JobStatus(ctx context.Context, id string) (serve.JobStatus,
 	return h.jobCall(ctx, http.MethodGet, "/v1/jobs/"+id, nil, http.StatusOK)
 }
 
-// CancelJob requests cancellation and returns the status at call time.
-func (h *HTTPClient) CancelJob(ctx context.Context, id string) (serve.JobStatus, error) {
-	return h.jobCall(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, http.StatusOK)
-}
-
 // jobCall is one jobs-API exchange through call; a 429 comes back as a
 // shedError carrying its delay.
 func (h *HTTPClient) jobCall(ctx context.Context, method, path string, body []byte, want int) (serve.JobStatus, error) {

@@ -42,17 +42,6 @@ const (
 	Speculative
 )
 
-func (c Class) String() string {
-	switch c {
-	case Protected:
-		return "protected"
-	case Speculative:
-		return "speculative"
-	default:
-		return fmt.Sprintf("class(%d)", int(c))
-	}
-}
-
 // Item is one unit of admitted work.
 type Item struct {
 	Tenant string

@@ -116,7 +116,9 @@ func (s *Scheduler) Enqueue(it Item) (evicted []Item, err error) {
 }
 
 // Pop removes and returns the item with the smallest finish tag among
-// tenant queue heads. ok is false when the queue is empty.
+// tenant queue heads. ok is false when the queue is empty. serve pops
+// through PopWhere while request batching lives; Pop is what it calls once
+// batching is retired.
 func (s *Scheduler) Pop() (Item, bool) {
 	return s.PopWhere(nil)
 }

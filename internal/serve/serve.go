@@ -354,11 +354,6 @@ func (s *Service) acquire(ctx context.Context, rt *sideRoute, timeoutMS int) (_ 
 	return nil, nil, err
 }
 
-// Bus returns the service's error bus — the in-process fault-event stream
-// that /v1/events exports and in-process embedders (the gateway, tests)
-// subscribe to directly.
-func (s *Service) Bus() *Bus { return s.bus }
-
 // Close stops admission, fails queued-but-unstarted requests with
 // ErrClosed (each waiter fails its own), and waits for running batches to
 // finish by taking every concurrency slot, which it keeps. In-flight

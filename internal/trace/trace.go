@@ -10,8 +10,6 @@
 // is a single branch, so the same kernel code runs traced and untraced.
 package trace
 
-import "fmt"
-
 // LineSize is the cacheline size in bytes (Table 3: 64B blocks).
 const LineSize = 64
 
@@ -156,8 +154,9 @@ func (m *Memory) TouchStrided(r Region, idx, count, stride int, write bool) {
 	}
 }
 
-// Counter is a probe that tallies accesses per region — the profiling used
-// for Table 4. Wrap it around another probe with Chain.
+// Counter is a probe that tallies accesses per region (ABFT-protected or
+// not). Table 4's LLC-miss classification is machine's own; tests use
+// Counter to see which regions a kernel touches.
 type Counter struct {
 	space *Space
 	// ABFTRefs and OtherRefs count cacheline touches to ABFT-protected and
@@ -196,21 +195,4 @@ func (c *Counter) Ratio() float64 {
 		return float64(c.ABFTRefs)
 	}
 	return float64(c.ABFTRefs) / float64(c.OtherRefs)
-}
-
-// Chain fans one probe event out to several probes.
-func Chain(probes ...Probe) Probe {
-	return func(addr uint64, write bool) {
-		for _, p := range probes {
-			if p != nil {
-				p(addr, write)
-			}
-		}
-	}
-}
-
-// String describes the counter.
-func (c *Counter) String() string {
-	return fmt.Sprintf("trace.Counter{abft: %d, other: %d, ratio: %.1f}",
-		c.ABFTRefs, c.OtherRefs, c.Ratio())
 }

@@ -134,16 +134,6 @@ func TestCounterRatioEdgeCases(t *testing.T) {
 	}
 }
 
-func TestChain(t *testing.T) {
-	var a, b int
-	p := Chain(func(uint64, bool) { a++ }, nil, func(uint64, bool) { b++ })
-	p(0, false)
-	p(64, true)
-	if a != 2 || b != 2 {
-		t.Errorf("chain fan-out a=%d b=%d", a, b)
-	}
-}
-
 // Property: every line address emitted by Touch is line-aligned and covers
 // the requested byte range.
 func TestTouchCoversRangeProperty(t *testing.T) {
